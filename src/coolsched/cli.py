@@ -44,13 +44,6 @@ def _load_temperature(cfg: RunConfig) -> ingest.TimeSeries:
                               ingest.SeriesKind.TEMPERATURE)
 
 
-def _window_bounds(window):
-    start, end = window
-    h0 = ingest.parse_timestamp(start) if isinstance(start, str) else int(start)
-    h1 = ingest.parse_timestamp(end) if isinstance(end, str) else int(end)
-    return h0, h1
-
-
 def _workload_series(cfg: RunConfig, window) -> ingest.TimeSeries:
     path = cfg.path("workload_csv")
     if path is not None:
@@ -59,9 +52,9 @@ def _workload_series(cfg: RunConfig, window) -> ingest.TimeSeries:
         return ingest.slice_series(
             ingest.load_series(path, ingest.SeriesKind.WORKLOAD), window)
     h = cfg.raw["heat_load"]
-    h0, h1 = _window_bounds(window)
-    return ingest.synth_workload(cfg.seed, h1 - h0 + 1, h["synth_base_cores"],
-                                 h["synth_amplitude"], start=h0,
+    hours = ingest.window_hours(window)
+    return ingest.synth_workload(cfg.seed, len(hours), h["synth_base_cores"],
+                                 h["synth_amplitude"], start=int(hours[0]),
                                  noise=h["synth_noise"])
 
 
@@ -115,12 +108,16 @@ def _planning_day_hour(cfg: RunConfig) -> int:
     return derived
 
 
-def _assemble_problem(cfg: RunConfig, regime_model, transition_model):
-    """Planning problem over the configured cycle (one day or a window)."""
+def _check_regime_count(cfg: RunConfig, regime_model) -> None:
     if regime_model.m != cfg.space.m:
         raise PipelineError(
             f"regime model has {regime_model.m} regimes but config expects "
             f"{cfg.space.m}; refit or change qfr.regimes")
+
+
+def _assemble_problem(cfg: RunConfig, regime_model, transition_model):
+    """Planning problem over the configured cycle (one day or a window)."""
+    _check_regime_count(cfg, regime_model)
     if transition_model.m != regime_model.m:
         raise PipelineError("transition model and regime model disagree on M")
 
@@ -142,7 +139,7 @@ def _assemble_problem(cfg: RunConfig, regime_model, transition_model):
                           c_heat=capacitance(cfg.facility), hours=hours)
 
 
-def _build_controllers(cfg: RunConfig, out, args, need_policy=True):
+def _build_controllers(cfg: RunConfig, out, args, regime_model):
     built = {}
     facility = cfg.facility
     c_heat = capacitance(facility)
@@ -157,14 +154,13 @@ def _build_controllers(cfg: RunConfig, out, args, need_policy=True):
                 peak_start=fr["peak_start"], peak_end=fr["peak_end"],
                 precool_start=fr["precool_start"], precool_end=fr["precool_end"])
         elif name == "qfr-mdp":
-            if not need_policy:
-                continue
             policy = mdp.load_policy(_input_path(args, "policy", out, POLICY_FILE))
-            model = qfr.load_model(_input_path(args, "regime_model", out,
-                                               REGIME_MODEL_FILE))
-            built[name] = ctl.QfrMdpController(
-                policy=policy, regime_model=model,
-                argmax=bool(cfg.raw["simulation"]["argmax_policy"]))
+            if policy.space != cfg.space:
+                raise PipelineError(
+                    f"policy was planned on {policy.space} but the config "
+                    f"gives {cfg.space}; re-run plan")
+            built[name] = ctl.QfrMdpController(policy=policy,
+                                               regime_model=regime_model)
     return built
 
 
@@ -178,26 +174,28 @@ def _input_path(args, flag, out, default_name):
     return path
 
 
+def _write_surfaces(cfg: RunConfig, price, model, path) -> None:
+    """Rearranged quantile surfaces of `model` over the first training window."""
+    hours = ingest.slice_series(price, _train_windows(cfg)[0]).hours
+    bounds, reps = model.surfaces_at(hours)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "hour_of_day"]
+                        + [f"boundary_{j}" for j in range(1, model.m)]
+                        + [f"representative_{p}" for p in range(1, model.m + 1)])
+        for i, h in enumerate(hours):
+            writer.writerow([ingest.format_timestamp(h), int(h % 24)]
+                            + [repr(float(v)) for v in bounds[i]]
+                            + [repr(float(v)) for v in reps[i]])
+
+
 def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     price = _load_price(cfg)
     hours, values = _train_samples(cfg, price)
     model = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
     qfr.save_model(model, os.path.join(out, REGIME_MODEL_FILE))
-
-    first = _train_windows(cfg)[0]
-    table_hours = ingest.slice_series(price, first).hours
-    bounds, reps = model.surfaces_at(table_hours)
-    with open(os.path.join(out, "qfr_surfaces.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "hour_of_day"]
-                        + [f"boundary_{j}" for j in range(1, model.m)]
-                        + [f"representative_{p}" for p in range(1, model.m + 1)])
-        for i, h in enumerate(table_hours):
-            writer.writerow([ingest.format_timestamp(h), int(h % 24)]
-                            + [repr(float(v)) for v in bounds[i]]
-                            + [repr(float(v)) for v in reps[i]])
+    _write_surfaces(cfg, price, model, os.path.join(out, "qfr_surfaces.csv"))
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
           f"{len(model.boundary_fits)} boundary fits, "
           f"{len(model.representative_fits)} representative fits")
@@ -237,30 +235,30 @@ def cmd_plan(cfg: RunConfig, args) -> int:
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    need_policy = "qfr-mdp" in cfg.raw["controllers"]
-    built = _build_controllers(cfg, out, args, need_policy=need_policy)
-    if not built:
+    if not cfg.raw["controllers"]:
         raise PipelineError("config selects no controllers")
 
-    labeling_model = None
-    model_path = os.path.join(out, REGIME_MODEL_FILE)
-    if getattr(args, "regime_model", None) or os.path.exists(model_path):
-        labeling_model = qfr.load_model(getattr(args, "regime_model", None)
-                                        or model_path)
+    # one regime model drives the qfr-mdp lookups and labels every trajectory
+    model = None
+    if ("qfr-mdp" in cfg.raw["controllers"] or args.regime_model
+            or os.path.exists(os.path.join(out, REGIME_MODEL_FILE))):
+        model = qfr.load_model(_input_path(args, "regime_model", out,
+                                           REGIME_MODEL_FILE))
+        _check_regime_count(cfg, model)
+    built = _build_controllers(cfg, out, args, model)
     specs = sim.SimSpecs(facility=cfg.facility, chiller=cfg.chiller,
                          heat=cfg.heat, cost=cfg.cost,
-                         regime_model=labeling_model, space=cfg.space)
+                         regime_model=model, space=cfg.space)
 
     price = _load_price(cfg)
     temperature = _load_temperature(cfg)
     reports = []
-    for w_idx, window in enumerate(_simulate_windows(cfg)):
+    for window in _simulate_windows(cfg):
         workload = _workload_series(cfg, window)
         dataset = ingest.align(price, temperature, workload, window)
-        for c_idx, (name, controller) in enumerate(sorted(built.items())):
+        for name, controller in sorted(built.items()):
             trajectory = sim.rollout(controller, dataset, specs,
-                                     initial_theta=cfg.initial_theta,
-                                     seed=[cfg.seed, w_idx, c_idx])
+                                     initial_theta=cfg.initial_theta)
             day = ingest.format_timestamp(dataset.hours[0])[:10]
             trajectory.to_csv(os.path.join(out, f"trajectory_{name}_{day}.csv"))
             report = sim.summarize(trajectory)
@@ -303,40 +301,21 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     if not reports:
         raise PipelineError("reports file is empty; run simulate first")
 
-    # price-model surfaces over the first training window
-    price = _load_price(cfg)
-    first = _train_windows(cfg)[0]
-    hours = ingest.slice_series(price, first).hours
-    bounds, reps = model.surfaces_at(hours)
-    with open(os.path.join(out, "fig1_quantile_surfaces.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "hour_of_day"]
-                        + [f"boundary_{j}" for j in range(1, model.m)]
-                        + [f"representative_{p}" for p in range(1, model.m + 1)])
-        for i, h in enumerate(hours):
-            writer.writerow([ingest.format_timestamp(h), int(h % 24)]
-                            + [repr(float(v)) for v in bounds[i]]
-                            + [repr(float(v)) for v in reps[i]])
+    _write_surfaces(cfg, _load_price(cfg), model,
+                    os.path.join(out, "fig1_quantile_surfaces.csv"))
 
     # planned actions for the chosen day: hour x theta x regime
     day_start = _planning_day_hour(cfg)
-    expected = policy.expected_actions()
-    grid = policy.space.theta_grid
     with open(os.path.join(out, "fig2_policy_day.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["hour_of_day", "theta", "regime",
-                         "expected_action", "argmax_action"])
+        writer.writerow(["hour_of_day", "theta", "regime", "action"])
         for hod in range(24):
             slot = ctl.policy_slot(policy, day_start + hod)
-            for i, theta in enumerate(grid):
+            for i, theta in enumerate(policy.space.theta_grid):
                 for p in range(policy.space.m):
-                    writer.writerow([
-                        hod, repr(float(theta)), p + 1,
-                        repr(float(expected[slot, i, p])),
-                        int(policy.probabilities[slot, i, p].argmax()),
-                    ])
+                    writer.writerow([hod, repr(float(theta)), p + 1,
+                                     int(policy.actions[slot, i, p])])
 
     # one day of simulated temperature traces per controller
     sim_windows = _simulate_windows(cfg)

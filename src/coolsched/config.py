@@ -83,7 +83,6 @@ DEFAULTS = {
     },
     "simulation": {
         "initial_theta_c": None,   # null: midpoint of the safety band
-        "argmax_policy": False,
     },
     "fixed_rule": {
         "peak_start": 16,

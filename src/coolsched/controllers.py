@@ -1,20 +1,15 @@
 """Runtime action rules: planned QFR-MDP lookup and heuristic baselines.
 
-Every controller exposes action(hour_index, theta, price, t_out, q, rng)
-returning a chiller count; deterministic controllers ignore rng, so a
-rollout seeded once replays bit-for-bit.
+Every controller exposes action(hour_index, theta, price, t_out, q)
+returning a chiller count. All controllers are deterministic, so a rollout
+replays bit-for-bit from its inputs.
 """
 
-import logging
 from dataclasses import dataclass
-
-import numpy as np
 
 from .mdp import CostSpec, Policy, quantize
 from .qfr import RegimeModel, classify
 from .thermal import ChillerSpec, step_temperature
-
-log = logging.getLogger(__name__)
 
 
 def greedy_action(theta, t_out, q, chiller: ChillerSpec, cost: CostSpec,
@@ -54,29 +49,6 @@ def fixed_rule_action(hour_of_day, theta, t_out, q, chiller: ChillerSpec,
     return greedy_action(theta, t_out, q, chiller, cost, gamma_env, c_heat, dt)
 
 
-def mdp_action(policy: Policy, regime_model: RegimeModel, hour_index: int,
-               theta: float, price: float, rng) -> int:
-    """Sample an action from the planned policy at the observed state.
-
-    The realized price is classified into its regime at this hour, theta is
-    quantized to the planning grid, and the policy's action distribution for
-    that slot is sampled with the caller's generator.
-    """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    slot = policy_slot(policy, hour_index)
-    regime = classify(regime_model, hour_index, price)
-    if regime > policy.space.m:
-        log.warning("regime %d outside policy's %d regimes at hour %d; clamping",
-                    regime, policy.space.m, hour_index)
-        regime = policy.space.m
-    i = quantize(theta, policy.space)
-    probs = policy.probabilities[slot, i, regime - 1]
-    if probs.max() >= 1.0 - 1e-12:
-        return int(probs.argmax())
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
-
-
 def policy_slot(policy: Policy, hour_index: int) -> int:
     if policy.hours is not None:
         return int((hour_index - int(policy.hours[0])) % policy.n)
@@ -92,7 +64,7 @@ class GreedyController:
     dt: float = 3600.0
     name: str = "greedy"
 
-    def action(self, hour_index, theta, price, t_out, q, rng=None) -> int:
+    def action(self, hour_index, theta, price, t_out, q) -> int:
         return greedy_action(theta, t_out, q, self.chiller, self.cost,
                              self.gamma_env, self.c_heat, self.dt)
 
@@ -118,7 +90,7 @@ class FixedRuleController:
         if not (0 <= self.precool_start < self.precool_end <= 24):
             raise ValueError("need 0 <= precool_start < precool_end <= 24")
 
-    def action(self, hour_index, theta, price, t_out, q, rng=None) -> int:
+    def action(self, hour_index, theta, price, t_out, q) -> int:
         return fixed_rule_action(hour_index % 24, theta, t_out, q,
                                  self.chiller, self.cost, self.gamma_env,
                                  self.c_heat, self.dt,
@@ -132,17 +104,10 @@ class QfrMdpController:
 
     policy: Policy
     regime_model: RegimeModel
-    argmax: bool = False  # True: deterministic audits, ignore randomization
     name: str = "qfr-mdp"
 
-    def action(self, hour_index, theta, price, t_out, q, rng=None) -> int:
-        if self.argmax:
-            slot = policy_slot(self.policy, hour_index)
-            regime = min(classify(self.regime_model, hour_index, price),
-                         self.policy.space.m)
-            i = quantize(theta, self.policy.space)
-            return int(self.policy.probabilities[slot, i, regime - 1].argmax())
-        if rng is None:
-            raise ValueError("stochastic policy lookup needs a random generator")
-        return mdp_action(self.policy, self.regime_model, hour_index,
-                          theta, price, rng)
+    def action(self, hour_index, theta, price, t_out, q) -> int:
+        slot = policy_slot(self.policy, hour_index)
+        i = quantize(theta, self.policy.space)
+        regime = classify(self.regime_model, hour_index, price)
+        return int(self.policy.actions[slot, i, regime - 1])

@@ -104,8 +104,10 @@ def _fill_gaps(hours, values, kind, max_gap=MAX_GAP_HOURS):
 def load_series(path, kind: SeriesKind) -> TimeSeries:
     """Load one `timestamp,value` CSV; sort, de-duplicate and fill short gaps.
 
-    Raises IngestError naming the offending line for malformed rows and for
-    gaps longer than MAX_GAP_HOURS.
+    Rows repeating a timestamp with the same value collapse into one. Raises
+    IngestError naming the offending line(s) for malformed rows, for rows
+    repeating a timestamp with a different value, and for gaps longer than
+    MAX_GAP_HOURS.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -133,17 +135,22 @@ def load_series(path, kind: SeriesKind) -> TimeSeries:
                 raise IngestError(
                     f"{path}: line {lineno}: workload must be a non-negative integer"
                 )
-            rows.append((hour, value))
+            rows.append((hour, value, lineno))
     if not rows:
         raise IngestError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    hours, values, seen = [], [], set()
-    for hour, value in rows:
-        if hour in seen:
+    rows.sort(key=lambda r: r[0])  # stable: a repeated hour keeps file order
+    hours, values, kept_line = [], [], 0
+    for hour, value, lineno in rows:
+        if hours and hour == hours[-1]:
+            if value != values[-1]:
+                raise IngestError(
+                    f"{path}: lines {kept_line} and {lineno}: conflicting "
+                    f"values {values[-1]!r} and {value!r} for "
+                    f"{format_timestamp(hour)}")
             continue
-        seen.add(hour)
         hours.append(hour)
         values.append(value)
+        kept_line = lineno
     hours, values = _fill_gaps(np.array(hours), np.array(values), kind)
     return TimeSeries(hours, values, kind)
 
@@ -183,7 +190,7 @@ class AlignedDataset:
         return self.hours % 24
 
 
-def _window_hours(window):
+def window_hours(window):
     """Resolve a (start, end) pair, inclusive of both hours, to a grid."""
     start, end = window
     h0 = parse_timestamp(start) if isinstance(start, str) else int(start)
@@ -208,7 +215,7 @@ def _restrict(series: TimeSeries, hours: np.ndarray) -> np.ndarray:
 def align(price: TimeSeries, temperature: TimeSeries, workload: TimeSeries,
           window) -> AlignedDataset:
     """Restrict the three series to `window` = (start, end), hour-inclusive."""
-    hours = _window_hours(window)
+    hours = window_hours(window)
     return AlignedDataset(
         hours=hours,
         price=_restrict(price, hours),
@@ -219,7 +226,7 @@ def align(price: TimeSeries, temperature: TimeSeries, workload: TimeSeries,
 
 def slice_series(series: TimeSeries, window) -> TimeSeries:
     """One series restricted to `window` = (start, end), hour-inclusive."""
-    hours = _window_hours(window)
+    hours = window_hours(window)
     return TimeSeries(hours, _restrict(series, hours), series.kind)
 
 
@@ -236,8 +243,8 @@ def synth_workload(seed: int, n_hours: int, base_cores: int, amplitude: float,
     hours = np.arange(start_hour, start_hour + n_hours, dtype=np.int64)
     hod = hours % 24
     shape = 1.0 + amplitude * np.cos(2 * np.pi * (hod - 14) / 24)
-    rng = np.random.default_rng(seed)
-    eps = rng.uniform(-noise, noise, n_hours) if noise > 0 else np.zeros(n_hours)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    eps = gen.uniform(-noise, noise, n_hours) if noise > 0 else np.zeros(n_hours)
     cores = np.round(np.maximum(base_cores * shape * (1.0 + eps), 0.0))
     return TimeSeries(hours, cores, SeriesKind.WORKLOAD)
 
@@ -250,8 +257,8 @@ def synth_temperature(seed: int, n_hours: int, start="1970-01-01T00:00:00Z",
     hours = np.arange(start_hour, start_hour + n_hours, dtype=np.int64)
     hod = hours % 24
     base = mean + daily_amp * np.cos(2 * np.pi * (hod - 15) / 24)
-    rng = np.random.default_rng(seed)
-    values = base + noise * rng.standard_normal(n_hours) if noise > 0 else base
+    gen = np.random.Generator(np.random.PCG64(seed))
+    values = base + noise * gen.standard_normal(n_hours) if noise > 0 else base
     return TimeSeries(hours, values, SeriesKind.TEMPERATURE)
 
 
@@ -271,13 +278,13 @@ def synth_prices(seed: int, n_hours: int, start="1970-01-01T00:00:00Z",
     shape = np.where(hod < 6, night,
                      np.where(hod < 16, day,
                               np.where(hod < 19, peak, evening)))
-    rng = np.random.default_rng(seed)
+    gen = np.random.Generator(np.random.PCG64(seed))
     z = np.empty(n_hours)
-    z[0] = rng.standard_normal() * ar_sigma
-    eps = rng.standard_normal(n_hours) * ar_sigma
+    z[0] = gen.standard_normal() * ar_sigma
+    eps = gen.standard_normal(n_hours) * ar_sigma
     for i in range(1, n_hours):
         z[i] = ar_rho * z[i - 1] + eps[i]
     values = shape * np.exp(z)
-    spikes = (hod >= 16) & (hod < 19) & (rng.random(n_hours) < spike_prob)
-    values = np.where(spikes, values * rng.uniform(1.5, spike_scale, n_hours), values)
+    spikes = (hod >= 16) & (hod < 19) & (gen.random(n_hours) < spike_prob)
+    values = np.where(spikes, values * gen.uniform(1.5, spike_scale, n_hours), values)
     return TimeSeries(hours, values, SeriesKind.PRICE)

@@ -6,6 +6,9 @@ component of the transition kernel is deterministic (grid-quantized thermal
 step) and the regime component is the estimated Markov chain. A damped
 relative value iteration on the same augmented chain serves as an
 independent oracle for the optimal average cost.
+
+Without side constraints the LP's optimal vertex is a deterministic policy,
+so a planned policy is one chiller count per (cycle slot, theta bin, regime).
 """
 
 import json
@@ -246,11 +249,6 @@ class OccupancyMeasure:
     x: np.ndarray
     objective: float
 
-    def marginal_actions(self) -> np.ndarray:
-        """Expected action count per time step, shape (n,)."""
-        actions = np.arange(self.x.shape[3])
-        return np.einsum("tipa,a->t", self.x, actions)
-
 
 def solve_occupancy(lp: LpDescription) -> OccupancyMeasure:
     """Solve the occupancy LP with HiGHS at 1e-9 feasibility tolerances."""
@@ -306,51 +304,39 @@ def _fallback_actions(problem: MdpProblem) -> np.ndarray:
 
 @dataclass
 class Policy:
-    """Action distribution per (t, theta_idx, regime)."""
+    """Chiller count actions[t, theta_idx, regime - 1] of a planning cycle."""
 
-    probabilities: np.ndarray  # (n, n_theta, m, n_actions), rows sum to 1
+    actions: np.ndarray  # (n, n_theta, m) ints in 0..a_max
     space: StateSpace
     hours: np.ndarray = None   # absolute hour indices of the cycle, optional
     objective: float = None
 
     def __post_init__(self):
-        self.probabilities = np.asarray(self.probabilities, dtype=float)
-        if self.probabilities.ndim != 4:
-            raise ValueError("probabilities must be (n, n_theta, m, n_actions)")
-        sums = self.probabilities.sum(axis=3)
-        if np.any(self.probabilities < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ValueError("action distributions must be non-negative and sum to 1")
+        self.actions = np.asarray(self.actions)
+        if not np.issubdtype(self.actions.dtype, np.integer):
+            raise ValueError(f"actions must be integers, got {self.actions.dtype}")
+        shape = (self.space.n_theta, self.space.m)
+        if self.actions.ndim != 3 or self.actions.shape[1:] != shape:
+            raise ValueError(f"actions must have shape (n, {shape[0]}, {shape[1]}), "
+                             f"got {self.actions.shape}")
+        if np.any(self.actions < 0) or np.any(self.actions > self.space.a_max):
+            raise ValueError(f"actions must be in 0..{self.space.a_max}")
 
     @property
     def n(self) -> int:
-        return self.probabilities.shape[0]
-
-    def expected_actions(self) -> np.ndarray:
-        """E[a] per (t, theta_idx, regime)."""
-        actions = np.arange(self.probabilities.shape[3])
-        return self.probabilities @ actions
+        return self.actions.shape[0]
 
 
 def extract_policy(problem: MdpProblem, occ: OccupancyMeasure) -> Policy:
-    """Conditional action law pi(a | t, s) = x[t,s,a] / sum_a x[t,s,a].
+    """The action carrying the most occupancy in each visited state.
 
-    States the occupancy never visits get a deterministic fallback: the
-    smallest action keeping the quantized successor at or below t_max.
+    States the occupancy never visits get a fallback: the smallest action
+    keeping the quantized successor at or below t_max.
     """
-    x = np.maximum(occ.x, 0.0)
-    denom = x.sum(axis=3)
-    visited = denom > 1e-12
-    probs = np.zeros_like(x)
-    np.divide(x, denom[..., None], out=probs, where=visited[..., None])
-
+    visited = occ.x.sum(axis=3) > 1e-12
     fallback = _fallback_actions(problem)              # (n, L)
-    n, L, m, A = x.shape
-    fb_onehot = np.zeros((n, L, A))
-    np.put_along_axis(fb_onehot, fallback[:, :, None], 1.0, axis=2)
-    probs = np.where(visited[..., None], probs,
-                     np.broadcast_to(fb_onehot[:, :, None, :], probs.shape))
-    probs = probs / probs.sum(axis=3, keepdims=True)
-    return Policy(probabilities=probs, space=problem.space,
+    actions = np.where(visited, occ.x.argmax(axis=3), fallback[:, :, None])
+    return Policy(actions=actions, space=problem.space,
                   hours=problem.hours, objective=occ.objective)
 
 
@@ -380,38 +366,29 @@ def dp_oracle(problem: MdpProblem, tol: float = 1e-9,
     succ_idx = successor_indices(problem)               # (n, L, A)
     kappa = damping
 
+    def q_values(h, t):
+        gathered = h[(t + 1) % n][succ_idx[t]]          # (L, A, m)
+        expect = np.einsum("pq,iaq->ipa", problem.trans[t], gathered)
+        return costs[t] + kappa * expect + (1.0 - kappa) * h[t][:, :, None]
+
     h = np.zeros((n, L, m))
     gain = None
-    for sweep in range(max_sweeps):
-        h_next = np.empty_like(h)
-        for t in range(n):
-            nxt = h[(t + 1) % n]                        # (L, m)
-            gathered = nxt[succ_idx[t]]                 # (L, A, m)
-            expect = np.einsum("pq,iaq->ipa", problem.trans[t], gathered)
-            q_vals = costs[t] + kappa * expect + (1.0 - kappa) * h[t][:, :, None]
-            h_next[t] = q_vals.min(axis=2)
+    for _ in range(max_sweeps):
+        h_next = np.stack([q_values(h, t).min(axis=2) for t in range(n)])
         delta = h_next - h
         span = float(delta.max() - delta.min())
         gain = float(delta.max() + delta.min()) / 2.0
-        if span <= tol * max(1.0, abs(gain)):
-            h = h_next - h_next[0, 0, 0]
-            break
         h = h_next - h_next[0, 0, 0]
+        if span <= tol * max(1.0, abs(gain)):
+            break
     else:
         raise SolverError(
             f"value iteration did not converge in {max_sweeps} sweeps "
             f"(span {span:.3e}, gain {gain:.6e})"
         )
 
-    probs = np.zeros((n, L, m, A))
-    for t in range(n):
-        nxt = h[(t + 1) % n]
-        gathered = nxt[succ_idx[t]]
-        expect = np.einsum("pq,iaq->ipa", problem.trans[t], gathered)
-        q_vals = costs[t] + kappa * expect + (1.0 - kappa) * h[t][:, :, None]
-        best = q_vals.argmin(axis=2)
-        np.put_along_axis(probs[t], best[:, :, None], 1.0, axis=2)
-    policy = Policy(probabilities=probs, space=problem.space,
+    actions = np.stack([q_values(h, t).argmin(axis=2) for t in range(n)])
+    policy = Policy(actions=actions, space=problem.space,
                     hours=problem.hours, objective=gain)
     return gain, policy
 
@@ -427,16 +404,19 @@ def policy_to_dict(policy: Policy) -> dict:
         "a_max": policy.space.a_max,
         "hours": None if policy.hours is None else [int(h) for h in policy.hours],
         "objective": policy.objective,
-        "probabilities": policy.probabilities.tolist(),
+        "actions": policy.actions.tolist(),
     }
 
 
 def policy_from_dict(doc: dict) -> Policy:
+    if "actions" not in doc:
+        raise ValueError("policy file holds no action table (it predates the "
+                         "deterministic policy format); re-run `coolsched plan`")
     space = StateSpace(theta_min=doc["theta_min"], theta_max=doc["theta_max"],
                        theta_step=doc["theta_step"], m=doc["m"],
                        a_max=doc["a_max"])
     hours = None if doc.get("hours") is None else np.asarray(doc["hours"], dtype=np.int64)
-    return Policy(probabilities=np.asarray(doc["probabilities"], dtype=float),
+    return Policy(actions=np.asarray(doc["actions"]),
                   space=space, hours=hours, objective=doc.get("objective"))
 
 

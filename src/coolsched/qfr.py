@@ -51,13 +51,6 @@ def design_matrix(hours, design: FourierDesign) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def build_design(hour_index: int, design: FourierDesign) -> np.ndarray:
-    """Feature vector for a single hour index."""
-    if hour_index < 0:
-        raise ValueError("hour_index must be >= 0")
-    return design_matrix([hour_index], design)[0]
-
-
 def pinball_loss(y, y_hat, tau: float) -> float:
     """Mean quantile loss rho_tau(y - y_hat)."""
     u = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
@@ -206,14 +199,6 @@ def classify_series(model: RegimeModel, hours, prices) -> np.ndarray:
     bounds, _ = model.surfaces_at(hours)
     return (np.sum(np.asarray(prices, dtype=float)[:, None] > bounds, axis=1) + 1
             ).astype(np.int64)
-
-
-def representative_price(model: RegimeModel, hour_index, p: int) -> float:
-    """Representative $/MWh of regime p at an hour; non-decreasing in p."""
-    if not 1 <= p <= model.m:
-        raise ValueError(f"regime index must be in 1..{model.m}")
-    _, reps = model.surfaces_at(hour_index)
-    return float(reps[..., p - 1]) if np.ndim(hour_index) == 0 else reps[..., p - 1]
 
 
 def price_table(model: RegimeModel, hours) -> np.ndarray:

@@ -138,7 +138,7 @@ def sample_path(model: TransitionModel, start_regime: int, start_hour: int,
     """Sample a regime path of length n_hours, deterministic in the seed."""
     if not 1 <= start_regime <= model.m:
         raise ValueError(f"start_regime must be in 1..{model.m}")
-    rng = np.random.default_rng(seed)
+    gen = np.random.Generator(np.random.PCG64(seed))
     path = np.empty(n_hours, dtype=np.int64)
     path[0] = start_regime
     cumulative = {key: np.cumsum(mat, axis=1) for key, mat in model.matrices.items()}
@@ -148,7 +148,7 @@ def sample_path(model: TransitionModel, start_regime: int, start_hour: int,
         if key not in cumulative:
             raise BucketError(f"no transition matrix for bucket {key} (hour {hour})")
         row = cumulative[key][path[i - 1] - 1]
-        path[i] = int(np.searchsorted(row, rng.random(), side="right")) + 1
+        path[i] = int(np.searchsorted(row, gen.random(), side="right")) + 1
     return path
 
 

@@ -2,7 +2,8 @@
 
 The simulator drives the exponential thermal model with the controller's
 actions, charging energy at realized prices (not regime representatives)
-and tracking degree-hour violations of the safety band.
+and tracking degree-hour violations of the safety band. Controllers are
+deterministic, so a rollout depends on its inputs alone.
 """
 
 import csv
@@ -81,16 +82,15 @@ class Trajectory:
 
 
 def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
-            initial_theta: float = None, seed: int = 0) -> Trajectory:
+            initial_theta: float = None) -> Trajectory:
     """Simulate `controller` over the dataset window, one decision per hour.
 
     Temperature evolves continuously; quantization happens only inside
-    policy lookups. Deterministic in (inputs, seed).
+    policy lookups and the optional theta_index label.
     """
     n = dataset.n
     if initial_theta is None:
         initial_theta = 0.5 * (specs.cost.t_min + specs.cost.t_max)
-    rng = np.random.default_rng(seed)
 
     if specs.regime_model is not None:
         regimes = classify_series(specs.regime_model, dataset.hours, dataset.price)
@@ -109,7 +109,7 @@ def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
         q = heat_load(specs.heat, dataset.workload[t])
         a = controller.action(int(dataset.hours[t]), current,
                               float(dataset.price[t]),
-                              float(dataset.temperature[t]), q, rng)
+                              float(dataset.temperature[t]), q)
         theta[t] = current
         if specs.space is not None:
             theta_index[t] = quantize(current, specs.space)

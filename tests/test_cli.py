@@ -93,6 +93,24 @@ def test_plan_rejects_regime_count_mismatch(pipeline, tmp_path, capsys):
     assert "regimes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, stale, current", [
+    ({"mdp": {"theta_step_c": 0.5}}, "theta_step=1.0", "theta_step=0.5"),
+    ({"qfr": {"regimes": 3}}, "2 regimes", "expects 3"),
+])
+def test_simulate_rejects_stale_inputs(pipeline, tmp_path, capsys, override,
+                                       stale, current):
+    # the policy and regime model were planned under the fixture's config
+    root, out, _ = pipeline
+    config = ph.write_config(str(tmp_path), ph.base_config(root, **override))
+    code = cli.main(["simulate", "--config", config, "--out", str(tmp_path),
+                     "--policy", os.path.join(out, "policy.json"),
+                     "--regime-model", os.path.join(out, "regime_model.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert stale in err and current in err
+    assert not os.path.exists(tmp_path / "reports.json")
+
+
 def test_simulate_outputs(pipeline):
     _, out, _ = pipeline
     with open(os.path.join(out, "reports.json"), encoding="utf-8") as fh:
@@ -125,6 +143,12 @@ def test_export_plot_data_outputs(pipeline):
         rows = list(csv.DictReader(fh))
     policy = mdp.load_policy(os.path.join(out, "policy.json"))
     assert len(rows) == 24 * policy.space.n_theta * policy.space.m
+    assert list(rows[0]) == ["hour_of_day", "theta", "regime", "action"]
+    # the planning day starts at the policy's first slot
+    for row in rows:
+        i = mdp.quantize(float(row["theta"]), policy.space)
+        assert int(row["action"]) == policy.actions[
+            int(row["hour_of_day"]), i, int(row["regime"]) - 1]
     with open(os.path.join(out, "fig3_day_traces.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3 * 24  # three controllers, one day
@@ -152,6 +176,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code = cli.main(["fit-qfr", "--config", config])
     assert code == 2
     assert "typo_key" in capsys.readouterr().err
+    # a key the configuration no longer has fails the same way
+    doc = ph.base_config(str(tmp_path), simulation={"argmax_policy": True})
+    config = ph.write_config(str(tmp_path), doc)
+    assert cli.main(["simulate", "--config", config]) == 2
+    assert "argmax_policy" in capsys.readouterr().err
 
 
 def test_env_override_changes_regimes(tmp_path, monkeypatch):

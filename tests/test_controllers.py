@@ -5,8 +5,7 @@ import pytest
 
 from coolsched.controllers import (FixedRuleController, GreedyController,
                                    QfrMdpController, fixed_rule_action,
-                                   greedy_action, mdp_action,
-                                   night_precool_action)
+                                   greedy_action, night_precool_action)
 from coolsched.mdp import CostSpec, Policy, StateSpace, quantize
 from coolsched.qfr import FourierDesign, QuantileFit, RegimeModel
 from coolsched.thermal import ChillerSpec, step_temperature
@@ -85,73 +84,40 @@ def _constant_regime_model():
     )
 
 
-def _toy_policy():
+def _toy_controller():
     space = StateSpace(theta_min=15, theta_max=30, theta_step=0.5, m=2, a_max=4)
-    probs = np.zeros((24, space.n_theta, 2, 5))
-    probs[:, :, :, 0] = 1.0  # default: idle
-    i22 = quantize(22.0, space)
-    probs[5, i22, 1] = [0.0, 0.5, 0.5, 0.0, 0.0]  # stochastic entry
-    probs[7, i22, 0] = 0.0
-    probs[7, i22, 0, 3] = 1.0  # deterministic entry
-    return Policy(probabilities=probs, space=space)
+    actions = np.zeros((24, space.n_theta, 2), dtype=np.int64)  # default: idle
+    actions[7, quantize(22.0, space)] = [3, 2]
+    policy = Policy(actions=actions, space=space)
+    return QfrMdpController(policy=policy, regime_model=_constant_regime_model())
 
 
 def test_mdp_action_deterministic_entry():
-    policy, model = _toy_policy(), _constant_regime_model()
-    rng = np.random.default_rng(0)
-    # hour 7, theta 22, cheap price -> regime 1 -> forced a=3
-    assert mdp_action(policy, model, 7, 22.0, 20.0, rng) == 3
+    ctrl = _toy_controller()
+    # hour 7, theta 22, cheap price -> regime 1 -> planned a=3
+    assert ctrl.action(7, 22.0, 20.0, 30.0, 1e6) == 3
+    # the slot wraps with the 24 h cycle; theta 22.2 quantizes to 22.0
+    assert ctrl.action(24 * 5 + 7, 22.2, 20.0, 30.0, 1e6) == 3
+    assert ctrl.action(8, 22.0, 20.0, 30.0, 1e6) == 0
 
 
 def test_mdp_action_top_band_composition():
-    policy, model = _toy_policy(), _constant_regime_model()
-    rng = np.random.default_rng(0)
-    # any price above the boundary classifies into regime 2
-    a_big = mdp_action(policy, model, 7, 22.0, 1e6, rng)
-    a_band2 = int(policy.probabilities[7, quantize(22.0, policy.space), 1].argmax())
-    assert a_big == a_band2 == 0
-
-
-def test_mdp_action_stochastic_frequencies():
-    policy, model = _toy_policy(), _constant_regime_model()
-    rng = np.random.default_rng(123)
-    draws = [mdp_action(policy, model, 5, 22.0, 80.0, rng) for _ in range(10_000)]
-    freq1 = np.mean(np.asarray(draws) == 1)
-    freq2 = np.mean(np.asarray(draws) == 2)
-    assert freq1 == pytest.approx(0.5, abs=0.02)
-    assert freq2 == pytest.approx(0.5, abs=0.02)
-
-
-def test_mdp_action_deterministic_in_seed():
-    policy, model = _toy_policy(), _constant_regime_model()
-    a = [mdp_action(policy, model, 5, 22.0, 80.0, np.random.default_rng(9))
-         for _ in range(2)]
-    assert a[0] == a[1]
-
-
-def test_mdp_controller_argmax_mode():
-    policy, model = _toy_policy(), _constant_regime_model()
-    ctrl = QfrMdpController(policy=policy, regime_model=model, argmax=True)
-    assert ctrl.action(7, 22.0, 20.0, 30.0, 1e6) == 3
-
-
-def test_mdp_controller_requires_rng_when_sampling():
-    policy, model = _toy_policy(), _constant_regime_model()
-    ctrl = QfrMdpController(policy=policy, regime_model=model)
-    with pytest.raises(ValueError):
-        ctrl.action(5, 22.0, 80.0, 30.0, 1e6, rng=None)
+    ctrl = _toy_controller()
+    # any price above the boundary at 50 classifies into regime 2
+    for price in (50.5, 1e6):
+        assert ctrl.action(7, 22.0, price, 30.0, 1e6) == 2
+    assert ctrl.action(7, 22.0, 50.0, 30.0, 1e6) == 3
 
 
 def test_controller_classes_match_functions():
     greedy = GreedyController(ChillerSpec(), COST, GAMMA, C_HEAT, DT)
     fixed = FixedRuleController(ChillerSpec(), COST, GAMMA, C_HEAT, DT)
-    rng = np.random.default_rng(0)
     for hod in range(24):
         hour = 24 * 100 + hod
-        got_g = greedy.action(hour, 25.0, 50.0, 31.0, 1.6e6, rng)
+        got_g = greedy.action(hour, 25.0, 50.0, 31.0, 1.6e6)
         assert got_g == greedy_action(25.0, 31.0, 1.6e6, ChillerSpec(), COST,
                                       GAMMA, C_HEAT, DT)
-        got_f = fixed.action(hour, 25.0, 50.0, 31.0, 1.6e6, rng)
+        got_f = fixed.action(hour, 25.0, 50.0, 31.0, 1.6e6)
         assert got_f == fixed_rule_action(hod, 25.0, 31.0, 1.6e6, ChillerSpec(),
                                           COST, GAMMA, C_HEAT, DT)
 

@@ -62,14 +62,26 @@ def test_load_rejects_non_finite(tmp_path):
 
 
 def test_load_sorts_and_deduplicates(tmp_path):
+    # a repeated timestamp with an equal value collapses into one row
+    path = tmp_path / "p.csv"
+    write_csv(path, [
+        "2024-06-01T01:00:00Z,60.0",
+        "2024-06-01T00:00:00Z,50.0",
+        "2024-06-01T01:00:00Z,60.0",
+    ])
+    ts = load_series(path, SeriesKind.PRICE)
+    assert list(ts.values) == [50.0, 60.0]
+
+
+def test_load_rejects_conflicting_duplicates(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, [
         "2024-06-01T01:00:00Z,60.0",
         "2024-06-01T00:00:00Z,50.0",
         "2024-06-01T01:00:00Z,999.0",
     ])
-    ts = load_series(path, SeriesKind.PRICE)
-    assert list(ts.values) == [50.0, 60.0]
+    with pytest.raises(IngestError, match=r"lines 2 and 4: conflicting"):
+        load_series(path, SeriesKind.PRICE)
 
 
 def test_workload_must_be_integral(tmp_path):

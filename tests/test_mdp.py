@@ -3,14 +3,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coolsched.mdp import (CostSpec, LpDescription, MdpProblem,
                            OccupancyMeasure, Policy, StateSpace, build_lp,
                            check_occupancy, cost_tensor, dp_oracle,
-                           extract_policy, immediate_cost, plan,
+                           extract_policy, immediate_cost, load_policy, plan,
                            policy_from_dict, policy_to_dict, quantize,
-                           solve_occupancy, successor_indices)
-from coolsched.thermal import ChillerSpec
+                           save_policy, solve_occupancy, successor_indices,
+                           successor_temperatures)
+from coolsched.thermal import ChillerSpec, step_temperature
 
 GRID = StateSpace(theta_min=15, theta_max=30, theta_step=0.5, m=1, a_max=4)
 
@@ -219,29 +223,30 @@ def test_desk_instance_lp_matches_dp(desk_instance):
     assert gain == pytest.approx(occ.objective, rel=1e-6)
 
 
-def test_extract_policy_rows_are_distributions(desk_instance):
-    _, _, policy = desk_instance
-    sums = policy.probabilities.sum(axis=3)
-    assert np.allclose(sums, 1.0, atol=1e-9)
-    assert np.all(policy.probabilities >= 0)
+def test_desk_instance_lp_and_dp_policies_agree(desk_instance):
+    # on states the LP visits, its action is the oracle's greedy action
+    prob, occ, policy = desk_instance
+    _, dp_policy = dp_oracle(prob)
+    visited = occ.x.sum(axis=3) > 1e-6
+    assert visited.any()
+    assert np.array_equal(policy.actions[visited], dp_policy.actions[visited])
 
 
 def test_extract_policy_deterministic_concentration():
     prob = _teleport_problem()
     occ, policy = plan(prob)
     idx25 = quantize(25.0, prob.space)
-    assert policy.probabilities[0, idx25, 0, 1] == pytest.approx(1.0, abs=1e-6)
+    assert policy.actions[0, idx25, 0] == 1
 
 
 def test_extract_policy_uniform_split():
-    # hand-built occupancy spread evenly over two actions maps to 0.5/0.5
+    # occupancy split evenly over two actions: the tie goes to the smaller one
     prob = _teleport_problem()
     x = np.zeros((1, prob.space.n_theta, 1, prob.space.n_actions))
     x[0, 2, 0, 1] = 0.5
     x[0, 2, 0, 2] = 0.5
     policy = extract_policy(prob, OccupancyMeasure(x=x, objective=0.0))
-    assert policy.probabilities[0, 2, 0, 1] == pytest.approx(0.5)
-    assert policy.probabilities[0, 2, 0, 2] == pytest.approx(0.5)
+    assert policy.actions[0, 2, 0] == 1
 
 
 def test_extract_policy_fallback_on_unvisited():
@@ -250,12 +255,11 @@ def test_extract_policy_fallback_on_unvisited():
     x = np.zeros((2, prob.space.n_theta, prob.space.m, prob.space.n_actions))
     x[:, 5, 0, 0] = 1.0  # only one visited state
     policy = extract_policy(prob, OccupancyMeasure(x=x, objective=0.0))
-    sums = policy.probabilities.sum(axis=3)
-    assert np.allclose(sums, 1.0)
+    assert policy.actions.shape == (2, prob.space.n_theta, prob.space.m)
     # fallback mirrors the greedy rule: quantized successor at or below t_max
     succ = successor_indices(prob)
     grid = prob.space.theta_grid
-    chosen = policy.probabilities.argmax(axis=3)
+    chosen = policy.actions
     for t in (0, 1):
         for i in range(prob.space.n_theta):
             for p in range(prob.space.m):
@@ -272,13 +276,25 @@ def test_dp_oracle_refuses_large_instances():
         dp_oracle(prob)
 
 
-def test_policy_serialization_round_trip(desk_instance):
+def test_policy_serialization_round_trip(desk_instance, tmp_path):
     _, _, policy = desk_instance
-    doc = json.loads(json.dumps(policy_to_dict(policy)))
-    back = policy_from_dict(doc)
+    path = tmp_path / "policy.json"
+    save_policy(policy, path)
+    assert json.loads(path.read_text())["actions"][0][0] == \
+        policy.actions[0, 0].tolist()
+    back = load_policy(path)
     assert back.space == policy.space
-    assert np.array_equal(back.probabilities, policy.probabilities)
+    assert np.array_equal(back.actions, policy.actions)
     assert back.objective == pytest.approx(policy.objective)
+
+
+def test_policy_rejects_probability_format(desk_instance):
+    _, _, policy = desk_instance
+    doc = policy_to_dict(policy)
+    actions = np.asarray(doc.pop("actions"))
+    doc["probabilities"] = np.eye(policy.space.n_actions)[actions].tolist()
+    with pytest.raises(ValueError, match="re-run `coolsched plan`"):
+        policy_from_dict(doc)
 
 
 def test_lp_description_exposes_objective_scaling():
@@ -289,8 +305,69 @@ def test_lp_description_exposes_objective_scaling():
     assert np.allclose(lp.c, dense)
 
 
-def test_policy_validates_distributions():
+def test_policy_validates_action_table():
     space = StateSpace(15, 30, 5.0, m=1, a_max=1)
-    bad = np.full((1, 4, 1, 2), 0.4)
-    with pytest.raises(ValueError):
-        Policy(probabilities=bad, space=space)
+    Policy(actions=np.ones((2, 4, 1), dtype=np.int64), space=space)
+    for bad, match in ((np.full((2, 4, 1), 2), "0..1"),
+                       (np.full((2, 4, 1), -1), "0..1"),
+                       (np.zeros((2, 4, 2), dtype=np.int64), "shape"),
+                       (np.zeros((2, 4, 1, 2), dtype=np.int64), "shape"),
+                       (np.full((2, 4, 1), 0.5), "integers")):
+        with pytest.raises(ValueError, match=match):
+            Policy(actions=bad, space=space)
+
+
+# Property tests: vectorised kernels against their scalar definitions.
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def problems(draw):
+    """Small cycles over the config's physical ranges."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    a_max = draw(st.integers(1, 4))
+    step = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    space = StateSpace(10.0, 35.0, step, m=m, a_max=a_max)
+    t_out = draw(arrays(float, n, elements=st.floats(0.0, 45.0, **finite)))
+    q = draw(arrays(float, n, elements=st.floats(0.0, 5e6, **finite)))
+    prices = draw(arrays(float, (n, m), elements=st.floats(-50.0, 500.0, **finite)))
+    chiller = ChillerSpec(a_max=a_max, eta=draw(st.floats(1e5, 2e6)))
+    return make_problem(n=n, space=space, chiller=chiller, t_out=t_out, q=q,
+                        prices=prices, gamma_env=draw(st.floats(5e3, 1e5)),
+                        c_heat=draw(st.floats(1e7, 1e10)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_successor_temperatures_match_scalar_step(prob):
+    # np.exp and math.exp may differ by one ulp in the decay factor
+    succ = successor_temperatures(prob)
+    for t, i, a in np.ndindex(succ.shape):
+        expected = step_temperature(prob.space.theta_grid[i], prob.t_out[t],
+                                    prob.q[t], a, prob.chiller.eta,
+                                    prob.gamma_env, prob.c_heat, prob.dt)
+        assert abs(succ[t, i, a] - expected) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_cost_tensor_matches_immediate_cost(prob):
+    costs = cost_tensor(prob)
+    grid = prob.space.theta_grid
+    for t, i, p, a in np.ndindex(costs.shape):
+        expected = immediate_cost(prob, t, grid[i], p + 1, a)
+        assert costs[t, i, p, a] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extract_policy_picks_max_occupancy(data):
+    prob = make_problem(n=2)
+    shape = (2, prob.space.n_theta, prob.space.m, prob.space.n_actions)
+    x = data.draw(arrays(float, shape, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    policy = extract_policy(prob, OccupancyMeasure(x=x, objective=0.0))
+    chosen = np.take_along_axis(x, policy.actions[..., None], axis=3)[..., 0]
+    visited = x.sum(axis=3) > 0
+    assert np.array_equal(chosen[visited], x.max(axis=3)[visited])

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from coolsched.qfr import (FitError, FourierDesign, RegimeModel, QuantileFit,
-                           build_design, classify, classify_series,
-                           design_matrix, fit_quantile, fit_regimes,
-                           model_from_dict, model_to_dict, pinball_loss,
-                           representative_price, price_table)
+                           classify, classify_series, design_matrix,
+                           fit_quantile, fit_regimes, model_from_dict,
+                           model_to_dict, pinball_loss, price_table)
 
 DAILY = FourierDesign(daily_harmonics=2, seasonal_harmonics=0)
 
@@ -34,12 +33,12 @@ def sinusoid_fit():
 def test_design_length():
     d = FourierDesign(daily_harmonics=3, seasonal_harmonics=2)
     assert d.n_features == 1 + 2 * 3 + 2 * 2
-    assert build_design(100, d).shape == (11,)
+    assert design_matrix([100], d).shape == (1, 11)
 
 
 def test_design_phase_zero():
     d = FourierDesign(daily_harmonics=2, seasonal_harmonics=1)
-    row = build_design(0, d)
+    row = design_matrix([0], d)[0]
     assert row[0] == 1.0
     assert np.allclose(row[1::2], 0.0)  # sines
     assert np.allclose(row[2::2], 1.0)  # cosines
@@ -47,7 +46,7 @@ def test_design_phase_zero():
 
 def test_design_quarter_period():
     d = FourierDesign(daily_harmonics=1, seasonal_harmonics=0)
-    row = build_design(6, d)
+    row = design_matrix([6], d)[0]
     assert row[0] == 1.0
     assert row[1] == pytest.approx(1.0, abs=1e-12)  # sin(pi/2)
     assert row[2] == pytest.approx(0.0, abs=1e-12)  # cos(pi/2)
@@ -55,9 +54,9 @@ def test_design_quarter_period():
 
 def test_design_exactly_periodic():
     d = FourierDesign(daily_harmonics=3, seasonal_harmonics=2)
-    for h in (0, 1, 12345):
-        assert np.array_equal(build_design(h, d), build_design(h + 17520, d))
-        assert np.array_equal(build_design(h, d), build_design(h + 8760, d))
+    hours = np.array([0, 1, 12345])
+    assert np.array_equal(design_matrix(hours, d), design_matrix(hours + 17520, d))
+    assert np.array_equal(design_matrix(hours, d), design_matrix(hours + 8760, d))
 
 
 def test_fit_constant_data():
@@ -141,8 +140,7 @@ def test_fit_regimes_rejects_bad_m():
 def test_fit_regimes_constant_data():
     hours = np.arange(300)
     model = fit_regimes(hours, np.full(300, 50.0), 2, DAILY)
-    assert representative_price(model, 10, 1) == pytest.approx(50.0)
-    assert representative_price(model, 10, 2) == pytest.approx(50.0)
+    assert price_table(model, [10])[0] == pytest.approx([50.0, 50.0])
 
 
 def test_classify_extremes(uniform_model):
@@ -178,10 +176,8 @@ def test_classify_series_matches_scalar(uniform_model):
 def test_representative_prices_near_mid_quantiles(uniform_model):
     model, _, _ = uniform_model
     expected = [12.5, 37.5, 62.5, 87.5]
-    for hour in range(0, 72, 5):
-        for p in range(1, 5):
-            assert representative_price(model, hour, p) == pytest.approx(
-                expected[p - 1], abs=3.0)
+    for row in price_table(model, np.arange(0, 72, 5)):
+        assert row == pytest.approx(expected, abs=3.0)
 
 
 def test_representatives_monotone(uniform_model):
@@ -192,10 +188,10 @@ def test_representatives_monotone(uniform_model):
 
 def test_classify_representative_round_trip(uniform_model):
     model, _, _ = uniform_model
-    for hour in range(0, 96, 3):
+    hours = np.arange(0, 96, 3)
+    for hour, reps in zip(hours, price_table(model, hours)):
         for p in range(1, 5):
-            rep = representative_price(model, hour, p)
-            assert classify(model, hour, rep) == p
+            assert classify(model, int(hour), float(reps[p - 1])) == p
 
 
 def test_boundaries_monotone_after_rearrangement(uniform_model):
