@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .ingest import AlignedDataset, SeriesKind, TimeSeries, align, load_series
 from .mdp import (CostSpec, MdpProblem, OccupancyMeasure, Policy, StateSpace,
-                  build_lp, dp_oracle, extract_policy, solve_occupancy)
+                  build_lp, extract_policy, solve_occupancy)
 from .qfr import FourierDesign, RegimeModel, classify, fit_quantile, fit_regimes
 from .regimes import TransitionModel, estimate, matrix_at, sample_path
 from .sim import CostReport, SimSpecs, Trajectory, compare, rollout, summarize
@@ -17,7 +17,7 @@ __all__ = [
     "Policy", "RegimeModel", "SeriesKind", "SimSpecs", "StateSpace",
     "TimeSeries", "Trajectory", "TransitionModel", "align", "build_lp",
     "capacitance", "classify", "compare", "cooling_energy", "cop",
-    "dp_oracle", "estimate", "extract_policy", "fit_quantile", "fit_regimes",
+    "estimate", "extract_policy", "fit_quantile", "fit_regimes",
     "heat_load", "load_series", "matrix_at", "rollout", "sample_path",
     "solve_occupancy", "step_temperature", "summarize",
 ]

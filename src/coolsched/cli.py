@@ -223,12 +223,19 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     chain = regimes.load_model(_input_path(args, "transition_model", out,
                                            TRANSITION_MODEL_FILE))
     problem = _assemble_problem(cfg, model, chain)
-    occupancy = mdp.solve_occupancy(mdp.build_lp(problem))
-    mdp.check_occupancy(problem, occupancy)
+    occupancy = mdp.solve(problem)
+    residuals = mdp.check_occupancy(problem, occupancy)
     policy = mdp.extract_policy(problem, occupancy)
     mdp.save_policy(policy, os.path.join(out, POLICY_FILE))
     print(f"planned cycle n={problem.n} states={problem.space.n_theta}x"
           f"{problem.space.m} actions={problem.space.n_actions}")
+    if occupancy.solver == "rvi":
+        print(f"solver: rvi periods={occupancy.periods} "
+              f"span={occupancy.span:.3e} residuals="
+              f"{residuals['normalization']:.3e}/{residuals['flow']:.3e}")
+    else:
+        print(f"solver: lp (rvi span {occupancy.span:.3e} after "
+              f"{occupancy.periods} periods)")
     print(f"objective: {occupancy.objective:.6f} $/step")
     return 0
 

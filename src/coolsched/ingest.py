@@ -7,6 +7,7 @@ CSV format is `timestamp,value` with ISO-8601 timestamps `YYYY-MM-DDTHH:00:00Z`.
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -31,8 +32,29 @@ class SeriesKind(enum.Enum):
     WORKLOAD = "workload"      # active cores
 
 
+_HOURS = {f"{h:02d}": h for h in range(24)}
+
+
+@functools.lru_cache(maxsize=1024)
+def _day_start_hour(day: str) -> int:
+    """Hours since epoch of midnight UTC on a `YYYY-MM-DD` day."""
+    dt = datetime.strptime(day, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+    return int(dt.timestamp()) // 3600
+
+
 def parse_timestamp(text: str) -> int:
-    """Parse an ISO-8601 UTC timestamp on the hour into hours since epoch."""
+    """Parse an ISO-8601 UTC timestamp on the hour into hours since epoch.
+
+    The common `YYYY-MM-DDTHH:00:00Z` form parses its day once per date;
+    every other string goes through the full strptime format.
+    """
+    hour = _HOURS.get(text[11:13])
+    if hour is not None and len(text) == 20 and text[10] == "T" \
+            and text[13:] == ":00:00Z":
+        try:
+            return _day_start_hour(text[:10]) + hour
+        except ValueError:
+            pass  # no such day: the full format below raises for it
     try:
         dt = datetime.strptime(text, _TS_FORMAT)
     except ValueError:

@@ -1,14 +1,24 @@
-"""Cyclic MDP over (temperature, price regime) states, solved two ways.
+"""Cyclic MDP over (temperature, price regime) states and its average-cost planner.
 
-The planner is a linear program over occupancy measures x[t, s, a] with
-per-time normalization and cyclic flow-balance constraints; the temperature
-component of the transition kernel is deterministic (grid-quantized thermal
-step) and the regime component is the estimated Markov chain. A damped
-relative value iteration on the same augmented chain serves as an
-independent oracle for the optimal average cost.
+The cycle has n hourly slots and wraps from t = n-1 back to t = 0. The
+temperature component of the transition kernel is deterministic (grid-quantized
+thermal step) and the regime component is the estimated Markov chain, so the
+time component of the augmented chain is deterministic and cyclic.
 
-Without side constraints the LP's optimal vertex is a deterministic policy,
-so a planned policy is one chiller count per (cycle slot, theta bin, regime).
+The planner runs relative value iteration on the period map, the n-step chain
+from slot 0 back to slot 0 (Puterman 1994, Markov Decision Processes, sections
+8.5 and 9.5): one backward sweep of Bellman backups over t = n-1..0 per
+period. It returns the occupancy measure of the greedy policy: the stationary
+law of the policy's period map, carried through the n slots. When the span
+of the period map's value change does not settle within PERIOD_BUDGET
+periods (a multichain or periodic period map), the planner solves the
+occupancy linear program instead: variables x[t, s, a] with per-time
+normalization and cyclic flow-balance rows. The LP is also the reference the
+tests compare the planner against.
+
+Without side constraints an optimal occupancy comes from a deterministic
+policy, so a planned policy is one chiller count per (cycle slot, theta bin,
+regime).
 """
 
 import json
@@ -21,10 +31,16 @@ from scipy.optimize import linprog
 from .thermal import ChillerSpec, cooling_energy, cop, step_temperature
 
 DT_SECONDS = 3600.0
+RVI_TOL = 1e-9
+# Periods of relative value iteration before the planner falls back to the
+# LP. Planning instances settle in a few periods and short random cycles in
+# at most about a hundred; a multichain or periodic period map never settles,
+# so the budget bounds the sweeps spent before the LP takes over.
+PERIOD_BUDGET = 200
 
 
 class SolverError(RuntimeError):
-    """LP solve or value-iteration oracle failed to reach its tolerance."""
+    """The occupancy LP failed (after value iteration, if it ran first)."""
 
 
 @dataclass(frozen=True)
@@ -244,10 +260,17 @@ def build_lp(problem: MdpProblem) -> LpDescription:
 
 @dataclass
 class OccupancyMeasure:
-    """Solved occupancy x[t, theta_idx, p, a] and the LP objective ($/step)."""
+    """Solved occupancy x[t, theta_idx, p, a] and its objective ($/step).
+
+    `solver` names the method that produced it ("rvi" or "lp"); `periods`
+    and `span` describe the value iteration run before it, if any.
+    """
 
     x: np.ndarray
     objective: float
+    solver: str = "lp"
+    periods: int = 0
+    span: float = None
 
 
 def solve_occupancy(lp: LpDescription) -> OccupancyMeasure:
@@ -290,6 +313,102 @@ def check_occupancy(problem: MdpProblem, occ: OccupancyMeasure,
             f"flow {flow_err:.3e} (tolerance {tol:.1e})"
         )
     return {"normalization": norm_err, "flow": flow_err}
+
+
+def bellman_backup(costs, succ_idx, trans, v_next, t) -> np.ndarray:
+    """Q[i, p, a] at slot t: cost plus the expected value v_next of the successor.
+
+    costs is cost_tensor's (n, L, M, A), succ_idx successor_indices' (n, L, A),
+    trans the (n, M, M) regime chain and v_next the (L, M) values of slot t+1.
+    """
+    gathered = v_next[succ_idx[t]]                      # (L, A, M)
+    return costs[t] + np.einsum("pq,iaq->ipa", trans[t], gathered)
+
+
+def _period_rvi(costs, succ_idx, trans):
+    """Relative value iteration on the period map.
+
+    Each period sweeps t = n-1..0 from the relative values h of slot 0 and
+    stops once the span of v_0 - h is at most RVI_TOL * max(1, |gain|), where
+    gain is the per-step midpoint of v_0 - h. Returns (values, periods, span):
+    values[t] holds slot t's values of the last sweep and values[n] is the h
+    it started from; values is None if the budget ran out first.
+    """
+    n = len(trans)
+    h = np.zeros(costs.shape[1:3])
+    for period in range(1, PERIOD_BUDGET + 1):
+        values = [h]
+        for t in range(n - 1, -1, -1):
+            values.append(
+                bellman_backup(costs, succ_idx, trans, values[-1], t).min(axis=2))
+        values.reverse()
+        delta = values[0] - h
+        span = float(delta.max() - delta.min())
+        gain = float(delta.max() + delta.min()) / (2 * n)
+        if span <= RVI_TOL * max(1.0, abs(gain)):
+            return values, period, span
+        h = values[0] - values[0].flat[0]
+    return None, PERIOD_BUDGET, span
+
+
+def _policy_occupancy(succ_idx, trans, actions) -> np.ndarray:
+    """Occupancy x[t, i, p, a] of the action table actions[t, i, p].
+
+    Slot 0 carries the stationary law of the policy's period map, found by
+    one dense least-squares solve over the L*M states; each later slot
+    carries the law propagated from the one before.
+    """
+    n, L, m = actions.shape
+    k = L * m
+    kernels = []                                        # (k, k) per slot
+    for t in range(n):
+        nxt = np.take_along_axis(succ_idx[t], actions[t], axis=1)  # (L, M)
+        kernels.append(sp.csr_matrix(
+            (np.tile(trans[t], (L, 1)).ravel(),
+             (np.repeat(np.arange(k), m),
+              (nxt.reshape(-1, 1) * m + np.arange(m)).ravel())),
+            shape=(k, k)))
+    period_t = np.eye(k)                                # transposed period map
+    for kernel in kernels:
+        period_t = kernel.T @ period_t
+    lhs = np.vstack([period_t - np.eye(k), np.ones((1, k))])
+    rhs = np.zeros(k + 1)
+    rhs[-1] = 1.0
+    law = np.maximum(np.linalg.lstsq(lhs, rhs, rcond=None)[0], 0.0)
+    law /= law.sum()
+    x = np.zeros(actions.shape + (succ_idx.shape[2],))
+    for t, kernel in enumerate(kernels):
+        np.put_along_axis(x[t], actions[t][..., None],
+                          law.reshape(L, m)[..., None], axis=2)
+        law = kernel.T @ law
+    return x
+
+
+def solve(problem: MdpProblem) -> OccupancyMeasure:
+    """Optimal occupancy of the cycle: value iteration, else the LP.
+
+    Relative value iteration on the period map gives a greedy action table,
+    whose occupancy is returned with objective sum(c * x) / n. If the span
+    has not settled within PERIOD_BUDGET periods, the occupancy LP is solved
+    instead; a SolverError from it names both attempts.
+    """
+    costs = cost_tensor(problem)
+    succ_idx = successor_indices(problem)
+    values, periods, span = _period_rvi(costs, succ_idx, problem.trans)
+    if values is None:
+        try:
+            occ = solve_occupancy(build_lp(problem))
+        except SolverError as exc:
+            raise SolverError(f"value iteration span {span:.3e} after {periods} "
+                              f"periods, then {exc}") from None
+        occ.periods, occ.span = periods, span
+        return occ
+    actions = np.stack([
+        bellman_backup(costs, succ_idx, problem.trans, values[t + 1], t).argmin(axis=2)
+        for t in range(problem.n)])
+    x = _policy_occupancy(succ_idx, problem.trans, actions)
+    return OccupancyMeasure(x=x, objective=float((costs * x).sum() / problem.n),
+                            solver="rvi", periods=periods, span=span)
 
 
 def _fallback_actions(problem: MdpProblem) -> np.ndarray:
@@ -341,56 +460,9 @@ def extract_policy(problem: MdpProblem, occ: OccupancyMeasure) -> Policy:
 
 
 def plan(problem: MdpProblem) -> tuple:
-    """Build, solve and extract: returns (occupancy, policy)."""
-    occ = solve_occupancy(build_lp(problem))
+    """Solve and extract: returns (occupancy, policy)."""
+    occ = solve(problem)
     return occ, extract_policy(problem, occ)
-
-
-def dp_oracle(problem: MdpProblem, tol: float = 1e-9,
-              max_sweeps: int = 100_000, damping: float = 0.5):
-    """Average-cost relative value iteration on the augmented (t, s) chain.
-
-    The deterministic time component makes the chain periodic, so value
-    iteration runs on the damped kernel (stay put with probability
-    1 - damping), which preserves the gain and the optimal policy while
-    restoring aperiodicity. Returns (gain, greedy Policy).
-
-    Intended as an independent desk-scale oracle; refuses instances with
-    more than 1e5 augmented states.
-    """
-    n = problem.n
-    L, m, A = problem.space.n_theta, problem.space.m, problem.space.n_actions
-    if n * L * m > 100_000:
-        raise ValueError("dp_oracle is a desk-scale oracle; instance too large")
-    costs = cost_tensor(problem)                        # (n, L, m, A)
-    succ_idx = successor_indices(problem)               # (n, L, A)
-    kappa = damping
-
-    def q_values(h, t):
-        gathered = h[(t + 1) % n][succ_idx[t]]          # (L, A, m)
-        expect = np.einsum("pq,iaq->ipa", problem.trans[t], gathered)
-        return costs[t] + kappa * expect + (1.0 - kappa) * h[t][:, :, None]
-
-    h = np.zeros((n, L, m))
-    gain = None
-    for _ in range(max_sweeps):
-        h_next = np.stack([q_values(h, t).min(axis=2) for t in range(n)])
-        delta = h_next - h
-        span = float(delta.max() - delta.min())
-        gain = float(delta.max() + delta.min()) / 2.0
-        h = h_next - h_next[0, 0, 0]
-        if span <= tol * max(1.0, abs(gain)):
-            break
-    else:
-        raise SolverError(
-            f"value iteration did not converge in {max_sweeps} sweeps "
-            f"(span {span:.3e}, gain {gain:.6e})"
-        )
-
-    actions = np.stack([q_values(h, t).argmin(axis=2) for t in range(n)])
-    policy = Policy(actions=actions, space=problem.space,
-                    hours=problem.hours, objective=gain)
-    return gain, policy
 
 
 def policy_to_dict(policy: Policy) -> dict:

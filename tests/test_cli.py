@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def test_estimate_chain_alpha_zero_on_sparse_data(tmp_path, capsys):
     assert "alpha > 0" in capsys.readouterr().err
 
 
-def test_plan_objective_matches_dp_oracle(pipeline, capsys):
+def test_plan_objective_matches_lp(pipeline):
     root, out, config = pipeline
     policy = mdp.load_policy(os.path.join(out, "policy.json"))
     assert policy.n == 24
@@ -71,8 +72,32 @@ def test_plan_objective_matches_dp_oracle(pipeline, capsys):
     model = qfr.load_model(os.path.join(out, "regime_model.json"))
     chain = regimes.load_model(os.path.join(out, "transition_model.json"))
     problem = cli._assemble_problem(cfg, model, chain)
-    gain, _ = mdp.dp_oracle(problem)
-    assert policy.objective == pytest.approx(gain, rel=1e-6)
+    lp = mdp.solve_occupancy(mdp.build_lp(problem))
+    assert policy.objective == pytest.approx(lp.objective, rel=1e-6)
+
+
+def _plan_stdout(pipeline, tmp_path, capsys):
+    _, out, config = pipeline
+    capsys.readouterr()
+    assert cli.main(["plan", "--config", config, "--out", str(tmp_path),
+                     "--regime-model", os.path.join(out, "regime_model.json"),
+                     "--transition-model",
+                     os.path.join(out, "transition_model.json")]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_plan_prints_solver_line(pipeline, tmp_path, monkeypatch, capsys):
+    # value iteration settles on the fixture; with a budget of one period
+    # the plan falls back to the LP and prints the same objective
+    rvi_lines = _plan_stdout(pipeline, tmp_path / "rvi", capsys)
+    assert re.fullmatch(r"solver: rvi periods=\d+ span=\S+ residuals=\S+/\S+",
+                        rvi_lines[-2])
+    monkeypatch.setattr(mdp, "PERIOD_BUDGET", 1)
+    lp_lines = _plan_stdout(pipeline, tmp_path / "lp", capsys)
+    assert re.fullmatch(r"solver: lp \(rvi span \S+ after 1 periods\)",
+                        lp_lines[-2])
+    assert lp_lines[-1] == rvi_lines[-1]
+    assert lp_lines[-1].startswith("objective: ")
 
 
 def test_plan_rejects_inverted_band(tmp_path, capsys):

@@ -1,5 +1,9 @@
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coolsched.ingest import (AlignedDataset, CoverageError, IngestError,
                               SeriesKind, TimeSeries, align, format_timestamp,
@@ -21,6 +25,31 @@ def test_parse_format_round_trip():
 def test_parse_rejects_off_hour():
     with pytest.raises(IngestError):
         parse_timestamp("2024-07-15T13:30:00Z")
+
+
+def _strptime_hours(text):
+    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+    return int(dt.replace(tzinfo=timezone.utc).timestamp()) // 3600
+
+
+@given(st.integers(0, 200 * 8766))
+def test_parse_matches_strptime(hour):
+    text = format_timestamp(hour)
+    assert parse_timestamp(text) == _strptime_hours(text) == hour
+
+
+@pytest.mark.parametrize("text", ["2024-7-15T5:00:00Z", "2024-07-15t05:00:00z",
+                                  "2024-07- 5T05:00:00Z", "2024-07-15T05:0:00Z"])
+def test_parse_accepts_what_strptime_accepts(text):
+    assert parse_timestamp(text) == _strptime_hours(text)
+
+
+def test_load_names_bad_day(tmp_path):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["2024-02-28T05:00:00Z,50.0", "2024-02-30T05:00:00Z,60.0"])
+    with pytest.raises(IngestError,
+                       match=r"line 3: bad timestamp '2024-02-30T05:00:00Z'"):
+        load_series(path, SeriesKind.PRICE)
 
 
 def test_load_identity(tmp_path):

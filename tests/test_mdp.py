@@ -3,17 +3,18 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coolsched.mdp import (CostSpec, LpDescription, MdpProblem,
-                           OccupancyMeasure, Policy, StateSpace, build_lp,
-                           check_occupancy, cost_tensor, dp_oracle,
+from coolsched import mdp
+from coolsched.mdp import (PERIOD_BUDGET, CostSpec, LpDescription, MdpProblem,
+                           OccupancyMeasure, Policy, SolverError, StateSpace,
+                           build_lp, check_occupancy, cost_tensor,
                            extract_policy, immediate_cost, load_policy, plan,
                            policy_from_dict, policy_to_dict, quantize,
-                           save_policy, solve_occupancy, successor_indices,
-                           successor_temperatures)
+                           save_policy, solve, solve_occupancy,
+                           successor_indices, successor_temperatures)
 from coolsched.thermal import ChillerSpec, step_temperature
 
 GRID = StateSpace(theta_min=15, theta_max=30, theta_step=0.5, m=1, a_max=4)
@@ -131,11 +132,24 @@ def test_absorbing_state_objective_is_forced_cost():
         assert occ.x[t, idx28].sum() == pytest.approx(1.0, abs=1e-8)
 
 
+# "dp" in the test names below is the dynamic-programming planner, relative
+# value iteration on the period map.
+def _rvi_and_lp(prob):
+    """Plan by value iteration and by the LP; assert equal gains and equal
+    actions on every state both occupancies visit with more than 1e-9."""
+    rvi = solve(prob)
+    lp = solve_occupancy(build_lp(prob))
+    assert rvi.solver == "rvi"
+    assert rvi.objective == pytest.approx(lp.objective, rel=1e-6)
+    both = (rvi.x.sum(axis=3) > 1e-9) & (lp.x.sum(axis=3) > 1e-9)
+    assert both.any()
+    assert np.array_equal(extract_policy(prob, rvi).actions[both],
+                          extract_policy(prob, lp).actions[both])
+    return rvi, lp
+
+
 def test_lp_matches_dp_on_absorbing_instance():
-    prob = _absorbing_problem()
-    occ = solve_occupancy(build_lp(prob))
-    gain, _ = dp_oracle(prob)
-    assert gain == pytest.approx(occ.objective, rel=1e-6)
+    _rvi_and_lp(_absorbing_problem())
 
 
 def _teleport_problem():
@@ -174,11 +188,10 @@ def _enumerate_policies_min_mean_cost(prob):
 def test_lp_and_dp_match_policy_enumeration():
     prob = _teleport_problem()
     brute = _enumerate_policies_min_mean_cost(prob)
-    occ = solve_occupancy(build_lp(prob))
-    gain, _ = dp_oracle(prob)
-    assert occ.objective == pytest.approx(brute, rel=1e-6)
-    assert gain == pytest.approx(brute, rel=1e-6)
-    check_occupancy(prob, occ)
+    rvi, lp = _rvi_and_lp(prob)
+    assert lp.objective == pytest.approx(brute, rel=1e-6)
+    check_occupancy(prob, lp)
+    check_occupancy(prob, rvi)
 
 
 def test_occupancy_concentrates_on_cheap_cycle():
@@ -218,18 +231,24 @@ def test_desk_instance_occupancy_valid(desk_instance):
 
 
 def test_desk_instance_lp_matches_dp(desk_instance):
-    prob, occ, _ = desk_instance
-    gain, _ = dp_oracle(prob)
-    assert gain == pytest.approx(occ.objective, rel=1e-6)
+    prob, occ, policy = desk_instance
+    rvi, _ = _rvi_and_lp(prob)
+    assert occ.solver == "rvi"
+    assert policy.objective == rvi.objective
 
 
 def test_desk_instance_lp_and_dp_policies_agree(desk_instance):
-    # on states the LP visits, its action is the oracle's greedy action
+    # the LP's policy takes value iteration's greedy action on every state
+    # both visit, and the fallback rule on every state neither visits
     prob, occ, policy = desk_instance
-    _, dp_policy = dp_oracle(prob)
-    visited = occ.x.sum(axis=3) > 1e-6
-    assert visited.any()
-    assert np.array_equal(policy.actions[visited], dp_policy.actions[visited])
+    lp = solve_occupancy(build_lp(prob))
+    lp_policy = extract_policy(prob, lp)
+    rvi_mass, lp_mass = occ.x.sum(axis=3), lp.x.sum(axis=3)
+    both = (rvi_mass > 1e-9) & (lp_mass > 1e-9)
+    neither = (rvi_mass <= 1e-12) & (lp_mass <= 1e-12)
+    assert both.any() and neither.any()
+    assert np.array_equal(policy.actions[both], lp_policy.actions[both])
+    assert np.array_equal(policy.actions[neither], lp_policy.actions[neither])
 
 
 def test_extract_policy_deterministic_concentration():
@@ -268,12 +287,6 @@ def test_extract_policy_fallback_on_unvisited():
                 a = chosen[t, i, p]
                 if grid[succ[t, i, a]] > prob.cost.t_max + 1e-9:
                     assert a == prob.space.a_max
-
-
-def test_dp_oracle_refuses_large_instances():
-    prob = make_problem(n=200, space=StateSpace(15, 30, 0.05, m=4, a_max=4))
-    with pytest.raises(ValueError, match="desk-scale"):
-        dp_oracle(prob)
 
 
 def test_policy_serialization_round_trip(desk_instance, tmp_path):
@@ -371,3 +384,41 @@ def test_extract_policy_picks_max_occupancy(data):
     chosen = np.take_along_axis(x, policy.actions[..., None], axis=3)[..., 0]
     visited = x.sum(axis=3) > 0
     assert np.array_equal(chosen[visited], x.max(axis=3)[visited])
+
+
+def _multichain_problem():
+    """Found by hypothesis: 10 degC is absorbing with gain 8238 and the rest
+    of the grid reaches gain 7750, so the period map is multichain."""
+    return make_problem(n=1, space=StateSpace(10.0, 35.0, 0.5, m=1, a_max=1),
+                        chiller=ChillerSpec(a_max=1, eta=1e5),
+                        t_out=np.zeros(1), q=np.zeros(1), prices=np.zeros((1, 1)),
+                        gamma_env=5000.0, c_heat=746963855.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+@example(_multichain_problem())
+def test_plan_matches_lp(prob):
+    occ, policy = plan(prob)
+    lp = solve_occupancy(build_lp(prob))
+    assert occ.objective == pytest.approx(lp.objective, rel=1e-6, abs=1e-9)
+    assert policy.objective == occ.objective
+    check_occupancy(prob, occ)
+
+
+def test_multichain_instance_takes_lp_path():
+    occ = solve(_multichain_problem())
+    assert occ.solver == "lp"
+    assert occ.periods == PERIOD_BUDGET
+    assert occ.span > 1.0
+    assert occ.objective == pytest.approx(7750.0, rel=1e-6)
+
+
+def test_lp_fallback_failure_names_both_attempts(monkeypatch):
+    def failing_lp(lp):
+        raise SolverError("occupancy LP failed: status=4")
+    monkeypatch.setattr(mdp, "solve_occupancy", failing_lp)
+    with pytest.raises(SolverError,
+                       match=rf"value iteration span .* after {PERIOD_BUDGET} "
+                             r"periods, then occupancy LP failed"):
+        solve(_multichain_problem())
