@@ -101,26 +101,27 @@ class TimeSeries:
 
 def _fill_gaps(hours, values, kind, max_gap=MAX_GAP_HOURS):
     """Linearly interpolate gaps of at most `max_gap` missing hours."""
-    out_h = [hours[0]]
-    out_v = [values[0]]
-    for h, v in zip(hours[1:], values[1:]):
-        prev_h, prev_v = out_h[-1], out_v[-1]
-        missing = h - prev_h - 1
-        if missing > max_gap:
-            raise IngestError(
-                f"gap of {missing} h between {format_timestamp(prev_h)} and "
-                f"{format_timestamp(h)} exceeds the {max_gap} h fill limit"
-            )
-        for k in range(1, missing + 1):
-            frac = k / (missing + 1)
-            filled = prev_v + frac * (v - prev_v)
-            if kind is SeriesKind.WORKLOAD:
-                filled = float(round(filled))
-            out_h.append(prev_h + k)
-            out_v.append(filled)
-        out_h.append(h)
-        out_v.append(v)
-    return np.array(out_h, dtype=np.int64), np.array(out_v, dtype=np.float64)
+    missing = np.diff(hours) - 1
+    too_long = np.flatnonzero(missing > max_gap)
+    if too_long.size:
+        i = too_long[0]
+        raise IngestError(
+            f"gap of {missing[i]} h between {format_timestamp(hours[i])} and "
+            f"{format_timestamp(hours[i + 1])} exceeds the {max_gap} h fill limit"
+        )
+    out_h = np.arange(hours[0], hours[-1] + 1, dtype=np.int64)
+    out_v = np.empty(len(out_h), dtype=np.float64)
+    out_v[hours - hours[0]] = values
+    gaps = np.flatnonzero(missing)
+    counts = missing[gaps]
+    left = np.repeat(gaps, counts)  # observation before each filled hour
+    k = np.arange(1, len(left) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    prev_v = values[left]
+    filled = prev_v + k / np.repeat(counts + 1, counts) * (values[left + 1] - prev_v)
+    if kind is SeriesKind.WORKLOAD:
+        filled = np.round(filled)
+    out_v[hours[left] + k - hours[0]] = filled
+    return out_h, out_v
 
 
 def load_series(path, kind: SeriesKind) -> TimeSeries:

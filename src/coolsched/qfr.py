@@ -1,17 +1,21 @@
 """Quantile regression on Fourier time features and price-regime bands.
 
 Prices are fit at several quantile levels with sinusoidal regressors at the
-daily and yearly periods. The fitted curves split the price axis into M
-bands per hour; a realized price's band is its regime. Band boundaries sit
-at levels j/M and each band carries a representative curve at its mid level.
+daily and yearly periods, each as one bounded dual LP. The fitted curves
+split the price axis into M bands per hour; a realized price's band is its
+regime, and a price within TIE_TOL (relative) of a boundary is on it. Band
+boundaries sit at levels j/M and each band carries a representative curve
+at its mid level.
 """
 
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
+
+# Relative distance within which a price counts as on a band boundary.
+TIE_TOL = 1e-9
 
 
 class FitError(ValueError):
@@ -67,15 +71,8 @@ class QuantileFit:
         return values if np.ndim(hours) else float(values[0])
 
 
-def fit_quantile(hours, prices, tau: float, design: FourierDesign) -> QuantileFit:
-    """Minimize mean pinball loss over Fourier coefficients.
-
-    Solved as the standard residual-split linear program: with beta = b+ - b-
-    and residual y - X beta = u - v (u, v >= 0), minimize
-    (tau * sum u + (1 - tau) * sum v) / n subject to X(b+ - b-) + u - v = y.
-    """
-    if not 0 < tau < 1:
-        raise FitError(f"tau must be in (0, 1), got {tau}")
+def _quantile_fitter(hours, prices, design: FourierDesign):
+    """Check the data once; return tau -> QuantileFit on one design matrix."""
     hours = np.asarray(hours, dtype=np.int64)
     y = np.asarray(prices, dtype=float)
     if hours.shape != y.shape or hours.ndim != 1:
@@ -85,34 +82,42 @@ def fit_quantile(hours, prices, tau: float, design: FourierDesign) -> QuantileFi
         raise FitError(f"need at least {10 * k} observations for {k} features, got {n}")
     if not np.all(np.isfinite(y)):
         raise FitError("prices contain non-finite values")
+    X = design_matrix(hours, design)
+    x_sum = X.sum(axis=0)
 
-    if np.ptp(y) == 0.0:
-        # Degenerate data: intercept-only fit, zero Fourier coefficients.
-        coef = np.zeros(k)
-        coef[0] = y[0]
+    def fit(tau: float) -> QuantileFit:
+        if np.ptp(y) == 0.0:
+            # Degenerate data: intercept-only fit, zero Fourier coefficients.
+            coef = np.zeros(k)
+            coef[0] = y[0]
+            return QuantileFit(tau, coef)
+        # d = 1 - tau is feasible and 0 <= d <= 1 bounds the objective, so
+        # the dual always has an optimum; presolve only slows this dense LP.
+        res = linprog(-y, A_eq=X.T, b_eq=(1.0 - tau) * x_sum, bounds=(0, 1),
+                      method="highs-ds", options={"presolve": False})
+        if not res.success:
+            raise FitError(f"quantile LP failed: {res.message}")
+        coef = -res.eqlin.marginals
+        fitted_loss = pinball_loss(y, X @ coef, tau)
+        const_loss = pinball_loss(y, np.quantile(y, tau), tau)
+        if fitted_loss > const_loss + 1e-9 * max(1.0, abs(const_loss)):
+            raise FitError("quantile LP returned a fit worse than the constant quantile")
         return QuantileFit(tau, coef)
 
-    X = design_matrix(hours, design)
-    identity = sp.identity(n, format="csc")
-    A_eq = sp.hstack([sp.csc_matrix(X), identity, -identity], format="csc")
-    c = np.concatenate([np.zeros(k),
-                        np.full(n, tau / n),
-                        np.full(n, (1.0 - tau) / n)])
-    bounds = [(None, None)] * k + [(0, None)] * (2 * n)
-    # interior point is much faster here; dual simplex is the fallback
-    res = linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs-ipm")
-    if not res.success:
-        res = linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
-    if not res.success:
-        raise FitError(f"quantile LP failed: {res.message}")
-    coef = res.x[:k]
-
-    fit = QuantileFit(tau, coef)
-    fitted_loss = pinball_loss(y, X @ coef, tau)
-    const_loss = pinball_loss(y, np.quantile(y, tau), tau)
-    if fitted_loss > const_loss + 1e-9 * max(1.0, abs(const_loss)):
-        raise FitError("quantile LP returned a fit worse than the constant quantile")
     return fit
+
+
+def fit_quantile(hours, prices, tau: float, design: FourierDesign) -> QuantileFit:
+    """Minimize mean pinball loss over Fourier coefficients.
+
+    Solved as the dual of the residual-split LP (Koenker & d'Orey 1987):
+    maximize y'd subject to X'd = (1 - tau) X'1 and 0 <= d <= 1. The
+    coefficients are the multipliers of its k equality rows, and the fitted
+    curve passes through k observations up to round-off (see `classify`).
+    """
+    if not 0 < tau < 1:
+        raise FitError(f"tau must be in (0, 1), got {tau}")
+    return _quantile_fitter(hours, prices, design)(tau)
 
 
 @dataclass
@@ -175,30 +180,31 @@ def fit_regimes(hours, prices, m: int, design: FourierDesign) -> RegimeModel:
     """Fit the M-regime model: boundaries at j/M, representatives at (p-.5)/M."""
     if not 2 <= m <= 16:
         raise FitError(f"regime count must be in 2..16, got {m}")
-    boundaries = [fit_quantile(hours, prices, tau, design)
-                  for tau in boundary_levels(m)]
-    representatives = [fit_quantile(hours, prices, tau, design)
-                       for tau in representative_levels(m)]
-    return RegimeModel(m, boundaries, representatives, design)
+    fit = _quantile_fitter(hours, prices, design)
+    return RegimeModel(m, [fit(tau) for tau in boundary_levels(m)],
+                       [fit(tau) for tau in representative_levels(m)], design)
 
 
 def classify(model: RegimeModel, hour_index, price) -> int:
     """Regime of a realized price: smallest p with price <= boundary_p, else M.
 
-    A price exactly on a boundary goes to the lower band.
+    A price on a boundary goes to the lower band. "On" means within
+    TIE_TOL * max(1, |b|) of the boundary b: a boundary fit interpolates
+    some training prices, and round-off in the LP and in the curve
+    evaluation would otherwise decide their band.
     """
-    if not np.all(np.isfinite(np.asarray(price, dtype=float))):
+    price = np.asarray(price, dtype=float)
+    if not np.all(np.isfinite(price)):
         raise ValueError("price must be finite")
     bounds, _ = model.surfaces_at(hour_index)
-    regime = np.sum(np.asarray(price)[..., None] > bounds, axis=-1) + 1
-    return int(regime) if np.ndim(price) == 0 and np.ndim(hour_index) == 0 else regime
+    ceiling = bounds + TIE_TOL * np.maximum(1.0, np.abs(bounds))
+    regime = np.sum(price[..., None] > ceiling, axis=-1) + 1
+    return int(regime) if price.ndim == 0 and np.ndim(hour_index) == 0 else regime
 
 
 def classify_series(model: RegimeModel, hours, prices) -> np.ndarray:
     """Vectorized classify over parallel hour and price arrays."""
-    bounds, _ = model.surfaces_at(hours)
-    return (np.sum(np.asarray(prices, dtype=float)[:, None] > bounds, axis=1) + 1
-            ).astype(np.int64)
+    return classify(model, hours, prices).astype(np.int64)
 
 
 def price_table(model: RegimeModel, hours) -> np.ndarray:

@@ -133,25 +133,6 @@ def matrix_at(model: TransitionModel, hour_index: int) -> np.ndarray:
         ) from None
 
 
-def sample_path(model: TransitionModel, start_regime: int, start_hour: int,
-                n_hours: int, seed: int) -> np.ndarray:
-    """Sample a regime path of length n_hours, deterministic in the seed."""
-    if not 1 <= start_regime <= model.m:
-        raise ValueError(f"start_regime must be in 1..{model.m}")
-    gen = np.random.Generator(np.random.PCG64(seed))
-    path = np.empty(n_hours, dtype=np.int64)
-    path[0] = start_regime
-    cumulative = {key: np.cumsum(mat, axis=1) for key, mat in model.matrices.items()}
-    for i in range(1, n_hours):
-        hour = start_hour + i - 1
-        key = hour_bucket(hour, model.grouping)
-        if key not in cumulative:
-            raise BucketError(f"no transition matrix for bucket {key} (hour {hour})")
-        row = cumulative[key][path[i - 1] - 1]
-        path[i] = int(np.searchsorted(row, gen.random(), side="right")) + 1
-    return path
-
-
 def model_to_dict(model: TransitionModel) -> dict:
     return {
         "kind": "transition-model",

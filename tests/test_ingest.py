@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coolsched.ingest import (AlignedDataset, CoverageError, IngestError,
-                              SeriesKind, TimeSeries, align, format_timestamp,
-                              load_series, parse_timestamp, synth_prices,
-                              synth_temperature, synth_workload, write_series)
+from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
+                              IngestError, SeriesKind, TimeSeries, _fill_gaps,
+                              align, format_timestamp, load_series,
+                              parse_timestamp, synth_prices, synth_temperature,
+                              synth_workload, write_series)
 
 
 def write_csv(path, rows, header=True):
@@ -73,6 +74,53 @@ def test_load_rejects_long_gap(tmp_path):
     write_csv(path, ["2024-06-01T00:00:00Z,50.0", "2024-06-01T05:00:00Z,70.0"])
     with pytest.raises(IngestError, match="gap of 4 h"):
         load_series(path, SeriesKind.PRICE)
+
+
+def _fill_gaps_loop(hours, values, kind, max_gap=MAX_GAP_HOURS):
+    """Reference gap fill: one observation at a time."""
+    out_h = [hours[0]]
+    out_v = [values[0]]
+    for h, v in zip(hours[1:], values[1:]):
+        prev_h, prev_v = out_h[-1], out_v[-1]
+        missing = h - prev_h - 1
+        if missing > max_gap:
+            raise IngestError(
+                f"gap of {missing} h between {format_timestamp(prev_h)} and "
+                f"{format_timestamp(h)} exceeds the {max_gap} h fill limit"
+            )
+        for k in range(1, missing + 1):
+            frac = k / (missing + 1)
+            filled = prev_v + frac * (v - prev_v)
+            if kind is SeriesKind.WORKLOAD:
+                filled = float(round(filled))
+            out_h.append(prev_h + k)
+            out_v.append(filled)
+        out_h.append(h)
+        out_v.append(v)
+    return np.array(out_h, dtype=np.int64), np.array(out_v, dtype=np.float64)
+
+
+def _outcome(fill, hours, values, kind):
+    try:
+        out_h, out_v = fill(hours, values, kind)
+    except IngestError as exc:
+        return str(exc)
+    return out_h.tobytes(), out_v.tobytes()
+
+
+@given(st.integers(0, 500_000),
+       st.lists(st.integers(1, MAX_GAP_HOURS + 2), max_size=40),
+       st.sampled_from(list(SeriesKind)), st.data())
+def test_fill_gaps_matches_loop(start, steps, kind, data):
+    hours = start + np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+    if kind is SeriesKind.WORKLOAD:
+        values = st.integers(0, 10**6).map(float)
+    else:
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(data.draw(st.lists(values, min_size=len(hours),
+                                         max_size=len(hours))), dtype=float)
+    assert (_outcome(_fill_gaps, hours, values, kind)
+            == _outcome(_fill_gaps_loop, hours, values, kind))
 
 
 def test_load_names_bad_line(tmp_path):

@@ -2,6 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from coolsched.qfr import (FitError, FourierDesign, RegimeModel, QuantileFit,
                            classify, classify_series, design_matrix,
@@ -9,6 +13,80 @@ from coolsched.qfr import (FitError, FourierDesign, RegimeModel, QuantileFit,
                            model_to_dict, pinball_loss, price_table)
 
 DAILY = FourierDesign(daily_harmonics=2, seasonal_harmonics=0)
+
+
+def primal_fit(hours, prices, tau, design):
+    """Reference quantile fit: the residual-split primal LP.
+
+    With beta = b+ - b- and residual y - X beta = u - v (u, v >= 0),
+    minimize (tau * sum u + (1 - tau) * sum v) / n subject to
+    X(b+ - b-) + u - v = y. Returns the fit and whether its optimum is
+    certified unique: when k observations with linearly independent rows
+    carry dual values strictly inside (0, 1), complementary slackness makes
+    every optimal fit pass through them, which fixes the coefficients.
+    """
+    y = np.asarray(prices, dtype=float)
+    X = design_matrix(hours, design)
+    n, k = X.shape
+    identity = sp.identity(n, format="csc")
+    a_eq = sp.hstack([sp.csc_matrix(X), identity, -identity], format="csc")
+    c = np.concatenate([np.zeros(k), np.full(n, tau / n),
+                        np.full(n, (1.0 - tau) / n)])
+    bounds = [(None, None)] * k + [(0, None)] * (2 * n)
+    res = linprog(c, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
+    assert res.success, res.message
+    d = n * res.eqlin.marginals + (1.0 - tau)  # dual values in [0, 1]
+    interior = (d > 1e-9) & (d < 1 - 1e-9)
+    unique = np.linalg.matrix_rank(X[interior]) == k
+    return QuantileFit(tau, res.x[:k]), unique
+
+
+def _one_boundary(fit, design):
+    # Two bands split by `fit` alone: representatives equal to the boundary
+    # leave it in place through the rearrangement.
+    return RegimeModel(2, [fit], [fit, fit], design)
+
+
+@st.composite
+def quantile_problems(draw):
+    design = FourierDesign(daily_harmonics=draw(st.integers(0, 3)),
+                           seasonal_harmonics=draw(st.integers(0, 2)),
+                           period_daily=draw(st.integers(2, 48)),
+                           period_seasonal=draw(st.integers(49, 8760)))
+    n = draw(st.integers(10 * design.n_features, 400))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hours = np.sort(gen.integers(0, 20_000, n))
+    phase = 2 * np.pi * (hours % design.period_daily) / design.period_daily
+    kind = draw(st.sampled_from(["normal", "cauchy", "repeated", "spikes"]))
+    if kind == "normal":
+        noise = gen.standard_normal(n)
+    elif kind == "cauchy":
+        noise = gen.standard_cauchy(n)
+    elif kind == "repeated":
+        noise = gen.integers(0, draw(st.integers(2, 6)), n).astype(float)
+    else:
+        noise = np.where(gen.random(n) < 0.1, gen.pareto(1.5, n) * 50, 0.0)
+    prices = 40 + draw(st.floats(0, 30)) * np.sin(phase) + 10 * noise
+    tau = draw(st.floats(0.02, 0.98))
+    return hours, prices, tau, design
+
+
+@settings(max_examples=40, deadline=None)
+@given(quantile_problems())
+def test_dual_fit_matches_primal_reference(problem):
+    hours, prices, tau, design = problem
+    dual = fit_quantile(hours, prices, tau, design)
+    primal, unique = primal_fit(hours, prices, tau, design)
+    X = design_matrix(hours, design)
+    dual_loss = pinball_loss(prices, X @ dual.coefficients, tau)
+    primal_loss = pinball_loss(prices, X @ primal.coefficients, tau)
+    assert dual_loss == pytest.approx(primal_loss, rel=1e-9, abs=1e-12)
+    if unique:
+        # With several optimal fits (say an intercept-only median with tau * n
+        # whole) each may split the tied prices differently; no label is right.
+        assert np.array_equal(
+            classify_series(_one_boundary(dual, design), hours, prices),
+            classify_series(_one_boundary(primal, design), hours, prices))
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +234,24 @@ def test_classify_boundary_tie_goes_low(uniform_model):
         bounds, _ = model.surfaces_at(hour)
         for j, b in enumerate(bounds, start=1):
             assert classify(model, hour, float(b)) == j
+            few_ulps_above = b
+            for _ in range(4):
+                few_ulps_above = np.nextafter(few_ulps_above, np.inf)
+            assert classify(model, hour, float(few_ulps_above)) == j
+            assert classify(model, hour, float(b * (1 + 1e-6))) == j + 1
+
+
+def test_interpolated_training_prices_go_low(uniform_model):
+    model, hours, prices = uniform_model
+    bounds, _ = model.surfaces_at(hours)
+    near = np.abs(prices[:, None] - bounds) <= 1e-12 * np.abs(bounds)
+    rows, cols = np.nonzero(near)
+    # each boundary fit passes through at least one observation per feature
+    assert len(rows) >= len(model.boundary_fits) * DAILY.n_features
+    assert np.array_equal(classify_series(model, hours[rows], prices[rows]),
+                          cols + 1)
+    for i, j in zip(rows, cols):
+        assert classify(model, int(hours[i]), float(prices[i])) == j + 1
 
 
 def test_classify_rejects_non_finite(uniform_model):

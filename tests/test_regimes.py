@@ -6,7 +6,7 @@ import pytest
 from coolsched.ingest import parse_timestamp
 from coolsched.regimes import (BucketError, EstimationError, TransitionModel,
                                estimate, hour_bucket, matrix_at,
-                               model_from_dict, model_to_dict, sample_path)
+                               model_from_dict, model_to_dict)
 
 KNOWN_4 = np.array([
     [0.70, 0.10, 0.10, 0.10],
@@ -20,6 +20,25 @@ def pooled_model(matrix, m=None):
     matrix = np.asarray(matrix, dtype=float)
     return TransitionModel(m=m or matrix.shape[0], alpha=0.0,
                            grouping="pooled", matrices={"all": matrix})
+
+
+def sample_path(model: TransitionModel, start_regime: int, start_hour: int,
+                n_hours: int, seed: int) -> np.ndarray:
+    """Sample a regime path of length n_hours, deterministic in the seed."""
+    if not 1 <= start_regime <= model.m:
+        raise ValueError(f"start_regime must be in 1..{model.m}")
+    rng = np.random.default_rng(seed)
+    path = np.empty(n_hours, dtype=np.int64)
+    path[0] = start_regime
+    cumulative = {key: np.cumsum(mat, axis=1) for key, mat in model.matrices.items()}
+    for i in range(1, n_hours):
+        hour = start_hour + i - 1
+        key = hour_bucket(hour, model.grouping)
+        if key not in cumulative:
+            raise BucketError(f"no transition matrix for bucket {key} (hour {hour})")
+        row = cumulative[key][path[i - 1] - 1]
+        path[i] = int(np.searchsorted(row, rng.random(), side="right")) + 1
+    return path
 
 
 def stationary_by_power_iteration(matrix, iters=10_000):
