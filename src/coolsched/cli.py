@@ -174,9 +174,9 @@ def _input_path(args, flag, out, default_name):
     return path
 
 
-def _write_surfaces(cfg: RunConfig, price, model, path) -> None:
+def _write_surfaces(cfg: RunConfig, model, path) -> None:
     """Rearranged quantile surfaces of `model` over the first training window."""
-    hours = ingest.slice_series(price, _train_windows(cfg)[0]).hours
+    hours = ingest.window_hours(_train_windows(cfg)[0])
     bounds, reps = model.surfaces_at(hours)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -195,7 +195,7 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     hours, values = _train_samples(cfg, price)
     model = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
     qfr.save_model(model, os.path.join(out, REGIME_MODEL_FILE))
-    _write_surfaces(cfg, price, model, os.path.join(out, "qfr_surfaces.csv"))
+    _write_surfaces(cfg, model, os.path.join(out, "qfr_surfaces.csv"))
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
           f"{len(model.boundary_fits)} boundary fits, "
           f"{len(model.representative_fits)} representative fits")
@@ -308,8 +308,7 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     if not reports:
         raise PipelineError("reports file is empty; run simulate first")
 
-    _write_surfaces(cfg, _load_price(cfg), model,
-                    os.path.join(out, "fig1_quantile_surfaces.csv"))
+    _write_surfaces(cfg, model, os.path.join(out, "fig1_quantile_surfaces.csv"))
 
     # planned actions for the chosen day: hour x theta x regime
     day_start = _planning_day_hour(cfg)
@@ -337,11 +336,11 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
         if not os.path.exists(path):
             raise PipelineError(f"missing {path}; run simulate first")
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                h = ingest.parse_timestamp(row["timestamp"])
-                if day_h0 <= h < day_h0 + 24:
-                    rows_out.append([name, row["timestamp"], row["theta"],
-                                     row["action"], row["price"]])
+            rows = [(row["timestamp"], row["theta"], row["action"], row["price"])
+                    for row in csv.DictReader(fh)]
+        hours = ingest.parse_timestamps(row[0] for row in rows)
+        rows_out += [[name, *row] for row, h in zip(rows, hours)
+                     if day_h0 <= h < day_h0 + 24]
     if not rows_out:
         raise PipelineError(
             f"day {day} not inside the first simulate window {first_sim}")

@@ -2,12 +2,27 @@
 
 Series are stored on an integer grid of hours since the Unix epoch (UTC),
 which keeps calendar lookups (hour of day, month) and Fourier phases exact.
-CSV format is `timestamp,value` with ISO-8601 timestamps `YYYY-MM-DDTHH:00:00Z`.
+
+CSV format: UTF-8 `timestamp,value` records, one per line, with an optional
+header whose first field is `timestamp` on line 1; blank lines are skipped.
+A timestamp is an ISO-8601 UTC hour, `YYYY-MM-DDTHH:00:00Z`, or any form
+`strptime` accepts for that format, such as `2024-7-5T5:00:00Z`. A value
+is anything `float` accepts that is finite, and for a workload also a
+non-negative integer.
+
+`load_series` parses a file in one bulk pass over its bytes. It finds the
+separators with NumPy, decodes canonical stamps (`_stamp_hours`) and
+converts the values in one `float` pass. Rows that pass cannot vouch for go
+through the per-row checker `_check_row`, in line order, which raises the
+error naming the line: the header, blank lines, lenient or bad stamps,
+records with other than 2 fields, and values that are not a number, not
+finite or not a valid workload. A file that is not ASCII, contains a quote
+or a carriage return, or has a line longer than `csv.field_size_limit()`
+takes all its rows from `csv.reader` through the same checker.
 """
 
 import csv
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -16,6 +31,8 @@ import numpy as np
 
 MAX_GAP_HOURS = 3
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_CANONICAL = "YYYY-MM-DDTHH:00:00Z"  # Y, M, D and H are digits
+_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 class IngestError(ValueError):
@@ -32,29 +49,8 @@ class SeriesKind(enum.Enum):
     WORKLOAD = "workload"      # active cores
 
 
-_HOURS = {f"{h:02d}": h for h in range(24)}
-
-
-@functools.lru_cache(maxsize=1024)
-def _day_start_hour(day: str) -> int:
-    """Hours since epoch of midnight UTC on a `YYYY-MM-DD` day."""
-    dt = datetime.strptime(day, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    return int(dt.timestamp()) // 3600
-
-
 def parse_timestamp(text: str) -> int:
-    """Parse an ISO-8601 UTC timestamp on the hour into hours since epoch.
-
-    The common `YYYY-MM-DDTHH:00:00Z` form parses its day once per date;
-    every other string goes through the full strptime format.
-    """
-    hour = _HOURS.get(text[11:13])
-    if hour is not None and len(text) == 20 and text[10] == "T" \
-            and text[13:] == ":00:00Z":
-        try:
-            return _day_start_hour(text[:10]) + hour
-        except ValueError:
-            pass  # no such day: the full format below raises for it
+    """Parse an ISO-8601 UTC timestamp on the hour into hours since epoch."""
     try:
         dt = datetime.strptime(text, _TS_FORMAT)
     except ValueError:
@@ -63,6 +59,53 @@ def parse_timestamp(text: str) -> int:
         raise IngestError(f"timestamp {text!r} is not on the hour")
     dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp()) // 3600
+
+
+def _stamp_hours(buf, starts):
+    """Decode the canonical stamps at byte offsets `starts` of `buf`.
+
+    Returns hours since epoch and a mask of the stamps that are canonical
+    and name an existing hour of a year from 1 on; where the mask is False
+    the hour is meaningless. Each stamp's 20 bytes must lie inside `buf`.
+    """
+    ok = np.ones(len(starts), dtype=bool)
+    fields = {}
+    for k, char in enumerate(_CANONICAL):
+        column = buf[starts + k]
+        if char in "YMDH":
+            digit = column - np.uint8(ord("0"))  # wraps round below '0'
+            ok &= digit < 10
+            fields[char] = fields.get(char, 0) * 10 + digit.astype(np.int32)
+        else:
+            ok &= column == ord(char)
+    year, month, day, hour = (fields[c] for c in "YMDH")
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    last_day = _DAYS_IN_MONTH[np.clip(month, 1, 12) - 1] + ((month == 2) & leap)
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+           & (day <= last_day) & (hour <= 23))
+    # days from the civil date, counting years from March 1 (Hinnant)
+    y = year.astype(np.int64) - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
+    return (era * 146097 + doe - 719468) * 24 + hour, ok
+
+
+def parse_timestamps(texts) -> np.ndarray:
+    """`parse_timestamp` of each string, decoding canonical stamps in bulk."""
+    texts = list(texts)
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    hours = np.zeros(len(texts), dtype=np.int64)
+    ok = np.zeros(len(texts), dtype=bool)
+    joined = "".join(texts)
+    if joined.isascii():
+        buf = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+        full = np.flatnonzero(lengths == len(_CANONICAL))
+        hours[full], ok[full] = _stamp_hours(buf, (np.cumsum(lengths) - lengths)[full])
+    for i in np.flatnonzero(~ok).tolist():
+        hours[i] = parse_timestamp(texts[i])
+    return hours
 
 
 def format_timestamp(hour: int) -> str:
@@ -124,6 +167,110 @@ def _fill_gaps(hours, values, kind, max_gap=MAX_GAP_HOURS):
     return out_h, out_v
 
 
+def _check_row(path, lineno, row, kind):
+    """Check one CSV record, split into fields, as line `lineno` of `path`.
+
+    Returns None for the header or a blank line and (hour, value) for a
+    data row. Raises IngestError naming the line of a bad record.
+    """
+    if lineno == 1 and row and row[0].strip().lower() == "timestamp":
+        return None  # header
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return None
+    if len(row) != 2:
+        raise IngestError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+    try:
+        hour = parse_timestamp(row[0].strip())
+    except IngestError as exc:
+        raise IngestError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        value = float(row[1])
+    except ValueError:
+        raise IngestError(
+            f"{path}: line {lineno}: value {row[1]!r} is not a number"
+        ) from None
+    if not math.isfinite(value):
+        raise IngestError(f"{path}: line {lineno}: non-finite value {row[1]!r}")
+    if kind is SeriesKind.WORKLOAD and (value < 0 or value != round(value)):
+        raise IngestError(
+            f"{path}: line {lineno}: workload must be a non-negative integer"
+        )
+    return hour, value
+
+
+def _bulk_rows(path, data, kind):
+    """Data rows of a file's bytes as (hours, values, line numbers) arrays.
+
+    Returns None when the file needs `csv.reader` to split it: when it is
+    not ASCII, quotes a field, ends a line with a carriage return, or has a
+    line longer than the reader's field size limit.
+    """
+    if not data.isascii() or b'"' in data or b"\r" in data:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if data and not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    starts = np.concatenate(([0], ends + 1))[:len(ends)]
+    lengths = ends - starts
+    if len(ends) and lengths.max() > csv.field_size_limit():
+        return None
+    n_commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends),
+                       prepend=0)
+    # candidates: `<20-byte stamp>,<value>` with no other comma
+    width = len(_CANONICAL)
+    is_cand = (n_commas == 1) & (lengths > width)
+    is_cand[is_cand] = buf[starts[is_cand] + width] == ord(",")
+    cand = np.flatnonzero(is_cand)
+    cand_starts = starts[cand]
+    cand_hours, ok = _stamp_hours(buf, cand_starts)
+    # one string per candidate value: drop every other line and the stamps.
+    # Each buffer is freed once used, which keeps the peak memory low
+    keep = np.ones(len(buf), dtype=bool)
+    for i in np.flatnonzero(~is_cand).tolist():
+        keep[starts[i]:ends[i] + 1] = False
+    for k in range(width + 1):
+        keep[cand_starts + k] = False
+    text = buf[keep].tobytes().decode("ascii")
+    del keep
+    value_texts = text.split("\n")[:len(cand)]
+    del text
+    try:
+        cand_values = np.fromiter(map(float, value_texts), dtype=np.float64,
+                                  count=len(cand))
+    except ValueError:  # a value is no number: the checker names its line
+        cand_values = np.full(len(cand), np.nan)
+    del value_texts
+    ok &= np.isfinite(cand_values)
+    if kind is SeriesKind.WORKLOAD:
+        ok &= (cand_values >= 0) & (cand_values == np.round(cand_values))
+    hours = np.empty(len(ends), dtype=np.int64)
+    values = np.empty(len(ends), dtype=np.float64)
+    is_row = np.zeros(len(ends), dtype=bool)
+    hours[cand], values[cand], is_row[cand] = cand_hours, cand_values, ok
+    for i in np.flatnonzero(~is_row).tolist():
+        line = data[starts[i]:ends[i]].decode("ascii")
+        checked = _check_row(path, i + 1, line.split(",") if line else [], kind)
+        if checked is not None:
+            hours[i], values[i] = checked
+            is_row[i] = True
+    return hours[is_row], values[is_row], np.flatnonzero(is_row) + 1
+
+
+def _reader_rows(path, kind):
+    """Data rows as split by `csv.reader`, checked one at a time."""
+    hours, values, lines = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            checked = _check_row(path, lineno, row, kind)
+            if checked is not None:
+                hours.append(checked[0])
+                values.append(checked[1])
+                lines.append(lineno)
+    return (np.array(hours, dtype=np.int64), np.array(values, dtype=np.float64),
+            np.array(lines, dtype=np.int64))
+
+
 def load_series(path, kind: SeriesKind) -> TimeSeries:
     """Load one `timestamp,value` CSV; sort, de-duplicate and fill short gaps.
 
@@ -132,49 +279,26 @@ def load_series(path, kind: SeriesKind) -> TimeSeries:
     repeating a timestamp with a different value, and for gaps longer than
     MAX_GAP_HOURS.
     """
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0].strip().lower() == "timestamp":
-                continue  # header
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise IngestError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                hour = parse_timestamp(row[0].strip())
-            except IngestError as exc:
-                raise IngestError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise IngestError(
-                    f"{path}: line {lineno}: value {row[1]!r} is not a number"
-                ) from None
-            if not math.isfinite(value):
-                raise IngestError(f"{path}: line {lineno}: non-finite value {row[1]!r}")
-            if kind is SeriesKind.WORKLOAD and (value < 0 or value != round(value)):
-                raise IngestError(
-                    f"{path}: line {lineno}: workload must be a non-negative integer"
-                )
-            rows.append((hour, value, lineno))
-    if not rows:
+    with open(path, "rb") as fh:
+        rows = _bulk_rows(path, fh.read(), kind)
+    if rows is None:
+        rows = _reader_rows(path, kind)
+    hours, values, lines = rows
+    if not len(hours):
         raise IngestError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])  # stable: a repeated hour keeps file order
-    hours, values, kept_line = [], [], 0
-    for hour, value, lineno in rows:
-        if hours and hour == hours[-1]:
-            if value != values[-1]:
-                raise IngestError(
-                    f"{path}: lines {kept_line} and {lineno}: conflicting "
-                    f"values {values[-1]!r} and {value!r} for "
-                    f"{format_timestamp(hour)}")
-            continue
-        hours.append(hour)
-        values.append(value)
-        kept_line = lineno
-    hours, values = _fill_gaps(np.array(hours), np.array(values), kind)
+    order = np.argsort(hours, kind="stable")  # a repeated hour keeps file order
+    hours, values, lines = hours[order], values[order], lines[order]
+    new = np.concatenate(([True], hours[1:] != hours[:-1]))
+    first = np.flatnonzero(new)[np.cumsum(new) - 1]  # first row of each hour
+    conflict = np.flatnonzero(values != values[first])
+    if conflict.size:
+        i = conflict[0]
+        k = first[i]
+        raise IngestError(
+            f"{path}: lines {lines[k]} and {lines[i]}: conflicting "
+            f"values {float(values[k])!r} and {float(values[i])!r} for "
+            f"{format_timestamp(hours[i])}")
+    hours, values = _fill_gaps(hours[new], values[new], kind)
     return TimeSeries(hours, values, kind)
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -177,6 +178,20 @@ def test_export_plot_data_outputs(pipeline):
     with open(os.path.join(out, "fig3_day_traces.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3 * 24  # three controllers, one day
+
+
+def test_export_plot_data_needs_no_price_archive(pipeline, tmp_path):
+    # fig1 takes its hours from the first training window, not the archive
+    root, out, _ = pipeline
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+    os.remove(tmp_path / "price.csv")
+    os.remove(tmp_path / "out" / "fig1_quantile_surfaces.csv")
+    config = str(tmp_path / "config.yaml")
+    assert cli.main(["export-plot-data", "--config", config]) == 0
+    fig1 = (tmp_path / "out" / "fig1_quantile_surfaces.csv").read_bytes()
+    assert fig1 == (tmp_path / "out" / "qfr_surfaces.csv").read_bytes()
+    with open(os.path.join(out, "fig1_quantile_surfaces.csv"), "rb") as fh:
+        assert fig1 == fh.read()
 
 
 def test_export_plot_data_requires_simulation(tmp_path, capsys):

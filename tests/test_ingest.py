@@ -1,15 +1,17 @@
-from datetime import datetime, timezone
+import csv
+import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
                               IngestError, SeriesKind, TimeSeries, _fill_gaps,
                               align, format_timestamp, load_series,
-                              parse_timestamp, synth_prices, synth_temperature,
-                              synth_workload, write_series)
+                              parse_timestamp, parse_timestamps, synth_prices,
+                              synth_temperature, synth_workload, write_series)
 
 
 def write_csv(path, rows, header=True):
@@ -121,6 +123,200 @@ def test_fill_gaps_matches_loop(start, steps, kind, data):
                                          max_size=len(hours))), dtype=float)
     assert (_outcome(_fill_gaps, hours, values, kind)
             == _outcome(_fill_gaps_loop, hours, values, kind))
+
+
+def _load_series_loop(path, kind):
+    """Reference loader: csv.reader rows, checked, sorted and merged one at a time."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if lineno == 1 and row and row[0].strip().lower() == "timestamp":
+                continue  # header
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise IngestError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+            try:
+                hour = parse_timestamp(row[0].strip())
+            except IngestError as exc:
+                raise IngestError(f"{path}: line {lineno}: {exc}") from None
+            try:
+                value = float(row[1])
+            except ValueError:
+                raise IngestError(
+                    f"{path}: line {lineno}: value {row[1]!r} is not a number"
+                ) from None
+            if not math.isfinite(value):
+                raise IngestError(f"{path}: line {lineno}: non-finite value {row[1]!r}")
+            if kind is SeriesKind.WORKLOAD and (value < 0 or value != round(value)):
+                raise IngestError(
+                    f"{path}: line {lineno}: workload must be a non-negative integer"
+                )
+            rows.append((hour, value, lineno))
+    if not rows:
+        raise IngestError(f"{path}: no data rows")
+    rows.sort(key=lambda r: r[0])  # stable: a repeated hour keeps file order
+    hours, values, kept_line = [], [], 0
+    for hour, value, lineno in rows:
+        if hours and hour == hours[-1]:
+            if value != values[-1]:
+                raise IngestError(
+                    f"{path}: lines {kept_line} and {lineno}: conflicting "
+                    f"values {values[-1]!r} and {value!r} for "
+                    f"{format_timestamp(hour)}")
+            continue
+        hours.append(hour)
+        values.append(value)
+        kept_line = lineno
+    hours, values = _fill_gaps(np.array(hours), np.array(values), kind)
+    return TimeSeries(hours, values, kind)
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_FIRST_HOUR = parse_timestamp("0001-01-01T00:00:00Z")
+_LAST_HOUR = parse_timestamp("9999-12-31T23:00:00Z")
+
+
+def _stamp(hour):
+    """Canonical stamp of an hour, with the year zero-padded below 1000."""
+    dt = _EPOCH + timedelta(hours=hour)
+    return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:00:00Z"
+
+
+# hours just before a leap day (or its absence), the calendar's ends and the epoch
+_ANCHORS = [parse_timestamp(t) for t in (
+    "2024-02-28T20:00:00Z", "2023-02-28T20:00:00Z", "2000-02-28T20:00:00Z",
+    "1900-02-28T20:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T00:00:00Z",
+    "1969-12-31T20:00:00Z", "2021-12-31T20:00:00Z")]
+
+# forms of a good stamp; the last three are faults
+_STAMP_FORMS = [
+    _stamp, _stamp, _stamp, _stamp,
+    lambda h: f" {_stamp(h)}\t",
+    lambda h: _stamp(h).lower(),
+    lambda h: "{0.year:04d}-{0.month}-{0.day}T{0.hour}:00:00Z".format(
+        _EPOCH + timedelta(hours=h)),
+    lambda h: "{0.year:04d}-{0.month:02d}-{0.day:2d}T{0.hour:02d}:0:0Z".format(
+        _EPOCH + timedelta(hours=h)),
+    lambda h: _stamp(h).replace(":00:00Z", ":30:00Z"),
+    lambda h: _stamp(h).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    lambda h: format_timestamp(h)[:-1],
+]
+
+_BAD_STAMPS = [
+    "2023-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "2024-02-30T00:00:00Z",
+    "2024-13-01T00:00:00Z", "2024-00-10T00:00:00Z", "2024-01-01T24:00:00Z",
+    "0000-01-01T00:00:00Z", "2024-01-01T00:00:60Z", "2024-01-01", "", "x",
+    "timestamp",
+]
+
+# values a workload accepts, and values it does not (the first three suit
+# a price or a temperature)
+_GOOD_VALUES = ["1", "2", "2.0", "0", "-0.0", "7", " 7 ", "1_0", "1e5"]
+_BAD_VALUES = ["3.25", "-4", "-1", "0.1", "abc", "nan", "inf", "-inf", "1e400", "",
+               "0x10", "2.5.1"]
+
+
+def _csv_text(rnd):
+    """CSV text around a run of nearby hours, with some faults of every kind."""
+    fault_rate = rnd.choice([0, 0, 0.02, 0.1, 0.3])
+
+    def faulty():
+        return rnd.random() < fault_rate
+
+    if rnd.random() < 0.5:
+        base = rnd.choice(_ANCHORS)
+    else:
+        base = rnd.randint(_FIRST_HOUR, _LAST_HOUR - 48)
+    steps = rnd.choices([0, 1, 1, 1, 1, 2, MAX_GAP_HOURS + 1, MAX_GAP_HOURS + 2],
+                        k=rnd.randint(0, 12))
+    hours = [min(base + s, _LAST_HOUR) for s in np.cumsum([0] + steps).tolist()]
+    rnd.shuffle(hours)
+    lines, seen = [], {}
+    for hour in hours:
+        stamp = rnd.choice(_STAMP_FORMS[4:] + _BAD_STAMPS if faulty()
+                           else _STAMP_FORMS[:4])
+        if callable(stamp):
+            stamp = stamp(hour)
+        value = rnd.choice(_BAD_VALUES if faulty() else _GOOD_VALUES)
+        if hour in seen and rnd.random() < 0.5:
+            value = seen[hour]  # an equal duplicate
+        seen[hour] = value
+        fields = [stamp, value]
+        if faulty():
+            fields = rnd.choice([
+                [stamp], [stamp, value, "x"], [f'"{stamp}"', f'"{value}"'],
+                [f'"{stamp},{value}"'], [stamp, f'"{value}"']])
+        lines.append(",".join(fields))
+        if faulty():
+            lines.append(rnd.choice(["", " ", "\t", ",", "  \t "]))
+    header = rnd.choice([[], ["timestamp,value"], ["Timestamp ,x,y"]])
+    newline = rnd.choice(["\n", "\n", "\r\n"])
+    text = newline.join(header + lines)
+    if rnd.random() < 0.5:
+        text += newline
+    return text
+
+
+def _load_outcome(load, path, kind):
+    try:
+        series = load(path, kind)
+    except (IngestError, csv.Error) as exc:
+        return str(exc)
+    return series.hours.tobytes(), series.values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "series.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=True).map(_csv_text),
+       st.sampled_from(list(SeriesKind)))
+@example("timestamp,value\n", SeriesKind.PRICE)
+@example("", SeriesKind.PRICE)
+@example("2024-01-01T00:00:00Z,1\n\n\n", SeriesKind.WORKLOAD)
+@example("2024-01-01T00:00:00Z,-1\n2024-01-01T01:00:00Z,-0.0\n", SeriesKind.WORKLOAD)
+@example("2024-01-01T00:00:00Z,1\r2024-01-01T01:00:00Z,2", SeriesKind.PRICE)
+@example("2024-01-01T00:00:00Z,1" + "0" * 140_000, SeriesKind.PRICE)
+def test_load_matches_row_loop(csv_path, text, kind):
+    csv_path.write_bytes(text.encode("utf-8"))
+    assert (_load_outcome(load_series, csv_path, kind)
+            == _load_outcome(_load_series_loop, csv_path, kind))
+
+
+def _parse_outcome(parse, texts):
+    try:
+        return list(parse(texts))
+    except IngestError as exc:
+        return str(exc)
+
+
+def _parse_each(texts):
+    return [parse_timestamp(t) for t in texts]
+
+
+@pytest.mark.parametrize("text", _BAD_STAMPS + [
+    "2000-02-29T00:00:00Z", "2024-02-29T23:00:00Z", "0004-02-29T00:00:00Z",
+    "2100-02-29T00:00:00Z", "2024-04-31T00:00:00Z", "2024-12-31T23:00:00Z"])
+def test_parse_timestamps_calendar_edges(text):
+    assert _parse_outcome(parse_timestamps, [text]) == _parse_outcome(_parse_each, [text])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(_FIRST_HOUR, _LAST_HOUR).map(_stamp), max_size=8),
+       st.tuples(st.integers(0, 9999), st.integers(0, 19), st.integers(0, 39),
+                 st.integers(0, 29)).map(
+           lambda f: "{:04d}-{:02d}-{:02d}T{:02d}:00:00Z".format(*f)),
+       st.integers(0, 8))
+def test_parse_timestamps_matches_scalar(good, odd, at):
+    # canonical stamps of years 1-9999, and one with fields drawn past
+    # their ranges at a random position among them
+    texts = good[:at] + [odd] + good[at:]
+    assert _parse_outcome(parse_timestamps, texts) == _parse_outcome(_parse_each, texts)
+    assert _parse_outcome(parse_timestamps, good) == _parse_each(good)
 
 
 def test_load_names_bad_line(tmp_path):
