@@ -1,15 +1,30 @@
 """Runtime action rules: planned QFR-MDP lookup and heuristic baselines.
 
-Every controller exposes action(hour_index, theta, price, t_out, q)
-returning a chiller count. All controllers are deterministic, so a rollout
-replays bit-for-bit from its inputs.
+A rollout calls start(window) once per simulated window, with the window's
+hours, realized prices, outdoor temperatures and heat loads (sim.Window),
+and then action(t, theta) for each hour t of it, which returns a chiller
+count for indoor temperature theta. start tables everything that does not
+depend on theta, so action is a bin lookup and a table read (qfr-mdp) or a
+search over one row of successor temperatures (greedy, fixed-rule). All
+controllers are deterministic, so a rollout replays bit-for-bit from its
+inputs.
+
+The scalar rules greedy_action, night_precool_action and fixed_rule_action
+define what the controllers compute; the tests hold the two to each other.
 """
 
+import math
 from dataclasses import dataclass
 
-from .mdp import CostSpec, Policy, quantize
+import numpy as np
+
+from .mdp import CostSpec, Policy
 from .qfr import RegimeModel, classify
-from .thermal import ChillerSpec, step_temperature
+from .thermal import (ChillerSpec, decay_factor, equilibrium_temperatures,
+                      step_temperature)
+# Not called here: action finds the theta bin itself. The name stays because
+# bench/layertrace.py counts grid lookups as controllers.quantize.
+from .mdp import quantize  # noqa: F401
 
 
 def greedy_action(theta, t_out, q, chiller: ChillerSpec, cost: CostSpec,
@@ -49,10 +64,38 @@ def fixed_rule_action(hour_of_day, theta, t_out, q, chiller: ChillerSpec,
     return greedy_action(theta, t_out, q, chiller, cost, gamma_env, c_heat, dt)
 
 
-def policy_slot(policy: Policy, hour_index: int) -> int:
-    if policy.hours is not None:
-        return int((hour_index - int(policy.hours[0])) % policy.n)
-    return int(hour_index % policy.n)
+def policy_slot(policy: Policy, hours):
+    """Cycle slot(s) of absolute hour(s): hours since the cycle's first, mod n."""
+    first = 0 if policy.hours is None else int(policy.hours[0])
+    return (hours - first) % policy.n
+
+
+def _equilibria(window, chiller: ChillerSpec, gamma_env, c_heat, dt):
+    """Per-hour rows of equilibrium temperatures, and the decay factor.
+
+    Row t holds the equilibrium of each chiller count 0..a_max at hour t, so
+    eq + (theta - eq) * decay is step_temperature for that count.
+    """
+    eq = equilibrium_temperatures(window.t_out, window.q, chiller.eta,
+                                  chiller.a_max, gamma_env)
+    return eq.tolist(), decay_factor(gamma_env, c_heat, dt)
+
+
+def _first_at_most(row, theta, decay, t_max) -> int:
+    """greedy_action on one equilibrium row."""
+    for a, eq in enumerate(row):
+        if eq + (theta - eq) * decay <= t_max:
+            return a
+    return len(row) - 1
+
+
+def _last_at_least(row, theta, decay, t_min) -> int:
+    """night_precool_action on one equilibrium row."""
+    for a in range(len(row) - 1, -1, -1):
+        eq = row[a]
+        if eq + (theta - eq) * decay >= t_min:
+            return a
+    return 0
 
 
 @dataclass
@@ -64,9 +107,17 @@ class GreedyController:
     dt: float = 3600.0
     name: str = "greedy"
 
-    def action(self, hour_index, theta, price, t_out, q) -> int:
-        return greedy_action(theta, t_out, q, self.chiller, self.cost,
-                             self.gamma_env, self.c_heat, self.dt)
+    def start(self, window) -> None:
+        self._rows, self._decay = _equilibria(window, self.chiller,
+                                              self.gamma_env, self.c_heat,
+                                              self.dt)
+
+    def action(self, t, theta) -> int:
+        return _first_at_most(self._rows[t], theta, self._decay,
+                              self.cost.t_max)
+
+
+_IDLE, _PRECOOL, _GREEDY = 0, 1, 2
 
 
 @dataclass
@@ -90,12 +141,25 @@ class FixedRuleController:
         if not (0 <= self.precool_start < self.precool_end <= 24):
             raise ValueError("need 0 <= precool_start < precool_end <= 24")
 
-    def action(self, hour_index, theta, price, t_out, q) -> int:
-        return fixed_rule_action(hour_index % 24, theta, t_out, q,
-                                 self.chiller, self.cost, self.gamma_env,
-                                 self.c_heat, self.dt,
-                                 peak=(self.peak_start, self.peak_end),
-                                 precool=(self.precool_start, self.precool_end))
+    def start(self, window) -> None:
+        hod = np.asarray(window.hours) % 24
+        peak = (self.peak_start <= hod) & (hod < self.peak_end)
+        precool = (self.precool_start <= hod) & (hod < self.precool_end)
+        self._mode = np.where(peak, _IDLE,
+                              np.where(precool, _PRECOOL, _GREEDY)).tolist()
+        self._rows, self._decay = _equilibria(window, self.chiller,
+                                              self.gamma_env, self.c_heat,
+                                              self.dt)
+
+    def action(self, t, theta) -> int:
+        mode = self._mode[t]
+        if mode == _IDLE:
+            return 0
+        if mode == _PRECOOL:
+            return _last_at_least(self._rows[t], theta, self._decay,
+                                  self.cost.t_min)
+        return _first_at_most(self._rows[t], theta, self._decay,
+                              self.cost.t_max)
 
 
 @dataclass
@@ -106,8 +170,17 @@ class QfrMdpController:
     regime_model: RegimeModel
     name: str = "qfr-mdp"
 
-    def action(self, hour_index, theta, price, t_out, q) -> int:
-        slot = policy_slot(self.policy, hour_index)
-        i = quantize(theta, self.policy.space)
-        regime = classify(self.regime_model, hour_index, price)
-        return int(self.policy.actions[slot, i, regime - 1])
+    def start(self, window) -> None:
+        hours = np.asarray(window.hours)
+        slots = policy_slot(self.policy, hours).tolist()
+        regimes = classify(self.regime_model, hours, window.price).tolist()
+        # by_slot[s][p - 1] is the action of each theta bin in slot s, regime p
+        by_slot = self.policy.actions.transpose(0, 2, 1).tolist()
+        self._rows = [by_slot[s][p - 1] for s, p in zip(slots, regimes)]
+        space = self.policy.space
+        self._grid = (space.theta_min, space.theta_step, space.n_theta - 1)
+
+    def action(self, t, theta) -> int:
+        low, step, top = self._grid
+        i = math.floor((theta - low) / step + 0.5)   # quantize's rule
+        return self._rows[t][min(max(i, 0), top)]

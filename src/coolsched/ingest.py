@@ -113,6 +113,23 @@ def format_timestamp(hour: int) -> str:
     return dt.strftime(_TS_FORMAT)
 
 
+# Hours of years 1000-9999, where NumPy's ISO text equals strftime's (which
+# does not zero-pad earlier years).
+_FOUR_DIGIT_YEARS = (np.datetime64("1000-01-01T00", "h").astype(np.int64),
+                     np.datetime64("9999-12-31T23", "h").astype(np.int64))
+
+
+def format_timestamps(hours) -> list:
+    """`format_timestamp` of each hour, formatting four-digit years in bulk."""
+    hours = np.asarray(hours, dtype=np.int64)
+    texts = np.datetime_as_string(hours.astype("datetime64[h]"), unit="s")
+    stamps = [text + "Z" for text in texts.tolist()]
+    lo, hi = _FOUR_DIGIT_YEARS
+    for i in np.flatnonzero((hours < lo) | (hours > hi)).tolist():
+        stamps[i] = format_timestamp(hours[i])
+    return stamps
+
+
 @dataclass
 class TimeSeries:
     """Uniform hourly series: integer hour grid plus one value per hour."""

@@ -25,10 +25,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
-from .thermal import ChillerSpec, cooling_energy, cop, step_temperature
+# scipy is imported inside the functions that use it, so that the stages
+# which neither fit nor plan (simulate, compare, export) never load it.
+from .thermal import (ChillerSpec, cooling_energy_table, decay_factor,
+                      equilibrium_temperatures)
 
 DT_SECONDS = 3600.0
 RVI_TOL = 1e-9
@@ -146,11 +147,11 @@ class MdpProblem:
 def successor_temperatures(problem: MdpProblem) -> np.ndarray:
     """Continuous next temperatures, shape (n, n_theta, n_actions)."""
     grid = problem.space.theta_grid
-    actions = np.arange(problem.space.n_actions)
-    theta_eq = (problem.t_out[:, None]
-                + (problem.q[:, None] - problem.chiller.eta * actions[None, :])
-                / problem.gamma_env)                     # (n, A)
-    decay = np.exp(-problem.gamma_env * problem.dt / problem.c_heat)
+    theta_eq = equilibrium_temperatures(problem.t_out, problem.q,
+                                        problem.chiller.eta,
+                                        problem.space.a_max,
+                                        problem.gamma_env)  # (n, A)
+    decay = decay_factor(problem.gamma_env, problem.c_heat, problem.dt)
     return (theta_eq[:, None, :]
             + (grid[None, :, None] - theta_eq[:, None, :]) * decay)
 
@@ -160,21 +161,14 @@ def successor_indices(problem: MdpProblem) -> np.ndarray:
     return quantize(successor_temperatures(problem), problem.space)
 
 
-def cooling_energy_table(problem: MdpProblem) -> np.ndarray:
-    """kWh per action at each time, shape (n, n_actions)."""
-    cops = np.array([cop(problem.chiller, t) for t in problem.t_out])
-    actions = np.arange(problem.space.n_actions)
-    return (problem.chiller.eta * actions[None, :] / cops[:, None]) \
-        * problem.dt / 3.6e6
-
-
 def cost_tensor(problem: MdpProblem) -> np.ndarray:
     """Immediate costs c[t, theta_idx, p, a] of the planning cycle.
 
     Energy is priced at the regime's representative $/MWh; temperature
     violations are charged on the continuous successor, before quantization.
     """
-    energy = cooling_energy_table(problem)                       # (n, A)
+    energy = cooling_energy_table(problem.chiller, problem.t_out,
+                                  problem.space.a_max, problem.dt)  # (n, A)
     succ = successor_temperatures(problem)                       # (n, L, A)
     over = np.maximum(0.0, succ - problem.cost.t_max)
     under = np.maximum(0.0, problem.cost.t_min - succ)
@@ -183,23 +177,12 @@ def cost_tensor(problem: MdpProblem) -> np.ndarray:
     return energy_cost[:, None, :, :] + penalty[:, :, None, :]
 
 
-def immediate_cost(problem: MdpProblem, t: int, theta: float, p: int, a: int) -> float:
-    """Cost of taking action a in state (theta, regime p) at time t."""
-    energy = cooling_energy(problem.chiller, a, problem.t_out[t], problem.dt)
-    succ = step_temperature(theta, problem.t_out[t], problem.q[t], a,
-                            problem.chiller.eta, problem.gamma_env,
-                            problem.c_heat, problem.dt)
-    penalty = (problem.cost.lambda_over * max(0.0, succ - problem.cost.t_max)
-               + problem.cost.lambda_under * max(0.0, problem.cost.t_min - succ))
-    return energy * problem.prices[t, p - 1] / 1000.0 + penalty
-
-
 @dataclass
 class LpDescription:
     """Sparse equality-form LP over flattened occupancy variables."""
 
     c: np.ndarray
-    a_eq: sp.csr_matrix
+    a_eq: object  # scipy.sparse.csr_matrix
     b_eq: np.ndarray
     dims: tuple  # (n, n_theta, m, n_actions)
 
@@ -219,6 +202,8 @@ def build_lp(problem: MdpProblem) -> LpDescription:
     normalization row per t and one flow-balance row per (t, state), with
     the final time step feeding back into the first.
     """
+    import scipy.sparse as sp
+
     n = problem.n
     L, m, A = problem.space.n_theta, problem.space.m, problem.space.n_actions
     nvar = n * L * m * A
@@ -275,6 +260,8 @@ class OccupancyMeasure:
 
 def solve_occupancy(lp: LpDescription) -> OccupancyMeasure:
     """Solve the occupancy LP with HiGHS at 1e-9 feasibility tolerances."""
+    from scipy.optimize import linprog
+
     res = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None),
                   method="highs",
                   options={"primal_feasibility_tolerance": 1e-9,
@@ -358,6 +345,8 @@ def _policy_occupancy(succ_idx, trans, actions) -> np.ndarray:
     one dense least-squares solve over the L*M states; each later slot
     carries the law propagated from the one before.
     """
+    import scipy.sparse as sp
+
     n, L, m = actions.shape
     k = L * m
     kernels = []                                        # (k, k) per slot
@@ -457,12 +446,6 @@ def extract_policy(problem: MdpProblem, occ: OccupancyMeasure) -> Policy:
     actions = np.where(visited, occ.x.argmax(axis=3), fallback[:, :, None])
     return Policy(actions=actions, space=problem.space,
                   hours=problem.hours, objective=occ.objective)
-
-
-def plan(problem: MdpProblem) -> tuple:
-    """Solve and extract: returns (occupancy, policy)."""
-    occ = solve(problem)
-    return occ, extract_policy(problem, occ)
 
 
 def policy_to_dict(policy: Policy) -> dict:

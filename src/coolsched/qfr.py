@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 # Relative distance within which a price counts as on a band boundary.
 TIE_TOL = 1e-9
@@ -73,6 +72,9 @@ class QuantileFit:
 
 def _quantile_fitter(hours, prices, design: FourierDesign):
     """Check the data once; return tau -> QuantileFit on one design matrix."""
+    # imported here so that the stages that only classify do not load scipy
+    from scipy.optimize import linprog
+
     hours = np.asarray(hours, dtype=np.int64)
     y = np.asarray(prices, dtype=float)
     if hours.shape != y.shape or hours.ndim != 1:

@@ -2,8 +2,13 @@
 
 The simulator drives the exponential thermal model with the controller's
 actions, charging energy at realized prices (not regime representatives)
-and tracking degree-hour violations of the safety band. Controllers are
-deterministic, so a rollout depends on its inputs alone.
+and tracking degree-hour violations of the safety band. `rollout` builds a
+`Window` of the exogenous traces once, hands it to the controller's
+start(window), and then asks action(t, theta) once per hour t. The thermal
+equilibria and energy of every (hour, chiller count) are tabled before the
+hour loop, so each hour is one action, one table read and one relaxation
+step. Controllers are deterministic, so a rollout depends on its inputs
+alone.
 """
 
 import csv
@@ -11,11 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AlignedDataset, format_timestamp
+from .ingest import AlignedDataset, format_timestamp, format_timestamps
 from .mdp import CostSpec, StateSpace, quantize
 from .qfr import RegimeModel, classify_series
 from .thermal import (ChillerSpec, FacilitySpec, HeatLoadSpec, capacitance,
-                      cooling_energy, heat_load, step_temperature)
+                      cooling_energy_table, decay_factor,
+                      equilibrium_temperatures, heat_load)
+# Not called here: the rollout steps through the equilibrium table. The name
+# stays because bench/layertrace.py counts thermal steps as sim.step_temperature.
+from .thermal import step_temperature  # noqa: F401
 
 
 @dataclass
@@ -37,6 +46,16 @@ class SimSpecs:
     @property
     def gamma_env(self) -> float:
         return self.facility.gamma_env
+
+
+@dataclass
+class Window:
+    """Exogenous traces of one simulated window; hour t of the rollout is row t."""
+
+    hours: np.ndarray   # absolute hour index
+    price: np.ndarray   # realized $/MWh
+    t_out: np.ndarray   # outdoor degC
+    q: np.ndarray       # IT heat load W
 
 
 @dataclass
@@ -63,22 +82,22 @@ class Trajectory:
                "violation_over")
 
     def to_csv(self, path) -> None:
+        """One row per hour; floats as their shortest round-trip repr."""
+        def ints(values):
+            return np.asarray(values).astype(np.int64).tolist()
+
+        def floats(values):
+            return map(repr, np.asarray(values, dtype=float).tolist())
+
+        columns = [format_timestamps(self.hours), floats(self.theta),
+                   ints(self.theta_index), ints(self.regime),
+                   floats(self.price), ints(self.action),
+                   floats(self.energy_kwh), floats(self.energy_cost),
+                   floats(self.violation_under), floats(self.violation_over)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.COLUMNS)
-            for i in range(len(self)):
-                writer.writerow([
-                    format_timestamp(self.hours[i]),
-                    repr(float(self.theta[i])),
-                    int(self.theta_index[i]),
-                    int(self.regime[i]),
-                    repr(float(self.price[i])),
-                    int(self.action[i]),
-                    repr(float(self.energy_kwh[i])),
-                    repr(float(self.energy_cost[i])),
-                    repr(float(self.violation_under[i])),
-                    repr(float(self.violation_over[i])),
-                ])
+            writer.writerows(zip(*columns))
 
 
 def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
@@ -86,7 +105,8 @@ def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
     """Simulate `controller` over the dataset window, one decision per hour.
 
     Temperature evolves continuously; quantization happens only inside
-    policy lookups and the optional theta_index label.
+    policy lookups and the optional theta_index label. Raises ValueError on
+    negative workload cores and on an action outside 0..a_max.
     """
     n = dataset.n
     if initial_theta is None:
@@ -97,43 +117,48 @@ def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
     else:
         regimes = np.zeros(n, dtype=np.int64)
 
-    theta = np.empty(n)
-    theta_index = np.full(n, -1, dtype=np.int64)
-    action = np.empty(n, dtype=np.int64)
-    energy = np.empty(n)
-    viol_under = np.empty(n)
-    viol_over = np.empty(n)
+    window = Window(hours=dataset.hours, price=dataset.price,
+                    t_out=dataset.temperature,
+                    q=heat_load(specs.heat, dataset.workload))
+    a_max = specs.chiller.a_max
+    equilibria = equilibrium_temperatures(window.t_out, window.q,
+                                          specs.chiller.eta, a_max,
+                                          specs.gamma_env).tolist()
+    decay = decay_factor(specs.gamma_env, specs.c_heat, specs.dt)
 
+    controller.start(window)
+    act = controller.action
     current = float(initial_theta)
-    for t in range(n):
-        q = heat_load(specs.heat, dataset.workload[t])
-        a = controller.action(int(dataset.hours[t]), current,
-                              float(dataset.price[t]),
-                              float(dataset.temperature[t]), q)
-        theta[t] = current
-        if specs.space is not None:
-            theta_index[t] = quantize(current, specs.space)
-        action[t] = a
-        energy[t] = cooling_energy(specs.chiller, a,
-                                   float(dataset.temperature[t]), specs.dt)
-        current = step_temperature(current, float(dataset.temperature[t]), q,
-                                   a, specs.chiller.eta, specs.gamma_env,
-                                   specs.c_heat, specs.dt)
-        viol_under[t] = max(0.0, specs.cost.t_min - current)
-        viol_over[t] = max(0.0, current - specs.cost.t_max)
+    theta = [current]   # theta[t] at decision t, theta[n] after the window
+    action = []
+    for t, row in enumerate(equilibria):
+        a = act(t, current)
+        if not 0 <= a <= a_max:
+            raise ValueError(f"{getattr(controller, 'name', controller)} "
+                             f"returned action {a}; a must be in 0..{a_max}")
+        action.append(a)
+        eq = row[a]
+        current = eq + (current - eq) * decay   # step_temperature
+        theta.append(current)
 
+    theta = np.array(theta)
+    after = theta[1:]
+    action = np.array(action, dtype=np.int64)
+    energy = cooling_energy_table(specs.chiller, window.t_out, a_max,
+                                  specs.dt)[np.arange(n), action]
     return Trajectory(
         controller=getattr(controller, "name", type(controller).__name__),
         hours=dataset.hours.copy(),
-        theta=theta,
-        theta_index=theta_index,
+        theta=theta[:-1],
+        theta_index=(np.full(n, -1, dtype=np.int64) if specs.space is None
+                     else quantize(theta[:-1], specs.space)),
         regime=regimes,
         price=dataset.price.copy(),
         action=action,
         energy_kwh=energy,
         energy_cost=energy * dataset.price / 1000.0,
-        violation_under=viol_under,
-        violation_over=viol_over,
+        violation_under=np.maximum(0.0, specs.cost.t_min - after),
+        violation_over=np.maximum(0.0, after - specs.cost.t_max),
     )
 
 

@@ -1,10 +1,15 @@
 """Facility thermal model: capacitance, heat load, chiller COP, temperature step.
 
-All functions are pure; temperatures in degC, heat in W, energy in kWh.
+All functions are pure; temperatures in degC, heat in W, energy in kWh. The
+step relaxes the room toward an equilibrium by one decay factor; the scalar
+step_temperature and the per-hour tables the planner and the rollout use
+share the equilibrium formula and `decay_factor`, so both give the same bits.
 """
 
 from dataclasses import dataclass
 import math
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -76,9 +81,9 @@ def capacitance(spec: FacilitySpec) -> float:
     return c_air + c_slab + spec.c_equipment
 
 
-def heat_load(spec: HeatLoadSpec, cores: float) -> float:
-    """Total IT heat load in W for the given active core count."""
-    if cores < 0:
+def heat_load(spec: HeatLoadSpec, cores):
+    """Total IT heat load in W for the given active core count(s)."""
+    if np.any(np.asarray(cores) < 0):
         raise ValueError("cores must be >= 0")
     return spec.q_base + spec.phi * cores
 
@@ -93,6 +98,13 @@ def cop(spec: ChillerSpec, t_out: float) -> float:
     return spec.cop_lo - slope * (t_out - spec.cop_lo_temp)
 
 
+def decay_factor(gamma_env: float, c_heat: float, dt: float) -> float:
+    """Share exp(-gamma_env*dt/c_heat) of the gap to equilibrium left after dt."""
+    if gamma_env <= 0 or c_heat <= 0 or dt <= 0:
+        raise ValueError("gamma_env, c_heat, dt must be > 0")
+    return math.exp(-gamma_env * dt / c_heat)
+
+
 def step_temperature(theta: float, t_out: float, q: float, a: int,
                      eta: float, gamma_env: float, c_heat: float,
                      dt: float) -> float:
@@ -101,10 +113,22 @@ def step_temperature(theta: float, t_out: float, q: float, a: int,
     The room relaxes toward the equilibrium t_out + (q - eta*a)/gamma_env
     with rate gamma_env/c_heat; output is continuous (no grid rounding).
     """
-    if gamma_env <= 0 or c_heat <= 0 or dt <= 0:
-        raise ValueError("gamma_env, c_heat, dt must be > 0")
+    decay = decay_factor(gamma_env, c_heat, dt)
     theta_eq = t_out + (q - eta * a) / gamma_env
-    return theta_eq + (theta - theta_eq) * math.exp(-gamma_env * dt / c_heat)
+    return theta_eq + (theta - theta_eq) * decay
+
+
+def equilibrium_temperatures(t_out, q, eta: float, a_max: int,
+                             gamma_env: float) -> np.ndarray:
+    """step_temperature's equilibrium per hour and chiller count 0..a_max.
+
+    t_out and q are per-hour arrays; the result has shape (n, a_max + 1), and
+    eq + (theta - eq) * decay_factor(...) is step_temperature bit for bit.
+    """
+    actions = np.arange(a_max + 1)
+    return (np.asarray(t_out, dtype=float)[:, None]
+            + (np.asarray(q, dtype=float)[:, None] - eta * actions[None, :])
+            / gamma_env)
 
 
 def cooling_energy(spec: ChillerSpec, a: int, t_out: float, dt: float) -> float:
@@ -112,3 +136,11 @@ def cooling_energy(spec: ChillerSpec, a: int, t_out: float, dt: float) -> float:
     if not 0 <= a <= spec.a_max:
         raise ValueError(f"a must be in 0..{spec.a_max}")
     return (spec.eta * a / cop(spec, t_out)) * dt / 3.6e6
+
+
+def cooling_energy_table(spec: ChillerSpec, t_out, a_max: int,
+                         dt: float) -> np.ndarray:
+    """cooling_energy per hour of t_out and chiller count 0..a_max, (n, a_max + 1)."""
+    cops = np.array([cop(spec, t) for t in t_out])
+    actions = np.arange(a_max + 1)
+    return (spec.eta * actions[None, :] / cops[:, None]) * dt / 3.6e6

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,3 +248,14 @@ def test_config_defaults_and_validation(tmp_path):
     assert cfg.planning_cost.t_max == pytest.approx(26.5)
     with pytest.raises(ConfigError):
         RunConfig.from_file(str(tmp_path / "nope.yaml"))
+
+
+def test_import_leaves_scipy_unloaded():
+    # only fitting and planning use scipy, and they import it when they run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, coolsched.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert result.stdout.strip() == "False"

@@ -8,6 +8,7 @@ from coolsched.controllers import (FixedRuleController, GreedyController,
                                    greedy_action, night_precool_action)
 from coolsched.mdp import CostSpec, Policy, StateSpace, quantize
 from coolsched.qfr import FourierDesign, QuantileFit, RegimeModel
+from coolsched.sim import Window
 from coolsched.thermal import ChillerSpec, step_temperature
 
 COST = CostSpec(t_min=18, t_max=27, lambda_under=1000, lambda_over=1000)
@@ -92,32 +93,47 @@ def _toy_controller():
     return QfrMdpController(policy=policy, regime_model=_constant_regime_model())
 
 
+def _window(hours, price=50.0, t_out=30.0, q=1e6):
+    hours = np.atleast_1d(np.asarray(hours, dtype=np.int64))
+    n = len(hours)
+    return Window(hours=hours, price=np.broadcast_to(float(price), n).copy(),
+                  t_out=np.full(n, t_out), q=np.full(n, q))
+
+
+def _decide(ctrl, hour, theta, price=50.0, t_out=30.0, q=1e6):
+    """One decision: start on a one-hour window, then act at its hour 0."""
+    ctrl.start(_window(hour, price, t_out, q))
+    return ctrl.action(0, theta)
+
+
 def test_mdp_action_deterministic_entry():
     ctrl = _toy_controller()
     # hour 7, theta 22, cheap price -> regime 1 -> planned a=3
-    assert ctrl.action(7, 22.0, 20.0, 30.0, 1e6) == 3
+    assert _decide(ctrl, 7, 22.0, 20.0) == 3
     # the slot wraps with the 24 h cycle; theta 22.2 quantizes to 22.0
-    assert ctrl.action(24 * 5 + 7, 22.2, 20.0, 30.0, 1e6) == 3
-    assert ctrl.action(8, 22.0, 20.0, 30.0, 1e6) == 0
+    assert _decide(ctrl, 24 * 5 + 7, 22.2, 20.0) == 3
+    assert _decide(ctrl, 8, 22.0, 20.0) == 0
 
 
 def test_mdp_action_top_band_composition():
     ctrl = _toy_controller()
     # any price above the boundary at 50 classifies into regime 2
     for price in (50.5, 1e6):
-        assert ctrl.action(7, 22.0, price, 30.0, 1e6) == 2
-    assert ctrl.action(7, 22.0, 50.0, 30.0, 1e6) == 3
+        assert _decide(ctrl, 7, 22.0, price) == 2
+    assert _decide(ctrl, 7, 22.0, 50.0) == 3
 
 
 def test_controller_classes_match_functions():
     greedy = GreedyController(ChillerSpec(), COST, GAMMA, C_HEAT, DT)
     fixed = FixedRuleController(ChillerSpec(), COST, GAMMA, C_HEAT, DT)
+    window = _window(24 * 100 + np.arange(24), t_out=31.0, q=1.6e6)
+    greedy.start(window)
+    fixed.start(window)
     for hod in range(24):
-        hour = 24 * 100 + hod
-        got_g = greedy.action(hour, 25.0, 50.0, 31.0, 1.6e6)
+        got_g = greedy.action(hod, 25.0)
         assert got_g == greedy_action(25.0, 31.0, 1.6e6, ChillerSpec(), COST,
                                       GAMMA, C_HEAT, DT)
-        got_f = fixed.action(hour, 25.0, 50.0, 31.0, 1.6e6)
+        got_f = fixed.action(hod, 25.0)
         assert got_f == fixed_rule_action(hod, 25.0, 31.0, 1.6e6, ChillerSpec(),
                                           COST, GAMMA, C_HEAT, DT)
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
                               IngestError, SeriesKind, TimeSeries, _fill_gaps,
-                              align, format_timestamp, load_series,
+                              align, format_timestamp, format_timestamps,
+                              load_series,
                               parse_timestamp, parse_timestamps, synth_prices,
                               synth_temperature, synth_workload, write_series)
 
@@ -317,6 +318,16 @@ def test_parse_timestamps_matches_scalar(good, odd, at):
     texts = good[:at] + [odd] + good[at:]
     assert _parse_outcome(parse_timestamps, texts) == _parse_outcome(_parse_each, texts)
     assert _parse_outcome(parse_timestamps, good) == _parse_each(good)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(_FIRST_HOUR, _LAST_HOUR), max_size=8))
+@example([_FIRST_HOUR, parse_timestamp("0999-12-31T23:00:00Z"),
+          parse_timestamp("1000-01-01T00:00:00Z"), -1, 0, _LAST_HOUR])
+def test_format_timestamps_matches_scalar(hours):
+    # years before 1000 are not zero-padded by strftime, so they take the
+    # scalar path
+    assert format_timestamps(hours) == [format_timestamp(h) for h in hours]
 
 
 def test_load_names_bad_line(tmp_path):

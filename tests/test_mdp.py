@@ -11,13 +11,31 @@ from coolsched import mdp
 from coolsched.mdp import (PERIOD_BUDGET, CostSpec, LpDescription, MdpProblem,
                            OccupancyMeasure, Policy, SolverError, StateSpace,
                            build_lp, check_occupancy, cost_tensor,
-                           extract_policy, immediate_cost, load_policy, plan,
-                           policy_from_dict, policy_to_dict, quantize,
-                           save_policy, solve, solve_occupancy,
-                           successor_indices, successor_temperatures)
-from coolsched.thermal import ChillerSpec, step_temperature
+                           extract_policy, load_policy, policy_from_dict,
+                           policy_to_dict, quantize, save_policy, solve,
+                           solve_occupancy, successor_indices,
+                           successor_temperatures)
+from coolsched.thermal import ChillerSpec, cooling_energy, step_temperature
 
 GRID = StateSpace(theta_min=15, theta_max=30, theta_step=0.5, m=1, a_max=4)
+
+
+def immediate_cost(problem: MdpProblem, t: int, theta: float, p: int, a: int) -> float:
+    """Cost of taking action a in state (theta, regime p) at time t: the
+    scalar definition of cost_tensor."""
+    energy = cooling_energy(problem.chiller, a, problem.t_out[t], problem.dt)
+    succ = step_temperature(theta, problem.t_out[t], problem.q[t], a,
+                            problem.chiller.eta, problem.gamma_env,
+                            problem.c_heat, problem.dt)
+    penalty = (problem.cost.lambda_over * max(0.0, succ - problem.cost.t_max)
+               + problem.cost.lambda_under * max(0.0, problem.cost.t_min - succ))
+    return energy * problem.prices[t, p - 1] / 1000.0 + penalty
+
+
+def plan(problem: MdpProblem) -> tuple:
+    """Solve and extract, as `coolsched plan` does: (occupancy, policy)."""
+    occ = solve(problem)
+    return occ, extract_policy(problem, occ)
 
 
 def make_problem(n=4, space=None, cost=None, chiller=None, t_out=25.0,
@@ -355,13 +373,13 @@ def problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(problems())
 def test_successor_temperatures_match_scalar_step(prob):
-    # np.exp and math.exp may differ by one ulp in the decay factor
+    # both take thermal.decay_factor, so the kernel is the scalar step exactly
     succ = successor_temperatures(prob)
     for t, i, a in np.ndindex(succ.shape):
         expected = step_temperature(prob.space.theta_grid[i], prob.t_out[t],
                                     prob.q[t], a, prob.chiller.eta,
                                     prob.gamma_env, prob.c_heat, prob.dt)
-        assert abs(succ[t, i, a] - expected) <= 1e-12
+        assert succ[t, i, a] == expected
 
 
 @settings(max_examples=60, deadline=None)

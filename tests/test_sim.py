@@ -2,16 +2,24 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from coolsched.controllers import FixedRuleController, GreedyController
-from coolsched.ingest import AlignedDataset, parse_timestamp
-from coolsched.mdp import CostSpec
+from coolsched.controllers import (FixedRuleController, GreedyController,
+                                   QfrMdpController, fixed_rule_action,
+                                   greedy_action, policy_slot)
+from coolsched.ingest import AlignedDataset, format_timestamp, parse_timestamp
+from coolsched.mdp import CostSpec, Policy, StateSpace, quantize
+from coolsched.qfr import (TIE_TOL, FourierDesign, QuantileFit, RegimeModel,
+                           classify, classify_series)
 from coolsched.sim import (CostReport, SimSpecs, Trajectory, compare, rollout,
                            summarize)
 from coolsched.thermal import (ChillerSpec, FacilitySpec, HeatLoadSpec,
-                               capacitance, step_temperature)
+                               capacitance, cooling_energy, heat_load,
+                               step_temperature)
 
-from conftest import COST, summer_dataset
+from conftest import COST, FACILITY, summer_dataset
 
 
 class ConstantController:
@@ -19,8 +27,233 @@ class ConstantController:
         self.a = a
         self.name = name
 
-    def action(self, hour_index, theta, price, t_out, q):
+    def start(self, window):
+        pass
+
+    def action(self, t, theta):
         return self.a
+
+
+# Reference rollout: the per-hour loop the table-driven rollout replaced. Each
+# hour it classifies, quantizes, finds the policy slot, steps the scalar
+# thermal model and prices the action; the rollout must match it bit for bit.
+
+def _reference_action(controller, hour, theta, price, t_out, q):
+    """The controller's decision through the scalar rules, one hour at a time."""
+    if isinstance(controller, GreedyController):
+        return greedy_action(theta, t_out, q, controller.chiller,
+                             controller.cost, controller.gamma_env,
+                             controller.c_heat, controller.dt)
+    if isinstance(controller, FixedRuleController):
+        return fixed_rule_action(
+            hour % 24, theta, t_out, q, controller.chiller, controller.cost,
+            controller.gamma_env, controller.c_heat, controller.dt,
+            peak=(controller.peak_start, controller.peak_end),
+            precool=(controller.precool_start, controller.precool_end))
+    policy = controller.policy
+    slot = policy_slot(policy, hour)
+    i = quantize(theta, policy.space)
+    regime = classify(controller.regime_model, hour, price)
+    return int(policy.actions[slot, i, regime - 1])
+
+
+def _rollout_reference(controller, dataset, specs, initial_theta):
+    n = dataset.n
+    regimes = np.zeros(n, dtype=np.int64)
+    theta = np.empty(n)
+    theta_index = np.full(n, -1, dtype=np.int64)
+    action = np.empty(n, dtype=np.int64)
+    energy = np.empty(n)
+    viol_under = np.empty(n)
+    viol_over = np.empty(n)
+    current = float(initial_theta)
+    for t in range(n):
+        hour, price = int(dataset.hours[t]), float(dataset.price[t])
+        t_out = float(dataset.temperature[t])
+        q = heat_load(specs.heat, dataset.workload[t])
+        a = _reference_action(controller, hour, current, price, t_out, q)
+        if specs.regime_model is not None:
+            regimes[t] = classify(specs.regime_model, hour, price)
+        theta[t] = current
+        if specs.space is not None:
+            theta_index[t] = quantize(current, specs.space)
+        action[t] = a
+        energy[t] = cooling_energy(specs.chiller, a, t_out, specs.dt)
+        current = step_temperature(current, t_out, q, a, specs.chiller.eta,
+                                   specs.gamma_env, specs.c_heat, specs.dt)
+        viol_under[t] = max(0.0, specs.cost.t_min - current)
+        viol_over[t] = max(0.0, current - specs.cost.t_max)
+    return Trajectory(
+        controller=controller.name, hours=dataset.hours.copy(), theta=theta,
+        theta_index=theta_index, regime=regimes, price=dataset.price.copy(),
+        action=action, energy_kwh=energy,
+        energy_cost=energy * dataset.price / 1000.0,
+        violation_under=viol_under, violation_over=viol_over)
+
+
+def _to_csv_reference(traj, path):
+    """Trajectory.to_csv one row at a time, as it was first written."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(Trajectory.COLUMNS)
+        for i in range(len(traj)):
+            writer.writerow([
+                format_timestamp(traj.hours[i]),
+                repr(float(traj.theta[i])), int(traj.theta_index[i]),
+                int(traj.regime[i]), repr(float(traj.price[i])),
+                int(traj.action[i]), repr(float(traj.energy_kwh[i])),
+                repr(float(traj.energy_cost[i])),
+                repr(float(traj.violation_under[i])),
+                repr(float(traj.violation_over[i]))])
+
+
+TRAJECTORY_ARRAYS = ("hours", "theta", "theta_index", "regime", "price",
+                     "action", "energy_kwh", "energy_cost", "violation_under",
+                     "violation_over")
+
+
+def _assert_same_bits(got, want):
+    assert got.controller == want.controller
+    for field in TRAJECTORY_ARRAYS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def _regime_model(boundaries):
+    """Curves with one shared daily harmonic, offset by their intercepts: a
+    boundary per entry of `boundaries`, a representative inside each band."""
+    design = FourierDesign(daily_harmonics=1, seasonal_harmonics=0)
+    edges = [float(b) for b in boundaries]
+    mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+    reps = [edges[0] - 10.0] + mids + [edges[-1] + 10.0]
+
+    def fit(intercept):
+        return QuantileFit(0.5, np.array([intercept, 3.0, -2.0]))
+
+    return RegimeModel(m=len(edges) + 1,
+                       boundary_fits=[fit(b) for b in edges],
+                       representative_fits=[fit(r) for r in reps],
+                       design=design)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+JULY_2024 = parse_timestamp("2024-07-01T00:00:00Z")
+
+
+@st.composite
+def rollout_cases(draw):
+    """A short window, a grid, a regime model, a policy and a start theta."""
+    days = draw(st.integers(1, 2))
+    n = 24 * days
+    start = JULY_2024 + draw(st.integers(-24 * 400, 24 * 400))
+    hours = np.arange(start, start + n, dtype=np.int64)
+    price = draw(arrays(float, n, elements=st.floats(-20.0, 300.0, **finite)))
+    t_out = draw(arrays(float, n, elements=st.floats(5.0, 42.0, **finite)))
+    work = draw(arrays(float, n, elements=st.integers(0, 200_000)))
+    dataset = AlignedDataset(hours=hours, price=price, temperature=t_out,
+                             workload=work)
+    m = draw(st.integers(2, 4))
+    edges = sorted(draw(st.lists(st.floats(20.0, 150.0, **finite),
+                                 min_size=m - 1, max_size=m - 1)))
+    model = _regime_model(edges)
+    step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    space = StateSpace(theta_min=15.0, theta_max=32.0, theta_step=step, m=m,
+                       a_max=4)
+    slots = draw(st.sampled_from([24, 48]))
+    actions = draw(arrays(np.int64, (slots, space.n_theta, m),
+                          elements=st.integers(0, 4)))
+    cycle_start = draw(st.none() | st.just(start - draw(st.integers(0, 100))))
+    policy = Policy(actions=actions, space=space,
+                    hours=None if cycle_start is None
+                    else np.arange(cycle_start, cycle_start + slots))
+    theta0 = draw(st.floats(12.0, 35.0, **finite))
+    return dataset, model, policy, theta0
+
+
+def _controllers(specs, model, policy):
+    return [GreedyController(specs.chiller, specs.cost, specs.gamma_env,
+                             specs.c_heat),
+            FixedRuleController(specs.chiller, specs.cost, specs.gamma_env,
+                                specs.c_heat),
+            QfrMdpController(policy=policy, regime_model=model)]
+
+
+def _flat_case(price=40.0, theta0=24.0, t_out=28.0, cores=50_000.0,
+               start=JULY_2024):
+    """One day of flat traces; the regime boundary is flat at 50."""
+    hours = np.arange(start, start + 24, dtype=np.int64)
+    dataset = AlignedDataset(hours=hours, price=np.full(24, price),
+                             temperature=np.full(24, t_out),
+                             workload=np.full(24, cores))
+    design = FourierDesign(daily_harmonics=0, seasonal_harmonics=0)
+    model = RegimeModel(m=2, boundary_fits=[QuantileFit(0.5, np.array([50.0]))],
+                        representative_fits=[QuantileFit(0.25, np.array([25.0])),
+                                             QuantileFit(0.75, np.array([75.0]))],
+                        design=design)
+    space = StateSpace(theta_min=15.0, theta_max=32.0, theta_step=0.5, m=2,
+                       a_max=4)
+    actions = np.zeros((24, space.n_theta, 2), dtype=np.int64)
+    actions[:, :, 0] = np.arange(space.n_theta)[None, :] % 5   # regime 1
+    actions[:, :, 1] = 4 - actions[:, :, 0]                    # regime 2
+    return dataset, model, Policy(actions=actions, space=space), theta0
+
+
+@settings(max_examples=40, deadline=None)
+@given(rollout_cases())
+# theta exactly on a half-step of the 0.5 degC grid: quantize rounds it up
+@example(_flat_case(theta0=22.25))
+# a price within TIE_TOL of the boundary at 50 belongs to the lower band
+@example(_flat_case(price=50.0 + 0.5 * TIE_TOL * 50.0))
+# 25,000 cores make one chiller's equilibrium t_out exactly, so a room
+# starting there steps onto t_max (greedy) or, at 02:00, onto t_min
+# (pre-cooling) exactly
+@example(_flat_case(theta0=27.0, t_out=27.0, cores=25_000.0))
+@example(_flat_case(theta0=18.0, t_out=18.0, cores=25_000.0,
+                    start=JULY_2024 + 2))
+def test_rollout_matches_reference(tmp_path_factory, case):
+    dataset, model, policy, theta0 = case
+    specs = SimSpecs(facility=FACILITY, chiller=ChillerSpec(),
+                     heat=HeatLoadSpec(), cost=COST, regime_model=model,
+                     space=policy.space)
+    labels = classify_series(model, dataset.hours, dataset.price)
+    for t in range(dataset.n):
+        assert classify(model, int(dataset.hours[t]),
+                        float(dataset.price[t])) == labels[t]
+    tmp = tmp_path_factory.mktemp("traj")
+    for controller in _controllers(specs, model, policy):
+        got = rollout(controller, dataset, specs, initial_theta=theta0)
+        want = _rollout_reference(controller, dataset, specs, theta0)
+        _assert_same_bits(got, want)
+        got.to_csv(tmp / "got.csv")
+        _to_csv_reference(want, tmp / "want.csv")
+        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def test_reference_examples_hit_their_edge_cases():
+    dataset, model, policy, _ = _flat_case(price=50.0 + 0.5 * TIE_TOL * 50.0)
+    assert classify(model, int(dataset.hours[0]), float(dataset.price[0])) == 1
+    assert float(dataset.price[0]) > 50.0
+    assert policy.space.theta_grid[quantize(22.25, policy.space)] == 22.5
+    chiller, c_heat = ChillerSpec(), capacitance(FACILITY)
+    q = heat_load(HeatLoadSpec(), 25_000.0)
+    for band_edge in (COST.t_max, COST.t_min):
+        assert step_temperature(band_edge, band_edge, q, 1, chiller.eta,
+                                FACILITY.gamma_env, c_heat, 3600.0) == band_edge
+
+
+def test_rollout_rejects_action_outside_range(sim_specs):
+    ds = flat_dataset()
+    for bad in (-1, sim_specs.chiller.a_max + 1):
+        with pytest.raises(ValueError, match=r"0\.\.4"):
+            rollout(ConstantController(bad), ds, sim_specs)
+
+
+def test_rollout_rejects_negative_cores(sim_specs):
+    ds = flat_dataset(cores=100)
+    ds.workload[30] = -1.0
+    with pytest.raises(ValueError, match="cores"):
+        rollout(ConstantController(0), ds, sim_specs)
 
 
 def flat_dataset(n=48, price=40.0, t_out=25.0, cores=0):
