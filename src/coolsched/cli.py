@@ -1,21 +1,24 @@
 """Command-line pipeline: ingest, fit, estimate, plan, simulate, report.
 
-Commands: fit-qfr, estimate-chain, plan, simulate, compare, export-plot-data.
-All take --config (YAML, see config.py), plus --seed and --out overrides.
+Commands, in the order they run: fit-qfr, estimate-chain, plan, simulate,
+compare, export-plot-data. Each reads what the earlier ones wrote to the out
+dir. export-plot-data writes fig2 and fig3 from the policy and trajectories,
+and copies qfr_surfaces.csv (fit-qfr) and comparison.csv (compare) to fig1
+and fig4. All take --config (YAML, see config.py), plus --seed and --out overrides.
 Every command is deterministic given identical config and seed.
 """
 
 import argparse
 import csv
-import json
 import os
 import sys
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import controllers as ctl
-from . import ingest, mdp, qfr, regimes, sim
+from . import artifacts, ingest, mdp, qfr, regimes, sim
 from .config import ConfigError, RunConfig
 from .thermal import capacitance
 
@@ -23,6 +26,12 @@ REGIME_MODEL_FILE = "regime_model.json"
 TRANSITION_MODEL_FILE = "transition_model.json"
 POLICY_FILE = "policy.json"
 REPORTS_FILE = "reports.json"
+SURFACES_FILE = "qfr_surfaces.csv"
+COMPARISON_FILE = "comparison.csv"
+# the stage that writes each input file into the out dir
+WRITTEN_BY = {REGIME_MODEL_FILE: "fit-qfr", SURFACES_FILE: "fit-qfr",
+              TRANSITION_MODEL_FILE: "estimate-chain", POLICY_FILE: "plan",
+              REPORTS_FILE: "simulate", COMPARISON_FILE: "compare"}
 
 
 class PipelineError(RuntimeError):
@@ -154,7 +163,7 @@ def _build_controllers(cfg: RunConfig, out, args, regime_model):
                 peak_start=fr["peak_start"], peak_end=fr["peak_end"],
                 precool_start=fr["precool_start"], precool_end=fr["precool_end"])
         elif name == "qfr-mdp":
-            policy = mdp.load_policy(_input_path(args, "policy", out, POLICY_FILE))
+            policy = mdp.load_policy(_input_path(out, POLICY_FILE, args.policy))
             if policy.space != cfg.space:
                 raise PipelineError(
                     f"policy was planned on {policy.space} but the config "
@@ -164,29 +173,13 @@ def _build_controllers(cfg: RunConfig, out, args, regime_model):
     return built
 
 
-def _input_path(args, flag, out, default_name):
-    override = getattr(args, flag.replace("-", "_"), None)
-    path = override or os.path.join(out, default_name)
+def _input_path(out, name, override=None):
+    """`override` if given, else the out dir's `name`; either must exist."""
+    path = override or os.path.join(out, name)
     if not os.path.exists(path):
-        raise PipelineError(
-            f"required input {path} not found; run the earlier pipeline "
-            f"stage or pass --{flag.replace('_', '-')}")
+        raise PipelineError(f"required input {path} not found; {name} is "
+                            f"written by `coolsched {WRITTEN_BY[name]}`")
     return path
-
-
-def _write_surfaces(cfg: RunConfig, model, path) -> None:
-    """Rearranged quantile surfaces of `model` over the first training window."""
-    hours = ingest.window_hours(_train_windows(cfg)[0])
-    bounds, reps = model.surfaces_at(hours)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "hour_of_day"]
-                        + [f"boundary_{j}" for j in range(1, model.m)]
-                        + [f"representative_{p}" for p in range(1, model.m + 1)])
-        for i, h in enumerate(hours):
-            writer.writerow([ingest.format_timestamp(h), int(h % 24)]
-                            + [repr(float(v)) for v in bounds[i]]
-                            + [repr(float(v)) for v in reps[i]])
 
 
 def cmd_fit_qfr(cfg: RunConfig, args) -> int:
@@ -195,7 +188,18 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     hours, values = _train_samples(cfg, price)
     model = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
     qfr.save_model(model, os.path.join(out, REGIME_MODEL_FILE))
-    _write_surfaces(cfg, model, os.path.join(out, "qfr_surfaces.csv"))
+    # rearranged quantile surfaces over the first training window
+    surface_hours = ingest.window_hours(_train_windows(cfg)[0])
+    bounds, reps = model.surfaces_at(surface_hours)
+    artifacts.write_csv(
+        os.path.join(out, SURFACES_FILE),
+        ["timestamp", "hour_of_day"]
+        + [f"boundary_{j}" for j in range(1, model.m)]
+        + [f"representative_{p}" for p in range(1, model.m + 1)],
+        ([ingest.format_timestamp(h), int(h % 24)]
+         + [repr(float(v)) for v in bounds[i]]
+         + [repr(float(v)) for v in reps[i]]
+         for i, h in enumerate(surface_hours)))
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
           f"{len(model.boundary_fits)} boundary fits, "
           f"{len(model.representative_fits)} representative fits")
@@ -204,7 +208,7 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
 
 def cmd_estimate_chain(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    model = qfr.load_model(_input_path(args, "regime_model", out, REGIME_MODEL_FILE))
+    model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE, args.regime_model))
     price = _load_price(cfg)
     hours, values = _train_samples(cfg, price)
     labels = qfr.classify_series(model, hours, values)
@@ -219,9 +223,9 @@ def cmd_estimate_chain(cfg: RunConfig, args) -> int:
 
 def cmd_plan(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    model = qfr.load_model(_input_path(args, "regime_model", out, REGIME_MODEL_FILE))
-    chain = regimes.load_model(_input_path(args, "transition_model", out,
-                                           TRANSITION_MODEL_FILE))
+    model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE, args.regime_model))
+    chain = regimes.load_model(_input_path(out, TRANSITION_MODEL_FILE,
+                                           args.transition_model))
     problem = _assemble_problem(cfg, model, chain)
     occupancy = mdp.solve(problem)
     residuals = mdp.check_occupancy(problem, occupancy)
@@ -249,8 +253,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     model = None
     if ("qfr-mdp" in cfg.raw["controllers"] or args.regime_model
             or os.path.exists(os.path.join(out, REGIME_MODEL_FILE))):
-        model = qfr.load_model(_input_path(args, "regime_model", out,
-                                           REGIME_MODEL_FILE))
+        model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE,
+                                           args.regime_model))
         _check_regime_count(cfg, model)
     built = _build_controllers(cfg, out, args, model)
     specs = sim.SimSpecs(facility=cfg.facility, chiller=cfg.chiller,
@@ -273,26 +277,27 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             print(f"{report.window} {name}: ${report.total_energy_cost:,.2f} "
                   f"({report.total_violation_degree_hours:.3f} degree-hours "
                   f"outside band)")
-    with open(os.path.join(out, REPORTS_FILE), "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # a bare list, without a kind tag: bench/checks.py reads it as one
+    artifacts.write_json(os.path.join(out, REPORTS_FILE),
+                         [asdict(r) for r in reports])
     return 0
 
 
 def _load_reports(path):
-    with open(path, encoding="utf-8") as fh:
-        docs = json.load(fh)
+    docs = artifacts.read_json(path)
+    names = {f.name for f in fields(sim.CostReport)}
+    if not (isinstance(docs, list)
+            and all(isinstance(d, dict) and d.keys() == names for d in docs)):
+        raise artifacts.ArtifactError(f"{path} holds no list of cost reports")
     return [sim.CostReport(**doc) for doc in docs]
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    reports = _load_reports(_input_path(args, "reports", out, REPORTS_FILE))
+    reports = _load_reports(_input_path(out, REPORTS_FILE, args.reports))
     table = sim.compare(reports, args.baseline)
-    table.to_csv(os.path.join(out, "comparison.csv"))
-    with open(os.path.join(out, "comparison.json"), "w", encoding="utf-8") as fh:
-        json.dump(table.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    table.to_csv(os.path.join(out, COMPARISON_FILE))
+    artifacts.write_json(os.path.join(out, "comparison.json"), asdict(table))
     for row in table.rows:
         print(f"{row['window']} {row['controller']}: "
               f"${row['total_energy_cost']:,.2f} "
@@ -302,26 +307,20 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
 def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    model = qfr.load_model(_input_path(args, "regime_model", out, REGIME_MODEL_FILE))
-    policy = mdp.load_policy(_input_path(args, "policy", out, POLICY_FILE))
-    reports = _load_reports(_input_path(args, "reports", out, REPORTS_FILE))
-    if not reports:
-        raise PipelineError("reports file is empty; run simulate first")
-
-    _write_surfaces(cfg, model, os.path.join(out, "fig1_quantile_surfaces.csv"))
+    policy = mdp.load_policy(_input_path(out, POLICY_FILE, args.policy))
+    surfaces = _input_path(out, SURFACES_FILE)
+    comparison = _input_path(out, COMPARISON_FILE)
 
     # planned actions for the chosen day: hour x theta x regime
     day_start = _planning_day_hour(cfg)
-    with open(os.path.join(out, "fig2_policy_day.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour_of_day", "theta", "regime", "action"])
-        for hod in range(24):
-            slot = ctl.policy_slot(policy, day_start + hod)
-            for i, theta in enumerate(policy.space.theta_grid):
-                for p in range(policy.space.m):
-                    writer.writerow([hod, repr(float(theta)), p + 1,
-                                     int(policy.actions[slot, i, p])])
+    slots = [ctl.policy_slot(policy, day_start + hod) for hod in range(24)]
+    artifacts.write_csv(
+        os.path.join(out, "fig2_policy_day.csv"),
+        ["hour_of_day", "theta", "regime", "action"],
+        ([hod, repr(float(theta)), p + 1, int(policy.actions[slot, i, p])]
+         for hod, slot in enumerate(slots)
+         for i, theta in enumerate(policy.space.theta_grid)
+         for p in range(policy.space.m)))
 
     # one day of simulated temperature traces per controller
     sim_windows = _simulate_windows(cfg)
@@ -344,15 +343,12 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     if not rows_out:
         raise PipelineError(
             f"day {day} not inside the first simulate window {first_sim}")
-    with open(os.path.join(out, "fig3_day_traces.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["controller", "timestamp", "theta", "action", "price"])
-        writer.writerows(rows_out)
+    artifacts.write_csv(os.path.join(out, "fig3_day_traces.csv"),
+                        ["controller", "timestamp", "theta", "action", "price"],
+                        rows_out)
 
-    # multi-window cost comparison
-    table = sim.compare(reports, args.baseline)
-    table.to_csv(os.path.join(out, "fig4_cost_comparison.csv"))
+    artifacts.copy(surfaces, os.path.join(out, "fig1_quantile_surfaces.csv"))
+    artifacts.copy(comparison, os.path.join(out, "fig4_cost_comparison.csv"))
     print("wrote fig1_quantile_surfaces.csv, fig2_policy_day.csv, "
           "fig3_day_traces.csv, fig4_cost_comparison.csv")
     return 0
@@ -378,13 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        if name in ("estimate-chain", "plan", "simulate", "export-plot-data"):
+        if name in ("estimate-chain", "plan", "simulate"):
             p.add_argument("--regime-model", default=None)
         if name == "plan":
             p.add_argument("--transition-model", default=None)
         if name == "simulate":
             p.add_argument("--policy", default=None)
-        if name in ("compare", "export-plot-data"):
+        if name == "compare":
             p.add_argument("--reports", default=None)
             p.add_argument("--baseline", default="greedy")
         if name == "export-plot-data":
@@ -401,11 +397,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.raw["seed"] = args.seed
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, PipelineError, ingest.IngestError, qfr.FitError,
-            regimes.EstimationError, regimes.BucketError, mdp.SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # ConfigError, IngestError, FitError, EstimationError and ArtifactError
+    # are ValueErrors
+    except (ValueError, PipelineError, regimes.BucketError,
+            mdp.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

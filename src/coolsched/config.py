@@ -12,6 +12,7 @@ import yaml
 
 from .mdp import CostSpec, StateSpace
 from .qfr import FourierDesign
+from .regimes import GROUPINGS
 from .thermal import ChillerSpec, FacilitySpec, HeatLoadSpec
 
 ENV_PREFIX = "COOLSCHED_"
@@ -171,7 +172,7 @@ class RunConfig:
         for name in raw["controllers"]:
             if name not in KNOWN_CONTROLLERS:
                 raise ConfigError(f"unknown controller {name!r}")
-        if raw["chain"]["grouping"] not in ("month", "season", "single", "pooled"):
+        if raw["chain"]["grouping"] not in GROUPINGS:
             raise ConfigError(f"unknown chain grouping {raw['chain']['grouping']!r}")
         if raw["mdp"]["planning_cycle"] not in ("day", "window"):
             raise ConfigError("mdp.planning_cycle must be 'day' or 'window'")

@@ -29,6 +29,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .artifacts import atomic_writer
+
 MAX_GAP_HOURS = 3
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _CANONICAL = "YYYY-MM-DDTHH:00:00Z"  # Y, M, D and H are digits
@@ -321,7 +323,7 @@ def load_series(path, kind: SeriesKind) -> TimeSeries:
 
 def write_series(series: TimeSeries, path) -> None:
     """Write a series to CSV so that load_series reproduces it bit-exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write("timestamp,value\n")
         as_int = series.kind is SeriesKind.WORKLOAD
         for hour, value in zip(series.hours, series.values):

@@ -21,13 +21,13 @@ policy, so a planned policy is one chiller count per (cycle slot, theta bin,
 regime).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported inside the functions that use it, so that the stages
-# which neither fit nor plan (simulate, compare, export) never load it.
+# scipy is imported inside the LP functions that use it, so that a plan whose
+# value iteration settles, and every stage but fit-qfr, never load it.
+from . import artifacts
 from .thermal import (ChillerSpec, cooling_energy_table, decay_factor,
                       equilibrium_temperatures)
 
@@ -342,34 +342,34 @@ def _policy_occupancy(succ_idx, trans, actions) -> np.ndarray:
     """Occupancy x[t, i, p, a] of the action table actions[t, i, p].
 
     Slot 0 carries the stationary law of the policy's period map, found by
-    one dense least-squares solve over the L*M states; each later slot
+    one dense least-squares solve over the k = L*M states; each later slot
     carries the law propagated from the one before.
     """
-    import scipy.sparse as sp
-
     n, L, m = actions.shape
     k = L * m
-    kernels = []                                        # (k, k) per slot
-    for t in range(n):
-        nxt = np.take_along_axis(succ_idx[t], actions[t], axis=1)  # (L, M)
-        kernels.append(sp.csr_matrix(
-            (np.tile(trans[t], (L, 1)).ravel(),
-             (np.repeat(np.arange(k), m),
-              (nxt.reshape(-1, 1) * m + np.arange(m)).ravel())),
-            shape=(k, k)))
+    # slot t's kernel has trans[t, p, p'] at row (i, p), column (nxt, p')
+    rows = np.repeat(np.arange(k), m)
+    cols = (np.take_along_axis(succ_idx, actions, axis=2)[..., None] * m
+            + np.arange(m)).reshape(n, -1)
+
+    def kernel_t(t):  # dense (k, k), built when applied: one is held at a time
+        kernel = np.zeros((k, k))
+        kernel[rows, cols[t]] = np.tile(trans[t], (L, 1)).ravel()
+        return kernel.T
+
     period_t = np.eye(k)                                # transposed period map
-    for kernel in kernels:
-        period_t = kernel.T @ period_t
+    for t in range(n):
+        period_t = kernel_t(t) @ period_t
     lhs = np.vstack([period_t - np.eye(k), np.ones((1, k))])
     rhs = np.zeros(k + 1)
     rhs[-1] = 1.0
     law = np.maximum(np.linalg.lstsq(lhs, rhs, rcond=None)[0], 0.0)
     law /= law.sum()
     x = np.zeros(actions.shape + (succ_idx.shape[2],))
-    for t, kernel in enumerate(kernels):
+    for t in range(n):
         np.put_along_axis(x[t], actions[t][..., None],
                           law.reshape(L, m)[..., None], axis=2)
-        law = kernel.T @ law
+        law = kernel_t(t) @ law
     return x
 
 
@@ -448,8 +448,8 @@ def extract_policy(problem: MdpProblem, occ: OccupancyMeasure) -> Policy:
                   hours=problem.hours, objective=occ.objective)
 
 
-def policy_to_dict(policy: Policy) -> dict:
-    return {
+def save_policy(policy: Policy, path) -> None:
+    artifacts.write_json(path, {
         "kind": "policy",
         "n": policy.n,
         "theta_min": policy.space.theta_min,
@@ -460,27 +460,18 @@ def policy_to_dict(policy: Policy) -> dict:
         "hours": None if policy.hours is None else [int(h) for h in policy.hours],
         "objective": policy.objective,
         "actions": policy.actions.tolist(),
-    }
+    }, indent=None)
 
 
-def policy_from_dict(doc: dict) -> Policy:
+def load_policy(path) -> Policy:
+    doc = artifacts.read_json(path, "policy")
     if "actions" not in doc:
-        raise ValueError("policy file holds no action table (it predates the "
-                         "deterministic policy format); re-run `coolsched plan`")
+        raise artifacts.ArtifactError(
+            f"{path} holds no action table (it predates the deterministic "
+            "policy format); re-run `coolsched plan`")
     space = StateSpace(theta_min=doc["theta_min"], theta_max=doc["theta_max"],
                        theta_step=doc["theta_step"], m=doc["m"],
                        a_max=doc["a_max"])
     hours = None if doc.get("hours") is None else np.asarray(doc["hours"], dtype=np.int64)
     return Policy(actions=np.asarray(doc["actions"]),
                   space=space, hours=hours, objective=doc.get("objective"))
-
-
-def save_policy(policy: Policy, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(policy_to_dict(policy), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_policy(path) -> Policy:
-    with open(path, encoding="utf-8") as fh:
-        return policy_from_dict(json.load(fh))

@@ -8,10 +8,11 @@ boundaries sit at levels j/M and each band carries a representative curve
 at its mid level.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import artifacts
 
 # Relative distance within which a price counts as on a band boundary.
 TIE_TOL = 1e-9
@@ -215,8 +216,8 @@ def price_table(model: RegimeModel, hours) -> np.ndarray:
     return reps
 
 
-def model_to_dict(model: RegimeModel) -> dict:
-    return {
+def save_model(model: RegimeModel, path) -> None:
+    artifacts.write_json(path, {
         "kind": "regime-model",
         "m": model.m,
         "design": {
@@ -231,10 +232,11 @@ def model_to_dict(model: RegimeModel) -> dict:
         "representative_levels": [fit.tau for fit in model.representative_fits],
         "representative_coefficients": [fit.coefficients.tolist()
                                         for fit in model.representative_fits],
-    }
+    })
 
 
-def model_from_dict(doc: dict) -> RegimeModel:
+def load_model(path) -> RegimeModel:
+    doc = artifacts.read_json(path, "regime-model")
     design = FourierDesign(**doc["design"])
     boundaries = [QuantileFit(tau, np.asarray(coef, dtype=float))
                   for tau, coef in zip(doc["boundary_levels"],
@@ -243,14 +245,3 @@ def model_from_dict(doc: dict) -> RegimeModel:
                        for tau, coef in zip(doc["representative_levels"],
                                             doc["representative_coefficients"])]
     return RegimeModel(doc["m"], boundaries, representatives, design)
-
-
-def save_model(model: RegimeModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> RegimeModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -7,11 +7,12 @@ Gaps in the observation sequence (e.g. the winters between summer windows)
 contribute no transitions.
 """
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+
+from . import artifacts
 
 GROUPINGS = ("month", "season", "single", "pooled")
 
@@ -133,31 +134,21 @@ def matrix_at(model: TransitionModel, hour_index: int) -> np.ndarray:
         ) from None
 
 
-def model_to_dict(model: TransitionModel) -> dict:
-    return {
+def save_model(model: TransitionModel, path) -> None:
+    artifacts.write_json(path, {
         "kind": "transition-model",
         "m": model.m,
         "alpha": model.alpha,
         "grouping": model.grouping,
         "buckets": {key: mat.flatten().tolist()
                     for key, mat in model.matrices.items()},
-    }
+    })
 
 
-def model_from_dict(doc: dict) -> TransitionModel:
+def load_model(path) -> TransitionModel:
+    doc = artifacts.read_json(path, "transition-model")
     m = doc["m"]
     matrices = {key: np.asarray(flat, dtype=float).reshape(m, m)
                 for key, flat in doc["buckets"].items()}
     return TransitionModel(m=m, alpha=doc["alpha"], grouping=doc["grouping"],
                            matrices=matrices)
-
-
-def save_model(model: TransitionModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> TransitionModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

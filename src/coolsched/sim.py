@@ -11,11 +11,11 @@ step. Controllers are deterministic, so a rollout depends on its inputs
 alone.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .ingest import AlignedDataset, format_timestamp, format_timestamps
 from .mdp import CostSpec, StateSpace, quantize
 from .qfr import RegimeModel, classify_series
@@ -94,10 +94,7 @@ class Trajectory:
                    floats(self.price), ints(self.action),
                    floats(self.energy_kwh), floats(self.energy_cost),
                    floats(self.violation_under), floats(self.violation_over)]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.COLUMNS)
-            writer.writerows(zip(*columns))
+        write_csv(path, self.COLUMNS, zip(*columns))
 
 
 def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
@@ -172,17 +169,6 @@ class CostReport:
     theta_max: float
     theta_min: float
 
-    def to_dict(self) -> dict:
-        return {
-            "controller": self.controller,
-            "window": self.window,
-            "total_energy_kwh": self.total_energy_kwh,
-            "total_energy_cost": self.total_energy_cost,
-            "total_violation_degree_hours": self.total_violation_degree_hours,
-            "theta_max": self.theta_max,
-            "theta_min": self.theta_min,
-        }
-
 
 def summarize(trajectory: Trajectory) -> CostReport:
     """Column aggregates of a trajectory."""
@@ -212,14 +198,7 @@ class ComparisonTable:
     def to_csv(self, path) -> None:
         fields = ["controller", "window", "total_energy_cost",
                   "improvement_vs_baseline", "total_violation_degree_hours"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: row[k] for k in fields})
-
-    def to_dict(self) -> dict:
-        return {"baseline": self.baseline, "rows": self.rows}
+        write_csv(path, fields, ([row[k] for k in fields] for row in self.rows))
 
 
 def compare(reports, baseline_name: str) -> ComparisonTable:

@@ -27,6 +27,45 @@ def pipeline(tmp_path_factory):
     return root, out, config
 
 
+def test_pipeline_writes_expected_files(pipeline):
+    # every write replaces its target through a temp file; none is left over
+    _, out, _ = pipeline
+    trajectories = [f"trajectory_{name}_2024-07-15.csv"
+                    for name in ("fixed-rule", "greedy", "qfr-mdp")]
+    assert sorted(os.listdir(out)) == sorted([
+        "regime_model.json", "qfr_surfaces.csv", "transition_model.json",
+        "policy.json", *trajectories, "reports.json", "comparison.csv",
+        "comparison.json", "fig1_quantile_surfaces.csv", "fig2_policy_day.csv",
+        "fig3_day_traces.csv", "fig4_cost_comparison.csv"])
+
+
+@pytest.mark.parametrize("command, option, artifact", [
+    ("estimate-chain", "--regime-model", "policy.json"),
+    ("plan", "--regime-model", "transition_model.json"),
+    ("plan", "--transition-model", "policy.json"),
+    ("simulate", "--policy", "regime_model.json"),
+    ("compare", "--reports", "policy.json"),
+    ("estimate-chain", "--regime-model", "truncated"),
+])
+def test_wrong_input_file_is_named(pipeline, tmp_path, capsys, command, option,
+                                   artifact):
+    _, out, config = pipeline
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    if artifact == "truncated":
+        path = tmp_path / "regime_model.json"
+        text = (run / "regime_model.json").read_text()
+        path.write_text(text[:len(text) // 2])
+    else:
+        path = run / artifact
+    capsys.readouterr()
+    code = cli.main([command, "--config", config, "--out", str(run),
+                     option, str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_fit_qfr_outputs(pipeline):
     _, out, _ = pipeline
     model = qfr.load_model(os.path.join(out, "regime_model.json"))
@@ -194,6 +233,8 @@ def test_export_plot_data_needs_no_price_archive(pipeline, tmp_path):
     assert fig1 == (tmp_path / "out" / "qfr_surfaces.csv").read_bytes()
     with open(os.path.join(out, "fig1_quantile_surfaces.csv"), "rb") as fh:
         assert fig1 == fh.read()
+    fig4 = (tmp_path / "out" / "fig4_cost_comparison.csv").read_bytes()
+    assert fig4 == (tmp_path / "out" / "comparison.csv").read_bytes()
 
 
 def test_export_plot_data_requires_simulation(tmp_path, capsys):
@@ -234,9 +275,21 @@ def test_env_override_changes_regimes(tmp_path, monkeypatch):
 
 
 def test_seed_flag_overrides_config(tmp_path):
-    config = ph.make_project(str(tmp_path))
-    cfg = RunConfig.from_file(config)
-    assert cfg.seed == 3
+    # the seed drives the synthetic heat load's noise, so give it some
+    config = ph.make_project(str(tmp_path), heat_load={"synth_noise": 0.05},
+                             controllers=["greedy"])
+    assert RunConfig.from_file(config).seed == 3
+
+    def greedy_trajectory(run, *seed):
+        out = tmp_path / run
+        assert cli.main(["simulate", "--config", config, "--out", str(out),
+                         *seed]) == 0
+        return (out / "trajectory_greedy_2024-07-15.csv").read_bytes()
+
+    from_config = greedy_trajectory("config")
+    seeded = greedy_trajectory("seed9", "--seed", "9")
+    assert seeded != from_config
+    assert greedy_trajectory("seed9-again", "--seed", "9") == seeded
 
 
 def test_config_defaults_and_validation(tmp_path):
@@ -250,12 +303,26 @@ def test_config_defaults_and_validation(tmp_path):
         RunConfig.from_file(str(tmp_path / "nope.yaml"))
 
 
-def test_import_leaves_scipy_unloaded():
-    # only fitting and planning use scipy, and they import it when they run
+def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
+    # only fitting and the LP fallback of planning use scipy, and they
+    # import it when they run
+    _, out, config = pipeline
     src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, coolsched.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code],
-                            env={**os.environ, "PYTHONPATH": src},
+    result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60,
                             check=True)
     assert result.stdout.strip() == "False"
+    # value iteration settles on the fixture, so plan needs no scipy
+    code = ("import sys; from coolsched import cli; "
+            "code = cli.main(sys.argv[1:]); print(code, 'scipy' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", code, "plan", "--config", config,
+         "--out", str(tmp_path),
+         "--regime-model", os.path.join(out, "regime_model.json"),
+         "--transition-model", os.path.join(out, "transition_model.json")],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "policy.json").read_bytes() == \
+        ph.read_tree_bytes(out)["policy.json"]

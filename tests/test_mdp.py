@@ -11,8 +11,7 @@ from coolsched import mdp
 from coolsched.mdp import (PERIOD_BUDGET, CostSpec, LpDescription, MdpProblem,
                            OccupancyMeasure, Policy, SolverError, StateSpace,
                            build_lp, check_occupancy, cost_tensor,
-                           extract_policy, load_policy, policy_from_dict,
-                           policy_to_dict, quantize, save_policy, solve,
+                           extract_policy, load_policy, quantize, save_policy, solve,
                            solve_occupancy, successor_indices,
                            successor_temperatures)
 from coolsched.thermal import ChillerSpec, cooling_energy, step_temperature
@@ -319,13 +318,16 @@ def test_policy_serialization_round_trip(desk_instance, tmp_path):
     assert back.objective == pytest.approx(policy.objective)
 
 
-def test_policy_rejects_probability_format(desk_instance):
+def test_policy_rejects_probability_format(desk_instance, tmp_path):
     _, _, policy = desk_instance
-    doc = policy_to_dict(policy)
+    path = tmp_path / "policy.json"
+    save_policy(policy, path)
+    doc = json.loads(path.read_text())
     actions = np.asarray(doc.pop("actions"))
     doc["probabilities"] = np.eye(policy.space.n_actions)[actions].tolist()
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="re-run `coolsched plan`"):
-        policy_from_dict(doc)
+        load_policy(path)
 
 
 def test_lp_description_exposes_objective_scaling():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,8 +7,8 @@ from scipy.optimize import linprog
 
 from coolsched.qfr import (FitError, FourierDesign, RegimeModel, QuantileFit,
                            classify, classify_series, design_matrix,
-                           fit_quantile, fit_regimes, model_from_dict,
-                           model_to_dict, pinball_loss, price_table)
+                           fit_quantile, fit_regimes, load_model,
+                           pinball_loss, price_table, save_model)
 
 DAILY = FourierDesign(daily_harmonics=2, seasonal_harmonics=0)
 
@@ -305,10 +303,10 @@ def test_coverage_on_held_out(uniform_model):
         assert abs(frac - tau) <= 0.04
 
 
-def test_model_serialization_round_trip(uniform_model):
+def test_model_serialization_round_trip(uniform_model, tmp_path):
     model, hours, prices = uniform_model
-    doc = json.loads(json.dumps(model_to_dict(model)))
-    back = model_from_dict(doc)
+    save_model(model, tmp_path / "regime_model.json")
+    back = load_model(tmp_path / "regime_model.json")
     assert back.m == model.m
     assert back.design == model.design
     for a, b in zip(model.boundary_fits, back.boundary_fits):

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from coolsched.ingest import parse_timestamp
 from coolsched.regimes import (BucketError, EstimationError, TransitionModel,
-                               estimate, hour_bucket, matrix_at,
-                               model_from_dict, model_to_dict)
+                               estimate, hour_bucket, load_model, matrix_at,
+                               save_model)
 
 KNOWN_4 = np.array([
     [0.70, 0.10, 0.10, 0.10],
@@ -210,14 +208,14 @@ def test_sample_path_validates_start():
         sample_path(pooled_model(KNOWN_4), 0, 0, 10, seed=0)
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     start = parse_timestamp("2024-06-01T00:00:00Z")
     hours = np.arange(start, start + 24 * 30)
     model = estimate(zip(hours, rng.integers(1, 4, len(hours))), m=3,
                      alpha=0.5, grouping="season")
-    doc = json.loads(json.dumps(model_to_dict(model)))
-    back = model_from_dict(doc)
+    save_model(model, tmp_path / "transition_model.json")
+    back = load_model(tmp_path / "transition_model.json")
     assert back.m == model.m and back.grouping == model.grouping
     assert set(back.matrices) == set(model.matrices)
     for key in model.matrices:
