@@ -2,8 +2,9 @@
 
 Every file a stage writes goes through `atomic_writer`, so a reader sees the
 old file or the new one, never a partial write. JSON artifacts carry a
-`kind` tag, and `read_json` refuses a file holding another kind, so a wrong
-file passed to an input option fails with an error that names it.
+`kind` tag, and `read_json` refuses a file holding another kind or missing a
+key its reader needs, so a wrong file passed to an input option fails with
+an error that names it.
 """
 
 import csv
@@ -56,8 +57,9 @@ def copy(src, dst) -> None:
         fout.write(fin.read())
 
 
-def read_json(path, kind=None):
-    """The JSON document at `path`; with `kind`, one whose `kind` tag matches."""
+def read_json(path, kind=None, keys=()):
+    """The JSON document at `path`; with `kind`, one whose `kind` tag matches
+    and that holds every key in `keys`."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -68,4 +70,7 @@ def read_json(path, kind=None):
         if found != kind:
             held = "no artifact kind" if found is None else repr(found)
             raise ArtifactError(f"{path} holds {held}, expected a {kind}")
+        for key in keys:
+            if key not in doc:
+                raise ArtifactError(f"{path} holds a {kind} without the key {key!r}")
     return doc

@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
@@ -191,18 +192,23 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     # rearranged quantile surfaces over the first training window
     surface_hours = ingest.window_hours(_train_windows(cfg)[0])
     bounds, reps = model.surfaces_at(surface_hours)
+    # the csv module writes a float as its repr
     artifacts.write_csv(
         os.path.join(out, SURFACES_FILE),
         ["timestamp", "hour_of_day"]
         + [f"boundary_{j}" for j in range(1, model.m)]
         + [f"representative_{p}" for p in range(1, model.m + 1)],
-        ([ingest.format_timestamp(h), int(h % 24)]
-         + [repr(float(v)) for v in bounds[i]]
-         + [repr(float(v)) for v in reps[i]]
-         for i, h in enumerate(surface_hours)))
+        ([stamp, hod, *row] for stamp, hod, row in zip(
+            ingest.format_timestamps(surface_hours),
+            (surface_hours % 24).tolist(),
+            np.hstack([bounds, reps]).tolist())))
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
           f"{len(model.boundary_fits)} boundary fits, "
           f"{len(model.representative_fits)} representative fits")
+    solvers = Counter(fit.solver for fit in
+                      model.boundary_fits + model.representative_fits)
+    print("solver: " + " ".join(f"{name}={solvers[name]}"
+                                for name in sorted(solvers)))
     return 0
 
 

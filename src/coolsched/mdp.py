@@ -464,7 +464,8 @@ def save_policy(policy: Policy, path) -> None:
 
 
 def load_policy(path) -> Policy:
-    doc = artifacts.read_json(path, "policy")
+    doc = artifacts.read_json(path, "policy", keys=(
+        "theta_min", "theta_max", "theta_step", "m", "a_max"))
     if "actions" not in doc:
         raise artifacts.ArtifactError(
             f"{path} holds no action table (it predates the deterministic "

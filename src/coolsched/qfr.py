@@ -1,14 +1,18 @@
 """Quantile regression on Fourier time features and price-regime bands.
 
 Prices are fit at several quantile levels with sinusoidal regressors at the
-daily and yearly periods, each as one bounded dual LP. The fitted curves
-split the price axis into M bands per hour; a realized price's band is its
-regime, and a price within TIE_TOL (relative) of a boundary is on it. Band
-boundaries sit at levels j/M and each band carries a representative curve
-at its mid level.
+daily and yearly periods. Each level is the bounded dual LP of the pinball
+loss. One Frisch-Newton interior point iterates all levels together, and
+each level's exact vertex is then read off the observations nearest its
+curve and kept when a certificate shows it is the unique optimum. A level
+without that certificate is solved by HiGHS's dual simplex (see
+`fit_quantile`). The fitted curves split the price axis into M bands per
+hour; a realized price's band is its regime, and a price within TIE_TOL
+(relative) of a boundary is on it. Band boundaries sit at levels j/M and
+each band carries a representative curve at its mid level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,17 +69,181 @@ def pinball_loss(y, y_hat, tau: float) -> float:
 class QuantileFit:
     tau: float
     coefficients: np.ndarray
+    # how the fit was solved: "interior-point", "dual-simplex" or
+    # "constant"; None for a fit read from a file
+    solver: str = None
 
     def evaluate(self, hours, design: FourierDesign):
         values = design_matrix(hours, design) @ self.coefficients
         return values if np.ndim(hours) else float(values[0])
 
 
-def _quantile_fitter(hours, prices, design: FourierDesign):
-    """Check the data once; return tau -> QuantileFit on one design matrix."""
-    # imported here so that the stages that only classify do not load scipy
+# Frisch-Newton interior point (Portnoy & Koenker 1997): the share of the
+# way to the bound of [0, 1] that a step may go, the duality gap relative
+# to 1 + |y'd| at which a level stops, and the iteration cap.
+_STEP = 0.99995
+_GAP_TOL = 1e-10
+_MAX_ITER = 50
+# A row whose part outside the span of the rows already in the basis is
+# below this share of its norm depends on them (a repeated design row).
+_RANK_TOL = 1e-9
+# A basic dual value within this of 0 or 1 may sit on the bound but for the
+# round-off of its solve, whose sums over n rows, amplified by the basis's
+# condition number, reach about 6e-9 at paper scale (n = 6624); on the
+# bound, the vertex need not be the only optimum.
+_CERT_TOL = 1e-7
+
+
+def _step(*pairs):
+    """Per level, the step a <= 1 that goes _STEP of the way to the first
+    v + a dv to reach 0, over the (v, dv) pairs."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmin skips the 0/0 of a slack that starts at zero and stays there
+        shrink = -np.minimum.reduce([np.fmin.reduce(dv / v, axis=1)
+                                     for v, dv in pairs])
+    return (_STEP / np.maximum(shrink, _STEP))[:, None]
+
+
+def _frisch_newton(X, y, taus):
+    """Interior-point solution of the bounded dual for each level.
+
+    Mehrotra predictor-corrector on max y'd s.t. X'd = (1 - tau) X'1,
+    0 <= d <= 1, with s = 1 - d and dual slacks z, w >= 0 on
+    y - X beta = w - z (Koenker 2005, chapter 6), all levels as one
+    (T, n) iterate. The start is feasible and Newton steps keep it so.
+    Returns the (T, k) coefficients, with NaN rows for the levels whose
+    gap stays open within _MAX_ITER iterations or whose normal equations
+    turn singular.
+    """
+    n, k = X.shape
+    taus = np.asarray(taus, dtype=float)
+    coef = np.full((len(taus), k), np.nan)
+    xt = np.ascontiguousarray(X.T)
+    # row i holds the k x k outer product x_i x_i', so that q @ outer is
+    # X' diag(q) X for every level in one matrix product
+    outer = (X[:, :, None] * X[:, None, :]).reshape(n, k * k)
+    # d = 1 - tau, and beta the least-squares fit with its residual split
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    r = y - X @ beta
+    r += 1e-3 * (r == 0)  # a zero residual would start both z and w at 0
+    live = np.arange(len(taus))
+    d = np.repeat((1.0 - taus)[:, None], n, axis=1)
+    s = 1.0 - d
+    beta = np.repeat(beta[None, :], len(taus), axis=0)
+    w = np.repeat(np.maximum(r, 0.0)[None, :], len(taus), axis=0)
+    z = w - r
+    for _ in range(_MAX_ITER):
+        zd, ws = z / d, w / s
+        q = 1.0 / (zd + ws)
+        normal = (q @ outer).reshape(-1, k, k)
+        r = w - z
+
+        def newton(rhs):
+            # dbeta from (X'QX) dbeta = X'Q rhs, then dd = q (rhs - X dbeta)
+            db = np.linalg.solve(normal, ((q * rhs) @ X)[:, :, None])[:, :, 0]
+            return db, q * (rhs - db @ xt)
+
+        try:
+            # predictor: the affine-scaling direction
+            db, dd = newton(r)
+            dz = -z - zd * dd
+            dw = ws * dd - w
+            fp, fd = _step((d, dd), (s, -dd)), _step((z, dz), (w, dw))
+            # corrector, centred at Mehrotra's mu
+            mu = np.sum(z * d + w * s, axis=1)
+            g = np.sum((z + fd * dz) * (d + fp * dd) + (w + fd * dw) * (s - fp * dd),
+                       axis=1)
+            mu = (mu * (g / mu) ** 3 / (2 * n))[:, None]
+            ddz, dsw = dd * dz, dd * dw
+            db, dd = newton(r + mu * (1.0 / d - 1.0 / s) - ddz - dsw)
+        except np.linalg.LinAlgError:
+            break
+        dz = mu / d - z - zd * dd - ddz
+        dw = mu / s - w + ws * dd + dsw
+        fp, fd = _step((d, dd), (s, -dd)), _step((z, dz), (w, dw))
+        d, s = d + fp * dd, s - fp * dd
+        beta, z, w = beta + fd * db, z + fd * dz, w + fd * dw
+
+        # the duality gap z'd + w's of a feasible iterate, summed without
+        # the cancellation of b'beta + 1'w - y'd
+        gap = np.sum(z * d + w * s, axis=1)
+        done = gap <= _GAP_TOL * (1.0 + np.abs(d @ y))
+        coef[live[done]] = beta[done]
+        keep = ~done & np.isfinite(gap)
+        if not keep.any():
+            break
+        live = live[keep]
+        d, s, beta, z, w = d[keep], s[keep], beta[keep], z[keep], w[keep]
+    return coef
+
+
+def _basis_rows(X, order):
+    """The first k rows in `order` that are linearly independent, or None."""
+    k = X.shape[1]
+    basis, picked = np.empty((k, k)), []
+    for i in order:
+        # Gram-Schmidt against the rows picked so far, done twice so that
+        # a dependent row leaves only round-off
+        row, span = X[i], basis[:len(picked)]
+        v = row - span.T @ (span @ row)
+        v -= span.T @ (span @ v)
+        norm = np.linalg.norm(v)
+        if norm > _RANK_TOL * np.linalg.norm(row):
+            basis[len(picked)] = v / norm
+            picked.append(i)
+            if len(picked) == k:
+                return np.array(picked)
+    return None
+
+
+def _vertex(X, y, b, beta):
+    """The optimal vertex next to an interior solution, if certified.
+
+    `b` is (1 - tau) X'1 and `beta` the interior-point coefficients. The
+    basis is the k independent rows of smallest |residual|, and the
+    vertex the curve through their prices. It is accepted when no other
+    price lies on it and the dual values it implies are inside (0, 1) by
+    more than _CERT_TOL: with d = 1 above the curve and 0 below it, the
+    basic d solve X_h' d_h = (1 - tau) X'1 - X_N' d_N. That is the
+    optimality condition, and strictness makes this vertex the only
+    optimum. Returns None otherwise.
+    """
+    basis = _basis_rows(X, np.argsort(np.abs(y - X @ beta), kind="stable"))
+    if basis is None:
+        return None
+    basis.sort()  # the vertex's bits then depend on the basis, not its pick order
+    try:
+        vertex = np.linalg.solve(X[basis], y[basis])
+        fitted = X @ vertex
+        off = np.abs(y - fitted)
+        off[basis] = np.inf
+        if np.any(off <= TIE_TOL * np.maximum(1.0, np.abs(fitted))):
+            return None
+        above = y > fitted
+        above[basis] = False
+        d_h = np.linalg.solve(X[basis].T, b - X[above].sum(axis=0))
+    except np.linalg.LinAlgError:
+        return None
+    return vertex if np.all((d_h > _CERT_TOL) & (d_h < 1.0 - _CERT_TOL)) else None
+
+
+def _dual_simplex(X, y, tau):
+    """The bounded dual solved by HiGHS; its equality marginals are -beta."""
+    # imported here so that a fit whose vertices are all certified, and the
+    # stages that only classify, do not load scipy
     from scipy.optimize import linprog
 
+    # d = 1 - tau is feasible and 0 <= d <= 1 bounds the objective, so
+    # the dual always has an optimum; presolve only slows this dense LP.
+    res = linprog(-y, A_eq=X.T, b_eq=(1.0 - tau) * X.sum(axis=0), bounds=(0, 1),
+                  method="highs-ds", options={"presolve": False})
+    if not res.success:
+        raise FitError(f"quantile LP failed: {res.message}")
+    return -res.eqlin.marginals
+
+
+def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
+    """One QuantileFit per level in `taus`, all on one design matrix."""
     hours = np.asarray(hours, dtype=np.int64)
     y = np.asarray(prices, dtype=float)
     if hours.shape != y.shape or hours.ndim != 1:
@@ -85,42 +253,53 @@ def _quantile_fitter(hours, prices, design: FourierDesign):
         raise FitError(f"need at least {10 * k} observations for {k} features, got {n}")
     if not np.all(np.isfinite(y)):
         raise FitError("prices contain non-finite values")
+    if np.ptp(y) == 0.0:
+        # Degenerate data: intercept-only fit, zero Fourier coefficients.
+        coef = np.zeros(k)
+        coef[0] = y[0]
+        return [QuantileFit(tau, coef, "constant") for tau in taus]
     X = design_matrix(hours, design)
     x_sum = X.sum(axis=0)
-
-    def fit(tau: float) -> QuantileFit:
-        if np.ptp(y) == 0.0:
-            # Degenerate data: intercept-only fit, zero Fourier coefficients.
-            coef = np.zeros(k)
-            coef[0] = y[0]
-            return QuantileFit(tau, coef)
-        # d = 1 - tau is feasible and 0 <= d <= 1 bounds the objective, so
-        # the dual always has an optimum; presolve only slows this dense LP.
-        res = linprog(-y, A_eq=X.T, b_eq=(1.0 - tau) * x_sum, bounds=(0, 1),
-                      method="highs-ds", options={"presolve": False})
-        if not res.success:
-            raise FitError(f"quantile LP failed: {res.message}")
-        coef = -res.eqlin.marginals
+    if np.linalg.matrix_rank(X) == k:
+        interior = _frisch_newton(X, y, taus)
+    else:
+        interior = np.full((len(taus), k), np.nan)
+    fits = []
+    for tau, beta in zip(taus, interior):
+        coef = None
+        if np.all(np.isfinite(beta)):
+            coef = _vertex(X, y, (1.0 - tau) * x_sum, beta)
+        solver = "interior-point"
+        if coef is None:
+            coef, solver = _dual_simplex(X, y, tau), "dual-simplex"
         fitted_loss = pinball_loss(y, X @ coef, tau)
         const_loss = pinball_loss(y, np.quantile(y, tau), tau)
         if fitted_loss > const_loss + 1e-9 * max(1.0, abs(const_loss)):
             raise FitError("quantile LP returned a fit worse than the constant quantile")
-        return QuantileFit(tau, coef)
-
-    return fit
+        fits.append(QuantileFit(tau, coef, solver))
+    return fits
 
 
 def fit_quantile(hours, prices, tau: float, design: FourierDesign) -> QuantileFit:
     """Minimize mean pinball loss over Fourier coefficients.
 
-    Solved as the dual of the residual-split LP (Koenker & d'Orey 1987):
-    maximize y'd subject to X'd = (1 - tau) X'1 and 0 <= d <= 1. The
-    coefficients are the multipliers of its k equality rows, and the fitted
-    curve passes through k observations up to round-off (see `classify`).
+    Solves the dual of the residual-split LP (Koenker & d'Orey 1987):
+    maximize y'd subject to X'd = (1 - tau) X'1 and 0 <= d <= 1, whose
+    optimum has the coefficients as the multipliers of its k equality rows.
+    A Frisch-Newton interior point (Portnoy & Koenker 1997) brings the
+    iterate close to the optimum. The k linearly independent observations
+    of smallest |residual| then give the exact vertex, the curve through
+    their prices. Certificate: with d = 1 above that curve and 0 below it,
+    the equality rows fix the k remaining d; when all lie inside (0, 1),
+    clear of round-off, the vertex is the unique optimum and is kept. A
+    level with a rank-deficient design, another price on the curve (a
+    tie), a failed certificate or a gap still open at the iteration cap is
+    solved by HiGHS's dual simplex instead. Either way the fitted curve
+    passes through k observations up to round-off (see `classify`).
     """
     if not 0 < tau < 1:
         raise FitError(f"tau must be in (0, 1), got {tau}")
-    return _quantile_fitter(hours, prices, design)(tau)
+    return _fit_levels(hours, prices, [tau], design)[0]
 
 
 @dataclass
@@ -183,9 +362,9 @@ def fit_regimes(hours, prices, m: int, design: FourierDesign) -> RegimeModel:
     """Fit the M-regime model: boundaries at j/M, representatives at (p-.5)/M."""
     if not 2 <= m <= 16:
         raise FitError(f"regime count must be in 2..16, got {m}")
-    fit = _quantile_fitter(hours, prices, design)
-    return RegimeModel(m, [fit(tau) for tau in boundary_levels(m)],
-                       [fit(tau) for tau in representative_levels(m)], design)
+    fits = _fit_levels(hours, prices,
+                       boundary_levels(m) + representative_levels(m), design)
+    return RegimeModel(m, fits[:m - 1], fits[m - 1:], design)
 
 
 def classify(model: RegimeModel, hour_index, price) -> int:
@@ -236,7 +415,14 @@ def save_model(model: RegimeModel, path) -> None:
 
 
 def load_model(path) -> RegimeModel:
-    doc = artifacts.read_json(path, "regime-model")
+    doc = artifacts.read_json(path, "regime-model", keys=(
+        "m", "design", "boundary_levels", "boundary_coefficients",
+        "representative_levels", "representative_coefficients"))
+    # every field has a default, so a missing one would go unnoticed
+    names = sorted(f.name for f in fields(FourierDesign))
+    if not isinstance(doc["design"], dict) or sorted(doc["design"]) != names:
+        raise artifacts.ArtifactError(
+            f"{path} holds a design without exactly the keys {names}")
     design = FourierDesign(**doc["design"])
     boundaries = [QuantileFit(tau, np.asarray(coef, dtype=float))
                   for tau, coef in zip(doc["boundary_levels"],

@@ -146,7 +146,8 @@ def save_model(model: TransitionModel, path) -> None:
 
 
 def load_model(path) -> TransitionModel:
-    doc = artifacts.read_json(path, "transition-model")
+    doc = artifacts.read_json(path, "transition-model",
+                              keys=("m", "alpha", "grouping", "buckets"))
     m = doc["m"]
     matrices = {key: np.asarray(flat, dtype=float).reshape(m, m)
                 for key, flat in doc["buckets"].items()}

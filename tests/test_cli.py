@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from coolsched import cli, mdp, qfr, regimes
+from coolsched import artifacts, cli, ingest, mdp, qfr, regimes
 from coolsched.config import ConfigError, RunConfig
 
 import pipeline_helpers as ph
@@ -72,6 +73,25 @@ def test_fit_qfr_outputs(pipeline):
     assert model.m == 2
     assert len(model.boundary_fits) == 1
     assert os.path.exists(os.path.join(out, "qfr_surfaces.csv"))
+
+
+def test_surfaces_match_row_writer(pipeline):
+    # the per-row writer fit-qfr used before it wrote columns
+    _, out, config = pipeline
+    cfg = RunConfig.from_file(config)
+    model = qfr.load_model(os.path.join(out, "regime_model.json"))
+    hours = ingest.window_hours(cfg.raw["windows"]["train"][0])
+    bounds, reps = model.surfaces_at(hours)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["timestamp", "hour_of_day", "boundary_1",
+                     "representative_1", "representative_2"])
+    for i, h in enumerate(hours):
+        writer.writerow([ingest.format_timestamp(h), int(h % 24)]
+                        + [repr(float(v)) for v in bounds[i]]
+                        + [repr(float(v)) for v in reps[i]])
+    assert ph.read_tree_bytes(out)["qfr_surfaces.csv"] == \
+        expected.getvalue().encode()
 
 
 def test_fit_qfr_regime_count_follows_config(tmp_path):
@@ -304,9 +324,9 @@ def test_config_defaults_and_validation(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
-    # only fitting and the LP fallback of planning use scipy, and they
-    # import it when they run
-    _, out, config = pipeline
+    # only a quantile level that falls back to the dual simplex and the LP
+    # fallback of planning use scipy, and they import it when they run
+    root, out, config = pipeline
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, coolsched.cli; print('scipy' in sys.modules)"
@@ -314,15 +334,69 @@ def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
                             capture_output=True, text=True, timeout=60,
                             check=True)
     assert result.stdout.strip() == "False"
+
+    def stage(*argv):
+        code = ("import sys; from coolsched import cli; "
+                "code = cli.main(sys.argv[1:]); "
+                "print(code, 'scipy' in sys.modules)")
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--config", config,
+             "--out", str(tmp_path)],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+            check=True)
+        return result.stdout.splitlines()
+
+    # every level of the fixture's fit keeps its interior-point vertex
+    lines = stage("fit-qfr")
+    assert lines[-2:] == ["solver: interior-point=3", "0 False"]
+    assert (tmp_path / "regime_model.json").read_bytes() == \
+        ph.read_tree_bytes(out)["regime_model.json"]
     # value iteration settles on the fixture, so plan needs no scipy
-    code = ("import sys; from coolsched import cli; "
-            "code = cli.main(sys.argv[1:]); print(code, 'scipy' in sys.modules)")
-    result = subprocess.run(
-        [sys.executable, "-c", code, "plan", "--config", config,
-         "--out", str(tmp_path),
-         "--regime-model", os.path.join(out, "regime_model.json"),
-         "--transition-model", os.path.join(out, "transition_model.json")],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert result.stdout.splitlines()[-1] == "0 False"
+    lines = stage("plan",
+                  "--transition-model", os.path.join(out, "transition_model.json"))
+    assert lines[-1] == "0 False"
     assert (tmp_path / "policy.json").read_bytes() == \
         ph.read_tree_bytes(out)["policy.json"]
+
+
+@pytest.mark.parametrize("load, name, key", [
+    (qfr.load_model, "regime_model.json", "design"),
+    (regimes.load_model, "transition_model.json", "buckets"),
+    (mdp.load_policy, "policy.json", "theta_step"),
+])
+def test_missing_key_is_named(pipeline, tmp_path, load, name, key):
+    _, out, _ = pipeline
+    doc = json.loads(ph.read_tree_bytes(out)[name])
+    del doc[key]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    with pytest.raises(artifacts.ArtifactError,
+                       match=re.escape(f"{path} holds a {doc['kind']} without "
+                                       f"the key {key!r}")):
+        load(path)
+
+
+def test_bad_design_is_named(pipeline, tmp_path):
+    _, out, _ = pipeline
+    doc = json.loads(ph.read_tree_bytes(out)["regime_model.json"])
+    del doc["design"]["period_daily"]
+    path = tmp_path / "regime_model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(artifacts.ArtifactError,
+                       match=re.escape(f"{path} holds a design without exactly "
+                                       "the keys ['daily_harmonics', ")):
+        qfr.load_model(path)
+
+
+def test_regime_model_without_design_exits_2(pipeline, tmp_path, capsys):
+    _, out, config = pipeline
+    doc = json.loads(ph.read_tree_bytes(out)["regime_model.json"])
+    del doc["design"]
+    path = tmp_path / "regime_model.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main(["estimate-chain", "--config", config, "--out",
+                     str(tmp_path), "--regime-model", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} holds a regime-model without the key 'design'\n")

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from coolsched import qfr
+from coolsched.ingest import synth_prices
 from coolsched.qfr import (FitError, FourierDesign, RegimeModel, QuantileFit,
-                           classify, classify_series, design_matrix,
-                           fit_quantile, fit_regimes, load_model,
-                           pinball_loss, price_table, save_model)
+                           boundary_levels, classify, classify_series,
+                           design_matrix, fit_quantile, fit_regimes,
+                           load_model, pinball_loss, price_table,
+                           representative_levels, save_model)
 
 DAILY = FourierDesign(daily_harmonics=2, seasonal_harmonics=0)
 
@@ -17,8 +20,10 @@ def primal_fit(hours, prices, tau, design):
     """Reference quantile fit: the residual-split primal LP.
 
     With beta = b+ - b- and residual y - X beta = u - v (u, v >= 0),
-    minimize (tau * sum u + (1 - tau) * sum v) / n subject to
-    X(b+ - b-) + u - v = y. Returns the fit and whether its optimum is
+    minimize tau * sum u + (1 - tau) * sum v subject to X(b+ - b-) + u - v
+    = y. That is n times the mean pinball loss, so HiGHS's absolute
+    tolerances, here at their 1e-10 floor, act on reduced costs of order
+    one rather than 1/n. Returns the fit and whether its optimum is
     certified unique: when k observations with linearly independent rows
     carry dual values strictly inside (0, 1), complementary slackness makes
     every optimal fit pass through them, which fixes the coefficients.
@@ -28,12 +33,13 @@ def primal_fit(hours, prices, tau, design):
     n, k = X.shape
     identity = sp.identity(n, format="csc")
     a_eq = sp.hstack([sp.csc_matrix(X), identity, -identity], format="csc")
-    c = np.concatenate([np.zeros(k), np.full(n, tau / n),
-                        np.full(n, (1.0 - tau) / n)])
+    c = np.concatenate([np.zeros(k), np.full(n, tau), np.full(n, 1.0 - tau)])
     bounds = [(None, None)] * k + [(0, None)] * (2 * n)
-    res = linprog(c, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
+    res = linprog(c, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
-    d = n * res.eqlin.marginals + (1.0 - tau)  # dual values in [0, 1]
+    d = res.eqlin.marginals + (1.0 - tau)  # dual values in [0, 1]
     interior = (d > 1e-9) & (d < 1 - 1e-9)
     unique = np.linalg.matrix_rank(X[interior]) == k
     return QuantileFit(tau, res.x[:k]), unique
@@ -85,6 +91,147 @@ def test_dual_fit_matches_primal_reference(problem):
         assert np.array_equal(
             classify_series(_one_boundary(dual, design), hours, prices),
             classify_series(_one_boundary(primal, design), hours, prices))
+
+
+def _labels(fit, design, hours, prices):
+    return classify_series(_one_boundary(fit, design), hours, prices)
+
+
+def _two_summers():
+    """Two summers 8760 h apart, so every design row appears twice; the
+    second summer's prices differ from the first's by about 1e-6."""
+    gen = np.random.default_rng(6)
+    first = np.arange(4000, 4100)
+    base = (40 + 20 * np.sin(2 * np.pi * (first % 24) / 24)
+            + 10 * gen.standard_normal(100))
+    prices = np.concatenate([base, base + 1e-6 * gen.standard_normal(100)])
+    return (np.concatenate([first, first + 8760]), prices, 0.3,
+            FourierDesign(daily_harmonics=2, seasonal_harmonics=1))
+
+
+def _short_daily_period():
+    """period_daily=2 zeroes the daily sine column: a rank-deficient design."""
+    gen = np.random.default_rng(7)
+    return (np.arange(60), 40 + 10 * gen.standard_normal(60), 0.4,
+            FourierDesign(daily_harmonics=1, seasonal_harmonics=0,
+                          period_daily=2))
+
+
+def _whole_median():
+    """Intercept-only median of 100 prices: tau * n is whole, so the basic
+    dual value is 0 or 1 and the optimum is not unique."""
+    gen = np.random.default_rng(8)
+    return (np.arange(100), 40 + 10 * gen.standard_normal(100), 0.5,
+            FourierDesign(daily_harmonics=0, seasonal_harmonics=0))
+
+
+def _tied_median():
+    """Intercept-only median of 11 prices, two of them equal to it: the
+    vertex through one has the other on its curve."""
+    return (np.arange(11), np.array([1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10.0]), 0.5,
+            FourierDesign(daily_harmonics=0, seasonal_harmonics=0))
+
+
+def _spiky_prices():
+    """1,000 hours of the synthetic spot prices, at the paper's design."""
+    series = synth_prices(9, 1000)
+    return series.hours, series.values, 0.5, FourierDesign()
+
+
+def dual_fit(X, prices, tau):
+    """Reference for the interior point: the bounded dual by HiGHS's dual
+    simplex, as the fit's fallback solves it but at the tightest feasibility
+    tolerances, so that near-repeated prices do not stop it short."""
+    res = linprog(-prices, A_eq=X.T, b_eq=(1.0 - tau) * X.sum(axis=0),
+                  bounds=(0, 1), method="highs-ds",
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return QuantileFit(tau, -res.eqlin.marginals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quantile_problems(), st.sampled_from([0, 2, 3, 4]))
+@example(_two_summers(), 0)
+@example(_short_daily_period(), 0)
+@example(_whole_median(), 0)
+@example(_tied_median(), 0)
+@example(_spiky_prices(), 4)
+def test_interior_point_matches_dual_simplex(problem, m):
+    """Each level against HiGHS on the same bounded dual: m = 0 fits the
+    drawn tau alone, m >= 2 the 2m - 1 levels of fit_regimes."""
+    hours, prices, tau, design = problem
+    if m:
+        model = fit_regimes(hours, prices, m, design)
+        fits = model.boundary_fits + model.representative_fits
+    else:
+        fits = [fit_quantile(hours, prices, tau, design)]
+    X = design_matrix(hours, design)
+    for fit in fits:
+        if fit.solver == "dual-simplex":
+            assert np.array_equal(fit.coefficients,
+                                  qfr._dual_simplex(X, prices, fit.tau))
+        elif fit.solver == "interior-point":
+            reference = dual_fit(X, prices, fit.tau)
+            assert pinball_loss(prices, X @ fit.coefficients, fit.tau) == \
+                pytest.approx(pinball_loss(prices, X @ reference.coefficients,
+                                           fit.tau), rel=1e-12, abs=1e-12)
+            # the vertex it kept is certified the unique optimum
+            assert np.array_equal(_labels(fit, design, hours, prices),
+                                  _labels(reference, design, hours, prices))
+
+
+def test_basis_pick_skips_repeated_rows():
+    # hours 8760 apart share a design row; k = 5 needs the sixth hour
+    X = design_matrix([5, 5 + 8760, 9, 13, 2, 40], FourierDesign(1, 1))
+    assert qfr._basis_rows(X, range(6)).tolist() == [0, 2, 3, 4, 5]
+    assert qfr._basis_rows(X[:5], range(5)) is None
+
+
+def test_two_summers_need_the_rank_aware_pick():
+    # the k rows of smallest |residual| repeat a design row, yet the fit
+    # keeps its interior-point vertex
+    hours, prices, tau, design = _two_summers()
+    X = design_matrix(hours, design)
+    beta = qfr._frisch_newton(X, prices, [tau])[0]
+    nearest = np.argsort(np.abs(prices - X @ beta))[:design.n_features]
+    assert np.linalg.matrix_rank(X[nearest]) < design.n_features
+    assert fit_quantile(hours, prices, tau, design).solver == "interior-point"
+
+
+@pytest.mark.parametrize("problem", [_short_daily_period(), _whole_median(),
+                                     _tied_median()])
+def test_degenerate_fits_fall_back(problem):
+    hours, prices, tau, design = problem
+    assert fit_quantile(hours, prices, tau, design).solver == "dual-simplex"
+
+
+def test_rank_deficient_design_skips_the_interior_point(monkeypatch):
+    monkeypatch.setattr(qfr, "_frisch_newton", None)
+    hours, prices, tau, design = _short_daily_period()
+    assert fit_quantile(hours, prices, tau, design).solver == "dual-simplex"
+
+
+def test_levels_converge_at_different_iterations(monkeypatch):
+    hours, prices, _, design = _spiky_prices()
+    X = design_matrix(hours, design)
+    taus = boundary_levels(4) + representative_levels(4)
+    settled = []
+    for cap in range(1, qfr._MAX_ITER + 1):
+        monkeypatch.setattr(qfr, "_MAX_ITER", cap)
+        settled.append(np.isfinite(qfr._frisch_newton(X, prices, taus)[:, 0]).sum())
+        if settled[-1] == len(taus):
+            break
+    assert settled[-1] == len(taus)
+    assert any(0 < count < len(taus) for count in settled)
+    monkeypatch.undo()
+    # the batch takes each level to the vertex it reaches alone
+    model = fit_regimes(hours, prices, 4, design)
+    for fit in model.boundary_fits + model.representative_fits:
+        assert fit.solver == "interior-point"
+        alone = fit_quantile(hours, prices, fit.tau, design)
+        assert np.array_equal(alone.coefficients, fit.coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +337,12 @@ def test_fit_is_local_minimum(sinusoid_fit):
             coef = fit.coefficients.copy()
             coef[j] = coef[j] * factor if coef[j] != 0 else 0.01
             assert pinball_loss(y, X @ coef, 0.5) >= base - 1e-6
+
+
+def test_uniform_model_needs_no_fallback(uniform_model):
+    model, _, _ = uniform_model
+    assert {fit.solver for fit in model.boundary_fits
+            + model.representative_fits} == {"interior-point"}
 
 
 def test_fit_regimes_levels(uniform_model):
