@@ -79,8 +79,9 @@ class QuantileFit:
 
 
 # Frisch-Newton interior point (Portnoy & Koenker 1997): the share of the
-# way to the bound of [0, 1] that a step may go, the duality gap relative
-# to 1 + |y'd| at which a level stops, and the iteration cap.
+# way to the nearest bound (d, 1 - d, z, w >= 0) that a step may go, the
+# duality gap relative to 1 + |y'd| at which a level stops, and the
+# iteration cap.
 _STEP = 0.99995
 _GAP_TOL = 1e-10
 _MAX_ITER = 50
