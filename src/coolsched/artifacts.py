@@ -18,8 +18,9 @@ class ArtifactError(ValueError):
 
 
 @contextmanager
-def atomic_writer(path):
-    """UTF-8 text handle, without newline translation, that replaces `path`.
+def atomic_writer(path, binary=False):
+    """UTF-8 text handle, without newline translation, that replaces `path`;
+    with `binary`, a bytes handle.
 
     The handle writes to a temp file beside `path`, which `os.replace` moves
     onto `path` when the block ends; an exception removes it instead. New
@@ -27,7 +28,8 @@ def atomic_writer(path):
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", newline="", encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

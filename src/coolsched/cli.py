@@ -6,6 +6,15 @@ dir. export-plot-data writes fig2 and fig3 from the policy and trajectories,
 and copies qfr_surfaces.csv (fit-qfr) and comparison.csv (compare) to fig1
 and fig4. All take --config (YAML, see config.py), plus --seed and --out overrides.
 Every command is deterministic given identical config and seed.
+
+Input archives are parsed once per out dir: a stage that reads an archive
+keeps its parsed series in the out dir as `price_series.bin`,
+`temperature_series.bin` or `workload_series.bin`, under the sha256 of the
+archive's bytes, and a later stage whose archive has the same digest reads
+that file instead of parsing. A cache file that is missing, unreadable, of
+another digest or not a valid series is a miss, and the stage parses again
+(`ingest.load_series`). Each load prints `input <kind> <path>: <n> h,
+sha256 <first 12 hex digits>, parsed|reused` before the stage's summary.
 """
 
 import argparse
@@ -15,12 +24,13 @@ import sys
 from collections import Counter
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from operator import itemgetter
 
 import numpy as np
 
 from . import controllers as ctl
 from . import artifacts, ingest, mdp, qfr, regimes, sim
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .thermal import capacitance
 
 REGIME_MODEL_FILE = "regime_model.json"
@@ -45,22 +55,26 @@ def _out_dir(cfg: RunConfig, args) -> str:
     return out
 
 
-def _load_price(cfg: RunConfig) -> ingest.TimeSeries:
-    return ingest.load_series(cfg.require_path("price_csv"), ingest.SeriesKind.PRICE)
+def _load_input(cfg: RunConfig, out, kind) -> ingest.TimeSeries:
+    """The archive `paths.<kind>_csv`, parsed or reused from the out dir."""
+    path = cfg.require_path(f"{kind.value}_csv")
+    series = ingest.load_series(path, kind, out)
+    print(f"input {kind.value} {path}: {len(series)} h, sha256 "
+          f"{series.sha256[:12]}, {'reused' if series.reused else 'parsed'}")
+    return series
 
 
-def _load_temperature(cfg: RunConfig) -> ingest.TimeSeries:
-    return ingest.load_series(cfg.require_path("temperature_csv"),
-                              ingest.SeriesKind.TEMPERATURE)
+def _load_workload(cfg: RunConfig, out):
+    """The workload archive, or None when the config synthesises the load."""
+    if cfg.path("workload_csv") is None:
+        return None
+    return _load_input(cfg, out, ingest.SeriesKind.WORKLOAD)
 
 
-def _workload_series(cfg: RunConfig, window) -> ingest.TimeSeries:
-    path = cfg.path("workload_csv")
-    if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"paths.workload_csv: file not found: {path}")
-        return ingest.slice_series(
-            ingest.load_series(path, ingest.SeriesKind.WORKLOAD), window)
+def _workload_series(cfg: RunConfig, archive, window) -> ingest.TimeSeries:
+    """Core counts over `window`: from the archive, or synthesised."""
+    if archive is not None:
+        return ingest.slice_series(archive, window)
     h = cfg.raw["heat_load"]
     hours = ingest.window_hours(window)
     return ingest.synth_workload(cfg.seed, len(hours), h["synth_base_cores"],
@@ -125,8 +139,9 @@ def _check_regime_count(cfg: RunConfig, regime_model) -> None:
             f"{cfg.space.m}; refit or change qfr.regimes")
 
 
-def _assemble_problem(cfg: RunConfig, regime_model, transition_model):
-    """Planning problem over the configured cycle (one day or a window)."""
+def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
+    """Planning problem over the configured cycle (one day or a window),
+    with the archives cached in the out dir `out`."""
     _check_regime_count(cfg, regime_model)
     if transition_model.m != regime_model.m:
         raise PipelineError("transition model and regime model disagree on M")
@@ -136,8 +151,9 @@ def _assemble_problem(cfg: RunConfig, regime_model, transition_model):
         window = (start, start + 23)
     else:
         window = _simulate_windows(cfg)[0]
-    temp = ingest.slice_series(_load_temperature(cfg), window)
-    work = _workload_series(cfg, window)
+    temp = ingest.slice_series(
+        _load_input(cfg, out, ingest.SeriesKind.TEMPERATURE), window)
+    work = _workload_series(cfg, _load_workload(cfg, out), window)
     hours = temp.hours
     q_cycle = cfg.heat.q_base + cfg.heat.phi * work.values
     prices = qfr.price_table(regime_model, hours)
@@ -185,7 +201,7 @@ def _input_path(out, name, override=None):
 
 def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    price = _load_price(cfg)
+    price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
     hours, values = _train_samples(cfg, price)
     model = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
     qfr.save_model(model, os.path.join(out, REGIME_MODEL_FILE))
@@ -215,7 +231,7 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
 def cmd_estimate_chain(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE, args.regime_model))
-    price = _load_price(cfg)
+    price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
     hours, values = _train_samples(cfg, price)
     labels = qfr.classify_series(model, hours, values)
     chain = regimes.estimate(zip(hours, labels), m=model.m,
@@ -232,7 +248,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE, args.regime_model))
     chain = regimes.load_model(_input_path(out, TRANSITION_MODEL_FILE,
                                            args.transition_model))
-    problem = _assemble_problem(cfg, model, chain)
+    problem = _assemble_problem(cfg, out, model, chain)
     occupancy = mdp.solve(problem)
     residuals = mdp.check_occupancy(problem, occupancy)
     policy = mdp.extract_policy(problem, occupancy)
@@ -267,11 +283,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                          heat=cfg.heat, cost=cfg.cost,
                          regime_model=model, space=cfg.space)
 
-    price = _load_price(cfg)
-    temperature = _load_temperature(cfg)
+    price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
+    temperature = _load_input(cfg, out, ingest.SeriesKind.TEMPERATURE)
+    workload_archive = _load_workload(cfg, out)
     reports = []
     for window in _simulate_windows(cfg):
-        workload = _workload_series(cfg, window)
+        workload = _workload_series(cfg, workload_archive, window)
         dataset = ingest.align(price, temperature, workload, window)
         for name, controller in sorted(built.items()):
             trajectory = sim.rollout(controller, dataset, specs,
@@ -341,8 +358,11 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
         if not os.path.exists(path):
             raise PipelineError(f"missing {path}; run simulate first")
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [(row["timestamp"], row["theta"], row["action"], row["price"])
-                    for row in csv.DictReader(fh)]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            columns = itemgetter(*(header.index(key) for key in
+                                   ("timestamp", "theta", "action", "price")))
+            rows = list(map(columns, reader))
         hours = ingest.parse_timestamps(row[0] for row in rows)
         rows_out += [[name, *row] for row, h in zip(rows, hours)
                      if day_h0 <= h < day_h0 + 24]

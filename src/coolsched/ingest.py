@@ -19,11 +19,25 @@ records with other than 2 fields, and values that are not a number, not
 finite or not a valid workload. A file that is not ASCII, contains a quote
 or a carriage return, or has a line longer than `csv.field_size_limit()`
 takes all its rows from `csv.reader` through the same checker.
+
+Given a `cache_dir`, `load_series` keeps each kind's parsed series there as
+one flat file, `<kind>_series.bin` (`price_series.bin`,
+`temperature_series.bin`, `workload_series.bin`), under the sha256 of the
+archive's bytes, so the stages of one out dir parse an archive once. The
+file is one ASCII header line, `coolsched-series-v1 <kind> <sha256>
+<start hour> <n>`, then the n values as little-endian float64; the hours
+are start, start + 1, ... A load hashes the archive and takes the cached
+series when the digest and kind match. A cache file that is missing,
+unreadable, of another kind or digest, of another length than its header
+says, or that breaks a `TimeSeries` invariant is a miss: the load parses the
+archive and replaces the file. An archive that fails to parse raises on
+every load and writes no cache file.
 """
 
 import csv
 import enum
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -35,6 +49,7 @@ MAX_GAP_HOURS = 3
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _CANONICAL = "YYYY-MM-DDTHH:00:00Z"  # Y, M, D and H are digits
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_CACHE_MAGIC = b"coolsched-series-v1"
 
 
 class IngestError(ValueError):
@@ -139,6 +154,8 @@ class TimeSeries:
     hours: np.ndarray   # int64, strictly increasing, step 1 after gap fill
     values: np.ndarray  # float64
     kind: SeriesKind
+    sha256: str | None = None  # hex digest of the archive `load_series` read
+    reused: bool = False  # `load_series` took it from its cache
 
     def __post_init__(self):
         self.hours = np.asarray(self.hours, dtype=np.int64)
@@ -290,16 +307,70 @@ def _reader_rows(path, kind):
             np.array(lines, dtype=np.int64))
 
 
-def load_series(path, kind: SeriesKind) -> TimeSeries:
+def cache_file(cache_dir, kind: SeriesKind) -> str:
+    """Where `load_series` keeps the parsed series of `kind` in `cache_dir`."""
+    return os.path.join(cache_dir, f"{kind.value}_series.bin")
+
+
+def _read_cache(path, kind, digest):
+    """The series cached at `path` for an archive with this digest, or None."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline(256).split()
+            body = fh.read()
+        magic, cached_kind, cached_digest, start, n = header
+        if (magic, cached_kind, cached_digest) != (
+                _CACHE_MAGIC, kind.value.encode(), digest.encode()):
+            return None
+        start, n = int(start), int(n)
+        if n < 1 or len(body) != 8 * n:
+            return None
+        values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+        return TimeSeries(np.arange(start, start + n), values, kind,
+                          sha256=digest, reused=True)
+    # a short header, a field that is no integer, an hour past int64, or a
+    # series that breaks an invariant (IngestError) all make a miss
+    except (OSError, ValueError, OverflowError):
+        return None
+
+
+def _write_cache(path, series):
+    with atomic_writer(path, binary=True) as fh:
+        fh.write(b"%s %s %s %d %d\n" % (
+            _CACHE_MAGIC, series.kind.value.encode(), series.sha256.encode(),
+            series.start_hour, len(series)))
+        fh.write(series.values.astype("<f8").tobytes())
+
+
+def load_series(path, kind: SeriesKind, cache_dir=None) -> TimeSeries:
     """Load one `timestamp,value` CSV; sort, de-duplicate and fill short gaps.
 
     Rows repeating a timestamp with the same value collapse into one. Raises
     IngestError naming the offending line(s) for malformed rows, for rows
     repeating a timestamp with a different value, and for gaps longer than
-    MAX_GAP_HOURS.
+    MAX_GAP_HOURS. The series carries the sha256 of the file's bytes. With
+    `cache_dir`, a series cached there under that digest is returned
+    instead of a parse, and a parsed one is cached (see the module doc).
     """
+    import hashlib  # here, so that importing the CLI does not load OpenSSL
+
     with open(path, "rb") as fh:
-        rows = _bulk_rows(path, fh.read(), kind)
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    if cache_dir is not None:
+        series = _read_cache(cache_file(cache_dir, kind), kind, digest)
+        if series is not None:
+            return series
+    series = TimeSeries(*_parse_rows(path, data, kind), kind, sha256=digest)
+    if cache_dir is not None:
+        _write_cache(cache_file(cache_dir, kind), series)
+    return series
+
+
+def _parse_rows(path, data, kind):
+    """Hours and values of the file `path`, whose bytes are `data`, after
+    sort, de-duplication and gap fill."""
+    rows = _bulk_rows(path, data, kind)
     if rows is None:
         rows = _reader_rows(path, kind)
     hours, values, lines = rows
@@ -317,8 +388,7 @@ def load_series(path, kind: SeriesKind) -> TimeSeries:
             f"{path}: lines {lines[k]} and {lines[i]}: conflicting "
             f"values {float(values[k])!r} and {float(values[i])!r} for "
             f"{format_timestamp(hours[i])}")
-    hours, values = _fill_gaps(hours[new], values[new], kind)
-    return TimeSeries(hours, values, kind)
+    return _fill_gaps(hours[new], values[new], kind)
 
 
 def write_series(series: TimeSeries, path) -> None:

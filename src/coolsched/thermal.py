@@ -98,6 +98,15 @@ def cop(spec: ChillerSpec, t_out: float) -> float:
     return spec.cop_lo - slope * (t_out - spec.cop_lo_temp)
 
 
+def cop_table(spec: ChillerSpec, t_out) -> np.ndarray:
+    """`cop` of each outdoor temperature in t_out, bit for bit."""
+    t_out = np.asarray(t_out, dtype=float)
+    slope = (spec.cop_lo - spec.cop_hi) / (spec.cop_hi_temp - spec.cop_lo_temp)
+    return np.where(t_out <= spec.cop_lo_temp, spec.cop_lo,
+                    np.where(t_out >= spec.cop_hi_temp, spec.cop_hi,
+                             spec.cop_lo - slope * (t_out - spec.cop_lo_temp)))
+
+
 def decay_factor(gamma_env: float, c_heat: float, dt: float) -> float:
     """Share exp(-gamma_env*dt/c_heat) of the gap to equilibrium left after dt."""
     if gamma_env <= 0 or c_heat <= 0 or dt <= 0:
@@ -141,6 +150,6 @@ def cooling_energy(spec: ChillerSpec, a: int, t_out: float, dt: float) -> float:
 def cooling_energy_table(spec: ChillerSpec, t_out, a_max: int,
                          dt: float) -> np.ndarray:
     """cooling_energy per hour of t_out and chiller count 0..a_max, (n, a_max + 1)."""
-    cops = np.array([cop(spec, t) for t in t_out])
+    cops = cop_table(spec, t_out)
     actions = np.arange(a_max + 1)
     return (spec.eta * actions[None, :] / cops[:, None]) * dt / 3.6e6

@@ -37,7 +37,85 @@ def test_pipeline_writes_expected_files(pipeline):
         "regime_model.json", "qfr_surfaces.csv", "transition_model.json",
         "policy.json", *trajectories, "reports.json", "comparison.csv",
         "comparison.json", "fig1_quantile_surfaces.csv", "fig2_policy_day.csv",
-        "fig3_day_traces.csv", "fig4_cost_comparison.csv"])
+        "fig3_day_traces.csv", "fig4_cost_comparison.csv",
+        "price_series.bin", "temperature_series.bin"])
+
+
+def test_stages_parse_each_archive_once(pipeline, tmp_path, capsys):
+    # fit-qfr parses the price archive and plan the temperature archive;
+    # the other loads read the out dir's cache
+    root, out, _ = pipeline
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True,
+                    ignore=shutil.ignore_patterns("out"))
+    config = str(tmp_path / "config.yaml")
+    inputs = {}
+    for command in ("fit-qfr", "estimate-chain", "plan", "simulate"):
+        capsys.readouterr()
+        assert cli.main([command, "--config", config]) == 0
+        inputs[command] = [line for line in capsys.readouterr().out.splitlines()
+                           if line.startswith("input ")]
+    price_csv = tmp_path / "price.csv"
+    temperature_csv = tmp_path / "temperature.csv"
+    price = ingest.load_series(price_csv, ingest.SeriesKind.PRICE)
+    temperature = ingest.load_series(temperature_csv,
+                                     ingest.SeriesKind.TEMPERATURE)
+
+    def line(series, path, how):
+        return (f"input {series.kind.value} {path}: {len(series)} h, "
+                f"sha256 {series.sha256[:12]}, {how}")
+
+    assert inputs == {
+        "fit-qfr": [line(price, price_csv, "parsed")],
+        "estimate-chain": [line(price, price_csv, "reused")],
+        "plan": [line(temperature, temperature_csv, "parsed")],
+        "simulate": [line(price, price_csv, "reused"),
+                     line(temperature, temperature_csv, "reused")]}
+    expected = ph.read_tree_bytes(out)
+    for name, data in ph.read_tree_bytes(tmp_path / "out").items():
+        assert data == expected[name], name
+
+
+def test_workload_archive_is_cached(pipeline, tmp_path, capsys):
+    # plan parses the workload archive once; simulate reuses it for every
+    # window
+    root, _, _ = pipeline
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+    ingest.write_series(
+        ingest.synth_workload(3, 31 * 24, 50_000, 0.4,
+                              start="2024-07-01T00:00:00Z"),
+        tmp_path / "workload.csv")
+    config = ph.write_config(str(tmp_path), ph.base_config(
+        str(tmp_path), paths={"workload_csv": "workload.csv"},
+        windows={"simulate": [ph.SIM_WINDOW, ["2024-07-19T00:00:00Z",
+                                               "2024-07-19T23:00:00Z"]]}))
+    inputs = {}
+    for command in ("plan", "simulate"):
+        capsys.readouterr()
+        assert cli.main([command, "--config", config]) == 0
+        inputs[command] = [line.split()[1] + " " + line.rsplit(" ", 1)[1]
+                           for line in capsys.readouterr().out.splitlines()
+                           if line.startswith("input ")]
+    assert inputs == {
+        "plan": ["temperature reused", "workload parsed"],
+        "simulate": ["price reused", "temperature reused", "workload reused"]}
+    assert (tmp_path / "out" / "workload_series.bin").exists()
+
+
+def test_edited_archive_is_parsed_again(pipeline, tmp_path, capsys):
+    # the out dir caches the price archive as fit-qfr read it; estimate-chain
+    # sees the edit through the digest and names the conflicting lines
+    root, _, _ = pipeline
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+    price_csv = tmp_path / "price.csv"
+    lines = price_csv.read_text().splitlines()
+    stamp, value = lines[1].split(",")
+    price_csv.write_text("\n".join(lines + [f"{stamp},{float(value) + 1}"]) + "\n")
+    capsys.readouterr()
+    code = cli.main(["estimate-chain", "--config", str(tmp_path / "config.yaml")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {price_csv}: lines 2 and {len(lines) + 1}: conflicting values "
+        f"{float(value)!r} and {float(value) + 1!r} for {stamp}\n")
 
 
 @pytest.mark.parametrize("command, option, artifact", [
@@ -133,7 +211,7 @@ def test_plan_objective_matches_lp(pipeline):
     cfg = RunConfig.from_file(config)
     model = qfr.load_model(os.path.join(out, "regime_model.json"))
     chain = regimes.load_model(os.path.join(out, "transition_model.json"))
-    problem = cli._assemble_problem(cfg, model, chain)
+    problem = cli._assemble_problem(cfg, out, model, chain)
     lp = mdp.solve_occupancy(mdp.build_lp(problem))
     assert policy.objective == pytest.approx(lp.objective, rel=1e-6)
 
@@ -325,15 +403,17 @@ def test_config_defaults_and_validation(tmp_path):
 
 def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
     # only a quantile level that falls back to the dual simplex and the LP
-    # fallback of planning use scipy, and they import it when they run
+    # fallback of planning use scipy, and only an archive load hashes; each
+    # imports its module when it runs
     root, out, config = pipeline
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, coolsched.cli; print('scipy' in sys.modules)"
+    code = ("import sys, coolsched.cli; "
+            "print('scipy' in sys.modules, 'hashlib' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60,
                             check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
     def stage(*argv):
         code = ("import sys; from coolsched import cli; "

@@ -1,6 +1,8 @@
 import csv
 import math
+import re
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
                               IngestError, SeriesKind, TimeSeries, _fill_gaps,
-                              align, format_timestamp, format_timestamps,
-                              load_series,
+                              align, cache_file, format_timestamp,
+                              format_timestamps, load_series,
                               parse_timestamp, parse_timestamps, synth_prices,
                               synth_temperature, synth_workload, write_series)
 
@@ -260,12 +262,12 @@ def _csv_text(rnd):
     return text
 
 
-def _load_outcome(load, path, kind):
+def _load_outcome(load, path, kind, *cache_dir):
     try:
-        series = load(path, kind)
+        series = load(path, kind, *cache_dir)
     except (IngestError, csv.Error) as exc:
         return str(exc)
-    return series.hours.tobytes(), series.values.tobytes()
+    return series.hours.tobytes(), series.values.tobytes(), series.reused
 
 
 @pytest.fixture(scope="module")
@@ -283,9 +285,18 @@ def csv_path(tmp_path_factory):
 @example("2024-01-01T00:00:00Z,1\r2024-01-01T01:00:00Z,2", SeriesKind.PRICE)
 @example("2024-01-01T00:00:00Z,1" + "0" * 140_000, SeriesKind.PRICE)
 def test_load_matches_row_loop(csv_path, text, kind):
+    # through a cache dir, the first load parses and caches the series and
+    # the second reuses the same bits; a file that fails raises the same
+    # error both times and leaves no cache file
     csv_path.write_bytes(text.encode("utf-8"))
-    assert (_load_outcome(load_series, csv_path, kind)
-            == _load_outcome(_load_series_loop, csv_path, kind))
+    fresh = _load_outcome(load_series, csv_path, kind)
+    assert fresh == _load_outcome(_load_series_loop, csv_path, kind)
+    cache = Path(cache_file(csv_path.parent, kind))
+    cache.unlink(missing_ok=True)
+    assert _load_outcome(load_series, csv_path, kind, csv_path.parent) == fresh
+    assert cache.exists() == isinstance(fresh, tuple)
+    reused = fresh if isinstance(fresh, str) else fresh[:2] + (True,)
+    assert _load_outcome(load_series, csv_path, kind, csv_path.parent) == reused
 
 
 def _parse_outcome(parse, texts):
@@ -366,6 +377,43 @@ def test_load_rejects_conflicting_duplicates(tmp_path):
     ])
     with pytest.raises(IngestError, match=r"lines 2 and 4: conflicting"):
         load_series(path, SeriesKind.PRICE)
+
+
+@pytest.mark.parametrize("kind, corrupt", [
+    (SeriesKind.PRICE, lambda data: data[:-3]),
+    (SeriesKind.PRICE, lambda data: data[:data.index(b"\n") + 1]),
+    (SeriesKind.PRICE, lambda data: data + bytes(8)),
+    (SeriesKind.PRICE, lambda data: b""),
+    (SeriesKind.PRICE, lambda data: b'{"kind": "policy"}\n'),
+    (SeriesKind.PRICE, lambda data: data.replace(b" price ", b" workload ", 1)),
+    (SeriesKind.PRICE,
+     lambda data: re.sub(rb"[0-9a-f]{64}", b"0" * 64, data, count=1)),
+    (SeriesKind.PRICE, lambda data: re.sub(rb" -?\d+ (\d+)\n",
+                                           rb" 99999999999999999999 \1\n",
+                                           data, count=1)),
+    (SeriesKind.PRICE,
+     lambda data: re.sub(rb" \d+\n", b" 1000000000000000\n", data, count=1)),
+    (SeriesKind.PRICE, lambda data: data[:-8] + np.float64(np.nan).tobytes()),
+    (SeriesKind.WORKLOAD, lambda data: data[:-8] + np.float64(0.5).tobytes()),
+], ids=["truncated", "header-only", "too-long", "empty", "foreign",
+        "other-kind", "other-digest", "hour-past-int64", "huge-length",
+        "non-finite",
+        "fractional-workload"])
+def test_bad_cache_file_is_a_miss(tmp_path, kind, corrupt):
+    # the load parses the archive again and rewrites the cache file
+    path = tmp_path / "p.csv"
+    write_csv(path, ["2024-06-01T00:00:00Z,50", "2024-06-01T02:00:00Z,70"])
+    fresh = load_series(path, kind)
+    cache = Path(cache_file(tmp_path, kind))
+    assert not load_series(path, kind, tmp_path).reused
+    good = cache.read_bytes()
+    cache.write_bytes(corrupt(good))
+    series = load_series(path, kind, tmp_path)
+    assert not series.reused
+    assert series.hours.tobytes() == fresh.hours.tobytes()
+    assert series.values.tobytes() == fresh.values.tobytes()
+    assert cache.read_bytes() == good
+    assert load_series(path, kind, tmp_path).reused
 
 
 def test_workload_must_be_integral(tmp_path):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coolsched.thermal import (ChillerSpec, FacilitySpec, HeatLoadSpec,
-                               capacitance, cooling_energy, cop, heat_load,
-                               step_temperature)
+                               capacitance, cooling_energy, cop, cop_table,
+                               heat_load, step_temperature)
 
 
 def test_capacitance_air_only():
@@ -61,6 +63,21 @@ def test_cop_bounds_everywhere():
     temps = np.linspace(-30, 60, 901)
     values = np.array([cop(spec, t) for t in temps])
     assert np.all(values >= 2.5) and np.all(values <= 5.0)
+
+
+_SPEC = ChillerSpec()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-60.0, max_value=80.0), max_size=50))
+@example([_SPEC.cop_lo_temp])
+@example([_SPEC.cop_hi_temp])
+@example([math.nextafter(t, toward) for t in (_SPEC.cop_lo_temp, _SPEC.cop_hi_temp)
+          for toward in (-math.inf, math.inf)])
+def test_cop_table_matches_scalar(temps):
+    table = cop_table(_SPEC, np.array(temps, dtype=float))
+    assert table.tobytes() == np.array([cop(_SPEC, t) for t in temps],
+                                       dtype=float).tobytes()
 
 
 def test_step_temperature_fixed_point():
