@@ -167,17 +167,13 @@ def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
 
 def _build_controllers(cfg: RunConfig, out, args, regime_model):
     built = {}
-    facility = cfg.facility
-    c_heat = capacitance(facility)
     fr = cfg.raw["fixed_rule"]
     for name in cfg.raw["controllers"]:
         if name == "greedy":
-            built[name] = ctl.GreedyController(cfg.chiller, cfg.cost,
-                                               facility.gamma_env, c_heat)
+            built[name] = ctl.GreedyController(cfg.cost)
         elif name == "fixed-rule":
             built[name] = ctl.FixedRuleController(
-                cfg.chiller, cfg.cost, facility.gamma_env, c_heat,
-                peak_start=fr["peak_start"], peak_end=fr["peak_end"],
+                cfg.cost, peak_start=fr["peak_start"], peak_end=fr["peak_end"],
                 precool_start=fr["precool_start"], precool_end=fr["precool_end"])
         elif name == "qfr-mdp":
             policy = mdp.load_policy(_input_path(out, POLICY_FILE, args.policy))
@@ -291,8 +287,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         workload = _workload_series(cfg, workload_archive, window)
         dataset = ingest.align(price, temperature, workload, window)
         for name, controller in sorted(built.items()):
-            trajectory = sim.rollout(controller, dataset, specs,
-                                     initial_theta=cfg.initial_theta)
+            trajectory = sim.rollout(controller, dataset, specs)
             day = ingest.format_timestamp(dataset.hours[0])[:10]
             trajectory.to_csv(os.path.join(out, f"trajectory_{name}_{day}.csv"))
             report = sim.summarize(trajectory)

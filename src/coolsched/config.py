@@ -71,9 +71,6 @@ DEFAULTS = {
         "theta_min_c": 15.0,
         "theta_max_c": 32.0,
         "theta_step_c": 0.5,
-        # temperature band inset used during planning only; compensates the
-        # half-step quantization error of the policy lookup. null: step / 2.
-        "band_margin_c": None,
         "planning_cycle": "day",   # "day" or "window"
         "planning_day": None,      # ISO date, e.g. 2024-07-15; default: first
                                    # simulate window's July 15 when present
@@ -81,9 +78,6 @@ DEFAULTS = {
     "windows": {
         "train": [],
         "simulate": [],
-    },
-    "simulation": {
-        "initial_theta_c": None,   # null: midpoint of the safety band
     },
     "fixed_rule": {
         "peak_start": 16,
@@ -229,8 +223,9 @@ class RunConfig:
 
     @property
     def band_margin(self) -> float:
-        margin = self.raw["mdp"]["band_margin_c"]
-        return self.raw["mdp"]["theta_step_c"] / 2.0 if margin is None else margin
+        # temperature band inset used during planning only; compensates the
+        # half-step quantization error of the policy lookup
+        return self.raw["mdp"]["theta_step_c"] / 2.0
 
     @property
     def planning_cost(self) -> CostSpec:
@@ -259,10 +254,3 @@ class RunConfig:
     @property
     def seed(self) -> int:
         return int(self.raw["seed"])
-
-    @property
-    def initial_theta(self) -> float:
-        value = self.raw["simulation"]["initial_theta_c"]
-        if value is None:
-            return 0.5 * (self.cost.t_min + self.cost.t_max)
-        return float(value)

@@ -1,13 +1,14 @@
 """Runtime action rules: planned QFR-MDP lookup and heuristic baselines.
 
 A rollout calls start(window) once per simulated window, with the window's
-hours, realized prices, outdoor temperatures and heat loads (sim.Window),
-and then action(t, theta) for each hour t of it, which returns a chiller
+hours, realized prices and step table (sim.Window): the equilibrium
+temperature of every (hour, chiller count) and the one-step decay factor,
+which sim.rollout builds once from the facility. Then it calls
+action(t, theta) for each hour t of the window, which returns a chiller
 count for indoor temperature theta. start tables everything that does not
 depend on theta, so action is a bin lookup and a table read (qfr-mdp) or a
-search over one row of successor temperatures (greedy, fixed-rule). All
-controllers are deterministic, so a rollout replays bit-for-bit from its
-inputs.
+search over one row of the step table (greedy, fixed-rule). All controllers
+are deterministic, so a rollout replays bit-for-bit from its inputs.
 
 The scalar rules greedy_action, night_precool_action and fixed_rule_action
 define what the controllers compute; the tests hold the two to each other.
@@ -20,65 +21,53 @@ import numpy as np
 
 from .mdp import CostSpec, Policy
 from .qfr import RegimeModel, classify
-from .thermal import (ChillerSpec, decay_factor, equilibrium_temperatures,
-                      step_temperature)
+from .thermal import ChillerSpec, step_temperature
 # Not called here: action finds the theta bin itself. The name stays because
 # bench/layertrace.py counts grid lookups as controllers.quantize.
 from .mdp import quantize  # noqa: F401
 
 
 def greedy_action(theta, t_out, q, chiller: ChillerSpec, cost: CostSpec,
-                  gamma_env, c_heat, dt=3600.0) -> int:
+                  gamma_env, c_heat) -> int:
     """Smallest chiller count keeping the next temperature at or below t_max.
 
     Saturates at a_max when even full cooling overshoots.
     """
     for a in range(chiller.a_max + 1):
         succ = step_temperature(theta, t_out, q, a, chiller.eta,
-                                gamma_env, c_heat, dt)
+                                gamma_env, c_heat)
         if succ <= cost.t_max:
             return a
     return chiller.a_max
 
 
 def night_precool_action(theta, t_out, q, chiller: ChillerSpec, cost: CostSpec,
-                         gamma_env, c_heat, dt=3600.0) -> int:
+                         gamma_env, c_heat) -> int:
     """Largest chiller count whose successor does not undershoot t_min."""
     for a in range(chiller.a_max, -1, -1):
         succ = step_temperature(theta, t_out, q, a, chiller.eta,
-                                gamma_env, c_heat, dt)
+                                gamma_env, c_heat)
         if succ >= cost.t_min:
             return a
     return 0
 
 
 def fixed_rule_action(hour_of_day, theta, t_out, q, chiller: ChillerSpec,
-                      cost: CostSpec, gamma_env, c_heat, dt=3600.0,
+                      cost: CostSpec, gamma_env, c_heat,
                       peak=(16, 19), precool=(2, 4)) -> int:
     """Scheduled rule: idle in the peak window, pre-cool at night, else greedy."""
     if peak[0] <= hour_of_day < peak[1]:
         return 0
     if precool[0] <= hour_of_day < precool[1]:
         return night_precool_action(theta, t_out, q, chiller, cost,
-                                    gamma_env, c_heat, dt)
-    return greedy_action(theta, t_out, q, chiller, cost, gamma_env, c_heat, dt)
+                                    gamma_env, c_heat)
+    return greedy_action(theta, t_out, q, chiller, cost, gamma_env, c_heat)
 
 
 def policy_slot(policy: Policy, hours):
     """Cycle slot(s) of absolute hour(s): hours since the cycle's first, mod n."""
     first = 0 if policy.hours is None else int(policy.hours[0])
     return (hours - first) % policy.n
-
-
-def _equilibria(window, chiller: ChillerSpec, gamma_env, c_heat, dt):
-    """Per-hour rows of equilibrium temperatures, and the decay factor.
-
-    Row t holds the equilibrium of each chiller count 0..a_max at hour t, so
-    eq + (theta - eq) * decay is step_temperature for that count.
-    """
-    eq = equilibrium_temperatures(window.t_out, window.q, chiller.eta,
-                                  chiller.a_max, gamma_env)
-    return eq.tolist(), decay_factor(gamma_env, c_heat, dt)
 
 
 def _first_at_most(row, theta, decay, t_max) -> int:
@@ -100,17 +89,11 @@ def _last_at_least(row, theta, decay, t_min) -> int:
 
 @dataclass
 class GreedyController:
-    chiller: ChillerSpec
     cost: CostSpec
-    gamma_env: float
-    c_heat: float
-    dt: float = 3600.0
     name: str = "greedy"
 
     def start(self, window) -> None:
-        self._rows, self._decay = _equilibria(window, self.chiller,
-                                              self.gamma_env, self.c_heat,
-                                              self.dt)
+        self._rows, self._decay = window.equilibria, window.decay
 
     def action(self, t, theta) -> int:
         return _first_at_most(self._rows[t], theta, self._decay,
@@ -124,11 +107,7 @@ _IDLE, _PRECOOL, _GREEDY = 0, 1, 2
 class FixedRuleController:
     """Peak-hour abstinence plus scheduled night pre-cooling; price-blind."""
 
-    chiller: ChillerSpec
     cost: CostSpec
-    gamma_env: float
-    c_heat: float
-    dt: float = 3600.0
     peak_start: int = 16
     peak_end: int = 19
     precool_start: int = 2
@@ -147,9 +126,7 @@ class FixedRuleController:
         precool = (self.precool_start <= hod) & (hod < self.precool_end)
         self._mode = np.where(peak, _IDLE,
                               np.where(precool, _PRECOOL, _GREEDY)).tolist()
-        self._rows, self._decay = _equilibria(window, self.chiller,
-                                              self.gamma_env, self.c_heat,
-                                              self.dt)
+        self._rows, self._decay = window.equilibria, window.decay
 
     def action(self, t, theta) -> int:
         mode = self._mode[t]

@@ -31,7 +31,6 @@ from . import artifacts
 from .thermal import (ChillerSpec, cooling_energy_table, decay_factor,
                       equilibrium_temperatures)
 
-DT_SECONDS = 3600.0
 RVI_TOL = 1e-9
 # Periods of relative value iteration before the planner falls back to the
 # LP. Planning instances settle in a few periods and short random cycles in
@@ -115,7 +114,6 @@ class MdpProblem:
     trans: np.ndarray    # (n, M, M) row-stochastic regime transitions
     gamma_env: float
     c_heat: float
-    dt: float = DT_SECONDS
     hours: np.ndarray = None  # optional absolute hour indices, length n
 
     def __post_init__(self):
@@ -132,8 +130,8 @@ class MdpProblem:
         grid = self.space.theta_grid
         if not (grid[0] < self.cost.t_min and self.cost.t_max < grid[-1]):
             raise ValueError("theta grid must contain [t_min, t_max] strictly inside")
-        if self.gamma_env <= 0 or self.c_heat <= 0 or self.dt <= 0:
-            raise ValueError("gamma_env, c_heat, dt must be > 0")
+        if self.gamma_env <= 0 or self.c_heat <= 0:
+            raise ValueError("gamma_env and c_heat must be > 0")
         if self.hours is not None:
             self.hours = np.asarray(self.hours, dtype=np.int64)
             if self.hours.shape != (n,):
@@ -151,7 +149,7 @@ def successor_temperatures(problem: MdpProblem) -> np.ndarray:
                                         problem.chiller.eta,
                                         problem.space.a_max,
                                         problem.gamma_env)  # (n, A)
-    decay = decay_factor(problem.gamma_env, problem.c_heat, problem.dt)
+    decay = decay_factor(problem.gamma_env, problem.c_heat)
     return (theta_eq[:, None, :]
             + (grid[None, :, None] - theta_eq[:, None, :]) * decay)
 
@@ -168,7 +166,7 @@ def cost_tensor(problem: MdpProblem) -> np.ndarray:
     violations are charged on the continuous successor, before quantization.
     """
     energy = cooling_energy_table(problem.chiller, problem.t_out,
-                                  problem.space.a_max, problem.dt)  # (n, A)
+                                  problem.space.a_max)  # (n, A)
     succ = successor_temperatures(problem)                       # (n, L, A)
     over = np.maximum(0.0, succ - problem.cost.t_max)
     under = np.maximum(0.0, problem.cost.t_min - succ)

@@ -2,13 +2,14 @@
 
 The simulator drives the exponential thermal model with the controller's
 actions, charging energy at realized prices (not regime representatives)
-and tracking degree-hour violations of the safety band. `rollout` builds a
-`Window` of the exogenous traces once, hands it to the controller's
-start(window), and then asks action(t, theta) once per hour t. The thermal
-equilibria and energy of every (hour, chiller count) are tabled before the
-hour loop, so each hour is one action, one table read and one relaxation
-step. Controllers are deterministic, so a rollout depends on its inputs
-alone.
+and tracking degree-hour violations of the safety band. `rollout` builds one
+`Window` from the traces and the facility: the hours, the realized prices,
+the thermal equilibrium of every (hour, chiller count) and the one-step
+decay factor. It hands the window to the controller's start(window), and
+then asks action(t, theta) once per hour t. The same step table drives the
+controllers' searches and the rollout's own thermal steps, so each hour is
+one action, one table read and one relaxation step. Controllers are
+deterministic, so a rollout depends on its inputs alone.
 """
 
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ class SimSpecs:
     chiller: ChillerSpec
     heat: HeatLoadSpec
     cost: CostSpec
-    dt: float = 3600.0
     regime_model: RegimeModel = None  # optional, labels rows with regimes
     space: StateSpace = None          # optional, labels rows with grid bins
 
@@ -50,12 +50,16 @@ class SimSpecs:
 
 @dataclass
 class Window:
-    """Exogenous traces of one simulated window; hour t of the rollout is row t."""
+    """What a controller sees of one simulated window; hour t is row t.
+
+    equilibria[t][a] is the temperature the room relaxes toward with `a`
+    chillers at hour t, so eq + (theta - eq) * decay is step_temperature.
+    """
 
     hours: np.ndarray   # absolute hour index
     price: np.ndarray   # realized $/MWh
-    t_out: np.ndarray   # outdoor degC
-    q: np.ndarray       # IT heat load W
+    equilibria: list    # n rows of a_max + 1 floats, degC
+    decay: float        # thermal.decay_factor of the facility
 
 
 @dataclass
@@ -114,16 +118,14 @@ def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
     else:
         regimes = np.zeros(n, dtype=np.int64)
 
-    window = Window(hours=dataset.hours, price=dataset.price,
-                    t_out=dataset.temperature,
-                    q=heat_load(specs.heat, dataset.workload))
     a_max = specs.chiller.a_max
-    equilibria = equilibrium_temperatures(window.t_out, window.q,
-                                          specs.chiller.eta, a_max,
-                                          specs.gamma_env).tolist()
-    decay = decay_factor(specs.gamma_env, specs.c_heat, specs.dt)
+    equilibria = equilibrium_temperatures(
+        dataset.temperature, heat_load(specs.heat, dataset.workload),
+        specs.chiller.eta, a_max, specs.gamma_env).tolist()
+    decay = decay_factor(specs.gamma_env, specs.c_heat)
 
-    controller.start(window)
+    controller.start(Window(hours=dataset.hours, price=dataset.price,
+                            equilibria=equilibria, decay=decay))
     act = controller.action
     current = float(initial_theta)
     theta = [current]   # theta[t] at decision t, theta[n] after the window
@@ -141,8 +143,8 @@ def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
     theta = np.array(theta)
     after = theta[1:]
     action = np.array(action, dtype=np.int64)
-    energy = cooling_energy_table(specs.chiller, window.t_out, a_max,
-                                  specs.dt)[np.arange(n), action]
+    energy = cooling_energy_table(specs.chiller, dataset.temperature,
+                                  a_max)[np.arange(n), action]
     return Trajectory(
         controller=getattr(controller, "name", type(controller).__name__),
         hours=dataset.hours.copy(),

@@ -1,7 +1,8 @@
 """Facility thermal model: capacitance, heat load, chiller COP, temperature step.
 
 All functions are pure; temperatures in degC, heat in W, energy in kWh. The
-step relaxes the room toward an equilibrium by one decay factor; the scalar
+pipeline decides once per hour, so every step lasts STEP_SECONDS. The step
+relaxes the room toward an equilibrium by one decay factor; the scalar
 step_temperature and the per-hour tables the planner and the rollout use
 share the equilibrium formula and `decay_factor`, so both give the same bits.
 """
@@ -10,6 +11,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+
+STEP_SECONDS = 3600.0   # one decision per hour of the price and weather traces
 
 
 @dataclass(frozen=True)
@@ -107,22 +110,22 @@ def cop_table(spec: ChillerSpec, t_out) -> np.ndarray:
                              spec.cop_lo - slope * (t_out - spec.cop_lo_temp)))
 
 
-def decay_factor(gamma_env: float, c_heat: float, dt: float) -> float:
-    """Share exp(-gamma_env*dt/c_heat) of the gap to equilibrium left after dt."""
-    if gamma_env <= 0 or c_heat <= 0 or dt <= 0:
-        raise ValueError("gamma_env, c_heat, dt must be > 0")
-    return math.exp(-gamma_env * dt / c_heat)
+def decay_factor(gamma_env: float, c_heat: float) -> float:
+    """Share exp(-gamma_env*STEP_SECONDS/c_heat) of the gap to equilibrium
+    left after one step."""
+    if gamma_env <= 0 or c_heat <= 0:
+        raise ValueError("gamma_env and c_heat must be > 0")
+    return math.exp(-gamma_env * STEP_SECONDS / c_heat)
 
 
 def step_temperature(theta: float, t_out: float, q: float, a: int,
-                     eta: float, gamma_env: float, c_heat: float,
-                     dt: float) -> float:
+                     eta: float, gamma_env: float, c_heat: float) -> float:
     """One exponential relaxation step of the indoor temperature.
 
     The room relaxes toward the equilibrium t_out + (q - eta*a)/gamma_env
     with rate gamma_env/c_heat; output is continuous (no grid rounding).
     """
-    decay = decay_factor(gamma_env, c_heat, dt)
+    decay = decay_factor(gamma_env, c_heat)
     theta_eq = t_out + (q - eta * a) / gamma_env
     return theta_eq + (theta - theta_eq) * decay
 
@@ -140,16 +143,15 @@ def equilibrium_temperatures(t_out, q, eta: float, a_max: int,
             / gamma_env)
 
 
-def cooling_energy(spec: ChillerSpec, a: int, t_out: float, dt: float) -> float:
-    """Electrical energy in kWh to run `a` chillers for dt seconds at t_out."""
+def cooling_energy(spec: ChillerSpec, a: int, t_out: float) -> float:
+    """Electrical energy in kWh to run `a` chillers for one step at t_out."""
     if not 0 <= a <= spec.a_max:
         raise ValueError(f"a must be in 0..{spec.a_max}")
-    return (spec.eta * a / cop(spec, t_out)) * dt / 3.6e6
+    return (spec.eta * a / cop(spec, t_out)) * STEP_SECONDS / 3.6e6
 
 
-def cooling_energy_table(spec: ChillerSpec, t_out, a_max: int,
-                         dt: float) -> np.ndarray:
+def cooling_energy_table(spec: ChillerSpec, t_out, a_max: int) -> np.ndarray:
     """cooling_energy per hour of t_out and chiller count 0..a_max, (n, a_max + 1)."""
     cops = cop_table(spec, t_out)
     actions = np.arange(a_max + 1)
-    return (spec.eta * actions[None, :] / cops[:, None]) * dt / 3.6e6
+    return (spec.eta * actions[None, :] / cops[:, None]) * STEP_SECONDS / 3.6e6

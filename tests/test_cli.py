@@ -357,11 +357,27 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code = cli.main(["fit-qfr", "--config", config])
     assert code == 2
     assert "typo_key" in capsys.readouterr().err
-    # a key the configuration no longer has fails the same way
-    doc = ph.base_config(str(tmp_path), simulation={"argmax_policy": True})
-    config = ph.write_config(str(tmp_path), doc)
-    assert cli.main(["simulate", "--config", config]) == 2
-    assert "argmax_policy" in capsys.readouterr().err
+    # keys the configuration no longer has fail the same way; the whole
+    # simulation section is gone, so the error names the section
+    for section, key, named in (("simulation", "argmax_policy", "simulation"),
+                                ("simulation", "initial_theta_c", "simulation"),
+                                ("mdp", "band_margin_c", "band_margin_c")):
+        doc = ph.base_config(str(tmp_path), **{section: {key: 0.25}})
+        config = ph.write_config(str(tmp_path), doc)
+        assert cli.main(["simulate", "--config", config]) == 2
+        assert f"unknown key '{named}'" in capsys.readouterr().err
+
+
+def test_bench_trace_sites_exist(monkeypatch):
+    # bench/layertrace.py rebinds each SITES name for a traced benchmark run,
+    # which is the only run that would notice a renamed or removed one
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(repo, "bench"))
+    import layertrace
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in layertrace.SITES
+               if attr not in owner.__dict__]
+    assert layertrace.SITES and not missing
 
 
 def test_env_override_changes_regimes(tmp_path, monkeypatch):

@@ -9,50 +9,51 @@ from coolsched.controllers import (FixedRuleController, GreedyController,
 from coolsched.mdp import CostSpec, Policy, StateSpace, quantize
 from coolsched.qfr import FourierDesign, QuantileFit, RegimeModel
 from coolsched.sim import Window
-from coolsched.thermal import ChillerSpec, step_temperature
+from coolsched.thermal import (STEP_SECONDS, ChillerSpec, decay_factor,
+                               equilibrium_temperatures, step_temperature)
 
 COST = CostSpec(t_min=18, t_max=27, lambda_under=1000, lambda_over=1000)
-GAMMA, C_HEAT, DT = 1e4, 5.5e9, 3600.0
+GAMMA, C_HEAT = 1e4, 5.5e9
 
 
 def test_greedy_idle_when_sufficient():
     # cool outdoors and mild load: doing nothing keeps theta under t_max
-    a = greedy_action(24.0, 15.0, 1e4, ChillerSpec(), COST, GAMMA, C_HEAT, DT)
+    a = greedy_action(24.0, 15.0, 1e4, ChillerSpec(), COST, GAMMA, C_HEAT)
     assert a == 0
 
 
 def test_greedy_saturates_at_capacity():
-    a = greedy_action(30.0, 40.0, 5e7, ChillerSpec(), COST, GAMMA, C_HEAT, DT)
+    a = greedy_action(30.0, 40.0, 5e7, ChillerSpec(), COST, GAMMA, C_HEAT)
     assert a == 4
 
 
 def test_greedy_threshold_case():
     # constructed so a=0 lands at 27.4 and a=1 at 26.1: greedy must pick 1
     chiller = ChillerSpec(eta=2.6e4)
-    c_heat = GAMMA * DT / math.log(2)  # decay factor exactly 1/2
-    s0 = step_temperature(28.0, 25.0, 1.8e4, 0, chiller.eta, GAMMA, c_heat, DT)
-    s1 = step_temperature(28.0, 25.0, 1.8e4, 1, chiller.eta, GAMMA, c_heat, DT)
+    c_heat = GAMMA * STEP_SECONDS / math.log(2)  # decay factor exactly 1/2
+    s0 = step_temperature(28.0, 25.0, 1.8e4, 0, chiller.eta, GAMMA, c_heat)
+    s1 = step_temperature(28.0, 25.0, 1.8e4, 1, chiller.eta, GAMMA, c_heat)
     assert s0 == pytest.approx(27.4, abs=1e-9)
     assert s1 == pytest.approx(26.1, abs=1e-9)
-    assert greedy_action(28.0, 25.0, 1.8e4, chiller, COST, GAMMA, c_heat, DT) == 1
+    assert greedy_action(28.0, 25.0, 1.8e4, chiller, COST, GAMMA, c_heat) == 1
 
 
 def test_fixed_rule_peak_hours_idle():
     for theta in (20.0, 26.9, 35.0):
         for hod in (16, 17, 18):
             a = fixed_rule_action(hod, theta, 35.0, 3e6, ChillerSpec(), COST,
-                                  GAMMA, C_HEAT, DT)
+                                  GAMMA, C_HEAT)
             assert a == 0
 
 
 def test_fixed_rule_night_precools_hard():
     # 02:00, warm room: the largest action not undershooting t_min
     chiller = ChillerSpec()
-    a = fixed_rule_action(2, 25.0, 22.0, 1.5e6, chiller, COST, GAMMA, C_HEAT, DT)
+    a = fixed_rule_action(2, 25.0, 22.0, 1.5e6, chiller, COST, GAMMA, C_HEAT)
     expected = None
     for cand in range(chiller.a_max, -1, -1):
         succ = step_temperature(25.0, 22.0, 1.5e6, cand, chiller.eta,
-                                GAMMA, C_HEAT, DT)
+                                GAMMA, C_HEAT)
         if succ >= COST.t_min:
             expected = cand
             break
@@ -62,13 +63,13 @@ def test_fixed_rule_night_precools_hard():
 def test_night_precool_never_undershoots_if_avoidable():
     chiller = ChillerSpec()
     # already at t_min: any cooling would undershoot, so do nothing
-    a = night_precool_action(18.0, 20.0, 1e5, chiller, COST, GAMMA, 1e8, DT)
-    succ = step_temperature(18.0, 20.0, 1e5, a, chiller.eta, GAMMA, 1e8, DT)
+    a = night_precool_action(18.0, 20.0, 1e5, chiller, COST, GAMMA, 1e8)
+    succ = step_temperature(18.0, 20.0, 1e5, a, chiller.eta, GAMMA, 1e8)
     assert succ >= COST.t_min or a == 0
 
 
 def test_fixed_rule_delegates_to_greedy_off_windows():
-    args = (24.5, 30.0, 1.8e6, ChillerSpec(), COST, GAMMA, C_HEAT, DT)
+    args = (24.5, 30.0, 1.8e6, ChillerSpec(), COST, GAMMA, C_HEAT)
     assert fixed_rule_action(10, *args) == greedy_action(*args)
     assert fixed_rule_action(21, *args) == greedy_action(*args)
 
@@ -94,10 +95,15 @@ def _toy_controller():
 
 
 def _window(hours, price=50.0, t_out=30.0, q=1e6):
+    """Flat traces, as the step table sim.rollout builds for ChillerSpec()."""
     hours = np.atleast_1d(np.asarray(hours, dtype=np.int64))
     n = len(hours)
+    chiller = ChillerSpec()
+    equilibria = equilibrium_temperatures(np.full(n, t_out), np.full(n, q),
+                                          chiller.eta, chiller.a_max, GAMMA)
     return Window(hours=hours, price=np.broadcast_to(float(price), n).copy(),
-                  t_out=np.full(n, t_out), q=np.full(n, q))
+                  equilibria=equilibria.tolist(),
+                  decay=decay_factor(GAMMA, C_HEAT))
 
 
 def _decide(ctrl, hour, theta, price=50.0, t_out=30.0, q=1e6):
@@ -124,21 +130,20 @@ def test_mdp_action_top_band_composition():
 
 
 def test_controller_classes_match_functions():
-    greedy = GreedyController(ChillerSpec(), COST, GAMMA, C_HEAT, DT)
-    fixed = FixedRuleController(ChillerSpec(), COST, GAMMA, C_HEAT, DT)
+    greedy = GreedyController(COST)
+    fixed = FixedRuleController(COST)
     window = _window(24 * 100 + np.arange(24), t_out=31.0, q=1.6e6)
     greedy.start(window)
     fixed.start(window)
     for hod in range(24):
         got_g = greedy.action(hod, 25.0)
         assert got_g == greedy_action(25.0, 31.0, 1.6e6, ChillerSpec(), COST,
-                                      GAMMA, C_HEAT, DT)
+                                      GAMMA, C_HEAT)
         got_f = fixed.action(hod, 25.0)
         assert got_f == fixed_rule_action(hod, 25.0, 31.0, 1.6e6, ChillerSpec(),
-                                          COST, GAMMA, C_HEAT, DT)
+                                          COST, GAMMA, C_HEAT)
 
 
 def test_fixed_rule_validates_windows():
     with pytest.raises(ValueError):
-        FixedRuleController(ChillerSpec(), COST, GAMMA, C_HEAT, DT,
-                            peak_start=19, peak_end=16)
+        FixedRuleController(COST, peak_start=19, peak_end=16)

@@ -22,10 +22,10 @@ GRID = StateSpace(theta_min=15, theta_max=30, theta_step=0.5, m=1, a_max=4)
 def immediate_cost(problem: MdpProblem, t: int, theta: float, p: int, a: int) -> float:
     """Cost of taking action a in state (theta, regime p) at time t: the
     scalar definition of cost_tensor."""
-    energy = cooling_energy(problem.chiller, a, problem.t_out[t], problem.dt)
+    energy = cooling_energy(problem.chiller, a, problem.t_out[t])
     succ = step_temperature(theta, problem.t_out[t], problem.q[t], a,
                             problem.chiller.eta, problem.gamma_env,
-                            problem.c_heat, problem.dt)
+                            problem.c_heat)
     penalty = (problem.cost.lambda_over * max(0.0, succ - problem.cost.t_max)
                + problem.cost.lambda_under * max(0.0, problem.cost.t_min - succ))
     return energy * problem.prices[t, p - 1] / 1000.0 + penalty
@@ -380,7 +380,7 @@ def test_successor_temperatures_match_scalar_step(prob):
     for t, i, a in np.ndindex(succ.shape):
         expected = step_temperature(prob.space.theta_grid[i], prob.t_out[t],
                                     prob.q[t], a, prob.chiller.eta,
-                                    prob.gamma_env, prob.c_heat, prob.dt)
+                                    prob.gamma_env, prob.c_heat)
         assert succ[t, i, a] == expected
 
 

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,16 +39,16 @@ class ConstantController:
 # hour it classifies, quantizes, finds the policy slot, steps the scalar
 # thermal model and prices the action; the rollout must match it bit for bit.
 
-def _reference_action(controller, hour, theta, price, t_out, q):
-    """The controller's decision through the scalar rules, one hour at a time."""
+def _reference_action(controller, specs, hour, theta, price, t_out, q):
+    """The controller's decision through the scalar rules, one hour at a
+    time, on the plant of `specs`."""
     if isinstance(controller, GreedyController):
-        return greedy_action(theta, t_out, q, controller.chiller,
-                             controller.cost, controller.gamma_env,
-                             controller.c_heat, controller.dt)
+        return greedy_action(theta, t_out, q, specs.chiller, controller.cost,
+                             specs.gamma_env, specs.c_heat)
     if isinstance(controller, FixedRuleController):
         return fixed_rule_action(
-            hour % 24, theta, t_out, q, controller.chiller, controller.cost,
-            controller.gamma_env, controller.c_heat, controller.dt,
+            hour % 24, theta, t_out, q, specs.chiller, controller.cost,
+            specs.gamma_env, specs.c_heat,
             peak=(controller.peak_start, controller.peak_end),
             precool=(controller.precool_start, controller.precool_end))
     policy = controller.policy
@@ -71,16 +72,17 @@ def _rollout_reference(controller, dataset, specs, initial_theta):
         hour, price = int(dataset.hours[t]), float(dataset.price[t])
         t_out = float(dataset.temperature[t])
         q = heat_load(specs.heat, dataset.workload[t])
-        a = _reference_action(controller, hour, current, price, t_out, q)
+        a = _reference_action(controller, specs, hour, current, price, t_out,
+                              q)
         if specs.regime_model is not None:
             regimes[t] = classify(specs.regime_model, hour, price)
         theta[t] = current
         if specs.space is not None:
             theta_index[t] = quantize(current, specs.space)
         action[t] = a
-        energy[t] = cooling_energy(specs.chiller, a, t_out, specs.dt)
+        energy[t] = cooling_energy(specs.chiller, a, t_out)
         current = step_temperature(current, t_out, q, a, specs.chiller.eta,
-                                   specs.gamma_env, specs.c_heat, specs.dt)
+                                   specs.gamma_env, specs.c_heat)
         viol_under[t] = max(0.0, specs.cost.t_min - current)
         viol_over[t] = max(0.0, current - specs.cost.t_max)
     return Trajectory(
@@ -143,7 +145,8 @@ JULY_2024 = parse_timestamp("2024-07-01T00:00:00Z")
 
 @st.composite
 def rollout_cases(draw):
-    """A short window, a grid, a regime model, a policy and a start theta."""
+    """A short window, a grid, a regime model, a policy, a start theta and
+    a facility."""
     days = draw(st.integers(1, 2))
     n = 24 * days
     start = JULY_2024 + draw(st.integers(-24 * 400, 24 * 400))
@@ -168,14 +171,14 @@ def rollout_cases(draw):
                     hours=None if cycle_start is None
                     else np.arange(cycle_start, cycle_start + slots))
     theta0 = draw(st.floats(12.0, 35.0, **finite))
-    return dataset, model, policy, theta0
+    facility = replace(FACILITY,
+                       gamma_env=draw(st.floats(2e3, 5e4, **finite)),
+                       c_equipment=draw(st.floats(0.0, 1e10, **finite)))
+    return dataset, model, policy, theta0, facility
 
 
 def _controllers(specs, model, policy):
-    return [GreedyController(specs.chiller, specs.cost, specs.gamma_env,
-                             specs.c_heat),
-            FixedRuleController(specs.chiller, specs.cost, specs.gamma_env,
-                                specs.c_heat),
+    return [GreedyController(specs.cost), FixedRuleController(specs.cost),
             QfrMdpController(policy=policy, regime_model=model)]
 
 
@@ -196,7 +199,8 @@ def _flat_case(price=40.0, theta0=24.0, t_out=28.0, cores=50_000.0,
     actions = np.zeros((24, space.n_theta, 2), dtype=np.int64)
     actions[:, :, 0] = np.arange(space.n_theta)[None, :] % 5   # regime 1
     actions[:, :, 1] = 4 - actions[:, :, 0]                    # regime 2
-    return dataset, model, Policy(actions=actions, space=space), theta0
+    return (dataset, model, Policy(actions=actions, space=space), theta0,
+            FACILITY)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,8 +216,8 @@ def _flat_case(price=40.0, theta0=24.0, t_out=28.0, cores=50_000.0,
 @example(_flat_case(theta0=18.0, t_out=18.0, cores=25_000.0,
                     start=JULY_2024 + 2))
 def test_rollout_matches_reference(tmp_path_factory, case):
-    dataset, model, policy, theta0 = case
-    specs = SimSpecs(facility=FACILITY, chiller=ChillerSpec(),
+    dataset, model, policy, theta0, facility = case
+    specs = SimSpecs(facility=facility, chiller=ChillerSpec(),
                      heat=HeatLoadSpec(), cost=COST, regime_model=model,
                      space=policy.space)
     labels = classify_series(model, dataset.hours, dataset.price)
@@ -231,7 +235,7 @@ def test_rollout_matches_reference(tmp_path_factory, case):
 
 
 def test_reference_examples_hit_their_edge_cases():
-    dataset, model, policy, _ = _flat_case(price=50.0 + 0.5 * TIE_TOL * 50.0)
+    dataset, model, policy, *_ = _flat_case(price=50.0 + 0.5 * TIE_TOL * 50.0)
     assert classify(model, int(dataset.hours[0]), float(dataset.price[0])) == 1
     assert float(dataset.price[0]) > 50.0
     assert policy.space.theta_grid[quantize(22.25, policy.space)] == 22.5
@@ -239,7 +243,7 @@ def test_reference_examples_hit_their_edge_cases():
     q = heat_load(HeatLoadSpec(), 25_000.0)
     for band_edge in (COST.t_max, COST.t_min):
         assert step_temperature(band_edge, band_edge, q, 1, chiller.eta,
-                                FACILITY.gamma_env, c_heat, 3600.0) == band_edge
+                                FACILITY.gamma_env, c_heat) == band_edge
 
 
 def test_rollout_rejects_action_outside_range(sim_specs):
@@ -276,8 +280,7 @@ def test_rollout_equilibrium_stays_constant(sim_specs):
 
 def test_rollout_theta_follows_thermal_equation(sim_specs):
     ds = summer_dataset(seed=3, days=4)
-    greedy = GreedyController(sim_specs.chiller, sim_specs.cost,
-                              sim_specs.gamma_env, sim_specs.c_heat)
+    greedy = GreedyController(sim_specs.cost)
     traj = rollout(greedy, ds, sim_specs, initial_theta=23.0)
     theta = 23.0
     for t in range(len(traj)):
@@ -285,13 +288,12 @@ def test_rollout_theta_follows_thermal_equation(sim_specs):
         q = sim_specs.heat.q_base + sim_specs.heat.phi * ds.workload[t]
         theta = step_temperature(theta, float(ds.temperature[t]), q,
                                  int(traj.action[t]), sim_specs.chiller.eta,
-                                 sim_specs.gamma_env, sim_specs.c_heat, 3600.0)
+                                 sim_specs.gamma_env, sim_specs.c_heat)
 
 
 def test_rollout_deterministic(sim_specs):
     ds = summer_dataset(seed=4, days=3)
-    greedy = GreedyController(sim_specs.chiller, sim_specs.cost,
-                              sim_specs.gamma_env, sim_specs.c_heat)
+    greedy = GreedyController(sim_specs.cost)
     t1 = rollout(greedy, ds, sim_specs, initial_theta=22.5)
     t2 = rollout(greedy, ds, sim_specs, initial_theta=22.5)
     for field in ("theta", "action", "energy_kwh", "energy_cost"):
@@ -300,8 +302,7 @@ def test_rollout_deterministic(sim_specs):
 
 def test_rollout_accounting_identity(sim_specs):
     ds = summer_dataset(seed=5, days=10)
-    greedy = GreedyController(sim_specs.chiller, sim_specs.cost,
-                              sim_specs.gamma_env, sim_specs.c_heat)
+    greedy = GreedyController(sim_specs.cost)
     traj = rollout(greedy, ds, sim_specs)
     report = summarize(traj)
     direct = float(np.sum(traj.energy_kwh * traj.price / 1000.0))
@@ -310,8 +311,7 @@ def test_rollout_accounting_identity(sim_specs):
 
 def test_greedy_holds_temperature_under_cap(sim_specs):
     ds = summer_dataset(seed=6, days=14)
-    greedy = GreedyController(sim_specs.chiller, sim_specs.cost,
-                              sim_specs.gamma_env, sim_specs.c_heat)
+    greedy = GreedyController(sim_specs.cost)
     traj = rollout(greedy, ds, sim_specs, initial_theta=22.5)
     assert np.max(traj.theta) <= sim_specs.cost.t_max + 1e-9
     assert np.sum(traj.violation_over) == 0.0
@@ -319,8 +319,7 @@ def test_greedy_holds_temperature_under_cap(sim_specs):
 
 def test_fixed_rule_peak_abstinence(sim_specs):
     ds = summer_dataset(seed=7, days=14)
-    fixed = FixedRuleController(sim_specs.chiller, sim_specs.cost,
-                                sim_specs.gamma_env, sim_specs.c_heat)
+    fixed = FixedRuleController(sim_specs.cost)
     traj = rollout(fixed, ds, sim_specs, initial_theta=22.5)
     hod = traj.hours % 24
     assert np.all(traj.action[(hod >= 16) & (hod < 19)] == 0)
@@ -417,8 +416,7 @@ def test_compare_emits_row_per_window():
 
 def test_trajectory_csv_round_trip(tmp_path, sim_specs):
     ds = summer_dataset(seed=8, days=2)
-    greedy = GreedyController(sim_specs.chiller, sim_specs.cost,
-                              sim_specs.gamma_env, sim_specs.c_heat)
+    greedy = GreedyController(sim_specs.cost)
     traj = rollout(greedy, ds, sim_specs)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coolsched.thermal import (ChillerSpec, FacilitySpec, HeatLoadSpec,
-                               capacitance, cooling_energy, cop, cop_table,
-                               heat_load, step_temperature)
+from coolsched.thermal import (STEP_SECONDS, ChillerSpec, FacilitySpec,
+                               HeatLoadSpec, capacitance, cooling_energy, cop,
+                               cop_table, heat_load, step_temperature)
 
 
 def test_capacitance_air_only():
@@ -83,48 +83,49 @@ def test_cop_table_matches_scalar(temps):
 def test_step_temperature_fixed_point():
     # theta at equilibrium stays put
     theta_eq = 20.0 + (5e5 - 0.0) / 1e4
-    out = step_temperature(theta_eq, 20.0, 5e5, 0, 1.25e6, 1e4, 1e9, 3600)
+    out = step_temperature(theta_eq, 20.0, 5e5, 0, 1.25e6, 1e4, 1e9)
     assert out == pytest.approx(theta_eq, abs=1e-9)
 
 
 def test_step_temperature_unit_decay():
-    # gamma*dt/C = 1: theta relaxes to t_out + 10/e with q = a = 0
-    c_heat = 1e4 * 3600.0
-    out = step_temperature(30.0, 20.0, 0.0, 0, 1.25e6, 1e4, c_heat, 3600)
+    # gamma*STEP_SECONDS/C = 1: theta relaxes to t_out + 10/e with q = a = 0
+    c_heat = 1e4 * STEP_SECONDS
+    out = step_temperature(30.0, 20.0, 0.0, 0, 1.25e6, 1e4, c_heat)
     assert out == pytest.approx(20.0 + 10.0 * math.exp(-1.0), abs=1e-12)
 
 
-def test_step_temperature_small_dt_limit():
-    out = step_temperature(24.0, 35.0, 2e6, 1, 1.25e6, 1e4, 1e9, 1e-6)
+def test_step_temperature_large_capacitance_limit():
+    # gamma*STEP_SECONDS/C = 1e-11, as a 1e-6 s step of a 1e9 J/degC room
+    out = step_temperature(24.0, 35.0, 2e6, 1, 1.25e6, 1e4, 3.6e18)
     assert out == pytest.approx(24.0, abs=1e-6)
 
 
 def test_cooling_energy_idle_is_free():
-    assert cooling_energy(ChillerSpec(), 0, 30.0, 3600) == 0.0
+    assert cooling_energy(ChillerSpec(), 0, 30.0) == 0.0
 
 
 def test_cooling_energy_reference_value():
     # 2 chillers, 1.25 MW each, COP 4 at 25 degC, one hour: 625 kWh
-    assert cooling_energy(ChillerSpec(), 2, 25.0, 3600) == pytest.approx(625.0, rel=1e-12)
+    assert cooling_energy(ChillerSpec(), 2, 25.0) == pytest.approx(625.0, rel=1e-12)
 
 
 def test_cooling_energy_monotone():
     spec = ChillerSpec()
-    energies = [cooling_energy(spec, a, 25.0, 3600) for a in range(5)]
+    energies = [cooling_energy(spec, a, 25.0) for a in range(5)]
     assert all(e2 > e1 for e1, e2 in zip(energies, energies[1:]))
-    assert cooling_energy(spec, 2, 35.0, 3600) >= cooling_energy(spec, 2, 25.0, 3600)
+    assert cooling_energy(spec, 2, 35.0) >= cooling_energy(spec, 2, 25.0)
 
 
 def test_cooling_energy_additive():
     spec = ChillerSpec()
     for a in (1, 2):
-        assert cooling_energy(spec, 2 * a, 28.0, 3600) == pytest.approx(
-            2 * cooling_energy(spec, a, 28.0, 3600), rel=1e-15)
+        assert cooling_energy(spec, 2 * a, 28.0) == pytest.approx(
+            2 * cooling_energy(spec, a, 28.0), rel=1e-15)
 
 
 def test_cooling_energy_rejects_bad_action():
     with pytest.raises(ValueError):
-        cooling_energy(ChillerSpec(), 5, 25.0, 3600)
+        cooling_energy(ChillerSpec(), 5, 25.0)
 
 
 def _random_draws(n, seed=0):
@@ -144,11 +145,12 @@ def test_step_temperature_properties_bulk():
     over 10^4 random parameter draws."""
     n = 10_000
     d = _random_draws(n)
-    eta, dt = 1.25e6, 3600.0
+    eta = 1.25e6
 
     def step(theta, t_out, q, a, gamma, c_heat):
         theta_eq = t_out + (q - eta * a) / gamma
-        return theta_eq + (theta - theta_eq) * np.exp(-gamma * dt / c_heat)
+        decay = np.exp(-gamma * STEP_SECONDS / c_heat)
+        return theta_eq + (theta - theta_eq) * decay
 
     base = step(d["theta"], d["t_out"], d["q"], d["a"], d["gamma"], d["c_heat"])
 
@@ -156,7 +158,7 @@ def test_step_temperature_properties_bulk():
     for i in range(0, n, 997):
         got = step_temperature(d["theta"][i], d["t_out"][i], d["q"][i],
                                int(d["a"][i]), eta, d["gamma"][i],
-                               d["c_heat"][i], dt)
+                               d["c_heat"][i])
         assert got == pytest.approx(base[i], rel=1e-12)
 
     # equilibrium is a fixed point
