@@ -229,18 +229,31 @@ def _vertex(X, y, b, beta):
 
 
 def _dual_simplex(X, y, tau):
-    """The bounded dual solved by HiGHS; its equality marginals are -beta."""
+    """The bounded dual solved by HiGHS; its equality marginals are -beta.
+
+    HiGHS's tolerances are absolute: its 1e-7 dual feasibility tolerance
+    is negligible in price units, but prices that all lie within about
+    that of each other would read as ties, and any vertex would pass as
+    optimal. So the prices go in as z = (y - c) / h, centred, and scaled
+    up to a half-range of at least one. Since X's first column is all
+    ones, 1'd = (1 - tau) n is fixed, the optimal d is the same for z as
+    for y, and beta = h beta_z + c e_0.
+    """
     # imported here so that a fit whose vertices are all certified, and the
     # stages that only classify, do not load scipy
     from scipy.optimize import linprog
 
+    lo, hi = y.min(), y.max()  # lo < hi: constant prices never reach the LP
+    c, h = 0.5 * (lo + hi), min(0.5 * (hi - lo), 1.0)
     # d = 1 - tau is feasible and 0 <= d <= 1 bounds the objective, so
     # the dual always has an optimum; presolve only slows this dense LP.
-    res = linprog(-y, A_eq=X.T, b_eq=(1.0 - tau) * X.sum(axis=0), bounds=(0, 1),
-                  method="highs-ds", options={"presolve": False})
+    res = linprog(-(y - c) / h, A_eq=X.T, b_eq=(1.0 - tau) * X.sum(axis=0),
+                  bounds=(0, 1), method="highs-ds", options={"presolve": False})
     if not res.success:
         raise FitError(f"quantile LP failed: {res.message}")
-    return -res.eqlin.marginals
+    beta = -h * res.eqlin.marginals
+    beta[0] += c
+    return beta
 
 
 def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:

@@ -23,26 +23,35 @@ def primal_fit(hours, prices, tau, design):
     minimize tau * sum u + (1 - tau) * sum v subject to X(b+ - b-) + u - v
     = y. That is n times the mean pinball loss, so HiGHS's absolute
     tolerances, here at their 1e-10 floor, act on reduced costs of order
-    one rather than 1/n. Returns the fit and whether its optimum is
-    certified unique: when k observations with linearly independent rows
-    carry dual values strictly inside (0, 1), complementary slackness makes
-    every optimal fit pass through them, which fixes the coefficients.
+    one rather than 1/n. As in the fit, the prices go in as z = (y - c) / h,
+    centred and scaled up to a half-range of at least one, so that a tiny
+    spread does not fall under those tolerances; the intercept column maps
+    the fit back as beta = h beta_z + c e_0. Returns the fit and whether
+    its optimum is certified unique: when k observations with linearly
+    independent rows carry dual values strictly inside (0, 1),
+    complementary slackness makes every optimal fit pass through them,
+    which fixes the coefficients.
     """
     y = np.asarray(prices, dtype=float)
+    c, h = 0.5 * (y.min() + y.max()), min(0.5 * np.ptp(y), 1.0)
+    h = h if h > 0 else 1.0
     X = design_matrix(hours, design)
     n, k = X.shape
     identity = sp.identity(n, format="csc")
     a_eq = sp.hstack([sp.csc_matrix(X), identity, -identity], format="csc")
-    c = np.concatenate([np.zeros(k), np.full(n, tau), np.full(n, 1.0 - tau)])
+    cost = np.concatenate([np.zeros(k), np.full(n, tau), np.full(n, 1.0 - tau)])
     bounds = [(None, None)] * k + [(0, None)] * (2 * n)
-    res = linprog(c, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs-ds",
+    res = linprog(cost, A_eq=a_eq, b_eq=(y - c) / h, bounds=bounds,
+                  method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     d = res.eqlin.marginals + (1.0 - tau)  # dual values in [0, 1]
     interior = (d > 1e-9) & (d < 1 - 1e-9)
     unique = np.linalg.matrix_rank(X[interior]) == k
-    return QuantileFit(tau, res.x[:k]), unique
+    beta = h * res.x[:k]
+    beta[0] += c
+    return QuantileFit(tau, beta), unique
 
 
 def _one_boundary(fit, design):
