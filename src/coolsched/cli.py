@@ -31,7 +31,7 @@ import numpy as np
 from . import controllers as ctl
 from . import artifacts, ingest, mdp, qfr, regimes, sim
 from .config import RunConfig
-from .thermal import capacitance
+from .thermal import step_table
 
 REGIME_MODEL_FILE = "regime_model.json"
 TRANSITION_MODEL_FILE = "transition_model.json"
@@ -141,7 +141,9 @@ def _check_regime_count(cfg: RunConfig, regime_model) -> None:
 
 def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
     """Planning problem over the configured cycle (one day or a window),
-    with the archives cached in the out dir `out`."""
+    with the archives cached in the out dir `out`. Its plant is the
+    thermal.step_table that sim.rollout builds the same way from its window.
+    """
     _check_regime_count(cfg, regime_model)
     if transition_model.m != regime_model.m:
         raise PipelineError("transition model and regime model disagree on M")
@@ -155,14 +157,12 @@ def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
         _load_input(cfg, out, ingest.SeriesKind.TEMPERATURE), window)
     work = _workload_series(cfg, _load_workload(cfg, out), window)
     hours = temp.hours
-    q_cycle = cfg.heat.q_base + cfg.heat.phi * work.values
+    plant = step_table(cfg.facility, cfg.chiller, cfg.heat, temp.values,
+                       work.values)
     prices = qfr.price_table(regime_model, hours)
     trans = np.stack([regimes.matrix_at(transition_model, int(h)) for h in hours])
-    return mdp.MdpProblem(space=cfg.space, cost=cfg.planning_cost,
-                          chiller=cfg.chiller, t_out=temp.values, q=q_cycle,
-                          prices=prices, trans=trans,
-                          gamma_env=cfg.facility.gamma_env,
-                          c_heat=capacitance(cfg.facility), hours=hours)
+    return mdp.MdpProblem(space=cfg.space, cost=cfg.planning_cost, plant=plant,
+                          prices=prices, trans=trans, hours=hours)
 
 
 def _build_controllers(cfg: RunConfig, out, args, regime_model):

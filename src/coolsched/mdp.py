@@ -1,9 +1,11 @@
 """Cyclic MDP over (temperature, price regime) states and its average-cost planner.
 
-The cycle has n hourly slots and wraps from t = n-1 back to t = 0. The
-temperature component of the transition kernel is deterministic (grid-quantized
-thermal step) and the regime component is the estimated Markov chain, so the
-time component of the augmented chain is deterministic and cyclic.
+The cycle has n hourly slots and wraps from t = n-1 back to t = 0. An
+MdpProblem holds the plant as the thermal.step_table of its n hours, as a
+rollout does. The temperature component of the transition kernel is
+deterministic (grid-quantized thermal step) and the regime component is the
+estimated Markov chain, so the time component of the augmented chain is
+deterministic and cyclic.
 
 The planner runs relative value iteration on the period map, the n-step chain
 from slot 0 back to slot 0 (Puterman 1994, Markov Decision Processes, sections
@@ -28,8 +30,7 @@ import numpy as np
 # scipy is imported inside the LP functions that use it, so that a plan whose
 # value iteration settles, and every stage but fit-qfr, never load it.
 from . import artifacts
-from .thermal import (ChillerSpec, cooling_energy_table, decay_factor,
-                      equilibrium_temperatures)
+from .thermal import StepTable
 
 RVI_TOL = 1e-9
 # Periods of relative value iteration before the planner falls back to the
@@ -99,39 +100,32 @@ class CostSpec:
 
 @dataclass
 class MdpProblem:
-    """One planning cycle: exogenous data plus thermal and cost parameters.
+    """One planning cycle: the plant's step table, regime prices and chain.
 
-    All per-time arrays have length n (the cycle length); time wraps from
+    All per-time arrays have n rows (the cycle length); time wraps from
     t = n-1 back to t = 0.
     """
 
     space: StateSpace
     cost: CostSpec
-    chiller: ChillerSpec
-    t_out: np.ndarray    # (n,) outdoor degC
-    q: np.ndarray        # (n,) heat load W
+    plant: StepTable     # (n, a_max + 1) equilibria and kWh, one decay
     prices: np.ndarray   # (n, M) representative $/MWh per regime
     trans: np.ndarray    # (n, M, M) row-stochastic regime transitions
-    gamma_env: float
-    c_heat: float
     hours: np.ndarray = None  # optional absolute hour indices, length n
 
     def __post_init__(self):
-        self.t_out = np.asarray(self.t_out, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
         self.prices = np.asarray(self.prices, dtype=float)
         self.trans = np.asarray(self.trans, dtype=float)
-        n, m = len(self.t_out), self.space.m
-        if self.q.shape != (n,) or self.prices.shape != (n, m) \
-                or self.trans.shape != (n, m, m):
+        n, m = self.n, self.space.m
+        if self.plant.equilibria.shape != (n, self.space.n_actions):
+            raise ValueError("plant and state space disagree on a_max")
+        if self.prices.shape != (n, m) or self.trans.shape != (n, m, m):
             raise ValueError("exogenous cycles have inconsistent dimensions")
         if np.any(np.abs(self.trans.sum(axis=2) - 1.0) > 1e-9) or np.any(self.trans < 0):
             raise ValueError("transition matrices must be row-stochastic")
         grid = self.space.theta_grid
         if not (grid[0] < self.cost.t_min and self.cost.t_max < grid[-1]):
             raise ValueError("theta grid must contain [t_min, t_max] strictly inside")
-        if self.gamma_env <= 0 or self.c_heat <= 0:
-            raise ValueError("gamma_env and c_heat must be > 0")
         if self.hours is not None:
             self.hours = np.asarray(self.hours, dtype=np.int64)
             if self.hours.shape != (n,):
@@ -139,19 +133,15 @@ class MdpProblem:
 
     @property
     def n(self) -> int:
-        return len(self.t_out)
+        return len(self.plant.equilibria)
 
 
 def successor_temperatures(problem: MdpProblem) -> np.ndarray:
     """Continuous next temperatures, shape (n, n_theta, n_actions)."""
     grid = problem.space.theta_grid
-    theta_eq = equilibrium_temperatures(problem.t_out, problem.q,
-                                        problem.chiller.eta,
-                                        problem.space.a_max,
-                                        problem.gamma_env)  # (n, A)
-    decay = decay_factor(problem.gamma_env, problem.c_heat)
+    theta_eq = problem.plant.equilibria                   # (n, A)
     return (theta_eq[:, None, :]
-            + (grid[None, :, None] - theta_eq[:, None, :]) * decay)
+            + (grid[None, :, None] - theta_eq[:, None, :]) * problem.plant.decay)
 
 
 def successor_indices(problem: MdpProblem) -> np.ndarray:
@@ -165,8 +155,7 @@ def cost_tensor(problem: MdpProblem) -> np.ndarray:
     Energy is priced at the regime's representative $/MWh; temperature
     violations are charged on the continuous successor, before quantization.
     """
-    energy = cooling_energy_table(problem.chiller, problem.t_out,
-                                  problem.space.a_max)  # (n, A)
+    energy = problem.plant.kwh                                   # (n, A)
     succ = successor_temperatures(problem)                       # (n, L, A)
     over = np.maximum(0.0, succ - problem.cost.t_max)
     under = np.maximum(0.0, problem.cost.t_min - succ)

@@ -2,14 +2,15 @@
 
 The simulator drives the exponential thermal model with the controller's
 actions, charging energy at realized prices (not regime representatives)
-and tracking degree-hour violations of the safety band. `rollout` builds one
-`Window` from the traces and the facility: the hours, the realized prices,
-the thermal equilibrium of every (hour, chiller count) and the one-step
-decay factor. It hands the window to the controller's start(window), and
-then asks action(t, theta) once per hour t. The same step table drives the
-controllers' searches and the rollout's own thermal steps, so each hour is
-one action, one table read and one relaxation step. Controllers are
-deterministic, so a rollout depends on its inputs alone.
+and tracking degree-hour violations of the safety band. `rollout` builds the
+plant's thermal.step_table from the traces once, as the planner does for its
+cycle, and one `Window` from it: the hours, the realized prices, the
+step table's equilibrium of every (hour, chiller count) as Python rows, and
+its one-step decay factor. It hands the window to the controller's
+start(window), and then asks action(t, theta) once per hour t. The same step
+table drives the controllers' searches, the rollout's own thermal steps and
+its energy, so each hour is one action, one table read and one relaxation
+step. Controllers are deterministic, so a rollout depends on its inputs alone.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,7 @@ from .artifacts import write_csv
 from .ingest import AlignedDataset, format_timestamp, format_timestamps
 from .mdp import CostSpec, StateSpace, quantize
 from .qfr import RegimeModel, classify_series
-from .thermal import (ChillerSpec, FacilitySpec, HeatLoadSpec, capacitance,
-                      cooling_energy_table, decay_factor,
-                      equilibrium_temperatures, heat_load)
+from .thermal import ChillerSpec, FacilitySpec, HeatLoadSpec, step_table
 # Not called here: the rollout steps through the equilibrium table. The name
 # stays because bench/layertrace.py counts thermal steps as sim.step_temperature.
 from .thermal import step_temperature  # noqa: F401
@@ -39,14 +38,6 @@ class SimSpecs:
     regime_model: RegimeModel = None  # optional, labels rows with regimes
     space: StateSpace = None          # optional, labels rows with grid bins
 
-    @property
-    def c_heat(self) -> float:
-        return capacitance(self.facility)
-
-    @property
-    def gamma_env(self) -> float:
-        return self.facility.gamma_env
-
 
 @dataclass
 class Window:
@@ -54,6 +45,8 @@ class Window:
 
     equilibria[t][a] is the temperature the room relaxes toward with `a`
     chillers at hour t, so eq + (theta - eq) * decay is step_temperature.
+    Both come from the rollout's thermal.step_table; Python rows keep the
+    per-hour reads cheap.
     """
 
     hours: np.ndarray   # absolute hour index
@@ -119,10 +112,9 @@ def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
         regimes = np.zeros(n, dtype=np.int64)
 
     a_max = specs.chiller.a_max
-    equilibria = equilibrium_temperatures(
-        dataset.temperature, heat_load(specs.heat, dataset.workload),
-        specs.chiller.eta, a_max, specs.gamma_env).tolist()
-    decay = decay_factor(specs.gamma_env, specs.c_heat)
+    plant = step_table(specs.facility, specs.chiller, specs.heat,
+                       dataset.temperature, dataset.workload)
+    equilibria, decay = plant.equilibria.tolist(), plant.decay
 
     controller.start(Window(hours=dataset.hours, price=dataset.price,
                             equilibria=equilibria, decay=decay))
@@ -143,8 +135,7 @@ def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
     theta = np.array(theta)
     after = theta[1:]
     action = np.array(action, dtype=np.int64)
-    energy = cooling_energy_table(specs.chiller, dataset.temperature,
-                                  a_max)[np.arange(n), action]
+    energy = plant.kwh[np.arange(n), action]
     return Trajectory(
         controller=getattr(controller, "name", type(controller).__name__),
         hours=dataset.hours.copy(),

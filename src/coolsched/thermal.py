@@ -2,9 +2,10 @@
 
 All functions are pure; temperatures in degC, heat in W, energy in kWh. The
 pipeline decides once per hour, so every step lasts STEP_SECONDS. The step
-relaxes the room toward an equilibrium by one decay factor; the scalar
-step_temperature and the per-hour tables the planner and the rollout use
-share the equilibrium formula and `decay_factor`, so both give the same bits.
+relaxes the room toward an equilibrium by one decay factor. The planner and
+the rollout read the plant from one `step_table`; the scalar step_temperature
+and cooling_energy share its formulas and `decay_factor`, so both give the
+same bits.
 """
 
 from dataclasses import dataclass
@@ -130,19 +131,6 @@ def step_temperature(theta: float, t_out: float, q: float, a: int,
     return theta_eq + (theta - theta_eq) * decay
 
 
-def equilibrium_temperatures(t_out, q, eta: float, a_max: int,
-                             gamma_env: float) -> np.ndarray:
-    """step_temperature's equilibrium per hour and chiller count 0..a_max.
-
-    t_out and q are per-hour arrays; the result has shape (n, a_max + 1), and
-    eq + (theta - eq) * decay_factor(...) is step_temperature bit for bit.
-    """
-    actions = np.arange(a_max + 1)
-    return (np.asarray(t_out, dtype=float)[:, None]
-            + (np.asarray(q, dtype=float)[:, None] - eta * actions[None, :])
-            / gamma_env)
-
-
 def cooling_energy(spec: ChillerSpec, a: int, t_out: float) -> float:
     """Electrical energy in kWh to run `a` chillers for one step at t_out."""
     if not 0 <= a <= spec.a_max:
@@ -150,8 +138,32 @@ def cooling_energy(spec: ChillerSpec, a: int, t_out: float) -> float:
     return (spec.eta * a / cop(spec, t_out)) * STEP_SECONDS / 3.6e6
 
 
-def cooling_energy_table(spec: ChillerSpec, t_out, a_max: int) -> np.ndarray:
-    """cooling_energy per hour of t_out and chiller count 0..a_max, (n, a_max + 1)."""
-    cops = cop_table(spec, t_out)
-    actions = np.arange(a_max + 1)
-    return (spec.eta * actions[None, :] / cops[:, None]) * STEP_SECONDS / 3.6e6
+@dataclass(frozen=True)
+class StepTable:
+    """Hour t and chiller count a of the plant: eq = equilibria[t, a] gives
+    step_temperature as eq + (theta - eq) * decay, and kwh[t, a] is
+    cooling_energy, bit for bit."""
+
+    equilibria: np.ndarray   # (n, a_max + 1) degC the room relaxes toward
+    decay: float             # decay_factor of the facility
+    kwh: np.ndarray          # (n, a_max + 1) chiller energy of the hour
+
+
+def step_table(facility: FacilitySpec, chiller: ChillerSpec,
+               heat: HeatLoadSpec, t_out, cores) -> StepTable:
+    """The step table of hourly outdoor temperatures and core counts; raises
+    ValueError unless both are 1-D of one length, and on negative cores."""
+    t_out, cores = np.asarray(t_out, dtype=float), np.asarray(cores)
+    if t_out.ndim != 1 or cores.shape != t_out.shape:
+        raise ValueError("t_out and cores must be 1-D arrays of one length")
+    q = heat_load(heat, cores)
+    actions = np.arange(chiller.a_max + 1)
+    equilibria = (t_out[:, None]
+                  + (q[:, None] - chiller.eta * actions[None, :])
+                  / facility.gamma_env)
+    kwh = ((chiller.eta * actions[None, :] / cop_table(chiller, t_out)[:, None])
+           * STEP_SECONDS / 3.6e6)
+    return StepTable(equilibria=equilibria,
+                     decay=decay_factor(facility.gamma_env,
+                                        capacitance(facility)),
+                     kwh=kwh)

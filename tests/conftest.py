@@ -14,6 +14,17 @@ CHILLER = ChillerSpec()
 HEAT = HeatLoadSpec()
 COST = CostSpec(t_min=18.0, t_max=27.0, lambda_under=1000.0, lambda_over=1000.0)
 SPACE = StateSpace(theta_min=15.0, theta_max=32.0, theta_step=0.5, m=4, a_max=4)
+# One core per W: heat_load(W_PER_CORE, q) is q, so a plant given by its heat
+# load in W steps on that load exactly.
+W_PER_CORE = HeatLoadSpec(q_base=0, phi=1)
+
+
+def unit_room(gamma_env, c_heat):
+    """A facility of capacitance exactly c_heat: 1 m^3 of unit air, no slab,
+    and equipment holding the rest (c_heat >= 1 J/degC)."""
+    return FacilitySpec(floor_area=1, ceiling_height=1, slab_thickness=0,
+                        rho_air=1, cp_air=1, c_equipment=c_heat - 1,
+                        gamma_env=gamma_env)
 
 
 @pytest.fixture(scope="session")

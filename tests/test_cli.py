@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+import coolsched
 from coolsched import artifacts, cli, ingest, mdp, qfr, regimes
 from coolsched.config import ConfigError, RunConfig
+from coolsched.thermal import step_table
 
 import pipeline_helpers as ph
 
@@ -216,6 +218,30 @@ def test_plan_objective_matches_lp(pipeline):
     assert policy.objective == pytest.approx(lp.objective, rel=1e-6)
 
 
+def test_planner_and_rollout_share_the_plant(pipeline, tmp_path):
+    # a window-length plan steps the same plant that simulate's rollout of
+    # the first window builds from its aligned traces
+    root, out, _ = pipeline
+    config = ph.write_config(root, ph.base_config(
+        root, mdp={"planning_cycle": "window"}), name="config_window.yaml")
+    cfg = RunConfig.from_file(config)
+    model = qfr.load_model(os.path.join(out, "regime_model.json"))
+    chain = regimes.load_model(os.path.join(out, "transition_model.json"))
+    plant = cli._assemble_problem(cfg, str(tmp_path), model, chain).plant
+    window = cli._simulate_windows(cfg)[0]
+    price, temperature = (
+        ingest.load_series(cfg.require_path(f"{kind.value}_csv"), kind)
+        for kind in (ingest.SeriesKind.PRICE, ingest.SeriesKind.TEMPERATURE))
+    dataset = ingest.align(price, temperature,
+                           cli._workload_series(cfg, None, window), window)
+    rollout = step_table(cfg.facility, cfg.chiller, cfg.heat,
+                         dataset.temperature, dataset.workload)
+    assert plant.equilibria.shape == (96, cfg.chiller.a_max + 1)
+    assert plant.equilibria.tobytes() == rollout.equilibria.tobytes()
+    assert plant.kwh.tobytes() == rollout.kwh.tobytes()
+    assert plant.decay == rollout.decay
+
+
 def _plan_stdout(pipeline, tmp_path, capsys):
     _, out, config = pipeline
     capsys.readouterr()
@@ -378,6 +404,12 @@ def test_bench_trace_sites_exist(monkeypatch):
                for owner, attr, *_ in layertrace.SITES
                if attr not in owner.__dict__]
     assert layertrace.SITES and not missing
+
+
+def test_package_exports_resolve():
+    missing = [name for name in coolsched.__all__
+               if not hasattr(coolsched, name)]
+    assert coolsched.__all__ and not missing
 
 
 def test_env_override_changes_regimes(tmp_path, monkeypatch):

@@ -9,8 +9,10 @@ from coolsched.controllers import (FixedRuleController, GreedyController,
 from coolsched.mdp import CostSpec, Policy, StateSpace, quantize
 from coolsched.qfr import FourierDesign, QuantileFit, RegimeModel
 from coolsched.sim import Window
-from coolsched.thermal import (STEP_SECONDS, ChillerSpec, decay_factor,
-                               equilibrium_temperatures, step_temperature)
+from coolsched.thermal import (STEP_SECONDS, ChillerSpec, step_table,
+                               step_temperature)
+
+from conftest import W_PER_CORE, unit_room
 
 COST = CostSpec(t_min=18, t_max=27, lambda_under=1000, lambda_over=1000)
 GAMMA, C_HEAT = 1e4, 5.5e9
@@ -98,12 +100,10 @@ def _window(hours, price=50.0, t_out=30.0, q=1e6):
     """Flat traces, as the step table sim.rollout builds for ChillerSpec()."""
     hours = np.atleast_1d(np.asarray(hours, dtype=np.int64))
     n = len(hours)
-    chiller = ChillerSpec()
-    equilibria = equilibrium_temperatures(np.full(n, t_out), np.full(n, q),
-                                          chiller.eta, chiller.a_max, GAMMA)
+    plant = step_table(unit_room(GAMMA, C_HEAT), ChillerSpec(), W_PER_CORE,
+                       np.full(n, t_out), np.full(n, q))
     return Window(hours=hours, price=np.broadcast_to(float(price), n).copy(),
-                  equilibria=equilibria.tolist(),
-                  decay=decay_factor(GAMMA, C_HEAT))
+                  equilibria=plant.equilibria.tolist(), decay=plant.decay)
 
 
 def _decide(ctrl, hour, theta, price=50.0, t_out=30.0, q=1e6):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,18 +15,36 @@ from coolsched.mdp import (PERIOD_BUDGET, CostSpec, LpDescription, MdpProblem,
                            extract_policy, load_policy, quantize, save_policy, solve,
                            solve_occupancy, successor_indices,
                            successor_temperatures)
-from coolsched.thermal import ChillerSpec, cooling_energy, step_temperature
+from coolsched.thermal import (ChillerSpec, cooling_energy, step_table,
+                               step_temperature)
+
+from conftest import W_PER_CORE, unit_room
 
 GRID = StateSpace(theta_min=15, theta_max=30, theta_step=0.5, m=1, a_max=4)
 
 
-def immediate_cost(problem: MdpProblem, t: int, theta: float, p: int, a: int) -> float:
+class Plant(NamedTuple):
+    """A test plant as loose scalars: the scalar reference's inputs."""
+
+    chiller: ChillerSpec
+    t_out: np.ndarray    # (n,) outdoor degC
+    q: np.ndarray        # (n,) heat load W
+    gamma_env: float
+    c_heat: float
+
+    def table(self):
+        """Its thermal.step_table, on exactly these scalars."""
+        return step_table(unit_room(self.gamma_env, self.c_heat), self.chiller,
+                          W_PER_CORE, self.t_out, self.q)
+
+
+def immediate_cost(problem: MdpProblem, plant: Plant, t: int, theta: float,
+                   p: int, a: int) -> float:
     """Cost of taking action a in state (theta, regime p) at time t: the
     scalar definition of cost_tensor."""
-    energy = cooling_energy(problem.chiller, a, problem.t_out[t])
-    succ = step_temperature(theta, problem.t_out[t], problem.q[t], a,
-                            problem.chiller.eta, problem.gamma_env,
-                            problem.c_heat)
+    energy = cooling_energy(plant.chiller, a, plant.t_out[t])
+    succ = step_temperature(theta, plant.t_out[t], plant.q[t], a,
+                            plant.chiller.eta, plant.gamma_env, plant.c_heat)
     penalty = (problem.cost.lambda_over * max(0.0, succ - problem.cost.t_max)
                + problem.cost.lambda_under * max(0.0, problem.cost.t_min - succ))
     return energy * problem.prices[t, p - 1] / 1000.0 + penalty
@@ -37,9 +56,10 @@ def plan(problem: MdpProblem) -> tuple:
     return occ, extract_policy(problem, occ)
 
 
-def make_problem(n=4, space=None, cost=None, chiller=None, t_out=25.0,
-                 q=1.5e6, prices=None, trans=None, gamma_env=1e4,
-                 c_heat=5.5e9, hours=None):
+def make_case(n=4, space=None, cost=None, chiller=None, t_out=25.0,
+              q=1.5e6, prices=None, trans=None, gamma_env=1e4,
+              c_heat=5.5e9, hours=None):
+    """(problem, plant): a cycle of n hours and the loose plant it plans on."""
     space = space or StateSpace(15, 30, 1.0, m=2, a_max=4)
     cost = cost or CostSpec(t_min=18, t_max=27, lambda_under=1000, lambda_over=1000)
     chiller = chiller or ChillerSpec()
@@ -49,9 +69,13 @@ def make_problem(n=4, space=None, cost=None, chiller=None, t_out=25.0,
         prices = np.tile(np.linspace(30, 120, space.m), (n, 1))
     if trans is None:
         trans = np.tile(np.full((space.m, space.m), 1.0 / space.m), (n, 1, 1))
-    return MdpProblem(space=space, cost=cost, chiller=chiller, t_out=t_out,
-                      q=q, prices=prices, trans=trans, gamma_env=gamma_env,
-                      c_heat=c_heat, hours=hours)
+    plant = Plant(chiller, t_out, q, gamma_env, c_heat)
+    return MdpProblem(space=space, cost=cost, plant=plant.table(),
+                      prices=prices, trans=trans, hours=hours), plant
+
+
+def make_problem(**kwargs):
+    return make_case(**kwargs)[0]
 
 
 def test_quantize_on_grid_points():
@@ -86,31 +110,43 @@ def test_problem_requires_band_inside_grid():
         make_problem(space=StateSpace(18, 27, 0.5, m=2, a_max=4))
 
 
+def test_problem_rejects_plant_of_other_a_max():
+    # a plan over 5 actions for 2 chillers, or over 3 actions for 4
+    with pytest.raises(ValueError, match="a_max"):
+        make_problem(space=StateSpace(15, 30, 1.0, m=2, a_max=4),
+                     chiller=ChillerSpec(a_max=2))
+    with pytest.raises(ValueError, match="a_max"):
+        make_problem(space=StateSpace(15, 30, 1.0, m=2, a_max=2),
+                     chiller=ChillerSpec(a_max=4))
+
+
 def test_immediate_cost_idle_within_band_is_free():
     # fixed point at 24 degC: no energy, no violation
-    prob = make_problem(t_out=25.0, q=-1e4)
-    assert immediate_cost(prob, 0, 24.0, 1, 0) == 0.0
+    prob, plant = make_case(t_out=24.0, q=0.0)
+    assert immediate_cost(prob, plant, 0, 24.0, 1, 0) == 0.0
 
 
 def test_immediate_cost_energy_term():
     # 2 chillers at COP 4 for 1 h is 625 kWh; at 40 $/MWh that is $25
     prices = np.tile(np.array([[40.0, 40.0]]), (4, 1))
-    prob = make_problem(t_out=25.0, q=2.5e6, prices=prices)
+    prob, plant = make_case(t_out=25.0, q=2.5e6, prices=prices)
     # theta_eq(a=2) = 25 + (2.5e6 - 2.5e6)/1e4 = 25: successor stays in band
-    assert immediate_cost(prob, 0, 24.0, 1, 2) == pytest.approx(25.0, rel=1e-9)
+    assert immediate_cost(prob, plant, 0, 24.0, 1, 2) == pytest.approx(
+        25.0, rel=1e-9)
 
 
 def test_immediate_cost_violation_term():
     cost = CostSpec(t_min=18, t_max=27, lambda_under=100, lambda_over=100)
     # fixed point exactly at t_max + 2
-    prob = make_problem(cost=cost, t_out=25.0, q=4e4)
-    assert immediate_cost(prob, 0, 29.0, 1, 0) == pytest.approx(200.0, rel=1e-9)
+    prob, plant = make_case(cost=cost, t_out=25.0, q=4e4)
+    assert immediate_cost(prob, plant, 0, 29.0, 1, 0) == pytest.approx(
+        200.0, rel=1e-9)
 
 
 def test_build_lp_shapes():
     # N=2, two theta levels, M=1, two actions: 8 vars, 2 + 4 constraints
     space = StateSpace(theta_min=15, theta_max=30, theta_step=15, m=1, a_max=1)
-    prob = make_problem(n=2, space=space,
+    prob = make_problem(n=2, space=space, chiller=ChillerSpec(a_max=1),
                         prices=np.zeros((2, 1)), trans=np.ones((2, 1, 1)))
     lp = build_lp(prob)
     assert lp.n_variables == 2 * 2 * 1 * 2 == 8
@@ -233,9 +269,9 @@ def desk_instance():
                     np.where(hod < 19, 120, 50))).astype(float)
     prices = base[:, None] * np.array([0.5, 0.9, 1.3, 2.5])[None, :]
     trans = rng.dirichlet(np.ones(4) * 3, size=(n, 4))
-    prob = MdpProblem(space=space, cost=cost, chiller=ChillerSpec(),
-                      t_out=t_out, q=q, prices=prices, trans=trans,
-                      gamma_env=1e4, c_heat=5.5e9)
+    plant = Plant(ChillerSpec(), t_out, q, gamma_env=1e4, c_heat=5.5e9)
+    prob = MdpProblem(space=space, cost=cost, plant=plant.table(),
+                      prices=prices, trans=trans)
     occ, policy = plan(prob)
     return prob, occ, policy
 
@@ -356,8 +392,8 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def problems(draw):
-    """Small cycles over the config's physical ranges."""
+def cases(draw):
+    """Small cycles over the config's physical ranges, with their plants."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     a_max = draw(st.integers(1, 4))
@@ -367,30 +403,36 @@ def problems(draw):
     q = draw(arrays(float, n, elements=st.floats(0.0, 5e6, **finite)))
     prices = draw(arrays(float, (n, m), elements=st.floats(-50.0, 500.0, **finite)))
     chiller = ChillerSpec(a_max=a_max, eta=draw(st.floats(1e5, 2e6)))
-    return make_problem(n=n, space=space, chiller=chiller, t_out=t_out, q=q,
-                        prices=prices, gamma_env=draw(st.floats(5e3, 1e5)),
-                        c_heat=draw(st.floats(1e7, 1e10)))
+    return make_case(n=n, space=space, chiller=chiller, t_out=t_out, q=q,
+                     prices=prices, gamma_env=draw(st.floats(5e3, 1e5)),
+                     c_heat=draw(st.floats(1e7, 1e10)))
+
+
+def problems():
+    return cases().map(lambda case: case[0])
 
 
 @settings(max_examples=60, deadline=None)
-@given(problems())
-def test_successor_temperatures_match_scalar_step(prob):
+@given(cases())
+def test_successor_temperatures_match_scalar_step(case):
     # both take thermal.decay_factor, so the kernel is the scalar step exactly
+    prob, plant = case
     succ = successor_temperatures(prob)
     for t, i, a in np.ndindex(succ.shape):
-        expected = step_temperature(prob.space.theta_grid[i], prob.t_out[t],
-                                    prob.q[t], a, prob.chiller.eta,
-                                    prob.gamma_env, prob.c_heat)
+        expected = step_temperature(prob.space.theta_grid[i], plant.t_out[t],
+                                    plant.q[t], a, plant.chiller.eta,
+                                    plant.gamma_env, plant.c_heat)
         assert succ[t, i, a] == expected
 
 
 @settings(max_examples=60, deadline=None)
-@given(problems())
-def test_cost_tensor_matches_immediate_cost(prob):
+@given(cases())
+def test_cost_tensor_matches_immediate_cost(case):
+    prob, plant = case
     costs = cost_tensor(prob)
     grid = prob.space.theta_grid
     for t, i, p, a in np.ndindex(costs.shape):
-        expected = immediate_cost(prob, t, grid[i], p + 1, a)
+        expected = immediate_cost(prob, plant, t, grid[i], p + 1, a)
         assert costs[t, i, p, a] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 

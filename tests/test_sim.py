@@ -11,14 +11,13 @@ from coolsched.controllers import (FixedRuleController, GreedyController,
                                    QfrMdpController, fixed_rule_action,
                                    greedy_action, policy_slot)
 from coolsched.ingest import AlignedDataset, format_timestamp, parse_timestamp
-from coolsched.mdp import CostSpec, Policy, StateSpace, quantize
+from coolsched.mdp import Policy, StateSpace, quantize
 from coolsched.qfr import (TIE_TOL, FourierDesign, QuantileFit, RegimeModel,
                            classify, classify_series)
 from coolsched.sim import (CostReport, SimSpecs, Trajectory, compare, rollout,
                            summarize)
-from coolsched.thermal import (ChillerSpec, FacilitySpec, HeatLoadSpec,
-                               capacitance, cooling_energy, heat_load,
-                               step_temperature)
+from coolsched.thermal import (ChillerSpec, HeatLoadSpec, capacitance,
+                               cooling_energy, heat_load, step_temperature)
 
 from conftest import COST, FACILITY, summer_dataset
 
@@ -44,11 +43,12 @@ def _reference_action(controller, specs, hour, theta, price, t_out, q):
     time, on the plant of `specs`."""
     if isinstance(controller, GreedyController):
         return greedy_action(theta, t_out, q, specs.chiller, controller.cost,
-                             specs.gamma_env, specs.c_heat)
+                             specs.facility.gamma_env,
+                             capacitance(specs.facility))
     if isinstance(controller, FixedRuleController):
         return fixed_rule_action(
             hour % 24, theta, t_out, q, specs.chiller, controller.cost,
-            specs.gamma_env, specs.c_heat,
+            specs.facility.gamma_env, capacitance(specs.facility),
             peak=(controller.peak_start, controller.peak_end),
             precool=(controller.precool_start, controller.precool_end))
     policy = controller.policy
@@ -82,7 +82,8 @@ def _rollout_reference(controller, dataset, specs, initial_theta):
         action[t] = a
         energy[t] = cooling_energy(specs.chiller, a, t_out)
         current = step_temperature(current, t_out, q, a, specs.chiller.eta,
-                                   specs.gamma_env, specs.c_heat)
+                                   specs.facility.gamma_env,
+                                   capacitance(specs.facility))
         viol_under[t] = max(0.0, specs.cost.t_min - current)
         viol_over[t] = max(0.0, current - specs.cost.t_max)
     return Trajectory(
@@ -288,7 +289,8 @@ def test_rollout_theta_follows_thermal_equation(sim_specs):
         q = sim_specs.heat.q_base + sim_specs.heat.phi * ds.workload[t]
         theta = step_temperature(theta, float(ds.temperature[t]), q,
                                  int(traj.action[t]), sim_specs.chiller.eta,
-                                 sim_specs.gamma_env, sim_specs.c_heat)
+                                 sim_specs.facility.gamma_env,
+                                 capacitance(sim_specs.facility))
 
 
 def test_rollout_deterministic(sim_specs):
@@ -427,11 +429,3 @@ def test_trajectory_csv_round_trip(tmp_path, sim_specs):
     got_cost = np.array([float(r["energy_cost"]) for r in rows])
     assert np.array_equal(got_theta, traj.theta)      # repr round-trips
     assert np.array_equal(got_cost, traj.energy_cost)
-
-
-def test_simspecs_derived_quantities():
-    facility = FacilitySpec(slab_thickness=0.4, c_equipment=3.0e9)
-    specs = SimSpecs(facility=facility, chiller=ChillerSpec(),
-                     heat=HeatLoadSpec(), cost=CostSpec())
-    assert specs.c_heat == pytest.approx(capacitance(facility))
-    assert specs.gamma_env == facility.gamma_env

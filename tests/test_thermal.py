@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra.numpy import arrays
+
 from coolsched.thermal import (STEP_SECONDS, ChillerSpec, FacilitySpec,
                                HeatLoadSpec, capacitance, cooling_energy, cop,
-                               cop_table, heat_load, step_temperature)
+                               cop_table, decay_factor, heat_load, step_table,
+                               step_temperature)
 
 
 def test_capacitance_air_only():
@@ -195,3 +198,56 @@ def test_spec_validation():
         HeatLoadSpec(q_base=-5)
     with pytest.raises(ValueError):
         heat_load(HeatLoadSpec(), -1)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def plants(draw):
+    """A facility, chiller plant and heat load over wide physical ranges,
+    with hourly outdoor temperatures and core counts."""
+    facility = FacilitySpec(
+        floor_area=draw(st.floats(100.0, 1e4, **finite)),
+        ceiling_height=draw(st.floats(2.0, 10.0, **finite)),
+        slab_thickness=draw(st.floats(0.0, 1.0, **finite)),
+        c_equipment=draw(st.floats(0.0, 1e10, **finite)),
+        gamma_env=draw(st.floats(1e3, 1e5, **finite)))
+    cop_lo_temp = draw(st.floats(-10.0, 30.0, **finite))
+    cop_hi = draw(st.floats(1.0, 4.0, **finite))
+    chiller = ChillerSpec(
+        a_max=draw(st.integers(1, 6)), eta=draw(st.floats(1e4, 5e6, **finite)),
+        cop_lo_temp=cop_lo_temp,
+        cop_hi_temp=cop_lo_temp + draw(st.floats(1.0, 40.0, **finite)),
+        cop_lo=cop_hi + draw(st.floats(0.1, 5.0, **finite)), cop_hi=cop_hi)
+    heat = HeatLoadSpec(q_base=draw(st.floats(0.0, 5e6, **finite)),
+                        phi=draw(st.floats(0.0, 100.0, **finite)))
+    n = draw(st.integers(1, 30))
+    t_out = draw(arrays(float, n, elements=st.floats(-20.0, 50.0, **finite)))
+    cores = draw(arrays(float, n, elements=st.floats(0.0, 2e5, **finite)))
+    return facility, chiller, heat, t_out, cores
+
+
+@settings(max_examples=100, deadline=None)
+@given(plants(), st.floats(0.0, 45.0, **finite))
+def test_step_table_matches_scalar_step(plant, theta):
+    facility, chiller, heat, t_out, cores = plant
+    table = step_table(facility, chiller, heat, t_out, cores)
+    c_heat = capacitance(facility)
+    assert table.decay == decay_factor(facility.gamma_env, c_heat)
+    assert table.equilibria.shape == table.kwh.shape == (len(t_out),
+                                                         chiller.a_max + 1)
+    for t, a in np.ndindex(table.equilibria.shape):
+        eq = table.equilibria[t, a]
+        assert eq + (theta - eq) * table.decay == step_temperature(
+            theta, t_out[t], heat_load(heat, cores[t]), a, chiller.eta,
+            facility.gamma_env, c_heat)
+        assert table.kwh[t, a] == cooling_energy(chiller, a, t_out[t])
+
+
+def test_step_table_rejects_traces_of_other_shapes():
+    spec = (FacilitySpec(), ChillerSpec(), HeatLoadSpec())
+    with pytest.raises(ValueError, match="one length"):
+        step_table(*spec, np.full(24, 25.0), np.full(23, 5e4))
+    with pytest.raises(ValueError, match="one length"):
+        step_table(*spec, np.full((2, 12), 25.0), np.full((2, 12), 5e4))
