@@ -1,13 +1,15 @@
-"""Pipeline files on disk: one atomic writer and one kind-checked JSON reader.
+"""Pipeline files on disk: one atomic writer, one columnar CSV writer and one
+kind-checked JSON reader.
 
 Every file a stage writes goes through `atomic_writer`, so a reader sees the
-old file or the new one, never a partial write. JSON artifacts carry a
-`kind` tag, and `read_json` refuses a file holding another kind or missing a
-key its reader needs, so a wrong file passed to an input option fails with
-an error that names it.
+old file or the new one, never a partial write. Every CSV goes through
+`write_csv`, which takes its table as columns of text and writes the bytes
+the csv module's default dialect would. JSON artifacts carry a `kind` tag,
+and `read_json` refuses a file holding another kind or missing a key its
+reader needs, so a wrong file passed to an input option fails with an error
+that names it.
 """
 
-import csv
 import json
 import os
 from contextlib import contextmanager
@@ -39,18 +41,42 @@ def atomic_writer(path, binary=False):
 
 
 def write_json(path, doc, indent=1) -> None:
-    """`doc` with sorted keys and a final newline."""
+    """`doc` with sorted keys and a final newline.
+
+    One `json.dumps` string: at indent=None it comes from the C encoder,
+    which `json.dump` never uses.
+    """
+    text = json.dumps(doc, indent=indent, sort_keys=True) + "\n"
     with atomic_writer(path) as fh:
-        json.dump(doc, fh, indent=indent, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
-def write_csv(path, header, rows) -> None:
-    """A header row, then `rows`, in the csv module's default dialect."""
+def write_csv(path, header, columns) -> None:
+    """The `header` row, then row i of the equal-length str `columns` for
+    each i: the bytes csv.writer's default dialect writes for that table.
+
+    Fields are joined by "," and every row ends in "\r\n". A field that
+    csv.writer would quote, one holding ",", '"', "\r" or "\n" or the lone
+    field of a row left empty, raises ArtifactError. The separators are
+    counted once in the joined text, not per field. The text is complete
+    before the file opens, so a refused or failed table leaves `path` as it
+    was.
+    """
+    lengths = sorted({len(column) for column in columns})
+    if not header or len(columns) != len(header) or len(lengths) > 1:
+        raise ArtifactError(f"{path}: {len(columns)} columns of lengths "
+                            f"{lengths} under a header of {len(header)}")
+    lines = [",".join(header), *map(",".join, zip(*columns))]
+    text = "\r\n".join(lines) + "\r\n"
+    n = len(lines)
+    if (text.count(",") != (len(header) - 1) * n or text.count("\r") != n
+            or text.count("\n") != n or '"' in text
+            or (len(header) == 1 and "" in lines)):
+        raise ArtifactError(f"{path}: a field holds a comma, quote or line "
+                            "break, or is a row's lone empty field; csv "
+                            "would quote it")
     with atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def copy(src, dst) -> None:

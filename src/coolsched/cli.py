@@ -5,7 +5,10 @@ compare, export-plot-data. Each reads what the earlier ones wrote to the out
 dir. export-plot-data writes fig2 and fig3 from the policy and trajectories,
 and copies qfr_surfaces.csv (fit-qfr) and comparison.csv (compare) to fig1
 and fig4. All take --config (YAML, see config.py), plus --seed and --out overrides.
-Every command is deterministic given identical config and seed.
+Every command is deterministic given identical config and seed. Every CSV
+a command writes is a table of text columns that artifacts.write_csv joins;
+simulate formats each window's timestamp, regime and price columns once
+(sim.SharedColumns) and hands them to every controller's trajectory.
 
 Input archives are parsed once per out dir: a stage that reads an archive
 keeps its parsed series in the out dir as `price_series.bin`,
@@ -204,16 +207,15 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     # rearranged quantile surfaces over the first training window
     surface_hours = ingest.window_hours(_train_windows(cfg)[0])
     bounds, reps = model.surfaces_at(surface_hours)
-    # the csv module writes a float as its repr
     artifacts.write_csv(
         os.path.join(out, SURFACES_FILE),
         ["timestamp", "hour_of_day"]
         + [f"boundary_{j}" for j in range(1, model.m)]
         + [f"representative_{p}" for p in range(1, model.m + 1)],
-        ([stamp, hod, *row] for stamp, hod, row in zip(
-            ingest.format_timestamps(surface_hours),
-            (surface_hours % 24).tolist(),
-            np.hstack([bounds, reps]).tolist())))
+        [ingest.format_timestamps(surface_hours),
+         list(map(str, (surface_hours % 24).tolist()))]
+        + [list(map(repr, column))
+           for column in np.hstack([bounds, reps]).T.tolist()])
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
           f"{len(model.boundary_fits)} boundary fits, "
           f"{len(model.representative_fits)} representative fits")
@@ -286,10 +288,14 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     for window in _simulate_windows(cfg):
         workload = _workload_series(cfg, workload_archive, window)
         dataset = ingest.align(price, temperature, workload, window)
+        shared = None   # the window's timestamp, regime and price text
         for name, controller in sorted(built.items()):
             trajectory = sim.rollout(controller, dataset, specs)
+            if shared is None:
+                shared = sim.SharedColumns.of(trajectory)
             day = ingest.format_timestamp(dataset.hours[0])[:10]
-            trajectory.to_csv(os.path.join(out, f"trajectory_{name}_{day}.csv"))
+            trajectory.to_csv(os.path.join(out, f"trajectory_{name}_{day}.csv"),
+                              shared)
             report = sim.summarize(trajectory)
             reports.append(report)
             print(f"{report.window} {name}: ${report.total_energy_cost:,.2f} "
@@ -332,13 +338,15 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     # planned actions for the chosen day: hour x theta x regime
     day_start = _planning_day_hour(cfg)
     slots = [ctl.policy_slot(policy, day_start + hod) for hod in range(24)]
+    thetas = list(map(repr, policy.space.theta_grid.tolist()))
+    m = policy.space.m
     artifacts.write_csv(
         os.path.join(out, "fig2_policy_day.csv"),
         ["hour_of_day", "theta", "regime", "action"],
-        ([hod, repr(float(theta)), p + 1, int(policy.actions[slot, i, p])]
-         for hod, slot in enumerate(slots)
-         for i, theta in enumerate(policy.space.theta_grid)
-         for p in range(policy.space.m)))
+        [[str(hod) for hod in range(24) for _ in range(len(thetas) * m)],
+         [theta for theta in thetas for _ in range(m)] * 24,
+         [str(p) for p in range(1, m + 1)] * (24 * len(thetas)),
+         list(map(str, policy.actions[slots].ravel().tolist()))])
 
     # one day of simulated temperature traces per controller
     sim_windows = _simulate_windows(cfg)
@@ -359,14 +367,14 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
                                    ("timestamp", "theta", "action", "price")))
             rows = list(map(columns, reader))
         hours = ingest.parse_timestamps(row[0] for row in rows)
-        rows_out += [[name, *row] for row, h in zip(rows, hours)
+        rows_out += [(name, *row) for row, h in zip(rows, hours)
                      if day_h0 <= h < day_h0 + 24]
     if not rows_out:
         raise PipelineError(
             f"day {day} not inside the first simulate window {first_sim}")
     artifacts.write_csv(os.path.join(out, "fig3_day_traces.csv"),
                         ["controller", "timestamp", "theta", "action", "price"],
-                        rows_out)
+                        list(zip(*rows_out)))
 
     artifacts.copy(surfaces, os.path.join(out, "fig1_quantile_surfaces.csv"))
     artifacts.copy(comparison, os.path.join(out, "fig4_cost_comparison.csv"))

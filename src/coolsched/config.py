@@ -2,7 +2,8 @@
 
 Environment variables prefixed COOLSCHED_ override file values for CI
 sweeps, e.g. COOLSCHED_QFR__REGIMES=8 sets qfr.regimes. Values are parsed
-as YAML scalars.
+as YAML scalars. The file and the values load through libyaml's safe loader
+when PyYAML was built with it, else through the pure-Python one.
 """
 
 import os
@@ -16,6 +17,8 @@ from .regimes import GROUPINGS
 from .thermal import ChillerSpec, FacilitySpec, HeatLoadSpec
 
 ENV_PREFIX = "COOLSCHED_"
+
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 KNOWN_CONTROLLERS = ("qfr-mdp", "greedy", "fixed-rule")
 
@@ -114,7 +117,7 @@ def _apply_env_overrides(doc, environ):
             continue
         parts = name[len(ENV_PREFIX):].lower().split("__")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_LOADER)
         except yaml.YAMLError:
             value = raw
         node = doc
@@ -142,7 +145,7 @@ class RunConfig:
     def from_file(cls, path, environ=None) -> "RunConfig":
         try:
             with open(path, encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh) or {}
+                doc = yaml.load(fh, Loader=_LOADER) or {}
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except yaml.YAMLError as exc:

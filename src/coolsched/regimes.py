@@ -9,6 +9,7 @@ contribute no transitions.
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -16,10 +17,8 @@ from . import artifacts
 
 GROUPINGS = ("month", "season", "single", "pooled")
 
-_SEASONS = {12: "djf", 1: "djf", 2: "djf",
-            3: "mam", 4: "mam", 5: "mam",
-            6: "jja", 7: "jja", 8: "jja",
-            9: "son", 10: "son", 11: "son"}
+# season of calendar month k (1..12) is _SEASONS[k % 12 // 3]
+_SEASONS = ("djf", "mam", "jja", "son")
 
 
 class EstimationError(ValueError):
@@ -45,7 +44,25 @@ def hour_bucket(hour: int, grouping: str) -> str:
     if grouping == "month":
         return f"{hod:02d}-m{month:02d}"
     if grouping == "season":
-        return f"{hod:02d}-{_SEASONS[month]}"
+        return f"{hod:02d}-{_SEASONS[month % 12 // 3]}"
+    raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
+
+
+def _bucket_codes(hours: np.ndarray, grouping: str):
+    """(codes, keys) with keys[codes[i]] == hour_bucket(hours[i], grouping)."""
+    if grouping == "pooled":
+        return np.zeros(len(hours), dtype=np.int64), ["all"]
+    hod = hours % 24
+    if grouping == "single":
+        return hod, [f"{d:02d}" for d in range(24)]
+    month = (hours.astype("datetime64[h]").astype("datetime64[M]")
+             .astype(np.int64) % 12)  # 0 for January
+    if grouping == "month":
+        keys = [f"{d:02d}-m{k:02d}" for d in range(24) for k in range(1, 13)]
+        return hod * 12 + month, keys
+    if grouping == "season":
+        keys = [f"{d:02d}-{name}" for d in range(24) for name in _SEASONS]
+        return hod * 4 + (month + 1) % 12 // 3, keys
     raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
 
 
@@ -85,30 +102,30 @@ def estimate(classified, m: int, alpha: float,
         raise EstimationError("m must be >= 1")
     if alpha < 0:
         raise EstimationError("alpha must be >= 0")
-    pairs = [(int(h), int(p)) for h, p in classified]
-    if len(pairs) < 2:
+    pairs = np.fromiter(chain.from_iterable(classified), dtype=np.int64)
+    hours, labels = pairs[0::2], pairs[1::2]
+    if len(labels) < 2:
         raise EstimationError("need at least two classified observations")
-    for i in range(1, len(pairs)):
-        if pairs[i][0] <= pairs[i - 1][0]:
-            raise EstimationError("hour indices must be strictly increasing")
-    counts = {}
-    n_transitions = 0
-    for (h0, p0), (h1, p1) in zip(pairs, pairs[1:]):
-        if h1 - h0 != 1:
-            continue  # gap between segments: no transition observed
-        if not (1 <= p0 <= m and 1 <= p1 <= m):
-            raise EstimationError(f"regime out of range 1..{m} at hour {h0}")
-        key = hour_bucket(h0, grouping)
-        if key not in counts:
-            counts[key] = np.zeros((m, m))
-        counts[key][p0 - 1, p1 - 1] += 1
-        n_transitions += 1
-    if n_transitions == 0:
+    step = np.diff(hours)
+    if np.any(step <= 0):
+        raise EstimationError("hour indices must be strictly increasing")
+    start = np.flatnonzero(step == 1)  # a gap observes no transition
+    if start.size == 0:
         raise EstimationError("no consecutive-hour transitions in the data")
+    p0, p1 = labels[start] - 1, labels[start + 1] - 1
+    out_of_range = (p0 < 0) | (p0 >= m) | (p1 < 0) | (p1 >= m)
+    if out_of_range.any():
+        raise EstimationError(f"regime out of range 1..{m} at hour "
+                              f"{hours[start[out_of_range.argmax()]]}")
+    codes, keys = _bucket_codes(hours[start], grouping)
+    counts = np.bincount((codes * m + p0) * m + p1,
+                         minlength=len(keys) * m * m).reshape(-1, m, m)
+    covered = {keys[b]: counts[b]
+               for b in np.flatnonzero(counts.any(axis=(1, 2)))}
 
     matrices = {}
-    for key in sorted(counts):
-        c = counts[key]
+    for key in sorted(covered):
+        c = covered[key].astype(float)
         row_totals = c.sum(axis=1)
         if alpha == 0 and np.any(row_totals == 0):
             missing = [p + 1 for p in np.flatnonzero(row_totals == 0)]

@@ -11,6 +11,10 @@ start(window), and then asks action(t, theta) once per hour t. The same step
 table drives the controllers' searches, the rollout's own thermal steps and
 its energy, so each hour is one action, one table read and one relaxation
 step. Controllers are deterministic, so a rollout depends on its inputs alone.
+
+Every controller's trajectory of one window has the same hours, prices and
+regime labels, so `SharedColumns` formats their text once per window and
+each `Trajectory.to_csv` formats only its own columns.
 """
 
 from dataclasses import dataclass
@@ -78,20 +82,68 @@ class Trajectory:
                "action", "energy_kwh", "energy_cost", "violation_under",
                "violation_over")
 
-    def to_csv(self, path) -> None:
-        """One row per hour; floats as their shortest round-trip repr."""
-        def ints(values):
-            return np.asarray(values).astype(np.int64).tolist()
+    def to_csv(self, path, shared=None) -> None:
+        """One row per hour; floats as their shortest round-trip repr, ints
+        as str. `shared` is the `SharedColumns` of this trajectory's window;
+        without it, the trajectory formats those columns itself. Raises
+        ValueError if `shared` came from other hours, regimes or prices."""
+        if shared is None:
+            shared = SharedColumns.of(self)
+        elif not shared.matches(self):
+            raise ValueError(f"{path}: the shared timestamp, regime and price "
+                             "text was formatted for another window")
+        write_csv(path, self.COLUMNS, [
+            shared.timestamp_text, _floats(self.theta), _ints(self.theta_index),
+            shared.regime_text, shared.price_text, _ints(self.action),
+            _floats(self.energy_kwh), _floats(self.energy_cost),
+            _floats(self.violation_under), _floats(self.violation_over)])
 
-        def floats(values):
-            return map(repr, np.asarray(values, dtype=float).tolist())
 
-        columns = [format_timestamps(self.hours), floats(self.theta),
-                   ints(self.theta_index), ints(self.regime),
-                   floats(self.price), ints(self.action),
-                   floats(self.energy_kwh), floats(self.energy_cost),
-                   floats(self.violation_under), floats(self.violation_over)]
-        write_csv(path, self.COLUMNS, zip(*columns))
+def _ints(values) -> list:
+    return list(map(str, np.asarray(values).astype(np.int64).tolist()))
+
+
+def _floats(values) -> list:
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+@dataclass
+class SharedColumns:
+    """Text of the columns that all trajectories of one window share, with
+    the arrays it was formatted from.
+
+    rollout copies a window's hours and prices from its AlignedDataset and
+    labels them with the one SimSpecs.regime_model, so cmd_simulate formats
+    them once per window instead of once per controller.
+    """
+
+    hours: np.ndarray
+    regime: np.ndarray
+    price: np.ndarray
+    timestamp_text: list    # format_timestamps(hours)
+    regime_text: list
+    price_text: list
+
+    @classmethod
+    def of(cls, trajectory: Trajectory) -> "SharedColumns":
+        """The trajectory's text, with copies of the arrays it came from."""
+        return cls(hours=np.array(trajectory.hours),
+                   regime=np.array(trajectory.regime),
+                   price=np.array(trajectory.price),
+                   timestamp_text=format_timestamps(trajectory.hours),
+                   regime_text=_ints(trajectory.regime),
+                   price_text=_floats(trajectory.price))
+
+    def matches(self, trajectory: Trajectory) -> bool:
+        """Whether this is `trajectory`'s own text. Prices compare bit for
+        bit: -0.0 == 0.0, but their reprs differ."""
+        return (np.array_equal(self.hours, trajectory.hours)
+                and np.array_equal(self.regime, trajectory.regime)
+                and _bits(self.price) == _bits(trajectory.price))
 
 
 def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
@@ -191,7 +243,9 @@ class ComparisonTable:
     def to_csv(self, path) -> None:
         fields = ["controller", "window", "total_energy_cost",
                   "improvement_vs_baseline", "total_violation_degree_hours"]
-        write_csv(path, fields, ([row[k] for k in fields] for row in self.rows))
+        # str is what csv.writer writes for a str and a float alike
+        write_csv(path, fields, [[str(row[k]) for row in self.rows]
+                                 for k in fields])
 
 
 def compare(reports, baseline_name: str) -> ComparisonTable:

@@ -174,6 +174,47 @@ def test_surfaces_match_row_writer(pipeline):
         expected.getvalue().encode()
 
 
+def test_tables_match_row_writer(pipeline):
+    # the per-row writers compare, fig2 and fig3 used before they wrote
+    # columns
+    _, out, _ = pipeline
+    written = ph.read_tree_bytes(out)
+
+    def rows_csv(header, rows):
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return expected.getvalue().encode()
+
+    fields = ["controller", "window", "total_energy_cost",
+              "improvement_vs_baseline", "total_violation_degree_hours"]
+    with open(os.path.join(out, "comparison.json"), encoding="utf-8") as fh:
+        table = json.load(fh)
+    assert written["comparison.csv"] == rows_csv(
+        fields, ([row[k] for k in fields] for row in table["rows"]))
+
+    policy = mdp.load_policy(os.path.join(out, "policy.json"))
+    assert written["fig2_policy_day.csv"] == rows_csv(
+        ["hour_of_day", "theta", "regime", "action"],
+        ([hod, repr(float(theta)), p + 1, int(policy.actions[hod, i, p])]
+         for hod in range(24)
+         for i, theta in enumerate(policy.space.theta_grid)
+         for p in range(policy.space.m)))
+
+    day = ingest.parse_timestamp(f"{ph.PLANNING_DAY}T00:00:00Z")
+    traces = []
+    for name in ("fixed-rule", "greedy", "qfr-mdp"):
+        with open(os.path.join(out, f"trajectory_{name}_2024-07-15.csv"),
+                  newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                if day <= ingest.parse_timestamp(row["timestamp"]) < day + 24:
+                    traces.append([name] + [row[k] for k in (
+                        "timestamp", "theta", "action", "price")])
+    assert written["fig3_day_traces.csv"] == rows_csv(
+        ["controller", "timestamp", "theta", "action", "price"], traces)
+
+
 def test_fit_qfr_regime_count_follows_config(tmp_path):
     config = ph.make_project(str(tmp_path), qfr={"regimes": 4,
                                                  "daily_harmonics": 2,
@@ -447,6 +488,14 @@ def test_config_defaults_and_validation(tmp_path):
     assert cfg.planning_cost.t_max == pytest.approx(26.5)
     with pytest.raises(ConfigError):
         RunConfig.from_file(str(tmp_path / "nope.yaml"))
+
+
+def test_malformed_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("qfr: {regimes: [2\n")
+    assert cli.main(["fit-qfr", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config file {config} is not valid YAML")
 
 
 def test_import_leaves_scipy_unloaded(pipeline, tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coolsched.ingest import parse_timestamp
-from coolsched.regimes import (BucketError, EstimationError, TransitionModel,
-                               estimate, hour_bucket, load_model, matrix_at,
-                               save_model)
+from coolsched.regimes import (GROUPINGS, BucketError, EstimationError,
+                               TransitionModel, estimate, hour_bucket,
+                               load_model, matrix_at, save_model)
 
 KNOWN_4 = np.array([
     [0.70, 0.10, 0.10, 0.10],
@@ -37,6 +39,90 @@ def sample_path(model: TransitionModel, start_regime: int, start_hour: int,
         row = cumulative[key][path[i - 1] - 1]
         path[i] = int(np.searchsorted(row, rng.random(), side="right")) + 1
     return path
+
+
+def _estimate_reference(classified, m, alpha, grouping):
+    """regimes.estimate one transition at a time, as it was first written."""
+    if m < 1:
+        raise EstimationError("m must be >= 1")
+    if alpha < 0:
+        raise EstimationError("alpha must be >= 0")
+    pairs = [(int(h), int(p)) for h, p in classified]
+    if len(pairs) < 2:
+        raise EstimationError("need at least two classified observations")
+    for i in range(1, len(pairs)):
+        if pairs[i][0] <= pairs[i - 1][0]:
+            raise EstimationError("hour indices must be strictly increasing")
+    counts = {}
+    n_transitions = 0
+    for (h0, p0), (h1, p1) in zip(pairs, pairs[1:]):
+        if h1 - h0 != 1:
+            continue  # gap between segments: no transition observed
+        if not (1 <= p0 <= m and 1 <= p1 <= m):
+            raise EstimationError(f"regime out of range 1..{m} at hour {h0}")
+        key = hour_bucket(h0, grouping)
+        if key not in counts:
+            counts[key] = np.zeros((m, m))
+        counts[key][p0 - 1, p1 - 1] += 1
+        n_transitions += 1
+    if n_transitions == 0:
+        raise EstimationError("no consecutive-hour transitions in the data")
+
+    matrices = {}
+    for key in sorted(counts):
+        c = counts[key]
+        row_totals = c.sum(axis=1)
+        if alpha == 0 and np.any(row_totals == 0):
+            missing = [p + 1 for p in np.flatnonzero(row_totals == 0)]
+            raise EstimationError(
+                f"bucket {key}: regimes {missing} have no outgoing transitions; "
+                "use alpha > 0 to smooth unobserved rows"
+            )
+        matrices[key] = (c + alpha) / (row_totals + m * alpha)[:, None]
+    return TransitionModel(m=m, alpha=alpha, grouping=grouping, matrices=matrices)
+
+
+def _outcome(fit, hours, labels, m, alpha, grouping):
+    """The EstimationError text, or the bucket keys in order and each
+    matrix's bytes."""
+    try:
+        model = fit(zip(hours, labels), m, alpha, grouping)
+    except EstimationError as exc:
+        return str(exc)
+    return [(key, mat.tobytes()) for key, mat in model.matrices.items()]
+
+
+@st.composite
+def chain_samples(draw):
+    """Segments of hours with gaps (some across months), labels in 1..m,
+    and now and then an unsorted hour or a label out of range."""
+    m = draw(st.integers(1, 4))
+    # steps of 1 are transitions; longer ones are gaps
+    steps = draw(st.lists(st.sampled_from((1,) * 8 + (2, 25, 24 * 31)),
+                          max_size=300))
+    labels = draw(st.lists(st.integers(1, m), min_size=len(steps) + 1,
+                           max_size=len(steps) + 1))
+    if steps and draw(st.integers(0, 9)) == 0:
+        steps[draw(st.integers(0, len(steps) - 1))] = draw(st.integers(-2, 0))
+    if draw(st.integers(0, 9)) == 0:
+        labels[draw(st.integers(0, len(steps)))] = draw(
+            st.sampled_from([-1, 0, m + 1]))
+    start = draw(st.integers(-10**5, 10**6))   # 1958 to 2084
+    hours = start + np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+    alpha = draw(st.sampled_from([0.0, 0, 0.5, 1.0]) | st.floats(0, 10))
+    return hours, np.array(labels), m, alpha, draw(st.sampled_from(GROUPINGS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_samples())
+@example((np.arange(4), np.array([1, 1, 2, 2]), 2, 0.0, "pooled"))
+@example((np.array([0, 1, 1]), np.array([1, 1, 2]), 2, 0.5, "month"))
+@example((np.array([5, 6, 7, 9]), np.array([1, 2, 3, 1]), 2, 0.5, "season"))
+def test_estimate_matches_reference(sample):
+    hours, labels, m, alpha, grouping = sample
+    assert _outcome(estimate, hours, labels, m, alpha, grouping) == \
+        _outcome(_estimate_reference, hours.tolist(), labels.tolist(), m,
+                 alpha, grouping)
 
 
 def stationary_by_power_iteration(matrix, iters=10_000):

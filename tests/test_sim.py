@@ -14,8 +14,8 @@ from coolsched.ingest import AlignedDataset, format_timestamp, parse_timestamp
 from coolsched.mdp import Policy, StateSpace, quantize
 from coolsched.qfr import (TIE_TOL, FourierDesign, QuantileFit, RegimeModel,
                            classify, classify_series)
-from coolsched.sim import (CostReport, SimSpecs, Trajectory, compare, rollout,
-                           summarize)
+from coolsched.sim import (CostReport, SharedColumns, SimSpecs, Trajectory,
+                           compare, rollout, summarize)
 from coolsched.thermal import (ChillerSpec, HeatLoadSpec, capacitance,
                                cooling_energy, heat_load, step_temperature)
 
@@ -429,3 +429,32 @@ def test_trajectory_csv_round_trip(tmp_path, sim_specs):
     got_cost = np.array([float(r["energy_cost"]) for r in rows])
     assert np.array_equal(got_theta, traj.theta)      # repr round-trips
     assert np.array_equal(got_cost, traj.energy_cost)
+
+
+def test_to_csv_takes_shared_text_from_its_own_window_only(tmp_path, sim_specs):
+    ds = summer_dataset(seed=8, days=2)
+    greedy = rollout(GreedyController(sim_specs.cost), ds, sim_specs)
+    fixed = rollout(FixedRuleController(sim_specs.cost), ds, sim_specs)
+    shared = SharedColumns.of(greedy)
+    fixed.to_csv(tmp_path / "shared.csv", shared)
+    fixed.to_csv(tmp_path / "own.csv")
+    assert (tmp_path / "shared.csv").read_bytes() == \
+        (tmp_path / "own.csv").read_bytes()
+    # other hours, other prices, other labels, and a price whose text alone
+    # differs (-0.0 == 0.0)
+    price = fixed.price.copy()
+    price[3] = 0.0
+    zero = SharedColumns.of(replace(fixed, price=price))
+    price[3] = -0.0
+    others = [
+        (shared, replace(fixed, hours=fixed.hours + 24)),
+        (shared, replace(fixed, price=fixed.price + 1.0)),
+        (shared, replace(fixed, regime=fixed.regime + 1)),
+        (shared, replace(fixed, hours=fixed.hours[:-1])),
+        (zero, replace(fixed, price=price)),
+    ]
+    for text, trajectory in others:
+        path = tmp_path / "other.csv"
+        with pytest.raises(ValueError, match="another window"):
+            trajectory.to_csv(path, text)
+        assert not path.exists()
