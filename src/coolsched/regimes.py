@@ -8,7 +8,6 @@ contribute no transitions.
 """
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import chain
 
 import numpy as np
@@ -29,41 +28,38 @@ class BucketError(LookupError):
     """No matrix was estimated for the requested hour's bucket."""
 
 
-def _month_of_hour(hour: int) -> int:
-    return datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc).month
+_HODS = [f"{d:02d}" for d in range(24)]
+
+# bucket keys of each grouping, in the order of _bucket_codes
+_BUCKET_KEYS = {
+    "pooled": ("all",),
+    "single": tuple(_HODS),
+    "month": tuple(f"{h}-m{k:02d}" for h in _HODS for k in range(1, 13)),
+    "season": tuple(f"{h}-{name}" for h in _HODS for name in _SEASONS),
+}
+
+
+def _bucket_codes(hours, grouping: str) -> np.ndarray:
+    """Index into _BUCKET_KEYS[grouping] of the bucket of each hour."""
+    if grouping not in _BUCKET_KEYS:
+        raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
+    hours = np.asarray(hours, dtype=np.int64)
+    if grouping == "pooled":
+        return np.zeros_like(hours)
+    hod = hours % 24
+    if grouping == "single":
+        return hod
+    month = (hours.astype("datetime64[h]").astype("datetime64[M]")
+             .astype(np.int64) % 12)  # 0 for January
+    if grouping == "month":
+        return hod * 12 + month
+    return hod * 4 + (month + 1) % 12 // 3
 
 
 def hour_bucket(hour: int, grouping: str) -> str:
     """Bucket key of the transition leaving `hour`."""
-    if grouping == "pooled":
-        return "all"
-    hod = int(hour) % 24
-    if grouping == "single":
-        return f"{hod:02d}"
-    month = _month_of_hour(hour)
-    if grouping == "month":
-        return f"{hod:02d}-m{month:02d}"
-    if grouping == "season":
-        return f"{hod:02d}-{_SEASONS[month % 12 // 3]}"
-    raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
-
-
-def _bucket_codes(hours: np.ndarray, grouping: str):
-    """(codes, keys) with keys[codes[i]] == hour_bucket(hours[i], grouping)."""
-    if grouping == "pooled":
-        return np.zeros(len(hours), dtype=np.int64), ["all"]
-    hod = hours % 24
-    if grouping == "single":
-        return hod, [f"{d:02d}" for d in range(24)]
-    month = (hours.astype("datetime64[h]").astype("datetime64[M]")
-             .astype(np.int64) % 12)  # 0 for January
-    if grouping == "month":
-        keys = [f"{d:02d}-m{k:02d}" for d in range(24) for k in range(1, 13)]
-        return hod * 12 + month, keys
-    if grouping == "season":
-        keys = [f"{d:02d}-{name}" for d in range(24) for name in _SEASONS]
-        return hod * 4 + (month + 1) % 12 // 3, keys
-    raise ValueError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
+    code = int(_bucket_codes(hour, grouping))
+    return _BUCKET_KEYS[grouping][code]
 
 
 @dataclass
@@ -117,7 +113,7 @@ def estimate(classified, m: int, alpha: float,
     if out_of_range.any():
         raise EstimationError(f"regime out of range 1..{m} at hour "
                               f"{hours[start[out_of_range.argmax()]]}")
-    codes, keys = _bucket_codes(hours[start], grouping)
+    codes, keys = _bucket_codes(hours[start], grouping), _BUCKET_KEYS[grouping]
     counts = np.bincount((codes * m + p0) * m + p1,
                          minlength=len(keys) * m * m).reshape(-1, m, m)
     covered = {keys[b]: counts[b]

@@ -21,19 +21,35 @@ class _FailingColumn(list):
         raise RuntimeError("disk full")
 
 
+def _fail_inside_writer(path):
+    with artifacts.atomic_writer(path) as fh:
+        fh.write("partial")
+        raise RuntimeError("disk full")
+
+
+def _copy_undecodable(path):
+    # the source is read inside the writer block, after the temp file opened
+    src = path.parent.parent / "src.csv"
+    src.write_bytes(b"a,b\r\n\xff\r\n")
+    artifacts.copy(src, path)
+
+
 @pytest.mark.parametrize("write", [
     lambda path: artifacts.write_csv(path, ["a", "b"],
                                      [["1", "2"], _FailingColumn(["3", "4"])]),
     lambda path: artifacts.write_json(path, {"a": 1, "b": object()}),
+    _fail_inside_writer,
+    _copy_undecodable,
 ])
 def test_failed_write_keeps_previous_file(tmp_path, write):
-    path = tmp_path / "table"
+    path = tmp_path / "out" / "table"
+    path.parent.mkdir()
     artifacts.write_json(path, {"kind": "old"})
     before = path.read_bytes()
-    with pytest.raises((RuntimeError, TypeError)):
+    with pytest.raises((RuntimeError, TypeError, UnicodeDecodeError)):
         write(path)
     assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["table"]
+    assert os.listdir(path.parent) == ["table"]
 
 
 def test_new_file_mode_matches_plain_open(tmp_path):

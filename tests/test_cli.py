@@ -1,4 +1,5 @@
 import csv
+import datetime
 import io
 import json
 import os
@@ -9,9 +10,11 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 import coolsched
 from coolsched import artifacts, cli, ingest, mdp, qfr, regimes
+from coolsched import config as config_module
 from coolsched.config import ConfigError, RunConfig
 from coolsched.thermal import step_table
 
@@ -496,6 +499,30 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert cli.main(["fit-qfr", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: config file {config} is not valid YAML")
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+def test_config_loads_alike_with_either_yaml_loader(tmp_path, monkeypatch):
+    config = ph.make_project(str(tmp_path))
+    environ = {"COOLSCHED_QFR__REGIMES": "3", "COOLSCHED_CHAIN__ALPHA": "2.5e-1",
+               "COOLSCHED_CHAIN__GROUPING": "season",
+               "COOLSCHED_MDP__PLANNING_DAY": "2024-07-16",
+               "COOLSCHED_PATHS__OUT_DIR": "out: [2"}
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("qfr: {regimes: [2\n")
+    loaded = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(config_module, "_LOADER", loader)
+        loaded.append((RunConfig.from_file(config).raw,
+                       RunConfig.from_file(config, environ).raw))
+        with pytest.raises(ConfigError, match="is not valid YAML"):
+            RunConfig.from_file(str(malformed))
+    assert loaded[0] == loaded[1]
+    overridden = loaded[0][1]
+    assert overridden["qfr"]["regimes"] == 3
+    assert overridden["chain"] == {"alpha": 0.25, "grouping": "season"}
+    assert overridden["mdp"]["planning_day"] == datetime.date(2024, 7, 16)
+    assert overridden["paths"]["out_dir"] == "out: [2"
 
 
 def test_import_leaves_scipy_unloaded(pipeline, tmp_path):

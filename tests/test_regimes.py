@@ -1,3 +1,5 @@
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +43,30 @@ def sample_path(model: TransitionModel, start_regime: int, start_hour: int,
     return path
 
 
+def _hour_bucket_reference(hour, grouping):
+    """regimes.hour_bucket through datetime, as it was first written."""
+    if grouping == "pooled":
+        return "all"
+    hod = int(hour) % 24
+    if grouping == "single":
+        return f"{hod:02d}"
+    month = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc).month
+    if grouping == "month":
+        return f"{hod:02d}-m{month:02d}"
+    return f"{hod:02d}-{('djf', 'mam', 'jja', 'son')[month % 12 // 3]}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**5, 10**6), st.sampled_from(GROUPINGS))
+@example(parse_timestamp("2024-03-01T00:00:00Z"), "season")
+@example(parse_timestamp("2023-12-31T23:00:00Z"), "month")
+@example(-1, "month")
+def test_hour_bucket_matches_reference(hour, grouping):
+    assert hour_bucket(hour, grouping) == _hour_bucket_reference(hour, grouping)
+    assert hour_bucket(np.int64(hour), grouping) == \
+        _hour_bucket_reference(hour, grouping)
+
+
 def _estimate_reference(classified, m, alpha, grouping):
     """regimes.estimate one transition at a time, as it was first written."""
     if m < 1:
@@ -60,7 +86,7 @@ def _estimate_reference(classified, m, alpha, grouping):
             continue  # gap between segments: no transition observed
         if not (1 <= p0 <= m and 1 <= p1 <= m):
             raise EstimationError(f"regime out of range 1..{m} at hour {h0}")
-        key = hour_bucket(h0, grouping)
+        key = _hour_bucket_reference(h0, grouping)
         if key not in counts:
             counts[key] = np.zeros((m, m))
         counts[key][p0 - 1, p1 - 1] += 1
