@@ -21,13 +21,12 @@ sha256 <first 12 hex digits>, parsed|reused` before the stage's summary.
 """
 
 import argparse
-import csv
 import os
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
-from operator import itemgetter
+from itertools import islice
 
 import numpy as np
 
@@ -253,6 +252,8 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     mdp.save_policy(policy, os.path.join(out, POLICY_FILE))
     print(f"planned cycle n={problem.n} states={problem.space.n_theta}x"
           f"{problem.space.m} actions={problem.space.n_actions}")
+    visited = int(np.count_nonzero(occupancy.x.sum(axis=3) > 1e-12))
+    print(f"occupancy visits {visited} of {policy.actions.size} table states")
     if occupancy.solver == "rvi":
         print(f"solver: rvi periods={occupancy.periods} "
               f"span={occupancy.span:.3e} residuals="
@@ -349,29 +350,31 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
          list(map(str, policy.actions[slots].ravel().tolist()))])
 
     # one day of simulated temperature traces per controller
-    sim_windows = _simulate_windows(cfg)
-    first_sim = sim_windows[0]
+    first_sim = _simulate_windows(cfg)[0]
     day = args.day or ingest.format_timestamp(day_start)[:10]
     day_h0 = ingest.parse_timestamp(f"{day}T00:00:00Z")
-    window_day = ingest.format_timestamp(
-        ingest.parse_timestamp(first_sim[0]))[:10]
+    window = ingest.window_hours(first_sim)
+    offset = day_h0 - int(window[0])
+    if not 0 <= offset < len(window):
+        raise PipelineError(
+            f"day {day} not inside the first simulate window {first_sim}")
+    window_day = ingest.format_timestamp(window[0])[:10]
     rows_out = []
     for name in sorted(cfg.raw["controllers"]):
         path = os.path.join(out, f"trajectory_{name}_{window_day}.csv")
         if not os.path.exists(path):
             raise PipelineError(f"missing {path}; run simulate first")
+        # write_csv quotes no field, so a row splits on its commas
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            columns = itemgetter(*(header.index(key) for key in
-                                   ("timestamp", "theta", "action", "price")))
-            rows = list(map(columns, reader))
-        hours = ingest.parse_timestamps(row[0] for row in rows)
-        rows_out += [(name, *row) for row, h in zip(rows, hours)
-                     if day_h0 <= h < day_h0 + 24]
-    if not rows_out:
-        raise PipelineError(
-            f"day {day} not inside the first simulate window {first_sim}")
+            header = next(fh, "").rstrip("\r\n").split(",")
+            rows = [line.rstrip("\r\n").split(",")
+                    for line in islice(fh, offset, offset + 24)]
+        columns = [header.index(key)
+                   for key in ("timestamp", "theta", "action", "price")]
+        if not rows or rows[0][columns[0]] != ingest.format_timestamp(day_h0):
+            raise PipelineError(f"{path} does not start day {day} at hour "
+                                f"{offset} of its window; re-run simulate")
+        rows_out += [(name, *(row[k] for k in columns)) for row in rows]
     artifacts.write_csv(os.path.join(out, "fig3_day_traces.csv"),
                         ["controller", "timestamp", "theta", "action", "price"],
                         list(zip(*rows_out)))

@@ -10,17 +10,16 @@ deterministic and cyclic.
 The planner runs relative value iteration on the period map, the n-step chain
 from slot 0 back to slot 0 (Puterman 1994, Markov Decision Processes, sections
 8.5 and 9.5): one backward sweep of Bellman backups over t = n-1..0 per
-period. It returns the occupancy measure of the greedy policy: the stationary
-law of the policy's period map, carried through the n slots. When the span
-of the period map's value change does not settle within PERIOD_BUDGET
-periods (a multichain or periodic period map), the planner solves the
-occupancy linear program instead: variables x[t, s, a] with per-time
-normalization and cyclic flow-balance rows. The LP is also the reference the
-tests compare the planner against.
-
-Without side constraints an optimal occupancy comes from a deterministic
-policy, so a planned policy is one chiller count per (cycle slot, theta bin,
-regime).
+period. The planned policy is the argmin table of the last sweep, one chiller
+count per (cycle slot, theta bin, regime) in every state, visited or not, with
+its occupancy measure: the stationary law of the policy's period map, carried
+through the n slots. When the span of the period map's value change does not
+settle within PERIOD_BUDGET periods (a multichain or periodic period map), the
+planner solves the occupancy linear program instead: variables x[t, s, a] with
+per-time normalization and cyclic flow-balance rows. Its table is one backward
+sweep from n times the duals of slot 0's flow-balance rows, which are relative
+values of slot 0 (Puterman 1994, section 8.8). The LP is also the reference
+the tests compare the planner against.
 """
 
 from dataclasses import dataclass
@@ -234,19 +233,23 @@ def build_lp(problem: MdpProblem) -> LpDescription:
 class OccupancyMeasure:
     """Solved occupancy x[t, theta_idx, p, a] and its objective ($/step).
 
-    `solver` names the method that produced it ("rvi" or "lp"); `periods`
-    and `span` describe the value iteration run before it, if any.
+    `actions` is the argmin table of one sweep from slot 0's relative
+    `values`, set by `solve`; `solver` ("rvi" or "lp"), `periods` and `span`
+    name the method and the value iteration run before it, if any.
     """
 
     x: np.ndarray
     objective: float
+    values: np.ndarray
+    actions: np.ndarray = None
     solver: str = "lp"
     periods: int = 0
     span: float = None
 
 
 def solve_occupancy(lp: LpDescription) -> OccupancyMeasure:
-    """Solve the occupancy LP with HiGHS at 1e-9 feasibility tolerances."""
+    """Solve the occupancy LP with HiGHS at 1e-9 feasibility tolerances; its
+    values are n times the duals of slot 0's flow-balance rows."""
     from scipy.optimize import linprog
 
     res = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None),
@@ -258,8 +261,10 @@ def solve_occupancy(lp: LpDescription) -> OccupancyMeasure:
             f"occupancy LP failed: status={res.status} message={res.message!r} "
             f"iterations={getattr(res, 'nit', 'n/a')}"
         )
+    n, L, m, _ = lp.dims
     x = np.maximum(res.x, 0.0).reshape(lp.dims)
-    return OccupancyMeasure(x=x, objective=float(res.fun))
+    values = n * res.eqlin.marginals[n:n + L * m].reshape(L, m)
+    return OccupancyMeasure(x=x, objective=float(res.fun), values=values)
 
 
 def check_occupancy(problem: MdpProblem, occ: OccupancyMeasure,
@@ -299,30 +304,38 @@ def bellman_backup(costs, succ_idx, trans, v_next, t) -> np.ndarray:
     return costs[t] + np.einsum("pq,iaq->ipa", trans[t], gathered)
 
 
+def _sweep(costs, succ_idx, trans, v):
+    """One backward sweep of Bellman backups over t = n-1..0 from slot 0's
+    values v: (slot 0's new values, argmin action table (n, L, M))."""
+    actions = np.empty(costs.shape[:3], dtype=np.int64)
+    for t in range(len(trans) - 1, -1, -1):
+        q = bellman_backup(costs, succ_idx, trans, v, t)
+        actions[t] = q.argmin(axis=2)
+        v = np.take_along_axis(q, actions[t][..., None], axis=2)[..., 0]
+    return v, actions
+
+
 def _period_rvi(costs, succ_idx, trans):
     """Relative value iteration on the period map.
 
     Each period sweeps t = n-1..0 from the relative values h of slot 0 and
     stops once the span of v_0 - h is at most RVI_TOL * max(1, |gain|), where
-    gain is the per-step midpoint of v_0 - h. Returns (values, periods, span):
-    values[t] holds slot t's values of the last sweep and values[n] is the h
-    it started from; values is None if the budget ran out first.
+    gain is the per-step midpoint of v_0 - h. Returns (h, actions, periods,
+    span): the h and argmin table of the last sweep, or None for both if the
+    budget ran out first.
     """
     n = len(trans)
     h = np.zeros(costs.shape[1:3])
+    span = np.inf
     for period in range(1, PERIOD_BUDGET + 1):
-        values = [h]
-        for t in range(n - 1, -1, -1):
-            values.append(
-                bellman_backup(costs, succ_idx, trans, values[-1], t).min(axis=2))
-        values.reverse()
-        delta = values[0] - h
+        v0, actions = _sweep(costs, succ_idx, trans, h)
+        delta = v0 - h
         span = float(delta.max() - delta.min())
         gain = float(delta.max() + delta.min()) / (2 * n)
         if span <= RVI_TOL * max(1.0, abs(gain)):
-            return values, period, span
-        h = values[0] - values[0].flat[0]
-    return None, PERIOD_BUDGET, span
+            return h, actions, period, span
+        h = v0 - v0.flat[0]
+    return None, None, PERIOD_BUDGET, span
 
 
 def _policy_occupancy(succ_idx, trans, actions) -> np.ndarray:
@@ -361,40 +374,30 @@ def _policy_occupancy(succ_idx, trans, actions) -> np.ndarray:
 
 
 def solve(problem: MdpProblem) -> OccupancyMeasure:
-    """Optimal occupancy of the cycle: value iteration, else the LP.
+    """Optimal occupancy of the cycle and its greedy action table.
 
-    Relative value iteration on the period map gives a greedy action table,
-    whose occupancy is returned with objective sum(c * x) / n. If the span
-    has not settled within PERIOD_BUDGET periods, the occupancy LP is solved
-    instead; a SolverError from it names both attempts.
+    Relative value iteration on the period map gives the argmin table of
+    its last sweep, whose occupancy is returned with objective
+    sum(c * x) / n. If the span has not settled within PERIOD_BUDGET
+    periods, the occupancy LP is solved instead and the table is one sweep
+    from its slot-0 values; a SolverError from it names both attempts.
     """
     costs = cost_tensor(problem)
     succ_idx = successor_indices(problem)
-    values, periods, span = _period_rvi(costs, succ_idx, problem.trans)
-    if values is None:
+    h, actions, periods, span = _period_rvi(costs, succ_idx, problem.trans)
+    if actions is None:
         try:
             occ = solve_occupancy(build_lp(problem))
         except SolverError as exc:
             raise SolverError(f"value iteration span {span:.3e} after {periods} "
                               f"periods, then {exc}") from None
+        occ.actions = _sweep(costs, succ_idx, problem.trans, occ.values)[1]
         occ.periods, occ.span = periods, span
         return occ
-    actions = np.stack([
-        bellman_backup(costs, succ_idx, problem.trans, values[t + 1], t).argmin(axis=2)
-        for t in range(problem.n)])
     x = _policy_occupancy(succ_idx, problem.trans, actions)
     return OccupancyMeasure(x=x, objective=float((costs * x).sum() / problem.n),
-                            solver="rvi", periods=periods, span=span)
-
-
-def _fallback_actions(problem: MdpProblem) -> np.ndarray:
-    """Smallest action whose quantized successor stays at or below t_max."""
-    grid = problem.space.theta_grid
-    succ_vals = grid[successor_indices(problem)]       # (n, L, A)
-    safe = succ_vals <= problem.cost.t_max + 1e-9
-    first_safe = np.argmax(safe, axis=2)               # 0 if none safe
-    any_safe = safe.any(axis=2)
-    return np.where(any_safe, first_safe, problem.space.a_max)
+                            values=h, actions=actions, solver="rvi",
+                            periods=periods, span=span)
 
 
 @dataclass
@@ -423,15 +426,8 @@ class Policy:
 
 
 def extract_policy(problem: MdpProblem, occ: OccupancyMeasure) -> Policy:
-    """The action carrying the most occupancy in each visited state.
-
-    States the occupancy never visits get a fallback: the smallest action
-    keeping the quantized successor at or below t_max.
-    """
-    visited = occ.x.sum(axis=3) > 1e-12
-    fallback = _fallback_actions(problem)              # (n, L)
-    actions = np.where(visited, occ.x.argmax(axis=3), fallback[:, :, None])
-    return Policy(actions=actions, space=problem.space,
+    """The Policy of `solve`'s action table, on the problem's cycle hours."""
+    return Policy(actions=occ.actions, space=problem.space,
                   hours=problem.hours, objective=occ.objective)
 
 

@@ -302,6 +302,10 @@ def test_plan_prints_solver_line(pipeline, tmp_path, monkeypatch, capsys):
     rvi_lines = _plan_stdout(pipeline, tmp_path / "rvi", capsys)
     assert re.fullmatch(r"solver: rvi periods=\d+ span=\S+ residuals=\S+/\S+",
                         rvi_lines[-2])
+    visits = re.fullmatch(r"occupancy visits (\d+) of (\d+) table states",
+                          rvi_lines[-3])
+    table = mdp.load_policy(tmp_path / "rvi" / "policy.json").actions
+    assert visits and 0 < int(visits[1]) < int(visits[2]) == table.size
     monkeypatch.setattr(mdp, "PERIOD_BUDGET", 1)
     lp_lines = _plan_stdout(pipeline, tmp_path / "lp", capsys)
     assert re.fullmatch(r"solver: lp \(rvi span \S+ after 1 periods\)",
@@ -403,6 +407,23 @@ def test_export_plot_data_needs_no_price_archive(pipeline, tmp_path):
         assert fig1 == fh.read()
     fig4 = (tmp_path / "out" / "fig4_cost_comparison.csv").read_bytes()
     assert fig4 == (tmp_path / "out" / "comparison.csv").read_bytes()
+
+
+def test_export_plot_data_checks_the_day(pipeline, tmp_path, capsys):
+    # fig3 reads the day's rows at their offset in the first simulate window
+    root, _, _ = pipeline
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+    config = str(tmp_path / "config.yaml")
+    for day in ("2024-07-14", "2024-07-19"):
+        assert cli.main(["export-plot-data", "--config", config,
+                         "--day", day]) == 2
+        assert "not inside the first simulate window" in capsys.readouterr().err
+    # a trajectory one row short no longer has the day at that offset
+    path = tmp_path / "out" / "trajectory_greedy_2024-07-15.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:1] + lines[2:]))
+    assert cli.main(["export-plot-data", "--config", config]) == 2
+    assert "re-run simulate" in capsys.readouterr().err
 
 
 def test_export_plot_data_requires_simulation(tmp_path, capsys):

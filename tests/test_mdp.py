@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from coolsched import mdp
 from coolsched.mdp import (PERIOD_BUDGET, CostSpec, LpDescription, MdpProblem,
-                           OccupancyMeasure, Policy, SolverError, StateSpace,
-                           build_lp, check_occupancy, cost_tensor,
-                           extract_policy, load_policy, quantize, save_policy, solve,
+                           Policy, SolverError, StateSpace, build_lp,
+                           check_occupancy, cost_tensor, extract_policy,
+                           load_policy, quantize, save_policy, solve,
                            solve_occupancy, successor_indices,
                            successor_temperatures)
 from coolsched.thermal import (ChillerSpec, cooling_energy, step_table,
@@ -187,22 +187,22 @@ def test_absorbing_state_objective_is_forced_cost():
 
 # "dp" in the test names below is the dynamic-programming planner, relative
 # value iteration on the period map.
-def _rvi_and_lp(prob):
-    """Plan by value iteration and by the LP; assert equal gains and equal
-    actions on every state both occupancies visit with more than 1e-9."""
+def _rvi_and_lp(prob, monkeypatch):
+    """Plan by value iteration and, with no period budget, by the LP; assert
+    equal gains and the same action table in every state."""
     rvi = solve(prob)
-    lp = solve_occupancy(build_lp(prob))
-    assert rvi.solver == "rvi"
+    with monkeypatch.context() as patch:
+        patch.setattr(mdp, "PERIOD_BUDGET", 0)
+        lp = solve(prob)
+    assert (rvi.solver, lp.solver) == ("rvi", "lp")
     assert rvi.objective == pytest.approx(lp.objective, rel=1e-6)
-    both = (rvi.x.sum(axis=3) > 1e-9) & (lp.x.sum(axis=3) > 1e-9)
-    assert both.any()
-    assert np.array_equal(extract_policy(prob, rvi).actions[both],
-                          extract_policy(prob, lp).actions[both])
+    assert rvi.actions.shape == (prob.n, prob.space.n_theta, prob.space.m)
+    assert np.array_equal(rvi.actions, lp.actions)
     return rvi, lp
 
 
-def test_lp_matches_dp_on_absorbing_instance():
-    _rvi_and_lp(_absorbing_problem())
+def test_lp_matches_dp_on_absorbing_instance(monkeypatch):
+    _rvi_and_lp(_absorbing_problem(), monkeypatch)
 
 
 def _teleport_problem():
@@ -238,10 +238,10 @@ def _enumerate_policies_min_mean_cost(prob):
     return best
 
 
-def test_lp_and_dp_match_policy_enumeration():
+def test_lp_and_dp_match_policy_enumeration(monkeypatch):
     prob = _teleport_problem()
     brute = _enumerate_policies_min_mean_cost(prob)
-    rvi, lp = _rvi_and_lp(prob)
+    rvi, lp = _rvi_and_lp(prob, monkeypatch)
     assert lp.objective == pytest.approx(brute, rel=1e-6)
     check_occupancy(prob, lp)
     check_occupancy(prob, rvi)
@@ -283,25 +283,24 @@ def test_desk_instance_occupancy_valid(desk_instance):
     assert residuals["flow"] <= 1e-6
 
 
-def test_desk_instance_lp_matches_dp(desk_instance):
+def test_desk_instance_lp_matches_dp(desk_instance, monkeypatch):
     prob, occ, policy = desk_instance
-    rvi, _ = _rvi_and_lp(prob)
+    rvi, _ = _rvi_and_lp(prob, monkeypatch)
     assert occ.solver == "rvi"
     assert policy.objective == rvi.objective
 
 
-def test_desk_instance_lp_and_dp_policies_agree(desk_instance):
-    # the LP's policy takes value iteration's greedy action on every state
-    # both visit, and the fallback rule on every state neither visits
+def test_desk_instance_lp_and_dp_policies_agree(desk_instance, monkeypatch):
+    # the LP's duals give value iteration's table in every state, visited by
+    # either occupancy or not
     prob, occ, policy = desk_instance
-    lp = solve_occupancy(build_lp(prob))
+    monkeypatch.setattr(mdp, "PERIOD_BUDGET", 0)
+    lp = solve(prob)
     lp_policy = extract_policy(prob, lp)
     rvi_mass, lp_mass = occ.x.sum(axis=3), lp.x.sum(axis=3)
-    both = (rvi_mass > 1e-9) & (lp_mass > 1e-9)
     neither = (rvi_mass <= 1e-12) & (lp_mass <= 1e-12)
-    assert both.any() and neither.any()
-    assert np.array_equal(policy.actions[both], lp_policy.actions[both])
-    assert np.array_equal(policy.actions[neither], lp_policy.actions[neither])
+    assert lp.solver == "lp" and neither.any()
+    assert np.array_equal(policy.actions, lp_policy.actions)
 
 
 def test_extract_policy_deterministic_concentration():
@@ -309,37 +308,6 @@ def test_extract_policy_deterministic_concentration():
     occ, policy = plan(prob)
     idx25 = quantize(25.0, prob.space)
     assert policy.actions[0, idx25, 0] == 1
-
-
-def test_extract_policy_uniform_split():
-    # occupancy split evenly over two actions: the tie goes to the smaller one
-    prob = _teleport_problem()
-    x = np.zeros((1, prob.space.n_theta, 1, prob.space.n_actions))
-    x[0, 2, 0, 1] = 0.5
-    x[0, 2, 0, 2] = 0.5
-    policy = extract_policy(prob, OccupancyMeasure(x=x, objective=0.0))
-    assert policy.actions[0, 2, 0] == 1
-
-
-def test_extract_policy_fallback_on_unvisited():
-    # zero occupancy everywhere: fallback must still give one action per state
-    prob = make_problem(n=2)
-    x = np.zeros((2, prob.space.n_theta, prob.space.m, prob.space.n_actions))
-    x[:, 5, 0, 0] = 1.0  # only one visited state
-    policy = extract_policy(prob, OccupancyMeasure(x=x, objective=0.0))
-    assert policy.actions.shape == (2, prob.space.n_theta, prob.space.m)
-    # fallback mirrors the greedy rule: quantized successor at or below t_max
-    succ = successor_indices(prob)
-    grid = prob.space.theta_grid
-    chosen = policy.actions
-    for t in (0, 1):
-        for i in range(prob.space.n_theta):
-            for p in range(prob.space.m):
-                if (t, i, p) == (0, 5, 0) or (t, i, p) == (1, 5, 0):
-                    continue
-                a = chosen[t, i, p]
-                if grid[succ[t, i, a]] > prob.cost.t_max + 1e-9:
-                    assert a == prob.space.a_max
 
 
 def test_policy_serialization_round_trip(desk_instance, tmp_path):
@@ -436,18 +404,6 @@ def test_cost_tensor_matches_immediate_cost(case):
         assert costs[t, i, p, a] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_extract_policy_picks_max_occupancy(data):
-    prob = make_problem(n=2)
-    shape = (2, prob.space.n_theta, prob.space.m, prob.space.n_actions)
-    x = data.draw(arrays(float, shape, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
-    policy = extract_policy(prob, OccupancyMeasure(x=x, objective=0.0))
-    chosen = np.take_along_axis(x, policy.actions[..., None], axis=3)[..., 0]
-    visited = x.sum(axis=3) > 0
-    assert np.array_equal(chosen[visited], x.max(axis=3)[visited])
-
-
 def _multichain_problem():
     """Found by hypothesis: 10 degC is absorbing with gain 8238 and the rest
     of the grid reaches gain 7750, so the period map is multichain."""
@@ -468,12 +424,42 @@ def test_plan_matches_lp(prob):
     check_occupancy(prob, occ)
 
 
+def _greedy_q(prob, values):
+    """Q[t, i, p, a] of the backward sweep from slot 0's values, written out
+    from the cost and successor definitions."""
+    costs, succ = cost_tensor(prob), successor_indices(prob)
+    q = np.empty(costs.shape)
+    v_next = values
+    for t in range(prob.n - 1, -1, -1):
+        for i, p, a in np.ndindex(costs.shape[1:]):
+            q[t, i, p, a] = costs[t, i, p, a] + sum(
+                prob.trans[t, p, p_to] * v_next[succ[t, i, a], p_to]
+                for p_to in range(prob.space.m))
+        v_next = q[t].min(axis=2)
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+@example(_multichain_problem())
+def test_planned_action_attains_min_q(prob):
+    # in every state, visited or not, on either solver path
+    occ, policy = plan(prob)
+    q = _greedy_q(prob, occ.values)
+    chosen = np.take_along_axis(q, policy.actions[..., None], axis=3)[..., 0]
+    best = q.min(axis=3)
+    assert np.all(chosen - best <= 1e-9 * np.maximum(1.0, np.abs(best)))
+
+
 def test_multichain_instance_takes_lp_path():
-    occ = solve(_multichain_problem())
+    prob = _multichain_problem()
+    occ, policy = plan(prob)
     assert occ.solver == "lp"
     assert occ.periods == PERIOD_BUDGET
     assert occ.span > 1.0
     assert occ.objective == pytest.approx(7750.0, rel=1e-6)
+    # a complete integer table: Policy rejects any other
+    assert policy.actions.shape == (1, prob.space.n_theta, 1)
 
 
 def test_lp_fallback_failure_names_both_attempts(monkeypatch):
