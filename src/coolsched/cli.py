@@ -6,9 +6,11 @@ dir. export-plot-data writes fig2 and fig3 from the policy and trajectories,
 and copies qfr_surfaces.csv (fit-qfr) and comparison.csv (compare) to fig1
 and fig4. All take --config (YAML, see config.py), plus --seed and --out overrides.
 Every command is deterministic given identical config and seed. Every CSV
-a command writes is a table of text columns that artifacts.write_csv joins;
-simulate formats each window's timestamp, regime and price columns once
-(sim.SharedColumns) and hands them to every controller's trajectory.
+a command writes is a table of text columns that artifacts.write_csv joins.
+simulate states each simulate window once (sim.Window: its prices, regime
+labels, step table and their text) and rolls every controller out on it,
+writing `trajectory_<controller>_<first day>.csv`; it refuses two windows
+that start on the same day, whose files would collide.
 
 Input archives are parsed once per out dir: a stage that reads an archive
 keeps its parsed series in the out dir as `price_series.bin`,
@@ -98,9 +100,19 @@ def _train_windows(cfg: RunConfig):
 
 
 def _simulate_windows(cfg: RunConfig):
+    """The simulate windows; raises PipelineError if there are none or if
+    two start on the same UTC day, which names their trajectory files."""
     windows = cfg.raw["windows"]["simulate"]
     if not windows:
         raise PipelineError("config defines no windows.simulate")
+    first = {}
+    for start, end in windows:
+        day = ingest.format_timestamp(ingest.parse_timestamp(start))[:10]
+        if day in first:
+            raise PipelineError(
+                f"windows.simulate {first[day]} and {start}..{end} both start "
+                f"on {day}; their trajectory files would have the same name")
+        first[day] = f"{start}..{end}"
     return windows
 
 
@@ -144,7 +156,7 @@ def _check_regime_count(cfg: RunConfig, regime_model) -> None:
 def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
     """Planning problem over the configured cycle (one day or a window),
     with the archives cached in the out dir `out`. Its plant is the
-    thermal.step_table that sim.rollout builds the same way from its window.
+    thermal.step_table that sim.Window.of builds the same way from a window.
     """
     _check_regime_count(cfg, regime_model)
     if transition_model.m != regime_model.m:
@@ -266,9 +278,10 @@ def cmd_plan(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg, args)
     if not cfg.raw["controllers"]:
         raise PipelineError("config selects no controllers")
+    windows = _simulate_windows(cfg)
+    out = _out_dir(cfg, args)
 
     # one regime model drives the qfr-mdp lookups and labels every trajectory
     model = None
@@ -286,17 +299,14 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     temperature = _load_input(cfg, out, ingest.SeriesKind.TEMPERATURE)
     workload_archive = _load_workload(cfg, out)
     reports = []
-    for window in _simulate_windows(cfg):
-        workload = _workload_series(cfg, workload_archive, window)
-        dataset = ingest.align(price, temperature, workload, window)
-        shared = None   # the window's timestamp, regime and price text
+    for span in windows:
+        workload = _workload_series(cfg, workload_archive, span)
+        window = sim.Window.of(
+            ingest.align(price, temperature, workload, span), specs)
+        day = ingest.format_timestamp(window.hours[0])[:10]
         for name, controller in sorted(built.items()):
-            trajectory = sim.rollout(controller, dataset, specs)
-            if shared is None:
-                shared = sim.SharedColumns.of(trajectory)
-            day = ingest.format_timestamp(dataset.hours[0])[:10]
-            trajectory.to_csv(os.path.join(out, f"trajectory_{name}_{day}.csv"),
-                              shared)
+            trajectory = sim.rollout(controller, window, specs)
+            trajectory.to_csv(os.path.join(out, f"trajectory_{name}_{day}.csv"))
             report = sim.summarize(trajectory)
             reports.append(report)
             print(f"{report.window} {name}: ${report.total_energy_cost:,.2f} "

@@ -3,7 +3,7 @@
 A rollout calls start(window) once per simulated window, with the window's
 hours, realized prices and step table (sim.Window): the equilibrium
 temperature of every (hour, chiller count) and the one-step decay factor,
-which sim.rollout builds once from the facility. Then it calls
+which sim.Window.of builds once per window. Then it calls
 action(t, theta) for each hour t of the window, which returns a chiller
 count for indoor temperature theta. start tables everything that does not
 depend on theta, so action is a bin lookup and a table read (qfr-mdp) or a

@@ -109,22 +109,6 @@ def _stamp_hours(buf, starts):
     return (era * 146097 + doe - 719468) * 24 + hour, ok
 
 
-def parse_timestamps(texts) -> np.ndarray:
-    """`parse_timestamp` of each string, decoding canonical stamps in bulk."""
-    texts = list(texts)
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    hours = np.zeros(len(texts), dtype=np.int64)
-    ok = np.zeros(len(texts), dtype=bool)
-    joined = "".join(texts)
-    if joined.isascii():
-        buf = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-        full = np.flatnonzero(lengths == len(_CANONICAL))
-        hours[full], ok[full] = _stamp_hours(buf, (np.cumsum(lengths) - lengths)[full])
-    for i in np.flatnonzero(~ok).tolist():
-        hours[i] = parse_timestamp(texts[i])
-    return hours
-
-
 def format_timestamp(hour: int) -> str:
     dt = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc)
     return dt.strftime(_TS_FORMAT)
@@ -420,10 +404,6 @@ class AlignedDataset:
     @property
     def n(self) -> int:
         return len(self.hours)
-
-    @property
-    def hour_of_day(self) -> np.ndarray:
-        return self.hours % 24
 
 
 def window_hours(window):

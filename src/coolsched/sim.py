@@ -2,22 +2,26 @@
 
 The simulator drives the exponential thermal model with the controller's
 actions, charging energy at realized prices (not regime representatives)
-and tracking degree-hour violations of the safety band. `rollout` builds the
-plant's thermal.step_table from the traces once, as the planner does for its
-cycle, and one `Window` from it: the hours, the realized prices, the
-step table's equilibrium of every (hour, chiller count) as Python rows, and
-its one-step decay factor. It hands the window to the controller's
-start(window), and then asks action(t, theta) once per hour t. The same step
-table drives the controllers' searches, the rollout's own thermal steps and
-its energy, so each hour is one action, one table read and one relaxation
-step. Controllers are deterministic, so a rollout depends on its inputs alone.
+and tracking degree-hour violations of the safety band.
 
-Every controller's trajectory of one window has the same hours, prices and
-regime labels, so `SharedColumns` formats their text once per window and
-each `Trajectory.to_csv` formats only its own columns.
+A simulated window is stated once, as a `Window`, whatever the number of
+controllers rolled out on it: `Window.of` takes its hours and realized
+prices, labels them with the regime model in one `classify_series` call,
+and builds the plant's thermal.step_table from its traces, as the planner
+does for its cycle. `rollout` hands the window to the controller's
+start(window), and then asks action(t, theta) once per hour t. The same
+step table drives the controllers' searches, the rollout's own thermal
+steps and its energy, so each hour is one action, one table read and one
+relaxation step. Controllers are deterministic, so a rollout depends on its
+inputs alone.
+
+A `Trajectory` refers to its window for the hours, prices and regime
+labels, and `Trajectory.to_csv` takes their text from the window, which
+formats it once for all its trajectories.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,62 +47,6 @@ class SimSpecs:
     space: StateSpace = None          # optional, labels rows with grid bins
 
 
-@dataclass
-class Window:
-    """What a controller sees of one simulated window; hour t is row t.
-
-    equilibria[t][a] is the temperature the room relaxes toward with `a`
-    chillers at hour t, so eq + (theta - eq) * decay is step_temperature.
-    Both come from the rollout's thermal.step_table; Python rows keep the
-    per-hour reads cheap.
-    """
-
-    hours: np.ndarray   # absolute hour index
-    price: np.ndarray   # realized $/MWh
-    equilibria: list    # n rows of a_max + 1 floats, degC
-    decay: float        # thermal.decay_factor of the facility
-
-
-@dataclass
-class Trajectory:
-    """Hour-by-hour record of one simulated window."""
-
-    controller: str
-    hours: np.ndarray            # absolute hour index
-    theta: np.ndarray            # continuous indoor degC at decision time
-    theta_index: np.ndarray      # planning-grid bin (-1 if no grid given)
-    regime: np.ndarray           # price regime (0 if no model given)
-    price: np.ndarray            # realized $/MWh
-    action: np.ndarray           # chillers run during the hour
-    energy_kwh: np.ndarray
-    energy_cost: np.ndarray      # energy_kwh * price / 1000
-    violation_under: np.ndarray  # degC below t_min after the step
-    violation_over: np.ndarray   # degC above t_max after the step
-
-    def __len__(self):
-        return len(self.hours)
-
-    COLUMNS = ("timestamp", "theta", "theta_index", "regime", "price",
-               "action", "energy_kwh", "energy_cost", "violation_under",
-               "violation_over")
-
-    def to_csv(self, path, shared=None) -> None:
-        """One row per hour; floats as their shortest round-trip repr, ints
-        as str. `shared` is the `SharedColumns` of this trajectory's window;
-        without it, the trajectory formats those columns itself. Raises
-        ValueError if `shared` came from other hours, regimes or prices."""
-        if shared is None:
-            shared = SharedColumns.of(self)
-        elif not shared.matches(self):
-            raise ValueError(f"{path}: the shared timestamp, regime and price "
-                             "text was formatted for another window")
-        write_csv(path, self.COLUMNS, [
-            shared.timestamp_text, _floats(self.theta), _ints(self.theta_index),
-            shared.regime_text, shared.price_text, _ints(self.action),
-            _floats(self.energy_kwh), _floats(self.energy_cost),
-            _floats(self.violation_under), _floats(self.violation_over)])
-
-
 def _ints(values) -> list:
     return list(map(str, np.asarray(values).astype(np.int64).tolist()))
 
@@ -107,74 +55,118 @@ def _floats(values) -> list:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _bits(values) -> bytes:
-    return np.ascontiguousarray(values, dtype=float).tobytes()
+@dataclass
+class Window:
+    """One simulated window, as every controller rolled out on it sees it;
+    hour t is row t.
+
+    equilibria[t][a] is the temperature the room relaxes toward with `a`
+    chillers at hour t, so eq + (theta - eq) * decay is step_temperature,
+    and kwh[t, a] is that hour's energy. All three come from one
+    thermal.step_table; Python rows keep the per-hour reads cheap.
+    """
+
+    hours: np.ndarray   # absolute hour index
+    price: np.ndarray   # realized $/MWh
+    regime: np.ndarray  # price regime (0 if no model given)
+    equilibria: list    # n rows of a_max + 1 floats, degC
+    decay: float        # thermal.decay_factor of the facility
+    kwh: np.ndarray     # (n, a_max + 1) energy of each chiller count
+
+    @classmethod
+    def of(cls, dataset: AlignedDataset, specs: SimSpecs) -> "Window":
+        """The window of `dataset` under `specs`. Raises ValueError on
+        negative workload cores."""
+        if specs.regime_model is not None:
+            regime = classify_series(specs.regime_model, dataset.hours,
+                                     dataset.price)
+        else:
+            regime = np.zeros(dataset.n, dtype=np.int64)
+        plant = step_table(specs.facility, specs.chiller, specs.heat,
+                           dataset.temperature, dataset.workload)
+        return cls(hours=dataset.hours.copy(), price=dataset.price.copy(),
+                   regime=regime, equilibria=plant.equilibria.tolist(),
+                   decay=plant.decay, kwh=plant.kwh)
+
+    # the text of the columns all trajectories of the window share
+    @cached_property
+    def timestamp_text(self) -> list:
+        return format_timestamps(self.hours)
+
+    @cached_property
+    def regime_text(self) -> list:
+        return _ints(self.regime)
+
+    @cached_property
+    def price_text(self) -> list:
+        return _floats(self.price)
 
 
 @dataclass
-class SharedColumns:
-    """Text of the columns that all trajectories of one window share, with
-    the arrays it was formatted from.
+class Trajectory:
+    """Hour-by-hour record of one controller on one simulated window."""
 
-    rollout copies a window's hours and prices from its AlignedDataset and
-    labels them with the one SimSpecs.regime_model, so cmd_simulate formats
-    them once per window instead of once per controller.
-    """
+    controller: str
+    window: Window               # hours, prices and regime labels
+    theta: np.ndarray            # continuous indoor degC at decision time
+    theta_index: np.ndarray      # planning-grid bin (-1 if no grid given)
+    action: np.ndarray           # chillers run during the hour
+    energy_kwh: np.ndarray
+    energy_cost: np.ndarray      # energy_kwh * price / 1000
+    violation_under: np.ndarray  # degC below t_min after the step
+    violation_over: np.ndarray   # degC above t_max after the step
 
-    hours: np.ndarray
-    regime: np.ndarray
-    price: np.ndarray
-    timestamp_text: list    # format_timestamps(hours)
-    regime_text: list
-    price_text: list
+    @property
+    def hours(self) -> np.ndarray:
+        return self.window.hours
 
-    @classmethod
-    def of(cls, trajectory: Trajectory) -> "SharedColumns":
-        """The trajectory's text, with copies of the arrays it came from."""
-        return cls(hours=np.array(trajectory.hours),
-                   regime=np.array(trajectory.regime),
-                   price=np.array(trajectory.price),
-                   timestamp_text=format_timestamps(trajectory.hours),
-                   regime_text=_ints(trajectory.regime),
-                   price_text=_floats(trajectory.price))
+    @property
+    def regime(self) -> np.ndarray:
+        return self.window.regime
 
-    def matches(self, trajectory: Trajectory) -> bool:
-        """Whether this is `trajectory`'s own text. Prices compare bit for
-        bit: -0.0 == 0.0, but their reprs differ."""
-        return (np.array_equal(self.hours, trajectory.hours)
-                and np.array_equal(self.regime, trajectory.regime)
-                and _bits(self.price) == _bits(trajectory.price))
+    @property
+    def price(self) -> np.ndarray:
+        return self.window.price
+
+    def __len__(self):
+        return len(self.hours)
+
+    COLUMNS = ("timestamp", "theta", "theta_index", "regime", "price",
+               "action", "energy_kwh", "energy_cost", "violation_under",
+               "violation_over")
+
+    def to_csv(self, path) -> None:
+        """One row per hour; floats as their shortest round-trip repr, ints
+        as str. The timestamp, regime and price text is the window's."""
+        window = self.window
+        write_csv(path, self.COLUMNS, [
+            window.timestamp_text, _floats(self.theta),
+            _ints(self.theta_index), window.regime_text, window.price_text,
+            _ints(self.action), _floats(self.energy_kwh),
+            _floats(self.energy_cost), _floats(self.violation_under),
+            _floats(self.violation_over)])
 
 
-def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
+def rollout(controller, window: Window, specs: SimSpecs,
             initial_theta: float = None) -> Trajectory:
-    """Simulate `controller` over the dataset window, one decision per hour.
+    """Simulate `controller` over `window`, one decision per hour.
 
     Temperature evolves continuously; quantization happens only inside
     policy lookups and the optional theta_index label. Raises ValueError on
-    negative workload cores and on an action outside 0..a_max.
+    an action outside 0..a_max.
     """
-    n = dataset.n
+    n = len(window.hours)
     if initial_theta is None:
         initial_theta = 0.5 * (specs.cost.t_min + specs.cost.t_max)
 
-    if specs.regime_model is not None:
-        regimes = classify_series(specs.regime_model, dataset.hours, dataset.price)
-    else:
-        regimes = np.zeros(n, dtype=np.int64)
-
     a_max = specs.chiller.a_max
-    plant = step_table(specs.facility, specs.chiller, specs.heat,
-                       dataset.temperature, dataset.workload)
-    equilibria, decay = plant.equilibria.tolist(), plant.decay
-
-    controller.start(Window(hours=dataset.hours, price=dataset.price,
-                            equilibria=equilibria, decay=decay))
+    decay = window.decay
+    controller.start(window)
     act = controller.action
     current = float(initial_theta)
     theta = [current]   # theta[t] at decision t, theta[n] after the window
     action = []
-    for t, row in enumerate(equilibria):
+    for t, row in enumerate(window.equilibria):
         a = act(t, current)
         if not 0 <= a <= a_max:
             raise ValueError(f"{getattr(controller, 'name', controller)} "
@@ -187,18 +179,16 @@ def rollout(controller, dataset: AlignedDataset, specs: SimSpecs,
     theta = np.array(theta)
     after = theta[1:]
     action = np.array(action, dtype=np.int64)
-    energy = plant.kwh[np.arange(n), action]
+    energy = window.kwh[np.arange(n), action]
     return Trajectory(
         controller=getattr(controller, "name", type(controller).__name__),
-        hours=dataset.hours.copy(),
+        window=window,
         theta=theta[:-1],
         theta_index=(np.full(n, -1, dtype=np.int64) if specs.space is None
                      else quantize(theta[:-1], specs.space)),
-        regime=regimes,
-        price=dataset.price.copy(),
         action=action,
         energy_kwh=energy,
-        energy_cost=energy * dataset.price / 1000.0,
+        energy_cost=energy * window.price / 1000.0,
         violation_under=np.maximum(0.0, specs.cost.t_min - after),
         violation_over=np.maximum(0.0, after - specs.cost.t_max),
     )

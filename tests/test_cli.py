@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import datetime
 import io
@@ -7,30 +8,43 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 import yaml
 
 import coolsched
-from coolsched import artifacts, cli, ingest, mdp, qfr, regimes
+from coolsched import artifacts, cli, ingest, mdp, qfr, regimes, sim
 from coolsched import config as config_module
 from coolsched.config import ConfigError, RunConfig
-from coolsched.thermal import step_table
 
 import pipeline_helpers as ph
 
 
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Full pipeline run in a temp project; yields (root, out_dir, config)."""
+def pipeline_stages(tmp_path_factory):
+    """Full pipeline run in a temp project; yields (root, out_dir, config,
+    stages), where stages holds each command's name, exit code and stdout."""
     root = str(tmp_path_factory.mktemp("proj"))
     config = ph.make_project(root)
     out = os.path.join(root, "out")
+    stages = []
     for command in ("fit-qfr", "estimate-chain", "plan", "simulate",
                     "compare", "export-plot-data"):
-        assert cli.main([command, "--config", config]) == 0
-    return root, out, config
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main([command, "--config", config])
+        assert rc == 0
+        stages.append({"stage": command, "rc": rc,
+                       "stdout": stdout.getvalue()})
+    return root, out, config, stages
+
+
+@pytest.fixture(scope="module")
+def pipeline(pipeline_stages):
+    """(root, out_dir, config) of the full pipeline run."""
+    return pipeline_stages[:3]
 
 
 def test_pipeline_writes_expected_files(pipeline):
@@ -263,8 +277,8 @@ def test_plan_objective_matches_lp(pipeline):
 
 
 def test_planner_and_rollout_share_the_plant(pipeline, tmp_path):
-    # a window-length plan steps the same plant that simulate's rollout of
-    # the first window builds from its aligned traces
+    # a window-length plan steps the same plant as the sim.Window that
+    # simulate builds from the first window's aligned traces
     root, out, _ = pipeline
     config = ph.write_config(root, ph.base_config(
         root, mdp={"planning_cycle": "window"}), name="config_window.yaml")
@@ -278,12 +292,13 @@ def test_planner_and_rollout_share_the_plant(pipeline, tmp_path):
         for kind in (ingest.SeriesKind.PRICE, ingest.SeriesKind.TEMPERATURE))
     dataset = ingest.align(price, temperature,
                            cli._workload_series(cfg, None, window), window)
-    rollout = step_table(cfg.facility, cfg.chiller, cfg.heat,
-                         dataset.temperature, dataset.workload)
+    simulated = sim.Window.of(dataset, sim.SimSpecs(
+        facility=cfg.facility, chiller=cfg.chiller, heat=cfg.heat,
+        cost=cfg.cost))
     assert plant.equilibria.shape == (96, cfg.chiller.a_max + 1)
-    assert plant.equilibria.tobytes() == rollout.equilibria.tobytes()
-    assert plant.kwh.tobytes() == rollout.kwh.tobytes()
-    assert plant.decay == rollout.decay
+    assert plant.equilibria.tolist() == simulated.equilibria
+    assert plant.kwh.tobytes() == simulated.kwh.tobytes()
+    assert plant.decay == simulated.decay
 
 
 def _plan_stdout(pipeline, tmp_path, capsys):
@@ -361,6 +376,66 @@ def test_simulate_outputs(pipeline):
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 96  # four days
+
+
+def test_simulate_states_each_window_once(pipeline, tmp_path, monkeypatch):
+    # three controllers on two windows: each window's regime labels, step
+    # table and timestamp text are built once, whatever the controller count
+    root, out, _ = pipeline
+    days = ("2024-07-15", "2024-07-19")
+    config = ph.write_config(root, ph.base_config(root, windows={
+        "simulate": [ph.SIM_WINDOW,
+                     ["2024-07-19T00:00:00Z", "2024-07-19T23:00:00Z"]]}),
+        name="config_two_windows.yaml")
+    calls = Counter()
+    for name in ("classify_series", "step_table", "format_timestamps"):
+        def counted(*args, _name=name, _original=getattr(sim, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(sim, name, counted)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path),
+                     "--policy", os.path.join(out, "policy.json"),
+                     "--regime-model",
+                     os.path.join(out, "regime_model.json")]) == 0
+    assert calls == {"classify_series": 2, "step_table": 2,
+                     "format_timestamps": 2}
+    reports = artifacts.read_json(tmp_path / "reports.json")
+    assert [r["window"][:10] for r in reports] == [days[0]] * 3 + [days[1]] * 3
+    for name in ("fixed-rule", "greedy", "qfr-mdp"):
+        # the first window's trajectory is the fixture's, byte for byte
+        first = f"trajectory_{name}_{days[0]}.csv"
+        with open(os.path.join(out, first), "rb") as fh:
+            assert (tmp_path / first).read_bytes() == fh.read()
+        assert (tmp_path / f"trajectory_{name}_{days[1]}.csv").exists()
+
+
+def test_simulate_rejects_windows_of_one_start_day(pipeline, tmp_path, capsys):
+    # both windows would write trajectory_greedy_2024-07-15.csv
+    root, _, _ = pipeline
+    windows = [["2024-07-15T00:00:00Z", "2024-07-15T23:00:00Z"],
+               ["2024-07-15T12:00:00Z", "2024-07-16T11:00:00Z"]]
+    config = ph.write_config(root, ph.base_config(
+        root, controllers=["greedy"], windows={"simulate": windows}),
+        name="config_one_start_day.yaml")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"{start}..{end}" in err for start, end in windows)
+    assert not out.exists()
+
+
+def test_bench_checks_pass_on_the_fixture(pipeline_stages, monkeypatch):
+    # the benchmark rejects a run whose outputs its checks fail, and imports
+    # names from coolsched to check them
+    _, out, _, stages = pipeline_stages
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(repo, "bench"))
+    import checks
+    failures, facts = checks.check_outputs(out, {"stages": stages})
+    assert failures == {}
+    assert facts["decisions"] == {"fixed-rule": 96, "greedy": 96,
+                                  "qfr-mdp": 96}
+    assert "planned_cost_usd_per_h" in facts
 
 
 def test_compare_outputs(pipeline):

@@ -97,13 +97,16 @@ def _toy_controller():
 
 
 def _window(hours, price=50.0, t_out=30.0, q=1e6):
-    """Flat traces, as the step table sim.rollout builds for ChillerSpec()."""
+    """Flat traces, with the step table sim.Window.of builds for
+    ChillerSpec(); controllers read no regime labels."""
     hours = np.atleast_1d(np.asarray(hours, dtype=np.int64))
     n = len(hours)
     plant = step_table(unit_room(GAMMA, C_HEAT), ChillerSpec(), W_PER_CORE,
                        np.full(n, t_out), np.full(n, q))
     return Window(hours=hours, price=np.broadcast_to(float(price), n).copy(),
-                  equilibria=plant.equilibria.tolist(), decay=plant.decay)
+                  regime=np.zeros(n, dtype=np.int64),
+                  equilibria=plant.equilibria.tolist(), decay=plant.decay,
+                  kwh=plant.kwh)
 
 
 def _decide(ctrl, hour, theta, price=50.0, t_out=30.0, q=1e6):

@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from coolsched.ingest import AlignedDataset, format_timestamp, parse_timestamp
 from coolsched.mdp import Policy, StateSpace, quantize
 from coolsched.qfr import (TIE_TOL, FourierDesign, QuantileFit, RegimeModel,
                            classify, classify_series)
-from coolsched.sim import (CostReport, SharedColumns, SimSpecs, Trajectory,
-                           compare, rollout, summarize)
+from coolsched.sim import (CostReport, SimSpecs, Trajectory, Window, compare,
+                           rollout, summarize)
 from coolsched.thermal import (ChillerSpec, HeatLoadSpec, capacitance,
                                cooling_energy, heat_load, step_temperature)
 
@@ -37,6 +38,7 @@ class ConstantController:
 # Reference rollout: the per-hour loop the table-driven rollout replaced. Each
 # hour it classifies, quantizes, finds the policy slot, steps the scalar
 # thermal model and prices the action; the rollout must match it bit for bit.
+# It states no Window: its record holds every column itself.
 
 def _reference_action(controller, specs, hour, theta, price, t_out, q):
     """The controller's decision through the scalar rules, one hour at a
@@ -86,7 +88,7 @@ def _rollout_reference(controller, dataset, specs, initial_theta):
                                    capacitance(specs.facility))
         viol_under[t] = max(0.0, specs.cost.t_min - current)
         viol_over[t] = max(0.0, current - specs.cost.t_max)
-    return Trajectory(
+    return SimpleNamespace(
         controller=controller.name, hours=dataset.hours.copy(), theta=theta,
         theta_index=theta_index, regime=regimes, price=dataset.price.copy(),
         action=action, energy_kwh=energy,
@@ -99,7 +101,7 @@ def _to_csv_reference(traj, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(Trajectory.COLUMNS)
-        for i in range(len(traj)):
+        for i in range(len(traj.hours)):
             writer.writerow([
                 format_timestamp(traj.hours[i]),
                 repr(float(traj.theta[i])), int(traj.theta_index[i]),
@@ -226,8 +228,10 @@ def test_rollout_matches_reference(tmp_path_factory, case):
         assert classify(model, int(dataset.hours[t]),
                         float(dataset.price[t])) == labels[t]
     tmp = tmp_path_factory.mktemp("traj")
+    window = Window.of(dataset, specs)   # one window for all three rollouts
     for controller in _controllers(specs, model, policy):
-        got = rollout(controller, dataset, specs, initial_theta=theta0)
+        got = rollout(controller, window, specs, initial_theta=theta0)
+        assert got.window is window
         want = _rollout_reference(controller, dataset, specs, theta0)
         _assert_same_bits(got, want)
         got.to_csv(tmp / "got.csv")
@@ -248,17 +252,17 @@ def test_reference_examples_hit_their_edge_cases():
 
 
 def test_rollout_rejects_action_outside_range(sim_specs):
-    ds = flat_dataset()
+    window = Window.of(flat_dataset(), sim_specs)
     for bad in (-1, sim_specs.chiller.a_max + 1):
         with pytest.raises(ValueError, match=r"0\.\.4"):
-            rollout(ConstantController(bad), ds, sim_specs)
+            rollout(ConstantController(bad), window, sim_specs)
 
 
 def test_rollout_rejects_negative_cores(sim_specs):
     ds = flat_dataset(cores=100)
     ds.workload[30] = -1.0
     with pytest.raises(ValueError, match="cores"):
-        rollout(ConstantController(0), ds, sim_specs)
+        Window.of(ds, sim_specs)
 
 
 def flat_dataset(n=48, price=40.0, t_out=25.0, cores=0):
@@ -274,7 +278,8 @@ def test_rollout_equilibrium_stays_constant(sim_specs):
     specs = SimSpecs(facility=sim_specs.facility, chiller=sim_specs.chiller,
                      heat=HeatLoadSpec(q_base=0.0, phi=0.0), cost=COST)
     ds = flat_dataset(t_out=25.0)
-    traj = rollout(ConstantController(0), ds, specs, initial_theta=25.0)
+    traj = rollout(ConstantController(0), Window.of(ds, specs), specs,
+                   initial_theta=25.0)
     assert np.allclose(traj.theta, 25.0, atol=1e-12)
     assert np.all(traj.action == 0)
 
@@ -282,7 +287,8 @@ def test_rollout_equilibrium_stays_constant(sim_specs):
 def test_rollout_theta_follows_thermal_equation(sim_specs):
     ds = summer_dataset(seed=3, days=4)
     greedy = GreedyController(sim_specs.cost)
-    traj = rollout(greedy, ds, sim_specs, initial_theta=23.0)
+    traj = rollout(greedy, Window.of(ds, sim_specs), sim_specs,
+                   initial_theta=23.0)
     theta = 23.0
     for t in range(len(traj)):
         assert traj.theta[t] == theta  # recorded state is exact
@@ -296,8 +302,8 @@ def test_rollout_theta_follows_thermal_equation(sim_specs):
 def test_rollout_deterministic(sim_specs):
     ds = summer_dataset(seed=4, days=3)
     greedy = GreedyController(sim_specs.cost)
-    t1 = rollout(greedy, ds, sim_specs, initial_theta=22.5)
-    t2 = rollout(greedy, ds, sim_specs, initial_theta=22.5)
+    t1, t2 = (rollout(greedy, Window.of(ds, sim_specs), sim_specs,
+                      initial_theta=22.5) for _ in range(2))
     for field in ("theta", "action", "energy_kwh", "energy_cost"):
         assert np.array_equal(getattr(t1, field), getattr(t2, field))
 
@@ -305,7 +311,7 @@ def test_rollout_deterministic(sim_specs):
 def test_rollout_accounting_identity(sim_specs):
     ds = summer_dataset(seed=5, days=10)
     greedy = GreedyController(sim_specs.cost)
-    traj = rollout(greedy, ds, sim_specs)
+    traj = rollout(greedy, Window.of(ds, sim_specs), sim_specs)
     report = summarize(traj)
     direct = float(np.sum(traj.energy_kwh * traj.price / 1000.0))
     assert report.total_energy_cost == pytest.approx(direct, rel=1e-9)
@@ -314,7 +320,8 @@ def test_rollout_accounting_identity(sim_specs):
 def test_greedy_holds_temperature_under_cap(sim_specs):
     ds = summer_dataset(seed=6, days=14)
     greedy = GreedyController(sim_specs.cost)
-    traj = rollout(greedy, ds, sim_specs, initial_theta=22.5)
+    traj = rollout(greedy, Window.of(ds, sim_specs), sim_specs,
+                   initial_theta=22.5)
     assert np.max(traj.theta) <= sim_specs.cost.t_max + 1e-9
     assert np.sum(traj.violation_over) == 0.0
 
@@ -322,19 +329,26 @@ def test_greedy_holds_temperature_under_cap(sim_specs):
 def test_fixed_rule_peak_abstinence(sim_specs):
     ds = summer_dataset(seed=7, days=14)
     fixed = FixedRuleController(sim_specs.cost)
-    traj = rollout(fixed, ds, sim_specs, initial_theta=22.5)
+    traj = rollout(fixed, Window.of(ds, sim_specs), sim_specs,
+                   initial_theta=22.5)
     hod = traj.hours % 24
     assert np.all(traj.action[(hod >= 16) & (hod < 19)] == 0)
+
+
+def _hand_window(hours, price, regime):
+    """A window of given columns and an empty plant."""
+    return Window(hours=hours, price=price, regime=regime, equilibria=[],
+                  decay=0.0, kwh=np.empty((len(hours), 0)))
 
 
 def hand_trajectory():
     return Trajectory(
         controller="hand",
-        hours=np.array([0, 1, 2]),
+        window=_hand_window(hours=np.array([0, 1, 2]),
+                            price=np.array([50.0, 100.0, 20.0]),
+                            regime=np.array([1, 2, 1])),
         theta=np.array([24.0, 25.0, 23.0]),
         theta_index=np.array([18, 20, 16]),
-        regime=np.array([1, 2, 1]),
-        price=np.array([50.0, 100.0, 20.0]),
         action=np.array([1, 2, 0]),
         energy_kwh=np.array([300.0, 650.0, 0.0]),
         energy_cost=np.array([15.0, 65.0, 0.0]),
@@ -353,7 +367,7 @@ def test_summarize_hand_built_rows():
 
 def test_summarize_zero_actions_zero_cost(sim_specs):
     ds = flat_dataset()
-    traj = rollout(ConstantController(0), ds, sim_specs)
+    traj = rollout(ConstantController(0), Window.of(ds, sim_specs), sim_specs)
     report = summarize(traj)
     assert report.total_energy_kwh == 0.0
     assert report.total_energy_cost == 0.0
@@ -364,9 +378,10 @@ def test_summarize_invariant_to_row_order():
     perm = np.array([2, 0, 1])
     shuffled = Trajectory(
         controller=traj.controller,
-        hours=traj.hours[perm], theta=traj.theta[perm],
-        theta_index=traj.theta_index[perm], regime=traj.regime[perm],
-        price=traj.price[perm], action=traj.action[perm],
+        window=_hand_window(hours=traj.hours[perm], price=traj.price[perm],
+                            regime=traj.regime[perm]),
+        theta=traj.theta[perm], theta_index=traj.theta_index[perm],
+        action=traj.action[perm],
         energy_kwh=traj.energy_kwh[perm], energy_cost=traj.energy_cost[perm],
         violation_under=traj.violation_under[perm],
         violation_over=traj.violation_over[perm],
@@ -378,7 +393,8 @@ def test_summarize_invariant_to_row_order():
 
 
 def test_summarize_rejects_empty():
-    empty = Trajectory("x", *[np.array([])] * 10)
+    empty = Trajectory("x", _hand_window(*[np.array([])] * 3),
+                       *[np.array([])] * 7)
     with pytest.raises(ValueError):
         summarize(empty)
 
@@ -419,7 +435,7 @@ def test_compare_emits_row_per_window():
 def test_trajectory_csv_round_trip(tmp_path, sim_specs):
     ds = summer_dataset(seed=8, days=2)
     greedy = GreedyController(sim_specs.cost)
-    traj = rollout(greedy, ds, sim_specs)
+    traj = rollout(greedy, Window.of(ds, sim_specs), sim_specs)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     with open(path, newline="") as fh:
@@ -429,32 +445,3 @@ def test_trajectory_csv_round_trip(tmp_path, sim_specs):
     got_cost = np.array([float(r["energy_cost"]) for r in rows])
     assert np.array_equal(got_theta, traj.theta)      # repr round-trips
     assert np.array_equal(got_cost, traj.energy_cost)
-
-
-def test_to_csv_takes_shared_text_from_its_own_window_only(tmp_path, sim_specs):
-    ds = summer_dataset(seed=8, days=2)
-    greedy = rollout(GreedyController(sim_specs.cost), ds, sim_specs)
-    fixed = rollout(FixedRuleController(sim_specs.cost), ds, sim_specs)
-    shared = SharedColumns.of(greedy)
-    fixed.to_csv(tmp_path / "shared.csv", shared)
-    fixed.to_csv(tmp_path / "own.csv")
-    assert (tmp_path / "shared.csv").read_bytes() == \
-        (tmp_path / "own.csv").read_bytes()
-    # other hours, other prices, other labels, and a price whose text alone
-    # differs (-0.0 == 0.0)
-    price = fixed.price.copy()
-    price[3] = 0.0
-    zero = SharedColumns.of(replace(fixed, price=price))
-    price[3] = -0.0
-    others = [
-        (shared, replace(fixed, hours=fixed.hours + 24)),
-        (shared, replace(fixed, price=fixed.price + 1.0)),
-        (shared, replace(fixed, regime=fixed.regime + 1)),
-        (shared, replace(fixed, hours=fixed.hours[:-1])),
-        (zero, replace(fixed, price=price)),
-    ]
-    for text, trajectory in others:
-        path = tmp_path / "other.csv"
-        with pytest.raises(ValueError, match="another window"):
-            trajectory.to_csv(path, text)
-        assert not path.exists()
