@@ -7,19 +7,17 @@ and copies qfr_surfaces.csv (fit-qfr) and comparison.csv (compare) to fig1
 and fig4. All take --config (YAML, see config.py), plus --seed and --out overrides.
 Every command is deterministic given identical config and seed. Every CSV
 a command writes is a table of text columns that artifacts.write_csv joins.
-simulate states each simulate window once (sim.Window: its prices, regime
-labels, step table and their text) and rolls every controller out on it,
-writing `trajectory_<controller>_<first day>.csv`; it refuses two windows
-that start on the same day, whose files would collide.
 
-Input archives are parsed once per out dir: a stage that reads an archive
-keeps its parsed series in the out dir as `price_series.bin`,
-`temperature_series.bin` or `workload_series.bin`, under the sha256 of the
-archive's bytes, and a later stage whose archive has the same digest reads
-that file instead of parsing. A cache file that is missing, unreadable, of
-another digest or not a valid series is a miss, and the stage parses again
-(`ingest.load_series`). Each load prints `input <kind> <path>: <n> h,
-sha256 <first 12 hex digits>, parsed|reused` before the stage's summary.
+The windows and the planning day come resolved to hours from RunConfig.
+Every stage slices its hours from whole series: the price, temperature and
+workload archives, parsed once per out dir and cached there
+(`ingest.load_series`, which each load reports as `input <kind> <path>:
+<n> h, sha256 <first 12 hex digits>, parsed|reused`), or, without a
+workload archive, one synthetic load over the simulate windows and an
+explicit planning day. So the planner and the rollout see one load per
+hour. simulate states each simulate window once (sim.Window) and rolls
+every controller out on it, writing `trajectory_<controller>_<first
+day>.csv`.
 """
 
 import argparse
@@ -27,7 +25,6 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
-from datetime import datetime, timezone
 from itertools import islice
 
 import numpy as np
@@ -68,82 +65,29 @@ def _load_input(cfg: RunConfig, out, kind) -> ingest.TimeSeries:
     return series
 
 
-def _load_workload(cfg: RunConfig, out):
-    """The workload archive, or None when the config synthesises the load."""
-    if cfg.path("workload_csv") is None:
-        return None
-    return _load_input(cfg, out, ingest.SeriesKind.WORKLOAD)
-
-
-def _workload_series(cfg: RunConfig, archive, window) -> ingest.TimeSeries:
-    """Core counts over `window`: from the archive, or synthesised."""
-    if archive is not None:
-        return ingest.slice_series(archive, window)
+def _load_workload(cfg: RunConfig, out) -> ingest.TimeSeries:
+    """The workload archive, or one synthetic series over the simulate
+    windows and an explicit mdp.planning_day; stages slice either alike."""
+    if cfg.path("workload_csv") is not None:
+        return _load_input(cfg, out, ingest.SeriesKind.WORKLOAD)
+    spans = list(cfg.simulate_windows)
+    if cfg.raw["mdp"]["planning_day"] is not None:
+        spans.append((cfg.planning_day, cfg.planning_day + 23))
+    first = min(start for start, _ in spans)
+    last = max(end for _, end in spans)
     h = cfg.raw["heat_load"]
-    hours = ingest.window_hours(window)
-    return ingest.synth_workload(cfg.seed, len(hours), h["synth_base_cores"],
-                                 h["synth_amplitude"], start=int(hours[0]),
-                                 noise=h["synth_noise"])
-
-
-def _train_windows(cfg: RunConfig):
-    windows = cfg.raw["windows"]["train"]
-    if not windows:
-        raise PipelineError("config defines no windows.train")
-    starts = [ingest.parse_timestamp(w[0]) for w in windows]
-    order = np.argsort(starts)
-    out = [windows[i] for i in order]
-    for (a, b) in zip(out, out[1:]):
-        if ingest.parse_timestamp(b[0]) <= ingest.parse_timestamp(a[1]):
-            raise PipelineError("windows.train must not overlap")
-    return out
-
-
-def _simulate_windows(cfg: RunConfig):
-    """The simulate windows; raises PipelineError if there are none or if
-    two start on the same UTC day, which names their trajectory files."""
-    windows = cfg.raw["windows"]["simulate"]
-    if not windows:
-        raise PipelineError("config defines no windows.simulate")
-    first = {}
-    for start, end in windows:
-        day = ingest.format_timestamp(ingest.parse_timestamp(start))[:10]
-        if day in first:
-            raise PipelineError(
-                f"windows.simulate {first[day]} and {start}..{end} both start "
-                f"on {day}; their trajectory files would have the same name")
-        first[day] = f"{start}..{end}"
-    return windows
+    return ingest.synth_workload(cfg.seed, last - first + 1,
+                                 h["synth_base_cores"], h["synth_amplitude"],
+                                 start=first, noise=h["synth_noise"])
 
 
 def _train_samples(cfg: RunConfig, price: ingest.TimeSeries):
     hours, values = [], []
-    for window in _train_windows(cfg):
+    for window in cfg.require_windows("train"):
         part = ingest.slice_series(price, window)
         hours.append(part.hours)
         values.append(part.values)
     return np.concatenate(hours), np.concatenate(values)
-
-
-def _planning_day_hour(cfg: RunConfig) -> int:
-    """Start hour of the planning day (midnight UTC)."""
-    day = cfg.raw["mdp"]["planning_day"]
-    if day is not None:
-        return ingest.parse_timestamp(f"{day}T00:00:00Z")
-    windows = cfg.raw["windows"]["simulate"]
-    if not windows:
-        raise PipelineError(
-            "mdp.planning_day is not set and there is no simulate window "
-            "to derive it from")
-    start = ingest.parse_timestamp(windows[0][0])
-    year = datetime.fromtimestamp(start * 3600, tz=timezone.utc).year
-    derived = ingest.parse_timestamp(f"{year}-07-15T00:00:00Z")
-    end = ingest.parse_timestamp(windows[0][1])
-    if not start <= derived <= end - 23:
-        raise PipelineError(
-            "derived planning day July 15 is outside the first simulate "
-            "window; set mdp.planning_day explicitly")
-    return derived
 
 
 def _check_regime_count(cfg: RunConfig, regime_model) -> None:
@@ -163,13 +107,12 @@ def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
         raise PipelineError("transition model and regime model disagree on M")
 
     if cfg.raw["mdp"]["planning_cycle"] == "day":
-        start = _planning_day_hour(cfg)
-        window = (start, start + 23)
+        window = (cfg.planning_day, cfg.planning_day + 23)
     else:
-        window = _simulate_windows(cfg)[0]
+        window = cfg.require_windows("simulate")[0]
     temp = ingest.slice_series(
         _load_input(cfg, out, ingest.SeriesKind.TEMPERATURE), window)
-    work = _workload_series(cfg, _load_workload(cfg, out), window)
+    work = ingest.slice_series(_load_workload(cfg, out), window)
     hours = temp.hours
     plant = step_table(cfg.facility, cfg.chiller, cfg.heat, temp.values,
                        work.values)
@@ -179,7 +122,7 @@ def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
                           prices=prices, trans=trans, hours=hours)
 
 
-def _build_controllers(cfg: RunConfig, out, args, regime_model):
+def _build_controllers(cfg: RunConfig, out, args):
     built = {}
     fr = cfg.raw["fixed_rule"]
     for name in cfg.raw["controllers"]:
@@ -195,8 +138,7 @@ def _build_controllers(cfg: RunConfig, out, args, regime_model):
                 raise PipelineError(
                     f"policy was planned on {policy.space} but the config "
                     f"gives {cfg.space}; re-run plan")
-            built[name] = ctl.QfrMdpController(policy=policy,
-                                               regime_model=regime_model)
+            built[name] = ctl.QfrMdpController(policy=policy)
     return built
 
 
@@ -216,7 +158,7 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     model = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
     qfr.save_model(model, os.path.join(out, REGIME_MODEL_FILE))
     # rearranged quantile surfaces over the first training window
-    surface_hours = ingest.window_hours(_train_windows(cfg)[0])
+    surface_hours = ingest.window_hours(cfg.train_windows[0])
     bounds, reps = model.surfaces_at(surface_hours)
     artifacts.write_csv(
         os.path.join(out, SURFACES_FILE),
@@ -280,7 +222,7 @@ def cmd_plan(cfg: RunConfig, args) -> int:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     if not cfg.raw["controllers"]:
         raise PipelineError("config selects no controllers")
-    windows = _simulate_windows(cfg)
+    windows = cfg.require_windows("simulate")
     out = _out_dir(cfg, args)
 
     # one regime model drives the qfr-mdp lookups and labels every trajectory
@@ -290,17 +232,16 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE,
                                            args.regime_model))
         _check_regime_count(cfg, model)
-    built = _build_controllers(cfg, out, args, model)
+    built = _build_controllers(cfg, out, args)
     specs = sim.SimSpecs(facility=cfg.facility, chiller=cfg.chiller,
                          heat=cfg.heat, cost=cfg.cost,
                          regime_model=model, space=cfg.space)
 
     price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
     temperature = _load_input(cfg, out, ingest.SeriesKind.TEMPERATURE)
-    workload_archive = _load_workload(cfg, out)
+    workload = _load_workload(cfg, out)
     reports = []
     for span in windows:
-        workload = _workload_series(cfg, workload_archive, span)
         window = sim.Window.of(
             ingest.align(price, temperature, workload, span), specs)
         day = ingest.format_timestamp(window.hours[0])[:10]
@@ -347,7 +288,7 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     comparison = _input_path(out, COMPARISON_FILE)
 
     # planned actions for the chosen day: hour x theta x regime
-    day_start = _planning_day_hour(cfg)
+    day_start = cfg.planning_day
     slots = [ctl.policy_slot(policy, day_start + hod) for hod in range(24)]
     thetas = list(map(repr, policy.space.theta_grid.tolist()))
     m = policy.space.m
@@ -360,15 +301,15 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
          list(map(str, policy.actions[slots].ravel().tolist()))])
 
     # one day of simulated temperature traces per controller
-    first_sim = _simulate_windows(cfg)[0]
+    first, last = cfg.require_windows("simulate")[0]
     day = args.day or ingest.format_timestamp(day_start)[:10]
     day_h0 = ingest.parse_timestamp(f"{day}T00:00:00Z")
-    window = ingest.window_hours(first_sim)
-    offset = day_h0 - int(window[0])
-    if not 0 <= offset < len(window):
+    offset = day_h0 - first
+    if not first <= day_h0 <= last:
         raise PipelineError(
-            f"day {day} not inside the first simulate window {first_sim}")
-    window_day = ingest.format_timestamp(window[0])[:10]
+            f"day {day} not inside the first simulate window "
+            + "..".join(ingest.format_timestamps([first, last])))
+    window_day = ingest.format_timestamp(first)[:10]
     rows_out = []
     for name in sorted(cfg.raw["controllers"]):
         path = os.path.join(out, f"trajectory_{name}_{window_day}.csv")

@@ -2,8 +2,17 @@
 
 Environment variables prefixed COOLSCHED_ override file values for CI
 sweeps, e.g. COOLSCHED_QFR__REGIMES=8 sets qfr.regimes. Values are parsed
-as YAML scalars. The file and the values load through libyaml's safe loader
-when PyYAML was built with it, else through the pure-Python one.
+as YAML scalars and merge over the file as the file merges over the
+defaults, so an unknown key, a value in place of a section and a non-number
+where the default is a number fail alike, naming the key. The file and the
+values load through libyaml's safe loader when PyYAML was built with it,
+else through the pure-Python one.
+
+Windows resolve once, at load, to (first hour, last hour) pairs: each entry
+is [start, end] as two quoted ISO timestamps (YAML reads an unquoted one as
+a datetime, which is refused); train windows are sorted and must not
+overlap, and no two simulate windows may start on one UTC day, whose
+trajectory files would collide.
 """
 
 import os
@@ -11,6 +20,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .ingest import IngestError, format_timestamp, parse_timestamp
 from .mdp import CostSpec, StateSpace
 from .qfr import FourierDesign
 from .regimes import GROUPINGS
@@ -97,38 +107,59 @@ class ConfigError(ValueError):
     """Configuration file is missing, malformed, or inconsistent."""
 
 
-def _merge(base, override, path="config"):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _merge(base, override, path):
     merged = dict(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"{path}: unknown key {key!r}")
+        name = f"{path}.{key}"
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"{path}.{key}: expected a section")
-            merged[key] = _merge(base[key], value, f"{path}.{key}")
-        else:
-            merged[key] = value
+                raise ConfigError(f"{name}: expected a section")
+            value = _merge(base[key], value, name)
+        elif _is_number(base[key]) and not _is_number(value):
+            raise ConfigError(f"{name}: expected a number, got {value!r}")
+        merged[key] = value
     return merged
 
 
-def _apply_env_overrides(doc, environ):
+def _env_overrides(environ):
+    """Each COOLSCHED_<SECTION>__<KEY> variable as a nested document."""
     for name, raw in sorted(environ.items()):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        parts = name[len(ENV_PREFIX):].lower().split("__")
+        if name.startswith(ENV_PREFIX):
+            try:
+                value = yaml.load(raw, Loader=_LOADER)
+            except yaml.YAMLError:
+                value = raw
+            for part in reversed(name[len(ENV_PREFIX):].lower().split("__")):
+                value = {part: value}
+            yield value
+
+
+def _windows(raw, kind) -> list:
+    """windows.<kind> in config order, as (first hour, last hour, text)."""
+    entries = raw["windows"][kind]
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError(f"windows.{kind} must be a list of [start, end]")
+    spans = []
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(isinstance(end, str) for end in entry)):
+            raise ConfigError(f"windows.{kind} entry {entry!r} is not "
+                              "[start, end] as two quoted ISO timestamps")
+        text = "..".join(entry)
         try:
-            value = yaml.load(raw, Loader=_LOADER)
-        except yaml.YAMLError:
-            value = raw
-        node = doc
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"env {name}: no section {part!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"env {name}: unknown key {parts[-1]!r}")
-        node[parts[-1]] = value
-    return doc
+            first, last = map(parse_timestamp, entry)
+        except IngestError as exc:
+            raise ConfigError(f"windows.{kind} {text}: {exc}") from None
+        if last < first:
+            raise ConfigError(f"windows.{kind} {text} ends before it starts")
+        spans.append((first, last, text))
+    return spans
 
 
 @dataclass
@@ -137,6 +168,8 @@ class RunConfig:
 
     raw: dict
     base_dir: str = "."
+    train_windows: list = field(init=False)     # (first hour, last hour)
+    simulate_windows: list = field(init=False)  # pairs, set at validation
 
     def __post_init__(self):
         self._validate()
@@ -152,8 +185,10 @@ class RunConfig:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must be a mapping")
-        merged = _merge(DEFAULTS, doc)
-        merged = _apply_env_overrides(merged, os.environ if environ is None else environ)
+        merged = _merge(DEFAULTS, doc, "config")
+        environ = os.environ if environ is None else environ
+        for override in _env_overrides(environ):
+            merged = _merge(merged, override, "env")
         return cls(raw=merged, base_dir=os.path.dirname(os.path.abspath(path)))
 
     def _validate(self):
@@ -162,8 +197,6 @@ class RunConfig:
             # build every derived spec once so bad numbers fail here, not mid-run
             _ = (self.facility, self.chiller, self.heat, self.cost, self.space,
                  self.design, self.planning_cost)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         for name in raw["controllers"]:
@@ -173,10 +206,51 @@ class RunConfig:
             raise ConfigError(f"unknown chain grouping {raw['chain']['grouping']!r}")
         if raw["mdp"]["planning_cycle"] not in ("day", "window"):
             raise ConfigError("mdp.planning_cycle must be 'day' or 'window'")
-        for kind in ("train", "simulate"):
-            for win in raw["windows"][kind]:
-                if not (isinstance(win, (list, tuple)) and len(win) == 2):
-                    raise ConfigError(f"windows.{kind} entries must be [start, end]")
+        train = sorted(_windows(raw, "train"))
+        for (_, last, text), (first, _, later) in zip(train, train[1:]):
+            if first <= last:
+                raise ConfigError(f"windows.train {text} and {later} overlap")
+        simulate = _windows(raw, "simulate")
+        start_day = {}
+        for first, _, text in simulate:
+            day = format_timestamp(first)[:10]
+            if day in start_day:
+                raise ConfigError(
+                    f"windows.simulate {start_day[day]} and {text} both "
+                    f"start on {day}; their trajectory files would have the "
+                    "same name")
+            start_day[day] = text
+        self.train_windows = [(first, last) for first, last, _ in train]
+        self.simulate_windows = [(first, last) for first, last, _ in simulate]
+
+    def require_windows(self, kind) -> list:
+        """`train_windows` or `simulate_windows`; raises ConfigError when
+        the config defines none."""
+        windows = getattr(self, f"{kind}_windows")
+        if not windows:
+            raise ConfigError(f"config defines no windows.{kind}")
+        return windows
+
+    @property
+    def planning_day(self) -> int:
+        """First hour (midnight UTC) of the day a day-cycle plan covers:
+        mdp.planning_day, else July 15 of the first simulate window, which
+        must hold that whole day."""
+        day = self.raw["mdp"]["planning_day"]
+        if day is not None:
+            return parse_timestamp(f"{day}T00:00:00Z")
+        if not self.simulate_windows:
+            raise ConfigError(
+                "mdp.planning_day is not set and there is no simulate window "
+                "to derive it from")
+        start, end = self.simulate_windows[0]
+        year = format_timestamp(start)[:4]
+        derived = parse_timestamp(f"{year}-07-15T00:00:00Z")
+        if not start <= derived <= end - 23:
+            raise ConfigError(
+                "derived planning day July 15 is outside the first simulate "
+                "window; set mdp.planning_day explicitly")
+        return derived
 
     def path(self, key):
         value = self.raw["paths"][key]

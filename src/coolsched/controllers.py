@@ -1,14 +1,16 @@
 """Runtime action rules: planned QFR-MDP lookup and heuristic baselines.
 
 A rollout calls start(window) once per simulated window, with the window's
-hours, realized prices and step table (sim.Window): the equilibrium
-temperature of every (hour, chiller count) and the one-step decay factor,
-which sim.Window.of builds once per window. Then it calls
-action(t, theta) for each hour t of the window, which returns a chiller
-count for indoor temperature theta. start tables everything that does not
-depend on theta, so action is a bin lookup and a table read (qfr-mdp) or a
-search over one row of the step table (greedy, fixed-rule). All controllers
-are deterministic, so a rollout replays bit-for-bit from its inputs.
+hours, realized prices, regime labels and step table (sim.Window): the
+equilibrium temperature of every (hour, chiller count) and the one-step
+decay factor. sim.Window.of labels the prices and builds the table once per
+window, so qfr-mdp reads the window's labels and classifies nothing. Then
+the rollout calls action(t, theta) for each hour t of the window, which
+returns a chiller count for indoor temperature theta. start tables
+everything that does not depend on theta, so action is a bin lookup and a
+table read (qfr-mdp) or a search over one row of the step table (greedy,
+fixed-rule). All controllers are deterministic, so a rollout replays
+bit-for-bit from its inputs.
 
 The scalar rules greedy_action, night_precool_action and fixed_rule_action
 define what the controllers compute; the tests hold the two to each other.
@@ -20,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import CostSpec, Policy
-from .qfr import RegimeModel, classify
 from .thermal import ChillerSpec, step_temperature
 # Not called here: action finds the theta bin itself. The name stays because
 # bench/layertrace.py counts grid lookups as controllers.quantize.
 from .mdp import quantize  # noqa: F401
+# Not called here: start reads the window's regime labels. The name stays
+# because bench/layertrace.py counts classifications as qfr.classify.
+from .qfr import classify  # noqa: F401
 
 
 def greedy_action(theta, t_out, q, chiller: ChillerSpec, cost: CostSpec,
@@ -144,13 +148,14 @@ class QfrMdpController:
     """Planned policy lookup keyed by (cycle slot, theta bin, price regime)."""
 
     policy: Policy
-    regime_model: RegimeModel
     name: str = "qfr-mdp"
 
     def start(self, window) -> None:
-        hours = np.asarray(window.hours)
-        slots = policy_slot(self.policy, hours).tolist()
-        regimes = classify(self.regime_model, hours, window.price).tolist()
+        if not np.all(window.regime):
+            raise ValueError("qfr-mdp needs a window labelled by a regime "
+                             "model; this one has regime 0")
+        slots = policy_slot(self.policy, np.asarray(window.hours)).tolist()
+        regimes = window.regime.tolist()
         # by_slot[s][p - 1] is the action of each theta bin in slot s, regime p
         by_slot = self.policy.actions.transpose(0, 2, 1).tolist()
         self._rows = [by_slot[s][p - 1] for s, p in zip(slots, regimes)]

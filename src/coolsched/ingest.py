@@ -18,7 +18,8 @@ error naming the line: the header, blank lines, lenient or bad stamps,
 records with other than 2 fields, and values that are not a number, not
 finite or not a valid workload. A file that is not ASCII, contains a quote
 or a carriage return, or has a line longer than `csv.field_size_limit()`
-takes all its rows from `csv.reader` through the same checker.
+takes all its rows from `csv.reader` through the same checker; text that
+is not UTF-8 and a field over that limit fail there, naming the line too.
 
 Given a `cache_dir`, `load_series` keeps each kind's parsed series there as
 one flat file, `<kind>_series.bin` (`price_series.bin`,
@@ -36,6 +37,7 @@ every load and writes no cache file.
 
 import csv
 import enum
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -277,16 +279,27 @@ def _bulk_rows(path, data, kind):
     return hours[is_row], values[is_row], np.flatnonzero(is_row) + 1
 
 
-def _reader_rows(path, kind):
-    """Data rows as split by `csv.reader`, checked one at a time."""
+def _reader_rows(path, data, kind):
+    """Data rows of a file's bytes as split by `csv.reader`, checked one at
+    a time. Raises IngestError naming the line of text that is not UTF-8
+    or that the reader refuses, such as a field over its size limit."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise IngestError(f"{path}: line {lineno}: not UTF-8 text: "
+                          f"{exc.reason}") from None
     hours, values, lines = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for lineno, row in enumerate(reader, start=1):
             checked = _check_row(path, lineno, row, kind)
             if checked is not None:
                 hours.append(checked[0])
                 values.append(checked[1])
                 lines.append(lineno)
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
     return (np.array(hours, dtype=np.int64), np.array(values, dtype=np.float64),
             np.array(lines, dtype=np.int64))
 
@@ -356,7 +369,7 @@ def _parse_rows(path, data, kind):
     sort, de-duplication and gap fill."""
     rows = _bulk_rows(path, data, kind)
     if rows is None:
-        rows = _reader_rows(path, kind)
+        rows = _reader_rows(path, data, kind)
     hours, values, lines = rows
     if not len(hours):
         raise IngestError(f"{path}: no data rows")
@@ -407,13 +420,11 @@ class AlignedDataset:
 
 
 def window_hours(window):
-    """Resolve a (start, end) pair, inclusive of both hours, to a grid."""
-    start, end = window
-    h0 = parse_timestamp(start) if isinstance(start, str) else int(start)
-    h1 = parse_timestamp(end) if isinstance(end, str) else int(end)
-    if h1 < h0:
+    """The hours of a (first hour, last hour) window, both inclusive."""
+    first, last = window
+    if last < first:
         raise IngestError("window end precedes start")
-    return np.arange(h0, h1 + 1, dtype=np.int64)
+    return np.arange(first, last + 1, dtype=np.int64)
 
 
 def _restrict(series: TimeSeries, hours: np.ndarray) -> np.ndarray:
@@ -430,7 +441,7 @@ def _restrict(series: TimeSeries, hours: np.ndarray) -> np.ndarray:
 
 def align(price: TimeSeries, temperature: TimeSeries, workload: TimeSeries,
           window) -> AlignedDataset:
-    """Restrict the three series to `window` = (start, end), hour-inclusive."""
+    """Restrict the three series to `window` = (first hour, last hour)."""
     hours = window_hours(window)
     return AlignedDataset(
         hours=hours,
@@ -441,7 +452,7 @@ def align(price: TimeSeries, temperature: TimeSeries, workload: TimeSeries,
 
 
 def slice_series(series: TimeSeries, window) -> TimeSeries:
-    """One series restricted to `window` = (start, end), hour-inclusive."""
+    """One series restricted to `window` = (first hour, last hour)."""
     hours = window_hours(window)
     return TimeSeries(hours, _restrict(series, hours), series.kind)
 

@@ -177,7 +177,7 @@ def test_surfaces_match_row_writer(pipeline):
     _, out, config = pipeline
     cfg = RunConfig.from_file(config)
     model = qfr.load_model(os.path.join(out, "regime_model.json"))
-    hours = ingest.window_hours(cfg.raw["windows"]["train"][0])
+    hours = ingest.window_hours(cfg.train_windows[0])
     bounds, reps = model.surfaces_at(hours)
     expected = io.StringIO()
     writer = csv.writer(expected)
@@ -278,27 +278,33 @@ def test_plan_objective_matches_lp(pipeline):
 
 def test_planner_and_rollout_share_the_plant(pipeline, tmp_path):
     # a window-length plan steps the same plant as the sim.Window that
-    # simulate builds from the first window's aligned traces
+    # simulate builds from the first window's aligned traces, and a day
+    # plan the rows of its planning day (2024-07-16, hours 24-47). The
+    # synthetic load has noise, so a load drawn per stage would differ
     root, out, _ = pipeline
-    config = ph.write_config(root, ph.base_config(
-        root, mdp={"planning_cycle": "window"}), name="config_window.yaml")
-    cfg = RunConfig.from_file(config)
     model = qfr.load_model(os.path.join(out, "regime_model.json"))
     chain = regimes.load_model(os.path.join(out, "transition_model.json"))
-    plant = cli._assemble_problem(cfg, str(tmp_path), model, chain).plant
-    window = cli._simulate_windows(cfg)[0]
-    price, temperature = (
-        ingest.load_series(cfg.require_path(f"{kind.value}_csv"), kind)
-        for kind in (ingest.SeriesKind.PRICE, ingest.SeriesKind.TEMPERATURE))
-    dataset = ingest.align(price, temperature,
-                           cli._workload_series(cfg, None, window), window)
-    simulated = sim.Window.of(dataset, sim.SimSpecs(
-        facility=cfg.facility, chiller=cfg.chiller, heat=cfg.heat,
-        cost=cfg.cost))
-    assert plant.equilibria.shape == (96, cfg.chiller.a_max + 1)
-    assert plant.equilibria.tolist() == simulated.equilibria
-    assert plant.kwh.tobytes() == simulated.kwh.tobytes()
-    assert plant.decay == simulated.decay
+    for cycle, rows in (("window", slice(0, 96)), ("day", slice(24, 48))):
+        config = ph.write_config(root, ph.base_config(
+            root, mdp={"planning_cycle": cycle},
+            heat_load={"synth_noise": 0.05}), name=f"config_{cycle}.yaml")
+        cfg = RunConfig.from_file(config)
+        plant = cli._assemble_problem(cfg, str(tmp_path), model, chain).plant
+        price, temperature = (
+            ingest.load_series(cfg.require_path(f"{kind.value}_csv"), kind)
+            for kind in (ingest.SeriesKind.PRICE,
+                         ingest.SeriesKind.TEMPERATURE))
+        dataset = ingest.align(price, temperature,
+                               cli._load_workload(cfg, str(tmp_path)),
+                               cfg.simulate_windows[0])
+        simulated = sim.Window.of(dataset, sim.SimSpecs(
+            facility=cfg.facility, chiller=cfg.chiller, heat=cfg.heat,
+            cost=cfg.cost))
+        assert plant.equilibria.shape == (rows.stop - rows.start,
+                                          cfg.chiller.a_max + 1)
+        assert plant.equilibria.tolist() == simulated.equilibria[rows]
+        assert plant.kwh.tobytes() == simulated.kwh[rows].tobytes()
+        assert plant.decay == simulated.decay
 
 
 def _plan_stdout(pipeline, tmp_path, capsys):
@@ -409,6 +415,33 @@ def test_simulate_states_each_window_once(pipeline, tmp_path, monkeypatch):
         assert (tmp_path / f"trajectory_{name}_{days[1]}.csv").exists()
 
 
+def test_simulate_windows_slice_one_synthetic_load(pipeline, tmp_path,
+                                                   monkeypatch):
+    # the synthetic load is one series over the simulate windows, so its
+    # noise does not restart at each window's first hour
+    root, out, _ = pipeline
+    config = ph.write_config(root, ph.base_config(
+        root, controllers=["greedy"], heat_load={"synth_noise": 0.05},
+        windows={"simulate": [ph.SIM_WINDOW, ["2024-07-19T00:00:00Z",
+                                              "2024-07-19T23:00:00Z"]]}),
+        name="config_noisy_windows.yaml")
+    loads = []
+
+    def recorded(facility, chiller, heat, temperature, workload,
+                 _original=sim.step_table):
+        loads.append(workload)
+        return _original(facility, chiller, heat, temperature, workload)
+
+    monkeypatch.setattr(sim, "step_table", recorded)
+    assert cli.main(["simulate", "--config", config, "--out",
+                     str(tmp_path)]) == 0
+    assert [len(load) for load in loads] == [96, 24]
+    assert not np.array_equal(loads[0][:24], loads[1])
+    series = ingest.synth_workload(
+        3, 120, 50_000, 0.4, start="2024-07-15T00:00:00Z", noise=0.05)
+    assert np.concatenate(loads).tobytes() == series.values.tobytes()
+
+
 def test_simulate_rejects_windows_of_one_start_day(pipeline, tmp_path, capsys):
     # both windows would write trajectory_greedy_2024-07-15.csv
     root, _, _ = pipeline
@@ -422,6 +455,131 @@ def test_simulate_rejects_windows_of_one_start_day(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert all(f"{start}..{end}" in err for start, end in windows)
     assert not out.exists()
+
+
+def _plan(config, out, tmp_path):
+    """Exit code of `plan` on the fixture's models, writing to tmp_path."""
+    return cli.main(["plan", "--config", config, "--out", str(tmp_path),
+                     "--regime-model", os.path.join(out, "regime_model.json"),
+                     "--transition-model",
+                     os.path.join(out, "transition_model.json")])
+
+
+def test_planning_day_defaults_to_july_15(pipeline, tmp_path):
+    # without mdp.planning_day, a day plan covers July 15 of the first
+    # simulate window
+    root, out, _ = pipeline
+    config = ph.write_config(root, ph.base_config(
+        root, mdp={"planning_day": None}), name="config_no_day.yaml")
+    assert RunConfig.from_file(config).raw["mdp"]["planning_day"] is None
+    assert _plan(config, out, tmp_path) == 0
+    policy = mdp.load_policy(tmp_path / "policy.json")
+    july_15 = ingest.parse_timestamp("2024-07-15T00:00:00Z")
+    assert policy.hours.tolist() == list(range(july_15, july_15 + 24))
+
+
+def test_planning_day_outside_first_window_fails(pipeline, tmp_path, capsys):
+    root, out, _ = pipeline
+    config = ph.write_config(root, ph.base_config(
+        root, mdp={"planning_day": None},
+        windows={"simulate": [["2024-07-16T00:00:00Z",
+                               "2024-07-18T23:00:00Z"]]}),
+        name="config_no_july_15.yaml")
+    capsys.readouterr()
+    assert _plan(config, out, tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: derived planning day July 15 is outside the first simulate "
+        "window; set mdp.planning_day explicitly\n")
+    assert not (tmp_path / "policy.json").exists()
+
+
+@pytest.mark.parametrize("kind, windows, named", [
+    ("train", [ph.TRAIN_WINDOW, ["2023-06-28T23:00:00Z",
+                                 "2023-06-30T23:00:00Z"]],
+     "windows.train 2023-06-01T00:00:00Z..2023-06-28T23:00:00Z and "
+     "2023-06-28T23:00:00Z..2023-06-30T23:00:00Z overlap"),
+    ("train", [["2023-06-28T23:00:00Z", "2023-06-01T00:00:00Z"]],
+     "windows.train 2023-06-28T23:00:00Z..2023-06-01T00:00:00Z ends before "
+     "it starts"),
+    ("simulate", [ph.SIM_WINDOW + ["2024-07-19T23:00:00Z"]],
+     "windows.simulate entry ['2024-07-15T00:00:00Z', "
+     "'2024-07-18T23:00:00Z', '2024-07-19T23:00:00Z'] is not [start, end]"),
+    ("train", "unquoted", "windows.train entry [datetime.datetime(2023, 6, 1"),
+    ("train", [["2023-06-01T00:00:00Z", "2023-06-31T00:00:00Z"]],
+     "windows.train 2023-06-01T00:00:00Z..2023-06-31T00:00:00Z: bad "
+     "timestamp '2023-06-31T00:00:00Z'"),
+    ("simulate", [ph.SIM_WINDOW, ["2024-07-15T12:00:00Z",
+                                  "2024-07-16T11:00:00Z"]],
+     "windows.simulate 2024-07-15T00:00:00Z..2024-07-18T23:00:00Z and "
+     "2024-07-15T12:00:00Z..2024-07-16T11:00:00Z both start on 2024-07-15"),
+], ids=["overlap", "end-before-start", "three-stamps", "unquoted-stamp",
+        "bad-stamp", "same-start-day"])
+def test_bad_windows_fail_at_load(tmp_path, capsys, kind, windows, named):
+    # every stage resolves the windows when it loads the config, so even
+    # fit-qfr, which reads no simulate window, refuses a bad one
+    doc = ph.base_config(str(tmp_path))
+    if windows != "unquoted":
+        doc["windows"][kind] = windows
+    config = ph.write_config(str(tmp_path), doc)
+    if windows == "unquoted":  # YAML reads an unquoted stamp as a datetime
+        text = open(config, encoding="utf-8").read()
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("'2023-06-01T00:00:00Z'",
+                                  "2023-06-01T00:00:00Z"))
+    assert cli.main(["fit-qfr", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stages_need_their_windows(tmp_path, capsys):
+    # a config without windows loads; a stage that needs them names them
+    config = ph.make_project(str(tmp_path),
+                             windows={"train": [], "simulate": []})
+    for command, kind in (("fit-qfr", "train"), ("simulate", "simulate")):
+        assert cli.main([command, "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config defines no windows.{kind}\n")
+
+
+@pytest.mark.parametrize("text, environ, named", [
+    ("facility: {c_equipment_j_per_degc: 3.0e9}", {},
+     "config.facility.c_equipment_j_per_degc: expected a number, got '3.0e9'"),
+    ("mdp: {theta_step_c: half}", {},
+     "config.mdp.theta_step_c: expected a number, got 'half'"),
+    ("chain: {alpha: x}", {}, "config.chain.alpha: expected a number"),
+    ("qfr: {regimes: true}", {}, "config.qfr.regimes: expected a number"),
+    ("", {"COOLSCHED_QFR": "3"}, "env.qfr: expected a section"),
+    ("", {"COOLSCHED_QFR__REGIMES": "three"},
+     "env.qfr.regimes: expected a number, got 'three'"),
+    ("", {"COOLSCHED_QFR__TYPO": "3"}, "env.qfr: unknown key 'typo'"),
+], ids=["string-float", "word-float", "word-alpha", "bool-int", "env-section",
+        "env-word-int", "env-unknown-key"])
+def test_config_values_are_checked_at_load(tmp_path, monkeypatch, capsys,
+                                           text, environ, named):
+    # the environment merges over the file as the file merges over the
+    # defaults, and a number's key takes only a number
+    # PyYAML reads 3.0e9 as a string: a YAML 1.1 float needs a signed exponent
+    config = ph.write_config(str(tmp_path), ph.base_config(
+        str(tmp_path), **(yaml.safe_load(text) or {})))
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(["fit-qfr", "--config", config]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+
+
+def test_overlong_archive_field_is_named(tmp_path, capsys):
+    # a value longer than csv.field_size_limit() fails the parse, which
+    # names the file and line
+    config = ph.make_project(str(tmp_path))
+    price_csv = tmp_path / "price.csv"
+    lines = price_csv.read_text().splitlines()
+    stamp = lines[5].split(",")[0]
+    lines[5] = f"{stamp},{'1' * 200_000}"
+    price_csv.write_text("\n".join(lines) + "\n")
+    assert cli.main(["fit-qfr", "--config", config]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {price_csv}: line 6: field larger than field limit")
 
 
 def test_bench_checks_pass_on_the_fixture(pipeline_stages, monkeypatch):
@@ -544,6 +702,28 @@ def test_bench_trace_sites_exist(monkeypatch):
                for owner, attr, *_ in layertrace.SITES
                if attr not in owner.__dict__]
     assert layertrace.SITES and not missing
+
+
+def test_bench_only_imports_are_trace_sites(monkeypatch):
+    # a module keeps an unused import (# noqa: F401) only so that
+    # bench/layertrace.py can rebind it there; one whose site is gone fails
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(repo, "bench"))
+    import layertrace
+    sites = {(owner.__name__, attr) for owner, attr, *_ in layertrace.SITES}
+    package = os.path.dirname(coolsched.__file__)
+    kept = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            for line in fh:
+                if "# noqa: F401" in line:
+                    imported = re.fullmatch(
+                        r"from \.\w+ import (\w+)  # noqa: F401\n", line)
+                    assert imported, line
+                    kept.add((f"coolsched.{name[:-3]}", imported[1]))
+    assert kept and kept <= sites
 
 
 def test_package_exports_resolve():

@@ -7,7 +7,8 @@ from coolsched.controllers import (FixedRuleController, GreedyController,
                                    QfrMdpController, fixed_rule_action,
                                    greedy_action, night_precool_action)
 from coolsched.mdp import CostSpec, Policy, StateSpace, quantize
-from coolsched.qfr import FourierDesign, QuantileFit, RegimeModel
+from coolsched.qfr import (FourierDesign, QuantileFit, RegimeModel,
+                           classify_series)
 from coolsched.sim import Window
 from coolsched.thermal import (STEP_SECONDS, ChillerSpec, step_table,
                                step_temperature)
@@ -93,18 +94,21 @@ def _toy_controller():
     actions = np.zeros((24, space.n_theta, 2), dtype=np.int64)  # default: idle
     actions[7, quantize(22.0, space)] = [3, 2]
     policy = Policy(actions=actions, space=space)
-    return QfrMdpController(policy=policy, regime_model=_constant_regime_model())
+    return QfrMdpController(policy=policy)
 
 
-def _window(hours, price=50.0, t_out=30.0, q=1e6):
+def _window(hours, price=50.0, t_out=30.0, q=1e6, labelled=True):
     """Flat traces, with the step table sim.Window.of builds for
-    ChillerSpec(); controllers read no regime labels."""
+    ChillerSpec() and the regime labels it gives under the constant model
+    (0 when not `labelled`, as without a model)."""
     hours = np.atleast_1d(np.asarray(hours, dtype=np.int64))
     n = len(hours)
+    prices = np.broadcast_to(float(price), n).copy()
     plant = step_table(unit_room(GAMMA, C_HEAT), ChillerSpec(), W_PER_CORE,
                        np.full(n, t_out), np.full(n, q))
-    return Window(hours=hours, price=np.broadcast_to(float(price), n).copy(),
-                  regime=np.zeros(n, dtype=np.int64),
+    regime = (classify_series(_constant_regime_model(), hours, prices)
+              if labelled else np.zeros(n, dtype=np.int64))
+    return Window(hours=hours, price=prices, regime=regime,
                   equilibria=plant.equilibria.tolist(), decay=plant.decay,
                   kwh=plant.kwh)
 
@@ -130,6 +134,12 @@ def test_mdp_action_top_band_composition():
     for price in (50.5, 1e6):
         assert _decide(ctrl, 7, 22.0, price) == 2
     assert _decide(ctrl, 7, 22.0, 50.0) == 3
+
+
+def test_mdp_start_needs_regime_labels():
+    # a window built without a regime model labels every hour 0
+    with pytest.raises(ValueError, match="regime model"):
+        _toy_controller().start(_window(7, labelled=False))
 
 
 def test_controller_classes_match_functions():

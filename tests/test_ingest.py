@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import re
 from datetime import datetime, timedelta, timezone
@@ -130,9 +131,16 @@ def test_fill_gaps_matches_loop(start, steps, kind, data):
 
 def _load_series_loop(path, kind):
     """Reference loader: csv.reader rows, checked, sorted and merged one at a time."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise IngestError(f"{path}: line {lineno}: not UTF-8 text: "
+                          f"{exc.reason}") from None
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1 and row and row[0].strip().lower() == "timestamp":
                 continue  # header
@@ -157,6 +165,8 @@ def _load_series_loop(path, kind):
                     f"{path}: line {lineno}: workload must be a non-negative integer"
                 )
             rows.append((hour, value, lineno))
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise IngestError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])  # stable: a repeated hour keeps file order
@@ -265,7 +275,7 @@ def _csv_text(rnd):
 def _load_outcome(load, path, kind, *cache_dir):
     try:
         series = load(path, kind, *cache_dir)
-    except (IngestError, csv.Error) as exc:
+    except IngestError as exc:
         return str(exc)
     return series.hours.tobytes(), series.values.tobytes(), series.reused
 
@@ -346,6 +356,16 @@ def test_load_names_bad_line(tmp_path):
     write_csv(path, ["2024-06-01T00:00:00Z,50.0", "2024-06-01T01:00:00Z,abc"],
               header=False)
     with pytest.raises(IngestError, match="line 2"):
+        load_series(path, SeriesKind.PRICE)
+
+
+def test_load_names_undecodable_line(tmp_path):
+    # a file that is not UTF-8 fails naming the file and the line
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"timestamp,value\n2024-06-01T00:00:00Z,50.0\n"
+                     b"2024-06-01T01:00:00Z,6\xff0\n")
+    with pytest.raises(IngestError, match=re.escape(
+            f"{path}: line 3: not UTF-8 text: invalid start byte")):
         load_series(path, SeriesKind.PRICE)
 
 
@@ -443,6 +463,11 @@ def test_write_read_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.values, ts.values)  # bit-exact
 
 
+def _window(start, end):
+    """The (first hour, last hour) pair a config resolves [start, end] to."""
+    return parse_timestamp(start), parse_timestamp(end)
+
+
 def _full_summer_series(seed=0):
     start = "2024-06-01T00:00:00Z"
     n = 92 * 24  # June 1 .. Aug 31
@@ -453,15 +478,15 @@ def _full_summer_series(seed=0):
 
 def test_align_summer_window_is_2208():
     price, temp, work = _full_summer_series()
-    ds = align(price, temp, work,
-               ("2024-06-01T00:00:00Z", "2024-08-31T23:00:00Z"))
+    ds = align(price, temp, work, _window("2024-06-01T00:00:00Z",
+                                          "2024-08-31T23:00:00Z"))
     assert ds.n == 2208
 
 
 def test_align_single_day():
     price, temp, work = _full_summer_series()
-    ds = align(price, temp, work,
-               ("2024-07-15T00:00:00Z", "2024-07-15T23:00:00Z"))
+    ds = align(price, temp, work, _window("2024-07-15T00:00:00Z",
+                                          "2024-07-15T23:00:00Z"))
     assert ds.n == 24
 
 
@@ -469,13 +494,15 @@ def test_align_detects_missing_coverage():
     price, temp, work = _full_summer_series()
     short = TimeSeries(price.hours[:-24], price.values[:-24], SeriesKind.PRICE)
     with pytest.raises(CoverageError, match="price"):
-        align(short, temp, work, ("2024-06-01T00:00:00Z", "2024-08-31T23:00:00Z"))
+        align(short, temp, work, _window("2024-06-01T00:00:00Z",
+                                         "2024-08-31T23:00:00Z"))
 
 
 def test_align_rejects_partial_days():
     price, temp, work = _full_summer_series()
     with pytest.raises(IngestError):
-        align(price, temp, work, ("2024-06-01T00:00:00Z", "2024-06-01T10:00:00Z"))
+        align(price, temp, work, _window("2024-06-01T00:00:00Z",
+                                         "2024-06-01T10:00:00Z"))
 
 
 def test_synth_workload_flat_when_degenerate():

@@ -56,7 +56,7 @@ def _reference_action(controller, specs, hour, theta, price, t_out, q):
     policy = controller.policy
     slot = policy_slot(policy, hour)
     i = quantize(theta, policy.space)
-    regime = classify(controller.regime_model, hour, price)
+    regime = classify(specs.regime_model, hour, price)
     return int(policy.actions[slot, i, regime - 1])
 
 
@@ -180,9 +180,9 @@ def rollout_cases(draw):
     return dataset, model, policy, theta0, facility
 
 
-def _controllers(specs, model, policy):
+def _controllers(specs, policy):
     return [GreedyController(specs.cost), FixedRuleController(specs.cost),
-            QfrMdpController(policy=policy, regime_model=model)]
+            QfrMdpController(policy=policy)]
 
 
 def _flat_case(price=40.0, theta0=24.0, t_out=28.0, cores=50_000.0,
@@ -229,7 +229,7 @@ def test_rollout_matches_reference(tmp_path_factory, case):
                         float(dataset.price[t])) == labels[t]
     tmp = tmp_path_factory.mktemp("traj")
     window = Window.of(dataset, specs)   # one window for all three rollouts
-    for controller in _controllers(specs, model, policy):
+    for controller in _controllers(specs, policy):
         got = rollout(controller, window, specs, initial_theta=theta0)
         assert got.window is window
         want = _rollout_reference(controller, dataset, specs, theta0)
