@@ -81,9 +81,9 @@ def _load_workload(cfg: RunConfig, out) -> ingest.TimeSeries:
                                  start=first, noise=h["synth_noise"])
 
 
-def _train_samples(cfg: RunConfig, price: ingest.TimeSeries):
+def _train_samples(windows, price: ingest.TimeSeries):
     hours, values = [], []
-    for window in cfg.require_windows("train"):
+    for window in windows:
         part = ingest.slice_series(price, window)
         hours.append(part.hours)
         values.append(part.values)
@@ -152,13 +152,14 @@ def _input_path(out, name, override=None):
 
 
 def cmd_fit_qfr(cfg: RunConfig, args) -> int:
+    windows = cfg.require_windows("train")
     out = _out_dir(cfg, args)
     price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
-    hours, values = _train_samples(cfg, price)
+    hours, values = _train_samples(windows, price)
     model = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
     qfr.save_model(model, os.path.join(out, REGIME_MODEL_FILE))
     # rearranged quantile surfaces over the first training window
-    surface_hours = ingest.window_hours(cfg.train_windows[0])
+    surface_hours = ingest.window_hours(windows[0])
     bounds, reps = model.surfaces_at(surface_hours)
     artifacts.write_csv(
         os.path.join(out, SURFACES_FILE),
@@ -180,10 +181,11 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
 
 
 def cmd_estimate_chain(cfg: RunConfig, args) -> int:
+    windows = cfg.require_windows("train")
     out = _out_dir(cfg, args)
     model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE, args.regime_model))
     price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
-    hours, values = _train_samples(cfg, price)
+    hours, values = _train_samples(windows, price)
     labels = qfr.classify_series(model, hours, values)
     chain = regimes.estimate(zip(hours, labels), m=model.m,
                              alpha=cfg.raw["chain"]["alpha"],

@@ -12,7 +12,9 @@ Windows resolve once, at load, to (first hour, last hour) pairs: each entry
 is [start, end] as two quoted ISO timestamps (YAML reads an unquoted one as
 a datetime, which is refused); train windows are sorted and must not
 overlap, and no two simulate windows may start on one UTC day, whose
-trajectory files would collide.
+trajectory files would collide. An explicit mdp.planning_day is parsed at
+load as well, so a bad one fails every stage; the derived one (July 15 of
+the first simulate window) is checked only when a stage asks for it.
 """
 
 import os
@@ -170,6 +172,8 @@ class RunConfig:
     base_dir: str = "."
     train_windows: list = field(init=False)     # (first hour, last hour)
     simulate_windows: list = field(init=False)  # pairs, set at validation
+    # first hour of an explicit mdp.planning_day, set at validation
+    _planning_day: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self._validate()
@@ -222,6 +226,13 @@ class RunConfig:
             start_day[day] = text
         self.train_windows = [(first, last) for first, last, _ in train]
         self.simulate_windows = [(first, last) for first, last, _ in simulate]
+        day = raw["mdp"]["planning_day"]
+        try:
+            self._planning_day = (None if day is None
+                                  else parse_timestamp(f"{day}T00:00:00Z"))
+        except IngestError:
+            raise ConfigError(f"mdp.planning_day {day!r} is not a "
+                              "YYYY-MM-DD date") from None
 
     def require_windows(self, kind) -> list:
         """`train_windows` or `simulate_windows`; raises ConfigError when
@@ -236,9 +247,8 @@ class RunConfig:
         """First hour (midnight UTC) of the day a day-cycle plan covers:
         mdp.planning_day, else July 15 of the first simulate window, which
         must hold that whole day."""
-        day = self.raw["mdp"]["planning_day"]
-        if day is not None:
-            return parse_timestamp(f"{day}T00:00:00Z")
+        if self._planning_day is not None:
+            return self._planning_day
         if not self.simulate_windows:
             raise ConfigError(
                 "mdp.planning_day is not set and there is no simulate window "

@@ -2,14 +2,18 @@
 
 Prices are fit at several quantile levels with sinusoidal regressors at the
 daily and yearly periods. Each level is the bounded dual LP of the pinball
-loss. One Frisch-Newton interior point iterates all levels together, and
-each level's exact vertex is then read off the observations nearest its
-curve and kept when a certificate shows it is the unique optimum. A level
-without that certificate is solved by HiGHS's dual simplex (see
-`fit_quantile`). The fitted curves split the price axis into M bands per
-hour; a realized price's band is its regime, and a price within TIE_TOL
-(relative) of a boundary is on it. Band boundaries sit at levels j/M and
-each band carries a representative curve at its mid level.
+loss. One Frisch-Newton interior point iterates all levels together, in
+work arrays allocated once per fit, with the normal matrices formed from a
+table of the design rows' upper triangles. Each level's exact vertex is
+then read off the observations nearest its curve and kept when a
+certificate shows it is the unique optimum. That vertex is rebuilt from its
+sorted basis alone, so the iterates' rounding never reaches an output bit
+unless it changes the basis. A level without that certificate is solved by
+HiGHS's dual simplex (see `fit_quantile`). The fitted curves split the
+price axis into M bands per hour; a realized price's band is its regime,
+and a price within TIE_TOL (relative) of a boundary is on it. Band
+boundaries sit at levels j/M and each band carries a representative curve
+at its mid level.
 """
 
 from dataclasses import dataclass, field, fields
@@ -95,14 +99,10 @@ _RANK_TOL = 1e-9
 _CERT_TOL = 1e-7
 
 
-def _step(*pairs):
+def _step(shrink):
     """Per level, the step a <= 1 that goes _STEP of the way to the first
-    v + a dv to reach 0, over the (v, dv) pairs."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # fmin skips the 0/0 of a slack that starts at zero and stays there
-        shrink = -np.minimum.reduce([np.fmin.reduce(dv / v, axis=1)
-                                     for v, dv in pairs])
-    return (_STEP / np.maximum(shrink, _STEP))[:, None]
+    bound that v + a dv reaches, from shrink, the largest -dv / v."""
+    return _STEP / np.maximum(shrink, _STEP)
 
 
 def _frisch_newton(X, y, taus):
@@ -115,66 +115,120 @@ def _frisch_newton(X, y, taus):
     Returns the (T, k) coefficients, with NaN rows for the levels whose
     gap stays open within _MAX_ITER iterations or whose normal equations
     turn singular.
+
+    Each iteration forms every level's X' diag(q) X from one product with
+    a table of the rows' upper triangles of x_i x_i' (n by k(k+1)/2), and
+    writes the iterate and its work arrays in place, in (T, n) buffers
+    allocated once whose first rows hold the levels still live. The
+    order of these sums sets the iterates' last bits, but no output bit:
+    only the vertex that `_vertex` rebuilds from its sorted basis leaves
+    the fit, so the output holds while each level certifies the same
+    basis.
     """
     n, k = X.shape
     taus = np.asarray(taus, dtype=float)
     coef = np.full((len(taus), k), np.nan)
     xt = np.ascontiguousarray(X.T)
-    # row i holds the k x k outer product x_i x_i', so that q @ outer is
-    # X' diag(q) X for every level in one matrix product
-    outer = (X[:, :, None] * X[:, None, :]).reshape(n, k * k)
+    # row i holds the upper triangle of x_i x_i', so that q @ tri holds
+    # X' diag(q) X for every level in one matrix product; `mirror` picks
+    # the full k x k matrices out of it
+    upper = np.triu_indices(k)
+    tri = X[:, upper[0]] * X[:, upper[1]]
+    mirror = np.empty((k, k), dtype=np.intp)
+    mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
     # d = 1 - tau, and beta the least-squares fit with its residual split
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     r = y - X @ beta
     r += 1e-3 * (r == 0)  # a zero residual would start both z and w at 0
     live = np.arange(len(taus))
-    d = np.repeat((1.0 - taus)[:, None], n, axis=1)
-    s = 1.0 - d
     beta = np.repeat(beta[None, :], len(taus), axis=0)
-    w = np.repeat(np.maximum(r, 0.0)[None, :], len(taus), axis=0)
-    z = w - r
-    for _ in range(_MAX_ITER):
-        zd, ws = z / d, w / s
-        q = 1.0 / (zd + ws)
-        normal = (q @ outer).reshape(-1, k, k)
-        r = w - z
+    # the iterate (d, s, z, w), then scratch
+    work = np.empty((14, len(taus), n))
+    work[0] = (1.0 - taus)[:, None]
+    work[1] = 1.0 - work[0]
+    work[3] = np.maximum(r, 0.0)
+    work[2] = work[3] - r
+    gap = np.vecdot(work[2], work[0]) + np.vecdot(work[3], work[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITER):
+            (d, s, z, w, r, inv_d, inv_s, zd, ws, q, dd, dz, dw,
+             tmp) = work[:, :len(live)]
+            np.reciprocal(d, out=inv_d)
+            np.reciprocal(s, out=inv_s)
+            np.multiply(z, inv_d, out=zd)
+            np.multiply(w, inv_s, out=ws)
+            np.reciprocal(np.add(zd, ws, out=q), out=q)
+            normal = np.take(q @ tri, mirror, axis=1)
+            np.subtract(w, z, out=r)
 
-        def newton(rhs):
-            # dbeta from (X'QX) dbeta = X'Q rhs, then dd = q (rhs - X dbeta)
-            db = np.linalg.solve(normal, ((q * rhs) @ X)[:, :, None])[:, :, 0]
-            return db, q * (rhs - db @ xt)
+            def newton(rhs):
+                # dbeta from (X'QX) dbeta = X'Q rhs, then dd = q (rhs - X dbeta)
+                xq = np.multiply(q, rhs, out=tmp) @ X
+                db = np.linalg.solve(normal, xq[:, :, None])[:, :, 0]
+                np.subtract(rhs, np.matmul(db, xt, out=dd), out=dd)
+                np.multiply(dd, q, out=dd)
+                return db
 
-        try:
-            # predictor: the affine-scaling direction
-            db, dd = newton(r)
-            dz = -z - zd * dd
-            dw = ws * dd - w
-            fp, fd = _step((d, dd), (s, -dd)), _step((z, dz), (w, dw))
-            # corrector, centred at Mehrotra's mu
-            mu = np.sum(z * d + w * s, axis=1)
-            g = np.sum((z + fd * dz) * (d + fp * dd) + (w + fd * dw) * (s - fp * dd),
-                       axis=1)
-            mu = (mu * (g / mu) ** 3 / (2 * n))[:, None]
-            ddz, dsw = dd * dz, dd * dw
-            db, dd = newton(r + mu * (1.0 / d - 1.0 / s) - ddz - dsw)
-        except np.linalg.LinAlgError:
-            break
-        dz = mu / d - z - zd * dd - ddz
-        dw = mu / s - w + ws * dd + dsw
-        fp, fd = _step((d, dd), (s, -dd)), _step((z, dz), (w, dw))
-        d, s = d + fp * dd, s - fp * dd
-        beta, z, w = beta + fd * db, z + fd * dz, w + fd * dw
+            def primal_step():
+                lo = np.fmin.reduce(np.multiply(dd, inv_d, out=tmp), axis=1)
+                hi = np.fmax.reduce(np.multiply(dd, inv_s, out=tmp), axis=1)
+                return _step(np.maximum(-lo, hi))
 
-        # the duality gap z'd + w's of a feasible iterate, summed without
-        # the cancellation of b'beta + 1'w - y'd
-        gap = np.sum(z * d + w * s, axis=1)
-        done = gap <= _GAP_TOL * (1.0 + np.abs(d @ y))
-        coef[live[done]] = beta[done]
-        keep = ~done & np.isfinite(gap)
-        if not keep.any():
-            break
-        live = live[keep]
-        d, s, beta, z, w = d[keep], s[keep], beta[keep], z[keep], w[keep]
+            def dual_step():
+                # fmin skips the 0/0 of a slack that starts at zero and
+                # stays there
+                lo = np.fmin.reduce(np.divide(dz, z, out=tmp), axis=1)
+                lo = np.minimum(lo, np.fmin.reduce(np.divide(dw, w, out=tmp), axis=1))
+                return _step(-lo)
+
+            try:
+                # predictor: the affine-scaling direction
+                newton(r)
+                np.negative(np.add(z, np.multiply(zd, dd, out=dz), out=dz), out=dz)
+                np.subtract(np.multiply(ws, dd, out=dw), w, out=dw)
+                fp, fd = primal_step(), dual_step()
+                # corrector, centred at Mehrotra's mu from the gap g that
+                # the predictor's steps would leave, (z + fd dz)'(d + fp dd)
+                # + (w + fd dw)'(s - fp dd) expanded in the steps
+                g = (gap - fp * np.vecdot(r, dd)
+                     + fd * (np.vecdot(d, dz) + np.vecdot(s, dw))
+                     + fp * fd * np.vecdot(dd, np.subtract(dz, dw, out=tmp)))
+                mu = (gap * (g / gap) ** 3 / (2 * n))[:, None]
+                ddz, dsw = np.multiply(dd, dz, out=dz), np.multiply(dd, dw, out=dw)
+                r += np.multiply(np.subtract(inv_d, inv_s, out=tmp), mu, out=tmp)
+                r -= ddz
+                r -= dsw
+                db = newton(r)
+            except np.linalg.LinAlgError:
+                break
+            fp = primal_step()[:, None]
+            # dz = mu / d - z - zd dd - ddz and dw = mu / s - w + ws dd + dsw
+            dz += np.multiply(zd, dd, out=zd)
+            dz += z
+            np.subtract(np.multiply(inv_d, mu, out=inv_d), dz, out=dz)
+            dw += np.multiply(ws, dd, out=ws)
+            dw -= w
+            dw += np.multiply(inv_s, mu, out=inv_s)
+            fd = dual_step()[:, None]
+            np.multiply(dd, fp, out=dd)
+            d += dd
+            s -= dd
+            z += np.multiply(dz, fd, out=dz)
+            w += np.multiply(dw, fd, out=dw)
+            beta += fd * db
+
+            # the duality gap z'd + w's of a feasible iterate, summed without
+            # the cancellation of b'beta + 1'w - y'd; it is the next mu
+            gap = np.vecdot(z, d) + np.vecdot(w, s)
+            done = gap <= _GAP_TOL * (1.0 + np.abs(d @ y))
+            coef[live[done]] = beta[done]
+            keep = ~done & np.isfinite(gap)
+            if not keep.any():
+                break
+            if not keep.all():
+                # move the iterates of the levels that go on to the front
+                work[:4, :keep.sum()] = work[:4, :len(live)][:, keep]
+                live, gap, beta = live[keep], gap[keep], beta[keep]
     return coef
 
 
@@ -279,7 +333,9 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
     else:
         interior = np.full((len(taus), k), np.nan)
     fits = []
-    for tau, beta in zip(taus, interior):
+    # the constant quantiles, which every fit must beat
+    constants = np.quantile(y, taus)
+    for tau, beta, constant in zip(taus, interior, constants):
         coef = None
         if np.all(np.isfinite(beta)):
             coef = _vertex(X, y, (1.0 - tau) * x_sum, beta)
@@ -287,7 +343,7 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
         if coef is None:
             coef, solver = _dual_simplex(X, y, tau), "dual-simplex"
         fitted_loss = pinball_loss(y, X @ coef, tau)
-        const_loss = pinball_loss(y, np.quantile(y, tau), tau)
+        const_loss = pinball_loss(y, constant, tau)
         if fitted_loss > const_loss + 1e-9 * max(1.0, abs(const_loss)):
             raise FitError("quantile LP returned a fit worse than the constant quantile")
         fits.append(QuantileFit(tau, coef, solver))

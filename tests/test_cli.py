@@ -532,14 +532,28 @@ def test_bad_windows_fail_at_load(tmp_path, capsys, kind, windows, named):
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_planning_day_fails_at_load(tmp_path, capsys):
+    # an explicit planning day is parsed with the windows, so every stage
+    # names it, even those that plan nothing
+    config = ph.make_project(str(tmp_path), mdp={"planning_day": "2024-13-01"})
+    for command in cli.COMMANDS:
+        assert cli.main([command, "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: mdp.planning_day '2024-13-01' is not a YYYY-MM-DD date\n")
+        assert not (tmp_path / "out").exists()
+
+
 def test_stages_need_their_windows(tmp_path, capsys):
     # a config without windows loads; a stage that needs them names them
+    # before it makes the out dir or parses an archive into it
     config = ph.make_project(str(tmp_path),
                              windows={"train": [], "simulate": []})
-    for command, kind in (("fit-qfr", "train"), ("simulate", "simulate")):
+    for command, kind in (("fit-qfr", "train"), ("estimate-chain", "train"),
+                          ("simulate", "simulate")):
         assert cli.main([command, "--config", config]) == 2
         assert capsys.readouterr().err == (
             f"error: config defines no windows.{kind}\n")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, environ, named", [

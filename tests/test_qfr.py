@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from coolsched import qfr
-from coolsched.ingest import synth_prices
+from coolsched.ingest import parse_timestamp, synth_prices
 from coolsched.qfr import (FitError, FourierDesign, RegimeModel, QuantileFit,
                            boundary_levels, classify, classify_series,
                            design_matrix, fit_quantile, fit_regimes,
@@ -147,6 +149,17 @@ def _spiky_prices():
     return series.hours, series.values, 0.5, FourierDesign()
 
 
+def _paper_summers():
+    """Two summers of the synthetic spot prices 8760 h apart, at the
+    paper's design (k = 11): every design row appears twice, as in the
+    benchmark's three training summers."""
+    start = parse_timestamp("2022-01-01T00:00:00Z")
+    series = synth_prices(16, 2 * 8760, start=start)
+    first = parse_timestamp("2022-06-01T00:00:00Z") - start
+    keep = np.r_[first:first + 2208, first + 8760:first + 8760 + 2208]
+    return series.hours[keep], series.values[keep], 0.5, FourierDesign()
+
+
 @settings(max_examples=40, deadline=None)
 @given(quantile_problems(), st.sampled_from([0, 2, 3, 4]))
 @example(_two_summers(), 0)
@@ -154,6 +167,7 @@ def _spiky_prices():
 @example(_whole_median(), 0)
 @example(_tied_median(), 0)
 @example(_spiky_prices(), 4)
+@example(_paper_summers(), 4)
 def test_interior_point_matches_dual_simplex(problem, m):
     """Each level against HiGHS on the same bounded dual: m = 0 fits the
     drawn tau alone, m >= 2 the 2m - 1 levels of fit_regimes."""
@@ -180,6 +194,24 @@ def test_interior_point_matches_dual_simplex(problem, m):
             # both optimal, and the vertex kept is certified the unique optimum
             assert np.array_equal(_labels(fit, design, hours, prices),
                                   _labels(reference, design, hours, prices))
+
+
+# sha256 of save_model's file for the M = 4 fit on _paper_summers
+PAPER_SUMMERS_MODEL_SHA256 = (
+    "54235805630cc5321707421b0153ecd6afa9e9c7cd6ea51508e6206a0517b7ed")
+
+
+def test_paper_summers_model_bytes(tmp_path):
+    # every level is a certified vertex, rebuilt exactly from its sorted
+    # basis, so faster iterates leave the file's bytes alone; the digest
+    # holds for an IEEE double LAPACK solve of the same basis
+    hours, prices, _, design = _paper_summers()
+    model = fit_regimes(hours, prices, 4, design)
+    fits = model.boundary_fits + model.representative_fits
+    assert [fit.solver for fit in fits] == ["interior-point"] * 7
+    save_model(model, tmp_path / "regime_model.json")
+    digest = hashlib.sha256((tmp_path / "regime_model.json").read_bytes())
+    assert digest.hexdigest() == PAPER_SUMMERS_MODEL_SHA256
 
 
 def test_basis_pick_skips_repeated_rows():
