@@ -173,8 +173,13 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
           f"{len(model.boundary_fits)} boundary fits, "
           f"{len(model.representative_fits)} representative fits")
-    solvers = Counter(fit.solver for fit in
-                      model.boundary_fits + model.representative_fits)
+    fits = model.boundary_fits + model.representative_fits
+    band = qfr.band_rows(len(values), cfg.design.n_features)
+    first = sum(fit.rows == band for fit in fits)
+    widened = sum(fit.rows not in (None, band) for fit in fits)
+    print(f"near-curve: {first}/{len(fits)} levels certified on {band} of "
+          f"{len(values)} rows, {widened} widened")
+    solvers = Counter(fit.solver for fit in fits)
     print("solver: " + " ".join(f"{name}={solvers[name]}"
                                 for name in sorted(solvers)))
     return 0

@@ -135,7 +135,9 @@ def _env_overrides(environ):
         if name.startswith(ENV_PREFIX):
             try:
                 value = yaml.load(raw, Loader=_LOADER)
-            except yaml.YAMLError:
+            except (yaml.YAMLError, ValueError):
+                # a malformed value, or an impossible unquoted date such as
+                # 2024-13-01: kept as text for _validate to name its key
                 value = raw
             for part in reversed(name[len(ENV_PREFIX):].lower().split("__")):
                 value = {part: value}
@@ -187,6 +189,10 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
+        except ValueError as exc:
+            # YAML's date reader refuses an impossible unquoted date
+            raise ConfigError(f"config file {path} holds an unquoted date that "
+                              f"is not a date ({exc}); quote dates") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must be a mapping")
         merged = _merge(DEFAULTS, doc, "config")

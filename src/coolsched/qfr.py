@@ -2,13 +2,19 @@
 
 Prices are fit at several quantile levels with sinusoidal regressors at the
 daily and yearly periods. Each level is the bounded dual LP of the pinball
-loss. One Frisch-Newton interior point iterates all levels together, in
-work arrays allocated once per fit, with the normal matrices formed from a
-table of the design rows' upper triangles. Each level's exact vertex is
-then read off the observations nearest its curve and kept when a
-certificate shows it is the unique optimum. That vertex is rebuilt from its
-sorted basis alone, so the iterates' rounding never reaches an output bit
-unless it changes the basis. A level without that certificate is solved by
+loss. On a large fit, a few Newton steps on a smoothed pinball loss place
+each level's curve near its optimum, and each level is then solved on the
+few hundred observations nearest that curve, with the rest fixed on their
+side and summed into two glob rows (Portnoy & Koenker 1997). One
+Frisch-Newton interior point iterates all levels together, in work arrays
+allocated once per solve, with the normal matrices formed from a table of
+the design rows' upper triangles. Each level's exact vertex is then read
+off the observations nearest its curve and kept when a certificate,
+checked against every observation, shows it is the unique optimum of the
+whole fit. That vertex is rebuilt from its sorted basis alone, so neither
+the iterates' rounding nor the rows a solve used reach an output bit
+unless they change the basis. A level without that certificate is solved
+again on a wider band and at last on all observations, and failing that by
 HiGHS's dual simplex (see `fit_quantile`). The fitted curves split the
 price axis into M bands per hour; a realized price's band is its regime,
 and a price within TIE_TOL (relative) of a boundary is on it. Band
@@ -76,6 +82,9 @@ class QuantileFit:
     # how the fit was solved: "interior-point", "dual-simplex" or
     # "constant"; None for a fit read from a file
     solver: str = None
+    # rows of the interior-point solve whose vertex was certified: a
+    # near-curve band, or all of them; None for the other solvers
+    rows: int = None
 
     def evaluate(self, hours, design: FourierDesign):
         values = design_matrix(hours, design) @ self.coefficients
@@ -97,6 +106,20 @@ _RANK_TOL = 1e-9
 # condition number, reach about 6e-9 at paper scale (n = 6624); on the
 # bound, the vertex need not be the only optimum.
 _CERT_TOL = 1e-7
+# Near-curve solve, per feature: the fewest rows at which it runs, the first
+# band's rows, and the most rows left in a level's quadratic zone when its
+# smoothing stops. A band that fails to certify grows _WIDEN times, and
+# once it would pass half the rows the solve takes them all.
+_NEAR_MIN_ROWS = 256
+_BAND_ROWS = 32
+_STOP_ROWS = 8
+_WIDEN = 4
+# Smoothing: the start width as a quantile of |residual|, the step cap,
+# and the halvings and bisections that find a step's length.
+_SMOOTH_START = 0.3
+_SMOOTH_STEPS = 16
+_HALVINGS = 30
+_BISECT = 4
 
 
 def _step(shrink):
@@ -105,16 +128,30 @@ def _step(shrink):
     return _STEP / np.maximum(shrink, _STEP)
 
 
-def _frisch_newton(X, y, taus):
+def _per_level(a, m):
+    """a[t] @ m for a design m shared by all levels, a[t] @ m[t] for one
+    (levels, rows, cols) stack of them."""
+    return a @ m if m.ndim == 2 else np.matmul(a[:, None, :], m)[:, 0]
+
+
+def _frisch_newton(X, y, taus, beta=None):
     """Interior-point solution of the bounded dual for each level.
 
     Mehrotra predictor-corrector on max y'd s.t. X'd = (1 - tau) X'1,
     0 <= d <= 1, with s = 1 - d and dual slacks z, w >= 0 on
     y - X beta = w - z (Koenker 2005, chapter 6), all levels as one
-    (T, n) iterate. The start is feasible and Newton steps keep it so.
-    Returns the (T, k) coefficients, with NaN rows for the levels whose
-    gap stays open within _MAX_ITER iterations or whose normal equations
-    turn singular.
+    (T, n) iterate. X (n, k) and y (n,) are either shared by every level
+    or stacked per level as (T, n, k) and (T, n): the near-curve problems
+    of `_near_curve`, whose last two rows are its globs. A glob's price is
+    far beyond every fitted value, so its terms are left out of the gap's
+    scale 1 + |y'd|; they would loosen the stop by about G / |y'd|, and
+    the iterate would then end too far from the vertex to name its basis.
+    The start is d = 1 - tau with the residual of `beta` (T, k), by
+    default the least-squares fit, split into z and w: feasible for every
+    design, since a glob row sums the rows it stands for, and Newton steps
+    keep it so. Returns the (T, k) coefficients, with NaN rows for the
+    levels whose gap stays open within _MAX_ITER iterations or whose
+    normal equations turn singular (a singular one stops the whole batch).
 
     Each iteration forms every level's X' diag(q) X from one product with
     a table of the rows' upper triangles of x_i x_i' (n by k(k+1)/2), and
@@ -125,23 +162,27 @@ def _frisch_newton(X, y, taus):
     the fit, so the output holds while each level certifies the same
     basis.
     """
-    n, k = X.shape
+    n, k = X.shape[-2:]
     taus = np.asarray(taus, dtype=float)
     coef = np.full((len(taus), k), np.nan)
-    xt = np.ascontiguousarray(X.T)
+    xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
     # row i holds the upper triangle of x_i x_i', so that q @ tri holds
     # X' diag(q) X for every level in one matrix product; `mirror` picks
     # the full k x k matrices out of it
     upper = np.triu_indices(k)
-    tri = X[:, upper[0]] * X[:, upper[1]]
+    tri = X[..., upper[0]] * X[..., upper[1]]
     mirror = np.empty((k, k), dtype=np.intp)
     mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
-    # d = 1 - tau, and beta the least-squares fit with its residual split
-    beta = np.linalg.lstsq(X, y, rcond=None)[0]
-    r = y - X @ beta
+    # d = 1 - tau, and beta's residual split
+    if beta is None:
+        beta = np.linalg.lstsq(X, y, rcond=None)[0]
+        r = y - X @ beta
+        beta = np.repeat(beta[None, :], len(taus), axis=0)
+    else:
+        beta = np.array(beta, dtype=float)
+        r = y - _per_level(beta, xt)
     r += 1e-3 * (r == 0)  # a zero residual would start both z and w at 0
     live = np.arange(len(taus))
-    beta = np.repeat(beta[None, :], len(taus), axis=0)
     # the iterate (d, s, z, w), then scratch
     work = np.empty((14, len(taus), n))
     work[0] = (1.0 - taus)[:, None]
@@ -158,14 +199,18 @@ def _frisch_newton(X, y, taus):
             np.multiply(z, inv_d, out=zd)
             np.multiply(w, inv_s, out=ws)
             np.reciprocal(np.add(zd, ws, out=q), out=q)
-            normal = np.take(q @ tri, mirror, axis=1)
+            normal = np.take(_per_level(q, tri), mirror, axis=1)
             np.subtract(w, z, out=r)
 
             def newton(rhs):
                 # dbeta from (X'QX) dbeta = X'Q rhs, then dd = q (rhs - X dbeta)
-                xq = np.multiply(q, rhs, out=tmp) @ X
+                xq = _per_level(np.multiply(q, rhs, out=tmp), X)
                 db = np.linalg.solve(normal, xq[:, :, None])[:, :, 0]
-                np.subtract(rhs, np.matmul(db, xt, out=dd), out=dd)
+                if xt.ndim == 2:
+                    np.matmul(db, xt, out=dd)
+                else:
+                    np.matmul(db[:, None, :], xt, out=dd[:, None, :])
+                np.subtract(rhs, dd, out=dd)
                 np.multiply(dd, q, out=dd)
                 return db
 
@@ -220,7 +265,8 @@ def _frisch_newton(X, y, taus):
             # the duality gap z'd + w's of a feasible iterate, summed without
             # the cancellation of b'beta + 1'w - y'd; it is the next mu
             gap = np.vecdot(z, d) + np.vecdot(w, s)
-            done = gap <= _GAP_TOL * (1.0 + np.abs(d @ y))
+            done = gap <= _GAP_TOL * (1.0 + np.abs(
+                d @ y if y.ndim == 1 else np.vecdot(d[:, :-2], y[:, :-2])))
             coef[live[done]] = beta[done]
             keep = ~done & np.isfinite(gap)
             if not keep.any():
@@ -229,6 +275,8 @@ def _frisch_newton(X, y, taus):
                 # move the iterates of the levels that go on to the front
                 work[:4, :keep.sum()] = work[:4, :len(live)][:, keep]
                 live, gap, beta = live[keep], gap[keep], beta[keep]
+                if X.ndim == 3:
+                    X, xt, tri, y = X[keep], xt[keep], tri[keep], y[keep]
     return coef
 
 
@@ -251,6 +299,14 @@ def _basis_rows(X, order):
     return None
 
 
+def _nearest(off, count):
+    """The rows whose `off` is at most the count-th smallest, in the order
+    of a stable argsort: that sort's exact prefix, ties at its edge included."""
+    edge = np.partition(off, count - 1)[count - 1]
+    rows = np.flatnonzero(off <= edge)
+    return rows[np.argsort(off[rows], kind="stable")]
+
+
 def _vertex(X, y, b, beta):
     """The optimal vertex next to an interior solution, if certified.
 
@@ -261,9 +317,14 @@ def _vertex(X, y, b, beta):
     more than _CERT_TOL: with d = 1 above the curve and 0 below it, the
     basic d solve X_h' d_h = (1 - tau) X'1 - X_N' d_N. That is the
     optimality condition, and strictness makes this vertex the only
-    optimum. Returns None otherwise.
+    optimum. Returns None otherwise. The rows are scanned in the order of
+    a stable argsort of |residual|, of which `_nearest` gives the first
+    4k or more; the full sort is made only when those hold no basis.
     """
-    basis = _basis_rows(X, np.argsort(np.abs(y - X @ beta), kind="stable"))
+    off = np.abs(y - X @ beta)
+    basis = _basis_rows(X, _nearest(off, 4 * X.shape[1]))
+    if basis is None:
+        basis = _basis_rows(X, np.argsort(off, kind="stable"))
     if basis is None:
         return None
     basis.sort()  # the vertex's bits then depend on the basis, not its pick order
@@ -310,6 +371,129 @@ def _dual_simplex(X, y, tau):
     return beta
 
 
+def _smoothed(X, y, taus, stop):
+    """Coefficients near each level's optimum, from Newton steps on the
+    check loss smoothed to a quadratic on residuals |r| < g: there the
+    derivative is r / (2 g) + tau - 1/2 (a finite smoothing in the manner
+    of Chen 2007, "A finite smoothing algorithm for quantile regression").
+
+    The start is the least-squares fit shifted by each level's quantile of
+    its residuals, and g starts at the 0.3-quantile of |residual|. Each
+    step solves the smoothed Newton system, whose Hessian sums
+    x_i x_i' / (2 g) over the rows in the zone only, takes a step length
+    that lowers the smoothed loss (`_step_length`), and halves g. A level
+    stops once at most `stop` rows lie in its zone, or when g is 0 (data
+    that a curve fits exactly).
+    """
+    taus = np.asarray(taus, dtype=float)
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    r = y - X @ beta
+    beta = np.repeat(beta[None, :], len(taus), axis=0)
+    beta[:, 0] += np.quantile(r, taus)
+    r = y - beta @ X.T
+    gamma = np.quantile(np.abs(r), _SMOOTH_START, axis=1)
+    # r / g can overflow to inf for a tiny g, which the clip takes to the
+    # end of the derivative it belongs to
+    with np.errstate(over="ignore"):
+        for _ in range(_SMOOTH_STEPS):
+            zone = np.abs(r) < gamma[:, None]
+            live = np.flatnonzero((zone.sum(axis=1) > stop) & (gamma > 0))
+            if not len(live):
+                break
+            a = r[live] / gamma[live, None]
+            skew = taus[live, None] - 0.5
+            grad = (0.5 * np.clip(a, -1.0, 1.0) + skew) @ X
+            hess = np.stack([X[z].T @ X[z] for z in zone[live]])
+            try:
+                delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                break
+            delta *= 2.0 * gamma[live, None]
+            u = delta @ X.T
+            alpha = _step_length(a, u / gamma[live, None], skew)[:, None]
+            beta[live] += alpha * delta
+            r[live] -= alpha * u
+            gamma[live] *= 0.5
+    return beta
+
+
+def _step_length(a, b, skew):
+    """Per level, a step t in [0, 1] along -b that lowers the smoothed loss.
+
+    `a` holds the residuals and `b` the step's change to them, in units of
+    the zone's half-width, and the loss's derivative along the step is
+    -sum (clip(a - t b, -1, 1) / 2 + skew) b. The step is 1 where that is
+    still <= 0; elsewhere it halves until it is, then bisects the bracket
+    of the root, and it is 0 if _HALVINGS halvings never get there. A row
+    whose path from a to a - b stays on one side of the zone adds a
+    constant; the others are packed, per level, into a zero-padded block.
+    """
+    ends = np.minimum(a, a - b), np.maximum(a, a - b)
+    below, above = ends[1] <= -1.0, ends[0] >= 1.0
+    fixed = np.vecdot(0.5 * (below.astype(float) - above) - skew, b)
+    level, row = np.nonzero(~(below | above))
+    count = np.bincount(level, minlength=len(a))
+    place = np.arange(len(level)) - (np.cumsum(count) - count)[level]
+    pa, pb = np.zeros((2, len(a), max(count.max(initial=0), 1)))
+    pa[level, place], pb[level, place] = a[level, row], b[level, row]
+
+    def rising(t):
+        return fixed - 0.5 * np.vecdot(np.clip(pa - t[:, None] * pb, -1.0, 1.0),
+                                       pb) > 0
+
+    short = np.ones(len(a))
+    long = short.copy()
+    up = rising(short)
+    for _ in range(_HALVINGS):
+        if not up.any():
+            break
+        long = np.where(up, short, long)
+        short = np.where(up, 0.5 * short, short)
+        up = rising(short)
+    # a level still rising after every halving takes no step; the others
+    # that halved bracket the root in [short, long)
+    stuck, halved = up, (short < long) & ~up
+    if halved.any():
+        for _ in range(_BISECT):
+            mid = 0.5 * (short + long)
+            up = rising(mid)
+            long = np.where(halved & up, mid, long)
+            short = np.where(halved & ~up, mid, short)
+    return np.where(stuck, 0.0, short)
+
+
+def _near_curve(X, y, beta, rows):
+    """Each level's `rows` observations nearest its curve beta, stacked as
+    (T, rows + 2, k) and (T, rows + 2), plus two glob rows: the sum of the
+    design rows above the band at price G and of those below at -G, with
+    G = 10 (sum |y| + 1) far beyond any fitted sum. A glob keeps its side
+    at the optimum, so the reduced LP has every other row's dual value
+    fixed: 1 above the curve, 0 below."""
+    T, k = beta.shape
+    r = y - beta @ X.T
+    band = np.sort(np.argpartition(np.abs(r), rows - 1, axis=1)[:, :rows], axis=1)
+    side = np.sign(r)
+    np.put_along_axis(side, band, 0.0, axis=1)
+    Xs = np.empty((T, rows + 2, k))
+    Xs[:, :rows] = X[band]
+    Xs[:, rows] = (side > 0) @ X
+    Xs[:, rows + 1] = (side < 0) @ X
+    glob = 10.0 * (np.abs(y).sum() + 1.0)
+    ys = np.empty((T, rows + 2))
+    ys[:, :rows] = y[band]
+    ys[:, rows] = glob
+    ys[:, rows + 1] = -glob
+    return Xs, ys
+
+
+def band_rows(n: int, k: int) -> int:
+    """Rows of the first near-curve band of an n-row, k-feature fit, or n
+    when n is too small for the near-curve solve to pay."""
+    if n < _NEAR_MIN_ROWS * k:
+        return n
+    return _BAND_ROWS * k
+
+
 def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
     """One QuantileFit per level in `taus`, all on one design matrix."""
     hours = np.asarray(hours, dtype=np.int64)
@@ -328,17 +512,32 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
         return [QuantileFit(tau, coef, "constant") for tau in taus]
     X = design_matrix(hours, design)
     x_sum = X.sum(axis=0)
-    if np.linalg.matrix_rank(X) == k:
-        interior = _frisch_newton(X, y, taus)
-    else:
-        interior = np.full((len(taus), k), np.nan)
+    taus = np.asarray(taus, dtype=float)
+    vertices, rows = [None] * len(taus), [None] * len(taus)
+    pending = np.arange(len(taus)) if np.linalg.matrix_rank(X) == k else []
+    band = band_rows(n, k)
+    if band < n and len(pending):
+        beta = _smoothed(X, y, taus, _STOP_ROWS * k)
+    while len(pending):
+        if band < n:
+            interior = _frisch_newton(*_near_curve(X, y, beta[pending], band),
+                                      taus[pending], beta[pending])
+        else:
+            interior = _frisch_newton(X, y, taus[pending])
+        for level, coef in zip(pending, interior):
+            if np.all(np.isfinite(coef)):
+                vertices[level] = _vertex(X, y, (1.0 - taus[level]) * x_sum, coef)
+            if vertices[level] is not None:
+                rows[level] = band
+        # the all-rows solve is the last; a level it leaves uncertified
+        # goes to the dual simplex
+        pending = [level for level in pending
+                   if vertices[level] is None and band < n]
+        band = band * _WIDEN if 2 * _WIDEN * band <= n else n
     fits = []
     # the constant quantiles, which every fit must beat
     constants = np.quantile(y, taus)
-    for tau, beta, constant in zip(taus, interior, constants):
-        coef = None
-        if np.all(np.isfinite(beta)):
-            coef = _vertex(X, y, (1.0 - tau) * x_sum, beta)
+    for tau, coef, used, constant in zip(taus, vertices, rows, constants):
         solver = "interior-point"
         if coef is None:
             coef, solver = _dual_simplex(X, y, tau), "dual-simplex"
@@ -346,7 +545,7 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
         const_loss = pinball_loss(y, constant, tau)
         if fitted_loss > const_loss + 1e-9 * max(1.0, abs(const_loss)):
             raise FitError("quantile LP returned a fit worse than the constant quantile")
-        fits.append(QuantileFit(tau, coef, solver))
+        fits.append(QuantileFit(float(tau), coef, solver, used))
     return fits
 
 
@@ -361,11 +560,21 @@ def fit_quantile(hours, prices, tau: float, design: FourierDesign) -> QuantileFi
     of smallest |residual| then give the exact vertex, the curve through
     their prices. Certificate: with d = 1 above that curve and 0 below it,
     the equality rows fix the k remaining d; when all lie inside (0, 1),
-    clear of round-off, the vertex is the unique optimum and is kept. A
-    level with a rank-deficient design, another price on the curve (a
-    tie), a failed certificate or a gap still open at the iteration cap is
-    solved by HiGHS's dual simplex instead. Either way the fitted curve
-    passes through k observations up to round-off (see `classify`).
+    clear of round-off, the vertex is the unique optimum and is kept.
+
+    From `band_rows` observations per fit on, the interior point first
+    runs on a reduced LP: the observations nearest a curve from Newton
+    steps on a smoothed loss (`_smoothed`), with every other observation's
+    d fixed at 1 or 0 by two glob rows (`_near_curve`). The certificate
+    still reads all n observations, so a vertex it accepts is the unique
+    optimum of the whole LP, and is rebuilt bit for bit from the same
+    sorted basis as the all-rows solve would give. A level it refuses is
+    solved again on a band _WIDEN times wider and at last on all rows.
+    A level with a rank-deficient design, another price on the curve (a
+    tie), a failed certificate on all rows or a gap still open at the
+    iteration cap is solved by HiGHS's dual simplex instead. Either way
+    the fitted curve passes through k observations up to round-off (see
+    `classify`).
     """
     if not 0 < tau < 1:
         raise FitError(f"tau must be in (0, 1), got {tau}")
@@ -494,10 +703,22 @@ def load_model(path) -> RegimeModel:
         raise artifacts.ArtifactError(
             f"{path} holds a design without exactly the keys {names}")
     design = FourierDesign(**doc["design"])
-    boundaries = [QuantileFit(tau, np.asarray(coef, dtype=float))
-                  for tau, coef in zip(doc["boundary_levels"],
-                                       doc["boundary_coefficients"])]
-    representatives = [QuantileFit(tau, np.asarray(coef, dtype=float))
-                       for tau, coef in zip(doc["representative_levels"],
-                                            doc["representative_coefficients"])]
-    return RegimeModel(doc["m"], boundaries, representatives, design)
+
+    def level_fits(kind):
+        levels, coefs = doc[f"{kind}_levels"], doc[f"{kind}_coefficients"]
+        if len(coefs) != len(levels):
+            raise artifacts.ArtifactError(
+                f"{path} holds {len(coefs)} {kind}_coefficients lists for "
+                f"{len(levels)} {kind}_levels")
+        fits = []
+        for tau, coef in zip(levels, coefs):
+            coef = np.asarray(coef, dtype=float)
+            if coef.shape != (design.n_features,):
+                raise artifacts.ArtifactError(
+                    f"{path} holds a {kind}_coefficients list of {coef.size} "
+                    f"numbers, expected {design.n_features}")
+            fits.append(QuantileFit(tau, coef))
+        return fits
+
+    return RegimeModel(doc["m"], level_fits("boundary"),
+                       level_fits("representative"), design)

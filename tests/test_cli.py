@@ -543,6 +543,26 @@ def test_bad_planning_day_fails_at_load(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_unquoted_bad_date_is_named(tmp_path, capsys, monkeypatch):
+    # YAML reads an unquoted 2024-13-01 as a date and fails inside its
+    # loader; the file's error names the file, the variable's its key
+    config = ph.make_project(str(tmp_path), mdp={"planning_day": "2024-07-15"})
+    text = open(config, encoding="utf-8").read()
+    assert "planning_day: '2024-07-15'" in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace("'2024-07-15'", "2024-13-01"))
+    assert cli.main(["fit-qfr", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config file {bad} holds an unquoted date that is not a "
+        "date (month must be in 1..12); quote dates\n")
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setenv("COOLSCHED_MDP__PLANNING_DAY", "2024-13-01")
+    assert cli.main(["fit-qfr", "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        "error: mdp.planning_day '2024-13-01' is not a YYYY-MM-DD date\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_stages_need_their_windows(tmp_path, capsys):
     # a config without windows loads; a stage that needs them names them
     # before it makes the out dir or parses an archive into it
@@ -842,7 +862,9 @@ def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
 
     # every level of the fixture's fit keeps its interior-point vertex
     lines = stage("fit-qfr")
-    assert lines[-2:] == ["solver: interior-point=3", "0 False"]
+    assert lines[-3:] == [
+        "near-curve: 3/3 levels certified on 672 of 672 rows, 0 widened",
+        "solver: interior-point=3", "0 False"]
     assert (tmp_path / "regime_model.json").read_bytes() == \
         ph.read_tree_bytes(out)["regime_model.json"]
     # value iteration settles on the fixture, so plan needs no scipy
@@ -867,6 +889,29 @@ def test_missing_key_is_named(pipeline, tmp_path, load, name, key):
     with pytest.raises(artifacts.ArtifactError,
                        match=re.escape(f"{path} holds a {doc['kind']} without "
                                        f"the key {key!r}")):
+        load(path)
+
+
+@pytest.mark.parametrize("load, name, edit, message", [
+    (regimes.load_model, "transition_model.json",
+     lambda doc: doc["buckets"].update({"00": [0.25] * 15}),
+     "holds bucket '00' with 15 numbers, expected 4"),
+    (qfr.load_model, "regime_model.json",
+     lambda doc: doc["boundary_coefficients"][0].pop(),
+     "holds a boundary_coefficients list of 4 numbers, expected 5"),
+    (qfr.load_model, "regime_model.json",
+     lambda doc: doc["representative_coefficients"].pop(),
+     "holds 1 representative_coefficients lists for 2 representative_levels"),
+], ids=["bucket-size", "coefficient-count", "level-count"])
+def test_malformed_numbers_are_named(pipeline, tmp_path, load, name, edit,
+                                     message):
+    _, out, _ = pipeline
+    doc = json.loads(ph.read_tree_bytes(out)[name])
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    with pytest.raises(artifacts.ArtifactError,
+                       match=re.escape(f"{path} {message}")):
         load(path)
 
 

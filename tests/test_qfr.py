@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,117 @@ def test_levels_converge_at_different_iterations(monkeypatch):
         assert fit.solver == "interior-point"
         alone = fit_quantile(hours, prices, fit.tau, design)
         assert np.array_equal(alone.coefficients, fit.coefficients)
+
+
+@st.composite
+def synth_series(draw):
+    """Synthetic spot prices on either side of the near-curve size rule,
+    raw or rounded to whole or tenth units, so that some prices tie."""
+    design = draw(st.sampled_from([FourierDesign(), FourierDesign(2, 0)]))
+    edge = qfr._NEAR_MIN_ROWS * design.n_features
+    series = synth_prices(draw(st.integers(0, 2**32 - 1)),
+                          draw(st.integers(edge // 2, 3 * edge // 2)))
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    prices = series.values if decimals is None else np.round(series.values, decimals)
+    return series.hours, prices, design
+
+
+def _all_rows(monkeypatch):
+    # no near-curve band: every level takes the all-rows solve at once
+    monkeypatch.setattr(qfr, "_NEAR_MIN_ROWS", np.inf)
+
+
+def _same_fits(near, every):
+    assert [fit.solver for fit in near] == [fit.solver for fit in every]
+    for a, b in zip(near, every):
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(synth_series())
+def test_near_curve_fit_matches_all_rows_fit(series):
+    hours, prices, design = series
+    taus = boundary_levels(4) + representative_levels(4)
+    near = qfr._fit_levels(hours, prices, taus, design)
+    with pytest.MonkeyPatch.context() as patch:
+        _all_rows(patch)
+        _same_fits(near, qfr._fit_levels(hours, prices, taus, design))
+
+
+def _cauchy_daily(n, seed):
+    """A daily sinusoid with Cauchy noise, at a k = 5 design."""
+    gen = np.random.default_rng(seed)
+    hours = np.arange(n)
+    prices = (40 + 10 * np.sin(2 * np.pi * (hours % 24) / 24)
+              + 5 * gen.standard_cauchy(n))
+    return hours, prices, FourierDesign(1, 1)
+
+
+def _synth_paper_design(seed, n):
+    series = synth_prices(seed, n)
+    return series.hours, series.values, FourierDesign()
+
+
+@pytest.mark.parametrize("problem, first_band", [
+    (_cauchy_daily(2189, 959077), qfr._BAND_ROWS),
+    (_synth_paper_design(21, 4000), 2),
+], ids=["cauchy", "narrow-band"])
+def test_near_curve_band_widens(monkeypatch, problem, first_band):
+    # a level whose vertex the first band misses certifies on a wider band
+    # or on all rows, with the bits of the all-rows solve: the Cauchy
+    # series needs that at the fit's own band, the synthetic prices with
+    # a first band of 2k rows
+    hours, prices, design = problem
+    taus = boundary_levels(4) + representative_levels(4)
+    monkeypatch.setattr(qfr, "_BAND_ROWS", first_band)
+    band = qfr.band_rows(len(hours), design.n_features)
+    near = qfr._fit_levels(hours, prices, taus, design)
+    assert band < len(hours)
+    assert any(fit.rows is not None and fit.rows > band for fit in near)
+    assert all(fit.solver == "interior-point" for fit in near)
+    _all_rows(monkeypatch)
+    _same_fits(near, qfr._fit_levels(hours, prices, taus, design))
+
+
+def test_near_curve_fits_noiseless_sinusoid():
+    # every residual of the shifted least-squares start is 0 or round-off,
+    # so the smoothing width starts at or near 0; no warning may result
+    hours = np.arange(4000)
+    y = 100 + 50 * np.sin(2 * np.pi * (hours % 24) / 24)
+    design = FourierDesign(daily_harmonics=1, seasonal_harmonics=0)
+    assert qfr.band_rows(len(hours), design.n_features) < len(hours)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_quantile(hours, y, 0.5, design)
+    assert fit.coefficients[0] == pytest.approx(100.0, abs=1e-6)
+    assert np.hypot(*fit.coefficients[1:]) == pytest.approx(50.0, abs=1e-6)
+
+
+def test_near_curve_smoothing_width_zero():
+    # 70% of the prices are 0 and the intercept-only median is 0 exactly,
+    # so the smoothing width starts at 0
+    hours = np.arange(1000)
+    prices = np.where(hours % 10 < 7, 0.0, 1.0)
+    design = FourierDesign(daily_harmonics=0, seasonal_harmonics=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = [fit_quantile(hours, prices, tau, design) for tau in (0.5, 0.8)]
+    assert [fit.coefficients.tolist() for fit in fits] == [[0.0], [1.0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=60).map(np.array),
+       st.data())
+def test_nearest_is_a_stable_argsort_prefix(values, data):
+    # small integers, so that ties fall at the partition's edge
+    off = values / 4.0
+    count = data.draw(st.integers(1, len(off)))
+    order = qfr._nearest(off, count)
+    assert len(order) >= count
+    assert order.tolist() == np.argsort(off, kind="stable")[:len(order)].tolist()
+    assert np.all(off[order] <= np.sort(off)[count - 1])
+    assert np.all(off[np.setdiff1d(np.arange(len(off)), order)]
+                  > np.sort(off)[count - 1])
 
 
 @pytest.fixture(scope="module")
