@@ -7,19 +7,23 @@ deterministic (grid-quantized thermal step) and the regime component is the
 estimated Markov chain, so the time component of the augmented chain is
 deterministic and cyclic.
 
-The planner runs relative value iteration on the period map, the n-step chain
-from slot 0 back to slot 0 (Puterman 1994, Markov Decision Processes, sections
-8.5 and 9.5): one backward sweep of Bellman backups over t = n-1..0 per
-period. The planned policy is the argmin table of the last sweep, one chiller
-count per (cycle slot, theta bin, regime) in every state, visited or not, with
-its occupancy measure: the stationary law of the policy's period map, carried
-through the n slots. When the span of the period map's value change does not
-settle within PERIOD_BUDGET periods (a multichain or periodic period map), the
-planner solves the occupancy linear program instead: variables x[t, s, a] with
-per-time normalization and cyclic flow-balance rows. Its table is one backward
-sweep from n times the duals of slot 0's flow-balance rows, which are relative
-values of slot 0 (Puterman 1994, section 8.8). The LP is also the reference
-the tests compare the planner against.
+Successor bins are read through two operators. Backward, `bellman_backup`
+gathers at each successor bin the regime-chain expectation (`expected_values`)
+of slot t+1's values; forward, `propagate` scatters slot t's (L, M, A) mass
+into slot t+1's (L, M) law. The planner runs relative value iteration on the
+period map, the n-step chain from slot 0 back to slot 0 (Puterman 1994, Markov
+Decision Processes, sections 8.5 and 9.5): one backward sweep of Bellman
+backups over t = n-1..0 per period. The planned policy is the argmin table of
+the last sweep, one chiller count per (cycle slot, theta bin, regime) in every
+state, visited or not, with its occupancy measure: the stationary law of the
+period map, which the backward operator builds under the table, carried through
+the n slots by `propagate`. When the span of the period map's value change does
+not settle within PERIOD_BUDGET periods (a multichain or periodic period map),
+the planner solves the occupancy linear program instead: variables x[t, s, a]
+with per-time normalization and cyclic flow-balance rows. Its table is one
+backward sweep from n times the duals of slot 0's flow-balance rows, which are
+relative values of slot 0 (Puterman 1994, section 8.8). The LP is also the
+reference the tests compare the planner against.
 """
 
 from dataclasses import dataclass
@@ -270,22 +274,11 @@ def solve_occupancy(lp: LpDescription) -> OccupancyMeasure:
 def check_occupancy(problem: MdpProblem, occ: OccupancyMeasure,
                     tol: float = 1e-6) -> dict:
     """Max normalization and cyclic flow-balance residuals; raises above tol."""
-    x = occ.x
-    n, L, m, A = x.shape
+    x, n = occ.x, len(occ.x)
     norm_err = float(np.max(np.abs(x.sum(axis=(1, 2, 3)) - 1.0)))
-
     succ_idx = successor_indices(problem)
-    flow_err = 0.0
-    for t in range(n):
-        t1 = (t + 1) % n
-        inflow = np.zeros((L, m))
-        # mass leaving (i, p, a) lands at theta index succ_idx[t, i, a],
-        # spread over p' by the regime chain
-        mass = np.einsum("ipa,pq->ipaq", x[t], problem.trans[t])  # (L, m, A, m)
-        for a in range(A):
-            np.add.at(inflow, succ_idx[t, :, a], mass[:, :, a, :].sum(axis=1))
-        resid = np.abs(x[t1].sum(axis=2) - inflow)
-        flow_err = max(flow_err, float(resid.max()))
+    flow_err = max(float(np.abs(x[(t + 1) % n].sum(axis=2) - propagate(
+        x[t], succ_idx[t], problem.trans[t])).max()) for t in range(n))
     if norm_err > tol or flow_err > tol:
         raise SolverError(
             f"occupancy violates constraints: normalization {norm_err:.3e}, "
@@ -294,14 +287,31 @@ def check_occupancy(problem: MdpProblem, occ: OccupancyMeasure,
     return {"normalization": norm_err, "flow": flow_err}
 
 
+def expected_values(trans_t, v_next) -> np.ndarray:
+    """E[j, p, ...] = sum_q trans_t[p, q] v_next[j, q, ...]: the expected value
+    of landing in bin j from regime p."""
+    return np.einsum("pq,jq...->jp...", trans_t, v_next)
+
+
 def bellman_backup(costs, succ_idx, trans, v_next, t) -> np.ndarray:
     """Q[i, p, a] at slot t: cost plus the expected value v_next of the successor.
 
     costs is cost_tensor's (n, L, M, A), succ_idx successor_indices' (n, L, A),
     trans the (n, M, M) regime chain and v_next the (L, M) values of slot t+1.
     """
-    gathered = v_next[succ_idx[t]]                      # (L, A, M)
-    return costs[t] + np.einsum("pq,iaq->ipa", trans[t], gathered)
+    gathered = expected_values(trans[t], v_next)[succ_idx[t]]    # (L, A, M)
+    return costs[t] + gathered.transpose(0, 2, 1)
+
+
+def propagate(mass_t, succ_t, trans_t) -> np.ndarray:
+    """(L, M) law of slot t+1 from the (L, M, A) mass of slot t: the mass at
+    (i, p, a) lands in bin succ_t[i, a], spread over regimes by trans_t[p]."""
+    L, m, _ = mass_t.shape
+    # action-major, the order in which a per-action np.add.at sums each bin
+    spread = np.einsum("ipa,pq->aiq", mass_t, trans_t)           # (A, L, M)
+    bins = succ_t.T[..., None] * m + np.arange(m)
+    return np.bincount(bins.ravel(), weights=spread.ravel(),
+                       minlength=L * m).reshape(L, m)
 
 
 def _sweep(costs, succ_idx, trans, v):
@@ -311,7 +321,7 @@ def _sweep(costs, succ_idx, trans, v):
     for t in range(len(trans) - 1, -1, -1):
         q = bellman_backup(costs, succ_idx, trans, v, t)
         actions[t] = q.argmin(axis=2)
-        v = np.take_along_axis(q, actions[t][..., None], axis=2)[..., 0]
+        v = q.min(axis=2)
     return v, actions
 
 
@@ -338,38 +348,28 @@ def _period_rvi(costs, succ_idx, trans):
     return None, None, PERIOD_BUDGET, span
 
 
-def _policy_occupancy(succ_idx, trans, actions) -> np.ndarray:
-    """Occupancy x[t, i, p, a] of the action table actions[t, i, p].
-
-    Slot 0 carries the stationary law of the policy's period map, found by
-    one dense least-squares solve over the k = L*M states; each later slot
-    carries the law propagated from the one before.
-    """
+def _period_map(succ_idx, trans, actions) -> np.ndarray:
+    """Period map (k, k), k = L*M, of the table: the backward operator on np.eye(k)."""
     n, L, m = actions.shape
-    k = L * m
-    # slot t's kernel has trans[t, p, p'] at row (i, p), column (nxt, p')
-    rows = np.repeat(np.arange(k), m)
-    cols = (np.take_along_axis(succ_idx, actions, axis=2)[..., None] * m
-            + np.arange(m)).reshape(n, -1)
+    landing = np.take_along_axis(succ_idx, actions, axis=2)     # (n, L, M)
+    period = np.eye(L * m).reshape(L, m, L * m)
+    for t in range(n - 1, -1, -1):
+        period = expected_values(trans[t], period)[landing[t], np.arange(m)]
+    return period.reshape(L * m, L * m)
 
-    def kernel_t(t):  # dense (k, k), built when applied: one is held at a time
-        kernel = np.zeros((k, k))
-        kernel[rows, cols[t]] = np.tile(trans[t], (L, 1)).ravel()
-        return kernel.T
 
-    period_t = np.eye(k)                                # transposed period map
-    for t in range(n):
-        period_t = kernel_t(t) @ period_t
-    lhs = np.vstack([period_t - np.eye(k), np.ones((1, k))])
-    rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
-    law = np.maximum(np.linalg.lstsq(lhs, rhs, rcond=None)[0], 0.0)
-    law /= law.sum()
+def _policy_occupancy(succ_idx, trans, actions) -> np.ndarray:
+    """Occupancy x[t, i, p, a] of the action table actions[t, i, p]: slot 0
+    carries the stationary law of the period map, found by one dense
+    least-squares solve, and `propagate` carries it through the later slots."""
+    k = actions.shape[1] * actions.shape[2]
+    lhs = np.vstack([_period_map(succ_idx, trans, actions).T - np.eye(k), np.ones(k)])
+    law = np.maximum(np.linalg.lstsq(lhs, np.r_[np.zeros(k), 1.0], rcond=None)[0], 0.0)
+    law = (law / law.sum()).reshape(actions.shape[1:])
     x = np.zeros(actions.shape + (succ_idx.shape[2],))
-    for t in range(n):
-        np.put_along_axis(x[t], actions[t][..., None],
-                          law.reshape(L, m)[..., None], axis=2)
-        law = kernel_t(t) @ law
+    for t in range(len(actions)):
+        np.put_along_axis(x[t], actions[t][..., None], law[..., None], axis=2)
+        law = propagate(x[t], succ_idx[t], trans[t])
     return x
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 from typing import NamedTuple
@@ -256,13 +258,12 @@ def test_occupancy_concentrates_on_cheap_cycle():
     assert occ.x[0, idx25, 0, 1] == pytest.approx(1.0, abs=1e-7)
 
 
-@pytest.fixture(scope="module")
-def desk_instance():
-    rng = np.random.default_rng(42)
-    n = 24
-    space = StateSpace(theta_min=18, theta_max=30, theta_step=1.0, m=4, a_max=4)
+def _day_problem(n, space, seed):
+    """A day-shaped cycle of n hours: cosine outdoor air, sine heat load,
+    four regimes over a time-of-use base price, a random regime chain."""
+    rng = np.random.default_rng(seed)
     cost = CostSpec(t_min=20, t_max=27, lambda_under=1000, lambda_over=1000)
-    hod = np.arange(n)
+    hod = np.arange(n) % 24
     t_out = 26 + 5 * np.cos(2 * np.pi * (hod - 15) / 24)
     q = 1.5e6 + 2e5 * np.sin(2 * np.pi * hod / 24)
     base = np.where(hod < 6, 25, np.where(hod < 16, 45,
@@ -270,8 +271,22 @@ def desk_instance():
     prices = base[:, None] * np.array([0.5, 0.9, 1.3, 2.5])[None, :]
     trans = rng.dirichlet(np.ones(4) * 3, size=(n, 4))
     plant = Plant(ChillerSpec(), t_out, q, gamma_env=1e4, c_heat=5.5e9)
-    prob = MdpProblem(space=space, cost=cost, plant=plant.table(),
+    return MdpProblem(space=space, cost=cost, plant=plant.table(),
                       prices=prices, trans=trans)
+
+
+def _desk_problem():
+    return _day_problem(24, StateSpace(18, 30, 1.0, m=4, a_max=4), seed=42)
+
+
+def _paper_sized_problem():
+    """The benchmark's planner size: L=35, M=4, A=5 over a 48-hour cycle."""
+    return _day_problem(48, StateSpace(15, 32, 0.5, m=4, a_max=4), seed=7)
+
+
+@pytest.fixture(scope="module")
+def desk_instance():
+    prob = _desk_problem()
     occ, policy = plan(prob)
     return prob, occ, policy
 
@@ -301,6 +316,69 @@ def test_desk_instance_lp_and_dp_policies_agree(desk_instance, monkeypatch):
     neither = (rvi_mass <= 1e-12) & (lp_mass <= 1e-12)
     assert lp.solver == "lp" and neither.any()
     assert np.array_equal(policy.actions, lp_policy.actions)
+
+
+# Action tables of two planned instances, as the sha256 of their int64 bytes,
+# with their objectives. A change to how the planner does its arithmetic must
+# leave every table byte alone; the objective may move in its last digits.
+PLANNED = [
+    (_desk_problem,
+     "b3ee9e68038c3e7998b16bfe56bd1334045c6a626a76669f00d44ae70d851640",
+     9.193717291136926),
+    (_paper_sized_problem,
+     "e7fd949ca900afc611691cb68bbc339aa760fc770a84938ea56d1cdb52a783c2",
+     10.42588226080662),
+]
+
+
+@pytest.mark.parametrize("build, sha256, objective", PLANNED,
+                         ids=["desk", "paper-sized"])
+def test_planned_tables_are_pinned(build, sha256, objective):
+    occ, policy = plan(build())
+    assert occ.solver == "rvi"
+    table = policy.actions.astype(np.int64).tobytes()
+    assert hashlib.sha256(table).hexdigest() == sha256
+    assert policy.objective == pytest.approx(objective, rel=1e-12)
+
+
+def _moved_mass(occ, t):
+    """occ with half the mass of slot t's heaviest state moved one bin over,
+    each slot's total unchanged: (broken occupancy, mass moved)."""
+    x = occ.x.copy()
+    i, p, a = np.unravel_index(np.argmax(x[t]), x[t].shape)
+    half = x[t, i, p, a] / 2
+    x[t, i, p, a] -= half
+    x[t, i - 1 if i else i + 1, p, a] += half
+    return dataclasses.replace(occ, x=x), half
+
+
+@pytest.mark.parametrize("slot", [0, 11, 23])
+def test_check_occupancy_catches_moved_mass(desk_instance, slot):
+    # slot 0 is fed by the wrap row n-1 -> 0, and slot 23 = n-1 feeds it
+    prob, occ, _ = desk_instance
+    broken, moved = _moved_mass(occ, slot)
+    residuals = check_occupancy(prob, broken, tol=np.inf)
+    assert residuals["normalization"] <= 1e-12
+    assert residuals["flow"] >= moved * (1 - 1e-9)
+    with pytest.raises(SolverError, match=f"flow {residuals['flow']:.3e}"):
+        check_occupancy(prob, broken)
+
+
+def test_check_occupancy_catches_moved_mass_on_the_wrap_row():
+    # a one-hour cycle has only the wrap row; every state parks at 25 degC
+    prob = _teleport_problem()
+    broken, moved = _moved_mass(solve_occupancy(build_lp(prob)), 0)
+    assert moved == pytest.approx(0.5)
+    with pytest.raises(SolverError, match=r"flow 5\.000e-01"):
+        check_occupancy(prob, broken)
+
+
+def test_check_occupancy_catches_a_scaled_slot(desk_instance):
+    prob, occ, _ = desk_instance
+    x = occ.x.copy()
+    x[5] *= 1.01
+    with pytest.raises(SolverError, match=r"normalization 1\.000e-02"):
+        check_occupancy(prob, dataclasses.replace(occ, x=x))
 
 
 def test_extract_policy_deterministic_concentration():
@@ -470,3 +548,82 @@ def test_lp_fallback_failure_names_both_attempts(monkeypatch):
                        match=rf"value iteration span .* after {PERIOD_BUDGET} "
                              r"periods, then occupancy LP failed"):
         solve(_multichain_problem())
+
+
+# The planner's two successor operators against reference forms: the backup
+# as a gather of successor rows then a regime contraction, the forward step as
+# one np.add.at per action, the period map as a product of dense per-slot
+# kernels.
+
+def _gather_backup(costs, succ_idx, trans, v_next, t):
+    """Q[i, p, a] at slot t from the gathered successor values."""
+    gathered = v_next[succ_idx[t]]                      # (L, A, M)
+    return costs[t] + np.einsum("pq,iaq->ipa", trans[t], gathered)
+
+
+def _scatter_inflow(mass_t, succ_t, trans_t):
+    """(L, M) inflow of slot t+1: the mass leaving (i, p, a) lands at theta
+    index succ_t[i, a], spread over p' by the regime chain."""
+    L, m, A = mass_t.shape
+    inflow = np.zeros((L, m))
+    mass = np.einsum("ipa,pq->ipaq", mass_t, trans_t)  # (L, m, A, m)
+    for a in range(A):
+        np.add.at(inflow, succ_t[:, a], mass[:, :, a, :].sum(axis=1))
+    return inflow
+
+
+def _kernel_period_map(succ_idx, trans, actions):
+    """(k, k) period map of the table, k = L*M, from dense per-slot kernels:
+    slot t's has trans[t, p, p'] at row (i, p), column (successor, p')."""
+    n, L, m = actions.shape
+    k = L * m
+    rows = np.repeat(np.arange(k), m)
+    cols = (np.take_along_axis(succ_idx, actions, axis=2)[..., None] * m
+            + np.arange(m)).reshape(n, -1)
+    period_t = np.eye(k)                                # transposed period map
+    for t in range(n):
+        kernel = np.zeros((k, k))
+        kernel[rows, cols[t]] = np.tile(trans[t], (L, 1)).ravel()
+        period_t = kernel.T @ period_t
+    return period_t.T
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), seeds)
+def test_backup_matches_gather_reference(prob, seed):
+    rng = np.random.default_rng(seed)
+    costs, succ = cost_tensor(prob), successor_indices(prob)
+    v_next = (rng.normal(size=(prob.space.n_theta, prob.space.m))
+              * 10.0 ** rng.uniform(-3, 6))
+    for t in range(prob.n):
+        assert np.array_equal(
+            mdp.bellman_backup(costs, succ, prob.trans, v_next, t),
+            _gather_backup(costs, succ, prob.trans, v_next, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), seeds)
+def test_propagate_matches_scatter_reference(prob, seed):
+    rng = np.random.default_rng(seed)
+    succ = successor_indices(prob)
+    shape = (prob.space.n_theta, prob.space.m, prob.space.n_actions)
+    for t in range(prob.n):
+        mass = rng.random(shape) * (rng.random(shape) < 0.5)
+        assert np.array_equal(mdp.propagate(mass, succ[t], prob.trans[t]),
+                              _scatter_inflow(mass, succ[t], prob.trans[t]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), seeds)
+def test_period_map_matches_kernel_product(prob, seed):
+    rng = np.random.default_rng(seed)
+    succ = successor_indices(prob)
+    actions = rng.integers(0, prob.space.n_actions,
+                           size=(prob.n, prob.space.n_theta, prob.space.m))
+    period = mdp._period_map(succ, prob.trans, actions)
+    reference = _kernel_period_map(succ, prob.trans, actions)
+    assert np.max(np.abs(period - reference)) <= 1e-12
+    assert np.max(np.abs(period.sum(axis=1) - 1.0)) <= 1e-12
