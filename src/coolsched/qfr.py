@@ -2,24 +2,26 @@
 
 Prices are fit at several quantile levels with sinusoidal regressors at the
 daily and yearly periods. Each level is the bounded dual LP of the pinball
-loss. On a large fit, a few Newton steps on a smoothed pinball loss place
-each level's curve near its optimum, and each level is then solved on the
-few hundred observations nearest that curve, with the rest fixed on their
-side and summed into two glob rows (Portnoy & Koenker 1997). One
-Frisch-Newton interior point iterates all levels together, in work arrays
-allocated once per solve, with the normal matrices formed from a table of
-the design rows' upper triangles. Each level's exact vertex is then read
-off the observations nearest its curve and kept when a certificate,
-checked against every observation, shows it is the unique optimum of the
-whole fit. That vertex is rebuilt from its sorted basis alone, so neither
-the iterates' rounding nor the rows a solve used reach an output bit
-unless they change the basis. A level without that certificate is solved
-again on a wider band and at last on all observations, and failing that by
-HiGHS's dual simplex (see `fit_quantile`). The fitted curves split the
-price axis into M bands per hour; a realized price's band is its regime,
-and a price within TIE_TOL (relative) of a boundary is on it. Band
-boundaries sit at levels j/M and each band carries a representative curve
-at its mid level.
+loss. From 160 observations per feature on (1,760 at the paper's 11
+features, so one training summer of 2,208 hours qualifies), a few Newton
+steps on a smoothed pinball loss place each level's curve near its
+optimum, in work arrays allocated once per fit, and each level is then
+solved on the 32 observations per feature nearest that curve, with the
+rest fixed on their side and summed into two glob rows (Portnoy & Koenker
+1997). One Frisch-Newton interior point iterates all levels together, in
+work arrays allocated once per solve, with the normal matrices formed from
+a table of the design rows' upper triangles. Each level's exact vertex is
+then read off the observations nearest its curve and kept when a
+certificate, checked against every observation, shows it is the unique
+optimum of the whole fit. That vertex is rebuilt from its sorted basis
+alone, so neither the iterates' rounding nor the rows a solve used reach
+an output bit unless they change the basis. A level without that
+certificate is solved again on a wider band and at last on all
+observations, and failing that by HiGHS's dual simplex (see
+`fit_quantile`). The fitted curves split the price axis into M bands per
+hour; a realized price's band is its regime, and a price within TIE_TOL
+(relative) of a boundary is on it. Band boundaries sit at levels j/M and
+each band carries a representative curve at its mid level.
 """
 
 from dataclasses import dataclass, field, fields
@@ -109,8 +111,10 @@ _CERT_TOL = 1e-7
 # Near-curve solve, per feature: the fewest rows at which it runs, the first
 # band's rows, and the most rows left in a level's quadratic zone when its
 # smoothing stops. A band that fails to certify grows _WIDEN times, and
-# once it would pass half the rows the solve takes them all.
-_NEAR_MIN_ROWS = 256
+# once it would pass half the rows the solve takes them all. At 11 features
+# the near-curve fit (smoothing, 352-row band, all-row certificate) is as
+# fast as the all-rows one at about 1,800 rows and faster above.
+_NEAR_MIN_ROWS = 160
 _BAND_ROWS = 32
 _STOP_ROWS = 8
 _WIDEN = 4
@@ -132,6 +136,22 @@ def _per_level(a, m):
     """a[t] @ m for a design m shared by all levels, a[t] @ m[t] for one
     (levels, rows, cols) stack of them."""
     return a @ m if m.ndim == 2 else np.matmul(a[:, None, :], m)[:, 0]
+
+
+def _triangles(X):
+    """The upper triangles of the rows' outer products x_i x_i', in the
+    order of np.triu_indices: row i of the (..., n, k(k+1)/2) table holds
+    x_i[a] x_i[b] for a <= b. It is written one row of the triangle at a
+    time, with no full-size temporary, and each column is contiguous, as
+    in the gather X[..., a] * X[..., b] that it replaces: BLAS sums a
+    product with the table in an order that depends on that layout."""
+    k = X.shape[-1]
+    tri = np.moveaxis(np.empty((k * (k + 1) // 2,) + X.shape[:-1]), 0, -1)
+    col = 0
+    for a in range(k):
+        np.multiply(X[..., a, None], X[..., a:], out=tri[..., col:col + k - a])
+        col += k - a
+    return tri
 
 
 def _frisch_newton(X, y, taus, beta=None):
@@ -166,11 +186,10 @@ def _frisch_newton(X, y, taus, beta=None):
     taus = np.asarray(taus, dtype=float)
     coef = np.full((len(taus), k), np.nan)
     xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
-    # row i holds the upper triangle of x_i x_i', so that q @ tri holds
-    # X' diag(q) X for every level in one matrix product; `mirror` picks
-    # the full k x k matrices out of it
+    # q @ tri holds X' diag(q) X for every level in one matrix product;
+    # `mirror` picks the full k x k matrices out of it
+    tri = _triangles(X)
     upper = np.triu_indices(k)
-    tri = X[..., upper[0]] * X[..., upper[1]]
     mirror = np.empty((k, k), dtype=np.intp)
     mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
     # d = 1 - tau, and beta's residual split
@@ -384,40 +403,68 @@ def _smoothed(X, y, taus, stop):
     that lowers the smoothed loss (`_step_length`), and halves g. A level
     stops once at most `stop` rows lie in its zone, or when g is 0 (data
     that a curve fits exactly).
+
+    The steps' (T, n) arrays are written in place into two blocks, seven
+    float and three bool arrays allocated once per call, whose first rows
+    hold the levels still stepping. Each operation is the one its
+    out-of-place form would make, on operands of the same layout, so the
+    buffers move no bit.
     """
     taus = np.asarray(taus, dtype=float)
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     r = y - X @ beta
     beta = np.repeat(beta[None, :], len(taus), axis=0)
     beta[:, 0] += np.quantile(r, taus)
-    r = y - beta @ X.T
-    gamma = np.quantile(np.abs(r), _SMOOTH_START, axis=1)
+    # residuals, the step's operands a and b, its change to the residuals,
+    # and three for `_step_length`
+    work = np.empty((7, len(taus), len(y)))
+    r, a, b, u = work[:4]
+    np.subtract(y, np.matmul(beta, X.T, out=r), out=r)
+    gamma = np.quantile(np.abs(r, out=a), _SMOOTH_START, axis=1,
+                        overwrite_input=True)
+    # each level's zone, and two for `_step_length`
+    flags = np.empty((3,) + r.shape, dtype=bool)
+    zone = flags[0]
+    live = np.arange(len(taus))
     # r / g can overflow to inf for a tiny g, which the clip takes to the
     # end of the derivative it belongs to
     with np.errstate(over="ignore"):
         for _ in range(_SMOOTH_STEPS):
-            zone = np.abs(r) < gamma[:, None]
-            live = np.flatnonzero((zone.sum(axis=1) > stop) & (gamma > 0))
-            if not len(live):
+            front = slice(len(live))
+            np.less(np.abs(r[front], out=a[front]), gamma[:, None],
+                    out=zone[front])
+            keep = (zone[front].sum(axis=1) > stop) & (gamma > 0)
+            if not keep.any():
                 break
-            a = r[live] / gamma[live, None]
+            if not keep.all():
+                # a level never steps again, so the rest move to the front
+                for row, level in enumerate(np.flatnonzero(keep)):
+                    r[row], zone[row] = r[level], zone[level]
+                live, gamma = live[keep], gamma[keep]
+                front = slice(len(live))
+            a_l = np.divide(r[front], gamma[:, None], out=a[front])
             skew = taus[live, None] - 0.5
-            grad = (0.5 * np.clip(a, -1.0, 1.0) + skew) @ X
-            hess = np.stack([X[z].T @ X[z] for z in zone[live]])
+            slope = np.clip(a_l, -1.0, 1.0, out=b[front])
+            slope *= 0.5
+            slope += skew
+            grad = slope @ X
+            hess = np.stack([X[z].T @ X[z] for z in zone[front]])
             try:
                 delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 break
-            delta *= 2.0 * gamma[live, None]
-            u = delta @ X.T
-            alpha = _step_length(a, u / gamma[live, None], skew)[:, None]
+            delta *= 2.0 * gamma[:, None]
+            u_l = np.matmul(delta, X.T, out=u[front])
+            b_l = np.divide(u_l, gamma[:, None], out=b[front])
+            alpha = _step_length(a_l, b_l, skew, work[4:, front],
+                                 flags[1:, front])[:, None]
             beta[live] += alpha * delta
-            r[live] -= alpha * u
-            gamma[live] *= 0.5
+            r[front] -= np.multiply(alpha, u_l, out=u_l)
+            gamma *= 0.5
     return beta
 
 
-def _step_length(a, b, skew):
+def _step_length(a, b, skew, work, flags):
     """Per level, a step t in [0, 1] along -b that lowers the smoothed loss.
 
     `a` holds the residuals and `b` the step's change to them, in units of
@@ -427,19 +474,35 @@ def _step_length(a, b, skew):
     of the root, and it is 0 if _HALVINGS halvings never get there. A row
     whose path from a to a - b stays on one side of the zone adds a
     constant; the others are packed, per level, into a zero-padded block.
+    `work` holds three float and `flags` two bool arrays of a's shape,
+    written in place.
     """
-    ends = np.minimum(a, a - b), np.maximum(a, a - b)
-    below, above = ends[1] <= -1.0, ends[0] >= 1.0
-    fixed = np.vecdot(0.5 * (below.astype(float) - above) - skew, b)
-    level, row = np.nonzero(~(below | above))
-    count = np.bincount(level, minlength=len(a))
-    place = np.arange(len(level)) - (np.cumsum(count) - count)[level]
-    pa, pb = np.zeros((2, len(a), max(count.max(initial=0), 1)))
-    pa[level, place], pb[level, place] = a[level, row], b[level, row]
+    lo, hi, span = work
+    np.subtract(a, b, out=lo)
+    np.maximum(a, lo, out=hi)
+    np.minimum(a, lo, out=lo)
+    below = np.less_equal(hi, -1.0, out=flags[0])
+    above = np.greater_equal(lo, 1.0, out=flags[1])
+    # the derivative's part from the rows that stay below or above
+    np.copyto(lo, below)
+    lo -= above
+    lo *= 0.5
+    lo -= skew
+    fixed = np.vecdot(lo, b)
+    moving = np.logical_not(np.logical_or(below, above, out=below), out=below)
+    count = moving.sum(axis=1)
+    width = max(count.max(initial=0), 1)
+    pa, pb, span = lo[:, :width], hi[:, :width], span[:, :width]
+    for level, (rows, used) in enumerate(zip(moving, count)):
+        np.compress(rows, a[level], out=pa[level, :used])
+        np.compress(rows, b[level], out=pb[level, :used])
+        pa[level, used:] = pb[level, used:] = 0.0
 
     def rising(t):
-        return fixed - 0.5 * np.vecdot(np.clip(pa - t[:, None] * pb, -1.0, 1.0),
-                                       pb) > 0
+        np.multiply(t[:, None], pb, out=span)
+        np.subtract(pa, span, out=span)
+        np.clip(span, -1.0, 1.0, out=span)
+        return fixed - 0.5 * np.vecdot(span, pb) > 0
 
     short = np.ones(len(a))
     long = short.copy()
@@ -470,14 +533,18 @@ def _near_curve(X, y, beta, rows):
     at the optimum, so the reduced LP has every other row's dual value
     fixed: 1 above the curve, 0 below."""
     T, k = beta.shape
-    r = y - beta @ X.T
-    band = np.sort(np.argpartition(np.abs(r), rows - 1, axis=1)[:, :rows], axis=1)
-    side = np.sign(r)
+    r, off, side = np.empty((3, T, len(y)))
+    np.subtract(y, np.matmul(beta, X.T, out=r), out=r)
+    np.abs(r, out=off)
+    band = np.empty((T, rows), dtype=np.intp)
+    for level, level_off in enumerate(off):
+        band[level] = np.sort(np.argpartition(level_off, rows - 1)[:rows])
+    np.sign(r, out=side)
     np.put_along_axis(side, band, 0.0, axis=1)
     Xs = np.empty((T, rows + 2, k))
     Xs[:, :rows] = X[band]
-    Xs[:, rows] = (side > 0) @ X
-    Xs[:, rows + 1] = (side < 0) @ X
+    Xs[:, rows] = np.greater(side, 0.0, out=off) @ X
+    Xs[:, rows + 1] = np.less(side, 0.0, out=off) @ X
     glob = 10.0 * (np.abs(y).sum() + 1.0)
     ys = np.empty((T, rows + 2))
     ys[:, :rows] = y[band]
@@ -487,8 +554,10 @@ def _near_curve(X, y, beta, rows):
 
 
 def band_rows(n: int, k: int) -> int:
-    """Rows of the first near-curve band of an n-row, k-feature fit, or n
-    when n is too small for the near-curve solve to pay."""
+    """Rows of the first near-curve band of an n-row, k-feature fit, 32k,
+    or n when n is below 160k rows and the near-curve solve does not pay:
+    at the paper's k = 11, a band of 352 rows from 1,760 rows on, so that a
+    one-summer training set (2,208 rows) takes the band."""
     if n < _NEAR_MIN_ROWS * k:
         return n
     return _BAND_ROWS * k
@@ -562,14 +631,16 @@ def fit_quantile(hours, prices, tau: float, design: FourierDesign) -> QuantileFi
     the equality rows fix the k remaining d; when all lie inside (0, 1),
     clear of round-off, the vertex is the unique optimum and is kept.
 
-    From `band_rows` observations per fit on, the interior point first
-    runs on a reduced LP: the observations nearest a curve from Newton
-    steps on a smoothed loss (`_smoothed`), with every other observation's
-    d fixed at 1 or 0 by two glob rows (`_near_curve`). The certificate
-    still reads all n observations, so a vertex it accepts is the unique
-    optimum of the whole LP, and is rebuilt bit for bit from the same
-    sorted basis as the all-rows solve would give. A level it refuses is
-    solved again on a band _WIDEN times wider and at last on all rows.
+    From 160 observations per feature on (`band_rows`; 1,760 at k = 11,
+    so a one-summer training set of 2,208 hours), the interior point
+    first runs on a reduced LP: the 32k observations nearest a curve from
+    Newton steps on a smoothed loss (`_smoothed`), with every other
+    observation's d fixed at 1 or 0 by two glob rows (`_near_curve`).
+    The certificate still reads all n observations, so a vertex it
+    accepts is the unique optimum of the whole LP, and is rebuilt bit for
+    bit from the same sorted basis as the all-rows solve would give. A
+    level it refuses is solved again on a band _WIDEN times wider and at
+    last on all rows.
     A level with a rank-deficient design, another price on the curve (a
     tie), a failed certificate on all rows or a gap still open at the
     iteration cap is solved by HiGHS's dual simplex instead. Either way

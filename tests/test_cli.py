@@ -875,6 +875,39 @@ def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
         ph.read_tree_bytes(out)["policy.json"]
 
 
+def test_import_loads_numpy_with_one_blas_thread():
+    # coolsched loads numpy with OPENBLAS_NUM_THREADS=1 unless the
+    # environment sets a BLAS thread count or numpy is already loaded, and
+    # leaves the environment as it found it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    tasks = "/proc/self/task"
+
+    def run(imports, **extra):
+        code = (f"import os; {imports}; "
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+                f"len(os.listdir({tasks!r})) if os.path.isdir({tasks!r}) else 0)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                env={**env, **extra}, capture_output=True,
+                                text=True, timeout=60, check=True)
+        name, threads = result.stdout.split()
+        return name, int(threads)
+
+    name, threads = run("import coolsched")
+    assert name == "None"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if sys.platform.startswith("linux") and "openblas" in blas.lower():
+        assert threads == 1
+    # a user's setting, or a numpy loaded first, starts the threads that
+    # numpy alone would start
+    for user in ({"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}):
+        assert run("import coolsched", **user) == run("import numpy", **user)
+    assert run("import numpy, coolsched") == run("import numpy")
+
+
 @pytest.mark.parametrize("load, name, key", [
     (qfr.load_model, "regime_model.json", "design"),
     (regimes.load_model, "transition_model.json", "buckets"),

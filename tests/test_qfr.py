@@ -215,6 +215,19 @@ def test_paper_summers_model_bytes(tmp_path):
     assert digest.hexdigest() == PAPER_SUMMERS_MODEL_SHA256
 
 
+@pytest.mark.parametrize("shape", [(900, 11), (7, 354, 11), (50, 3)])
+def test_triangle_table_matches_the_gather(shape):
+    # the same products in the same layout, so that q @ tri keeps its bits
+    X = np.random.default_rng(3).standard_normal(shape)
+    upper = np.triu_indices(shape[-1])
+    gather = X[..., upper[0]] * X[..., upper[1]]
+    tri = qfr._triangles(X)
+    assert tri.tobytes(order="A") == gather.tobytes(order="A")
+    assert tri.strides == gather.strides
+    q = np.random.default_rng(4).random((3, shape[-2]))
+    assert (q @ tri).tobytes() == (q @ gather).tobytes()
+
+
 def test_basis_pick_skips_repeated_rows():
     # hours 8760 apart share a design row; k = 5 needs the sixth hour
     X = design_matrix([5, 5 + 8760, 9, 13, 2, 40], FourierDesign(1, 1))
@@ -300,6 +313,129 @@ def test_near_curve_fit_matches_all_rows_fit(series):
     with pytest.MonkeyPatch.context() as patch:
         _all_rows(patch)
         _same_fits(near, qfr._fit_levels(hours, prices, taus, design))
+
+
+def _one_summer():
+    """One summer of the synthetic spot prices at the paper's design
+    (k = 11): the 2,208 rows of a window-plan training set."""
+    start = parse_timestamp("2022-01-01T00:00:00Z")
+    series = synth_prices(17, 8760, start=start)
+    first = parse_timestamp("2022-06-01T00:00:00Z") - start
+    keep = slice(first, first + 2208)
+    return series.hours[keep], series.values[keep], FourierDesign()
+
+
+def test_one_summer_certifies_on_the_first_band():
+    # the near-curve solve starts at 160 rows per feature, 1,760 at k = 11,
+    # so one summer takes the band, and synth_series draws on both sides
+    hours, prices, design = _one_summer()
+    k = design.n_features
+    edge = qfr._NEAR_MIN_ROWS * k
+    assert edge == 1760 and qfr.band_rows(edge - 1, k) == edge - 1
+    assert qfr.band_rows(edge, k) == qfr.band_rows(len(hours), k) == 352
+    assert edge // 2 < edge < len(hours) < 3 * edge // 2
+    taus = boundary_levels(4) + representative_levels(4)
+    near = qfr._fit_levels(hours, prices, taus, design)
+    assert [(fit.solver, fit.rows) for fit in near] == [("interior-point", 352)] * 7
+    with pytest.MonkeyPatch.context() as patch:
+        _all_rows(patch)
+        every = qfr._fit_levels(hours, prices, taus, design)
+    assert [fit.rows for fit in every] == [2208] * 7
+    _same_fits(near, every)
+
+
+def _smoothed_reference(X, y, taus, stop, step_length):
+    """The smoothing with a fresh array for every (T, n) operation, the
+    reference for `qfr._smoothed`; each step length comes from
+    `step_length(a, b, skew)`."""
+    taus = np.asarray(taus, dtype=float)
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    r = y - X @ beta
+    beta = np.repeat(beta[None, :], len(taus), axis=0)
+    beta[:, 0] += np.quantile(r, taus)
+    r = y - beta @ X.T
+    gamma = np.quantile(np.abs(r), qfr._SMOOTH_START, axis=1)
+    with np.errstate(over="ignore"):
+        for _ in range(qfr._SMOOTH_STEPS):
+            zone = np.abs(r) < gamma[:, None]
+            live = np.flatnonzero((zone.sum(axis=1) > stop) & (gamma > 0))
+            if not len(live):
+                break
+            a = r[live] / gamma[live, None]
+            skew = taus[live, None] - 0.5
+            grad = (0.5 * np.clip(a, -1.0, 1.0) + skew) @ X
+            hess = np.stack([X[z].T @ X[z] for z in zone[live]])
+            try:
+                delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                break
+            delta *= 2.0 * gamma[live, None]
+            u = delta @ X.T
+            alpha = step_length(a, u / gamma[live, None], skew)[:, None]
+            beta[live] += alpha * delta
+            r[live] -= alpha * u
+            gamma[live] *= 0.5
+    return beta
+
+
+def _step_length_reference(a, b, skew):
+    """`qfr._step_length` with a fresh array for every operation."""
+    ends = np.minimum(a, a - b), np.maximum(a, a - b)
+    below, above = ends[1] <= -1.0, ends[0] >= 1.0
+    fixed = np.vecdot(0.5 * (below.astype(float) - above) - skew, b)
+    level, row = np.nonzero(~(below | above))
+    count = np.bincount(level, minlength=len(a))
+    place = np.arange(len(level)) - (np.cumsum(count) - count)[level]
+    pa, pb = np.zeros((2, len(a), max(count.max(initial=0), 1)))
+    pa[level, place], pb[level, place] = a[level, row], b[level, row]
+
+    def rising(t):
+        return fixed - 0.5 * np.vecdot(np.clip(pa - t[:, None] * pb, -1.0, 1.0),
+                                       pb) > 0
+
+    short = np.ones(len(a))
+    long = short.copy()
+    up = rising(short)
+    for _ in range(qfr._HALVINGS):
+        if not up.any():
+            break
+        long = np.where(up, short, long)
+        short = np.where(up, 0.5 * short, short)
+        up = rising(short)
+    stuck, halved = up, (short < long) & ~up
+    if halved.any():
+        for _ in range(qfr._BISECT):
+            mid = 0.5 * (short + long)
+            up = rising(mid)
+            long = np.where(halved & up, mid, long)
+            short = np.where(halved & ~up, mid, short)
+    return np.where(stuck, 0.0, short)
+
+
+@settings(max_examples=40, deadline=None)
+@given(synth_series())
+def test_buffered_smoothing_matches_reference(series):
+    # in-place ufuncs keep each operation's rounding, so the smoothing in
+    # its work block gives the reference's bits, and so does every step
+    # length it takes on the reference's steps
+    hours, prices, design = series
+    X = design_matrix(hours, design)
+    taus = np.array(boundary_levels(4) + representative_levels(4))
+    stop = qfr._STOP_ROWS * design.n_features
+    steps = []
+
+    def both(a, b, skew):
+        block = np.empty((3, len(taus), len(prices)))[:, :len(a)]
+        flags = np.empty((2, len(taus), len(prices)), dtype=bool)[:, :len(a)]
+        buffered = qfr._step_length(a, b, skew, block, flags)
+        reference = _step_length_reference(a, b, skew)
+        steps.append(buffered.tobytes() == reference.tobytes())
+        return reference
+
+    reference = _smoothed_reference(X, prices, taus, stop, both)
+    buffered = qfr._smoothed(X, prices, taus, stop)
+    assert steps and all(steps)
+    assert buffered.tobytes() == reference.tobytes()
 
 
 def _cauchy_daily(n, seed):
