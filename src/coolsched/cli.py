@@ -117,7 +117,7 @@ def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
     plant = step_table(cfg.facility, cfg.chiller, cfg.heat, temp.values,
                        work.values)
     prices = qfr.price_table(regime_model, hours)
-    trans = np.stack([regimes.matrix_at(transition_model, int(h)) for h in hours])
+    trans = regimes.matrices_at(transition_model, hours)
     return mdp.MdpProblem(space=cfg.space, cost=cfg.planning_cost, plant=plant,
                           prices=prices, trans=trans, hours=hours)
 
@@ -312,10 +312,11 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     day = args.day or ingest.format_timestamp(day_start)[:10]
     day_h0 = ingest.parse_timestamp(f"{day}T00:00:00Z")
     offset = day_h0 - first
-    if not first <= day_h0 <= last:
+    if not first <= day_h0 <= last - 23:
         raise PipelineError(
             f"day {day} not inside the first simulate window "
-            + "..".join(ingest.format_timestamps([first, last])))
+            + "..".join(ingest.format_timestamps([first, last]))
+            + ": all 24 of its hours must be")
     window_day = ingest.format_timestamp(first)[:10]
     rows_out = []
     for name in sorted(cfg.raw["controllers"]):

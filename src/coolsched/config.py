@@ -14,7 +14,10 @@ a datetime, which is refused); train windows are sorted and must not
 overlap, and no two simulate windows may start on one UTC day, whose
 trajectory files would collide. An explicit mdp.planning_day is parsed at
 load as well, so a bad one fails every stage; the derived one (July 15 of
-the first simulate window) is checked only when a stage asks for it.
+the first simulate window) is checked only when a stage asks for it. As in
+an archive, canonical stamps decode in one bulk pass
+(`ingest.canonical_hours`), and lenient ones and every error go through
+`parse_timestamp`.
 """
 
 import os
@@ -22,7 +25,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .ingest import IngestError, format_timestamp, parse_timestamp
+from .ingest import (IngestError, canonical_hours, format_timestamp,
+                     format_timestamps, parse_timestamp)
 from .mdp import CostSpec, StateSpace
 from .qfr import FourierDesign
 from .regimes import GROUPINGS
@@ -144,8 +148,28 @@ def _env_overrides(environ):
             yield value
 
 
-def _windows(raw, kind) -> list:
-    """windows.<kind> in config order, as (first hour, last hour, text)."""
+def _stamps(raw):
+    """Every text that _validate reads as a timestamp: the window ends and
+    an explicit mdp.planning_day's midnight."""
+    for kind in ("train", "simulate"):
+        entries = raw["windows"][kind]
+        for entry in entries if isinstance(entries, (list, tuple)) else ():
+            if isinstance(entry, (list, tuple)):
+                yield from (end for end in entry if isinstance(end, str))
+    if raw["mdp"]["planning_day"] is not None:
+        yield f"{raw['mdp']['planning_day']}T00:00:00Z"
+
+
+def _hour(text, known) -> int:
+    """parse_timestamp(text), taken from `known` when the bulk pass
+    decoded it; lenient and bad stamps go through parse_timestamp."""
+    hour = known.get(text)
+    return parse_timestamp(text) if hour is None else hour
+
+
+def _windows(raw, kind, known) -> list:
+    """windows.<kind> in config order, as (first hour, last hour, text);
+    `known` holds the canonical stamps' hours."""
     entries = raw["windows"][kind]
     if not isinstance(entries, (list, tuple)):
         raise ConfigError(f"windows.{kind} must be a list of [start, end]")
@@ -157,7 +181,7 @@ def _windows(raw, kind) -> list:
                               "[start, end] as two quoted ISO timestamps")
         text = "..".join(entry)
         try:
-            first, last = map(parse_timestamp, entry)
+            first, last = (_hour(end, known) for end in entry)
         except IngestError as exc:
             raise ConfigError(f"windows.{kind} {text}: {exc}") from None
         if last < first:
@@ -216,14 +240,16 @@ class RunConfig:
             raise ConfigError(f"unknown chain grouping {raw['chain']['grouping']!r}")
         if raw["mdp"]["planning_cycle"] not in ("day", "window"):
             raise ConfigError("mdp.planning_cycle must be 'day' or 'window'")
-        train = sorted(_windows(raw, "train"))
+        known = canonical_hours(_stamps(raw))
+        train = sorted(_windows(raw, "train", known))
         for (_, last, text), (first, _, later) in zip(train, train[1:]):
             if first <= last:
                 raise ConfigError(f"windows.train {text} and {later} overlap")
-        simulate = _windows(raw, "simulate")
+        simulate = _windows(raw, "simulate", known)
         start_day = {}
-        for first, _, text in simulate:
-            day = format_timestamp(first)[:10]
+        starts = format_timestamps([first for first, _, _ in simulate])
+        for (_, _, text), start in zip(simulate, starts):
+            day = start[:10]
             if day in start_day:
                 raise ConfigError(
                     f"windows.simulate {start_day[day]} and {text} both "
@@ -235,7 +261,7 @@ class RunConfig:
         day = raw["mdp"]["planning_day"]
         try:
             self._planning_day = (None if day is None
-                                  else parse_timestamp(f"{day}T00:00:00Z"))
+                                  else _hour(f"{day}T00:00:00Z", known))
         except IngestError:
             raise ConfigError(f"mdp.planning_day {day!r} is not a "
                               "YYYY-MM-DD date") from None

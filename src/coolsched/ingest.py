@@ -111,6 +111,20 @@ def _stamp_hours(buf, starts):
     return (era * 146097 + doe - 719468) * 24 + hour, ok
 
 
+def canonical_hours(texts) -> dict:
+    """{text: hours since epoch} of the canonical stamps among `texts`,
+    decoded in one `_stamp_hours` pass. Any other text, a lenient form or
+    a bad stamp, is left out for `parse_timestamp` to accept or refuse."""
+    stamps = [text for text in texts
+              if len(text) == len(_CANONICAL) and text.isascii()]
+    if not stamps:
+        return {}
+    buf = np.frombuffer("".join(stamps).encode("ascii"), dtype=np.uint8)
+    hours, ok = _stamp_hours(buf, np.arange(0, buf.size, len(_CANONICAL)))
+    return {text: hour for text, hour, good
+            in zip(stamps, hours.tolist(), ok.tolist()) if good}
+
+
 def format_timestamp(hour: int) -> str:
     dt = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc)
     return dt.strftime(_TS_FORMAT)
@@ -390,12 +404,11 @@ def _parse_rows(path, data, kind):
 
 def write_series(series: TimeSeries, path) -> None:
     """Write a series to CSV so that load_series reproduces it bit-exactly."""
+    fmt = int if series.kind is SeriesKind.WORKLOAD else repr
+    rows = [f"{stamp},{fmt(value)}\n" for stamp, value in
+            zip(format_timestamps(series.hours), series.values.tolist())]
     with atomic_writer(path) as fh:
-        fh.write("timestamp,value\n")
-        as_int = series.kind is SeriesKind.WORKLOAD
-        for hour, value in zip(series.hours, series.values):
-            text = str(int(value)) if as_int else repr(float(value))
-            fh.write(f"{format_timestamp(hour)},{text}\n")
+        fh.write("".join(["timestamp,value\n", *rows]))
 
 
 @dataclass

@@ -10,23 +10,29 @@ deterministic and cyclic.
 Successor bins are read through two operators. Backward, `bellman_backup`
 gathers at each successor bin the regime-chain expectation (`expected_values`)
 of slot t+1's values; forward, `propagate` scatters slot t's (L, M, A) mass
-into slot t+1's (L, M) law. The planner runs relative value iteration on the
-period map, the n-step chain from slot 0 back to slot 0 (Puterman 1994, Markov
-Decision Processes, sections 8.5 and 9.5): one backward sweep of Bellman
-backups over t = n-1..0 per period. The planned policy is the argmin table of
-the last sweep, one chiller count per (cycle slot, theta bin, regime) in every
-state, visited or not, with its occupancy measure: the stationary law of the
-period map, which the backward operator builds under the table, carried through
-the n slots by `propagate`. When the span of the period map's value change does
-not settle within PERIOD_BUDGET periods (a multichain or periodic period map),
-the planner solves the occupancy linear program instead: variables x[t, s, a]
-with per-time normalization and cyclic flow-balance rows. Its table is one
-backward sweep from n times the duals of slot 0's flow-balance rows, which are
-relative values of slot 0 (Puterman 1994, section 8.8). The LP is also the
-reference the tests compare the planner against.
+into slot t+1's (L, M) law through the flat scatter index of
+`successor_bins`. A problem builds its successor indices, cost tensor and
+scatter bins once per cycle, on first use, and the planner and
+`check_occupancy` read them from there; `check_occupancy` carries the whole
+cycle forward in one `propagate` step. The planner runs relative value
+iteration on the period map, the n-step chain from slot 0 back to slot 0
+(Puterman 1994, Markov Decision Processes, sections 8.5 and 9.5): one
+backward sweep of Bellman backups over t = n-1..0 per period. The planned
+policy is the argmin table of the last sweep, one chiller count per (cycle
+slot, theta bin, regime) in every state, visited or not, with its occupancy
+measure: the stationary law of the period map, which the backward operator
+builds under the table, carried through the n slots by `propagate`. When
+the span of the period map's value change does not settle within
+PERIOD_BUDGET periods (a multichain or periodic period map), the planner
+solves the occupancy linear program instead: variables x[t, s, a] with
+per-time normalization and cyclic flow-balance rows. Its table is one
+backward sweep from n times the duals of slot 0's flow-balance rows, which
+are relative values of slot 0 (Puterman 1994, section 8.8). The LP is also
+the reference the tests compare the planner against.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +112,9 @@ class MdpProblem:
     """One planning cycle: the plant's step table, regime prices and chain.
 
     All per-time arrays have n rows (the cycle length); time wraps from
-    t = n-1 back to t = 0.
+    t = n-1 back to t = 0. The successor indices, cost tensor and scatter
+    bins are computed on first use and kept, so a problem is not changed
+    once planned.
     """
 
     space: StateSpace
@@ -138,6 +146,21 @@ class MdpProblem:
     def n(self) -> int:
         return len(self.plant.equilibria)
 
+    @cached_property
+    def successors(self) -> np.ndarray:
+        """`successor_indices` of the cycle, (n, n_theta, n_actions)."""
+        return successor_indices(self)
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        """`cost_tensor` of the cycle, (n, n_theta, M, n_actions)."""
+        return cost_tensor(self)
+
+    @cached_property
+    def bins(self) -> np.ndarray:
+        """`successor_bins` of the cycle, (n, n_actions * n_theta * M)."""
+        return successor_bins(self.successors, self.space.m)
+
 
 def successor_temperatures(problem: MdpProblem) -> np.ndarray:
     """Continuous next temperatures, shape (n, n_theta, n_actions)."""
@@ -150,6 +173,16 @@ def successor_temperatures(problem: MdpProblem) -> np.ndarray:
 def successor_indices(problem: MdpProblem) -> np.ndarray:
     """Quantized successor grid indices, shape (n, n_theta, n_actions)."""
     return quantize(successor_temperatures(problem), problem.space)
+
+
+def successor_bins(succ_idx, m) -> np.ndarray:
+    """Scatter index of `propagate`, shape (n, A * L * M), from the (n, L, A)
+    successor indices: entry (t, a, i, q) is bin succ_idx[t, i, a] * m + q of
+    slot t+1's flattened (L, M) law, action-major, the order in which a
+    per-action np.add.at sums each bin."""
+    n, L, A = succ_idx.shape
+    bins = succ_idx.transpose(0, 2, 1)[..., None] * m + np.arange(m)
+    return bins.reshape(n, A * L * m)
 
 
 def cost_tensor(problem: MdpProblem) -> np.ndarray:
@@ -197,8 +230,7 @@ def build_lp(problem: MdpProblem) -> LpDescription:
     n = problem.n
     L, m, A = problem.space.n_theta, problem.space.m, problem.space.n_actions
     nvar = n * L * m * A
-    costs = cost_tensor(problem)
-    succ_idx = successor_indices(problem)
+    costs, succ_idx = problem.costs, problem.successors
 
     flat = np.arange(nvar, dtype=np.int64)
     a_idx = flat % A
@@ -273,12 +305,18 @@ def solve_occupancy(lp: LpDescription) -> OccupancyMeasure:
 
 def check_occupancy(problem: MdpProblem, occ: OccupancyMeasure,
                     tol: float = 1e-6) -> dict:
-    """Max normalization and cyclic flow-balance residuals; raises above tol."""
-    x, n = occ.x, len(occ.x)
+    """Max normalization and cyclic flow-balance residuals; raises above tol.
+
+    The flow residual compares each slot's law with the law `propagate`
+    carries into it from the slot before, the wrap row n-1 -> 0 included.
+    All n slots go forward in one `propagate` step over the whole cycle,
+    through the problem's scatter bins, built once per cycle; each slot's
+    law is bit for bit the per-slot step's.
+    """
+    x = occ.x
     norm_err = float(np.max(np.abs(x.sum(axis=(1, 2, 3)) - 1.0)))
-    succ_idx = successor_indices(problem)
-    flow_err = max(float(np.abs(x[(t + 1) % n].sum(axis=2) - propagate(
-        x[t], succ_idx[t], problem.trans[t])).max()) for t in range(n))
+    inflow = propagate(x, problem.bins, problem.trans)       # slots 1..n-1, 0
+    flow_err = float(np.abs(np.roll(x.sum(axis=3), -1, axis=0) - inflow).max())
     if norm_err > tol or flow_err > tol:
         raise SolverError(
             f"occupancy violates constraints: normalization {norm_err:.3e}, "
@@ -303,15 +341,22 @@ def bellman_backup(costs, succ_idx, trans, v_next, t) -> np.ndarray:
     return costs[t] + gathered.transpose(0, 2, 1)
 
 
-def propagate(mass_t, succ_t, trans_t) -> np.ndarray:
+def propagate(mass, bins, trans) -> np.ndarray:
     """(L, M) law of slot t+1 from the (L, M, A) mass of slot t: the mass at
-    (i, p, a) lands in bin succ_t[i, a], spread over regimes by trans_t[p]."""
-    L, m, _ = mass_t.shape
+    (i, p, a) lands in bin succ_idx[t, i, a], spread over regimes by
+    trans[t][p]; bins is slot t's row of `successor_bins`.
+
+    With a leading slot axis, mass (n, L, M, A), bins (n, A * L * M) and
+    trans (n, M, M) give every slot's next law, (n, L, M), from one product
+    and one bincount; each slot's law is bit for bit the per-slot call's.
+    """
+    *slots, L, m, _ = mass.shape
     # action-major, the order in which a per-action np.add.at sums each bin
-    spread = np.einsum("ipa,pq->aiq", mass_t, trans_t)           # (A, L, M)
-    bins = succ_t.T[..., None] * m + np.arange(m)
+    spread = np.einsum("...ipa,...pq->...aiq", mass, trans)      # (..., A, L, M)
+    if slots:
+        bins = bins + L * m * np.arange(slots[0])[:, None]
     return np.bincount(bins.ravel(), weights=spread.ravel(),
-                       minlength=L * m).reshape(L, m)
+                       minlength=mass[..., 0].size).reshape(mass.shape[:-1])
 
 
 def _sweep(costs, succ_idx, trans, v):
@@ -358,18 +403,20 @@ def _period_map(succ_idx, trans, actions) -> np.ndarray:
     return period.reshape(L * m, L * m)
 
 
-def _policy_occupancy(succ_idx, trans, actions) -> np.ndarray:
+def _policy_occupancy(succ_idx, bins, trans, actions) -> np.ndarray:
     """Occupancy x[t, i, p, a] of the action table actions[t, i, p]: slot 0
     carries the stationary law of the period map, found by one dense
-    least-squares solve, and `propagate` carries it through the later slots."""
+    least-squares solve, and `propagate` carries it through the later slots
+    on the cycle's scatter bins."""
     k = actions.shape[1] * actions.shape[2]
     lhs = np.vstack([_period_map(succ_idx, trans, actions).T - np.eye(k), np.ones(k)])
     law = np.maximum(np.linalg.lstsq(lhs, np.r_[np.zeros(k), 1.0], rcond=None)[0], 0.0)
     law = (law / law.sum()).reshape(actions.shape[1:])
     x = np.zeros(actions.shape + (succ_idx.shape[2],))
+    states = np.indices(actions.shape[1:])                       # (2, L, M)
     for t in range(len(actions)):
-        np.put_along_axis(x[t], actions[t][..., None], law[..., None], axis=2)
-        law = propagate(x[t], succ_idx[t], trans[t])
+        x[t][states[0], states[1], actions[t]] = law
+        law = propagate(x[t], bins[t], trans[t])
     return x
 
 
@@ -382,8 +429,7 @@ def solve(problem: MdpProblem) -> OccupancyMeasure:
     periods, the occupancy LP is solved instead and the table is one sweep
     from its slot-0 values; a SolverError from it names both attempts.
     """
-    costs = cost_tensor(problem)
-    succ_idx = successor_indices(problem)
+    costs, succ_idx = problem.costs, problem.successors
     h, actions, periods, span = _period_rvi(costs, succ_idx, problem.trans)
     if actions is None:
         try:
@@ -394,7 +440,7 @@ def solve(problem: MdpProblem) -> OccupancyMeasure:
         occ.actions = _sweep(costs, succ_idx, problem.trans, occ.values)[1]
         occ.periods, occ.span = periods, span
         return occ
-    x = _policy_occupancy(succ_idx, problem.trans, actions)
+    x = _policy_occupancy(succ_idx, problem.bins, problem.trans, actions)
     return OccupancyMeasure(x=x, objective=float((costs * x).sum() / problem.n),
                             values=h, actions=actions, solver="rvi",
                             periods=periods, span=span)

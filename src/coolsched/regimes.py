@@ -76,13 +76,22 @@ class TransitionModel:
             raise ValueError(f"grouping must be one of {GROUPINGS}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        for key, mat in self.matrices.items():
-            mat = np.asarray(mat, dtype=float)
-            if mat.shape != (self.m, self.m):
-                raise ValueError(f"bucket {key}: matrix shape {mat.shape} != ({self.m}, {self.m})")
-            if np.any(mat < 0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError(f"bucket {key}: matrix is not row-stochastic")
-            self.matrices[key] = mat
+        keys = list(self.matrices)
+        mats = [np.asarray(self.matrices[key], dtype=float) for key in keys]
+        # the first bucket that fails either check, in key order, is named
+        shaped = next((k for k, mat in enumerate(mats)
+                       if mat.shape != (self.m, self.m)), len(mats))
+        if shaped:
+            stack = np.stack(mats[:shaped])
+            bad = (np.any(stack < 0, axis=(1, 2))
+                   | np.any(np.abs(stack.sum(axis=2) - 1.0) > 1e-9, axis=1))
+            if bad.any():
+                raise ValueError(f"bucket {keys[bad.argmax()]}: matrix is not "
+                                 "row-stochastic")
+        if shaped < len(mats):
+            raise ValueError(f"bucket {keys[shaped]}: matrix shape "
+                             f"{mats[shaped].shape} != ({self.m}, {self.m})")
+        self.matrices.update(zip(keys, mats))
 
 
 def estimate(classified, m: int, alpha: float,
@@ -135,16 +144,32 @@ def estimate(classified, m: int, alpha: float,
     return TransitionModel(m=m, alpha=alpha, grouping=grouping, matrices=matrices)
 
 
+def _uncovered(model: TransitionModel, key: str, hour_index: int) -> BucketError:
+    return BucketError(f"no transition matrix for bucket {key} "
+                       f"(hour {hour_index}, grouping {model.grouping})")
+
+
 def matrix_at(model: TransitionModel, hour_index: int) -> np.ndarray:
     """Row-stochastic matrix governing the transition out of `hour_index`."""
     key = hour_bucket(hour_index, model.grouping)
     try:
         return model.matrices[key]
     except KeyError:
-        raise BucketError(
-            f"no transition matrix for bucket {key} "
-            f"(hour {hour_index}, grouping {model.grouping})"
-        ) from None
+        raise _uncovered(model, key, hour_index) from None
+
+
+def matrices_at(model: TransitionModel, hours) -> np.ndarray:
+    """`matrix_at` of each hour, stacked to (len(hours), M, M), from one
+    bucket lookup; the first hour whose bucket has no matrix raises."""
+    hours = np.asarray(hours, dtype=np.int64)
+    keys = _BUCKET_KEYS[model.grouping]
+    codes = _bucket_codes(hours, model.grouping)
+    used, inverse = np.unique(codes, return_inverse=True)
+    missing = [code for code in used.tolist() if keys[code] not in model.matrices]
+    if missing:
+        first = int(np.flatnonzero(np.isin(codes, missing))[0])
+        raise _uncovered(model, keys[codes[first]], int(hours[first]))
+    return np.stack([model.matrices[keys[code]] for code in used.tolist()])[inverse]
 
 
 def save_model(model: TransitionModel, path) -> None:

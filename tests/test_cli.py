@@ -543,6 +543,43 @@ def test_bad_planning_day_fails_at_load(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_config_stamps_decode_in_one_pass(tmp_path, monkeypatch):
+    # canonical window ends and the planning day decode in one bulk pass; a
+    # lenient stamp, and every error, go through parse_timestamp
+    lenient = "2023-6-1T0:00:00Z"
+    second = ["2024-07-19T00:00:00Z", "2024-07-19T23:00:00Z"]
+    config = ph.make_project(str(tmp_path), windows={
+        "train": [[lenient, ph.TRAIN_WINDOW[1]]],
+        "simulate": [ph.SIM_WINDOW, second]})
+    parsed = []
+
+    def parse_timestamp(text):
+        parsed.append(text)
+        return ingest.parse_timestamp(text)
+
+    monkeypatch.setattr(config_module, "parse_timestamp", parse_timestamp)
+    cfg = RunConfig.from_file(config)
+    assert parsed == [lenient]
+    hours = [tuple(map(ingest.parse_timestamp, window))
+             for window in (ph.TRAIN_WINDOW, ph.SIM_WINDOW, second)]
+    assert cfg.train_windows == hours[:1]
+    assert cfg.simulate_windows == hours[1:]
+    assert cfg.planning_day == ingest.parse_timestamp(
+        f"{ph.PLANNING_DAY}T00:00:00Z")
+    for windows, day, named in (
+            ([ph.SIM_WINDOW, ["2024-07-19T00:30:00Z", second[1]]],
+             ph.PLANNING_DAY,
+             "windows.simulate 2024-07-19T00:30:00Z..2024-07-19T23:00:00Z: "
+             "timestamp '2024-07-19T00:30:00Z' is not on the hour"),
+            ([ph.SIM_WINDOW], "2024-02-30",
+             "mdp.planning_day '2024-02-30' is not a YYYY-MM-DD date")):
+        doc = ph.base_config(str(tmp_path), mdp={"planning_day": day})
+        doc["windows"]["simulate"] = windows
+        with pytest.raises(ConfigError) as raised:
+            RunConfig.from_file(ph.write_config(str(tmp_path), doc))
+        assert str(raised.value) == named
+
+
 def test_unquoted_bad_date_is_named(tmp_path, capsys, monkeypatch):
     # YAML reads an unquoted 2024-13-01 as a date and fails inside its
     # loader; the file's error names the file, the variable's its key
@@ -691,6 +728,34 @@ def test_export_plot_data_checks_the_day(pipeline, tmp_path, capsys):
     path.write_bytes(b"".join(lines[:1] + lines[2:]))
     assert cli.main(["export-plot-data", "--config", config]) == 2
     assert "re-run simulate" in capsys.readouterr().err
+
+
+def test_export_plot_data_refuses_a_day_past_the_window(pipeline, tmp_path,
+                                                         capsys):
+    # a window of two days from 05:00 holds 2024-07-17 only until 04:00: the
+    # export refuses the day instead of writing five rows per controller
+    root, _, _ = pipeline
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+    window = ["2024-07-15T05:00:00Z", "2024-07-17T04:00:00Z"]
+    config = ph.write_config(str(tmp_path), ph.base_config(
+        str(tmp_path), windows={"train": [ph.TRAIN_WINDOW],
+                                "simulate": [window]}))
+    assert cli.main(["simulate", "--config", config]) == 0
+    capsys.readouterr()
+    assert cli.main(["export-plot-data", "--config", config,
+                     "--day", "2024-07-17"]) == 2
+    err = capsys.readouterr().err
+    assert "day 2024-07-17 not inside the first simulate window " \
+           "2024-07-15T05:00:00Z..2024-07-17T04:00:00Z" in err
+    # the day before lies wholly inside the window
+    assert cli.main(["export-plot-data", "--config", config,
+                     "--day", "2024-07-16"]) == 0
+    with open(tmp_path / "out" / "fig3_day_traces.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 24
+    assert {row["timestamp"] for row in rows} == set(
+        ingest.format_timestamps(
+            ingest.parse_timestamp("2024-07-16T00:00:00Z") + np.arange(24)))
 
 
 def test_export_plot_data_requires_simulation(tmp_path, capsys):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
                               IngestError, SeriesKind, TimeSeries, _fill_gaps,
-                              align, cache_file, format_timestamp,
-                              format_timestamps, load_series,
+                              align, cache_file, canonical_hours,
+                              format_timestamp, format_timestamps, load_series,
                               parse_timestamp, synth_prices,
                               synth_temperature, synth_workload, write_series)
 
@@ -339,6 +339,27 @@ def test_parse_timestamps_matches_scalar(csv_path, good, odd):
     texts = good + [odd]
     assert (_stamp_outcomes(load_series, csv_path, texts)
             == _stamp_outcomes(_load_series_loop, csv_path, texts))
+
+
+def _scalar_hour(text):
+    try:
+        return parse_timestamp(text)
+    except IngestError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_STAMP_FORMS),
+                          st.integers(_FIRST_HOUR, _LAST_HOUR)), max_size=8),
+       st.lists(st.sampled_from(_BAD_STAMPS), max_size=3))
+def test_canonical_hours_match_scalar(forms, bad):
+    # the bulk pass decodes exactly the canonical stamps, to parse_timestamp's
+    # hours; every other text is left for parse_timestamp
+    texts = [form(hour) for form, hour in forms] + bad
+    scalar = {text: _scalar_hour(text) for text in texts}
+    assert canonical_hours(texts) == {
+        text: hour for text, hour in scalar.items()
+        if hour is not None and text == _stamp(hour)}
 
 
 @settings(max_examples=100, deadline=None)

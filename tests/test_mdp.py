@@ -609,11 +609,41 @@ def test_backup_matches_gather_reference(prob, seed):
 def test_propagate_matches_scatter_reference(prob, seed):
     rng = np.random.default_rng(seed)
     succ = successor_indices(prob)
+    bins = mdp.successor_bins(succ, prob.space.m)
     shape = (prob.space.n_theta, prob.space.m, prob.space.n_actions)
     for t in range(prob.n):
         mass = rng.random(shape) * (rng.random(shape) < 0.5)
-        assert np.array_equal(mdp.propagate(mass, succ[t], prob.trans[t]),
+        assert np.array_equal(mdp.propagate(mass, bins[t], prob.trans[t]),
                               _scatter_inflow(mass, succ[t], prob.trans[t]))
+
+
+def _slot_residuals(prob, x):
+    """check_occupancy's residuals from one per-slot propagate call each."""
+    bins = mdp.successor_bins(successor_indices(prob), prob.space.m)
+    flow = max(float(np.abs(x[(t + 1) % prob.n].sum(axis=2) - mdp.propagate(
+        x[t], bins[t], prob.trans[t])).max()) for t in range(prob.n))
+    return {"normalization": float(np.max(np.abs(x.sum(axis=(1, 2, 3)) - 1.0))),
+            "flow": flow}
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), seeds)
+def test_cycle_check_matches_slot_by_slot(prob, seed):
+    # the whole-cycle forward step gives each slot's law, and so the
+    # residuals, bit for bit
+    rng = np.random.default_rng(seed)
+    occ = solve(prob)
+    broken, _ = _moved_mass(occ, int(rng.integers(prob.n)))
+    shape = occ.x.shape
+    noise = dataclasses.replace(
+        occ, x=rng.random(shape) * (rng.random(shape) < 0.5))
+    for case in (occ, broken, noise):
+        assert (check_occupancy(prob, case, tol=np.inf)
+                == _slot_residuals(prob, case.x))
+        cycle = mdp.propagate(case.x, prob.bins, prob.trans)
+        for t in range(prob.n):
+            assert np.array_equal(cycle[t], mdp.propagate(
+                case.x[t], prob.bins[t], prob.trans[t]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from coolsched.ingest import parse_timestamp
 from coolsched.regimes import (GROUPINGS, BucketError, EstimationError,
                                TransitionModel, estimate, hour_bucket,
-                               load_model, matrix_at, save_model)
+                               load_model, matrices_at, matrix_at, save_model)
 
 KNOWN_4 = np.array([
     [0.70, 0.10, 0.10, 0.10],
@@ -290,6 +290,79 @@ def test_matrix_at_uncovered_bucket():
     assert np.array_equal(matrix_at(model, 123), KNOWN_4)
     with pytest.raises(BucketError):
         matrix_at(single, 13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GROUPINGS), st.integers(-10**5, 10**6),
+       st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_matrices_at_matches_matrix_at(grouping, start, n, seed):
+    # a chain estimated on a random subset of hours leaves some buckets
+    # uncovered; the stacked lookup raises the first hour's error
+    rng = np.random.default_rng(seed)
+    hours = start + np.union1d([0, 1], np.flatnonzero(
+        rng.random(2000) < rng.random()))
+    model = estimate(zip(hours, rng.integers(1, 4, len(hours))), m=3,
+                     alpha=0.5, grouping=grouping)
+    cycle = start + rng.integers(0, 2000) + np.arange(n)
+    try:
+        expected = np.stack([matrix_at(model, int(h)) for h in cycle])
+    except BucketError as exc:
+        with pytest.raises(BucketError) as raised:
+            matrices_at(model, cycle)
+        assert str(raised.value) == str(exc)
+    else:
+        assert np.array_equal(matrices_at(model, cycle), expected)
+
+
+def test_matrices_at_names_the_first_uncovered_hour():
+    single = TransitionModel(m=4, alpha=0.0, grouping="single",
+                             matrices={"00": KNOWN_4, "02": KNOWN_4})
+    assert np.array_equal(matrices_at(single, [24, 0, 2]),
+                          np.stack([KNOWN_4] * 3))
+    with pytest.raises(BucketError, match=r"^no transition matrix for bucket 03 "
+                       r"\(hour 27, grouping single\)$"):
+        matrices_at(single, [24, 27, 26, 1])
+
+
+def _first_bad_bucket(matrices, m):
+    """The ValueError text of a per-matrix check in key order."""
+    for key, mat in matrices.items():
+        mat = np.asarray(mat, dtype=float)
+        if mat.shape != (m, m):
+            return f"bucket {key}: matrix shape {mat.shape} != ({m}, {m})"
+        if np.any(mat < 0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-9):
+            return f"bucket {key}: matrix is not row-stochastic"
+    return None
+
+
+_FAULTS = {
+    "good": lambda mat: mat,
+    "negative": lambda mat: mat - np.eye(len(mat)) * 2,
+    "row-sum": lambda mat: mat * (1 + 1e-8),
+    "shape": lambda mat: mat[:, :-1],
+    "flat": lambda mat: mat.ravel(),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_FAULTS)), max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_stacked_check_names_the_first_bad_bucket(faults, seed):
+    rng = np.random.default_rng(seed)
+    matrices = {f"{k:02d}": _FAULTS[fault](rng.dirichlet(np.ones(3), size=3))
+                for k, fault in enumerate(faults)}
+    expected = _first_bad_bucket(matrices, 3)
+    if expected is None:
+        model = TransitionModel(m=3, alpha=0.5, grouping="single",
+                                matrices=dict(matrices))
+        assert list(model.matrices) == list(matrices)
+        for key, mat in matrices.items():
+            assert np.array_equal(model.matrices[key], mat)
+    else:
+        with pytest.raises(ValueError) as raised:
+            TransitionModel(m=3, alpha=0.5, grouping="single",
+                            matrices=dict(matrices))
+        assert str(raised.value) == expected
 
 
 def test_sample_path_identity_is_constant():
