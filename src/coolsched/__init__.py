@@ -21,23 +21,21 @@ if "numpy" not in _sys.modules and _os.environ.keys().isdisjoint(_THREAD_VARS):
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
+# the pipeline's stage calls, as cli.py makes them, and its spec and model types
 from .ingest import AlignedDataset, SeriesKind, TimeSeries, align, load_series
 from .mdp import (CostSpec, MdpProblem, OccupancyMeasure, Policy, StateSpace,
-                  build_lp, extract_policy, solve_occupancy)
-from .qfr import FourierDesign, RegimeModel, classify, fit_quantile, fit_regimes
-from .regimes import TransitionModel, estimate, matrix_at
+                  extract_policy, solve)
+from .qfr import FourierDesign, RegimeModel, classify, fit_regimes
+from .regimes import TransitionModel, estimate
 from .sim import CostReport, SimSpecs, Trajectory, compare, rollout, summarize
 from .thermal import (ChillerSpec, FacilitySpec, HeatLoadSpec, StepTable,
-                      capacitance, cooling_energy, cop, heat_load,
-                      step_table, step_temperature)
+                      step_table)
 
 __all__ = [
     "AlignedDataset", "ChillerSpec", "CostReport", "CostSpec", "FacilitySpec",
     "FourierDesign", "HeatLoadSpec", "MdpProblem", "OccupancyMeasure",
     "Policy", "RegimeModel", "SeriesKind", "SimSpecs", "StateSpace",
     "StepTable", "TimeSeries", "Trajectory", "TransitionModel", "align",
-    "build_lp", "capacitance", "classify", "compare", "cooling_energy", "cop",
-    "estimate", "extract_policy", "fit_quantile", "fit_regimes",
-    "heat_load", "load_series", "matrix_at", "rollout", "solve_occupancy",
-    "step_table", "step_temperature", "summarize",
+    "classify", "compare", "estimate", "extract_policy", "fit_regimes",
+    "load_series", "rollout", "solve", "step_table", "summarize",
 ]

@@ -25,6 +25,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -176,9 +177,9 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     fits = model.boundary_fits + model.representative_fits
     band = qfr.band_rows(len(values), cfg.design.n_features)
     first = sum(fit.rows == band for fit in fits)
-    widened = sum(fit.rows not in (None, band) for fit in fits)
+    after = sum(fit.rows not in (None, band) for fit in fits)
     print(f"near-curve: {first}/{len(fits)} levels certified on {band} of "
-          f"{len(values)} rows, {widened} widened")
+          f"{len(values)} rows, {after} more on all rows")
     solvers = Counter(fit.solver for fit in fits)
     print("solver: " + " ".join(f"{name}={solvers[name]}"
                                 for name in sorted(solvers)))
@@ -355,6 +356,7 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coolsched",

@@ -11,9 +11,6 @@ everything that does not depend on theta, so action is a bin lookup and a
 table read (qfr-mdp) or a search over one row of the step table (greedy,
 fixed-rule). All controllers are deterministic, so a rollout replays
 bit-for-bit from its inputs.
-
-The scalar rules greedy_action, night_precool_action and fixed_rule_action
-define what the controllers compute; the tests hold the two to each other.
 """
 
 import math
@@ -22,50 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import CostSpec, Policy
-from .thermal import ChillerSpec, step_temperature
-# Not called here: action finds the theta bin itself. The name stays because
-# bench/layertrace.py counts grid lookups as controllers.quantize.
+# Not called here: action finds the theta bin and steps through the window's
+# equilibrium rows, and start reads its regime labels. The names stay because
+# bench/layertrace.py counts grid lookups, classifications and thermal steps
+# through them.
 from .mdp import quantize  # noqa: F401
-# Not called here: start reads the window's regime labels. The name stays
-# because bench/layertrace.py counts classifications as qfr.classify.
 from .qfr import classify  # noqa: F401
-
-
-def greedy_action(theta, t_out, q, chiller: ChillerSpec, cost: CostSpec,
-                  gamma_env, c_heat) -> int:
-    """Smallest chiller count keeping the next temperature at or below t_max.
-
-    Saturates at a_max when even full cooling overshoots.
-    """
-    for a in range(chiller.a_max + 1):
-        succ = step_temperature(theta, t_out, q, a, chiller.eta,
-                                gamma_env, c_heat)
-        if succ <= cost.t_max:
-            return a
-    return chiller.a_max
-
-
-def night_precool_action(theta, t_out, q, chiller: ChillerSpec, cost: CostSpec,
-                         gamma_env, c_heat) -> int:
-    """Largest chiller count whose successor does not undershoot t_min."""
-    for a in range(chiller.a_max, -1, -1):
-        succ = step_temperature(theta, t_out, q, a, chiller.eta,
-                                gamma_env, c_heat)
-        if succ >= cost.t_min:
-            return a
-    return 0
-
-
-def fixed_rule_action(hour_of_day, theta, t_out, q, chiller: ChillerSpec,
-                      cost: CostSpec, gamma_env, c_heat,
-                      peak=(16, 19), precool=(2, 4)) -> int:
-    """Scheduled rule: idle in the peak window, pre-cool at night, else greedy."""
-    if peak[0] <= hour_of_day < peak[1]:
-        return 0
-    if precool[0] <= hour_of_day < precool[1]:
-        return night_precool_action(theta, t_out, q, chiller, cost,
-                                    gamma_env, c_heat)
-    return greedy_action(theta, t_out, q, chiller, cost, gamma_env, c_heat)
+from .thermal import step_temperature  # noqa: F401
 
 
 def policy_slot(policy: Policy, hours):
@@ -75,7 +35,8 @@ def policy_slot(policy: Policy, hours):
 
 
 def _first_at_most(row, theta, decay, t_max) -> int:
-    """greedy_action on one equilibrium row."""
+    """Smallest chiller count whose step from theta on this hour's
+    equilibrium row ends at or below t_max, or the largest when none does."""
     for a, eq in enumerate(row):
         if eq + (theta - eq) * decay <= t_max:
             return a
@@ -83,7 +44,8 @@ def _first_at_most(row, theta, decay, t_max) -> int:
 
 
 def _last_at_least(row, theta, decay, t_min) -> int:
-    """night_precool_action on one equilibrium row."""
+    """Largest chiller count whose step from theta on this hour's
+    equilibrium row ends at or above t_min, or 0 when none does."""
     for a in range(len(row) - 1, -1, -1):
         eq = row[a]
         if eq + (theta - eq) * decay >= t_min:

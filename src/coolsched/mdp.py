@@ -10,14 +10,15 @@ deterministic and cyclic.
 Successor bins are read through two operators. Backward, `bellman_backup`
 gathers at each successor bin the regime-chain expectation (`expected_values`)
 of slot t+1's values; forward, `propagate` scatters slot t's (L, M, A) mass
-into slot t+1's (L, M) law through the flat scatter index of
-`successor_bins`. A problem builds its successor indices, cost tensor and
-scatter bins once per cycle, on first use, and the planner and
-`check_occupancy` read them from there; `check_occupancy` carries the whole
-cycle forward in one `propagate` step. The planner runs relative value
-iteration on the period map, the n-step chain from slot 0 back to slot 0
-(Puterman 1994, Markov Decision Processes, sections 8.5 and 9.5): one
-backward sweep of Bellman backups over t = n-1..0 per period. The planned
+into slot t+1's (L, M) law through a flat scatter index. The cycle's tables
+are cached properties of its MdpProblem: the continuous successor
+`temperatures`, their grid bins `successors`, the immediate `costs` and the
+scatter index `bins`, each built once per cycle on first use, and the
+planner and `check_occupancy` read them from there; `check_occupancy`
+carries the whole cycle forward in one `propagate` step. The planner runs
+relative value iteration on the period map, the n-step chain from slot 0
+back to slot 0 (Puterman 1994, Markov Decision Processes, sections 8.5 and
+9.5): one backward sweep of Bellman backups over t = n-1..0 per period. The planned
 policy is the argmin table of the last sweep, one chiller count per (cycle
 slot, theta bin, regime) in every state, visited or not, with its occupancy
 measure: the stationary law of the period map, which the backward operator
@@ -112,9 +113,9 @@ class MdpProblem:
     """One planning cycle: the plant's step table, regime prices and chain.
 
     All per-time arrays have n rows (the cycle length); time wraps from
-    t = n-1 back to t = 0. The successor indices, cost tensor and scatter
-    bins are computed on first use and kept, so a problem is not changed
-    once planned.
+    t = n-1 back to t = 0. The cycle's tables, its successor temperatures
+    and their bins, costs and scatter index, are computed on first use and
+    kept, so a problem is not changed once planned.
     """
 
     space: StateSpace
@@ -147,57 +148,41 @@ class MdpProblem:
         return len(self.plant.equilibria)
 
     @cached_property
+    def temperatures(self) -> np.ndarray:
+        """Continuous next temperatures of the cycle, (n, n_theta, n_actions)."""
+        theta_eq = self.plant.equilibria                       # (n, A)
+        return (theta_eq[:, None, :]
+                + (self.space.theta_grid[None, :, None] - theta_eq[:, None, :])
+                * self.plant.decay)
+
+    @cached_property
     def successors(self) -> np.ndarray:
-        """`successor_indices` of the cycle, (n, n_theta, n_actions)."""
-        return successor_indices(self)
+        """Quantized successor grid indices, (n, n_theta, n_actions)."""
+        return quantize(self.temperatures, self.space)
 
     @cached_property
     def costs(self) -> np.ndarray:
-        """`cost_tensor` of the cycle, (n, n_theta, M, n_actions)."""
-        return cost_tensor(self)
+        """Immediate costs c[t, theta_idx, p, a] of the cycle, (n, n_theta, M,
+        n_actions). Energy is priced at the regime's representative $/MWh;
+        temperature violations are charged on the continuous successor,
+        before quantization."""
+        succ = self.temperatures                               # (n, L, A)
+        over = np.maximum(0.0, succ - self.cost.t_max)
+        under = np.maximum(0.0, self.cost.t_min - succ)
+        penalty = self.cost.lambda_over * over + self.cost.lambda_under * under
+        energy_cost = (self.plant.kwh[:, None, :] * self.prices[:, :, None]
+                       / 1000.0)                               # (n, M, A)
+        return energy_cost[:, None, :, :] + penalty[:, :, None, :]
 
     @cached_property
     def bins(self) -> np.ndarray:
-        """`successor_bins` of the cycle, (n, n_actions * n_theta * M)."""
-        return successor_bins(self.successors, self.space.m)
-
-
-def successor_temperatures(problem: MdpProblem) -> np.ndarray:
-    """Continuous next temperatures, shape (n, n_theta, n_actions)."""
-    grid = problem.space.theta_grid
-    theta_eq = problem.plant.equilibria                   # (n, A)
-    return (theta_eq[:, None, :]
-            + (grid[None, :, None] - theta_eq[:, None, :]) * problem.plant.decay)
-
-
-def successor_indices(problem: MdpProblem) -> np.ndarray:
-    """Quantized successor grid indices, shape (n, n_theta, n_actions)."""
-    return quantize(successor_temperatures(problem), problem.space)
-
-
-def successor_bins(succ_idx, m) -> np.ndarray:
-    """Scatter index of `propagate`, shape (n, A * L * M), from the (n, L, A)
-    successor indices: entry (t, a, i, q) is bin succ_idx[t, i, a] * m + q of
-    slot t+1's flattened (L, M) law, action-major, the order in which a
-    per-action np.add.at sums each bin."""
-    n, L, A = succ_idx.shape
-    bins = succ_idx.transpose(0, 2, 1)[..., None] * m + np.arange(m)
-    return bins.reshape(n, A * L * m)
-
-
-def cost_tensor(problem: MdpProblem) -> np.ndarray:
-    """Immediate costs c[t, theta_idx, p, a] of the planning cycle.
-
-    Energy is priced at the regime's representative $/MWh; temperature
-    violations are charged on the continuous successor, before quantization.
-    """
-    energy = problem.plant.kwh                                   # (n, A)
-    succ = successor_temperatures(problem)                       # (n, L, A)
-    over = np.maximum(0.0, succ - problem.cost.t_max)
-    under = np.maximum(0.0, problem.cost.t_min - succ)
-    penalty = problem.cost.lambda_over * over + problem.cost.lambda_under * under
-    energy_cost = energy[:, None, :] * problem.prices[:, :, None] / 1000.0  # (n, M, A)
-    return energy_cost[:, None, :, :] + penalty[:, :, None, :]
+        """Scatter index of `propagate`, (n, n_actions * n_theta * M): entry
+        (t, a, i, q) is bin successors[t, i, a] * M + q of slot t+1's
+        flattened (L, M) law, action-major, the order in which a per-action
+        np.add.at sums each bin."""
+        m = self.space.m
+        bins = self.successors.transpose(0, 2, 1)[..., None] * m + np.arange(m)
+        return bins.reshape(self.n, -1)
 
 
 @dataclass
@@ -334,8 +319,9 @@ def expected_values(trans_t, v_next) -> np.ndarray:
 def bellman_backup(costs, succ_idx, trans, v_next, t) -> np.ndarray:
     """Q[i, p, a] at slot t: cost plus the expected value v_next of the successor.
 
-    costs is cost_tensor's (n, L, M, A), succ_idx successor_indices' (n, L, A),
-    trans the (n, M, M) regime chain and v_next the (L, M) values of slot t+1.
+    costs is MdpProblem.costs (n, L, M, A), succ_idx MdpProblem.successors
+    (n, L, A), trans the (n, M, M) regime chain and v_next the (L, M) values
+    of slot t+1.
     """
     gathered = expected_values(trans[t], v_next)[succ_idx[t]]    # (L, A, M)
     return costs[t] + gathered.transpose(0, 2, 1)
@@ -344,7 +330,7 @@ def bellman_backup(costs, succ_idx, trans, v_next, t) -> np.ndarray:
 def propagate(mass, bins, trans) -> np.ndarray:
     """(L, M) law of slot t+1 from the (L, M, A) mass of slot t: the mass at
     (i, p, a) lands in bin succ_idx[t, i, a], spread over regimes by
-    trans[t][p]; bins is slot t's row of `successor_bins`.
+    trans[t][p]; bins is slot t's row of MdpProblem.bins.
 
     With a leading slot axis, mass (n, L, M, A), bins (n, A * L * M) and
     trans (n, M, M) give every slot's next law, (n, L, M), from one product

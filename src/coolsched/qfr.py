@@ -2,26 +2,18 @@
 
 Prices are fit at several quantile levels with sinusoidal regressors at the
 daily and yearly periods. Each level is the bounded dual LP of the pinball
-loss. From 160 observations per feature on (1,760 at the paper's 11
-features, so one training summer of 2,208 hours qualifies), a few Newton
-steps on a smoothed pinball loss place each level's curve near its
-optimum, in work arrays allocated once per fit, and each level is then
-solved on the 32 observations per feature nearest that curve, with the
-rest fixed on their side and summed into two glob rows (Portnoy & Koenker
-1997). One Frisch-Newton interior point iterates all levels together, in
-work arrays allocated once per solve, with the normal matrices formed from
-a table of the design rows' upper triangles. Each level's exact vertex is
-then read off the observations nearest its curve and kept when a
-certificate, checked against every observation, shows it is the unique
-optimum of the whole fit. That vertex is rebuilt from its sorted basis
-alone, so neither the iterates' rounding nor the rows a solve used reach
-an output bit unless they change the basis. A level without that
-certificate is solved again on a wider band and at last on all
-observations, and failing that by HiGHS's dual simplex (see
-`fit_quantile`). The fitted curves split the price axis into M bands per
-hour; a realized price's band is its regime, and a price within TIE_TOL
-(relative) of a boundary is on it. Band boundaries sit at levels j/M and
-each band carries a representative curve at its mid level.
+loss, which a Frisch-Newton interior point solves in two tiers (see
+`_fit_levels`): from 160 observations per feature on, first on the 32 per
+feature nearest a smoothed-loss curve, then on all of them, where a level
+that the batch leaves uncertified is solved again alone; HiGHS's dual
+simplex solves what is left. A level's exact vertex is rebuilt from its
+sorted basis and kept when a certificate, checked against every
+observation, shows it is the unique optimum, so neither the iterates'
+rounding nor the rows a solve used reach an output bit unless they change
+the basis. The fitted curves split the price axis into M bands per hour; a
+realized price's band is its regime, and a price within TIE_TOL (relative)
+of a boundary is on it. Band boundaries sit at levels j/M and each band
+carries a representative curve at its mid level.
 """
 
 from dataclasses import dataclass, field, fields
@@ -108,16 +100,14 @@ _RANK_TOL = 1e-9
 # condition number, reach about 6e-9 at paper scale (n = 6624); on the
 # bound, the vertex need not be the only optimum.
 _CERT_TOL = 1e-7
-# Near-curve solve, per feature: the fewest rows at which it runs, the first
+# Near-curve solve, per feature: the fewest rows at which it runs, the
 # band's rows, and the most rows left in a level's quadratic zone when its
-# smoothing stops. A band that fails to certify grows _WIDEN times, and
-# once it would pass half the rows the solve takes them all. At 11 features
-# the near-curve fit (smoothing, 352-row band, all-row certificate) is as
-# fast as the all-rows one at about 1,800 rows and faster above.
+# smoothing stops. At 11 features the near-curve fit (smoothing, 352-row
+# band, all-row certificate) is as fast as the all-rows one at about 1,800
+# rows and faster above.
 _NEAR_MIN_ROWS = 160
 _BAND_ROWS = 32
 _STOP_ROWS = 8
-_WIDEN = 4
 # Smoothing: the start width as a quantile of |residual|, the step cap,
 # and the halvings and bisections that find a step's length.
 _SMOOTH_START = 0.3
@@ -554,9 +544,9 @@ def _near_curve(X, y, beta, rows):
 
 
 def band_rows(n: int, k: int) -> int:
-    """Rows of the first near-curve band of an n-row, k-feature fit, 32k,
-    or n when n is below 160k rows and the near-curve solve does not pay:
-    at the paper's k = 11, a band of 352 rows from 1,760 rows on, so that a
+    """Rows of the near-curve band of an n-row, k-feature fit, 32k, or n
+    when n is below 160k rows and the near-curve solve does not pay: at the
+    paper's k = 11, a band of 352 rows from 1,760 rows on, so that a
     one-summer training set (2,208 rows) takes the band."""
     if n < _NEAR_MIN_ROWS * k:
         return n
@@ -564,7 +554,37 @@ def band_rows(n: int, k: int) -> int:
 
 
 def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
-    """One QuantileFit per level in `taus`, all on one design matrix."""
+    """One QuantileFit per level in `taus`, each minimizing the mean
+    pinball loss over Fourier coefficients, all on one design matrix.
+
+    Each level solves the dual of the residual-split LP (Koenker & d'Orey
+    1987): maximize y'd subject to X'd = (1 - tau) X'1 and 0 <= d <= 1,
+    whose optimum has the coefficients as the multipliers of its k equality
+    rows. A Frisch-Newton interior point (Portnoy & Koenker 1997) brings
+    the iterate close to the optimum. The k linearly independent
+    observations of smallest |residual| then give the exact vertex, the
+    curve through their prices. Certificate: with d = 1 above that curve
+    and 0 below it, the equality rows fix the k remaining d; when all lie
+    inside (0, 1), clear of round-off, the vertex is the unique optimum and
+    is kept.
+
+    Two tiers. From 160 observations per feature on (`band_rows`; 1,760 at
+    k = 11, so a one-summer training set of 2,208 hours), the interior
+    point first runs on a reduced LP: the 32k observations nearest a curve
+    from Newton steps on a smoothed loss (`_smoothed`), with every other
+    d fixed at 1 or 0 by two glob rows (`_near_curve`). The certificate
+    still reads all n observations, so a vertex it accepts is the unique
+    optimum of the whole LP, rebuilt bit for bit from the same sorted basis
+    as the all-rows solve would give. The levels it refuses, and every
+    level of a smaller fit, are solved together on all rows. A batch's
+    products round unlike one level's, and on tied prices that can stop a
+    level where its nearest rows name no certified vertex, so a level the
+    batch leaves uncertified is solved again alone. A level with a
+    rank-deficient design, a tie on its curve, no certificate on all rows
+    or a gap still open at the iteration cap goes to HiGHS's dual simplex.
+    Either way the curve passes through k observations up to round-off
+    (see `classify`).
+    """
     hours = np.asarray(hours, dtype=np.int64)
     y = np.asarray(prices, dtype=float)
     if hours.shape != y.shape or hours.ndim != 1:
@@ -583,26 +603,28 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
     x_sum = X.sum(axis=0)
     taus = np.asarray(taus, dtype=float)
     vertices, rows = [None] * len(taus), [None] * len(taus)
-    pending = np.arange(len(taus)) if np.linalg.matrix_rank(X) == k else []
-    band = band_rows(n, k)
-    if band < n and len(pending):
-        beta = _smoothed(X, y, taus, _STOP_ROWS * k)
-    while len(pending):
-        if band < n:
-            interior = _frisch_newton(*_near_curve(X, y, beta[pending], band),
-                                      taus[pending], beta[pending])
-        else:
-            interior = _frisch_newton(X, y, taus[pending])
-        for level, coef in zip(pending, interior):
+
+    def certify(levels, interior, used):
+        """Keep each level's certified vertex; returns the levels without one."""
+        for level, coef in zip(levels, interior):
             if np.all(np.isfinite(coef)):
                 vertices[level] = _vertex(X, y, (1.0 - taus[level]) * x_sum, coef)
             if vertices[level] is not None:
-                rows[level] = band
-        # the all-rows solve is the last; a level it leaves uncertified
-        # goes to the dual simplex
-        pending = [level for level in pending
-                   if vertices[level] is None and band < n]
-        band = band * _WIDEN if 2 * _WIDEN * band <= n else n
+                rows[level] = used
+        return [level for level in levels if vertices[level] is None]
+
+    pending = list(range(len(taus))) if np.linalg.matrix_rank(X) == k else []
+    band = band_rows(n, k)
+    if band < n and pending:
+        beta = _smoothed(X, y, taus, _STOP_ROWS * k)
+        pending = certify(pending, _frisch_newton(*_near_curve(X, y, beta, band),
+                                                  taus, beta), band)
+    if pending:
+        batch = pending
+        pending = certify(batch, _frisch_newton(X, y, taus[batch]), n)
+        if len(batch) > 1:
+            for level in pending:
+                certify([level], _frisch_newton(X, y, taus[[level]]), n)
     fits = []
     # the constant quantiles, which every fit must beat
     constants = np.quantile(y, taus)
@@ -619,34 +641,7 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
 
 
 def fit_quantile(hours, prices, tau: float, design: FourierDesign) -> QuantileFit:
-    """Minimize mean pinball loss over Fourier coefficients.
-
-    Solves the dual of the residual-split LP (Koenker & d'Orey 1987):
-    maximize y'd subject to X'd = (1 - tau) X'1 and 0 <= d <= 1, whose
-    optimum has the coefficients as the multipliers of its k equality rows.
-    A Frisch-Newton interior point (Portnoy & Koenker 1997) brings the
-    iterate close to the optimum. The k linearly independent observations
-    of smallest |residual| then give the exact vertex, the curve through
-    their prices. Certificate: with d = 1 above that curve and 0 below it,
-    the equality rows fix the k remaining d; when all lie inside (0, 1),
-    clear of round-off, the vertex is the unique optimum and is kept.
-
-    From 160 observations per feature on (`band_rows`; 1,760 at k = 11,
-    so a one-summer training set of 2,208 hours), the interior point
-    first runs on a reduced LP: the 32k observations nearest a curve from
-    Newton steps on a smoothed loss (`_smoothed`), with every other
-    observation's d fixed at 1 or 0 by two glob rows (`_near_curve`).
-    The certificate still reads all n observations, so a vertex it
-    accepts is the unique optimum of the whole LP, and is rebuilt bit for
-    bit from the same sorted basis as the all-rows solve would give. A
-    level it refuses is solved again on a band _WIDEN times wider and at
-    last on all rows.
-    A level with a rank-deficient design, another price on the curve (a
-    tie), a failed certificate on all rows or a gap still open at the
-    iteration cap is solved by HiGHS's dual simplex instead. Either way
-    the fitted curve passes through k observations up to round-off (see
-    `classify`).
-    """
+    """The fit of one quantile level tau in (0, 1) (see `_fit_levels`)."""
     if not 0 < tau < 1:
         raise FitError(f"tau must be in (0, 1), got {tau}")
     return _fit_levels(hours, prices, [tau], design)[0]
@@ -720,7 +715,8 @@ def fit_regimes(hours, prices, m: int, design: FourierDesign) -> RegimeModel:
 def classify(model: RegimeModel, hour_index, price) -> int:
     """Regime of a realized price: smallest p with price <= boundary_p, else M.
 
-    A price on a boundary goes to the lower band. "On" means within
+    An int for one hour and price, and an int64 array for parallel arrays
+    of them. A price on a boundary goes to the lower band. "On" means within
     TIE_TOL * max(1, |b|) of the boundary b: a boundary fit interpolates
     some training prices, and round-off in the LP and in the curve
     evaluation would otherwise decide their band.
@@ -734,9 +730,9 @@ def classify(model: RegimeModel, hour_index, price) -> int:
     return int(regime) if price.ndim == 0 and np.ndim(hour_index) == 0 else regime
 
 
-def classify_series(model: RegimeModel, hours, prices) -> np.ndarray:
-    """Vectorized classify over parallel hour and price arrays."""
-    return classify(model, hours, prices).astype(np.int64)
+# the pipeline's name for classify over parallel hour and price arrays,
+# whose labels come back as one int64 array
+classify_series = classify
 
 
 def price_table(model: RegimeModel, hours) -> np.ndarray:

@@ -4,8 +4,9 @@ All functions are pure; temperatures in degC, heat in W, energy in kWh. The
 pipeline decides once per hour, so every step lasts STEP_SECONDS. The step
 relaxes the room toward an equilibrium by one decay factor. The planner and
 the rollout read the plant from one `step_table`; the scalar step_temperature
-and cooling_energy share its formulas and `decay_factor`, so both give the
-same bits.
+shares its formulas and `decay_factor`, so both give the same bits. The
+scalar chiller COP and hourly energy, the tests' reference for `cop_table`
+and the table's kWh, live in the tests (tests/references.py).
 """
 
 from dataclasses import dataclass
@@ -92,18 +93,9 @@ def heat_load(spec: HeatLoadSpec, cores):
     return spec.q_base + spec.phi * cores
 
 
-def cop(spec: ChillerSpec, t_out: float) -> float:
-    """Coefficient of performance at outdoor temperature t_out, clamped linear."""
-    if t_out <= spec.cop_lo_temp:
-        return spec.cop_lo
-    if t_out >= spec.cop_hi_temp:
-        return spec.cop_hi
-    slope = (spec.cop_lo - spec.cop_hi) / (spec.cop_hi_temp - spec.cop_lo_temp)
-    return spec.cop_lo - slope * (t_out - spec.cop_lo_temp)
-
-
 def cop_table(spec: ChillerSpec, t_out) -> np.ndarray:
-    """`cop` of each outdoor temperature in t_out, bit for bit."""
+    """Coefficient of performance at each outdoor temperature in t_out,
+    linear between the spec's two points and clamped outside them."""
     t_out = np.asarray(t_out, dtype=float)
     slope = (spec.cop_lo - spec.cop_hi) / (spec.cop_hi_temp - spec.cop_lo_temp)
     return np.where(t_out <= spec.cop_lo_temp, spec.cop_lo,
@@ -131,18 +123,11 @@ def step_temperature(theta: float, t_out: float, q: float, a: int,
     return theta_eq + (theta - theta_eq) * decay
 
 
-def cooling_energy(spec: ChillerSpec, a: int, t_out: float) -> float:
-    """Electrical energy in kWh to run `a` chillers for one step at t_out."""
-    if not 0 <= a <= spec.a_max:
-        raise ValueError(f"a must be in 0..{spec.a_max}")
-    return (spec.eta * a / cop(spec, t_out)) * STEP_SECONDS / 3.6e6
-
-
 @dataclass(frozen=True)
 class StepTable:
     """Hour t and chiller count a of the plant: eq = equilibria[t, a] gives
-    step_temperature as eq + (theta - eq) * decay, and kwh[t, a] is
-    cooling_energy, bit for bit."""
+    step_temperature as eq + (theta - eq) * decay, bit for bit, and kwh[t, a]
+    is the electrical energy of running `a` chillers for that hour."""
 
     equilibria: np.ndarray   # (n, a_max + 1) degC the room relaxes toward
     decay: float             # decay_factor of the facility

@@ -928,7 +928,8 @@ def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
     # every level of the fixture's fit keeps its interior-point vertex
     lines = stage("fit-qfr")
     assert lines[-3:] == [
-        "near-curve: 3/3 levels certified on 672 of 672 rows, 0 widened",
+        "near-curve: 3/3 levels certified on 672 of 672 rows, "
+        "0 more on all rows",
         "solver: interior-point=3", "0 False"]
     assert (tmp_path / "regime_model.json").read_bytes() == \
         ph.read_tree_bytes(out)["regime_model.json"]

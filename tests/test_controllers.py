@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from coolsched.controllers import (FixedRuleController, GreedyController,
-                                   QfrMdpController, fixed_rule_action,
-                                   greedy_action, night_precool_action)
+                                   QfrMdpController)
 from coolsched.mdp import CostSpec, Policy, StateSpace, quantize
 from coolsched.qfr import (FourierDesign, QuantileFit, RegimeModel,
                            classify_series)
@@ -14,6 +13,7 @@ from coolsched.thermal import (STEP_SECONDS, ChillerSpec, step_table,
                                step_temperature)
 
 from conftest import W_PER_CORE, unit_room
+from references import fixed_rule_action, greedy_action, night_precool_action
 
 COST = CostSpec(t_min=18, t_max=27, lambda_under=1000, lambda_over=1000)
 GAMMA, C_HEAT = 1e4, 5.5e9

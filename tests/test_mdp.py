@@ -13,14 +13,12 @@ from hypothesis.extra.numpy import arrays
 from coolsched import mdp
 from coolsched.mdp import (PERIOD_BUDGET, CostSpec, LpDescription, MdpProblem,
                            Policy, SolverError, StateSpace, build_lp,
-                           check_occupancy, cost_tensor, extract_policy,
-                           load_policy, quantize, save_policy, solve,
-                           solve_occupancy, successor_indices,
-                           successor_temperatures)
-from coolsched.thermal import (ChillerSpec, cooling_energy, step_table,
-                               step_temperature)
+                           check_occupancy, extract_policy, load_policy,
+                           quantize, save_policy, solve, solve_occupancy)
+from coolsched.thermal import ChillerSpec, step_table, step_temperature
 
 from conftest import W_PER_CORE, unit_room
+from references import cooling_energy
 
 GRID = StateSpace(theta_min=15, theta_max=30, theta_step=0.5, m=1, a_max=4)
 
@@ -43,7 +41,7 @@ class Plant(NamedTuple):
 def immediate_cost(problem: MdpProblem, plant: Plant, t: int, theta: float,
                    p: int, a: int) -> float:
     """Cost of taking action a in state (theta, regime p) at time t: the
-    scalar definition of cost_tensor."""
+    scalar definition of MdpProblem.costs."""
     energy = cooling_energy(plant.chiller, a, plant.t_out[t])
     succ = step_temperature(theta, plant.t_out[t], plant.q[t], a,
                             plant.chiller.eta, plant.gamma_env, plant.c_heat)
@@ -223,8 +221,8 @@ def _enumerate_policies_min_mean_cost(prob):
     """Brute-force oracle: try every stationary deterministic policy, follow
     its deterministic orbit to a cycle, return the cheapest mean cycle cost."""
     space = prob.space
-    succ = successor_indices(prob)[0]     # (L, A)
-    costs = cost_tensor(prob)[0, :, 0, :]  # (L, A)
+    succ = prob.successors[0]        # (L, A)
+    costs = prob.costs[0, :, 0, :]   # (L, A)
     best = np.inf
     n_levels, n_actions = succ.shape
     for actions in itertools.product(range(n_actions), repeat=n_levels):
@@ -415,7 +413,7 @@ def test_policy_rejects_probability_format(desk_instance, tmp_path):
 def test_lp_description_exposes_objective_scaling():
     prob = make_problem(n=4)
     lp = build_lp(prob)
-    dense = cost_tensor(prob).ravel() / prob.n
+    dense = prob.costs.ravel() / prob.n
     assert isinstance(lp, LpDescription)
     assert np.allclose(lp.c, dense)
 
@@ -463,7 +461,7 @@ def problems():
 def test_successor_temperatures_match_scalar_step(case):
     # both take thermal.decay_factor, so the kernel is the scalar step exactly
     prob, plant = case
-    succ = successor_temperatures(prob)
+    succ = prob.temperatures
     for t, i, a in np.ndindex(succ.shape):
         expected = step_temperature(prob.space.theta_grid[i], plant.t_out[t],
                                     plant.q[t], a, plant.chiller.eta,
@@ -475,7 +473,7 @@ def test_successor_temperatures_match_scalar_step(case):
 @given(cases())
 def test_cost_tensor_matches_immediate_cost(case):
     prob, plant = case
-    costs = cost_tensor(prob)
+    costs = prob.costs
     grid = prob.space.theta_grid
     for t, i, p, a in np.ndindex(costs.shape):
         expected = immediate_cost(prob, plant, t, grid[i], p + 1, a)
@@ -505,7 +503,7 @@ def test_plan_matches_lp(prob):
 def _greedy_q(prob, values):
     """Q[t, i, p, a] of the backward sweep from slot 0's values, written out
     from the cost and successor definitions."""
-    costs, succ = cost_tensor(prob), successor_indices(prob)
+    costs, succ = prob.costs, prob.successors
     q = np.empty(costs.shape)
     v_next = values
     for t in range(prob.n - 1, -1, -1):
@@ -595,7 +593,7 @@ seeds = st.integers(0, 2**32 - 1)
 @given(problems(), seeds)
 def test_backup_matches_gather_reference(prob, seed):
     rng = np.random.default_rng(seed)
-    costs, succ = cost_tensor(prob), successor_indices(prob)
+    costs, succ = prob.costs, prob.successors
     v_next = (rng.normal(size=(prob.space.n_theta, prob.space.m))
               * 10.0 ** rng.uniform(-3, 6))
     for t in range(prob.n):
@@ -608,8 +606,8 @@ def test_backup_matches_gather_reference(prob, seed):
 @given(problems(), seeds)
 def test_propagate_matches_scatter_reference(prob, seed):
     rng = np.random.default_rng(seed)
-    succ = successor_indices(prob)
-    bins = mdp.successor_bins(succ, prob.space.m)
+    succ = prob.successors
+    bins = prob.bins
     shape = (prob.space.n_theta, prob.space.m, prob.space.n_actions)
     for t in range(prob.n):
         mass = rng.random(shape) * (rng.random(shape) < 0.5)
@@ -619,7 +617,7 @@ def test_propagate_matches_scatter_reference(prob, seed):
 
 def _slot_residuals(prob, x):
     """check_occupancy's residuals from one per-slot propagate call each."""
-    bins = mdp.successor_bins(successor_indices(prob), prob.space.m)
+    bins = prob.bins
     flow = max(float(np.abs(x[(t + 1) % prob.n].sum(axis=2) - mdp.propagate(
         x[t], bins[t], prob.trans[t])).max()) for t in range(prob.n))
     return {"normalization": float(np.max(np.abs(x.sum(axis=(1, 2, 3)) - 1.0))),
@@ -650,7 +648,7 @@ def test_cycle_check_matches_slot_by_slot(prob, seed):
 @given(problems(), seeds)
 def test_period_map_matches_kernel_product(prob, seed):
     rng = np.random.default_rng(seed)
-    succ = successor_indices(prob)
+    succ = prob.successors
     actions = rng.integers(0, prob.space.n_actions,
                            size=(prob.n, prob.space.n_theta, prob.space.m))
     period = mdp._period_map(succ, prob.trans, actions)

@@ -304,8 +304,18 @@ def _same_fits(near, every):
         assert a.coefficients.tobytes() == b.coefficients.tobytes()
 
 
+def _whole_unit_prices():
+    """synth_prices(7, 1800) rounded to whole units, at the paper's design:
+    the all-rows batch of its seven levels stops tau = 0.25 short of a
+    certified vertex, which that level reaches alone, and the near-curve
+    band certifies."""
+    series = synth_prices(7, 1800)
+    return series.hours, np.round(series.values), FourierDesign()
+
+
 @settings(max_examples=60, deadline=None)
 @given(synth_series())
+@example(_whole_unit_prices())
 def test_near_curve_fit_matches_all_rows_fit(series):
     hours, prices, design = series
     taus = boundary_levels(4) + representative_levels(4)
@@ -457,17 +467,17 @@ def _synth_paper_design(seed, n):
     (_synth_paper_design(21, 4000), 2),
 ], ids=["cauchy", "narrow-band"])
 def test_near_curve_band_widens(monkeypatch, problem, first_band):
-    # a level whose vertex the first band misses certifies on a wider band
-    # or on all rows, with the bits of the all-rows solve: the Cauchy
-    # series needs that at the fit's own band, the synthetic prices with
-    # a first band of 2k rows
+    # a level whose vertex the band misses certifies on all rows, with the
+    # bits of the all-rows solve: the Cauchy series needs that at the fit's
+    # own band, the synthetic prices with a band of 2k rows
     hours, prices, design = problem
     taus = boundary_levels(4) + representative_levels(4)
     monkeypatch.setattr(qfr, "_BAND_ROWS", first_band)
     band = qfr.band_rows(len(hours), design.n_features)
     near = qfr._fit_levels(hours, prices, taus, design)
     assert band < len(hours)
-    assert any(fit.rows is not None and fit.rows > band for fit in near)
+    missed = [fit for fit in near if fit.rows != band]
+    assert missed and all(fit.rows == len(hours) for fit in missed)
     assert all(fit.solver == "interior-point" for fit in near)
     _all_rows(monkeypatch)
     _same_fits(near, qfr._fit_levels(hours, prices, taus, design))
@@ -695,6 +705,7 @@ def test_classify_series_matches_scalar(uniform_model):
     model, hours, prices = uniform_model
     sample = slice(0, 200)
     vec = classify_series(model, hours[sample], prices[sample])
+    assert vec.dtype == np.int64
     scalars = [classify(model, int(h), float(p))
                for h, p in zip(hours[sample], prices[sample])]
     assert np.array_equal(vec, scalars)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coolsched.controllers import (FixedRuleController, GreedyController,
-                                   QfrMdpController, fixed_rule_action,
-                                   greedy_action, policy_slot)
+                                   QfrMdpController, policy_slot)
 from coolsched.ingest import AlignedDataset, format_timestamp, parse_timestamp
 from coolsched.mdp import Policy, StateSpace, quantize
 from coolsched.qfr import (TIE_TOL, FourierDesign, QuantileFit, RegimeModel,
@@ -18,9 +17,10 @@ from coolsched.qfr import (TIE_TOL, FourierDesign, QuantileFit, RegimeModel,
 from coolsched.sim import (CostReport, SimSpecs, Trajectory, Window, compare,
                            rollout, summarize)
 from coolsched.thermal import (ChillerSpec, HeatLoadSpec, capacitance,
-                               cooling_energy, heat_load, step_temperature)
+                               heat_load, step_temperature)
 
 from conftest import COST, FACILITY, summer_dataset
+from references import cooling_energy, fixed_rule_action, greedy_action
 
 
 class ConstantController:
