@@ -294,24 +294,15 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     policy = mdp.load_policy(_input_path(out, POLICY_FILE, args.policy))
     surfaces = _input_path(out, SURFACES_FILE)
     comparison = _input_path(out, COMPARISON_FILE)
-
-    # planned actions for the chosen day: hour x theta x regime
     day_start = cfg.planning_day
-    slots = [ctl.policy_slot(policy, day_start + hod) for hod in range(24)]
-    thetas = list(map(repr, policy.space.theta_grid.tolist()))
-    m = policy.space.m
-    artifacts.write_csv(
-        os.path.join(out, "fig2_policy_day.csv"),
-        ["hour_of_day", "theta", "regime", "action"],
-        [[str(hod) for hod in range(24) for _ in range(len(thetas) * m)],
-         [theta for theta in thetas for _ in range(m)] * 24,
-         [str(p) for p in range(1, m + 1)] * (24 * len(thetas)),
-         list(map(str, policy.actions[slots].ravel().tolist()))])
 
-    # one day of simulated temperature traces per controller
+    # each controller's trace of the day, read and checked before any write
     first, last = cfg.require_windows("simulate")[0]
     day = args.day or ingest.format_timestamp(day_start)[:10]
-    day_h0 = ingest.parse_timestamp(f"{day}T00:00:00Z")
+    try:
+        day_h0 = ingest.parse_timestamp(f"{day}T00:00:00Z")
+    except ingest.IngestError:
+        raise PipelineError(f"--day {day!r} is not a YYYY-MM-DD date") from None
     offset = day_h0 - first
     if not first <= day_h0 <= last - 23:
         raise PipelineError(
@@ -335,6 +326,18 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
             raise PipelineError(f"{path} does not start day {day} at hour "
                                 f"{offset} of its window; re-run simulate")
         rows_out += [(name, *(row[k] for k in columns)) for row in rows]
+
+    # planned actions for the planning day: hour x theta x regime
+    slots = [ctl.policy_slot(policy, day_start + hod) for hod in range(24)]
+    thetas = list(map(repr, policy.space.theta_grid.tolist()))
+    m = policy.space.m
+    artifacts.write_csv(
+        os.path.join(out, "fig2_policy_day.csv"),
+        ["hour_of_day", "theta", "regime", "action"],
+        [[str(hod) for hod in range(24) for _ in range(len(thetas) * m)],
+         [theta for theta in thetas for _ in range(m)] * 24,
+         [str(p) for p in range(1, m + 1)] * (24 * len(thetas)),
+         list(map(str, policy.actions[slots].ravel().tolist()))])
     artifacts.write_csv(os.path.join(out, "fig3_day_traces.csv"),
                         ["controller", "timestamp", "theta", "action", "price"],
                         list(zip(*rows_out)))

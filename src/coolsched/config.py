@@ -3,21 +3,20 @@
 Environment variables prefixed COOLSCHED_ override file values for CI
 sweeps, e.g. COOLSCHED_QFR__REGIMES=8 sets qfr.regimes. Values are parsed
 as YAML scalars and merge over the file as the file merges over the
-defaults, so an unknown key, a value in place of a section and a non-number
-where the default is a number fail alike, naming the key. The file and the
-values load through libyaml's safe loader when PyYAML was built with it,
-else through the pure-Python one.
+defaults, so an unknown key, a value in place of a section, a non-number
+where the default is a number and a non-integer where the default is an
+integer fail alike, naming the key. The file and the values load through
+libyaml's safe loader when PyYAML was built with it, else through the
+pure-Python one.
 
 Windows resolve once, at load, to (first hour, last hour) pairs: each entry
 is [start, end] as two quoted ISO timestamps (YAML reads an unquoted one as
-a datetime, which is refused); train windows are sorted and must not
-overlap, and no two simulate windows may start on one UTC day, whose
+a datetime, which is refused), read by `ingest.parse_timestamp`. Train
+windows are sorted and must not overlap; a simulate window holds whole
+days, and no two simulate windows may start on one UTC day, whose
 trajectory files would collide. An explicit mdp.planning_day is parsed at
 load as well, so a bad one fails every stage; the derived one (July 15 of
-the first simulate window) is checked only when a stage asks for it. As in
-an archive, canonical stamps decode in one bulk pass
-(`ingest.canonical_hours`), and lenient ones and every error go through
-`parse_timestamp`.
+the first simulate window) is checked only when a stage asks for it.
 """
 
 import os
@@ -25,8 +24,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .ingest import (IngestError, canonical_hours, format_timestamp,
-                     format_timestamps, parse_timestamp)
+from .ingest import (IngestError, format_timestamp, format_timestamps,
+                     parse_timestamp)
 from .mdp import CostSpec, StateSpace
 from .qfr import FourierDesign
 from .regimes import GROUPINGS
@@ -117,18 +116,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _merge(base, override, path):
+def _merge(base, override, path, defaults=DEFAULTS):
+    """`override` over `base`, whose keys' defaults are `defaults`."""
     merged = dict(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"{path}: unknown key {key!r}")
         name = f"{path}.{key}"
-        if isinstance(base[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{name}: expected a section")
-            value = _merge(base[key], value, name)
-        elif _is_number(base[key]) and not _is_number(value):
+            value = _merge(base[key], value, name, default)
+        elif _is_number(default) and not _is_number(value):
             raise ConfigError(f"{name}: expected a number, got {value!r}")
+        elif isinstance(default, int) and not isinstance(value, int):
+            raise ConfigError(f"{name}: expected an integer, got {value!r}")
         merged[key] = value
     return merged
 
@@ -148,28 +151,8 @@ def _env_overrides(environ):
             yield value
 
 
-def _stamps(raw):
-    """Every text that _validate reads as a timestamp: the window ends and
-    an explicit mdp.planning_day's midnight."""
-    for kind in ("train", "simulate"):
-        entries = raw["windows"][kind]
-        for entry in entries if isinstance(entries, (list, tuple)) else ():
-            if isinstance(entry, (list, tuple)):
-                yield from (end for end in entry if isinstance(end, str))
-    if raw["mdp"]["planning_day"] is not None:
-        yield f"{raw['mdp']['planning_day']}T00:00:00Z"
-
-
-def _hour(text, known) -> int:
-    """parse_timestamp(text), taken from `known` when the bulk pass
-    decoded it; lenient and bad stamps go through parse_timestamp."""
-    hour = known.get(text)
-    return parse_timestamp(text) if hour is None else hour
-
-
-def _windows(raw, kind, known) -> list:
-    """windows.<kind> in config order, as (first hour, last hour, text);
-    `known` holds the canonical stamps' hours."""
+def _windows(raw, kind) -> list:
+    """windows.<kind> in config order, as (first hour, last hour, text)."""
     entries = raw["windows"][kind]
     if not isinstance(entries, (list, tuple)):
         raise ConfigError(f"windows.{kind} must be a list of [start, end]")
@@ -181,7 +164,7 @@ def _windows(raw, kind, known) -> list:
                               "[start, end] as two quoted ISO timestamps")
         text = "..".join(entry)
         try:
-            first, last = (_hour(end, known) for end in entry)
+            first, last = map(parse_timestamp, entry)
         except IngestError as exc:
             raise ConfigError(f"windows.{kind} {text}: {exc}") from None
         if last < first:
@@ -240,15 +223,17 @@ class RunConfig:
             raise ConfigError(f"unknown chain grouping {raw['chain']['grouping']!r}")
         if raw["mdp"]["planning_cycle"] not in ("day", "window"):
             raise ConfigError("mdp.planning_cycle must be 'day' or 'window'")
-        known = canonical_hours(_stamps(raw))
-        train = sorted(_windows(raw, "train", known))
+        train = sorted(_windows(raw, "train"))
         for (_, last, text), (first, _, later) in zip(train, train[1:]):
             if first <= last:
                 raise ConfigError(f"windows.train {text} and {later} overlap")
-        simulate = _windows(raw, "simulate", known)
+        simulate = _windows(raw, "simulate")
         start_day = {}
         starts = format_timestamps([first for first, _, _ in simulate])
-        for (_, _, text), start in zip(simulate, starts):
+        for (first, last, text), start in zip(simulate, starts):
+            if (last + 1 - first) % 24:
+                raise ConfigError(f"windows.simulate {text} is {last + 1 - first}"
+                                  " h long, not a whole number of days")
             day = start[:10]
             if day in start_day:
                 raise ConfigError(
@@ -261,7 +246,7 @@ class RunConfig:
         day = raw["mdp"]["planning_day"]
         try:
             self._planning_day = (None if day is None
-                                  else _hour(f"{day}T00:00:00Z", known))
+                                  else parse_timestamp(f"{day}T00:00:00Z"))
         except IngestError:
             raise ConfigError(f"mdp.planning_day {day!r} is not a "
                               "YYYY-MM-DD date") from None

@@ -5,10 +5,12 @@ which keeps calendar lookups (hour of day, month) and Fourier phases exact.
 
 CSV format: UTF-8 `timestamp,value` records, one per line, with an optional
 header whose first field is `timestamp` on line 1; blank lines are skipped.
-A timestamp is an ISO-8601 UTC hour, `YYYY-MM-DDTHH:00:00Z`, or any form
-`strptime` accepts for that format, such as `2024-7-5T5:00:00Z`. A value
-is anything `float` accepts that is finite, and for a workload also a
-non-negative integer.
+A timestamp is an ISO-8601 UTC hour of a year 1-9999: the canonical
+`YYYY-MM-DDTHH:00:00Z`, read from its digits through one regex, or any
+other form `strptime` accepts for that format, such as `2024-7-5T5:00:00Z`.
+`format_timestamps` writes canonical stamps, zero-padding every year, so
+every such hour round-trips. A value is anything `float` accepts that is
+finite, and for a workload also a non-negative integer.
 
 `load_series` parses a file in one bulk pass over its bytes. It finds the
 separators with NumPy, decodes canonical stamps (`_stamp_hours`) and
@@ -40,6 +42,7 @@ import enum
 import io
 import math
 import os
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -49,7 +52,9 @@ from .artifacts import atomic_writer
 
 MAX_GAP_HOURS = 3
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-_CANONICAL = "YYYY-MM-DDTHH:00:00Z"  # Y, M, D and H are digits
+_CANONICAL = "YYYY-MM-DDTHH:00:00Z"  # Y, M, D and H are ASCII digits
+_CANONICAL_RE = re.compile(
+    re.sub("[YMDH]+", lambda run: f"([0-9]{{{len(run[0])}}})", _CANONICAL))
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _CACHE_MAGIC = b"coolsched-series-v1"
 
@@ -70,8 +75,10 @@ class SeriesKind(enum.Enum):
 
 def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 UTC timestamp on the hour into hours since epoch."""
+    canonical = _CANONICAL_RE.fullmatch(text)
     try:
-        dt = datetime.strptime(text, _TS_FORMAT)
+        dt = (datetime(*map(int, canonical.groups())) if canonical
+              else datetime.strptime(text, _TS_FORMAT))
     except ValueError:
         raise IngestError(f"bad timestamp {text!r}, expected YYYY-MM-DDTHH:00:00Z")
     if dt.minute != 0 or dt.second != 0:
@@ -111,40 +118,15 @@ def _stamp_hours(buf, starts):
     return (era * 146097 + doe - 719468) * 24 + hour, ok
 
 
-def canonical_hours(texts) -> dict:
-    """{text: hours since epoch} of the canonical stamps among `texts`,
-    decoded in one `_stamp_hours` pass. Any other text, a lenient form or
-    a bad stamp, is left out for `parse_timestamp` to accept or refuse."""
-    stamps = [text for text in texts
-              if len(text) == len(_CANONICAL) and text.isascii()]
-    if not stamps:
-        return {}
-    buf = np.frombuffer("".join(stamps).encode("ascii"), dtype=np.uint8)
-    hours, ok = _stamp_hours(buf, np.arange(0, buf.size, len(_CANONICAL)))
-    return {text: hour for text, hour, good
-            in zip(stamps, hours.tolist(), ok.tolist()) if good}
+def format_timestamps(hours) -> list:
+    """The canonical stamp of each hour since epoch, every year zero-padded."""
+    hours = np.asarray(hours, dtype=np.int64).astype("datetime64[h]")
+    return [text + "Z" for text in
+            np.datetime_as_string(hours, unit="s").tolist()]
 
 
 def format_timestamp(hour: int) -> str:
-    dt = datetime.fromtimestamp(int(hour) * 3600, tz=timezone.utc)
-    return dt.strftime(_TS_FORMAT)
-
-
-# Hours of years 1000-9999, where NumPy's ISO text equals strftime's (which
-# does not zero-pad earlier years).
-_FOUR_DIGIT_YEARS = (np.datetime64("1000-01-01T00", "h").astype(np.int64),
-                     np.datetime64("9999-12-31T23", "h").astype(np.int64))
-
-
-def format_timestamps(hours) -> list:
-    """`format_timestamp` of each hour, formatting four-digit years in bulk."""
-    hours = np.asarray(hours, dtype=np.int64)
-    texts = np.datetime_as_string(hours.astype("datetime64[h]"), unit="s")
-    stamps = [text + "Z" for text in texts.tolist()]
-    lo, hi = _FOUR_DIGIT_YEARS
-    for i in np.flatnonzero((hours < lo) | (hours > hi)).tolist():
-        stamps[i] = format_timestamp(hours[i])
-    return stamps
+    return format_timestamps([hour])[0]
 
 
 @dataclass

@@ -512,8 +512,12 @@ def test_planning_day_outside_first_window_fails(pipeline, tmp_path, capsys):
                                   "2024-07-16T11:00:00Z"]],
      "windows.simulate 2024-07-15T00:00:00Z..2024-07-18T23:00:00Z and "
      "2024-07-15T12:00:00Z..2024-07-16T11:00:00Z both start on 2024-07-15"),
+    ("simulate", [ph.SIM_WINDOW, ["2024-07-19T00:00:00Z",
+                                  "2024-07-20T05:00:00Z"]],
+     "windows.simulate 2024-07-19T00:00:00Z..2024-07-20T05:00:00Z is 30 h "
+     "long, not a whole number of days"),
 ], ids=["overlap", "end-before-start", "three-stamps", "unquoted-stamp",
-        "bad-stamp", "same-start-day"])
+        "bad-stamp", "same-start-day", "partial-day"])
 def test_bad_windows_fail_at_load(tmp_path, capsys, kind, windows, named):
     # every stage resolves the windows when it loads the config, so even
     # fit-qfr, which reads no simulate window, refuses a bad one
@@ -526,10 +530,11 @@ def test_bad_windows_fail_at_load(tmp_path, capsys, kind, windows, named):
         with open(config, "w", encoding="utf-8") as fh:
             fh.write(text.replace("'2023-06-01T00:00:00Z'",
                                   "2023-06-01T00:00:00Z"))
-    assert cli.main(["fit-qfr", "--config", config]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
-    assert not (tmp_path / "out").exists()
+    for command in cli.COMMANDS:
+        assert cli.main([command, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_bad_planning_day_fails_at_load(tmp_path, capsys):
@@ -543,9 +548,9 @@ def test_bad_planning_day_fails_at_load(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-def test_config_stamps_decode_in_one_pass(tmp_path, monkeypatch):
-    # canonical window ends and the planning day decode in one bulk pass; a
-    # lenient stamp, and every error, go through parse_timestamp
+def test_config_stamps_go_through_parse_timestamp(tmp_path, monkeypatch):
+    # every window end and the planning day, canonical or lenient, go
+    # through parse_timestamp, which also words every error
     lenient = "2023-6-1T0:00:00Z"
     second = ["2024-07-19T00:00:00Z", "2024-07-19T23:00:00Z"]
     config = ph.make_project(str(tmp_path), windows={
@@ -559,7 +564,8 @@ def test_config_stamps_decode_in_one_pass(tmp_path, monkeypatch):
 
     monkeypatch.setattr(config_module, "parse_timestamp", parse_timestamp)
     cfg = RunConfig.from_file(config)
-    assert parsed == [lenient]
+    assert parsed == [lenient, ph.TRAIN_WINDOW[1], *ph.SIM_WINDOW, *second,
+                      f"{ph.PLANNING_DAY}T00:00:00Z"]
     hours = [tuple(map(ingest.parse_timestamp, window))
              for window in (ph.TRAIN_WINDOW, ph.SIM_WINDOW, second)]
     assert cfg.train_windows == hours[:1]
@@ -624,12 +630,28 @@ def test_stages_need_their_windows(tmp_path, capsys):
     ("", {"COOLSCHED_QFR__REGIMES": "three"},
      "env.qfr.regimes: expected a number, got 'three'"),
     ("", {"COOLSCHED_QFR__TYPO": "3"}, "env.qfr: unknown key 'typo'"),
+    ("qfr: {daily_harmonics: 2.5}", {},
+     "config.qfr.daily_harmonics: expected an integer, got 2.5"),
+    ("qfr: {regimes: 3.0}", {},
+     "config.qfr.regimes: expected an integer, got 3.0"),
+    ("chillers: {count: 4.5}", {},
+     "config.chillers.count: expected an integer, got 4.5"),
+    ("heat_load: {synth_base_cores: 5.0e+4}", {},
+     "config.heat_load.synth_base_cores: expected an integer, got 50000.0"),
+    ("fixed_rule: {precool_end: 4.0}", {},
+     "config.fixed_rule.precool_end: expected an integer, got 4.0"),
+    ("seed: 1.5", {}, "config.seed: expected an integer, got 1.5"),
+    ("", {"COOLSCHED_QFR__SEASONAL_HARMONICS": "2.0"},
+     "env.qfr.seasonal_harmonics: expected an integer, got 2.0"),
 ], ids=["string-float", "word-float", "word-alpha", "bool-int", "env-section",
-        "env-word-int", "env-unknown-key"])
+        "env-word-int", "env-unknown-key", "float-harmonics", "float-regimes",
+        "float-count", "float-cores", "float-hour", "float-seed",
+        "env-float-int"])
 def test_config_values_are_checked_at_load(tmp_path, monkeypatch, capsys,
                                            text, environ, named):
     # the environment merges over the file as the file merges over the
-    # defaults, and a number's key takes only a number
+    # defaults, a number's key takes only a number, and an integer's only
+    # an integer
     # PyYAML reads 3.0e9 as a string: a YAML 1.1 float needs a signed exponent
     config = ph.write_config(str(tmp_path), ph.base_config(
         str(tmp_path), **(yaml.safe_load(text) or {})))
@@ -714,20 +736,32 @@ def test_export_plot_data_needs_no_price_archive(pipeline, tmp_path):
 
 
 def test_export_plot_data_checks_the_day(pipeline, tmp_path, capsys):
-    # fig3 reads the day's rows at their offset in the first simulate window
+    # fig3 reads the day's rows at their offset in the first simulate
+    # window; every refusal comes before any figure is written
     root, _, _ = pipeline
     shutil.copytree(root, tmp_path, dirs_exist_ok=True)
     config = str(tmp_path / "config.yaml")
-    for day in ("2024-07-14", "2024-07-19"):
+    figures = [tmp_path / "out" / name for name in (
+        "fig1_quantile_surfaces.csv", "fig2_policy_day.csv",
+        "fig3_day_traces.csv", "fig4_cost_comparison.csv")]
+    for figure in figures:
+        figure.unlink()
+    for day, named in (
+            ("2024-07-14", "not inside the first simulate window"),
+            ("2024-07-19", "not inside the first simulate window"),
+            ("2023-07-01", "not inside the first simulate window"),
+            ("2024-13-01", "error: --day '2024-13-01' is not a YYYY-MM-DD date\n")):
         assert cli.main(["export-plot-data", "--config", config,
                          "--day", day]) == 2
-        assert "not inside the first simulate window" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+    assert not any(figure.exists() for figure in figures)
     # a trajectory one row short no longer has the day at that offset
     path = tmp_path / "out" / "trajectory_greedy_2024-07-15.csv"
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join(lines[:1] + lines[2:]))
     assert cli.main(["export-plot-data", "--config", config]) == 2
     assert "re-run simulate" in capsys.readouterr().err
+    assert not any(figure.exists() for figure in figures)
 
 
 def test_export_plot_data_refuses_a_day_past_the_window(pipeline, tmp_path,
@@ -866,6 +900,12 @@ def test_config_defaults_and_validation(tmp_path):
     assert cfg.planning_cost.t_max == pytest.approx(26.5)
     with pytest.raises(ConfigError):
         RunConfig.from_file(str(tmp_path / "nope.yaml"))
+    # a key's default decides what it takes: a float's key takes an integer
+    # in the file, and a float over that integer from the environment
+    doc = ph.base_config(str(tmp_path), facility={"floor_area_m2": 3000})
+    cfg = RunConfig.from_file(ph.write_config(str(tmp_path), doc, "int.yaml"),
+                              {"COOLSCHED_FACILITY__FLOOR_AREA_M2": "3000.5"})
+    assert cfg.facility.floor_area == 3000.5
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -939,6 +979,23 @@ def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
     assert lines[-1] == "0 False"
     assert (tmp_path / "policy.json").read_bytes() == \
         ph.read_tree_bytes(out)["policy.json"]
+
+
+def test_stages_never_load_strptime(pipeline, tmp_path):
+    # every stamp the six stages read is canonical, so each goes through the
+    # regex or the bulk decoder and a fresh interpreter never imports
+    # _strptime; the outputs are the fixture's
+    root, out, config = pipeline
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; from coolsched import cli; "
+            "codes = [cli.main([c, *sys.argv[1:]]) for c in cli.COMMANDS]; "
+            "print(codes, '_strptime' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", code, "--config", config, "--out", str(tmp_path)],
+        cwd=root, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120, check=True)
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
+    assert ph.read_tree_bytes(tmp_path) == ph.read_tree_bytes(out)
 
 
 def test_import_loads_numpy_with_one_blas_thread():

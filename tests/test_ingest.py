@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
                               IngestError, SeriesKind, TimeSeries, _fill_gaps,
-                              align, cache_file, canonical_hours,
-                              format_timestamp, format_timestamps, load_series,
+                              align, cache_file, format_timestamp,
+                              format_timestamps, load_series,
                               parse_timestamp, synth_prices,
                               synth_temperature, synth_workload, write_series)
 
@@ -34,13 +34,27 @@ def test_parse_rejects_off_hour():
         parse_timestamp("2024-07-15T13:30:00Z")
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_FIRST_HOUR = parse_timestamp("0001-01-01T00:00:00Z")
+_LAST_HOUR = parse_timestamp("9999-12-31T23:00:00Z")
+
+
+def _stamp(hour):
+    """Canonical stamp of an hour, with the year zero-padded below 1000."""
+    dt = _EPOCH + timedelta(hours=hour)
+    return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:00:00Z"
+
+
 def _strptime_hours(text):
     dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
     return int(dt.replace(tzinfo=timezone.utc).timestamp()) // 3600
 
 
-@given(st.integers(0, 200 * 8766))
+@given(st.integers(_FIRST_HOUR, _LAST_HOUR))
+@example(parse_timestamp("0999-12-31T23:00:00Z"))
 def test_parse_matches_strptime(hour):
+    # every year 1-9999 formats zero-padded and parses back through the
+    # canonical regex to strptime's hour
     text = format_timestamp(hour)
     assert parse_timestamp(text) == _strptime_hours(text) == hour
 
@@ -184,17 +198,6 @@ def _load_series_loop(path, kind):
         kept_line = lineno
     hours, values = _fill_gaps(np.array(hours), np.array(values), kind)
     return TimeSeries(hours, values, kind)
-
-
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_FIRST_HOUR = parse_timestamp("0001-01-01T00:00:00Z")
-_LAST_HOUR = parse_timestamp("9999-12-31T23:00:00Z")
-
-
-def _stamp(hour):
-    """Canonical stamp of an hour, with the year zero-padded below 1000."""
-    dt = _EPOCH + timedelta(hours=hour)
-    return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:00:00Z"
 
 
 # hours just before a leap day (or its absence), the calendar's ends and the epoch
@@ -341,25 +344,34 @@ def test_parse_timestamps_matches_scalar(csv_path, good, odd):
             == _stamp_outcomes(_load_series_loop, csv_path, texts))
 
 
-def _scalar_hour(text):
+def _parse_outcome(text):
     try:
         return parse_timestamp(text)
-    except IngestError:
-        return None
+    except IngestError as exc:
+        return str(exc)
+
+
+def _strptime_outcome(text):
+    """What parse_timestamp makes of `text`, by strptime alone."""
+    try:
+        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+    except ValueError:
+        return f"bad timestamp {text!r}, expected YYYY-MM-DDTHH:00:00Z"
+    if dt.minute or dt.second:
+        return f"timestamp {text!r} is not on the hour"
+    return _strptime_hours(text)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(_STAMP_FORMS),
                           st.integers(_FIRST_HOUR, _LAST_HOUR)), max_size=8),
        st.lists(st.sampled_from(_BAD_STAMPS), max_size=3))
-def test_canonical_hours_match_scalar(forms, bad):
-    # the bulk pass decodes exactly the canonical stamps, to parse_timestamp's
-    # hours; every other text is left for parse_timestamp
+def test_parse_timestamp_forms_match_strptime(forms, bad):
+    # canonical stamps take the regex path and every other form strptime;
+    # both give strptime's hour, and refuse alike what strptime refuses
     texts = [form(hour) for form, hour in forms] + bad
-    scalar = {text: _scalar_hour(text) for text in texts}
-    assert canonical_hours(texts) == {
-        text: hour for text, hour in scalar.items()
-        if hour is not None and text == _stamp(hour)}
+    assert ([_parse_outcome(text) for text in texts]
+            == [_strptime_outcome(text) for text in texts])
 
 
 @settings(max_examples=100, deadline=None)
@@ -367,9 +379,9 @@ def test_canonical_hours_match_scalar(forms, bad):
 @example([_FIRST_HOUR, parse_timestamp("0999-12-31T23:00:00Z"),
           parse_timestamp("1000-01-01T00:00:00Z"), -1, 0, _LAST_HOUR])
 def test_format_timestamps_matches_scalar(hours):
-    # years before 1000 are not zero-padded by strftime, so they take the
-    # scalar path
-    assert format_timestamps(hours) == [format_timestamp(h) for h in hours]
+    # every year is zero-padded, the years before 1000 too
+    assert format_timestamps(hours) == [_stamp(h) for h in hours]
+    assert [format_timestamp(h) for h in hours] == [_stamp(h) for h in hours]
 
 
 def test_load_names_bad_line(tmp_path):
@@ -472,16 +484,18 @@ def test_workload_interpolation_stays_integral(tmp_path):
 
 
 def test_write_read_round_trip_bit_exact(tmp_path):
+    # a series that runs from year 999 into 1000 reloads too: write_series
+    # zero-pads every year
     rng = np.random.default_rng(3)
-    hours = np.arange(parse_timestamp("2024-06-01T00:00:00Z"),
-                      parse_timestamp("2024-06-01T00:00:00Z") + 200)
-    values = rng.uniform(-50, 300, 200)
-    ts = TimeSeries(hours, values, SeriesKind.PRICE)
-    path = tmp_path / "round.csv"
-    write_series(ts, path)
-    back = load_series(path, SeriesKind.PRICE)
-    assert np.array_equal(back.hours, ts.hours)
-    assert np.array_equal(back.values, ts.values)  # bit-exact
+    for start in ("2024-06-01T00:00:00Z", "0999-12-31T00:00:00Z"):
+        hours = np.arange(parse_timestamp(start), parse_timestamp(start) + 200)
+        values = rng.uniform(-50, 300, 200)
+        ts = TimeSeries(hours, values, SeriesKind.PRICE)
+        path = tmp_path / "round.csv"
+        write_series(ts, path)
+        back = load_series(path, SeriesKind.PRICE)
+        assert np.array_equal(back.hours, ts.hours)
+        assert np.array_equal(back.values, ts.values)  # bit-exact
 
 
 def _window(start, end):
