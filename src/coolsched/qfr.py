@@ -355,13 +355,15 @@ def _vertex(X, y, b, beta):
 def _dual_simplex(X, y, tau):
     """The bounded dual solved by HiGHS; its equality marginals are -beta.
 
-    HiGHS's tolerances are absolute: its 1e-7 dual feasibility tolerance
-    is negligible in price units, but prices that all lie within about
-    that of each other would read as ties, and any vertex would pass as
-    optimal. So the prices go in as z = (y - c) / h, centred, and scaled
-    up to a half-range of at least one. Since X's first column is all
-    ones, 1'd = (1 - tau) n is fixed, the optimal d is the same for z as
-    for y, and beta = h beta_z + c e_0.
+    HiGHS's tolerances are absolute, and at their 1e-7 default two prices
+    within about that of each other read as tied, so any vertex between
+    them passes as optimal: on two clusters of prices each 2e-7 wide, the
+    vertex HiGHS stops at can lose to the constant quantile. So both
+    feasibility tolerances are at their 1e-10 floor, and the prices go in
+    as z = (y - c) / h, centred, and scaled up to a half-range of at least
+    one, so that a tiny spread does not fall under them either. Since X's
+    first column is all ones, 1'd = (1 - tau) n is fixed, the optimal d is
+    the same for z as for y, and beta = h beta_z + c e_0.
     """
     # imported here so that a fit whose vertices are all certified, and the
     # stages that only classify, do not load scipy
@@ -372,7 +374,9 @@ def _dual_simplex(X, y, tau):
     # d = 1 - tau is feasible and 0 <= d <= 1 bounds the objective, so
     # the dual always has an optimum; presolve only slows this dense LP.
     res = linprog(-(y - c) / h, A_eq=X.T, b_eq=(1.0 - tau) * X.sum(axis=0),
-                  bounds=(0, 1), method="highs-ds", options={"presolve": False})
+                  bounds=(0, 1), method="highs-ds",
+                  options={"presolve": False, "dual_feasibility_tolerance": 1e-10,
+                           "primal_feasibility_tolerance": 1e-10})
     if not res.success:
         raise FitError(f"quantile LP failed: {res.message}")
     beta = -h * res.eqlin.marginals

@@ -87,8 +87,28 @@ def quantile_problems(draw):
     return hours, prices, tau, design
 
 
+def _near_tied_clusters(prices):
+    """Intercept-only 0.75 quantile of ten prices in two clusters, at 40
+    and 50, each about 2e-7 wide: the vertex has a price within TIE_TOL on
+    its curve, so the fit goes to HiGHS, whose default 1e-7 tolerances
+    read the cluster's prices as tied."""
+    return (np.arange(0, 10_000, 1_000), np.array(prices), 0.75,
+            FourierDesign(daily_harmonics=0, seasonal_harmonics=0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(quantile_problems())
+# the optimum is tied with the 7th price; HiGHS's vertex lost to the constant
+@example(_near_tied_clusters(
+    [49.99999992993054, 50.000000113374774, 50.00000007006946,
+     39.999999886625226, 50.00000007006946, 40.000000113374774, 50.0,
+     40.00000007006946, 39.999999886625226, 50.000000113374774]))
+# HiGHS's vertex was one price off the unique optimum
+@example(_near_tied_clusters(
+    [39.99999994827703, 50.00000005172297, 49.99999994827703,
+     40.00000009320158, 39.99999990679842, 49.99999988377954,
+     40.00000009320158, 49.99999990679842, 40.00000005172297,
+     39.99999988377954]))
 def test_dual_fit_matches_primal_reference(problem):
     hours, prices, tau, design = problem
     dual = fit_quantile(hours, prices, tau, design)
