@@ -16,7 +16,8 @@ windows are sorted and must not overlap; a simulate window holds whole
 days, and no two simulate windows may start on one UTC day, whose
 trajectory files would collide. An explicit mdp.planning_day is parsed at
 load as well, so a bad one fails every stage; the derived one (July 15 of
-the first simulate window) is checked only when a stage asks for it.
+the first simulate window) is checked only when a stage asks for it. The
+fixed rule's hours and the synthetic load's amplitude are checked at load.
 """
 
 import os
@@ -216,6 +217,14 @@ class RunConfig:
                  self.design, self.planning_cost)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        rule = raw["fixed_rule"]
+        for first, last in (("peak_start", "peak_end"), ("precool_start", "precool_end")):
+            if not 0 <= rule[first] < rule[last] <= 24:
+                raise ConfigError(f"fixed_rule: need 0 <= {first} < {last} <= 24, "
+                                  f"got {rule[first]} and {rule[last]}")
+        amplitude = raw["heat_load"]["synth_amplitude"]
+        if not 0 <= amplitude <= 1:
+            raise ConfigError(f"heat_load.synth_amplitude must be in [0, 1], got {amplitude!r}")
         for name in raw["controllers"]:
             if name not in KNOWN_CONTROLLERS:
                 raise ConfigError(f"unknown controller {name!r}")

@@ -2,18 +2,17 @@
 
 Prices are fit at several quantile levels with sinusoidal regressors at the
 daily and yearly periods. Each level is the bounded dual LP of the pinball
-loss, which a Frisch-Newton interior point solves in two tiers (see
-`_fit_levels`): from 160 observations per feature on, first on the 32 per
-feature nearest a smoothed-loss curve, then on all of them, where a level
-that the batch leaves uncertified is solved again alone; HiGHS's dual
-simplex solves what is left. A level's exact vertex is rebuilt from its
-sorted basis and kept when a certificate, checked against every
-observation, shows it is the unique optimum, so neither the iterates'
-rounding nor the rows a solve used reach an output bit unless they change
-the basis. The fitted curves split the price axis into M bands per hour; a
-realized price's band is its regime, and a price within TIE_TOL (relative)
-of a boundary is on it. Band boundaries sit at levels j/M and each band
-carries a representative curve at its mid level.
+loss, which one Frisch-Newton interior point solves in up to two passes
+(see `_fit_levels`): on the 32 observations per feature nearest a
+smoothed-loss curve, then on all of them for the levels the first pass
+leaves uncertified; HiGHS's dual simplex solves what is left. A level's
+exact vertex is rebuilt from its sorted basis and kept when a certificate,
+checked against every observation, shows it is the unique optimum, so
+neither the iterates' rounding nor the rows a solve used reach an output
+bit unless they change the basis. The fitted curves split the price axis
+into M bands per hour; a realized price's band is its regime, and a price
+within TIE_TOL (relative) of a boundary is on it. Band boundaries sit at
+levels j/M and each band carries a representative curve at its mid level.
 """
 
 from dataclasses import dataclass, field, fields
@@ -88,9 +87,10 @@ class QuantileFit:
 # Frisch-Newton interior point (Portnoy & Koenker 1997): the share of the
 # way to the nearest bound (d, 1 - d, z, w >= 0) that a step may go, the
 # duality gap relative to 1 + |y'd| at which a level stops, and the
-# iteration cap.
+# iteration cap. At 1e-10 an all-rows solve could stop too far from a
+# vertex with a basic d within 5e-5 of a bound to name its basis.
 _STEP = 0.99995
-_GAP_TOL = 1e-10
+_GAP_TOL = 1e-11
 _MAX_ITER = 50
 # A row whose part outside the span of the rows already in the basis is
 # below this share of its norm depends on them (a repeated design row).
@@ -100,12 +100,8 @@ _RANK_TOL = 1e-9
 # condition number, reach about 6e-9 at paper scale (n = 6624); on the
 # bound, the vertex need not be the only optimum.
 _CERT_TOL = 1e-7
-# Near-curve solve, per feature: the fewest rows at which it runs, the
-# band's rows, and the most rows left in a level's quadratic zone when its
-# smoothing stops. At 11 features the near-curve fit (smoothing, 352-row
-# band, all-row certificate) is as fast as the all-rows one at about 1,800
-# rows and faster above.
-_NEAR_MIN_ROWS = 160
+# Near-curve solve, per feature: the band's rows, and the most rows left
+# in a level's quadratic zone when its smoothing stops.
 _BAND_ROWS = 32
 _STOP_ROWS = 8
 # Smoothing: the start width as a quantile of |residual|, the step cap,
@@ -120,12 +116,6 @@ def _step(shrink):
     """Per level, the step a <= 1 that goes _STEP of the way to the first
     bound that v + a dv reaches, from shrink, the largest -dv / v."""
     return _STEP / np.maximum(shrink, _STEP)
-
-
-def _per_level(a, m):
-    """a[t] @ m for a design m shared by all levels, a[t] @ m[t] for one
-    (levels, rows, cols) stack of them."""
-    return a @ m if m.ndim == 2 else np.matmul(a[:, None, :], m)[:, 0]
 
 
 def _triangles(X):
@@ -144,24 +134,24 @@ def _triangles(X):
     return tri
 
 
-def _frisch_newton(X, y, taus, beta=None):
+def _frisch_newton(X, y, taus, beta):
     """Interior-point solution of the bounded dual for each level.
 
     Mehrotra predictor-corrector on max y'd s.t. X'd = (1 - tau) X'1,
     0 <= d <= 1, with s = 1 - d and dual slacks z, w >= 0 on
     y - X beta = w - z (Koenker 2005, chapter 6), all levels as one
-    (T, n) iterate. X (n, k) and y (n,) are either shared by every level
-    or stacked per level as (T, n, k) and (T, n): the near-curve problems
-    of `_near_curve`, whose last two rows are its globs. A glob's price is
-    far beyond every fitted value, so its terms are left out of the gap's
-    scale 1 + |y'd|; they would loosen the stop by about G / |y'd|, and
-    the iterate would then end too far from the vertex to name its basis.
-    The start is d = 1 - tau with the residual of `beta` (T, k), by
-    default the least-squares fit, split into z and w: feasible for every
-    design, since a glob row sums the rows it stands for, and Newton steps
-    keep it so. Returns the (T, k) coefficients, with NaN rows for the
-    levels whose gap stays open within _MAX_ITER iterations or whose
-    normal equations turn singular (a singular one stops the whole batch).
+    (T, n) iterate. X (T, n, k) and y (T, n) are the levels' problems as
+    `_near_curve` stacks them, whose last two rows are its globs (zero
+    rows when the band holds every row). A glob's price is far beyond
+    every fitted value, so its terms are left out of the gap's scale
+    1 + |y'd|; they would loosen the stop by about G / |y'd|, and the
+    iterate would then end too far from the vertex to name its basis. The
+    start is d = 1 - tau with the residual of the caller's `beta` (T, k)
+    split into z and w: feasible for every design, since a glob row sums
+    the rows it stands for, and Newton steps keep it so. Returns the
+    (T, k) coefficients, with NaN rows for the levels whose gap stays open
+    within _MAX_ITER iterations or whose normal equations turn singular (a
+    singular one stops the whole batch).
 
     Each iteration forms every level's X' diag(q) X from one product with
     a table of the rows' upper triangles of x_i x_i' (n by k(k+1)/2), and
@@ -172,7 +162,7 @@ def _frisch_newton(X, y, taus, beta=None):
     the fit, so the output holds while each level certifies the same
     basis.
     """
-    n, k = X.shape[-2:]
+    n, k = X.shape[1:]
     taus = np.asarray(taus, dtype=float)
     coef = np.full((len(taus), k), np.nan)
     xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
@@ -183,13 +173,8 @@ def _frisch_newton(X, y, taus, beta=None):
     mirror = np.empty((k, k), dtype=np.intp)
     mirror[upper] = mirror[upper[::-1]] = np.arange(len(upper[0]))
     # d = 1 - tau, and beta's residual split
-    if beta is None:
-        beta = np.linalg.lstsq(X, y, rcond=None)[0]
-        r = y - X @ beta
-        beta = np.repeat(beta[None, :], len(taus), axis=0)
-    else:
-        beta = np.array(beta, dtype=float)
-        r = y - _per_level(beta, xt)
+    beta = np.array(beta, dtype=float)
+    r = y - np.matmul(beta[:, None, :], xt)[:, 0]
     r += 1e-3 * (r == 0)  # a zero residual would start both z and w at 0
     live = np.arange(len(taus))
     # the iterate (d, s, z, w), then scratch
@@ -208,17 +193,14 @@ def _frisch_newton(X, y, taus, beta=None):
             np.multiply(z, inv_d, out=zd)
             np.multiply(w, inv_s, out=ws)
             np.reciprocal(np.add(zd, ws, out=q), out=q)
-            normal = np.take(_per_level(q, tri), mirror, axis=1)
+            normal = np.take(np.matmul(q[:, None, :], tri)[:, 0], mirror, axis=1)
             np.subtract(w, z, out=r)
 
             def newton(rhs):
                 # dbeta from (X'QX) dbeta = X'Q rhs, then dd = q (rhs - X dbeta)
-                xq = _per_level(np.multiply(q, rhs, out=tmp), X)
+                xq = np.matmul(np.multiply(q, rhs, out=tmp)[:, None, :], X)[:, 0]
                 db = np.linalg.solve(normal, xq[:, :, None])[:, :, 0]
-                if xt.ndim == 2:
-                    np.matmul(db, xt, out=dd)
-                else:
-                    np.matmul(db[:, None, :], xt, out=dd[:, None, :])
+                np.matmul(db[:, None, :], xt, out=dd[:, None, :])
                 np.subtract(rhs, dd, out=dd)
                 np.multiply(dd, q, out=dd)
                 return db
@@ -275,7 +257,7 @@ def _frisch_newton(X, y, taus, beta=None):
             # the cancellation of b'beta + 1'w - y'd; it is the next mu
             gap = np.vecdot(z, d) + np.vecdot(w, s)
             done = gap <= _GAP_TOL * (1.0 + np.abs(
-                d @ y if y.ndim == 1 else np.vecdot(d[:, :-2], y[:, :-2])))
+                np.vecdot(d[:, :-2], y[:, :-2])))
             coef[live[done]] = beta[done]
             keep = ~done & np.isfinite(gap)
             if not keep.any():
@@ -284,8 +266,7 @@ def _frisch_newton(X, y, taus, beta=None):
                 # move the iterates of the levels that go on to the front
                 work[:4, :keep.sum()] = work[:4, :len(live)][:, keep]
                 live, gap, beta = live[keep], gap[keep], beta[keep]
-                if X.ndim == 3:
-                    X, xt, tri, y = X[keep], xt[keep], tri[keep], y[keep]
+                X, xt, tri, y = X[keep], xt[keep], tri[keep], y[keep]
     return coef
 
 
@@ -316,10 +297,10 @@ def _nearest(off, count):
     return rows[np.argsort(off[rows], kind="stable")]
 
 
-def _vertex(X, y, b, beta):
+def _vertex(X, y, b, curve):
     """The optimal vertex next to an interior solution, if certified.
 
-    `b` is (1 - tau) X'1 and `beta` the interior-point coefficients. The
+    `b` is (1 - tau) X'1 and `curve` the interior point's fitted values. The
     basis is the k independent rows of smallest |residual|, and the
     vertex the curve through their prices. It is accepted when no other
     price lies on it and the dual values it implies are inside (0, 1) by
@@ -330,7 +311,7 @@ def _vertex(X, y, b, beta):
     a stable argsort of |residual|, of which `_nearest` gives the first
     4k or more; the full sort is made only when those hold no basis.
     """
-    off = np.abs(y - X @ beta)
+    off = np.abs(y - curve)
     basis = _basis_rows(X, _nearest(off, 4 * X.shape[1]))
     if basis is None:
         basis = _basis_rows(X, np.argsort(off, kind="stable"))
@@ -352,18 +333,32 @@ def _vertex(X, y, b, beta):
     return vertex if np.all((d_h > _CERT_TOL) & (d_h < 1.0 - _CERT_TOL)) else None
 
 
+def _orthonormal(X):
+    """U, an orthonormal basis of X's columns (as np.linalg.matrix_rank
+    counts them), and W with X W = U, from the SVD X = U S V'."""
+    u, sv, vt = np.linalg.svd(X, full_matrices=False)
+    rank = np.sum(sv > sv[0] * max(X.shape) * np.finfo(float).eps)
+    return u[:, :rank], vt[:rank].T / sv[:rank]
+
+
 def _dual_simplex(X, y, tau):
-    """The bounded dual solved by HiGHS; its equality marginals are -beta.
+    """The bounded dual solved by HiGHS; its equality marginals give beta.
 
     HiGHS's tolerances are absolute, and at their 1e-7 default two prices
     within about that of each other read as tied, so any vertex between
     them passes as optimal: on two clusters of prices each 2e-7 wide, the
     vertex HiGHS stops at can lose to the constant quantile. So both
-    feasibility tolerances are at their 1e-10 floor, and the prices go in
-    as z = (y - c) / h, centred, and scaled up to a half-range of at least
-    one, so that a tiny spread does not fall under them either. Since X's
-    first column is all ones, 1'd = (1 - tau) n is fixed, the optimal d is
-    the same for z as for y, and beta = h beta_z + c e_0.
+    feasibility tolerances are first at their 1e-10 floor, and the prices
+    go in as z = (y - c) / h, centred, and scaled up to a half-range of at
+    least one, so that a tiny spread does not fall under them either. Since
+    X's first column is all ones, 1'd = (1 - tau) n is fixed, the optimal d
+    is the same for z as for y, and beta = h beta_z + c e_0.
+
+    At the floor HiGHS may find no optimum. A near-collinear design (the
+    yearly harmonics over one week) then goes in as U'd = (1 - tau) U'1 on
+    its orthonormal basis U, the same LP; on X at the default tolerances
+    its optimum can be several percent off. Prices ranging over 1e6 find
+    none on U either, and go in on X at the default tolerances.
     """
     # imported here so that a fit whose vertices are all certified, and the
     # stages that only classify, do not load scipy
@@ -371,15 +366,21 @@ def _dual_simplex(X, y, tau):
 
     lo, hi = y.min(), y.max()  # lo < hi: constant prices never reach the LP
     c, h = 0.5 * (lo + hi), min(0.5 * (hi - lo), 1.0)
+    # (equality rows, the map from their multipliers to beta, tolerance)
+    solves = ((X, None, 1e-10), (*_orthonormal(X), 1e-10), (X, None, 1e-7))
     # d = 1 - tau is feasible and 0 <= d <= 1 bounds the objective, so
     # the dual always has an optimum; presolve only slows this dense LP.
-    res = linprog(-(y - c) / h, A_eq=X.T, b_eq=(1.0 - tau) * X.sum(axis=0),
-                  bounds=(0, 1), method="highs-ds",
-                  options={"presolve": False, "dual_feasibility_tolerance": 1e-10,
-                           "primal_feasibility_tolerance": 1e-10})
-    if not res.success:
+    for rows, to_beta, tol in solves:
+        res = linprog(-(y - c) / h, A_eq=rows.T, b_eq=(1.0 - tau) * rows.sum(axis=0),
+                      bounds=(0, 1), method="highs-ds",
+                      options={"presolve": False, "dual_feasibility_tolerance": tol,
+                               "primal_feasibility_tolerance": tol})
+        if res.success:
+            break
+    else:
         raise FitError(f"quantile LP failed: {res.message}")
     beta = -h * res.eqlin.marginals
+    beta = beta if to_beta is None else to_beta @ beta
     beta[0] += c
     return beta
 
@@ -548,13 +549,8 @@ def _near_curve(X, y, beta, rows):
 
 
 def band_rows(n: int, k: int) -> int:
-    """Rows of the near-curve band of an n-row, k-feature fit, 32k, or n
-    when n is below 160k rows and the near-curve solve does not pay: at the
-    paper's k = 11, a band of 352 rows from 1,760 rows on, so that a
-    one-summer training set (2,208 rows) takes the band."""
-    if n < _NEAR_MIN_ROWS * k:
-        return n
-    return _BAND_ROWS * k
+    """Rows of the near-curve band of an n-row, k-feature fit: 32k, at most n."""
+    return min(_BAND_ROWS * k, n)
 
 
 def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
@@ -572,22 +568,21 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
     inside (0, 1), clear of round-off, the vertex is the unique optimum and
     is kept.
 
-    Two tiers. From 160 observations per feature on (`band_rows`; 1,760 at
-    k = 11, so a one-summer training set of 2,208 hours), the interior
-    point first runs on a reduced LP: the 32k observations nearest a curve
-    from Newton steps on a smoothed loss (`_smoothed`), with every other
-    d fixed at 1 or 0 by two glob rows (`_near_curve`). The certificate
-    still reads all n observations, so a vertex it accepts is the unique
-    optimum of the whole LP, rebuilt bit for bit from the same sorted basis
-    as the all-rows solve would give. The levels it refuses, and every
-    level of a smaller fit, are solved together on all rows. A batch's
-    products round unlike one level's, and on tied prices that can stop a
-    level where its nearest rows name no certified vertex, so a level the
-    batch leaves uncertified is solved again alone. A level with a
-    rank-deficient design, a tie on its curve, no certificate on all rows
-    or a gap still open at the iteration cap goes to HiGHS's dual simplex.
-    Either way the curve passes through k observations up to round-off
-    (see `classify`).
+    The interior point runs on a reduced LP (`_near_curve`): each level's
+    rows nearest a curve from Newton steps on a smoothed loss
+    (`_smoothed`), with every other d fixed at 1 or 0 by two glob rows.
+    First the band holds 32k rows (`band_rows`), then, for the levels it
+    leaves uncertified, all n, where the globs are empty; a fit of at most
+    32k rows takes the second pass only. Both run on the design's
+    orthonormal basis (`_orthonormal`): over a short span the yearly
+    harmonics are near-collinear with the intercept, and on X the iterate
+    can then miss the vertex. The certificate reads all n observations
+    either way, so a vertex it accepts is the unique optimum of the whole
+    LP, rebuilt bit for bit from the same sorted basis whichever pass found
+    it. A level with a rank-deficient design, a tie on its curve, no
+    certificate on all rows or a gap still open at the iteration cap goes
+    to HiGHS's dual simplex. Either way the curve passes through k
+    observations up to round-off (see `classify`).
     """
     hours = np.asarray(hours, dtype=np.int64)
     y = np.asarray(prices, dtype=float)
@@ -607,28 +602,21 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
     x_sum = X.sum(axis=0)
     taus = np.asarray(taus, dtype=float)
     vertices, rows = [None] * len(taus), [None] * len(taus)
-
-    def certify(levels, interior, used):
-        """Keep each level's certified vertex; returns the levels without one."""
-        for level, coef in zip(levels, interior):
+    U, _ = _orthonormal(X)
+    pending = list(range(len(taus))) if U.shape[1] == k else []
+    # the interior point's coefficients are on U: beta_u = U'X beta
+    beta = _smoothed(X, y, taus, _STOP_ROWS * k) @ (X.T @ U) if pending else None
+    for used in sorted({band_rows(n, k), n}):
+        if not pending:
+            break
+        interior = _frisch_newton(*_near_curve(U, y, beta[pending], used),
+                                  taus[pending], beta[pending])
+        for level, coef in zip(pending, interior):
             if np.all(np.isfinite(coef)):
-                vertices[level] = _vertex(X, y, (1.0 - taus[level]) * x_sum, coef)
+                vertices[level] = _vertex(X, y, (1.0 - taus[level]) * x_sum, U @ coef)
             if vertices[level] is not None:
                 rows[level] = used
-        return [level for level in levels if vertices[level] is None]
-
-    pending = list(range(len(taus))) if np.linalg.matrix_rank(X) == k else []
-    band = band_rows(n, k)
-    if band < n and pending:
-        beta = _smoothed(X, y, taus, _STOP_ROWS * k)
-        pending = certify(pending, _frisch_newton(*_near_curve(X, y, beta, band),
-                                                  taus, beta), band)
-    if pending:
-        batch = pending
-        pending = certify(batch, _frisch_newton(X, y, taus[batch]), n)
-        if len(batch) > 1:
-            for level in pending:
-                certify([level], _frisch_newton(X, y, taus[[level]]), n)
+        pending = [level for level in pending if vertices[level] is None]
     fits = []
     # the constant quantiles, which every fit must beat
     constants = np.quantile(y, taus)

@@ -548,6 +548,22 @@ def test_bad_planning_day_fails_at_load(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"fixed_rule": {"peak_start": 20, "peak_end": 19}},
+     "error: fixed_rule: need 0 <= peak_start < peak_end <= 24, got 20 and 19\n"),
+    ({"heat_load": {"synth_noise": 0.0, "synth_amplitude": 2.0}},
+     "error: heat_load.synth_amplitude must be in [0, 1], got 2.0\n"),
+], ids=["fixed-rule-hours", "synth-amplitude"])
+def test_bad_config_values_fail_at_load(tmp_path, capsys, overrides, named):
+    # checked when the config loads, so every stage names the key before it
+    # makes its out dir, even the stages that never read it
+    config = ph.make_project(str(tmp_path), **overrides)
+    for command in cli.COMMANDS:
+        assert cli.main([command, "--config", config]) == 2
+        assert capsys.readouterr().err == named
+        assert not (tmp_path / "out").exists()
+
+
 def test_config_stamps_go_through_parse_timestamp(tmp_path, monkeypatch):
     # every window end and the planning day, canonical or lenient, go
     # through parse_timestamp, which also words every error
@@ -968,7 +984,7 @@ def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
     # every level of the fixture's fit keeps its interior-point vertex
     lines = stage("fit-qfr")
     assert lines[-3:] == [
-        "near-curve: 3/3 levels certified on 672 of 672 rows, "
+        "near-curve: 3/3 levels certified on 160 of 672 rows, "
         "0 more on all rows",
         "solver: interior-point=3", "0 False"]
     assert (tmp_path / "regime_model.json").read_bytes() == \

@@ -125,6 +125,26 @@ def test_dual_fit_matches_primal_reference(problem):
             classify_series(_one_boundary(primal, design), hours, prices))
 
 
+def test_one_week_fits_reach_the_optimum():
+    # over one week the yearly harmonics are near-collinear with the
+    # intercept (condition number 1.8e7). Both the fit and HiGHS alone
+    # reach each level's optimum: on X itself HiGHS finds none at its
+    # tolerance floor, and within its default tolerances one that can lose
+    # several percent of pinball loss
+    design = FourierDesign()
+    for seed in range(20):
+        series = synth_prices(seed, 168)
+        hours, prices = series.hours, series.values
+        X = design_matrix(hours, design)
+        model = fit_regimes(hours, prices, 4, design)
+        for fit in model.boundary_fits + model.representative_fits:
+            primal, _ = primal_fit(hours, prices, fit.tau, design)
+            best = pinball_loss(prices, X @ primal.coefficients, fit.tau)
+            for coef in (fit.coefficients, qfr._dual_simplex(X, prices, fit.tau)):
+                assert pinball_loss(prices, X @ coef, fit.tau) == \
+                    pytest.approx(best, rel=1e-9)
+
+
 def _labels(fit, design, hours, prices):
     return classify_series(_one_boundary(fit, design), hours, prices)
 
@@ -255,15 +275,29 @@ def test_basis_pick_skips_repeated_rows():
     assert qfr._basis_rows(X[:5], range(5)) is None
 
 
-def test_two_summers_need_the_rank_aware_pick():
-    # the k rows of smallest |residual| repeat a design row, yet the fit
-    # keeps its interior-point vertex
+def _all_rows_problem(X, prices, taus):
+    """The stacked all-rows problem of `_fit_levels` on X's orthonormal
+    basis U, and its start; a solution's curve is U @ coef."""
+    U, _ = qfr._orthonormal(X)
+    start = qfr._smoothed(X, prices, taus, qfr._STOP_ROWS * X.shape[1]) @ (X.T @ U)
+    return U, (*qfr._near_curve(U, prices, start, len(prices)), taus, start)
+
+
+def test_two_summers_need_the_rank_aware_pick(monkeypatch):
+    # stopped at a gap of 1e-10, the iterate's k rows of smallest |residual|
+    # repeat a design row, yet the fit keeps the interior-point vertex that
+    # it reaches at the fit's own gap
     hours, prices, tau, design = _two_summers()
     X = design_matrix(hours, design)
-    beta = qfr._frisch_newton(X, prices, [tau])[0]
-    nearest = np.argsort(np.abs(prices - X @ beta))[:design.n_features]
+    vertex = fit_quantile(hours, prices, tau, design)
+    monkeypatch.setattr(qfr, "_GAP_TOL", 1e-10)
+    U, problem = _all_rows_problem(X, prices, [tau])
+    curve = U @ qfr._frisch_newton(*problem)[0]
+    nearest = np.argsort(np.abs(prices - curve))[:design.n_features]
     assert np.linalg.matrix_rank(X[nearest]) < design.n_features
-    assert fit_quantile(hours, prices, tau, design).solver == "interior-point"
+    fit = fit_quantile(hours, prices, tau, design)
+    assert fit.solver == vertex.solver == "interior-point"
+    assert fit.coefficients.tobytes() == vertex.coefficients.tobytes()
 
 
 @pytest.mark.parametrize("problem", [_short_daily_period(), _whole_median(),
@@ -283,10 +317,11 @@ def test_levels_converge_at_different_iterations(monkeypatch):
     hours, prices, _, design = _spiky_prices()
     X = design_matrix(hours, design)
     taus = boundary_levels(4) + representative_levels(4)
+    _, problem = _all_rows_problem(X, prices, taus)
     settled = []
     for cap in range(1, qfr._MAX_ITER + 1):
         monkeypatch.setattr(qfr, "_MAX_ITER", cap)
-        settled.append(np.isfinite(qfr._frisch_newton(X, prices, taus)[:, 0]).sum())
+        settled.append(np.isfinite(qfr._frisch_newton(*problem)[:, 0]).sum())
         if settled[-1] == len(taus):
             break
     assert settled[-1] == len(taus)
@@ -301,21 +336,22 @@ def test_levels_converge_at_different_iterations(monkeypatch):
 
 
 @st.composite
-def synth_series(draw):
-    """Synthetic spot prices on either side of the near-curve size rule,
-    raw or rounded to whole or tenth units, so that some prices tie."""
+def synth_series(draw, fewest=16):
+    """Synthetic spot prices, `fewest` to 240 rows per feature (by default
+    on either side of the near-curve band's 32), raw or rounded to whole or
+    tenth units, so that some prices tie."""
     design = draw(st.sampled_from([FourierDesign(), FourierDesign(2, 0)]))
-    edge = qfr._NEAR_MIN_ROWS * design.n_features
+    k = design.n_features
     series = synth_prices(draw(st.integers(0, 2**32 - 1)),
-                          draw(st.integers(edge // 2, 3 * edge // 2)))
+                          draw(st.integers(fewest * k, 240 * k)))
     decimals = draw(st.sampled_from([None, 1, 0]))
     prices = series.values if decimals is None else np.round(series.values, decimals)
     return series.hours, prices, design
 
 
 def _all_rows(monkeypatch):
-    # no near-curve band: every level takes the all-rows solve at once
-    monkeypatch.setattr(qfr, "_NEAR_MIN_ROWS", np.inf)
+    # a band of all rows: every level takes the all-rows solve at once
+    monkeypatch.setattr(qfr, "_BAND_ROWS", np.inf)
 
 
 def _same_fits(near, every):
@@ -326,9 +362,8 @@ def _same_fits(near, every):
 
 def _whole_unit_prices():
     """synth_prices(7, 1800) rounded to whole units, at the paper's design:
-    the all-rows batch of its seven levels stops tau = 0.25 short of a
-    certified vertex, which that level reaches alone, and the near-curve
-    band certifies."""
+    an all-rows batch of its seven levels from a least-squares start stops
+    tau = 0.25 short of the vertex that the near-curve band certifies."""
     series = synth_prices(7, 1800)
     return series.hours, np.round(series.values), FourierDesign()
 
@@ -356,14 +391,14 @@ def _one_summer():
 
 
 def test_one_summer_certifies_on_the_first_band():
-    # the near-curve solve starts at 160 rows per feature, 1,760 at k = 11,
-    # so one summer takes the band, and synth_series draws on both sides
+    # the band holds 32 rows per feature, 352 at k = 11, or all rows of a
+    # smaller fit, and synth_series draws on both sides of it
     hours, prices, design = _one_summer()
     k = design.n_features
-    edge = qfr._NEAR_MIN_ROWS * k
-    assert edge == 1760 and qfr.band_rows(edge - 1, k) == edge - 1
+    edge = qfr._BAND_ROWS * k
+    assert edge == 352 and qfr.band_rows(edge - 1, k) == edge - 1
     assert qfr.band_rows(edge, k) == qfr.band_rows(len(hours), k) == 352
-    assert edge // 2 < edge < len(hours) < 3 * edge // 2
+    assert 16 * k < edge < len(hours) < 240 * k
     taus = boundary_levels(4) + representative_levels(4)
     near = qfr._fit_levels(hours, prices, taus, design)
     assert [(fit.solver, fit.rows) for fit in near] == [("interior-point", 352)] * 7
@@ -442,8 +477,10 @@ def _step_length_reference(a, b, skew):
     return np.where(stuck, 0.0, short)
 
 
+# from 80 rows per feature, 30% of them, the smoothing's first zone, is
+# more than its stop of 8 per feature, so every draw takes steps
 @settings(max_examples=40, deadline=None)
-@given(synth_series())
+@given(synth_series(fewest=80))
 def test_buffered_smoothing_matches_reference(series):
     # in-place ufuncs keep each operation's rounding, so the smoothing in
     # its work block gives the reference's bits, and so does every step
@@ -475,6 +512,21 @@ def _cauchy_daily(n, seed):
     prices = (40 + 10 * np.sin(2 * np.pi * (hours % 24) / 24)
               + 5 * gen.standard_cauchy(n))
     return hours, prices, FourierDesign(1, 1)
+
+
+def test_dual_simplex_solves_wide_cauchy_prices():
+    # prices reaching 3.3e6 leave HiGHS no optimum at its tolerance floor,
+    # on X or on its orthonormal basis; the solve at its default
+    # tolerances meets each certified vertex's loss
+    hours, prices, design = _cauchy_daily(2189, 959077)
+    assert np.ptp(prices) > 3e6
+    X = design_matrix(hours, design)
+    taus = boundary_levels(4) + representative_levels(4)
+    for fit in qfr._fit_levels(hours, prices, taus, design):
+        assert fit.solver == "interior-point"
+        beta = qfr._dual_simplex(X, prices, fit.tau)
+        assert pinball_loss(prices, X @ beta, fit.tau) == pytest.approx(
+            pinball_loss(prices, X @ fit.coefficients, fit.tau), rel=1e-12)
 
 
 def _synth_paper_design(seed, n):
