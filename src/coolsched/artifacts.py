@@ -7,7 +7,7 @@ old file or the new one, never a partial write. Every CSV goes through
 the csv module's default dialect would. JSON artifacts carry a `kind` tag,
 and `read_json` refuses a file holding another kind or missing a key its
 reader needs, so a wrong file passed to an input option fails with an error
-that names it.
+that names it; so does a malformed field, in the block `loading` guards.
 """
 
 import json
@@ -83,6 +83,18 @@ def copy(src, dst) -> None:
     """The text of `src`, byte for byte, as `dst`."""
     with open(src, newline="", encoding="utf-8") as fin, atomic_writer(dst) as fout:
         fout.write(fin.read())
+
+
+@contextmanager
+def loading(path, kind):
+    """Where a loader builds its model from the `kind` JSON at `path`: a
+    field of the wrong type or value raises ArtifactError naming `path`."""
+    try:
+        yield
+    except ArtifactError:
+        raise
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ArtifactError(f"{path} holds a malformed {kind}: {exc}") from None
 
 
 def read_json(path, kind=None, keys=()):

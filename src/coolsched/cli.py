@@ -157,7 +157,7 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
     hours, values = _train_samples(windows, price)
-    model = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
+    model, fits = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
     qfr.save_model(model, os.path.join(out, REGIME_MODEL_FILE))
     # rearranged quantile surfaces over the first training window
     surface_hours = ingest.window_hours(windows[0])
@@ -172,9 +172,7 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
         + [list(map(repr, column))
            for column in np.hstack([bounds, reps]).T.tolist()])
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
-          f"{len(model.boundary_fits)} boundary fits, "
-          f"{len(model.representative_fits)} representative fits")
-    fits = model.boundary_fits + model.representative_fits
+          f"{model.m - 1} boundary fits, {model.m} representative fits")
     band = qfr.band_rows(len(values), cfg.design.n_features)
     first = sum(fit.rows == band for fit in fits)
     after = sum(fit.rows not in (None, band) for fit in fits)

@@ -485,9 +485,10 @@ def load_policy(path) -> Policy:
         raise artifacts.ArtifactError(
             f"{path} holds no action table (it predates the deterministic "
             "policy format); re-run `coolsched plan`")
-    space = StateSpace(theta_min=doc["theta_min"], theta_max=doc["theta_max"],
-                       theta_step=doc["theta_step"], m=doc["m"],
-                       a_max=doc["a_max"])
-    hours = None if doc.get("hours") is None else np.asarray(doc["hours"], dtype=np.int64)
-    return Policy(actions=np.asarray(doc["actions"]),
-                  space=space, hours=hours, objective=doc.get("objective"))
+    with artifacts.loading(path, "policy"):
+        space = StateSpace(theta_min=doc["theta_min"], theta_max=doc["theta_max"],
+                           theta_step=doc["theta_step"], m=doc["m"],
+                           a_max=doc["a_max"])
+        hours = None if doc.get("hours") is None else np.asarray(doc["hours"], dtype=np.int64)
+        return Policy(actions=np.asarray(doc["actions"]),
+                      space=space, hours=hours, objective=doc.get("objective"))

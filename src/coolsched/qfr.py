@@ -9,13 +9,14 @@ leaves uncertified; HiGHS's dual simplex solves what is left. A level's
 exact vertex is rebuilt from its sorted basis and kept when a certificate,
 checked against every observation, shows it is the unique optimum, so
 neither the iterates' rounding nor the rows a solve used reach an output
-bit unless they change the basis. The fitted curves split the price axis
-into M bands per hour; a realized price's band is its regime, and a price
-within TIE_TOL (relative) of a boundary is on it. Band boundaries sit at
-levels j/M and each band carries a representative curve at its mid level.
+bit unless they change the basis. An M-regime model holds the curves at
+levels i/2M, i < 2M, in one matrix: at even i the boundaries j/M of M price
+bands per hour, at odd i each band's representative. A realized price's
+band is its regime, and a price within TIE_TOL (relative) of a boundary is
+on it.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,16 +73,11 @@ def pinball_loss(y, y_hat, tau: float) -> float:
 class QuantileFit:
     tau: float
     coefficients: np.ndarray
-    # how the fit was solved: "interior-point", "dual-simplex" or
-    # "constant"; None for a fit read from a file
-    solver: str = None
+    # how the fit was solved: "interior-point", "dual-simplex" or "constant"
+    solver: str
     # rows of the interior-point solve whose vertex was certified: a
     # near-curve band, or all of them; None for the other solvers
     rows: int = None
-
-    def evaluate(self, hours, design: FourierDesign):
-        values = design_matrix(hours, design) @ self.coefficients
-        return values if np.ndim(hours) else float(values[0])
 
 
 # Frisch-Newton interior point (Portnoy & Koenker 1997): the share of the
@@ -141,8 +137,9 @@ def _frisch_newton(X, y, taus, beta):
     0 <= d <= 1, with s = 1 - d and dual slacks z, w >= 0 on
     y - X beta = w - z (Koenker 2005, chapter 6), all levels as one
     (T, n) iterate. X (T, n, k) and y (T, n) are the levels' problems as
-    `_near_curve` stacks them, whose last two rows are its globs (zero
-    rows when the band holds every row). A glob's price is far beyond
+    `_near_curve` stacks them, whose last two rows are its globs; when the
+    band holds every row, X is one (1, n, k) design that every level
+    shares, with zero globs. A glob's price is far beyond
     every fitted value, so its terms are left out of the gap's scale
     1 + |y'd|; they would loosen the stop by about G / |y'd|, and the
     iterate would then end too far from the vertex to name its basis. The
@@ -265,8 +262,9 @@ def _frisch_newton(X, y, taus, beta):
             if not keep.all():
                 # move the iterates of the levels that go on to the front
                 work[:4, :keep.sum()] = work[:4, :len(live)][:, keep]
-                live, gap, beta = live[keep], gap[keep], beta[keep]
-                X, xt, tri, y = X[keep], xt[keep], tri[keep], y[keep]
+                live, gap, beta, y = live[keep], gap[keep], beta[keep], y[keep]
+                if len(X) > 1:
+                    X, xt, tri = X[keep], xt[keep], tri[keep]
     return coef
 
 
@@ -526,8 +524,16 @@ def _near_curve(X, y, beta, rows):
     design rows above the band at price G and of those below at -G, with
     G = 10 (sum |y| + 1) far beyond any fitted sum. A glob keeps its side
     at the optimum, so the reduced LP has every other row's dual value
-    fixed: 1 above the curve, 0 below."""
+    fixed: 1 above the curve, 0 below. A band of every row is every
+    level's whole LP in row order, with zero globs, so its design is one
+    (1, rows + 2, k) copy that the levels share."""
     T, k = beta.shape
+    glob = 10.0 * (np.abs(y).sum() + 1.0)
+    ys = np.empty((T, rows + 2))
+    ys[:, rows:] = glob, -glob
+    if rows == len(y):
+        ys[:, :rows] = y
+        return np.concatenate([X, np.zeros((2, k))])[None], ys
     r, off, side = np.empty((3, T, len(y)))
     np.subtract(y, np.matmul(beta, X.T, out=r), out=r)
     np.abs(r, out=off)
@@ -540,11 +546,7 @@ def _near_curve(X, y, beta, rows):
     Xs[:, :rows] = X[band]
     Xs[:, rows] = np.greater(side, 0.0, out=off) @ X
     Xs[:, rows + 1] = np.less(side, 0.0, out=off) @ X
-    glob = 10.0 * (np.abs(y).sum() + 1.0)
-    ys = np.empty((T, rows + 2))
     ys[:, :rows] = y[band]
-    ys[:, rows] = glob
-    ys[:, rows + 1] = -glob
     return Xs, ys
 
 
@@ -639,38 +641,33 @@ def fit_quantile(hours, prices, tau: float, design: FourierDesign) -> QuantileFi
     return _fit_levels(hours, prices, [tau], design)[0]
 
 
+def levels(m: int) -> list:
+    """The 2M - 1 levels i/2M of an M-regime model: band boundaries j/M at
+    even i, each band's representative at its mid level at odd i."""
+    return [i / (2 * m) for i in range(1, 2 * m)]
+
+
 @dataclass
 class RegimeModel:
-    """M price bands per hour: M-1 boundary fits plus M representative fits.
+    """M price bands per hour: row i of the (2M - 1, k) `coefficients` is
+    the quantile curve at levels(m)[i], so the even rows are the M
+    representatives and the odd rows the M - 1 boundaries.
 
-    Independently fitted quantile curves can cross; `surfaces_at` applies a
-    per-hour monotone rearrangement (joint sort of all curves in level order)
-    so boundaries are non-decreasing and each representative lies inside its
-    band, which makes classify(representative) round-trip.
+    Independently fitted quantile curves can cross; `surfaces_at` sorts all
+    curves per hour (a monotone rearrangement), so boundaries are
+    non-decreasing and each representative lies inside its band, which
+    makes classify(representative) round-trip.
     """
 
     m: int
-    boundary_fits: list
-    representative_fits: list
     design: FourierDesign
-    _stacked: np.ndarray = field(default=None, repr=False, compare=False)
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        if len(self.boundary_fits) != self.m - 1:
-            raise ValueError(f"expected {self.m - 1} boundary fits")
-        if len(self.representative_fits) != self.m:
-            raise ValueError(f"expected {self.m} representative fits")
-
-    def _coef_stack(self) -> np.ndarray:
-        # Rows in quantile-level order: r1, b1, r2, b2, ..., b_{M-1}, rM.
-        if self._stacked is None:
-            rows = []
-            for p in range(self.m):
-                rows.append(self.representative_fits[p].coefficients)
-                if p < self.m - 1:
-                    rows.append(self.boundary_fits[p].coefficients)
-            self._stacked = np.vstack(rows)
-        return self._stacked
+        # a row per level i/2M, 0 < i < 2M; range refuses a non-integer m
+        shape = (len(range(1, 2 * self.m)), self.design.n_features)
+        if np.shape(self.coefficients) != shape:
+            raise ValueError(f"expected {shape} coefficients, got {np.shape(self.coefficients)}")
 
     def surfaces_at(self, hours):
         """Rearranged (boundaries, representatives) at the given hour(s).
@@ -678,7 +675,7 @@ class RegimeModel:
         boundaries has shape (..., M-1) and representatives (..., M); both are
         non-decreasing along the last axis and interleave.
         """
-        raw = design_matrix(hours, self.design) @ self._coef_stack().T
+        raw = design_matrix(hours, self.design) @ self.coefficients.T
         ordered = np.sort(raw, axis=-1)
         if np.ndim(hours) == 0:
             ordered = ordered[0]
@@ -687,21 +684,13 @@ class RegimeModel:
         return boundaries, representatives
 
 
-def boundary_levels(m: int):
-    return [j / m for j in range(1, m)]
-
-
-def representative_levels(m: int):
-    return [(p - 0.5) / m for p in range(1, m + 1)]
-
-
-def fit_regimes(hours, prices, m: int, design: FourierDesign) -> RegimeModel:
-    """Fit the M-regime model: boundaries at j/M, representatives at (p-.5)/M."""
+def fit_regimes(hours, prices, m: int, design: FourierDesign):
+    """The M-regime model fitted at `levels(m)`, and its QuantileFits in
+    level order."""
     if not 2 <= m <= 16:
         raise FitError(f"regime count must be in 2..16, got {m}")
-    fits = _fit_levels(hours, prices,
-                       boundary_levels(m) + representative_levels(m), design)
-    return RegimeModel(m, fits[:m - 1], fits[m - 1:], design)
+    fits = _fit_levels(hours, prices, levels(m), design)
+    return RegimeModel(m, design, np.array([fit.coefficients for fit in fits])), fits
 
 
 def classify(model: RegimeModel, hour_index, price) -> int:
@@ -734,6 +723,7 @@ def price_table(model: RegimeModel, hours) -> np.ndarray:
 
 
 def save_model(model: RegimeModel, path) -> None:
+    taus = levels(model.m)
     artifacts.write_json(path, {
         "kind": "regime-model",
         "m": model.m,
@@ -743,12 +733,10 @@ def save_model(model: RegimeModel, path) -> None:
             "period_daily": model.design.period_daily,
             "period_seasonal": model.design.period_seasonal,
         },
-        "boundary_levels": [fit.tau for fit in model.boundary_fits],
-        "boundary_coefficients": [fit.coefficients.tolist()
-                                  for fit in model.boundary_fits],
-        "representative_levels": [fit.tau for fit in model.representative_fits],
-        "representative_coefficients": [fit.coefficients.tolist()
-                                        for fit in model.representative_fits],
+        "boundary_levels": taus[1::2],
+        "boundary_coefficients": model.coefficients[1::2].tolist(),
+        "representative_levels": taus[0::2],
+        "representative_coefficients": model.coefficients[0::2].tolist(),
     })
 
 
@@ -756,28 +744,28 @@ def load_model(path) -> RegimeModel:
     doc = artifacts.read_json(path, "regime-model", keys=(
         "m", "design", "boundary_levels", "boundary_coefficients",
         "representative_levels", "representative_coefficients"))
-    # every field has a default, so a missing one would go unnoticed
-    names = sorted(f.name for f in fields(FourierDesign))
-    if not isinstance(doc["design"], dict) or sorted(doc["design"]) != names:
-        raise artifacts.ArtifactError(
-            f"{path} holds a design without exactly the keys {names}")
-    design = FourierDesign(**doc["design"])
-
-    def level_fits(kind):
-        levels, coefs = doc[f"{kind}_levels"], doc[f"{kind}_coefficients"]
-        if len(coefs) != len(levels):
+    with artifacts.loading(path, "regime-model"):
+        # every field has a default, so a missing one would go unnoticed
+        names = sorted(f.name for f in fields(FourierDesign))
+        if not isinstance(doc["design"], dict) or sorted(doc["design"]) != names:
             raise artifacts.ArtifactError(
-                f"{path} holds {len(coefs)} {kind}_coefficients lists for "
-                f"{len(levels)} {kind}_levels")
-        fits = []
-        for tau, coef in zip(levels, coefs):
-            coef = np.asarray(coef, dtype=float)
-            if coef.shape != (design.n_features,):
+                f"{path} holds a design without exactly the keys {names}")
+        design = FourierDesign(**doc["design"])
+        # sized by the file's lists, not by m, which RegimeModel then checks
+        taus, k = levels(len(doc["representative_levels"])), design.n_features
+        coefficients = np.empty((len(taus), k))
+        for kind, first in (("boundary", 1), ("representative", 0)):
+            held, coefs = doc[f"{kind}_levels"], doc[f"{kind}_coefficients"]
+            if held != taus[first::2]:
                 raise artifacts.ArtifactError(
-                    f"{path} holds a {kind}_coefficients list of {coef.size} "
-                    f"numbers, expected {design.n_features}")
-            fits.append(QuantileFit(tau, coef))
-        return fits
-
-    return RegimeModel(doc["m"], level_fits("boundary"),
-                       level_fits("representative"), design)
+                    f"{path} holds {kind}_levels {held}, expected {taus[first::2]}")
+            if len(coefs) != len(held):
+                raise artifacts.ArtifactError(
+                    f"{path} holds {len(coefs)} {kind}_coefficients lists for "
+                    f"{len(held)} {kind}_levels")
+            sizes = [np.size(coef) for coef in coefs if np.shape(coef) != (k,)]
+            if sizes:
+                raise artifacts.ArtifactError(f"{path} holds a {kind}_coefficients "
+                                              f"list of {sizes[0]} numbers, expected {k}")
+            coefficients[first::2] = coefs
+        return RegimeModel(doc["m"], design, coefficients)

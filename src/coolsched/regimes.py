@@ -186,14 +186,15 @@ def save_model(model: TransitionModel, path) -> None:
 def load_model(path) -> TransitionModel:
     doc = artifacts.read_json(path, "transition-model",
                               keys=("m", "alpha", "grouping", "buckets"))
-    m = doc["m"]
-    matrices = {}
-    for key, flat in doc["buckets"].items():
-        values = np.asarray(flat, dtype=float)
-        if values.shape != (m * m,):
-            raise artifacts.ArtifactError(
-                f"{path} holds bucket {key!r} with {values.size} numbers, "
-                f"expected {m * m}")
-        matrices[key] = values.reshape(m, m)
-    return TransitionModel(m=m, alpha=doc["alpha"], grouping=doc["grouping"],
-                           matrices=matrices)
+    with artifacts.loading(path, "transition-model"):
+        m = doc["m"]
+        matrices = {}
+        for key, flat in doc["buckets"].items():
+            values = np.asarray(flat, dtype=float)
+            if values.shape != (m * m,):
+                raise artifacts.ArtifactError(
+                    f"{path} holds bucket {key!r} with {values.size} numbers, "
+                    f"expected {m * m}")
+            matrices[key] = values.reshape(m, m)
+        return TransitionModel(m=m, alpha=doc["alpha"],
+                               grouping=doc["grouping"], matrices=matrices)

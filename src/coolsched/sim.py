@@ -43,8 +43,8 @@ class SimSpecs:
     chiller: ChillerSpec
     heat: HeatLoadSpec
     cost: CostSpec
+    space: StateSpace                 # labels rows with grid bins
     regime_model: RegimeModel = None  # optional, labels rows with regimes
-    space: StateSpace = None          # optional, labels rows with grid bins
 
 
 def _ints(values) -> list:
@@ -109,7 +109,7 @@ class Trajectory:
     controller: str
     window: Window               # hours, prices and regime labels
     theta: np.ndarray            # continuous indoor degC at decision time
-    theta_index: np.ndarray      # planning-grid bin (-1 if no grid given)
+    theta_index: np.ndarray      # planning-grid bin
     action: np.ndarray           # chillers run during the hour
     energy_kwh: np.ndarray
     energy_cost: np.ndarray      # energy_kwh * price / 1000
@@ -152,7 +152,7 @@ def rollout(controller, window: Window, specs: SimSpecs,
     """Simulate `controller` over `window`, one decision per hour.
 
     Temperature evolves continuously; quantization happens only inside
-    policy lookups and the optional theta_index label. Raises ValueError on
+    policy lookups and the theta_index label. Raises ValueError on
     an action outside 0..a_max.
     """
     n = len(window.hours)
@@ -184,8 +184,7 @@ def rollout(controller, window: Window, specs: SimSpecs,
         controller=getattr(controller, "name", type(controller).__name__),
         window=window,
         theta=theta[:-1],
-        theta_index=(np.full(n, -1, dtype=np.int64) if specs.space is None
-                     else quantize(theta[:-1], specs.space)),
+        theta_index=quantize(theta[:-1], specs.space),
         action=action,
         energy_kwh=energy,
         energy_cost=energy * window.price / 1000.0,

@@ -29,7 +29,8 @@ def unit_room(gamma_env, c_heat):
 
 @pytest.fixture(scope="session")
 def sim_specs():
-    return SimSpecs(facility=FACILITY, chiller=CHILLER, heat=HEAT, cost=COST)
+    return SimSpecs(facility=FACILITY, chiller=CHILLER, heat=HEAT, cost=COST,
+                    space=SPACE)
 
 
 def summer_dataset(seed=0, year=2024, days=92):

@@ -165,10 +165,10 @@ def test_wrong_input_file_is_named(pipeline, tmp_path, capsys, command, option,
 
 
 def test_fit_qfr_outputs(pipeline):
-    _, out, _ = pipeline
+    _, out, config = pipeline
     model = qfr.load_model(os.path.join(out, "regime_model.json"))
     assert model.m == 2
-    assert len(model.boundary_fits) == 1
+    assert model.coefficients.shape == (3, RunConfig.from_file(config).design.n_features)
     assert os.path.exists(os.path.join(out, "qfr_surfaces.csv"))
 
 
@@ -238,8 +238,9 @@ def test_fit_qfr_regime_count_follows_config(tmp_path):
                                                  "seasonal_harmonics": 0})
     assert cli.main(["fit-qfr", "--config", config]) == 0
     model = qfr.load_model(str(tmp_path / "out" / "regime_model.json"))
-    assert len(model.boundary_fits) == 3
-    assert len(model.representative_fits) == 4
+    assert model.m == 4 and model.coefficients.shape == (7, 5)
+    bounds, reps = model.surfaces_at(np.arange(24))
+    assert bounds.shape == (24, 3) and reps.shape == (24, 4)
 
 
 def test_estimate_chain_outputs(pipeline):
@@ -299,7 +300,7 @@ def test_planner_and_rollout_share_the_plant(pipeline, tmp_path):
                                cfg.simulate_windows[0])
         simulated = sim.Window.of(dataset, sim.SimSpecs(
             facility=cfg.facility, chiller=cfg.chiller, heat=cfg.heat,
-            cost=cfg.cost))
+            cost=cfg.cost, space=cfg.space))
         assert plant.equilibria.shape == (rows.stop - rows.start,
                                           cfg.chiller.a_max + 1)
         assert plant.equilibria.tolist() == simulated.equilibria[rows]
@@ -1085,6 +1086,71 @@ def test_malformed_numbers_are_named(pipeline, tmp_path, load, name, edit,
     with pytest.raises(artifacts.ArtifactError,
                        match=re.escape(f"{path} {message}")):
         load(path)
+
+
+def test_regime_model_round_trip_keeps_bytes(pipeline, tmp_path):
+    _, out, _ = pipeline
+    path = os.path.join(out, "regime_model.json")
+    qfr.save_model(qfr.load_model(path), tmp_path / "regime_model.json")
+    assert (tmp_path / "regime_model.json").read_bytes() == \
+        ph.read_tree_bytes(out)["regime_model.json"]
+
+
+def test_regime_model_with_other_levels_is_named(pipeline, tmp_path):
+    # the levels are a function of m; a file that holds others is refused
+    _, out, _ = pipeline
+    doc = json.loads(ph.read_tree_bytes(out)["regime_model.json"])
+    assert doc["boundary_levels"] == [0.5]
+    doc["boundary_levels"] = [0.4]
+    path = tmp_path / "regime_model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(artifacts.ArtifactError,
+                       match=re.escape(f"{path} holds boundary_levels [0.4], "
+                                       "expected [0.5]")):
+        qfr.load_model(path)
+
+
+def _set(*keys_and_value):
+    *keys, key, value = keys_and_value
+
+    def edit(doc):
+        for name in keys:
+            doc = doc[name]
+        doc[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("command, name, edit", [
+    ("estimate-chain", "regime_model.json", _set("m", "4")),
+    ("estimate-chain", "regime_model.json", _set("m", 2.0)),
+    ("estimate-chain", "regime_model.json", _set("boundary_levels", None)),
+    ("estimate-chain", "regime_model.json", _set("boundary_coefficients", None)),
+    ("estimate-chain", "regime_model.json",
+     _set("design", "daily_harmonics", "3")),
+    ("plan", "transition_model.json", _set("m", "4")),
+    ("plan", "transition_model.json", _set("buckets", [])),
+    ("plan", "transition_model.json", _set("alpha", None)),
+    ("simulate", "policy.json", _set("m", "4")),
+    ("simulate", "policy.json", _set("theta_step", None)),
+], ids=["regime-m", "regime-m-float", "regime-levels", "regime-coefficients", "regime-design",
+        "chain-m", "chain-buckets", "chain-alpha", "policy-m",
+        "policy-theta-step"])
+def test_wrong_field_type_is_named(pipeline, tmp_path, capsys, command, name,
+                                   edit):
+    # a field of the wrong JSON type fails the stage that reads it with an
+    # error that names the file, not a traceback
+    _, out, config = pipeline
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    doc = json.loads((run / name).read_text())
+    edit(doc)
+    (run / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main([command, "--config", config, "--out", str(run)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / name} holds ")
+    assert "Traceback" not in err
 
 
 def test_bad_design_is_named(pipeline, tmp_path):

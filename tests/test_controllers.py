@@ -6,8 +6,7 @@ import pytest
 from coolsched.controllers import (FixedRuleController, GreedyController,
                                    QfrMdpController)
 from coolsched.mdp import CostSpec, Policy, StateSpace, quantize
-from coolsched.qfr import (FourierDesign, QuantileFit, RegimeModel,
-                           classify_series)
+from coolsched.qfr import FourierDesign, RegimeModel, classify_series
 from coolsched.sim import Window
 from coolsched.thermal import (STEP_SECONDS, ChillerSpec, step_table,
                                step_temperature)
@@ -80,13 +79,8 @@ def test_fixed_rule_delegates_to_greedy_off_windows():
 def _constant_regime_model():
     """M=2 model with a flat boundary at 50 and representatives 25/75."""
     design = FourierDesign(daily_harmonics=0, seasonal_harmonics=0)
-    return RegimeModel(
-        m=2,
-        boundary_fits=[QuantileFit(0.5, np.array([50.0]))],
-        representative_fits=[QuantileFit(0.25, np.array([25.0])),
-                             QuantileFit(0.75, np.array([75.0]))],
-        design=design,
-    )
+    return RegimeModel(m=2, design=design,
+                       coefficients=np.array([[25.0], [50.0], [75.0]]))
 
 
 def _toy_controller():

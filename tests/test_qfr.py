@@ -10,11 +10,10 @@ from scipy.optimize import linprog
 
 from coolsched import qfr
 from coolsched.ingest import parse_timestamp, synth_prices
-from coolsched.qfr import (FitError, FourierDesign, RegimeModel, QuantileFit,
-                           boundary_levels, classify, classify_series,
-                           design_matrix, fit_quantile, fit_regimes,
-                           load_model, pinball_loss, price_table,
-                           representative_levels, save_model)
+from coolsched.qfr import (FitError, FourierDesign, RegimeModel, classify,
+                           classify_series, design_matrix, fit_quantile,
+                           fit_regimes, levels, load_model, pinball_loss,
+                           price_table, save_model)
 
 DAILY = FourierDesign(daily_harmonics=2, seasonal_harmonics=0)
 
@@ -29,8 +28,8 @@ def primal_fit(hours, prices, tau, design):
     one rather than 1/n. As in the fit, the prices go in as z = (y - c) / h,
     centred and scaled up to a half-range of at least one, so that a tiny
     spread does not fall under those tolerances; the intercept column maps
-    the fit back as beta = h beta_z + c e_0. Returns the fit and whether
-    its optimum is certified unique: when k observations with linearly
+    the fit back as beta = h beta_z + c e_0. Returns the coefficients and
+    whether their optimum is certified unique: when k observations with linearly
     independent rows carry dual values strictly inside (0, 1),
     complementary slackness makes every optimal fit pass through them,
     which fixes the coefficients.
@@ -54,13 +53,13 @@ def primal_fit(hours, prices, tau, design):
     unique = np.linalg.matrix_rank(X[interior]) == k
     beta = h * res.x[:k]
     beta[0] += c
-    return QuantileFit(tau, beta), unique
+    return beta, unique
 
 
-def _one_boundary(fit, design):
-    # Two bands split by `fit` alone: representatives equal to the boundary
+def _one_boundary(coefficients, design):
+    # Two bands split by one curve: representatives equal to the boundary
     # leave it in place through the rearrangement.
-    return RegimeModel(2, [fit], [fit, fit], design)
+    return RegimeModel(2, design, np.array([coefficients] * 3))
 
 
 @st.composite
@@ -115,13 +114,13 @@ def test_dual_fit_matches_primal_reference(problem):
     primal, unique = primal_fit(hours, prices, tau, design)
     X = design_matrix(hours, design)
     dual_loss = pinball_loss(prices, X @ dual.coefficients, tau)
-    primal_loss = pinball_loss(prices, X @ primal.coefficients, tau)
+    primal_loss = pinball_loss(prices, X @ primal, tau)
     assert dual_loss == pytest.approx(primal_loss, rel=1e-9, abs=1e-12)
     if unique:
         # With several optimal fits (say an intercept-only median with tau * n
         # whole) each may split the tied prices differently; no label is right.
         assert np.array_equal(
-            classify_series(_one_boundary(dual, design), hours, prices),
+            classify_series(_one_boundary(dual.coefficients, design), hours, prices),
             classify_series(_one_boundary(primal, design), hours, prices))
 
 
@@ -136,17 +135,17 @@ def test_one_week_fits_reach_the_optimum():
         series = synth_prices(seed, 168)
         hours, prices = series.hours, series.values
         X = design_matrix(hours, design)
-        model = fit_regimes(hours, prices, 4, design)
-        for fit in model.boundary_fits + model.representative_fits:
-            primal, _ = primal_fit(hours, prices, fit.tau, design)
-            best = pinball_loss(prices, X @ primal.coefficients, fit.tau)
-            for coef in (fit.coefficients, qfr._dual_simplex(X, prices, fit.tau)):
-                assert pinball_loss(prices, X @ coef, fit.tau) == \
+        model, _ = fit_regimes(hours, prices, 4, design)
+        for tau, fitted in zip(levels(4), model.coefficients):
+            primal, _ = primal_fit(hours, prices, tau, design)
+            best = pinball_loss(prices, X @ primal, tau)
+            for coef in (fitted, qfr._dual_simplex(X, prices, tau)):
+                assert pinball_loss(prices, X @ coef, tau) == \
                     pytest.approx(best, rel=1e-9)
 
 
-def _labels(fit, design, hours, prices):
-    return classify_series(_one_boundary(fit, design), hours, prices)
+def _labels(coefficients, design, hours, prices):
+    return classify_series(_one_boundary(coefficients, design), hours, prices)
 
 
 def _two_summers():
@@ -214,26 +213,27 @@ def test_interior_point_matches_dual_simplex(problem, m):
     drawn tau alone, m >= 2 the 2m - 1 levels of fit_regimes."""
     hours, prices, tau, design = problem
     if m:
-        model = fit_regimes(hours, prices, m, design)
-        fits = model.boundary_fits + model.representative_fits
+        model, fits = fit_regimes(hours, prices, m, design)
+        curves = zip(levels(m), model.coefficients, [fit.solver for fit in fits])
     else:
-        fits = [fit_quantile(hours, prices, tau, design)]
+        fit = fit_quantile(hours, prices, tau, design)
+        curves = [(tau, fit.coefficients, fit.solver)]
     X = design_matrix(hours, design)
-    for fit in fits:
-        if fit.solver == "constant":
+    for tau, coef, solver in curves:
+        if solver == "constant":
             continue
-        reference = QuantileFit(fit.tau, qfr._dual_simplex(X, prices, fit.tau))
-        if fit.solver == "dual-simplex":
-            assert np.array_equal(fit.coefficients, reference.coefficients)
+        reference = qfr._dual_simplex(X, prices, tau)
+        if solver == "dual-simplex":
+            assert np.array_equal(coef, reference)
             continue
         # HiGHS's absolute tolerances can stop it short of the optimum (by
         # 1.3e-10 relative on _two_summers), never past it
-        loss = pinball_loss(prices, X @ fit.coefficients, fit.tau)
-        reference_loss = pinball_loss(prices, X @ reference.coefficients, fit.tau)
+        loss = pinball_loss(prices, X @ coef, tau)
+        reference_loss = pinball_loss(prices, X @ reference, tau)
         assert loss <= reference_loss + 1e-12 * max(1.0, reference_loss)
         if loss == pytest.approx(reference_loss, rel=1e-12, abs=1e-12):
             # both optimal, and the vertex kept is certified the unique optimum
-            assert np.array_equal(_labels(fit, design, hours, prices),
+            assert np.array_equal(_labels(coef, design, hours, prices),
                                   _labels(reference, design, hours, prices))
 
 
@@ -247,8 +247,7 @@ def test_paper_summers_model_bytes(tmp_path):
     # basis, so faster iterates leave the file's bytes alone; the digest
     # holds for an IEEE double LAPACK solve of the same basis
     hours, prices, _, design = _paper_summers()
-    model = fit_regimes(hours, prices, 4, design)
-    fits = model.boundary_fits + model.representative_fits
+    model, fits = fit_regimes(hours, prices, 4, design)
     assert [fit.solver for fit in fits] == ["interior-point"] * 7
     save_model(model, tmp_path / "regime_model.json")
     digest = hashlib.sha256((tmp_path / "regime_model.json").read_bytes())
@@ -316,7 +315,7 @@ def test_rank_deficient_design_skips_the_interior_point(monkeypatch):
 def test_levels_converge_at_different_iterations(monkeypatch):
     hours, prices, _, design = _spiky_prices()
     X = design_matrix(hours, design)
-    taus = boundary_levels(4) + representative_levels(4)
+    taus = levels(4)
     _, problem = _all_rows_problem(X, prices, taus)
     settled = []
     for cap in range(1, qfr._MAX_ITER + 1):
@@ -328,11 +327,11 @@ def test_levels_converge_at_different_iterations(monkeypatch):
     assert any(0 < count < len(taus) for count in settled)
     monkeypatch.undo()
     # the batch takes each level to the vertex it reaches alone
-    model = fit_regimes(hours, prices, 4, design)
-    for fit in model.boundary_fits + model.representative_fits:
+    model, fits = fit_regimes(hours, prices, 4, design)
+    for tau, coef, fit in zip(levels(4), model.coefficients, fits):
         assert fit.solver == "interior-point"
-        alone = fit_quantile(hours, prices, fit.tau, design)
-        assert np.array_equal(alone.coefficients, fit.coefficients)
+        alone = fit_quantile(hours, prices, tau, design)
+        assert np.array_equal(alone.coefficients, coef)
 
 
 @st.composite
@@ -373,7 +372,7 @@ def _whole_unit_prices():
 @example(_whole_unit_prices())
 def test_near_curve_fit_matches_all_rows_fit(series):
     hours, prices, design = series
-    taus = boundary_levels(4) + representative_levels(4)
+    taus = levels(4)
     near = qfr._fit_levels(hours, prices, taus, design)
     with pytest.MonkeyPatch.context() as patch:
         _all_rows(patch)
@@ -399,7 +398,7 @@ def test_one_summer_certifies_on_the_first_band():
     assert edge == 352 and qfr.band_rows(edge - 1, k) == edge - 1
     assert qfr.band_rows(edge, k) == qfr.band_rows(len(hours), k) == 352
     assert 16 * k < edge < len(hours) < 240 * k
-    taus = boundary_levels(4) + representative_levels(4)
+    taus = levels(4)
     near = qfr._fit_levels(hours, prices, taus, design)
     assert [(fit.solver, fit.rows) for fit in near] == [("interior-point", 352)] * 7
     with pytest.MonkeyPatch.context() as patch:
@@ -487,7 +486,7 @@ def test_buffered_smoothing_matches_reference(series):
     # length it takes on the reference's steps
     hours, prices, design = series
     X = design_matrix(hours, design)
-    taus = np.array(boundary_levels(4) + representative_levels(4))
+    taus = np.array(levels(4))
     stop = qfr._STOP_ROWS * design.n_features
     steps = []
 
@@ -521,7 +520,7 @@ def test_dual_simplex_solves_wide_cauchy_prices():
     hours, prices, design = _cauchy_daily(2189, 959077)
     assert np.ptp(prices) > 3e6
     X = design_matrix(hours, design)
-    taus = boundary_levels(4) + representative_levels(4)
+    taus = levels(4)
     for fit in qfr._fit_levels(hours, prices, taus, design):
         assert fit.solver == "interior-point"
         beta = qfr._dual_simplex(X, prices, fit.tau)
@@ -543,7 +542,7 @@ def test_near_curve_band_widens(monkeypatch, problem, first_band):
     # bits of the all-rows solve: the Cauchy series needs that at the fit's
     # own band, the synthetic prices with a band of 2k rows
     hours, prices, design = problem
-    taus = boundary_levels(4) + representative_levels(4)
+    taus = levels(4)
     monkeypatch.setattr(qfr, "_BAND_ROWS", first_band)
     band = qfr.band_rows(len(hours), design.n_features)
     near = qfr._fit_levels(hours, prices, taus, design)
@@ -553,6 +552,30 @@ def test_near_curve_band_widens(monkeypatch, problem, first_band):
     assert all(fit.solver == "interior-point" for fit in near)
     _all_rows(monkeypatch)
     _same_fits(near, qfr._fit_levels(hours, prices, taus, design))
+
+
+def test_all_rows_pass_shares_one_design(monkeypatch):
+    # every level's all-rows problem is the whole LP in row order, so the
+    # pass holds one design, not a copy per level, whatever the band did
+    hours, prices, design = _cauchy_daily(2189, 959077)
+    n, k = len(hours), design.n_features
+    shapes = []
+
+    def spy(X, y, taus, beta):
+        shapes.append((X.shape, y.shape))
+        return solve(X, y, taus, beta)
+
+    solve = qfr._frisch_newton
+    monkeypatch.setattr(qfr, "_frisch_newton", spy)
+    near = qfr._fit_levels(hours, prices, levels(4), design)
+    missed = sum(fit.rows == n for fit in near)
+    band = qfr.band_rows(n, k)
+    assert shapes == [((7, band + 2, k), (7, band + 2)),
+                      ((1, n + 2, k), (missed, n + 2))]
+    shapes.clear()
+    _all_rows(monkeypatch)
+    _same_fits(near, qfr._fit_levels(hours, prices, levels(4), design))
+    assert shapes == [((1, n + 2, k), (7, n + 2))]
 
 
 def test_near_curve_fits_noiseless_sinusoid():
@@ -598,11 +621,13 @@ def test_nearest_is_a_stable_argsort_prefix(values, data):
 
 @pytest.fixture(scope="module")
 def uniform_model():
-    """4-regime model fitted on i.i.d. uniform(0, 100) prices."""
+    """4-regime model fitted on i.i.d. uniform(0, 100) prices, with the
+    prices and the per-level fits."""
     rng = np.random.default_rng(11)
     hours = np.arange(20_000)
     prices = rng.uniform(0, 100, 20_000)
-    return fit_regimes(hours, prices, 4, DAILY), hours, prices
+    model, fits = fit_regimes(hours, prices, 4, DAILY)
+    return model, hours, prices, fits
 
 
 @pytest.fixture(scope="module")
@@ -649,7 +674,7 @@ def test_fit_constant_data():
     fit = fit_quantile(hours, np.full(200, 50.0), 0.3, DAILY)
     assert fit.coefficients[0] == 50.0
     assert np.all(fit.coefficients[1:] == 0.0)
-    assert fit.evaluate(77, DAILY) == pytest.approx(50.0)
+    assert design_matrix(77, DAILY) @ fit.coefficients == pytest.approx([50.0])
 
 
 def test_fit_requires_enough_data():
@@ -678,13 +703,13 @@ def test_fit_uniform_lower_quartile():
     rng = np.random.default_rng(4)
     hours = np.arange(10_000)
     fit = fit_quantile(hours, rng.uniform(0, 100, 10_000), 0.25, DAILY)
-    curve = fit.evaluate(np.arange(48), DAILY)
+    curve = design_matrix(np.arange(48), DAILY) @ fit.coefficients
     assert np.all(curve >= 20.0) and np.all(curve <= 30.0)
 
 
 def test_fit_beats_constant_quantile(sinusoid_fit):
     fit, hours, y, design = sinusoid_fit
-    fitted = pinball_loss(y, fit.evaluate(hours, design), 0.5)
+    fitted = pinball_loss(y, design_matrix(hours, design) @ fit.coefficients, 0.5)
     constant = pinball_loss(y, np.quantile(y, 0.5), 0.5)
     assert fitted <= constant + 1e-9
 
@@ -702,23 +727,29 @@ def test_fit_is_local_minimum(sinusoid_fit):
 
 
 def test_uniform_model_needs_no_fallback(uniform_model):
-    model, _, _ = uniform_model
-    assert {fit.solver for fit in model.boundary_fits
-            + model.representative_fits} == {"interior-point"}
+    *_, fits = uniform_model
+    assert {fit.solver for fit in fits} == {"interior-point"}
 
 
 def test_fit_regimes_levels(uniform_model):
-    model, _, _ = uniform_model
-    assert [f.tau for f in model.boundary_fits] == [0.25, 0.5, 0.75]
-    assert [f.tau for f in model.representative_fits] == [0.125, 0.375, 0.625, 0.875]
+    model, *_, fits = uniform_model
+    assert levels(4) == [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]
+    assert [fit.tau for fit in fits] == levels(4)
+    assert model.coefficients.tobytes() == np.array(
+        [fit.coefficients for fit in fits]).tobytes()
+    for m in (2, 3, 4, 8):
+        # the boundaries j/M and representatives (p - 1/2)/M, float for float
+        assert levels(m)[1::2] == [j / m for j in range(1, m)]
+        assert levels(m)[0::2] == [(p - 0.5) / m for p in range(1, m + 1)]
 
 
 def test_fit_regimes_eight_has_seven_boundaries():
     rng = np.random.default_rng(5)
     hours = np.arange(4000)
-    model = fit_regimes(hours, rng.uniform(0, 100, 4000), 8, DAILY)
-    assert len(model.boundary_fits) == 7
-    assert len(model.representative_fits) == 8
+    model, _ = fit_regimes(hours, rng.uniform(0, 100, 4000), 8, DAILY)
+    assert model.coefficients.shape == (15, DAILY.n_features)
+    bounds, reps = model.surfaces_at(np.arange(24))
+    assert bounds.shape == (24, 7) and reps.shape == (24, 8)
 
 
 def test_fit_regimes_rejects_bad_m():
@@ -730,19 +761,19 @@ def test_fit_regimes_rejects_bad_m():
 
 def test_fit_regimes_constant_data():
     hours = np.arange(300)
-    model = fit_regimes(hours, np.full(300, 50.0), 2, DAILY)
+    model, _ = fit_regimes(hours, np.full(300, 50.0), 2, DAILY)
     assert price_table(model, [10])[0] == pytest.approx([50.0, 50.0])
 
 
 def test_classify_extremes(uniform_model):
-    model, _, _ = uniform_model
+    model, *_ = uniform_model
     for hour in (0, 13, 999):
         assert classify(model, hour, -1e9) == 1
         assert classify(model, hour, 1e9) == 4
 
 
 def test_classify_boundary_tie_goes_low(uniform_model):
-    model, _, _ = uniform_model
+    model, *_ = uniform_model
     for hour in (3, 17, 101):
         bounds, _ = model.surfaces_at(hour)
         for j, b in enumerate(bounds, start=1):
@@ -755,12 +786,12 @@ def test_classify_boundary_tie_goes_low(uniform_model):
 
 
 def test_interpolated_training_prices_go_low(uniform_model):
-    model, hours, prices = uniform_model
+    model, hours, prices, _ = uniform_model
     bounds, _ = model.surfaces_at(hours)
     near = np.abs(prices[:, None] - bounds) <= 1e-12 * np.abs(bounds)
     rows, cols = np.nonzero(near)
     # each boundary fit passes through at least one observation per feature
-    assert len(rows) >= len(model.boundary_fits) * DAILY.n_features
+    assert len(rows) >= (model.m - 1) * DAILY.n_features
     assert np.array_equal(classify_series(model, hours[rows], prices[rows]),
                           cols + 1)
     for i, j in zip(rows, cols):
@@ -768,13 +799,13 @@ def test_interpolated_training_prices_go_low(uniform_model):
 
 
 def test_classify_rejects_non_finite(uniform_model):
-    model, _, _ = uniform_model
+    model, *_ = uniform_model
     with pytest.raises(ValueError):
         classify(model, 0, float("nan"))
 
 
 def test_classify_series_matches_scalar(uniform_model):
-    model, hours, prices = uniform_model
+    model, hours, prices, _ = uniform_model
     sample = slice(0, 200)
     vec = classify_series(model, hours[sample], prices[sample])
     assert vec.dtype == np.int64
@@ -784,20 +815,20 @@ def test_classify_series_matches_scalar(uniform_model):
 
 
 def test_representative_prices_near_mid_quantiles(uniform_model):
-    model, _, _ = uniform_model
+    model, *_ = uniform_model
     expected = [12.5, 37.5, 62.5, 87.5]
     for row in price_table(model, np.arange(0, 72, 5)):
         assert row == pytest.approx(expected, abs=3.0)
 
 
 def test_representatives_monotone(uniform_model):
-    model, _, _ = uniform_model
+    model, *_ = uniform_model
     reps = price_table(model, np.arange(96))
     assert np.all(np.diff(reps, axis=1) >= 0)
 
 
 def test_classify_representative_round_trip(uniform_model):
-    model, _, _ = uniform_model
+    model, *_ = uniform_model
     hours = np.arange(0, 96, 3)
     for hour, reps in zip(hours, price_table(model, hours)):
         for p in range(1, 5):
@@ -805,13 +836,13 @@ def test_classify_representative_round_trip(uniform_model):
 
 
 def test_boundaries_monotone_after_rearrangement(uniform_model):
-    model, _, _ = uniform_model
+    model, *_ = uniform_model
     bounds, _ = model.surfaces_at(np.arange(200))
     assert np.all(np.diff(bounds, axis=1) >= 0)
 
 
 def test_coverage_on_held_out(uniform_model):
-    model, hours, _ = uniform_model
+    model, hours, *_ = uniform_model
     held_out = np.random.default_rng(99).uniform(0, 100, len(hours))
     bounds, _ = model.surfaces_at(hours)
     for j, tau in enumerate((0.25, 0.5, 0.75)):
@@ -820,18 +851,20 @@ def test_coverage_on_held_out(uniform_model):
 
 
 def test_model_serialization_round_trip(uniform_model, tmp_path):
-    model, hours, prices = uniform_model
+    model, hours, prices, _ = uniform_model
     save_model(model, tmp_path / "regime_model.json")
     back = load_model(tmp_path / "regime_model.json")
     assert back.m == model.m
     assert back.design == model.design
-    for a, b in zip(model.boundary_fits, back.boundary_fits):
-        assert a.tau == b.tau and np.array_equal(a.coefficients, b.coefficients)
+    assert back.coefficients.tobytes() == model.coefficients.tobytes()
     assert np.array_equal(classify_series(back, hours[:300], prices[:300]),
                           classify_series(model, hours[:300], prices[:300]))
 
 
 def test_regime_model_validates_counts():
-    fit = QuantileFit(0.5, np.zeros(5))
-    with pytest.raises(ValueError):
-        RegimeModel(3, [fit], [fit, fit, fit], DAILY)
+    RegimeModel(3, DAILY, np.zeros((5, 5)))
+    for shape in ((4, 5), (6, 5), (5, 4), (25,)):
+        with pytest.raises(ValueError):
+            RegimeModel(3, DAILY, np.zeros(shape))
+    with pytest.raises(TypeError):
+        RegimeModel(3.0, DAILY, np.zeros((5, 5)))

@@ -12,8 +12,8 @@ from coolsched.controllers import (FixedRuleController, GreedyController,
                                    QfrMdpController, policy_slot)
 from coolsched.ingest import AlignedDataset, format_timestamp, parse_timestamp
 from coolsched.mdp import Policy, StateSpace, quantize
-from coolsched.qfr import (TIE_TOL, FourierDesign, QuantileFit, RegimeModel,
-                           classify, classify_series)
+from coolsched.qfr import (TIE_TOL, FourierDesign, RegimeModel, classify,
+                           classify_series)
 from coolsched.sim import (CostReport, SimSpecs, Trajectory, Window, compare,
                            rollout, summarize)
 from coolsched.thermal import (ChillerSpec, HeatLoadSpec, capacitance,
@@ -64,7 +64,7 @@ def _rollout_reference(controller, dataset, specs, initial_theta):
     n = dataset.n
     regimes = np.zeros(n, dtype=np.int64)
     theta = np.empty(n)
-    theta_index = np.full(n, -1, dtype=np.int64)
+    theta_index = np.empty(n, dtype=np.int64)
     action = np.empty(n, dtype=np.int64)
     energy = np.empty(n)
     viol_under = np.empty(n)
@@ -79,8 +79,7 @@ def _rollout_reference(controller, dataset, specs, initial_theta):
         if specs.regime_model is not None:
             regimes[t] = classify(specs.regime_model, hour, price)
         theta[t] = current
-        if specs.space is not None:
-            theta_index[t] = quantize(current, specs.space)
+        theta_index[t] = quantize(current, specs.space)
         action[t] = a
         energy[t] = cooling_energy(specs.chiller, a, t_out)
         current = step_temperature(current, t_out, q, a, specs.chiller.eta,
@@ -133,13 +132,12 @@ def _regime_model(boundaries):
     mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
     reps = [edges[0] - 10.0] + mids + [edges[-1] + 10.0]
 
-    def fit(intercept):
-        return QuantileFit(0.5, np.array([intercept, 3.0, -2.0]))
-
-    return RegimeModel(m=len(edges) + 1,
-                       boundary_fits=[fit(b) for b in edges],
-                       representative_fits=[fit(r) for r in reps],
-                       design=design)
+    # intercepts in level order: r1, b1, r2, ..., b_{M-1}, rM
+    intercepts = [reps[0]]
+    for edge, rep in zip(edges, reps[1:]):
+        intercepts += [edge, rep]
+    return RegimeModel(m=len(edges) + 1, design=design,
+                       coefficients=np.array([[c, 3.0, -2.0] for c in intercepts]))
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -193,10 +191,8 @@ def _flat_case(price=40.0, theta0=24.0, t_out=28.0, cores=50_000.0,
                              temperature=np.full(24, t_out),
                              workload=np.full(24, cores))
     design = FourierDesign(daily_harmonics=0, seasonal_harmonics=0)
-    model = RegimeModel(m=2, boundary_fits=[QuantileFit(0.5, np.array([50.0]))],
-                        representative_fits=[QuantileFit(0.25, np.array([25.0])),
-                                             QuantileFit(0.75, np.array([75.0]))],
-                        design=design)
+    model = RegimeModel(m=2, design=design,
+                        coefficients=np.array([[25.0], [50.0], [75.0]]))
     space = StateSpace(theta_min=15.0, theta_max=32.0, theta_step=0.5, m=2,
                        a_max=4)
     actions = np.zeros((24, space.n_theta, 2), dtype=np.int64)
@@ -276,7 +272,8 @@ def flat_dataset(n=48, price=40.0, t_out=25.0, cores=0):
 def test_rollout_equilibrium_stays_constant(sim_specs):
     # no heat, no cooling, start at outdoor temperature: nothing moves
     specs = SimSpecs(facility=sim_specs.facility, chiller=sim_specs.chiller,
-                     heat=HeatLoadSpec(q_base=0.0, phi=0.0), cost=COST)
+                     heat=HeatLoadSpec(q_base=0.0, phi=0.0), cost=COST,
+                     space=sim_specs.space)
     ds = flat_dataset(t_out=25.0)
     traj = rollout(ConstantController(0), Window.of(ds, specs), specs,
                    initial_theta=25.0)
