@@ -24,7 +24,7 @@ import argparse
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from functools import cache
 from itertools import islice
 
@@ -125,14 +125,11 @@ def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
 
 def _build_controllers(cfg: RunConfig, out, args):
     built = {}
-    fr = cfg.raw["fixed_rule"]
     for name in cfg.raw["controllers"]:
         if name == "greedy":
             built[name] = ctl.GreedyController(cfg.cost)
         elif name == "fixed-rule":
-            built[name] = ctl.FixedRuleController(
-                cfg.cost, peak_start=fr["peak_start"], peak_end=fr["peak_end"],
-                precool_start=fr["precool_start"], precool_end=fr["precool_end"])
+            built[name] = cfg.fixed_rule
         elif name == "qfr-mdp":
             policy = mdp.load_policy(_input_path(out, POLICY_FILE, args.policy))
             if policy.space != cfg.space:
@@ -389,11 +386,13 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config)
         if args.seed is not None:
-            cfg.raw["seed"] = args.seed
+            # a new RunConfig checks --seed as it checks the file's seed
+            cfg = replace(cfg, raw={**cfg.raw, "seed": args.seed})
         return COMMANDS[args.command](cfg, args)
     # ConfigError, IngestError, FitError, EstimationError and ArtifactError
-    # are ValueErrors
-    except (ValueError, PipelineError, regimes.BucketError,
+    # are ValueErrors; an OSError, such as an input path that is a
+    # directory, names its path
+    except (ValueError, OSError, PipelineError, regimes.BucketError,
             mdp.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,15 @@ integer fail alike, naming the key. The file and the values load through
 libyaml's safe loader when PyYAML was built with it, else through the
 pure-Python one.
 
+The keys that configure a type are listed in SPEC_FIELDS, each with the
+field it sets: the facility, chillers and cost sections, heat_load's
+q_base_w and phi_w_per_core, qfr's harmonics and the fixed rule's hours.
+Their defaults are the fields' own. Each type is built at load, so its own
+checks refuse a bad value, and the error names the section; a
+regimes.TransitionModel checks chain.alpha and chain.grouping the same way.
+The other keys keep their defaults in DEFAULTS and their range checks in
+RunConfig.
+
 Windows resolve once, at load, to (first hour, last hour) pairs: each entry
 is [start, end] as two quoted ISO timestamps (YAML reads an unquoted one as
 a datetime, which is refused), read by `ingest.parse_timestamp`. Train
@@ -16,20 +25,20 @@ windows are sorted and must not overlap; a simulate window holds whole
 days, and no two simulate windows may start on one UTC day, whose
 trajectory files would collide. An explicit mdp.planning_day is parsed at
 load as well, so a bad one fails every stage; the derived one (July 15 of
-the first simulate window) is checked only when a stage asks for it. The
-fixed rule's hours and the synthetic load's amplitude are checked at load.
+the first simulate window) is checked only when a stage asks for it.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import yaml
 
+from .controllers import FixedRuleController
 from .ingest import (IngestError, format_timestamp, format_timestamps,
                      parse_timestamp)
 from .mdp import CostSpec, StateSpace
-from .qfr import FourierDesign
-from .regimes import GROUPINGS
+from .qfr import REGIME_COUNTS, FourierDesign
+from .regimes import TransitionModel
 from .thermal import ChillerSpec, FacilitySpec, HeatLoadSpec
 
 ENV_PREFIX = "COOLSCHED_"
@@ -38,6 +47,39 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 KNOWN_CONTROLLERS = ("qfr-mdp", "greedy", "fixed-rule")
 
+# each section whose keys configure one type: the type, and the field that
+# each key sets
+SPEC_FIELDS = {
+    "facility": (FacilitySpec, {
+        "floor_area_m2": "floor_area", "ceiling_height_m": "ceiling_height",
+        "slab_thickness_m": "slab_thickness", "rho_air": "rho_air",
+        "cp_air": "cp_air", "rho_concrete": "rho_concrete",
+        "cp_concrete": "cp_concrete", "c_equipment_j_per_degc": "c_equipment",
+        "gamma_env_w_per_degc": "gamma_env"}),
+    "chillers": (ChillerSpec, {
+        "count": "a_max", "eta_w": "eta", "cop_lo_temp_c": "cop_lo_temp",
+        "cop_hi_temp_c": "cop_hi_temp", "cop_lo": "cop_lo", "cop_hi": "cop_hi"}),
+    "heat_load": (HeatLoadSpec, {"q_base_w": "q_base",
+                                 "phi_w_per_core": "phi"}),
+    "cost": (CostSpec, {
+        "t_min_c": "t_min", "t_max_c": "t_max",
+        "lambda_under_per_degc": "lambda_under",
+        "lambda_over_per_degc": "lambda_over"}),
+    "qfr": (FourierDesign, {"daily_harmonics": "daily_harmonics",
+                            "seasonal_harmonics": "seasonal_harmonics"}),
+    "fixed_rule": (FixedRuleController, {
+        "peak_start": "peak_start", "peak_end": "peak_end",
+        "precool_start": "precool_start", "precool_end": "precool_end"}),
+}
+
+
+def _field_defaults(section) -> dict:
+    """Each key of a SPEC_FIELDS section with its field's default."""
+    cls, keys = SPEC_FIELDS[section]
+    default = {f.name: f.default for f in fields(cls)}
+    return {key: default[name] for key, name in keys.items()}
+
+
 DEFAULTS = {
     "paths": {
         "price_csv": None,
@@ -45,43 +87,16 @@ DEFAULTS = {
         "workload_csv": None,   # null: synthesize from heat_load.synth_*
         "out_dir": "out",
     },
-    "facility": {
-        "floor_area_m2": 3000.0,
-        "ceiling_height_m": 4.0,
-        "slab_thickness_m": 0.2,
-        "rho_air": 1.204,
-        "cp_air": 1005.0,
-        "rho_concrete": 2300.0,
-        "cp_concrete": 880.0,
-        "c_equipment_j_per_degc": 4.0e7,
-        "gamma_env_w_per_degc": 10000.0,
-    },
-    "chillers": {
-        "count": 4,
-        "eta_w": 1.25e6,
-        "cop_lo_temp_c": 15.0,
-        "cop_hi_temp_c": 40.0,
-        "cop_lo": 5.0,
-        "cop_hi": 2.5,
-    },
+    "facility": _field_defaults("facility"),
+    "chillers": _field_defaults("chillers"),
     "heat_load": {
-        "q_base_w": 1.0e6,
-        "phi_w_per_core": 10.0,
+        **_field_defaults("heat_load"),
         "synth_base_cores": 50000,
         "synth_amplitude": 0.4,
         "synth_noise": 0.05,
     },
-    "cost": {
-        "t_min_c": 18.0,
-        "t_max_c": 27.0,
-        "lambda_under_per_degc": 1000.0,
-        "lambda_over_per_degc": 1000.0,
-    },
-    "qfr": {
-        "regimes": 4,
-        "daily_harmonics": 3,
-        "seasonal_harmonics": 2,
-    },
+    "cost": _field_defaults("cost"),
+    "qfr": {"regimes": 4, **_field_defaults("qfr")},
     "chain": {
         "alpha": 0.5,
         "grouping": "month",
@@ -98,12 +113,7 @@ DEFAULTS = {
         "train": [],
         "simulate": [],
     },
-    "fixed_rule": {
-        "peak_start": 16,
-        "peak_end": 19,
-        "precool_start": 2,
-        "precool_end": 4,
-    },
+    "fixed_rule": _field_defaults("fixed_rule"),
     "controllers": ["qfr-mdp", "greedy", "fixed-rule"],
     "seed": 0,
 }
@@ -213,23 +223,30 @@ class RunConfig:
         raw = self.raw
         try:
             # build every derived spec once so bad numbers fail here, not mid-run
-            _ = (self.facility, self.chiller, self.heat, self.cost, self.space,
-                 self.design, self.planning_cost)
+            _ = (self.facility, self.chiller, self.heat, self.design,
+                 self.fixed_rule, self.space, self.planning_cost)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        rule = raw["fixed_rule"]
-        for first, last in (("peak_start", "peak_end"), ("precool_start", "precool_end")):
-            if not 0 <= rule[first] < rule[last] <= 24:
-                raise ConfigError(f"fixed_rule: need 0 <= {first} < {last} <= 24, "
-                                  f"got {rule[first]} and {rule[last]}")
-        amplitude = raw["heat_load"]["synth_amplitude"]
+        regimes, chain = raw["qfr"]["regimes"], raw["chain"]
+        try:
+            TransitionModel(regimes, chain["alpha"], chain["grouping"], {})
+        except ValueError as exc:
+            raise ConfigError(f"chain: {exc}") from None
+        if regimes not in REGIME_COUNTS:
+            raise ConfigError(f"qfr.regimes must be in {REGIME_COUNTS[0]}.."
+                              f"{REGIME_COUNTS[-1]}, got {regimes}")
+        heat = raw["heat_load"]
+        for key in ("synth_base_cores", "synth_noise"):
+            if heat[key] < 0:
+                raise ConfigError(f"heat_load.{key} must be >= 0, got {heat[key]!r}")
+        amplitude = heat["synth_amplitude"]
         if not 0 <= amplitude <= 1:
             raise ConfigError(f"heat_load.synth_amplitude must be in [0, 1], got {amplitude!r}")
+        if raw["seed"] < 0:
+            raise ConfigError(f"seed must be >= 0, got {raw['seed']}")
         for name in raw["controllers"]:
             if name not in KNOWN_CONTROLLERS:
                 raise ConfigError(f"unknown controller {name!r}")
-        if raw["chain"]["grouping"] not in GROUPINGS:
-            raise ConfigError(f"unknown chain grouping {raw['chain']['grouping']!r}")
         if raw["mdp"]["planning_cycle"] not in ("day", "window"):
             raise ConfigError("mdp.planning_cycle must be 'day' or 'window'")
         train = sorted(_windows(raw, "train"))
@@ -302,37 +319,39 @@ class RunConfig:
             raise ConfigError(f"paths.{key}: file not found: {value}")
         return value
 
+    def _build(self, section, *args):
+        """The SPEC_FIELDS type of `section`, from its keys and `args`."""
+        cls, keys = SPEC_FIELDS[section]
+        values = self.raw[section]
+        try:
+            return cls(*args, **{name: values[key] for key, name in keys.items()})
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
+
     @property
     def facility(self) -> FacilitySpec:
-        f = self.raw["facility"]
-        return FacilitySpec(
-            floor_area=f["floor_area_m2"], ceiling_height=f["ceiling_height_m"],
-            slab_thickness=f["slab_thickness_m"], rho_air=f["rho_air"],
-            cp_air=f["cp_air"], rho_concrete=f["rho_concrete"],
-            cp_concrete=f["cp_concrete"],
-            c_equipment=f["c_equipment_j_per_degc"],
-            gamma_env=f["gamma_env_w_per_degc"],
-        )
+        return self._build("facility")
 
     @property
     def chiller(self) -> ChillerSpec:
-        c = self.raw["chillers"]
-        return ChillerSpec(a_max=c["count"], eta=c["eta_w"],
-                           cop_lo_temp=c["cop_lo_temp_c"],
-                           cop_hi_temp=c["cop_hi_temp_c"],
-                           cop_lo=c["cop_lo"], cop_hi=c["cop_hi"])
+        return self._build("chillers")
 
     @property
     def heat(self) -> HeatLoadSpec:
-        h = self.raw["heat_load"]
-        return HeatLoadSpec(q_base=h["q_base_w"], phi=h["phi_w_per_core"])
+        return self._build("heat_load")
 
     @property
     def cost(self) -> CostSpec:
-        c = self.raw["cost"]
-        return CostSpec(t_min=c["t_min_c"], t_max=c["t_max_c"],
-                        lambda_under=c["lambda_under_per_degc"],
-                        lambda_over=c["lambda_over_per_degc"])
+        return self._build("cost")
+
+    @property
+    def design(self) -> FourierDesign:
+        return self._build("qfr")
+
+    @property
+    def fixed_rule(self) -> FixedRuleController:
+        """The fixed-rule baseline on the configured band."""
+        return self._build("fixed_rule", self.cost)
 
     @property
     def band_margin(self) -> float:
@@ -346,9 +365,8 @@ class RunConfig:
         margin = self.band_margin
         if base.t_min + margin >= base.t_max - margin:
             raise ConfigError("band margin leaves no planning band")
-        return CostSpec(t_min=base.t_min + margin, t_max=base.t_max - margin,
-                        lambda_under=base.lambda_under,
-                        lambda_over=base.lambda_over)
+        return replace(base, t_min=base.t_min + margin,
+                       t_max=base.t_max - margin)
 
     @property
     def space(self) -> StateSpace:
@@ -357,12 +375,6 @@ class RunConfig:
                           theta_step=m["theta_step_c"],
                           m=self.raw["qfr"]["regimes"],
                           a_max=self.raw["chillers"]["count"])
-
-    @property
-    def design(self) -> FourierDesign:
-        q = self.raw["qfr"]
-        return FourierDesign(daily_harmonics=q["daily_harmonics"],
-                             seasonal_harmonics=q["seasonal_harmonics"])
 
     @property
     def seed(self) -> int:

@@ -30,8 +30,7 @@ from .thermal import step_temperature  # noqa: F401
 
 def policy_slot(policy: Policy, hours):
     """Cycle slot(s) of absolute hour(s): hours since the cycle's first, mod n."""
-    first = 0 if policy.hours is None else int(policy.hours[0])
-    return (hours - first) % policy.n
+    return (hours - int(policy.hours[0])) % policy.n
 
 
 def _first_at_most(row, theta, decay, t_max) -> int:
@@ -81,10 +80,12 @@ class FixedRuleController:
     name: str = "fixed-rule"
 
     def __post_init__(self):
-        if not (0 <= self.peak_start < self.peak_end <= 24):
-            raise ValueError("need 0 <= peak_start < peak_end <= 24")
-        if not (0 <= self.precool_start < self.precool_end <= 24):
-            raise ValueError("need 0 <= precool_start < precool_end <= 24")
+        for first, last in (("peak_start", "peak_end"),
+                            ("precool_start", "precool_end")):
+            start, end = getattr(self, first), getattr(self, last)
+            if not 0 <= start < end <= 24:
+                raise ValueError(f"need 0 <= {first} < {last} <= 24, "
+                                 f"got {start} and {end}")
 
     def start(self, window) -> None:
         hod = np.asarray(window.hours) % 24

@@ -177,8 +177,14 @@ def _fill_gaps(hours, values, kind, max_gap=MAX_GAP_HOURS):
     counts = missing[gaps]
     left = np.repeat(gaps, counts)  # observation before each filled hour
     k = np.arange(1, len(left) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-    prev_v = values[left]
-    filled = prev_v + k / np.repeat(counts + 1, counts) * (values[left + 1] - prev_v)
+    prev_v, next_v = values[left], values[left + 1]
+    frac = k / np.repeat(counts + 1, counts)
+    with np.errstate(over="ignore"):
+        filled = prev_v + frac * (next_v - prev_v)
+    # the difference of two finite values of opposite sign near the float
+    # limit overflows; their weighted sum does not
+    far = ~np.isfinite(filled)
+    filled[far] = prev_v[far] * (1 - frac[far]) + next_v[far] * frac[far]
     if kind is SeriesKind.WORKLOAD:
         filled = np.round(filled)
     out_v[hours[left] + k - hours[0]] = filled
@@ -461,6 +467,8 @@ def synth_workload(seed: int, n_hours: int, base_cores: int, amplitude: float,
     """
     if not 0 <= amplitude <= 1:
         raise ValueError("amplitude must be in [0, 1]")
+    if base_cores < 0 or noise < 0:
+        raise ValueError("base_cores and noise must be >= 0")
     start_hour = parse_timestamp(start) if isinstance(start, str) else int(start)
     hours = np.arange(start_hour, start_hour + n_hours, dtype=np.int64)
     hod = hours % 24

@@ -108,6 +108,15 @@ class CostSpec:
             raise ValueError("penalties must be >= 0")
 
 
+def _cycle_hours(hours, n) -> np.ndarray:
+    """`hours` as int64, which must be n consecutive absolute hours."""
+    hours = np.asarray(hours)
+    if (not np.issubdtype(hours.dtype, np.integer) or hours.shape != (n,)
+            or np.any(np.diff(hours) != 1)):
+        raise ValueError(f"hours must be the cycle's {n} consecutive hours")
+    return hours.astype(np.int64)
+
+
 @dataclass
 class MdpProblem:
     """One planning cycle: the plant's step table, regime prices and chain.
@@ -123,7 +132,7 @@ class MdpProblem:
     plant: StepTable     # (n, a_max + 1) equilibria and kWh, one decay
     prices: np.ndarray   # (n, M) representative $/MWh per regime
     trans: np.ndarray    # (n, M, M) row-stochastic regime transitions
-    hours: np.ndarray = None  # optional absolute hour indices, length n
+    hours: np.ndarray    # (n,) consecutive absolute hour indices
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=float)
@@ -138,10 +147,7 @@ class MdpProblem:
         grid = self.space.theta_grid
         if not (grid[0] < self.cost.t_min and self.cost.t_max < grid[-1]):
             raise ValueError("theta grid must contain [t_min, t_max] strictly inside")
-        if self.hours is not None:
-            self.hours = np.asarray(self.hours, dtype=np.int64)
-            if self.hours.shape != (n,):
-                raise ValueError("hours must have length n")
+        self.hours = _cycle_hours(self.hours, n)
 
     @property
     def n(self) -> int:
@@ -438,7 +444,7 @@ class Policy:
 
     actions: np.ndarray  # (n, n_theta, m) ints in 0..a_max
     space: StateSpace
-    hours: np.ndarray = None   # absolute hour indices of the cycle, optional
+    hours: np.ndarray    # (n,) consecutive absolute hours of the cycle
     objective: float = None
 
     def __post_init__(self):
@@ -451,6 +457,7 @@ class Policy:
                              f"got {self.actions.shape}")
         if np.any(self.actions < 0) or np.any(self.actions > self.space.a_max):
             raise ValueError(f"actions must be in 0..{self.space.a_max}")
+        self.hours = _cycle_hours(self.hours, self.n)
 
     @property
     def n(self) -> int:
@@ -472,7 +479,7 @@ def save_policy(policy: Policy, path) -> None:
         "theta_step": policy.space.theta_step,
         "m": policy.space.m,
         "a_max": policy.space.a_max,
-        "hours": None if policy.hours is None else [int(h) for h in policy.hours],
+        "hours": policy.hours.tolist(),
         "objective": policy.objective,
         "actions": policy.actions.tolist(),
     }, indent=None)
@@ -480,15 +487,15 @@ def save_policy(policy: Policy, path) -> None:
 
 def load_policy(path) -> Policy:
     doc = artifacts.read_json(path, "policy", keys=(
-        "theta_min", "theta_max", "theta_step", "m", "a_max"))
-    if "actions" not in doc:
-        raise artifacts.ArtifactError(
-            f"{path} holds no action table (it predates the deterministic "
-            "policy format); re-run `coolsched plan`")
+        "n", "theta_min", "theta_max", "theta_step", "m", "a_max", "hours",
+        "actions"))
     with artifacts.loading(path, "policy"):
         space = StateSpace(theta_min=doc["theta_min"], theta_max=doc["theta_max"],
                            theta_step=doc["theta_step"], m=doc["m"],
                            a_max=doc["a_max"])
-        hours = None if doc.get("hours") is None else np.asarray(doc["hours"], dtype=np.int64)
-        return Policy(actions=np.asarray(doc["actions"]),
-                      space=space, hours=hours, objective=doc.get("objective"))
+        policy = Policy(actions=np.asarray(doc["actions"]), space=space,
+                        hours=doc["hours"], objective=doc.get("objective"))
+    if doc["n"] != policy.n:
+        raise artifacts.ArtifactError(f"{path} holds n {doc['n']!r} for "
+                                      f"{policy.n} action table rows")
+    return policy

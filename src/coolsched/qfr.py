@@ -641,6 +641,9 @@ def fit_quantile(hours, prices, tau: float, design: FourierDesign) -> QuantileFi
     return _fit_levels(hours, prices, [tau], design)[0]
 
 
+REGIME_COUNTS = range(2, 17)   # the M that fit_regimes fits
+
+
 def levels(m: int) -> list:
     """The 2M - 1 levels i/2M of an M-regime model: band boundaries j/M at
     even i, each band's representative at its mid level at odd i."""
@@ -687,8 +690,9 @@ class RegimeModel:
 def fit_regimes(hours, prices, m: int, design: FourierDesign):
     """The M-regime model fitted at `levels(m)`, and its QuantileFits in
     level order."""
-    if not 2 <= m <= 16:
-        raise FitError(f"regime count must be in 2..16, got {m}")
+    if m not in REGIME_COUNTS:
+        raise FitError(f"regime count must be in {REGIME_COUNTS[0]}.."
+                       f"{REGIME_COUNTS[-1]}, got {m}")
     fits = _fit_levels(hours, prices, levels(m), design)
     return RegimeModel(m, design, np.array([fit.coefficients for fit in fits])), fits
 

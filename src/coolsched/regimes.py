@@ -73,9 +73,10 @@ class TransitionModel:
 
     def __post_init__(self):
         if self.grouping not in GROUPINGS:
-            raise ValueError(f"grouping must be one of {GROUPINGS}")
+            raise ValueError(f"grouping must be one of {GROUPINGS}, "
+                             f"got {self.grouping!r}")
         if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         keys = list(self.matrices)
         mats = [np.asarray(self.matrices[key], dtype=float) for key in keys]
         # the first bucket that fails either check, in key order, is named

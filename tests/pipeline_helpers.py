@@ -60,9 +60,9 @@ def write_config(root, doc, name="config.yaml"):
     return path
 
 
-def make_project(root, seed=3, **overrides):
+def make_project(root, **overrides):
     """Inputs plus a config file; returns the config path."""
-    write_inputs(root, seed=seed)
+    write_inputs(root)
     return write_config(root, base_config(root, **overrides))
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import datetime
 import io
 import json
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,10 @@ import coolsched
 from coolsched import artifacts, cli, ingest, mdp, qfr, regimes, sim
 from coolsched import config as config_module
 from coolsched.config import ConfigError, RunConfig
+from coolsched.controllers import FixedRuleController
+from coolsched.mdp import CostSpec
+from coolsched.qfr import FourierDesign
+from coolsched.thermal import ChillerSpec, FacilitySpec, HeatLoadSpec
 
 import pipeline_helpers as ph
 
@@ -527,7 +533,7 @@ def test_bad_windows_fail_at_load(tmp_path, capsys, kind, windows, named):
         doc["windows"][kind] = windows
     config = ph.write_config(str(tmp_path), doc)
     if windows == "unquoted":  # YAML reads an unquoted stamp as a datetime
-        text = open(config, encoding="utf-8").read()
+        text = Path(config).read_text(encoding="utf-8")
         with open(config, "w", encoding="utf-8") as fh:
             fh.write(text.replace("'2023-06-01T00:00:00Z'",
                                   "2023-06-01T00:00:00Z"))
@@ -554,7 +560,22 @@ def test_bad_planning_day_fails_at_load(tmp_path, capsys):
      "error: fixed_rule: need 0 <= peak_start < peak_end <= 24, got 20 and 19\n"),
     ({"heat_load": {"synth_noise": 0.0, "synth_amplitude": 2.0}},
      "error: heat_load.synth_amplitude must be in [0, 1], got 2.0\n"),
-], ids=["fixed-rule-hours", "synth-amplitude"])
+    ({"heat_load": {"synth_base_cores": -5}},
+     "error: heat_load.synth_base_cores must be >= 0, got -5\n"),
+    ({"heat_load": {"synth_noise": -0.5}},
+     "error: heat_load.synth_noise must be >= 0, got -0.5\n"),
+    ({"qfr": {"regimes": 1}}, "error: qfr.regimes must be in 2..16, got 1\n"),
+    ({"qfr": {"regimes": 17}},
+     "error: qfr.regimes must be in 2..16, got 17\n"),
+    ({"seed": -1}, "error: seed must be >= 0, got -1\n"),
+    ({"chain": {"alpha": -0.5}},
+     "error: chain: alpha must be >= 0, got -0.5\n"),
+    ({"chain": {"grouping": "weekly"}},
+     "error: chain: grouping must be one of ('month', 'season', 'single', "
+     "'pooled'), got 'weekly'\n"),
+], ids=["fixed-rule-hours", "synth-amplitude", "synth-cores", "synth-noise",
+        "one-regime", "seventeen-regimes", "seed", "chain-alpha",
+        "chain-grouping"])
 def test_bad_config_values_fail_at_load(tmp_path, capsys, overrides, named):
     # checked when the config loads, so every stage names the key before it
     # makes its out dir, even the stages that never read it
@@ -563,6 +584,37 @@ def test_bad_config_values_fail_at_load(tmp_path, capsys, overrides, named):
         assert cli.main([command, "--config", config]) == 2
         assert capsys.readouterr().err == named
         assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_fails_at_load(tmp_path, capsys):
+    # --seed takes only what the config's seed takes, checked before any
+    # stage makes its out dir
+    config = ph.make_project(str(tmp_path))
+    for command in cli.COMMANDS:
+        assert cli.main([command, "--config", config, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_config_defaults_are_the_types_defaults(tmp_path):
+    # a config that sets no key of SPEC_FIELDS builds each type as the
+    # type's own defaults do
+    config = tmp_path / "config.yaml"
+    config.write_text("")
+    cfg = RunConfig.from_file(str(config), environ={})
+    assert cfg.facility == FacilitySpec()
+    assert cfg.chiller == ChillerSpec()
+    assert cfg.heat == HeatLoadSpec()
+    assert cfg.cost == CostSpec()
+    assert cfg.design == FourierDesign()
+    hours = ("peak_start", "peak_end", "precool_start", "precool_end")
+    default = FixedRuleController(cfg.cost)
+    assert ([getattr(cfg.fixed_rule, name) for name in hours]
+            == [getattr(default, name) for name in hours])
+    for section, (cls, keys) in config_module.SPEC_FIELDS.items():
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert set(keys.values()) <= names, section
+        assert set(keys) <= set(config_module.DEFAULTS[section]), section
 
 
 def test_config_stamps_go_through_parse_timestamp(tmp_path, monkeypatch):
@@ -607,7 +659,7 @@ def test_unquoted_bad_date_is_named(tmp_path, capsys, monkeypatch):
     # YAML reads an unquoted 2024-13-01 as a date and fails inside its
     # loader; the file's error names the file, the variable's its key
     config = ph.make_project(str(tmp_path), mdp={"planning_day": "2024-07-15"})
-    text = open(config, encoding="utf-8").read()
+    text = Path(config).read_text(encoding="utf-8")
     assert "planning_day: '2024-07-15'" in text
     bad = tmp_path / "bad.yaml"
     bad.write_text(text.replace("'2024-07-15'", "2024-13-01"))
@@ -1052,6 +1104,7 @@ def test_import_loads_numpy_with_one_blas_thread():
     (qfr.load_model, "regime_model.json", "design"),
     (regimes.load_model, "transition_model.json", "buckets"),
     (mdp.load_policy, "policy.json", "theta_step"),
+    (mdp.load_policy, "policy.json", "hours"),
 ])
 def test_missing_key_is_named(pipeline, tmp_path, load, name, key):
     _, out, _ = pipeline
@@ -1132,9 +1185,15 @@ def _set(*keys_and_value):
     ("plan", "transition_model.json", _set("alpha", None)),
     ("simulate", "policy.json", _set("m", "4")),
     ("simulate", "policy.json", _set("theta_step", None)),
+    ("simulate", "policy.json", _set("hours", [])),
+    ("simulate", "policy.json", _set("hours", [1, 2, 3])),
+    ("simulate", "policy.json",
+     lambda doc: doc.update(hours=[h + 0.5 for h in doc["hours"]])),
+    ("simulate", "policy.json", _set("n", 23)),
 ], ids=["regime-m", "regime-m-float", "regime-levels", "regime-coefficients", "regime-design",
         "chain-m", "chain-buckets", "chain-alpha", "policy-m",
-        "policy-theta-step"])
+        "policy-theta-step", "policy-no-hours", "policy-short-hours",
+        "policy-float-hours", "policy-n"])
 def test_wrong_field_type_is_named(pipeline, tmp_path, capsys, command, name,
                                    edit):
     # a field of the wrong JSON type fails the stage that reads it with an
@@ -1150,6 +1209,35 @@ def test_wrong_field_type_is_named(pipeline, tmp_path, capsys, command, name,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {run / name} holds ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("fit-qfr", "--config"),
+    ("simulate", "--policy"),
+    ("estimate-chain", "--regime-model"),
+    ("fit-qfr", "paths.price_csv"),
+])
+def test_directory_input_is_named(pipeline, tmp_path, capsys, command, option):
+    # an input path that names a directory fails its stage with an error
+    # that names it, not a traceback
+    root, out, config = pipeline
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    argv = [command, "--config", config, "--out", str(run)]
+    if option == "--config":
+        argv[2] = str(folder)
+    elif option == "paths.price_csv":
+        argv[2] = ph.write_config(root, ph.base_config(
+            root, paths={"price_csv": str(folder)}), name="config_dir.yaml")
+    else:
+        argv += [option, str(folder)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err
     assert "Traceback" not in err
 
 

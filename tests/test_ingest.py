@@ -110,7 +110,10 @@ def _fill_gaps_loop(hours, values, kind, max_gap=MAX_GAP_HOURS):
             )
         for k in range(1, missing + 1):
             frac = k / (missing + 1)
-            filled = prev_v + frac * (v - prev_v)
+            with np.errstate(over="ignore"):
+                filled = prev_v + frac * (v - prev_v)
+            if not np.isfinite(filled):   # the difference overflowed
+                filled = prev_v * (1 - frac) + v * frac
             if kind is SeriesKind.WORKLOAD:
                 filled = float(round(filled))
             out_h.append(prev_h + k)
@@ -141,6 +144,16 @@ def test_fill_gaps_matches_loop(start, steps, kind, data):
                                          max_size=len(hours))), dtype=float)
     assert (_outcome(_fill_gaps, hours, values, kind)
             == _outcome(_fill_gaps_loop, hours, values, kind))
+
+
+def test_fill_gaps_stays_finite_near_the_float_limit():
+    # the difference of these two prices overflows; the filled hour is
+    # their mean, as the weighted sum gives it
+    values = np.array([1.7976931348623155e308, -2.9937604643020797e292])
+    hours, filled = _fill_gaps(np.array([0, 2]), values, SeriesKind.PRICE)
+    assert hours.tolist() == [0, 1, 2]
+    assert filled[1] == values[0] * 0.5 + values[1] * 0.5
+    assert np.isfinite(filled).all()
 
 
 def _load_series_loop(path, kind):
@@ -543,6 +556,16 @@ def test_align_rejects_partial_days():
 def test_synth_workload_flat_when_degenerate():
     ts = synth_workload(seed=5, n_hours=48, base_cores=1000, amplitude=0.0, noise=0.0)
     assert np.all(ts.values == 1000)
+
+
+def test_synth_workload_refuses_negative_values():
+    for kwargs, named in (({"base_cores": -5}, "base_cores"),
+                          ({"noise": -0.5}, "noise"),
+                          ({"amplitude": 1.5}, "amplitude")):
+        args = {"seed": 0, "n_hours": 24, "base_cores": 1000,
+                "amplitude": 0.4, **kwargs}
+        with pytest.raises(ValueError, match=named):
+            synth_workload(**args)
 
 
 def test_synth_workload_deterministic():

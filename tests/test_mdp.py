@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +59,7 @@ def plan(problem: MdpProblem) -> tuple:
 
 def make_case(n=4, space=None, cost=None, chiller=None, t_out=25.0,
               q=1.5e6, prices=None, trans=None, gamma_env=1e4,
-              c_heat=5.5e9, hours=None):
+              c_heat=5.5e9):
     """(problem, plant): a cycle of n hours and the loose plant it plans on."""
     space = space or StateSpace(15, 30, 1.0, m=2, a_max=4)
     cost = cost or CostSpec(t_min=18, t_max=27, lambda_under=1000, lambda_over=1000)
@@ -71,7 +72,7 @@ def make_case(n=4, space=None, cost=None, chiller=None, t_out=25.0,
         trans = np.tile(np.full((space.m, space.m), 1.0 / space.m), (n, 1, 1))
     plant = Plant(chiller, t_out, q, gamma_env, c_heat)
     return MdpProblem(space=space, cost=cost, plant=plant.table(),
-                      prices=prices, trans=trans, hours=hours), plant
+                      prices=prices, trans=trans, hours=np.arange(n)), plant
 
 
 def make_problem(**kwargs):
@@ -270,7 +271,7 @@ def _day_problem(n, space, seed):
     trans = rng.dirichlet(np.ones(4) * 3, size=(n, 4))
     plant = Plant(ChillerSpec(), t_out, q, gamma_env=1e4, c_heat=5.5e9)
     return MdpProblem(space=space, cost=cost, plant=plant.table(),
-                      prices=prices, trans=trans)
+                      prices=prices, trans=trans, hours=np.arange(n))
 
 
 def _desk_problem():
@@ -406,7 +407,8 @@ def test_policy_rejects_probability_format(desk_instance, tmp_path):
     actions = np.asarray(doc.pop("actions"))
     doc["probabilities"] = np.eye(policy.space.n_actions)[actions].tolist()
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="re-run `coolsched plan`"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path} holds a policy without the key 'actions'")):
         load_policy(path)
 
 
@@ -420,14 +422,15 @@ def test_lp_description_exposes_objective_scaling():
 
 def test_policy_validates_action_table():
     space = StateSpace(15, 30, 5.0, m=1, a_max=1)
-    Policy(actions=np.ones((2, 4, 1), dtype=np.int64), space=space)
+    Policy(actions=np.ones((2, 4, 1), dtype=np.int64), space=space,
+           hours=np.arange(2))
     for bad, match in ((np.full((2, 4, 1), 2), "0..1"),
                        (np.full((2, 4, 1), -1), "0..1"),
                        (np.zeros((2, 4, 2), dtype=np.int64), "shape"),
                        (np.zeros((2, 4, 1, 2), dtype=np.int64), "shape"),
                        (np.full((2, 4, 1), 0.5), "integers")):
         with pytest.raises(ValueError, match=match):
-            Policy(actions=bad, space=space)
+            Policy(actions=bad, space=space, hours=np.arange(2))
 
 
 # Property tests: vectorised kernels against their scalar definitions.

@@ -167,10 +167,9 @@ def rollout_cases(draw):
     slots = draw(st.sampled_from([24, 48]))
     actions = draw(arrays(np.int64, (slots, space.n_theta, m),
                           elements=st.integers(0, 4)))
-    cycle_start = draw(st.none() | st.just(start - draw(st.integers(0, 100))))
+    cycle_start = draw(st.just(0) | st.just(start - draw(st.integers(0, 100))))
     policy = Policy(actions=actions, space=space,
-                    hours=None if cycle_start is None
-                    else np.arange(cycle_start, cycle_start + slots))
+                    hours=np.arange(cycle_start, cycle_start + slots))
     theta0 = draw(st.floats(12.0, 35.0, **finite))
     facility = replace(FACILITY,
                        gamma_env=draw(st.floats(2e3, 5e4, **finite)),
@@ -198,7 +197,8 @@ def _flat_case(price=40.0, theta0=24.0, t_out=28.0, cores=50_000.0,
     actions = np.zeros((24, space.n_theta, 2), dtype=np.int64)
     actions[:, :, 0] = np.arange(space.n_theta)[None, :] % 5   # regime 1
     actions[:, :, 1] = 4 - actions[:, :, 0]                    # regime 2
-    return (dataset, model, Policy(actions=actions, space=space), theta0,
+    return (dataset, model,
+            Policy(actions=actions, space=space, hours=np.arange(24)), theta0,
             FACILITY)
 
 
