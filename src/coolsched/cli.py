@@ -2,9 +2,10 @@
 
 Commands, in the order they run: fit-qfr, estimate-chain, plan, simulate,
 compare, export-plot-data. Each reads what the earlier ones wrote to the out
-dir. export-plot-data writes fig2 and fig3 from the policy and trajectories,
-and copies qfr_surfaces.csv (fit-qfr) and comparison.csv (compare) to fig1
-and fig4. All take --config (YAML, see config.py), plus --seed and --out overrides.
+dir. export-plot-data renders fig1 from the regime model (fit-qfr) and fig2
+and fig3 from the policy and trajectories, and copies comparison.csv
+(compare) to fig4. All take --config (YAML, see config.py), plus --seed and
+--out overrides.
 Every command is deterministic given identical config and seed. Every CSV
 a command writes is a table of text columns that artifacts.write_csv joins.
 
@@ -21,6 +22,7 @@ day>.csv`.
 """
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -39,10 +41,9 @@ REGIME_MODEL_FILE = "regime_model.json"
 TRANSITION_MODEL_FILE = "transition_model.json"
 POLICY_FILE = "policy.json"
 REPORTS_FILE = "reports.json"
-SURFACES_FILE = "qfr_surfaces.csv"
 COMPARISON_FILE = "comparison.csv"
 # the stage that writes each input file into the out dir
-WRITTEN_BY = {REGIME_MODEL_FILE: "fit-qfr", SURFACES_FILE: "fit-qfr",
+WRITTEN_BY = {REGIME_MODEL_FILE: "fit-qfr",
               TRANSITION_MODEL_FILE: "estimate-chain", POLICY_FILE: "plan",
               REPORTS_FILE: "simulate", COMPARISON_FILE: "compare"}
 
@@ -156,18 +157,6 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     hours, values = _train_samples(windows, price)
     model, fits = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
     qfr.save_model(model, os.path.join(out, REGIME_MODEL_FILE))
-    # rearranged quantile surfaces over the first training window
-    surface_hours = ingest.window_hours(windows[0])
-    bounds, reps = model.surfaces_at(surface_hours)
-    artifacts.write_csv(
-        os.path.join(out, SURFACES_FILE),
-        ["timestamp", "hour_of_day"]
-        + [f"boundary_{j}" for j in range(1, model.m)]
-        + [f"representative_{p}" for p in range(1, model.m + 1)],
-        [ingest.format_timestamps(surface_hours),
-         list(map(str, (surface_hours % 24).tolist()))]
-        + [list(map(repr, column))
-           for column in np.hstack([bounds, reps]).T.tolist()])
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
           f"{model.m - 1} boundary fits, {model.m} representative fits")
     band = qfr.band_rows(len(values), cfg.design.n_features)
@@ -287,13 +276,13 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     policy = mdp.load_policy(_input_path(out, POLICY_FILE, args.policy))
-    surfaces = _input_path(out, SURFACES_FILE)
+    model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE))
     comparison = _input_path(out, COMPARISON_FILE)
-    day_start = cfg.planning_day
+    train_hours = ingest.window_hours(cfg.require_windows("train")[0])
 
     # each controller's trace of the day, read and checked before any write
     first, last = cfg.require_windows("simulate")[0]
-    day = args.day or ingest.format_timestamp(day_start)[:10]
+    day = args.day or ingest.format_timestamp(cfg.planning_day)[:10]
     try:
         day_h0 = ingest.parse_timestamp(f"{day}T00:00:00Z")
     except ingest.IngestError:
@@ -322,8 +311,21 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
                                 f"{offset} of its window; re-run simulate")
         rows_out += [(name, *(row[k] for k in columns)) for row in rows]
 
-    # planned actions for the planning day: hour x theta x regime
-    slots = [ctl.policy_slot(policy, day_start + hod) for hod in range(24)]
+    # rearranged quantile surfaces over the first training window, up to
+    # one period of the design, after which every row repeats an earlier one
+    hours = train_hours[:math.lcm(model.design.period_daily,
+                                  model.design.period_seasonal)]
+    bounds, reps = model.surfaces_at(hours)
+    artifacts.write_csv(
+        os.path.join(out, "fig1_quantile_surfaces.csv"),
+        ["timestamp", "hour_of_day"]
+        + [f"boundary_{j}" for j in range(1, model.m)]
+        + [f"representative_{p}" for p in range(1, model.m + 1)],
+        [ingest.format_timestamps(hours), list(map(str, (hours % 24).tolist()))]
+        + [list(map(repr, column))
+           for column in np.hstack([bounds, reps]).T.tolist()])
+    # planned actions for the exported day: hour x theta x regime
+    slots = [ctl.policy_slot(policy, day_h0 + hod) for hod in range(24)]
     thetas = list(map(repr, policy.space.theta_grid.tolist()))
     m = policy.space.m
     artifacts.write_csv(
@@ -336,8 +338,6 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     artifacts.write_csv(os.path.join(out, "fig3_day_traces.csv"),
                         ["controller", "timestamp", "theta", "action", "price"],
                         list(zip(*rows_out)))
-
-    artifacts.copy(surfaces, os.path.join(out, "fig1_quantile_surfaces.csv"))
     artifacts.copy(comparison, os.path.join(out, "fig4_cost_comparison.csv"))
     print("wrote fig1_quantile_surfaces.csv, fig2_policy_day.csv, "
           "fig3_day_traces.csv, fig4_cost_comparison.csv")

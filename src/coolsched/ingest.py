@@ -18,10 +18,13 @@ converts the values in one `float` pass. Rows that pass cannot vouch for go
 through the per-row checker `_check_row`, in line order, which raises the
 error naming the line: the header, blank lines, lenient or bad stamps,
 records with other than 2 fields, and values that are not a number, not
-finite or not a valid workload. A file that is not ASCII, contains a quote
-or a carriage return, or has a line longer than `csv.field_size_limit()`
-takes all its rows from `csv.reader` through the same checker; text that
-is not UTF-8 and a field over that limit fail there, naming the line too.
+finite or not a valid workload. A line may end in "\r\n" as well as
+"\n", and a UTF-8 byte-order mark at the start of the file is dropped. A
+file that is not ASCII, contains a quote or a carriage return that does not
+end a line before its "\n", or has a line longer than
+`csv.field_size_limit()` takes all its rows from `csv.reader` through the
+same checker; text that is not UTF-8 and a field over that limit fail
+there, naming the line too.
 
 Given a `cache_dir`, `load_series` keeps each kind's parsed series there as
 one flat file, `<kind>_series.bin` (`price_series.bin`,
@@ -37,6 +40,7 @@ archive and replaces the file. An archive that fails to parse raises on
 every load and writes no cache file.
 """
 
+import codecs
 import csv
 import enum
 import io
@@ -226,9 +230,13 @@ def _bulk_rows(path, data, kind):
     """Data rows of a file's bytes as (hours, values, line numbers) arrays.
 
     Returns None when the file needs `csv.reader` to split it: when it is
-    not ASCII, quotes a field, ends a line with a carriage return, or has a
-    line longer than the reader's field size limit.
+    not ASCII, quotes a field, has a carriage return that does not end a
+    line before its "\n", or has a line longer than the reader's field
+    size limit. A line ending in "\r\n" ends before it, as csv.reader
+    ends it.
     """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     if not data.isascii() or b'"' in data or b"\r" in data:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -347,7 +355,8 @@ def load_series(path, kind: SeriesKind, cache_dir=None) -> TimeSeries:
     Rows repeating a timestamp with the same value collapse into one. Raises
     IngestError naming the offending line(s) for malformed rows, for rows
     repeating a timestamp with a different value, and for gaps longer than
-    MAX_GAP_HOURS. The series carries the sha256 of the file's bytes. With
+    MAX_GAP_HOURS. A leading UTF-8 byte-order mark is dropped before the
+    parse; the series carries the sha256 of the file's bytes. With
     `cache_dir`, a series cached there under that digest is returned
     instead of a parse, and a parsed one is cached (see the module doc).
     """
@@ -360,7 +369,9 @@ def load_series(path, kind: SeriesKind, cache_dir=None) -> TimeSeries:
         series = _read_cache(cache_file(cache_dir, kind), kind, digest)
         if series is not None:
             return series
-    series = TimeSeries(*_parse_rows(path, data, kind), kind, sha256=digest)
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    series = TimeSeries(*_parse_rows(path, data.removeprefix(codecs.BOM_UTF8),
+                                     kind), kind, sha256=digest)
     if cache_dir is not None:
         _write_cache(cache_file(cache_dir, kind), series)
     return series

@@ -31,19 +31,22 @@ import pipeline_helpers as ph
 @pytest.fixture(scope="module")
 def pipeline_stages(tmp_path_factory):
     """Full pipeline run in a temp project; yields (root, out_dir, config,
-    stages), where stages holds each command's name, exit code and stdout."""
+    stages), where stages holds each command's name, exit code and stdout,
+    and the names of the files it added to the out dir."""
     root = str(tmp_path_factory.mktemp("proj"))
     config = ph.make_project(root)
     out = os.path.join(root, "out")
     stages = []
     for command in ("fit-qfr", "estimate-chain", "plan", "simulate",
                     "compare", "export-plot-data"):
+        before = set(os.listdir(out)) if os.path.isdir(out) else set()
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             rc = cli.main([command, "--config", config])
         assert rc == 0
         stages.append({"stage": command, "rc": rc,
-                       "stdout": stdout.getvalue()})
+                       "stdout": stdout.getvalue(),
+                       "added": sorted(set(os.listdir(out)) - before)})
     return root, out, config, stages
 
 
@@ -59,11 +62,31 @@ def test_pipeline_writes_expected_files(pipeline):
     trajectories = [f"trajectory_{name}_2024-07-15.csv"
                     for name in ("fixed-rule", "greedy", "qfr-mdp")]
     assert sorted(os.listdir(out)) == sorted([
-        "regime_model.json", "qfr_surfaces.csv", "transition_model.json",
+        "regime_model.json", "transition_model.json",
         "policy.json", *trajectories, "reports.json", "comparison.csv",
         "comparison.json", "fig1_quantile_surfaces.csv", "fig2_policy_day.csv",
         "fig3_day_traces.csv", "fig4_cost_comparison.csv",
         "price_series.bin", "temperature_series.bin"])
+
+
+def test_each_stage_writes_only_its_own_files(pipeline_stages):
+    # every file has one writer, and each input file the one cli.WRITTEN_BY
+    # names
+    _, _, _, stages = pipeline_stages
+    trajectories = [f"trajectory_{name}_2024-07-15.csv"
+                    for name in ("fixed-rule", "greedy", "qfr-mdp")]
+    assert {stage["stage"]: stage["added"] for stage in stages} == {
+        "fit-qfr": ["price_series.bin", "regime_model.json"],
+        "estimate-chain": ["transition_model.json"],
+        "plan": ["policy.json", "temperature_series.bin"],
+        "simulate": ["reports.json", *trajectories],
+        "compare": ["comparison.csv", "comparison.json"],
+        "export-plot-data": ["fig1_quantile_surfaces.csv",
+                             "fig2_policy_day.csv", "fig3_day_traces.csv",
+                             "fig4_cost_comparison.csv"]}
+    writer = {name: stage["stage"] for stage in stages
+              for name in stage["added"]}
+    assert {name: writer[name] for name in cli.WRITTEN_BY} == cli.WRITTEN_BY
 
 
 def test_stages_parse_each_archive_once(pipeline, tmp_path, capsys):
@@ -174,12 +197,18 @@ def test_fit_qfr_outputs(pipeline):
     _, out, config = pipeline
     model = qfr.load_model(os.path.join(out, "regime_model.json"))
     assert model.m == 2
-    assert model.coefficients.shape == (3, RunConfig.from_file(config).design.n_features)
-    assert os.path.exists(os.path.join(out, "qfr_surfaces.csv"))
+    cfg = RunConfig.from_file(config)
+    assert model.coefficients.shape == (3, cfg.design.n_features)
+    # fig1 renders the model's surfaces at each hour of the training window
+    with open(os.path.join(out, "fig1_quantile_surfaces.csv"), newline="",
+              encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + len(ingest.window_hours(cfg.train_windows[0]))
 
 
 def test_surfaces_match_row_writer(pipeline):
-    # the per-row writer fit-qfr used before it wrote columns
+    # the per-row writer of the quantile surfaces, from before they were
+    # written as columns, renders fig1 from the regime model
     _, out, config = pipeline
     cfg = RunConfig.from_file(config)
     model = qfr.load_model(os.path.join(out, "regime_model.json"))
@@ -193,7 +222,7 @@ def test_surfaces_match_row_writer(pipeline):
         writer.writerow([ingest.format_timestamp(h), int(h % 24)]
                         + [repr(float(v)) for v in bounds[i]]
                         + [repr(float(v)) for v in reps[i]])
-    assert ph.read_tree_bytes(out)["qfr_surfaces.csv"] == \
+    assert ph.read_tree_bytes(out)["fig1_quantile_surfaces.csv"] == \
         expected.getvalue().encode()
 
 
@@ -789,19 +818,77 @@ def test_export_plot_data_outputs(pipeline):
 
 
 def test_export_plot_data_needs_no_price_archive(pipeline, tmp_path):
-    # fig1 takes its hours from the first training window, not the archive
+    # fig1 takes its hours from the first training window and its values
+    # from the regime model, not from the archive
     root, out, _ = pipeline
     shutil.copytree(root, tmp_path, dirs_exist_ok=True)
     os.remove(tmp_path / "price.csv")
     os.remove(tmp_path / "out" / "fig1_quantile_surfaces.csv")
+    os.remove(tmp_path / "out" / "price_series.bin")
     config = str(tmp_path / "config.yaml")
     assert cli.main(["export-plot-data", "--config", config]) == 0
     fig1 = (tmp_path / "out" / "fig1_quantile_surfaces.csv").read_bytes()
-    assert fig1 == (tmp_path / "out" / "qfr_surfaces.csv").read_bytes()
     with open(os.path.join(out, "fig1_quantile_surfaces.csv"), "rb") as fh:
         assert fig1 == fh.read()
     fig4 = (tmp_path / "out" / "fig4_cost_comparison.csv").read_bytes()
     assert fig4 == (tmp_path / "out" / "comparison.csv").read_bytes()
+
+
+def test_fig1_spans_one_period_of_the_surfaces(pipeline, tmp_path):
+    # design_matrix reads hours modulo both periods, so past lcm(24, 8760)
+    # hours every row of a longer first training window would repeat one
+    root, out, _ = pipeline
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+    window = ["2023-06-01T00:00:00Z", "2024-07-10T23:00:00Z"]
+    config = ph.write_config(str(tmp_path), ph.base_config(
+        str(tmp_path), windows={"train": [window],
+                                "simulate": [ph.SIM_WINDOW]}))
+    first, last = RunConfig.from_file(config).train_windows[0]
+    assert last - first + 1 > 8760
+    model = qfr.load_model(os.path.join(out, "regime_model.json"))
+    hours = np.arange(first, first + 8760)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        model.surfaces_at(hours), model.surfaces_at(hours + 8760)))
+    assert cli.main(["export-plot-data", "--config", config]) == 0
+    with open(tmp_path / "out" / "fig1_quantile_surfaces.csv", newline="",
+              encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 8760
+    assert [rows[0][0], rows[-1][0]] == ingest.format_timestamps(
+        [first, first + 8759])
+
+
+def test_export_plot_data_day_needs_no_planning_day(pipeline, tmp_path,
+                                                    capsys):
+    # a window plan whose first simulate window holds no July 15 has no
+    # planning day; --day names the exported day, and fig2 takes that
+    # day's cycle slots, as fig3 takes its rows
+    root, _, _ = pipeline
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True,
+                    ignore=shutil.ignore_patterns("out"))
+    window = ["2024-07-16T00:00:00Z", "2024-07-19T23:00:00Z"]
+    config = ph.write_config(str(tmp_path), ph.base_config(
+        str(tmp_path), mdp={"planning_day": None, "planning_cycle": "window"},
+        windows={"train": [ph.TRAIN_WINDOW], "simulate": [window]}))
+    for command in ("fit-qfr", "estimate-chain", "plan", "simulate",
+                    "compare"):
+        assert cli.main([command, "--config", config]) == 0
+    capsys.readouterr()
+    assert cli.main(["export-plot-data", "--config", config]) == 2
+    assert "derived planning day July 15" in capsys.readouterr().err
+    assert cli.main(["export-plot-data", "--config", config,
+                     "--day", "2024-07-17"]) == 0
+    policy = mdp.load_policy(tmp_path / "out" / "policy.json")
+    # the window's second day plans otherwise than its first
+    assert policy.n == 96
+    assert not np.array_equal(policy.actions[24:48], policy.actions[:24])
+    with open(tmp_path / "out" / "fig2_policy_day.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 24 * policy.space.n_theta * policy.space.m
+    for row in rows:
+        i = mdp.quantize(float(row["theta"]), policy.space)
+        assert int(row["action"]) == policy.actions[
+            24 + int(row["hour_of_day"]), i, int(row["regime"]) - 1]
 
 
 def test_export_plot_data_checks_the_day(pipeline, tmp_path, capsys):

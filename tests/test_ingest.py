@@ -1,4 +1,6 @@
+import codecs
 import csv
+import hashlib
 import io
 import math
 import re
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coolsched import ingest
 from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
                               IngestError, SeriesKind, TimeSeries, _fill_gaps,
                               align, cache_file, format_timestamp,
@@ -157,8 +160,9 @@ def test_fill_gaps_stays_finite_near_the_float_limit():
 
 
 def _load_series_loop(path, kind):
-    """Reference loader: csv.reader rows, checked, sorted and merged one at a time."""
-    data = Path(path).read_bytes()
+    """Reference loader: csv.reader rows, checked, sorted and merged one at a
+    time, after a leading UTF-8 byte-order mark is dropped."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -285,6 +289,8 @@ def _csv_text(rnd):
     text = newline.join(header + lines)
     if rnd.random() < 0.5:
         text += newline
+    if rnd.random() < 0.2:
+        text = "\ufeff" + text  # a spreadsheet's "CSV UTF-8" export
     return text
 
 
@@ -309,6 +315,8 @@ def csv_path(tmp_path_factory):
 @example("2024-01-01T00:00:00Z,1\n\n\n", SeriesKind.WORKLOAD)
 @example("2024-01-01T00:00:00Z,-1\n2024-01-01T01:00:00Z,-0.0\n", SeriesKind.WORKLOAD)
 @example("2024-01-01T00:00:00Z,1\r2024-01-01T01:00:00Z,2", SeriesKind.PRICE)
+@example("\ufefftimestamp,value\r\n2024-01-01T00:00:00Z,1\r\n", SeriesKind.PRICE)
+@example("\ufeff2024-01-01T00:00:00Z,1\r\r\n", SeriesKind.PRICE)
 @example("2024-01-01T00:00:00Z,1" + "0" * 140_000, SeriesKind.PRICE)
 def test_load_matches_row_loop(csv_path, text, kind):
     # through a cache dir, the first load parses and caches the series and
@@ -413,6 +421,38 @@ def test_load_names_undecodable_line(tmp_path):
     with pytest.raises(IngestError, match=re.escape(
             f"{path}: line 3: not UTF-8 text: invalid start byte")):
         load_series(path, SeriesKind.PRICE)
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_load_drops_a_byte_order_mark(tmp_path, header):
+    # the series is the plain file's, but keeps the digest of its own bytes
+    rows = ["2024-06-01T00:00:00Z,50.0", "2024-06-01T01:00:00Z,51.5"]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_csv(plain, rows, header=header)
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    expected = load_series(plain, SeriesKind.PRICE)
+    series = load_series(marked, SeriesKind.PRICE)
+    assert series.hours.tolist() == expected.hours.tolist()
+    assert series.values.tobytes() == expected.values.tobytes()
+    assert series.sha256 == hashlib.sha256(marked.read_bytes()).hexdigest()
+
+
+def test_crlf_archive_takes_the_bulk_parse(tmp_path, monkeypatch):
+    # csv.writer ends every line in "\r\n"; such a file needs no csv.reader
+    path = tmp_path / "p.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["timestamp", "value"],
+                                  ["2024-06-01T00:00:00Z", "50.0"],
+                                  ["2024-06-01T01:00:00Z", "-0.5"]])
+    assert path.read_bytes().count(b"\r\n") == 3
+
+    def refuse(*args):
+        raise AssertionError("csv.reader parse")
+
+    monkeypatch.setattr(ingest, "_reader_rows", refuse)
+    series = load_series(path, SeriesKind.PRICE)
+    assert series.values.tolist() == [50.0, -0.5]
+    assert series.hours[0] == parse_timestamp("2024-06-01T00:00:00Z")
 
 
 def test_load_rejects_non_finite(tmp_path):
