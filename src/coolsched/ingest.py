@@ -18,13 +18,11 @@ converts the values in one `float` pass. Rows that pass cannot vouch for go
 through the per-row checker `_check_row`, in line order, which raises the
 error naming the line: the header, blank lines, lenient or bad stamps,
 records with other than 2 fields, and values that are not a number, not
-finite or not a valid workload. A line may end in "\r\n" as well as
-"\n", and a UTF-8 byte-order mark at the start of the file is dropped. A
-file that is not ASCII, contains a quote or a carriage return that does not
-end a line before its "\n", or has a line longer than
-`csv.field_size_limit()` takes all its rows from `csv.reader` through the
-same checker; text that is not UTF-8 and a field over that limit fail
-there, naming the line too.
+finite or not a valid workload. A UTF-8 byte-order mark at the start of
+the file is dropped. A file that is not ASCII, contains a quote or a
+carriage return, or has a line longer than `csv.field_size_limit()` takes
+all its rows from `csv.reader` through the same checker; text that is not
+UTF-8 and a field over that limit fail there, naming the line too.
 
 Given a `cache_dir`, `load_series` keeps each kind's parsed series there as
 one flat file, `<kind>_series.bin` (`price_series.bin`,
@@ -230,13 +228,9 @@ def _bulk_rows(path, data, kind):
     """Data rows of a file's bytes as (hours, values, line numbers) arrays.
 
     Returns None when the file needs `csv.reader` to split it: when it is
-    not ASCII, quotes a field, has a carriage return that does not end a
-    line before its "\n", or has a line longer than the reader's field
-    size limit. A line ending in "\r\n" ends before it, as csv.reader
-    ends it.
+    not ASCII, quotes a field, ends a line with a carriage return, or has a
+    line longer than the reader's field size limit.
     """
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
     if not data.isascii() or b'"' in data or b"\r" in data:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)

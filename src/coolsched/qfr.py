@@ -40,6 +40,12 @@ class FourierDesign:
     period_seasonal: int = 8760
 
     def __post_init__(self):
+        # design_matrix counts harmonics with range, and a surface repeats
+        # after lcm(period_daily, period_seasonal) hours
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int):
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
         if self.daily_harmonics < 0 or self.seasonal_harmonics < 0:
             raise ValueError("harmonic counts must be >= 0")
         if self.period_daily <= 0 or self.period_seasonal <= 0:

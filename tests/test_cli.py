@@ -1267,6 +1267,8 @@ def _set(*keys_and_value):
     ("estimate-chain", "regime_model.json", _set("boundary_coefficients", None)),
     ("estimate-chain", "regime_model.json",
      _set("design", "daily_harmonics", "3")),
+    ("export-plot-data", "regime_model.json",
+     _set("design", "period_seasonal", 8760.0)),
     ("plan", "transition_model.json", _set("m", "4")),
     ("plan", "transition_model.json", _set("buckets", [])),
     ("plan", "transition_model.json", _set("alpha", None)),
@@ -1278,6 +1280,7 @@ def _set(*keys_and_value):
      lambda doc: doc.update(hours=[h + 0.5 for h in doc["hours"]])),
     ("simulate", "policy.json", _set("n", 23)),
 ], ids=["regime-m", "regime-m-float", "regime-levels", "regime-coefficients", "regime-design",
+        "period-float",
         "chain-m", "chain-buckets", "chain-alpha", "policy-m",
         "policy-theta-step", "policy-no-hours", "policy-short-hours",
         "policy-float-hours", "policy-n"])

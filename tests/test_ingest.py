@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coolsched import ingest
 from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
                               IngestError, SeriesKind, TimeSeries, _fill_gaps,
                               align, cache_file, format_timestamp,
@@ -435,24 +434,6 @@ def test_load_drops_a_byte_order_mark(tmp_path, header):
     assert series.hours.tolist() == expected.hours.tolist()
     assert series.values.tobytes() == expected.values.tobytes()
     assert series.sha256 == hashlib.sha256(marked.read_bytes()).hexdigest()
-
-
-def test_crlf_archive_takes_the_bulk_parse(tmp_path, monkeypatch):
-    # csv.writer ends every line in "\r\n"; such a file needs no csv.reader
-    path = tmp_path / "p.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([["timestamp", "value"],
-                                  ["2024-06-01T00:00:00Z", "50.0"],
-                                  ["2024-06-01T01:00:00Z", "-0.5"]])
-    assert path.read_bytes().count(b"\r\n") == 3
-
-    def refuse(*args):
-        raise AssertionError("csv.reader parse")
-
-    monkeypatch.setattr(ingest, "_reader_rows", refuse)
-    series = load_series(path, SeriesKind.PRICE)
-    assert series.values.tolist() == [50.0, -0.5]
-    assert series.hours[0] == parse_timestamp("2024-06-01T00:00:00Z")
 
 
 def test_load_rejects_non_finite(tmp_path):
