@@ -1,18 +1,23 @@
 """Pipeline files on disk: one atomic writer, one columnar CSV writer and one
-kind-checked JSON reader.
+field-typed pair for the model files.
 
 Every file a stage writes goes through `atomic_writer`, so a reader sees the
 old file or the new one, never a partial write. Every CSV goes through
 `write_csv`, which takes its table as columns of text and writes the bytes
-the csv module's default dialect would. JSON artifacts carry a `kind` tag,
-and `read_json` refuses a file holding another kind or missing a key its
-reader needs, so a wrong file passed to an input option fails with an error
-that names it; so does a malformed field, in the block `loading` guards.
+the csv module's default dialect would. Every model file goes through
+`write_model` and `read_model`: a dataclass's fields under its `KIND` tag,
+read back through `build`. So a wrong file passed to an input option, a key
+or JSON type the type does not hold, and a value its checks refuse all fail
+with an error that names the file.
 """
 
 import json
 import os
+import reprlib
 from contextlib import contextmanager
+from dataclasses import MISSING, asdict, fields, is_dataclass
+
+import numpy as np
 
 
 class ArtifactError(ValueError):
@@ -41,12 +46,14 @@ def atomic_writer(path, binary=False):
 
 
 def write_json(path, doc, indent=1) -> None:
-    """`doc` with sorted keys and a final newline.
+    """`doc` with sorted keys, arrays as nested lists, and a final newline;
+    any other value JSON cannot hold raises TypeError.
 
     One `json.dumps` string: at indent=None it comes from the C encoder,
     which `json.dump` never uses.
     """
-    text = json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=indent, sort_keys=True,
+                      default=np.ndarray.tolist) + "\n"
     with atomic_writer(path) as fh:
         fh.write(text)
 
@@ -85,21 +92,77 @@ def copy(src, dst) -> None:
         fout.write(fin.read())
 
 
+def write_model(path, model, indent=1) -> None:
+    """The dataclass `model` as `{"kind": model.KIND, **asdict(model)}`,
+    without its None fields, which `read_model` gives their None default."""
+    doc = {key: value for key, value in asdict(model).items() if value is not None}
+    write_json(path, {"kind": model.KIND, **doc}, indent)
+
+
+def read_model(path, cls):
+    """The `cls` that `write_model` wrote to `path`, through `build`."""
+    doc = read_json(path, cls.KIND)
+    del doc["kind"]
+    with loading(path, cls.KIND):
+        return build(cls, doc)
+
+
 @contextmanager
 def loading(path, kind):
-    """Where a loader builds its model from the `kind` JSON at `path`: a
-    field of the wrong type or value raises ArtifactError naming `path`."""
+    """Where a model is built from the `kind` JSON at `path`: its errors
+    raise ArtifactError naming `path`."""
     try:
         yield
-    except ArtifactError:
-        raise
+    except ArtifactError as exc:
+        raise ArtifactError(f"{path} holds {exc}") from None
     except (TypeError, AttributeError, ValueError) as exc:
         raise ArtifactError(f"{path} holds a malformed {kind}: {exc}") from None
 
 
-def read_json(path, kind=None, keys=()):
-    """The JSON document at `path`; with `kind`, one whose `kind` tag matches
-    and that holds every key in `keys`."""
+_NOUNS = {int: "an integer", float: "a number", str: "a string",
+          dict: "an object", np.ndarray: "an array of numbers"}
+
+
+def build(cls, doc, section=None):
+    """The dataclass `cls` from the JSON object `doc`, by field type.
+
+    `doc` holds the fields of `cls` and no other key, but may leave out one
+    with a default. A dataclass field is built from its own object, named
+    `section` in errors, which holds every field of its type. An int, str
+    or dict field takes only that JSON type, and a float or an np.ndarray
+    field only numbers; never a bool. The type's own checks then apply. A
+    mismatch raises ArtifactError, which `loading` completes with the path.
+    """
+    name = section or getattr(cls, "KIND", cls.__name__)
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"a {name} that is {reprlib.repr(doc)}, not an object")
+    known = {f.name: f for f in fields(cls)}
+    for f in known.values():
+        if f.name not in doc and (section or f.default is MISSING):
+            raise ArtifactError(f"a {name} without the key {f.name!r}")
+    unknown = sorted(doc.keys() - known.keys())
+    if unknown:
+        raise ArtifactError(f"a {name} with the unknown key {unknown[0]!r}")
+    return cls(**{key: _field(known[key], value, name)
+                  for key, value in doc.items()})
+
+
+def _field(f, value, name):
+    if is_dataclass(f.type):
+        return build(f.type, value, f"{name} {f.name}")
+    if f.type is np.ndarray:
+        array = np.asarray(value)
+        if array.dtype.kind in "iuf":
+            return array
+    elif (isinstance(value, (int, float) if f.type is float else f.type)
+          and not isinstance(value, bool)):
+        return float(value) if f.type is float else value
+    raise ArtifactError(f"a {name} whose {f.name} is {reprlib.repr(value)}, "
+                        f"not {_NOUNS[f.type]}")
+
+
+def read_json(path, kind=None):
+    """The JSON document at `path`; with `kind`, one whose `kind` tag matches."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -110,7 +173,4 @@ def read_json(path, kind=None, keys=()):
         if found != kind:
             held = "no artifact kind" if found is None else repr(found)
             raise ArtifactError(f"{path} holds {held}, expected a {kind}")
-        for key in keys:
-            if key not in doc:
-                raise ArtifactError(f"{path} holds a {kind} without the key {key!r}")
     return doc

@@ -2,12 +2,13 @@
 
 Commands, in the order they run: fit-qfr, estimate-chain, plan, simulate,
 compare, export-plot-data. Each reads what the earlier ones wrote to the out
-dir. export-plot-data renders fig1 from the regime model (fit-qfr) and fig2
-and fig3 from the policy and trajectories, and copies comparison.csv
-(compare) to fig4. All take --config (YAML, see config.py), plus --seed and
---out overrides.
-Every command is deterministic given identical config and seed. Every CSV
-a command writes is a table of text columns that artifacts.write_csv joins.
+dir: the regime model, transition model and policy through
+artifacts.read_model, which write_model wrote. export-plot-data renders fig1
+from the regime model and fig2 and fig3 from the policy and trajectories,
+and copies comparison.csv to fig4. All take --config (YAML, see config.py),
+plus --seed and --out overrides. Every command is deterministic given
+identical config and seed. Every CSV a command writes is a table of text
+columns that artifacts.write_csv joins.
 
 The windows and the planning day come resolved to hours from RunConfig.
 Every stage slices its hours from whole series: the price, temperature and
@@ -26,7 +27,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from functools import cache
 from itertools import islice
 
@@ -53,7 +54,7 @@ class PipelineError(RuntimeError):
 
 
 def _out_dir(cfg: RunConfig, args) -> str:
-    out = args.out or cfg.path("out_dir")
+    out = args.out or cfg.require_path("out_dir")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -121,7 +122,7 @@ def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
     prices = qfr.price_table(regime_model, hours)
     trans = regimes.matrices_at(transition_model, hours)
     return mdp.MdpProblem(space=cfg.space, cost=cfg.planning_cost, plant=plant,
-                          prices=prices, trans=trans, hours=hours)
+                          prices=prices, trans=trans, start=window[0])
 
 
 def _build_controllers(cfg: RunConfig, out, args):
@@ -150,13 +151,18 @@ def _input_path(out, name, override=None):
     return path
 
 
+def _load_regime_model(out, override=None) -> qfr.RegimeModel:
+    return artifacts.read_model(_input_path(out, REGIME_MODEL_FILE, override),
+                                qfr.RegimeModel)
+
+
 def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     windows = cfg.require_windows("train")
     out = _out_dir(cfg, args)
     price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
     hours, values = _train_samples(windows, price)
     model, fits = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
-    qfr.save_model(model, os.path.join(out, REGIME_MODEL_FILE))
+    artifacts.write_model(os.path.join(out, REGIME_MODEL_FILE), model)
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
           f"{model.m - 1} boundary fits, {model.m} representative fits")
     band = qfr.band_rows(len(values), cfg.design.n_features)
@@ -173,14 +179,14 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
 def cmd_estimate_chain(cfg: RunConfig, args) -> int:
     windows = cfg.require_windows("train")
     out = _out_dir(cfg, args)
-    model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE, args.regime_model))
+    model = _load_regime_model(out, args.regime_model)
     price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
     hours, values = _train_samples(windows, price)
     labels = qfr.classify_series(model, hours, values)
     chain = regimes.estimate(zip(hours, labels), m=model.m,
                              alpha=cfg.raw["chain"]["alpha"],
                              grouping=cfg.raw["chain"]["grouping"])
-    regimes.save_model(chain, os.path.join(out, TRANSITION_MODEL_FILE))
+    artifacts.write_model(os.path.join(out, TRANSITION_MODEL_FILE), chain)
     print(f"estimated {len(chain.matrices)} transition matrices "
           f"(grouping={chain.grouping}, alpha={chain.alpha})")
     return 0
@@ -188,9 +194,9 @@ def cmd_estimate_chain(cfg: RunConfig, args) -> int:
 
 def cmd_plan(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
-    model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE, args.regime_model))
-    chain = regimes.load_model(_input_path(out, TRANSITION_MODEL_FILE,
-                                           args.transition_model))
+    model = _load_regime_model(out, args.regime_model)
+    path = _input_path(out, TRANSITION_MODEL_FILE, args.transition_model)
+    chain = artifacts.read_model(path, regimes.TransitionModel)
     problem = _assemble_problem(cfg, out, model, chain)
     occupancy = mdp.solve(problem)
     residuals = mdp.check_occupancy(problem, occupancy)
@@ -221,8 +227,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     model = None
     if ("qfr-mdp" in cfg.raw["controllers"] or args.regime_model
             or os.path.exists(os.path.join(out, REGIME_MODEL_FILE))):
-        model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE,
-                                           args.regime_model))
+        model = _load_regime_model(out, args.regime_model)
         _check_regime_count(cfg, model)
     built = _build_controllers(cfg, out, args)
     specs = sim.SimSpecs(facility=cfg.facility, chiller=cfg.chiller,
@@ -253,11 +258,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _load_reports(path):
     docs = artifacts.read_json(path)
-    names = {f.name for f in fields(sim.CostReport)}
-    if not (isinstance(docs, list)
-            and all(isinstance(d, dict) and d.keys() == names for d in docs)):
-        raise artifacts.ArtifactError(f"{path} holds no list of cost reports")
-    return [sim.CostReport(**doc) for doc in docs]
+    with artifacts.loading(path, "cost report list"):
+        if not isinstance(docs, list):
+            raise artifacts.ArtifactError("no list of cost reports")
+        return [artifacts.build(sim.CostReport, doc) for doc in docs]
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
@@ -276,7 +280,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 def cmd_export_plot_data(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     policy = mdp.load_policy(_input_path(out, POLICY_FILE, args.policy))
-    model = qfr.load_model(_input_path(out, REGIME_MODEL_FILE))
+    model = _load_regime_model(out)
     comparison = _input_path(out, COMPARISON_FILE)
     train_hours = ingest.window_hours(cfg.require_windows("train")[0])
 

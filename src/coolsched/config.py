@@ -244,9 +244,15 @@ class RunConfig:
             raise ConfigError(f"heat_load.synth_amplitude must be in [0, 1], got {amplitude!r}")
         if raw["seed"] < 0:
             raise ConfigError(f"seed must be >= 0, got {raw['seed']}")
-        for name in raw["controllers"]:
+        names = raw["controllers"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ConfigError(f"controllers must be a list of names, got {names!r}")
+        for name in names:
             if name not in KNOWN_CONTROLLERS:
                 raise ConfigError(f"unknown controller {name!r}")
+        for key, value in raw["paths"].items():
+            if not (value is None or isinstance(value, str)):
+                raise ConfigError(f"paths.{key} must be a path or null, got {value!r}")
         if raw["mdp"]["planning_cycle"] not in ("day", "window"):
             raise ConfigError("mdp.planning_cycle must be 'day' or 'window'")
         train = sorted(_windows(raw, "train"))

@@ -29,8 +29,8 @@ from .thermal import step_temperature  # noqa: F401
 
 
 def policy_slot(policy: Policy, hours):
-    """Cycle slot(s) of absolute hour(s): hours since the cycle's first, mod n."""
-    return (hours - int(policy.hours[0])) % policy.n
+    """Cycle slot(s) of absolute hour(s): hours since the cycle's start, mod n."""
+    return (hours - policy.start) % policy.n
 
 
 def _first_at_most(row, theta, decay, t_max) -> int:

@@ -34,6 +34,7 @@ the reference the tests compare the planner against.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -108,15 +109,6 @@ class CostSpec:
             raise ValueError("penalties must be >= 0")
 
 
-def _cycle_hours(hours, n) -> np.ndarray:
-    """`hours` as int64, which must be n consecutive absolute hours."""
-    hours = np.asarray(hours)
-    if (not np.issubdtype(hours.dtype, np.integer) or hours.shape != (n,)
-            or np.any(np.diff(hours) != 1)):
-        raise ValueError(f"hours must be the cycle's {n} consecutive hours")
-    return hours.astype(np.int64)
-
-
 @dataclass
 class MdpProblem:
     """One planning cycle: the plant's step table, regime prices and chain.
@@ -132,7 +124,7 @@ class MdpProblem:
     plant: StepTable     # (n, a_max + 1) equilibria and kWh, one decay
     prices: np.ndarray   # (n, M) representative $/MWh per regime
     trans: np.ndarray    # (n, M, M) row-stochastic regime transitions
-    hours: np.ndarray    # (n,) consecutive absolute hour indices
+    start: int           # absolute hour of slot 0
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=float)
@@ -147,7 +139,6 @@ class MdpProblem:
         grid = self.space.theta_grid
         if not (grid[0] < self.cost.t_min and self.cost.t_max < grid[-1]):
             raise ValueError("theta grid must contain [t_min, t_max] strictly inside")
-        self.hours = _cycle_hours(self.hours, n)
 
     @property
     def n(self) -> int:
@@ -442,9 +433,10 @@ def solve(problem: MdpProblem) -> OccupancyMeasure:
 class Policy:
     """Chiller count actions[t, theta_idx, regime - 1] of a planning cycle."""
 
+    KIND: ClassVar[str] = "policy"  # the files' tag
     actions: np.ndarray  # (n, n_theta, m) ints in 0..a_max
     space: StateSpace
-    hours: np.ndarray    # (n,) consecutive absolute hours of the cycle
+    start: int           # absolute hour of slot 0
     objective: float = None
 
     def __post_init__(self):
@@ -457,7 +449,6 @@ class Policy:
                              f"got {self.actions.shape}")
         if np.any(self.actions < 0) or np.any(self.actions > self.space.a_max):
             raise ValueError(f"actions must be in 0..{self.space.a_max}")
-        self.hours = _cycle_hours(self.hours, self.n)
 
     @property
     def n(self) -> int:
@@ -465,37 +456,14 @@ class Policy:
 
 
 def extract_policy(problem: MdpProblem, occ: OccupancyMeasure) -> Policy:
-    """The Policy of `solve`'s action table, on the problem's cycle hours."""
+    """The Policy of `solve`'s action table, from the problem's first hour."""
     return Policy(actions=occ.actions, space=problem.space,
-                  hours=problem.hours, objective=occ.objective)
+                  start=problem.start, objective=occ.objective)
 
 
 def save_policy(policy: Policy, path) -> None:
-    artifacts.write_json(path, {
-        "kind": "policy",
-        "n": policy.n,
-        "theta_min": policy.space.theta_min,
-        "theta_max": policy.space.theta_max,
-        "theta_step": policy.space.theta_step,
-        "m": policy.space.m,
-        "a_max": policy.space.a_max,
-        "hours": policy.hours.tolist(),
-        "objective": policy.objective,
-        "actions": policy.actions.tolist(),
-    }, indent=None)
+    artifacts.write_model(path, policy, indent=None)
 
 
 def load_policy(path) -> Policy:
-    doc = artifacts.read_json(path, "policy", keys=(
-        "n", "theta_min", "theta_max", "theta_step", "m", "a_max", "hours",
-        "actions"))
-    with artifacts.loading(path, "policy"):
-        space = StateSpace(theta_min=doc["theta_min"], theta_max=doc["theta_max"],
-                           theta_step=doc["theta_step"], m=doc["m"],
-                           a_max=doc["a_max"])
-        policy = Policy(actions=np.asarray(doc["actions"]), space=space,
-                        hours=doc["hours"], objective=doc.get("objective"))
-    if doc["n"] != policy.n:
-        raise artifacts.ArtifactError(f"{path} holds n {doc['n']!r} for "
-                                      f"{policy.n} action table rows")
-    return policy
+    return artifacts.read_model(path, Policy)

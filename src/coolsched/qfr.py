@@ -16,11 +16,10 @@ band is its regime, and a price within TIE_TOL (relative) of a boundary is
 on it.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
-
-from . import artifacts
 
 # Relative distance within which a price counts as on a band boundary.
 TIE_TOL = 1e-9
@@ -40,12 +39,6 @@ class FourierDesign:
     period_seasonal: int = 8760
 
     def __post_init__(self):
-        # design_matrix counts harmonics with range, and a surface repeats
-        # after lcm(period_daily, period_seasonal) hours
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not isinstance(value, int):
-                raise ValueError(f"{field.name} must be an integer, got {value!r}")
         if self.daily_harmonics < 0 or self.seasonal_harmonics < 0:
             raise ValueError("harmonic counts must be >= 0")
         if self.period_daily <= 0 or self.period_seasonal <= 0:
@@ -668,15 +661,17 @@ class RegimeModel:
     makes classify(representative) round-trip.
     """
 
+    KIND: ClassVar[str] = "regime-model"  # the files' tag
     m: int
     design: FourierDesign
     coefficients: np.ndarray
 
     def __post_init__(self):
+        self.coefficients = np.asarray(self.coefficients, dtype=float)
         # a row per level i/2M, 0 < i < 2M; range refuses a non-integer m
         shape = (len(range(1, 2 * self.m)), self.design.n_features)
-        if np.shape(self.coefficients) != shape:
-            raise ValueError(f"expected {shape} coefficients, got {np.shape(self.coefficients)}")
+        if self.coefficients.shape != shape:
+            raise ValueError(f"expected {shape} coefficients, got {self.coefficients.shape}")
 
     def surfaces_at(self, hours):
         """Rearranged (boundaries, representatives) at the given hour(s).
@@ -730,52 +725,3 @@ def price_table(model: RegimeModel, hours) -> np.ndarray:
     """Representative prices for every regime at each hour, shape (n, M)."""
     _, reps = model.surfaces_at(np.asarray(hours, dtype=np.int64))
     return reps
-
-
-def save_model(model: RegimeModel, path) -> None:
-    taus = levels(model.m)
-    artifacts.write_json(path, {
-        "kind": "regime-model",
-        "m": model.m,
-        "design": {
-            "daily_harmonics": model.design.daily_harmonics,
-            "seasonal_harmonics": model.design.seasonal_harmonics,
-            "period_daily": model.design.period_daily,
-            "period_seasonal": model.design.period_seasonal,
-        },
-        "boundary_levels": taus[1::2],
-        "boundary_coefficients": model.coefficients[1::2].tolist(),
-        "representative_levels": taus[0::2],
-        "representative_coefficients": model.coefficients[0::2].tolist(),
-    })
-
-
-def load_model(path) -> RegimeModel:
-    doc = artifacts.read_json(path, "regime-model", keys=(
-        "m", "design", "boundary_levels", "boundary_coefficients",
-        "representative_levels", "representative_coefficients"))
-    with artifacts.loading(path, "regime-model"):
-        # every field has a default, so a missing one would go unnoticed
-        names = sorted(f.name for f in fields(FourierDesign))
-        if not isinstance(doc["design"], dict) or sorted(doc["design"]) != names:
-            raise artifacts.ArtifactError(
-                f"{path} holds a design without exactly the keys {names}")
-        design = FourierDesign(**doc["design"])
-        # sized by the file's lists, not by m, which RegimeModel then checks
-        taus, k = levels(len(doc["representative_levels"])), design.n_features
-        coefficients = np.empty((len(taus), k))
-        for kind, first in (("boundary", 1), ("representative", 0)):
-            held, coefs = doc[f"{kind}_levels"], doc[f"{kind}_coefficients"]
-            if held != taus[first::2]:
-                raise artifacts.ArtifactError(
-                    f"{path} holds {kind}_levels {held}, expected {taus[first::2]}")
-            if len(coefs) != len(held):
-                raise artifacts.ArtifactError(
-                    f"{path} holds {len(coefs)} {kind}_coefficients lists for "
-                    f"{len(held)} {kind}_levels")
-            sizes = [np.size(coef) for coef in coefs if np.shape(coef) != (k,)]
-            if sizes:
-                raise artifacts.ArtifactError(f"{path} holds a {kind}_coefficients "
-                                              f"list of {sizes[0]} numbers, expected {k}")
-            coefficients[first::2] = coefs
-        return RegimeModel(doc["m"], design, coefficients)

@@ -9,10 +9,9 @@ contribute no transitions.
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
-
-from . import artifacts
 
 GROUPINGS = ("month", "season", "single", "pooled")
 
@@ -66,6 +65,7 @@ def hour_bucket(hour: int, grouping: str) -> str:
 class TransitionModel:
     """Row-stochastic M x M matrices, one per covered bucket."""
 
+    KIND: ClassVar[str] = "transition-model"  # the files' tag
     m: int
     alpha: float
     grouping: str
@@ -139,9 +139,7 @@ def estimate(classified, m: int, alpha: float,
                 f"bucket {key}: regimes {missing} have no outgoing transitions; "
                 "use alpha > 0 to smooth unobserved rows"
             )
-        mat = (c + alpha) / (row_totals + m * alpha)[:, None]
-        assert np.all(np.abs(mat.sum(axis=1) - 1.0) <= 1e-9)
-        matrices[key] = mat
+        matrices[key] = (c + alpha) / (row_totals + m * alpha)[:, None]
     return TransitionModel(m=m, alpha=alpha, grouping=grouping, matrices=matrices)
 
 
@@ -171,31 +169,3 @@ def matrices_at(model: TransitionModel, hours) -> np.ndarray:
         first = int(np.flatnonzero(np.isin(codes, missing))[0])
         raise _uncovered(model, keys[codes[first]], int(hours[first]))
     return np.stack([model.matrices[keys[code]] for code in used.tolist()])[inverse]
-
-
-def save_model(model: TransitionModel, path) -> None:
-    artifacts.write_json(path, {
-        "kind": "transition-model",
-        "m": model.m,
-        "alpha": model.alpha,
-        "grouping": model.grouping,
-        "buckets": {key: mat.flatten().tolist()
-                    for key, mat in model.matrices.items()},
-    })
-
-
-def load_model(path) -> TransitionModel:
-    doc = artifacts.read_json(path, "transition-model",
-                              keys=("m", "alpha", "grouping", "buckets"))
-    with artifacts.loading(path, "transition-model"):
-        m = doc["m"]
-        matrices = {}
-        for key, flat in doc["buckets"].items():
-            values = np.asarray(flat, dtype=float)
-            if values.shape != (m * m,):
-                raise artifacts.ArtifactError(
-                    f"{path} holds bucket {key!r} with {values.size} numbers, "
-                    f"expected {m * m}")
-            matrices[key] = values.reshape(m, m)
-        return TransitionModel(m=m, alpha=doc["alpha"],
-                               grouping=doc["grouping"], matrices=matrices)

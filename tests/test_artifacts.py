@@ -1,16 +1,22 @@
 import csv
+import dataclasses
 import io
 import json
 import os
 import re
 import stat
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coolsched import artifacts
 from coolsched.ingest import format_timestamp
+from coolsched.mdp import Policy, StateSpace
+from coolsched.qfr import FourierDesign, RegimeModel
+from coolsched.regimes import GROUPINGS, TransitionModel
 
 
 class _FailingColumn(list):
@@ -160,3 +166,138 @@ def test_write_csv_refuses_what_csv_would_not_write_alike(tmp_path):
     with pytest.raises(ValueError, match="header of 1"):
         artifacts.write_csv(path, ["a"], [["1"], ["2"]])
     assert os.listdir(tmp_path) == []
+
+
+def _policy_doc():
+    return {"actions": [[[0, 1], [1, 0]]], "start": 5,
+            "space": {"theta_min": 15.0, "theta_max": 16.0, "theta_step": 1.0,
+                      "m": 2, "a_max": 1}}
+
+
+def test_build_takes_defaults_and_numbers():
+    # a field with a default may be left out, and a float field takes an int
+    policy = artifacts.build(Policy, _policy_doc())
+    assert policy.objective is None and policy.start == 5
+    doc = _policy_doc()
+    doc["objective"] = 3
+    doc["space"]["theta_min"] = 15
+    policy = artifacts.build(Policy, doc)
+    assert type(policy.objective) is float and type(policy.space.theta_min) is float
+    assert policy.actions.dtype == np.int64
+
+
+def _edit(*keys_and_value):
+    *keys, key, value = keys_and_value
+
+    def edit(doc):
+        for name in keys:
+            doc = doc[name]
+        doc[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("start"), "a policy without the key 'start'"),
+    (_edit("n", 2), "a policy with the unknown key 'n'"),
+    (lambda doc: doc["space"].pop("m"), "a policy space without the key 'm'"),
+    (_edit("space", [15.0]), "a policy space that is [15.0], not an object"),
+    (_edit("start", True), "a policy whose start is True, not an integer"),
+    (_edit("start", 5.0), "a policy whose start is 5.0, not an integer"),
+    (_edit("objective", "1"), "a policy whose objective is '1', not a number"),
+    (_edit("objective", False),
+     "a policy whose objective is False, not a number"),
+    (_edit("objective", None), "a policy whose objective is None, not a number"),
+    (_edit("space", "a_max", 1.0),
+     "a policy space whose a_max is 1.0, not an integer"),
+    (_edit("actions", [[[True, False], [False, True]]]),
+     "a policy whose actions is [[[True, False], [False, True]]], not an "
+     "array of numbers"),
+    (_edit("actions", [[["0", "1"], ["1", "0"]]]),
+     "a policy whose actions is [[['0', '1'], ['1', '0']]], not an array of "
+     "numbers"),
+], ids=["missing", "unknown", "section-missing", "section-not-object",
+        "bool-int", "float-int", "text-float", "bool-float", "null-float",
+        "float-int-in-section", "bool-array", "text-array"])
+def test_build_refuses_other_keys_and_types(edit, message):
+    doc = _policy_doc()
+    edit(doc)
+    with pytest.raises(artifacts.ArtifactError, match=re.escape(message)):
+        artifacts.build(Policy, doc)
+
+
+def test_loading_names_the_path(tmp_path):
+    path = tmp_path / "policy.json"
+    doc = _policy_doc()
+    doc["space"]["theta_step"] = -1.0
+    path.write_text(json.dumps({"kind": "policy", **doc}))
+    with pytest.raises(artifacts.ArtifactError, match=re.escape(
+            f"{path} holds a malformed policy: need theta_min < theta_max")):
+        artifacts.read_model(path, Policy)
+    doc["space"]["theta_step"] = True
+    path.write_text(json.dumps({"kind": "policy", **doc}))
+    with pytest.raises(artifacts.ArtifactError, match=re.escape(
+            f"{path} holds a policy space whose theta_step is True, not a number")):
+        artifacts.read_model(path, Policy)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _regime_models(draw):
+    m = draw(st.integers(2, 4))
+    design = FourierDesign(draw(st.integers(0, 3)), draw(st.integers(0, 2)),
+                           draw(st.integers(1, 48)), draw(st.integers(1, 9000)))
+    return RegimeModel(m, design, draw(arrays(
+        float, (2 * m - 1, design.n_features), elements=_FINITE)))
+
+
+@st.composite
+def _transition_models(draw):
+    m = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.text(max_size=6), unique=True, max_size=4))
+    matrices = {}
+    for key in keys:
+        raw = draw(arrays(float, (m, m), elements=st.floats(1e-3, 1.0)))
+        matrices[key] = raw / raw.sum(axis=1, keepdims=True)
+    return TransitionModel(m, draw(st.floats(0.0, 10.0)),
+                           draw(st.sampled_from(GROUPINGS)), matrices)
+
+
+@st.composite
+def _policies(draw):
+    step = draw(st.floats(0.125, 4.0))
+    low = draw(st.floats(-50.0, 50.0))
+    space = StateSpace(low, low + step * draw(st.integers(1, 6)), step,
+                       m=draw(st.integers(1, 3)), a_max=draw(st.integers(1, 4)))
+    actions = draw(arrays(np.int64, (draw(st.integers(1, 4)), space.n_theta,
+                                     space.m),
+                          elements=st.integers(0, space.a_max)))
+    return Policy(actions, space, draw(st.integers(-10**6, 10**6)),
+                  draw(st.none() | _FINITE))
+
+
+def _same(a, b):
+    """Equal values of equal types; arrays of one dtype and the same bytes."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_regime_models(), _transition_models(), _policies()),
+       st.sampled_from([None, 1]))
+def test_model_files_round_trip(tmp_path_factory, model, indent):
+    # read_model gives back every field of the model write_model wrote, and
+    # writing that again gives the same bytes
+    path = tmp_path_factory.getbasetemp() / "model_property.json"
+    artifacts.write_model(path, model, indent)
+    written = path.read_bytes()
+    back = artifacts.read_model(path, type(model))
+    for f in dataclasses.fields(model):
+        assert _same(getattr(back, f.name), getattr(model, f.name)), f.name
+    artifacts.write_model(path, back, indent)
+    assert path.read_bytes() == written

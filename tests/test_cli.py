@@ -28,6 +28,16 @@ from coolsched.thermal import ChillerSpec, FacilitySpec, HeatLoadSpec
 import pipeline_helpers as ph
 
 
+# the type of each model file, by its name in the out dir
+MODEL_TYPES = {"regime_model.json": qfr.RegimeModel,
+               "transition_model.json": regimes.TransitionModel,
+               "policy.json": mdp.Policy}
+
+
+def _read_model(path):
+    return artifacts.read_model(path, MODEL_TYPES[os.path.basename(path)])
+
+
 @pytest.fixture(scope="module")
 def pipeline_stages(tmp_path_factory):
     """Full pipeline run in a temp project; yields (root, out_dir, config,
@@ -195,7 +205,7 @@ def test_wrong_input_file_is_named(pipeline, tmp_path, capsys, command, option,
 
 def test_fit_qfr_outputs(pipeline):
     _, out, config = pipeline
-    model = qfr.load_model(os.path.join(out, "regime_model.json"))
+    model = _read_model(os.path.join(out, "regime_model.json"))
     assert model.m == 2
     cfg = RunConfig.from_file(config)
     assert model.coefficients.shape == (3, cfg.design.n_features)
@@ -211,7 +221,7 @@ def test_surfaces_match_row_writer(pipeline):
     # written as columns, renders fig1 from the regime model
     _, out, config = pipeline
     cfg = RunConfig.from_file(config)
-    model = qfr.load_model(os.path.join(out, "regime_model.json"))
+    model = _read_model(os.path.join(out, "regime_model.json"))
     hours = ingest.window_hours(cfg.train_windows[0])
     bounds, reps = model.surfaces_at(hours)
     expected = io.StringIO()
@@ -272,7 +282,7 @@ def test_fit_qfr_regime_count_follows_config(tmp_path):
                                                  "daily_harmonics": 2,
                                                  "seasonal_harmonics": 0})
     assert cli.main(["fit-qfr", "--config", config]) == 0
-    model = qfr.load_model(str(tmp_path / "out" / "regime_model.json"))
+    model = _read_model(str(tmp_path / "out" / "regime_model.json"))
     assert model.m == 4 and model.coefficients.shape == (7, 5)
     bounds, reps = model.surfaces_at(np.arange(24))
     assert bounds.shape == (24, 3) and reps.shape == (24, 4)
@@ -280,7 +290,7 @@ def test_fit_qfr_regime_count_follows_config(tmp_path):
 
 def test_estimate_chain_outputs(pipeline):
     _, out, _ = pipeline
-    chain = regimes.load_model(os.path.join(out, "transition_model.json"))
+    chain = _read_model(os.path.join(out, "transition_model.json"))
     # grouping "single": one bucket per hour of day
     assert len(chain.matrices) == 24
     for mat in chain.matrices.values():
@@ -305,8 +315,8 @@ def test_plan_objective_matches_lp(pipeline):
     policy = mdp.load_policy(os.path.join(out, "policy.json"))
     assert policy.n == 24
     cfg = RunConfig.from_file(config)
-    model = qfr.load_model(os.path.join(out, "regime_model.json"))
-    chain = regimes.load_model(os.path.join(out, "transition_model.json"))
+    model = _read_model(os.path.join(out, "regime_model.json"))
+    chain = _read_model(os.path.join(out, "transition_model.json"))
     problem = cli._assemble_problem(cfg, out, model, chain)
     lp = mdp.solve_occupancy(mdp.build_lp(problem))
     assert policy.objective == pytest.approx(lp.objective, rel=1e-6)
@@ -318,8 +328,8 @@ def test_planner_and_rollout_share_the_plant(pipeline, tmp_path):
     # plan the rows of its planning day (2024-07-16, hours 24-47). The
     # synthetic load has noise, so a load drawn per stage would differ
     root, out, _ = pipeline
-    model = qfr.load_model(os.path.join(out, "regime_model.json"))
-    chain = regimes.load_model(os.path.join(out, "transition_model.json"))
+    model = _read_model(os.path.join(out, "regime_model.json"))
+    chain = _read_model(os.path.join(out, "transition_model.json"))
     for cycle, rows in (("window", slice(0, 96)), ("day", slice(24, 48))):
         config = ph.write_config(root, ph.base_config(
             root, mdp={"planning_cycle": cycle},
@@ -511,7 +521,7 @@ def test_planning_day_defaults_to_july_15(pipeline, tmp_path):
     assert _plan(config, out, tmp_path) == 0
     policy = mdp.load_policy(tmp_path / "policy.json")
     july_15 = ingest.parse_timestamp("2024-07-15T00:00:00Z")
-    assert policy.hours.tolist() == list(range(july_15, july_15 + 24))
+    assert policy.start == july_15 and policy.n == 24
 
 
 def test_planning_day_outside_first_window_fails(pipeline, tmp_path, capsys):
@@ -602,9 +612,15 @@ def test_bad_planning_day_fails_at_load(tmp_path, capsys):
     ({"chain": {"grouping": "weekly"}},
      "error: chain: grouping must be one of ('month', 'season', 'single', "
      "'pooled'), got 'weekly'\n"),
+    ({"controllers": 5}, "error: controllers must be a list of names, got 5\n"),
+    ({"controllers": "greedy"},
+     "error: controllers must be a list of names, got 'greedy'\n"),
+    ({"paths": {"price_csv": 5}},
+     "error: paths.price_csv must be a path or null, got 5\n"),
 ], ids=["fixed-rule-hours", "synth-amplitude", "synth-cores", "synth-noise",
         "one-regime", "seventeen-regimes", "seed", "chain-alpha",
-        "chain-grouping"])
+        "chain-grouping", "controllers-number", "controllers-name",
+        "path-number"])
 def test_bad_config_values_fail_at_load(tmp_path, capsys, overrides, named):
     # checked when the config loads, so every stage names the key before it
     # makes its out dir, even the stages that never read it
@@ -613,6 +629,16 @@ def test_bad_config_values_fail_at_load(tmp_path, capsys, overrides, named):
         assert cli.main([command, "--config", config]) == 2
         assert capsys.readouterr().err == named
         assert not (tmp_path / "out").exists()
+
+
+def test_null_out_dir_needs_out_option(tmp_path, capsys):
+    config = ph.make_project(str(tmp_path), paths={"out_dir": None})
+    assert cli.main(["fit-qfr", "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        "error: paths.out_dir is required for this command\n")
+    out = tmp_path / "elsewhere"
+    assert cli.main(["fit-qfr", "--config", config, "--out", str(out)]) == 0
+    assert (out / "regime_model.json").exists()
 
 
 def test_negative_seed_flag_fails_at_load(tmp_path, capsys):
@@ -845,7 +871,7 @@ def test_fig1_spans_one_period_of_the_surfaces(pipeline, tmp_path):
                                 "simulate": [ph.SIM_WINDOW]}))
     first, last = RunConfig.from_file(config).train_windows[0]
     assert last - first + 1 > 8760
-    model = qfr.load_model(os.path.join(out, "regime_model.json"))
+    model = _read_model(os.path.join(out, "regime_model.json"))
     hours = np.arange(first, first + 8760)
     assert all(np.array_equal(a, b) for a, b in zip(
         model.surfaces_at(hours), model.surfaces_at(hours + 8760)))
@@ -1025,7 +1051,7 @@ def test_env_override_changes_regimes(tmp_path, monkeypatch):
     monkeypatch.setenv("COOLSCHED_QFR__REGIMES", "3")
     config = ph.make_project(str(tmp_path))
     assert cli.main(["fit-qfr", "--config", config]) == 0
-    model = qfr.load_model(str(tmp_path / "out" / "regime_model.json"))
+    model = _read_model(str(tmp_path / "out" / "regime_model.json"))
     assert model.m == 3
 
 
@@ -1187,37 +1213,45 @@ def test_import_loads_numpy_with_one_blas_thread():
     assert run("import numpy, coolsched") == run("import numpy")
 
 
-@pytest.mark.parametrize("load, name, key", [
-    (qfr.load_model, "regime_model.json", "design"),
-    (regimes.load_model, "transition_model.json", "buckets"),
-    (mdp.load_policy, "policy.json", "theta_step"),
-    (mdp.load_policy, "policy.json", "hours"),
-])
-def test_missing_key_is_named(pipeline, tmp_path, load, name, key):
+@pytest.mark.parametrize("name, section, key", [
+    ("regime_model.json", (), "design"),
+    ("transition_model.json", (), "matrices"),
+    ("policy.json", ("space",), "theta_step"),
+    ("policy.json", (), "start"),
+], ids=["regime_model.json-design", "transition_model.json-matrices",
+        "policy.json-theta_step", "policy.json-start"])
+def test_missing_key_is_named(pipeline, tmp_path, name, section, key):
     _, out, _ = pipeline
     doc = json.loads(ph.read_tree_bytes(out)[name])
-    del doc[key]
+    held = doc
+    for part in section:
+        held = held[part]
+    del held[key]
     path = tmp_path / name
     path.write_text(json.dumps(doc))
+    what = " ".join([doc["kind"], *section])
     with pytest.raises(artifacts.ArtifactError,
-                       match=re.escape(f"{path} holds a {doc['kind']} without "
-                                       f"the key {key!r}")):
-        load(path)
+                       match=re.escape(f"{path} holds a {what} without the "
+                                       f"key {key!r}")):
+        _read_model(path)
 
 
-@pytest.mark.parametrize("load, name, edit, message", [
-    (regimes.load_model, "transition_model.json",
-     lambda doc: doc["buckets"].update({"00": [0.25] * 15}),
-     "holds bucket '00' with 15 numbers, expected 4"),
-    (qfr.load_model, "regime_model.json",
-     lambda doc: doc["boundary_coefficients"][0].pop(),
-     "holds a boundary_coefficients list of 4 numbers, expected 5"),
-    (qfr.load_model, "regime_model.json",
-     lambda doc: doc["representative_coefficients"].pop(),
-     "holds 1 representative_coefficients lists for 2 representative_levels"),
+def _pop_column(doc):
+    for row in doc["coefficients"]:
+        row.pop()
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("transition_model.json",
+     lambda doc: doc["matrices"]["00"].append([0.5, 0.5]),
+     "holds a malformed transition-model: bucket 00: matrix shape (3, 2) "
+     "!= (2, 2)"),
+    ("regime_model.json", _pop_column,
+     "holds a malformed regime-model: expected (3, 5) coefficients, got (3, 4)"),
+    ("regime_model.json", lambda doc: doc["coefficients"].pop(),
+     "holds a malformed regime-model: expected (3, 5) coefficients, got (2, 5)"),
 ], ids=["bucket-size", "coefficient-count", "level-count"])
-def test_malformed_numbers_are_named(pipeline, tmp_path, load, name, edit,
-                                     message):
+def test_malformed_numbers_are_named(pipeline, tmp_path, name, edit, message):
     _, out, _ = pipeline
     doc = json.loads(ph.read_tree_bytes(out)[name])
     edit(doc)
@@ -1225,29 +1259,34 @@ def test_malformed_numbers_are_named(pipeline, tmp_path, load, name, edit,
     path.write_text(json.dumps(doc))
     with pytest.raises(artifacts.ArtifactError,
                        match=re.escape(f"{path} {message}")):
-        load(path)
+        _read_model(path)
 
 
 def test_regime_model_round_trip_keeps_bytes(pipeline, tmp_path):
     _, out, _ = pipeline
-    path = os.path.join(out, "regime_model.json")
-    qfr.save_model(qfr.load_model(path), tmp_path / "regime_model.json")
-    assert (tmp_path / "regime_model.json").read_bytes() == \
-        ph.read_tree_bytes(out)["regime_model.json"]
+    written = ph.read_tree_bytes(out)["regime_model.json"]
+    assert sorted(json.loads(written)) == ["coefficients", "design", "kind", "m"]
+    artifacts.write_model(tmp_path / "regime_model.json",
+                          _read_model(os.path.join(out, "regime_model.json")))
+    assert (tmp_path / "regime_model.json").read_bytes() == written
 
 
-def test_regime_model_with_other_levels_is_named(pipeline, tmp_path):
-    # the levels are a function of m; a file that holds others is refused
-    _, out, _ = pipeline
+def test_older_regime_model_layout_names_the_missing_key(pipeline, tmp_path, capsys):
+    # a regime model in the layout with split level and coefficient lists:
+    # the stage that reads it names the file and the key it lacks
+    _, out, config = pipeline
     doc = json.loads(ph.read_tree_bytes(out)["regime_model.json"])
-    assert doc["boundary_levels"] == [0.5]
-    doc["boundary_levels"] = [0.4]
+    coefficients = doc.pop("coefficients")
+    doc.update(boundary_levels=[0.5], boundary_coefficients=coefficients[1::2],
+               representative_levels=[0.25, 0.75],
+               representative_coefficients=coefficients[0::2])
     path = tmp_path / "regime_model.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(artifacts.ArtifactError,
-                       match=re.escape(f"{path} holds boundary_levels [0.4], "
-                                       "expected [0.5]")):
-        qfr.load_model(path)
+    capsys.readouterr()
+    assert cli.main(["estimate-chain", "--config", config, "--out",
+                     str(tmp_path), "--regime-model", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} holds a regime-model without the key 'coefficients'\n")
 
 
 def _set(*keys_and_value):
@@ -1263,27 +1302,37 @@ def _set(*keys_and_value):
 @pytest.mark.parametrize("command, name, edit", [
     ("estimate-chain", "regime_model.json", _set("m", "4")),
     ("estimate-chain", "regime_model.json", _set("m", 2.0)),
+    # a key of the layout with split level lists is refused as unknown
     ("estimate-chain", "regime_model.json", _set("boundary_levels", None)),
-    ("estimate-chain", "regime_model.json", _set("boundary_coefficients", None)),
+    ("estimate-chain", "regime_model.json", _set("coefficients", None)),
     ("estimate-chain", "regime_model.json",
      _set("design", "daily_harmonics", "3")),
     ("export-plot-data", "regime_model.json",
      _set("design", "period_seasonal", 8760.0)),
     ("plan", "transition_model.json", _set("m", "4")),
-    ("plan", "transition_model.json", _set("buckets", [])),
+    ("plan", "transition_model.json", _set("matrices", [])),
     ("plan", "transition_model.json", _set("alpha", None)),
-    ("simulate", "policy.json", _set("m", "4")),
-    ("simulate", "policy.json", _set("theta_step", None)),
-    ("simulate", "policy.json", _set("hours", [])),
-    ("simulate", "policy.json", _set("hours", [1, 2, 3])),
-    ("simulate", "policy.json",
-     lambda doc: doc.update(hours=[h + 0.5 for h in doc["hours"]])),
+    ("plan", "transition_model.json", _set("alpha", True)),
+    ("simulate", "policy.json", _set("space", "m", "4")),
+    ("simulate", "policy.json", _set("space", "theta_step", None)),
+    ("simulate", "policy.json", _set("space", "a_max", 4.0)),
+    ("simulate", "policy.json", _set("objective", "x")),
+    ("simulate", "policy.json", _set("start", None)),
+    ("simulate", "policy.json", _set("start", "0")),
+    ("simulate", "policy.json", _set("start", 0.5)),
+    ("simulate", "policy.json", _set("start", True)),
+    # the cycle length of the layout with an hours list
     ("simulate", "policy.json", _set("n", 23)),
-], ids=["regime-m", "regime-m-float", "regime-levels", "regime-coefficients", "regime-design",
-        "period-float",
-        "chain-m", "chain-buckets", "chain-alpha", "policy-m",
-        "policy-theta-step", "policy-no-hours", "policy-short-hours",
-        "policy-float-hours", "policy-n"])
+    ("compare", "reports.json", _set(0, "total_energy_cost", "12.5")),
+    ("compare", "reports.json", _set(0, "total_energy_cost", None)),
+    ("compare", "reports.json", _set(0, "controller", ["greedy"])),
+], ids=["regime-m", "regime-m-float", "regime-levels", "regime-coefficients",
+        "regime-design", "period-float",
+        "chain-m", "chain-buckets", "chain-alpha", "chain-bool-alpha",
+        "policy-m", "policy-theta-step", "policy-float-a-max",
+        "policy-text-objective", "policy-null-start", "policy-text-start",
+        "policy-float-start", "policy-bool-start", "policy-n",
+        "reports-text-cost", "reports-null-cost", "reports-list-controller"])
 def test_wrong_field_type_is_named(pipeline, tmp_path, capsys, command, name,
                                    edit):
     # a field of the wrong JSON type fails the stage that reads it with an
@@ -1337,10 +1386,11 @@ def test_bad_design_is_named(pipeline, tmp_path):
     del doc["design"]["period_daily"]
     path = tmp_path / "regime_model.json"
     path.write_text(json.dumps(doc))
+    # the design's fields all have defaults, but a section holds every field
     with pytest.raises(artifacts.ArtifactError,
-                       match=re.escape(f"{path} holds a design without exactly "
-                                       "the keys ['daily_harmonics', ")):
-        qfr.load_model(path)
+                       match=re.escape(f"{path} holds a regime-model design "
+                                       "without the key 'period_daily'")):
+        _read_model(path)
 
 
 def test_regime_model_without_design_exits_2(pipeline, tmp_path, capsys):

@@ -87,7 +87,7 @@ def _toy_controller():
     space = StateSpace(theta_min=15, theta_max=30, theta_step=0.5, m=2, a_max=4)
     actions = np.zeros((24, space.n_theta, 2), dtype=np.int64)  # default: idle
     actions[7, quantize(22.0, space)] = [3, 2]
-    policy = Policy(actions=actions, space=space, hours=np.arange(24))
+    policy = Policy(actions=actions, space=space, start=0)
     return QfrMdpController(policy=policy)
 
 

@@ -72,7 +72,7 @@ def make_case(n=4, space=None, cost=None, chiller=None, t_out=25.0,
         trans = np.tile(np.full((space.m, space.m), 1.0 / space.m), (n, 1, 1))
     plant = Plant(chiller, t_out, q, gamma_env, c_heat)
     return MdpProblem(space=space, cost=cost, plant=plant.table(),
-                      prices=prices, trans=trans, hours=np.arange(n)), plant
+                      prices=prices, trans=trans, start=0), plant
 
 
 def make_problem(**kwargs):
@@ -271,7 +271,7 @@ def _day_problem(n, space, seed):
     trans = rng.dirichlet(np.ones(4) * 3, size=(n, 4))
     plant = Plant(ChillerSpec(), t_out, q, gamma_env=1e4, c_heat=5.5e9)
     return MdpProblem(space=space, cost=cost, plant=plant.table(),
-                      prices=prices, trans=trans, hours=np.arange(n))
+                      prices=prices, trans=trans, start=0)
 
 
 def _desk_problem():
@@ -423,14 +423,14 @@ def test_lp_description_exposes_objective_scaling():
 def test_policy_validates_action_table():
     space = StateSpace(15, 30, 5.0, m=1, a_max=1)
     Policy(actions=np.ones((2, 4, 1), dtype=np.int64), space=space,
-           hours=np.arange(2))
+           start=0)
     for bad, match in ((np.full((2, 4, 1), 2), "0..1"),
                        (np.full((2, 4, 1), -1), "0..1"),
                        (np.zeros((2, 4, 2), dtype=np.int64), "shape"),
                        (np.zeros((2, 4, 1, 2), dtype=np.int64), "shape"),
                        (np.full((2, 4, 1), 0.5), "integers")):
         with pytest.raises(ValueError, match=match):
-            Policy(actions=bad, space=space, hours=np.arange(2))
+            Policy(actions=bad, space=space, start=0)
 
 
 # Property tests: vectorised kernels against their scalar definitions.

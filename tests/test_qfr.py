@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from coolsched import qfr
+from coolsched import artifacts, qfr
 from coolsched.ingest import parse_timestamp, synth_prices
 from coolsched.qfr import (FitError, FourierDesign, RegimeModel, classify,
                            classify_series, design_matrix, fit_quantile,
-                           fit_regimes, levels, load_model, pinball_loss,
-                           price_table, save_model)
+                           fit_regimes, levels, pinball_loss, price_table)
 
 DAILY = FourierDesign(daily_harmonics=2, seasonal_harmonics=0)
 
@@ -237,9 +236,9 @@ def test_interior_point_matches_dual_simplex(problem, m):
                                   _labels(reference, design, hours, prices))
 
 
-# sha256 of save_model's file for the M = 4 fit on _paper_summers
+# sha256 of write_model's file for the M = 4 fit on _paper_summers
 PAPER_SUMMERS_MODEL_SHA256 = (
-    "54235805630cc5321707421b0153ecd6afa9e9c7cd6ea51508e6206a0517b7ed")
+    "71252e3d82864bf3fbc209af7fb703b82bb9c977536d4e2eef93f07f6a1a798e")
 
 
 def test_paper_summers_model_bytes(tmp_path):
@@ -249,7 +248,7 @@ def test_paper_summers_model_bytes(tmp_path):
     hours, prices, _, design = _paper_summers()
     model, fits = fit_regimes(hours, prices, 4, design)
     assert [fit.solver for fit in fits] == ["interior-point"] * 7
-    save_model(model, tmp_path / "regime_model.json")
+    artifacts.write_model(tmp_path / "regime_model.json", model)
     digest = hashlib.sha256((tmp_path / "regime_model.json").read_bytes())
     assert digest.hexdigest() == PAPER_SUMMERS_MODEL_SHA256
 
@@ -852,8 +851,8 @@ def test_coverage_on_held_out(uniform_model):
 
 def test_model_serialization_round_trip(uniform_model, tmp_path):
     model, hours, prices, _ = uniform_model
-    save_model(model, tmp_path / "regime_model.json")
-    back = load_model(tmp_path / "regime_model.json")
+    artifacts.write_model(tmp_path / "regime_model.json", model)
+    back = artifacts.read_model(tmp_path / "regime_model.json", RegimeModel)
     assert back.m == model.m
     assert back.design == model.design
     assert back.coefficients.tobytes() == model.coefficients.tobytes()

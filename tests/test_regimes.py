@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coolsched import artifacts
 from coolsched.ingest import parse_timestamp
 from coolsched.regimes import (GROUPINGS, BucketError, EstimationError,
                                TransitionModel, estimate, hour_bucket,
-                               load_model, matrices_at, matrix_at, save_model)
+                               matrices_at, matrix_at)
 
 KNOWN_4 = np.array([
     [0.70, 0.10, 0.10, 0.10],
@@ -399,8 +400,9 @@ def test_serialization_round_trip(tmp_path):
     hours = np.arange(start, start + 24 * 30)
     model = estimate(zip(hours, rng.integers(1, 4, len(hours))), m=3,
                      alpha=0.5, grouping="season")
-    save_model(model, tmp_path / "transition_model.json")
-    back = load_model(tmp_path / "transition_model.json")
+    artifacts.write_model(tmp_path / "transition_model.json", model)
+    back = artifacts.read_model(tmp_path / "transition_model.json",
+                                TransitionModel)
     assert back.m == model.m and back.grouping == model.grouping
     assert set(back.matrices) == set(model.matrices)
     for key in model.matrices:

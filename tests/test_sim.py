@@ -168,8 +168,7 @@ def rollout_cases(draw):
     actions = draw(arrays(np.int64, (slots, space.n_theta, m),
                           elements=st.integers(0, 4)))
     cycle_start = draw(st.just(0) | st.just(start - draw(st.integers(0, 100))))
-    policy = Policy(actions=actions, space=space,
-                    hours=np.arange(cycle_start, cycle_start + slots))
+    policy = Policy(actions=actions, space=space, start=cycle_start)
     theta0 = draw(st.floats(12.0, 35.0, **finite))
     facility = replace(FACILITY,
                        gamma_env=draw(st.floats(2e3, 5e4, **finite)),
@@ -198,7 +197,7 @@ def _flat_case(price=40.0, theta0=24.0, t_out=28.0, cores=50_000.0,
     actions[:, :, 0] = np.arange(space.n_theta)[None, :] % 5   # regime 1
     actions[:, :, 1] = 4 - actions[:, :, 0]                    # regime 2
     return (dataset, model,
-            Policy(actions=actions, space=space, hours=np.arange(24)), theta0,
+            Policy(actions=actions, space=space, start=0), theta0,
             FACILITY)
 
 
