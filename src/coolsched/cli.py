@@ -161,7 +161,7 @@ def cmd_fit_qfr(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
     hours, values = _train_samples(windows, price)
-    model, fits = qfr.fit_regimes(hours, values, cfg.raw["qfr"]["regimes"], cfg.design)
+    model, fits = qfr.fit_regimes(hours, values, cfg.space.m, cfg.design)
     artifacts.write_model(os.path.join(out, REGIME_MODEL_FILE), model)
     print(f"fitted {model.m}-regime model on {len(values)} prices: "
           f"{model.m - 1} boundary fits, {model.m} representative fits")

@@ -1,22 +1,20 @@
-"""Run configuration: one YAML file with sections, env-var overrides.
+"""Run configuration: one YAML file with sections.
 
-Environment variables prefixed COOLSCHED_ override file values for CI
-sweeps, e.g. COOLSCHED_QFR__REGIMES=8 sets qfr.regimes. Values are parsed
-as YAML scalars and merge over the file as the file merges over the
-defaults, so an unknown key, a value in place of a section, a non-number
-where the default is a number and a non-integer where the default is an
-integer fail alike, naming the key. The file and the values load through
-libyaml's safe loader when PyYAML was built with it, else through the
-pure-Python one.
+A run's settings are the file plus the command line's --seed and --out
+options, and nothing else. The file merges over the defaults: an unknown
+key, a value in place of a section, a non-number where the default is a
+number and a non-integer where the default is an integer fail alike,
+naming the key. It loads through libyaml's safe loader when PyYAML was
+built with it, else through the pure-Python one.
 
 The keys that configure a type are listed in SPEC_FIELDS, each with the
 field it sets: the facility, chillers and cost sections, heat_load's
 q_base_w and phi_w_per_core, qfr's harmonics and the fixed rule's hours.
-Their defaults are the fields' own. Each type is built at load, so its own
-checks refuse a bad value, and the error names the section; a
-regimes.TransitionModel checks chain.alpha and chain.grouping the same way.
-The other keys keep their defaults in DEFAULTS and their range checks in
-RunConfig.
+Their defaults are the fields' own. Each type is built once, at load, into
+a RunConfig field, so its own checks refuse a bad value, and the error
+names the section; a regimes.TransitionModel checks chain.alpha and
+chain.grouping the same way. The other keys keep their defaults in
+DEFAULTS and their range checks in RunConfig.
 
 Windows resolve once, at load, to (first hour, last hour) pairs: each entry
 is [start, end] as two quoted ISO timestamps (YAML reads an unquoted one as
@@ -40,8 +38,6 @@ from .mdp import CostSpec, StateSpace
 from .qfr import REGIME_COUNTS, FourierDesign
 from .regimes import TransitionModel
 from .thermal import ChillerSpec, FacilitySpec, HeatLoadSpec
-
-ENV_PREFIX = "COOLSCHED_"
 
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
@@ -127,39 +123,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _merge(base, override, path, defaults=DEFAULTS):
-    """`override` over `base`, whose keys' defaults are `defaults`."""
-    merged = dict(base)
+def _merge(defaults, override, path):
+    """`override` over `defaults`, whose keys are the only ones it may set."""
+    merged = dict(defaults)
     for key, value in override.items():
-        if key not in base:
+        if key not in defaults:
             raise ConfigError(f"{path}: unknown key {key!r}")
         name = f"{path}.{key}"
         default = defaults[key]
         if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{name}: expected a section")
-            value = _merge(base[key], value, name, default)
+            value = _merge(default, value, name)
         elif _is_number(default) and not _is_number(value):
             raise ConfigError(f"{name}: expected a number, got {value!r}")
         elif isinstance(default, int) and not isinstance(value, int):
             raise ConfigError(f"{name}: expected an integer, got {value!r}")
         merged[key] = value
     return merged
-
-
-def _env_overrides(environ):
-    """Each COOLSCHED_<SECTION>__<KEY> variable as a nested document."""
-    for name, raw in sorted(environ.items()):
-        if name.startswith(ENV_PREFIX):
-            try:
-                value = yaml.load(raw, Loader=_LOADER)
-            except (yaml.YAMLError, ValueError):
-                # a malformed value, or an impossible unquoted date such as
-                # 2024-13-01: kept as text for _validate to name its key
-                value = raw
-            for part in reversed(name[len(ENV_PREFIX):].lower().split("__")):
-                value = {part: value}
-            yield value
 
 
 def _windows(raw, kind) -> list:
@@ -186,20 +167,31 @@ def _windows(raw, kind) -> list:
 
 @dataclass
 class RunConfig:
-    """Validated configuration with spec objects built from the raw document."""
+    """Validated configuration; `_validate` sets every field after base_dir,
+    the spec objects among them, from the raw document."""
 
     raw: dict
     base_dir: str = "."
     train_windows: list = field(init=False)     # (first hour, last hour)
-    simulate_windows: list = field(init=False)  # pairs, set at validation
-    # first hour of an explicit mdp.planning_day, set at validation
+    simulate_windows: list = field(init=False)  # pairs
+    facility: FacilitySpec = field(init=False)
+    chiller: ChillerSpec = field(init=False)
+    heat: HeatLoadSpec = field(init=False)
+    cost: CostSpec = field(init=False)
+    design: FourierDesign = field(init=False)
+    fixed_rule: FixedRuleController = field(init=False)  # on the cost band
+    space: StateSpace = field(init=False)
+    # the cost band inset by half a theta step, for planning only; the inset
+    # compensates the half-step quantization error of the policy lookup
+    planning_cost: CostSpec = field(init=False)
+    # first hour of an explicit mdp.planning_day
     _planning_day: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self._validate()
 
     @classmethod
-    def from_file(cls, path, environ=None) -> "RunConfig":
+    def from_file(cls, path) -> "RunConfig":
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = yaml.load(fh, Loader=_LOADER) or {}
@@ -213,20 +205,41 @@ class RunConfig:
                               f"is not a date ({exc}); quote dates") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must be a mapping")
-        merged = _merge(DEFAULTS, doc, "config")
-        environ = os.environ if environ is None else environ
-        for override in _env_overrides(environ):
-            merged = _merge(merged, override, "env")
-        return cls(raw=merged, base_dir=os.path.dirname(os.path.abspath(path)))
+        return cls(raw=_merge(DEFAULTS, doc, "config"),
+                   base_dir=os.path.dirname(os.path.abspath(path)))
+
+    def _build(self, section, *args):
+        """The SPEC_FIELDS type of `section`, from its keys and `args`."""
+        cls, keys = SPEC_FIELDS[section]
+        values = self.raw[section]
+        try:
+            return cls(*args, **{name: values[key] for key, name in keys.items()})
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
 
     def _validate(self):
         raw = self.raw
+        # every spec is built here, once, so bad numbers fail at load
+        self.facility = self._build("facility")
+        self.chiller = self._build("chillers")
+        self.heat = self._build("heat_load")
+        self.design = self._build("qfr")
+        self.cost = self._build("cost")
+        self.fixed_rule = self._build("fixed_rule", self.cost)
+        m = raw["mdp"]
         try:
-            # build every derived spec once so bad numbers fail here, not mid-run
-            _ = (self.facility, self.chiller, self.heat, self.design,
-                 self.fixed_rule, self.space, self.planning_cost)
+            self.space = StateSpace(theta_min=m["theta_min_c"],
+                                    theta_max=m["theta_max_c"],
+                                    theta_step=m["theta_step_c"],
+                                    m=raw["qfr"]["regimes"],
+                                    a_max=self.chiller.a_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        margin = m["theta_step_c"] / 2.0
+        t_min, t_max = self.cost.t_min + margin, self.cost.t_max - margin
+        if t_min >= t_max:
+            raise ConfigError("band margin leaves no planning band")
+        self.planning_cost = replace(self.cost, t_min=t_min, t_max=t_max)
         regimes, chain = raw["qfr"]["regimes"], raw["chain"]
         try:
             TransitionModel(regimes, chain["alpha"], chain["grouping"], {})
@@ -250,6 +263,8 @@ class RunConfig:
         for name in names:
             if name not in KNOWN_CONTROLLERS:
                 raise ConfigError(f"unknown controller {name!r}")
+            if names.count(name) > 1:
+                raise ConfigError(f"controllers lists {name!r} more than once")
         for key, value in raw["paths"].items():
             if not (value is None or isinstance(value, str)):
                 raise ConfigError(f"paths.{key} must be a path or null, got {value!r}")
@@ -324,63 +339,6 @@ class RunConfig:
         if key != "out_dir" and not os.path.exists(value):
             raise ConfigError(f"paths.{key}: file not found: {value}")
         return value
-
-    def _build(self, section, *args):
-        """The SPEC_FIELDS type of `section`, from its keys and `args`."""
-        cls, keys = SPEC_FIELDS[section]
-        values = self.raw[section]
-        try:
-            return cls(*args, **{name: values[key] for key, name in keys.items()})
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from None
-
-    @property
-    def facility(self) -> FacilitySpec:
-        return self._build("facility")
-
-    @property
-    def chiller(self) -> ChillerSpec:
-        return self._build("chillers")
-
-    @property
-    def heat(self) -> HeatLoadSpec:
-        return self._build("heat_load")
-
-    @property
-    def cost(self) -> CostSpec:
-        return self._build("cost")
-
-    @property
-    def design(self) -> FourierDesign:
-        return self._build("qfr")
-
-    @property
-    def fixed_rule(self) -> FixedRuleController:
-        """The fixed-rule baseline on the configured band."""
-        return self._build("fixed_rule", self.cost)
-
-    @property
-    def band_margin(self) -> float:
-        # temperature band inset used during planning only; compensates the
-        # half-step quantization error of the policy lookup
-        return self.raw["mdp"]["theta_step_c"] / 2.0
-
-    @property
-    def planning_cost(self) -> CostSpec:
-        base = self.cost
-        margin = self.band_margin
-        if base.t_min + margin >= base.t_max - margin:
-            raise ConfigError("band margin leaves no planning band")
-        return replace(base, t_min=base.t_min + margin,
-                       t_max=base.t_max - margin)
-
-    @property
-    def space(self) -> StateSpace:
-        m = self.raw["mdp"]
-        return StateSpace(theta_min=m["theta_min_c"], theta_max=m["theta_max_c"],
-                          theta_step=m["theta_step_c"],
-                          m=self.raw["qfr"]["regimes"],
-                          a_max=self.raw["chillers"]["count"])
 
     @property
     def seed(self) -> int:

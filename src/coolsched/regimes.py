@@ -78,14 +78,19 @@ class TransitionModel:
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         keys = list(self.matrices)
-        mats = [np.asarray(self.matrices[key], dtype=float) for key in keys]
+        mats = [np.asarray(self.matrices[key]) for key in keys]
+        for key, mat in zip(keys, mats):
+            if mat.dtype.kind not in "iuf":
+                raise ValueError(f"bucket {key}: matrix entries must be numbers")
+        mats = [np.asarray(mat, dtype=float) for mat in mats]
         # the first bucket that fails either check, in key order, is named
         shaped = next((k for k, mat in enumerate(mats)
                        if mat.shape != (self.m, self.m)), len(mats))
         if shaped:
             stack = np.stack(mats[:shaped])
-            bad = (np.any(stack < 0, axis=(1, 2))
-                   | np.any(np.abs(stack.sum(axis=2) - 1.0) > 1e-9, axis=1))
+            # a NaN entry compares False, so it is refused
+            bad = ~(np.all(stack >= 0, axis=(1, 2))
+                    & np.all(np.abs(stack.sum(axis=2) - 1.0) <= 1e-9, axis=1))
             if bad.any():
                 raise ValueError(f"bucket {keys[bad.argmax()]}: matrix is not "
                                  "row-stochastic")

@@ -615,12 +615,14 @@ def test_bad_planning_day_fails_at_load(tmp_path, capsys):
     ({"controllers": 5}, "error: controllers must be a list of names, got 5\n"),
     ({"controllers": "greedy"},
      "error: controllers must be a list of names, got 'greedy'\n"),
+    ({"controllers": ["greedy", "greedy", "qfr-mdp"]},
+     "error: controllers lists 'greedy' more than once\n"),
     ({"paths": {"price_csv": 5}},
      "error: paths.price_csv must be a path or null, got 5\n"),
 ], ids=["fixed-rule-hours", "synth-amplitude", "synth-cores", "synth-noise",
         "one-regime", "seventeen-regimes", "seed", "chain-alpha",
         "chain-grouping", "controllers-number", "controllers-name",
-        "path-number"])
+        "controllers-repeated", "path-number"])
 def test_bad_config_values_fail_at_load(tmp_path, capsys, overrides, named):
     # checked when the config loads, so every stage names the key before it
     # makes its out dir, even the stages that never read it
@@ -656,7 +658,7 @@ def test_config_defaults_are_the_types_defaults(tmp_path):
     # type's own defaults do
     config = tmp_path / "config.yaml"
     config.write_text("")
-    cfg = RunConfig.from_file(str(config), environ={})
+    cfg = RunConfig.from_file(str(config))
     assert cfg.facility == FacilitySpec()
     assert cfg.chiller == ChillerSpec()
     assert cfg.heat == HeatLoadSpec()
@@ -710,9 +712,9 @@ def test_config_stamps_go_through_parse_timestamp(tmp_path, monkeypatch):
         assert str(raised.value) == named
 
 
-def test_unquoted_bad_date_is_named(tmp_path, capsys, monkeypatch):
+def test_unquoted_bad_date_is_named(tmp_path, capsys):
     # YAML reads an unquoted 2024-13-01 as a date and fails inside its
-    # loader; the file's error names the file, the variable's its key
+    # loader, so the error names the file
     config = ph.make_project(str(tmp_path), mdp={"planning_day": "2024-07-15"})
     text = Path(config).read_text(encoding="utf-8")
     assert "planning_day: '2024-07-15'" in text
@@ -722,11 +724,6 @@ def test_unquoted_bad_date_is_named(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         f"error: config file {bad} holds an unquoted date that is not a "
         "date (month must be in 1..12); quote dates\n")
-    assert not (tmp_path / "out").exists()
-    monkeypatch.setenv("COOLSCHED_MDP__PLANNING_DAY", "2024-13-01")
-    assert cli.main(["fit-qfr", "--config", config]) == 2
-    assert capsys.readouterr().err == (
-        "error: mdp.planning_day '2024-13-01' is not a YYYY-MM-DD date\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -743,44 +740,40 @@ def test_stages_need_their_windows(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text, environ, named", [
-    ("facility: {c_equipment_j_per_degc: 3.0e9}", {},
+@pytest.mark.parametrize("text, named", [
+    ("facility: {c_equipment_j_per_degc: 3.0e9}",
      "config.facility.c_equipment_j_per_degc: expected a number, got '3.0e9'"),
-    ("mdp: {theta_step_c: half}", {},
+    ("mdp: {theta_step_c: half}",
      "config.mdp.theta_step_c: expected a number, got 'half'"),
-    ("chain: {alpha: x}", {}, "config.chain.alpha: expected a number"),
-    ("qfr: {regimes: true}", {}, "config.qfr.regimes: expected a number"),
-    ("", {"COOLSCHED_QFR": "3"}, "env.qfr: expected a section"),
-    ("", {"COOLSCHED_QFR__REGIMES": "three"},
-     "env.qfr.regimes: expected a number, got 'three'"),
-    ("", {"COOLSCHED_QFR__TYPO": "3"}, "env.qfr: unknown key 'typo'"),
-    ("qfr: {daily_harmonics: 2.5}", {},
+    ("chain: {alpha: x}", "config.chain.alpha: expected a number"),
+    ("qfr: {regimes: true}", "config.qfr.regimes: expected a number"),
+    ("qfr: 3", "config.qfr: expected a section"),
+    ("qfr: {regimes: three}",
+     "config.qfr.regimes: expected a number, got 'three'"),
+    ("qfr: {typo: 3}", "config.qfr: unknown key 'typo'"),
+    ("qfr: {daily_harmonics: 2.5}",
      "config.qfr.daily_harmonics: expected an integer, got 2.5"),
-    ("qfr: {regimes: 3.0}", {},
+    ("qfr: {regimes: 3.0}",
      "config.qfr.regimes: expected an integer, got 3.0"),
-    ("chillers: {count: 4.5}", {},
+    ("chillers: {count: 4.5}",
      "config.chillers.count: expected an integer, got 4.5"),
-    ("heat_load: {synth_base_cores: 5.0e+4}", {},
+    ("heat_load: {synth_base_cores: 5.0e+4}",
      "config.heat_load.synth_base_cores: expected an integer, got 50000.0"),
-    ("fixed_rule: {precool_end: 4.0}", {},
+    ("fixed_rule: {precool_end: 4.0}",
      "config.fixed_rule.precool_end: expected an integer, got 4.0"),
-    ("seed: 1.5", {}, "config.seed: expected an integer, got 1.5"),
-    ("", {"COOLSCHED_QFR__SEASONAL_HARMONICS": "2.0"},
-     "env.qfr.seasonal_harmonics: expected an integer, got 2.0"),
-], ids=["string-float", "word-float", "word-alpha", "bool-int", "env-section",
-        "env-word-int", "env-unknown-key", "float-harmonics", "float-regimes",
+    ("seed: 1.5", "config.seed: expected an integer, got 1.5"),
+    ("qfr: {seasonal_harmonics: 2.0}",
+     "config.qfr.seasonal_harmonics: expected an integer, got 2.0"),
+], ids=["string-float", "word-float", "word-alpha", "bool-int", "section",
+        "word-int", "unknown-key", "float-harmonics", "float-regimes",
         "float-count", "float-cores", "float-hour", "float-seed",
-        "env-float-int"])
-def test_config_values_are_checked_at_load(tmp_path, monkeypatch, capsys,
-                                           text, environ, named):
-    # the environment merges over the file as the file merges over the
-    # defaults, a number's key takes only a number, and an integer's only
-    # an integer
+        "float-seasonal"])
+def test_config_values_are_checked_at_load(tmp_path, capsys, text, named):
+    # the file merges over the defaults: a section takes only a section, a
+    # number's key only a number, and an integer's only an integer
     # PyYAML reads 3.0e9 as a string: a YAML 1.1 float needs a signed exponent
     config = ph.write_config(str(tmp_path), ph.base_config(
-        str(tmp_path), **(yaml.safe_load(text) or {})))
-    for name, value in environ.items():
-        monkeypatch.setenv(name, value)
+        str(tmp_path), **yaml.safe_load(text)))
     assert cli.main(["fit-qfr", "--config", config]) == 2
     assert capsys.readouterr().err.startswith(f"error: {named}")
 
@@ -1047,12 +1040,14 @@ def test_package_exports_resolve():
     assert coolsched.__all__ and not missing
 
 
-def test_env_override_changes_regimes(tmp_path, monkeypatch):
+def test_environment_leaves_config_alone(tmp_path, monkeypatch):
+    # a run's settings are the file plus --seed and --out: a variable named
+    # like a config key changes nothing
     monkeypatch.setenv("COOLSCHED_QFR__REGIMES", "3")
     config = ph.make_project(str(tmp_path))
     assert cli.main(["fit-qfr", "--config", config]) == 0
     model = _read_model(str(tmp_path / "out" / "regime_model.json"))
-    assert model.m == 3
+    assert model.m == 2
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -1078,16 +1073,16 @@ def test_config_defaults_and_validation(tmp_path):
     cfg = RunConfig.from_file(config)
     assert cfg.chiller.a_max == 4
     assert cfg.space.m == 2
-    assert cfg.band_margin == pytest.approx(0.5)  # half of theta_step 1.0
+    # the band inset by half of theta_step 1.0
     assert cfg.planning_cost.t_max == pytest.approx(26.5)
     with pytest.raises(ConfigError):
         RunConfig.from_file(str(tmp_path / "nope.yaml"))
     # a key's default decides what it takes: a float's key takes an integer
-    # in the file, and a float over that integer from the environment
-    doc = ph.base_config(str(tmp_path), facility={"floor_area_m2": 3000})
-    cfg = RunConfig.from_file(ph.write_config(str(tmp_path), doc, "int.yaml"),
-                              {"COOLSCHED_FACILITY__FLOOR_AREA_M2": "3000.5"})
-    assert cfg.facility.floor_area == 3000.5
+    # or a float
+    for area in (3000, 3000.5):
+        doc = ph.base_config(str(tmp_path), facility={"floor_area_m2": area})
+        cfg = RunConfig.from_file(ph.write_config(str(tmp_path), doc, "area.yaml"))
+        assert cfg.facility.floor_area == area
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -1100,26 +1095,29 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
 def test_config_loads_alike_with_either_yaml_loader(tmp_path, monkeypatch):
-    config = ph.make_project(str(tmp_path))
-    environ = {"COOLSCHED_QFR__REGIMES": "3", "COOLSCHED_CHAIN__ALPHA": "2.5e-1",
-               "COOLSCHED_CHAIN__GROUPING": "season",
-               "COOLSCHED_MDP__PLANNING_DAY": "2024-07-16",
-               "COOLSCHED_PATHS__OUT_DIR": "out: [2"}
+    # an exponent float, an unquoted date and a quoted text that looks like
+    # YAML
+    config = Path(ph.make_project(
+        str(tmp_path), qfr={"regimes": 3}, chain={"grouping": "season"},
+        mdp={"planning_day": datetime.date(2024, 7, 16)},
+        paths={"out_dir": "out: [2"}))
+    text = config.read_text(encoding="utf-8")
+    assert "alpha: 0.5" in text and "planning_day: 2024-07-16" in text
+    config.write_text(text.replace("alpha: 0.5", "alpha: 2.5e-1"))
     malformed = tmp_path / "malformed.yaml"
     malformed.write_text("qfr: {regimes: [2\n")
     loaded = []
     for loader in (yaml.CSafeLoader, yaml.SafeLoader):
         monkeypatch.setattr(config_module, "_LOADER", loader)
-        loaded.append((RunConfig.from_file(config).raw,
-                       RunConfig.from_file(config, environ).raw))
+        loaded.append(RunConfig.from_file(str(config)).raw)
         with pytest.raises(ConfigError, match="is not valid YAML"):
             RunConfig.from_file(str(malformed))
     assert loaded[0] == loaded[1]
-    overridden = loaded[0][1]
-    assert overridden["qfr"]["regimes"] == 3
-    assert overridden["chain"] == {"alpha": 0.25, "grouping": "season"}
-    assert overridden["mdp"]["planning_day"] == datetime.date(2024, 7, 16)
-    assert overridden["paths"]["out_dir"] == "out: [2"
+    raw = loaded[0]
+    assert raw["qfr"]["regimes"] == 3
+    assert raw["chain"] == {"alpha": 0.25, "grouping": "season"}
+    assert raw["mdp"]["planning_day"] == datetime.date(2024, 7, 16)
+    assert raw["paths"]["out_dir"] == "out: [2"
 
 
 def test_import_leaves_scipy_unloaded(pipeline, tmp_path):
@@ -1313,6 +1311,14 @@ def _set(*keys_and_value):
     ("plan", "transition_model.json", _set("matrices", [])),
     ("plan", "transition_model.json", _set("alpha", None)),
     ("plan", "transition_model.json", _set("alpha", True)),
+    ("plan", "transition_model.json",
+     _set("matrices", "00", [[True, False], [False, True]])),
+    ("plan", "transition_model.json",
+     _set("matrices", "00", [["0.5", "0.5"], ["0.5", "0.5"]])),
+    ("plan", "transition_model.json",
+     _set("matrices", "00", [[None, None], [0.5, 0.5]])),
+    ("plan", "transition_model.json",
+     _set("matrices", "00", [[float("nan"), 1.0], [0.5, 0.5]])),
     ("simulate", "policy.json", _set("space", "m", "4")),
     ("simulate", "policy.json", _set("space", "theta_step", None)),
     ("simulate", "policy.json", _set("space", "a_max", 4.0)),
@@ -1329,6 +1335,8 @@ def _set(*keys_and_value):
 ], ids=["regime-m", "regime-m-float", "regime-levels", "regime-coefficients",
         "regime-design", "period-float",
         "chain-m", "chain-buckets", "chain-alpha", "chain-bool-alpha",
+        "chain-bool-matrix", "chain-text-matrix", "chain-null-matrix",
+        "chain-nan-matrix",
         "policy-m", "policy-theta-step", "policy-float-a-max",
         "policy-text-objective", "policy-null-start", "policy-text-start",
         "policy-float-start", "policy-bool-start", "policy-n",
