@@ -306,13 +306,18 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
         # write_csv quotes no field, so a row splits on its commas
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(fh, "").rstrip("\r\n").split(",")
-            rows = [line.rstrip("\r\n").split(",")
-                    for line in islice(fh, offset, offset + 24)]
+            lines = list(islice(fh, offset, offset + 24))
+        rows = [line.rstrip("\r\n").split(",") for line in lines]
         columns = [header.index(key)
                    for key in ("timestamp", "theta", "action", "price")]
         if not rows or rows[0][columns[0]] != ingest.format_timestamp(day_h0):
             raise PipelineError(f"{path} does not start day {day} at hour "
                                 f"{offset} of its window; re-run simulate")
+        # every row write_csv writes ends with a newline: a file cut inside
+        # the day has fewer rows, or a last row without one
+        if len(lines) < 24 or not lines[-1].endswith("\n"):
+            raise PipelineError(f"{path} ends inside day {day}; re-run "
+                                "simulate")
         rows_out += [(name, *(row[k] for k in columns)) for row in rows]
 
     # rearranged quantile surfaces over the first training window, up to
@@ -326,11 +331,11 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
         + [f"boundary_{j}" for j in range(1, model.m)]
         + [f"representative_{p}" for p in range(1, model.m + 1)],
         [ingest.format_timestamps(hours), list(map(str, (hours % 24).tolist()))]
-        + [list(map(repr, column))
-           for column in np.hstack([bounds, reps]).T.tolist()])
+        + [ingest.format_floats(column)
+           for column in np.hstack([bounds, reps]).T])
     # planned actions for the exported day: hour x theta x regime
     slots = [ctl.policy_slot(policy, day_h0 + hod) for hod in range(24)]
-    thetas = list(map(repr, policy.space.theta_grid.tolist()))
+    thetas = ingest.format_floats(policy.space.theta_grid)
     m = policy.space.m
     artifacts.write_csv(
         os.path.join(out, "fig2_policy_day.csv"),

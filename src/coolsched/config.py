@@ -226,28 +226,27 @@ class RunConfig:
         self.design = self._build("qfr")
         self.cost = self._build("cost")
         self.fixed_rule = self._build("fixed_rule", self.cost)
+        regimes, chain = raw["qfr"]["regimes"], raw["chain"]
+        if regimes not in REGIME_COUNTS:
+            raise ConfigError(f"qfr.regimes must be in {REGIME_COUNTS[0]}.."
+                              f"{REGIME_COUNTS[-1]}, got {regimes}")
         m = raw["mdp"]
         try:
             self.space = StateSpace(theta_min=m["theta_min_c"],
                                     theta_max=m["theta_max_c"],
                                     theta_step=m["theta_step_c"],
-                                    m=raw["qfr"]["regimes"],
-                                    a_max=self.chiller.a_max)
+                                    m=regimes, a_max=self.chiller.a_max)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"mdp: {exc}") from None
         margin = m["theta_step_c"] / 2.0
         t_min, t_max = self.cost.t_min + margin, self.cost.t_max - margin
         if t_min >= t_max:
             raise ConfigError("band margin leaves no planning band")
         self.planning_cost = replace(self.cost, t_min=t_min, t_max=t_max)
-        regimes, chain = raw["qfr"]["regimes"], raw["chain"]
         try:
             TransitionModel(regimes, chain["alpha"], chain["grouping"], {})
         except ValueError as exc:
             raise ConfigError(f"chain: {exc}") from None
-        if regimes not in REGIME_COUNTS:
-            raise ConfigError(f"qfr.regimes must be in {REGIME_COUNTS[0]}.."
-                              f"{REGIME_COUNTS[-1]}, got {regimes}")
         heat = raw["heat_load"]
         for key in ("synth_base_cores", "synth_noise"):
             if heat[key] < 0:

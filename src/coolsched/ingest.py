@@ -9,20 +9,27 @@ A timestamp is an ISO-8601 UTC hour of a year 1-9999: the canonical
 `YYYY-MM-DDTHH:00:00Z`, read from its digits through one regex, or any
 other form `strptime` accepts for that format, such as `2024-7-5T5:00:00Z`.
 `format_timestamps` writes canonical stamps, zero-padding every year, so
-every such hour round-trips. A value is anything `float` accepts that is
-finite, and for a workload also a non-negative integer.
+every such hour round-trips; `format_floats` writes each float as its
+repr, the shortest text that round-trips. A value is anything `float`
+accepts that is finite, and for a workload also a non-negative integer.
 
 `load_series` parses a file in one bulk pass over its bytes. It finds the
 separators with NumPy, decodes canonical stamps (`_stamp_hours`) and
-converts the values in one `float` pass. Rows that pass cannot vouch for go
-through the per-row checker `_check_row`, in line order, which raises the
-error naming the line: the header, blank lines, lenient or bad stamps,
-records with other than 2 fields, and values that are not a number, not
-finite or not a valid workload. A UTF-8 byte-order mark at the start of
-the file is dropped. A file that is not ASCII, contains a quote or a
-carriage return, or has a line longer than `csv.field_size_limit()` takes
-all its rows from `csv.reader` through the same checker; text that is not
-UTF-8 and a field over that limit fail there, naming the line too.
+converts the values in one pass. When every value byte is one of
+`0-9 . e E + -`, as in every file `write_series` writes, that pass is one
+`orjson.loads` of the values joined as a JSON array, which reads each
+number as `float` does, bit for bit, once the integer `-0` gets its sign
+back. Any other file, and one with a value JSON refuses though `float`
+reads it (`1.`, `.5`, `+1`, `01`, `1e400`), takes one `float` pass over
+the values instead. Rows that pass cannot vouch for go through the
+per-row checker `_check_row`, in line order, which raises the error
+naming the line: the header, blank lines, lenient or bad stamps, records
+with other than 2 fields, and values that are not a number, not finite
+or not a valid workload. A UTF-8 byte-order mark at the start of the file
+is dropped. A file that is not ASCII, contains a quote or a carriage
+return, or has a line longer than `csv.field_size_limit()` takes all its
+rows from `csv.reader` through the same checker; text that is not UTF-8
+and a field over that limit fail there, naming the line too.
 
 Given a `cache_dir`, `load_series` keeps each kind's parsed series there as
 one flat file, `<kind>_series.bin` (`price_series.bin`,
@@ -57,8 +64,13 @@ _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _CANONICAL = "YYYY-MM-DDTHH:00:00Z"  # Y, M, D and H are ASCII digits
 _CANONICAL_RE = re.compile(
     re.sub("[YMDH]+", lambda run: f"([0-9]{{{len(run[0])}}})", _CANONICAL))
+_ROWS_PER_WRITE = 8760  # a year of hours, formatted by `write_series` at once
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _CACHE_MAGIC = b"coolsched-series-v1"
+# the bytes of the values that `_bulk_rows` reads as JSON numbers, and the
+# "\n" that ends each
+_NUMBER_BYTES = np.zeros(256, dtype=bool)
+_NUMBER_BYTES[np.frombuffer(b"0123456789.eE+-\n", dtype=np.uint8)] = True
 
 
 class IngestError(ValueError):
@@ -129,6 +141,28 @@ def format_timestamps(hours) -> list:
 
 def format_timestamp(hour: int) -> str:
     return format_timestamps([hour])[0]
+
+
+def format_floats(values) -> list:
+    """The repr of each float of a 1-d array: its shortest round-trip text.
+
+    One orjson write formats the whole array. orjson writes the same
+    shortest digits as repr, and in repr's fixed notation for zero and
+    for 1e-4 <= |x| < 1e16; every other value, NaN and the infinities
+    (which orjson writes as null) included, takes its own repr.
+    """
+    import orjson  # here, so that importing the CLI does not load it
+
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not len(values):
+        return []
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    texts = texts[1:-1].decode("ascii").split(",")
+    magnitude = np.abs(values)
+    fixed = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
+    for i in np.flatnonzero(~fixed).tolist():
+        texts[i] = repr(float(values[i]))
+    return texts
 
 
 @dataclass
@@ -250,23 +284,42 @@ def _bulk_rows(path, data, kind):
     cand = np.flatnonzero(is_cand)
     cand_starts = starts[cand]
     cand_hours, ok = _stamp_hours(buf, cand_starts)
-    # one string per candidate value: drop every other line and the stamps.
-    # Each buffer is freed once used, which keeps the peak memory low
+    # the candidate values, each ended by "\n": drop every other line and
+    # the stamps. Each buffer is freed once used, which keeps the peak
+    # memory low
     keep = np.ones(len(buf), dtype=bool)
     for i in np.flatnonzero(~is_cand).tolist():
         keep[starts[i]:ends[i] + 1] = False
     for k in range(width + 1):
         keep[cand_starts + k] = False
-    text = buf[keep].tobytes().decode("ascii")
+    value_bytes = buf[keep]
     del keep
-    value_texts = text.split("\n")[:len(cand)]
+    text = value_bytes.tobytes()
+    if len(cand) and ends[cand[-1]] == len(buf):
+        text += b"\n"  # the last line has no "\n"
+    cand_values = None
+    if _NUMBER_BYTES[value_bytes].all():
+        import orjson  # here, so that importing the CLI does not load it
+
+        try:
+            parsed = orjson.loads(b"[%s]" % text[:-1].replace(b"\n", b","))
+        except orjson.JSONDecodeError:  # such as 1. or 01, which float reads
+            parsed = None
+        # an empty value as the only one makes an empty array
+        if parsed is not None and len(parsed) == len(cand):
+            cand_values = np.array(parsed, dtype=np.float64)
+            # JSON reads the integer -0 as 0, and float as -0.0
+            negative = buf[cand_starts + width + 1] == ord("-")
+            cand_values[negative & (cand_values == 0)] = -0.0
+    del value_bytes
+    if cand_values is None:
+        try:
+            cand_values = np.fromiter(
+                map(float, text.decode("ascii").split("\n")[:-1]),
+                dtype=np.float64, count=len(cand))
+        except ValueError:  # a value is no number: the checker names its line
+            cand_values = np.full(len(cand), np.nan)
     del text
-    try:
-        cand_values = np.fromiter(map(float, value_texts), dtype=np.float64,
-                                  count=len(cand))
-    except ValueError:  # a value is no number: the checker names its line
-        cand_values = np.full(len(cand), np.nan)
-    del value_texts
     ok &= np.isfinite(cand_values)
     if kind is SeriesKind.WORKLOAD:
         ok &= (cand_values >= 0) & (cand_values == np.round(cand_values))
@@ -396,12 +449,21 @@ def _parse_rows(path, data, kind):
 
 
 def write_series(series: TimeSeries, path) -> None:
-    """Write a series to CSV so that load_series reproduces it bit-exactly."""
-    fmt = int if series.kind is SeriesKind.WORKLOAD else repr
-    rows = [f"{stamp},{fmt(value)}\n" for stamp, value in
-            zip(format_timestamps(series.hours), series.values.tolist())]
+    """Write a series to CSV so that load_series reproduces it bit-exactly:
+    a workload's values as integers, any other's as `format_floats` text,
+    which the bulk parse reads in its orjson pass. The rows go out a year
+    of hours at a time, so the text held in memory does not grow with the
+    series."""
     with atomic_writer(path) as fh:
-        fh.write("".join(["timestamp,value\n", *rows]))
+        fh.write("timestamp,value\n")
+        for first in range(0, len(series), _ROWS_PER_WRITE):
+            part = slice(first, first + _ROWS_PER_WRITE)
+            if series.kind is SeriesKind.WORKLOAD:
+                values = [str(int(v)) for v in series.values[part].tolist()]
+            else:
+                values = format_floats(series.values[part])
+            fh.write("".join([f"{stamp},{value}\n" for stamp, value in zip(
+                format_timestamps(series.hours[part]), values)]))
 
 
 @dataclass

@@ -26,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .artifacts import write_csv
-from .ingest import AlignedDataset, format_timestamp, format_timestamps
+from .ingest import (AlignedDataset, format_floats, format_timestamp,
+                     format_timestamps)
 from .mdp import CostSpec, StateSpace, quantize
 from .qfr import RegimeModel, classify_series
 from .thermal import ChillerSpec, FacilitySpec, HeatLoadSpec, step_table
@@ -49,10 +50,6 @@ class SimSpecs:
 
 def _ints(values) -> list:
     return list(map(str, np.asarray(values).astype(np.int64).tolist()))
-
-
-def _floats(values) -> list:
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 @dataclass
@@ -99,7 +96,7 @@ class Window:
 
     @cached_property
     def price_text(self) -> list:
-        return _floats(self.price)
+        return format_floats(self.price)
 
 
 @dataclass
@@ -136,15 +133,17 @@ class Trajectory:
                "violation_over")
 
     def to_csv(self, path) -> None:
-        """One row per hour; floats as their shortest round-trip repr, ints
-        as str. The timestamp, regime and price text is the window's."""
+        """One row per hour; floats as their repr, the shortest text that
+        round-trips, written by `ingest.format_floats`, and ints as str. The
+        timestamp, regime and price text is the window's."""
         window = self.window
         write_csv(path, self.COLUMNS, [
-            window.timestamp_text, _floats(self.theta),
+            window.timestamp_text, format_floats(self.theta),
             _ints(self.theta_index), window.regime_text, window.price_text,
-            _ints(self.action), _floats(self.energy_kwh),
-            _floats(self.energy_cost), _floats(self.violation_under),
-            _floats(self.violation_over)])
+            _ints(self.action), format_floats(self.energy_kwh),
+            format_floats(self.energy_cost),
+            format_floats(self.violation_under),
+            format_floats(self.violation_over)])
 
 
 def rollout(controller, window: Window, specs: SimSpecs,

@@ -606,6 +606,11 @@ def test_bad_planning_day_fails_at_load(tmp_path, capsys):
     ({"qfr": {"regimes": 1}}, "error: qfr.regimes must be in 2..16, got 1\n"),
     ({"qfr": {"regimes": 17}},
      "error: qfr.regimes must be in 2..16, got 17\n"),
+    ({"qfr": {"regimes": 0}}, "error: qfr.regimes must be in 2..16, got 0\n"),
+    ({"mdp": {"theta_step_c": 0}},
+     "error: mdp: need theta_min < theta_max and theta_step > 0\n"),
+    ({"mdp": {"theta_min_c": 33.0}},
+     "error: mdp: need theta_min < theta_max and theta_step > 0\n"),
     ({"seed": -1}, "error: seed must be >= 0, got -1\n"),
     ({"chain": {"alpha": -0.5}},
      "error: chain: alpha must be >= 0, got -0.5\n"),
@@ -620,7 +625,8 @@ def test_bad_planning_day_fails_at_load(tmp_path, capsys):
     ({"paths": {"price_csv": 5}},
      "error: paths.price_csv must be a path or null, got 5\n"),
 ], ids=["fixed-rule-hours", "synth-amplitude", "synth-cores", "synth-noise",
-        "one-regime", "seventeen-regimes", "seed", "chain-alpha",
+        "one-regime", "seventeen-regimes", "zero-regimes", "theta-step",
+        "theta-order", "seed", "chain-alpha",
         "chain-grouping", "controllers-number", "controllers-name",
         "controllers-repeated", "path-number"])
 def test_bad_config_values_fail_at_load(tmp_path, capsys, overrides, named):
@@ -937,6 +943,30 @@ def test_export_plot_data_checks_the_day(pipeline, tmp_path, capsys):
     assert cli.main(["export-plot-data", "--config", config]) == 2
     assert "re-run simulate" in capsys.readouterr().err
     assert not any(figure.exists() for figure in figures)
+
+
+@pytest.mark.parametrize("cut", [
+    lambda day: day[:10],                        # ten whole rows of the day
+    lambda day: day[:10] + [day[10][:25]],       # and part of the eleventh
+    lambda day: day[:23] + [day[23][:-1]],       # the last row's "\n" lost
+], ids=["rows", "mid-row", "last-newline"])
+def test_export_plot_data_refuses_a_cut_trajectory(pipeline, tmp_path, capsys,
+                                                   cut):
+    # a trajectory that ends inside the exported day names its file instead
+    # of writing a fig3 with fewer than 24 rows for that controller
+    root, _, _ = pipeline
+    shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+    config = str(tmp_path / "config.yaml")
+    fig3 = tmp_path / "out" / "fig3_day_traces.csv"
+    fig3.unlink()
+    path = tmp_path / "out" / "trajectory_greedy_2024-07-15.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[25].startswith(b"2024-07-16T00:00:00Z,")  # the planning day
+    path.write_bytes(b"".join(lines[:25] + cut(lines[25:49])))
+    assert cli.main(["export-plot-data", "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} ends inside day 2024-07-16; re-run simulate\n")
+    assert not fig3.exists()
 
 
 def test_export_plot_data_refuses_a_day_past_the_window(pipeline, tmp_path,

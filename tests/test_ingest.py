@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
                               IngestError, SeriesKind, TimeSeries, _fill_gaps,
-                              align, cache_file, format_timestamp,
-                              format_timestamps, load_series,
+                              align, cache_file, format_floats,
+                              format_timestamp, format_timestamps, load_series,
                               parse_timestamp, synth_prices,
                               synth_temperature, synth_workload, write_series)
 
@@ -243,11 +243,18 @@ _BAD_STAMPS = [
     "timestamp",
 ]
 
-# values a workload accepts, and values it does not (the first three suit
-# a price or a temperature)
-_GOOD_VALUES = ["1", "2", "2.0", "0", "-0.0", "7", " 7 ", "1_0", "1e5"]
-_BAD_VALUES = ["3.25", "-4", "-1", "0.1", "abc", "nan", "inf", "-inf", "1e400", "",
-               "0x10", "2.5.1"]
+# values a workload accepts, and values it does not (the first five suit
+# a price or a temperature). The bulk parse reads a file's values as one
+# JSON array when every value byte is a JSON number character, so both
+# pools hold values that JSON reads otherwise than float (-0), refuses
+# though float reads them (1., +1, 01, .5) or reads alike only by correct
+# rounding (the long integers, the underflows, the smallest subnormal)
+_GOOD_VALUES = ["1", "2", "2.0", "0", "-0.0", "7", " 7 ", "1_0", "1e5",
+                "-0", "-0e5", "1.", "+1", "01", "1E5", "-1e-400",
+                "18446744073709551615", "123456789012345678901234567890"]
+_BAD_VALUES = ["3.25", "0.1", ".5", "5e-324", "9007199254740993.5", "-4", "-1",
+               "abc", "nan", "inf", "-inf", "1e400", "", "0x10", "2.5.1",
+               "true", "null", "[1]", "1e", "--1", "Infinity"]
 
 
 def _csv_text(rnd):
@@ -317,6 +324,10 @@ def csv_path(tmp_path_factory):
 @example("\ufefftimestamp,value\r\n2024-01-01T00:00:00Z,1\r\n", SeriesKind.PRICE)
 @example("\ufeff2024-01-01T00:00:00Z,1\r\r\n", SeriesKind.PRICE)
 @example("2024-01-01T00:00:00Z,1" + "0" * 140_000, SeriesKind.PRICE)
+# JSON numbers only, the last line without its "\n"
+@example("2024-01-01T01:00:00Z,-0\n2024-01-01T00:00:00Z,1E5\n"
+         "2024-01-01T02:00:00Z,18446744073709551615", SeriesKind.WORKLOAD)
+@example("2024-01-01T00:00:00Z,", SeriesKind.PRICE)  # one value, empty
 def test_load_matches_row_loop(csv_path, text, kind):
     # through a cache dir, the first load parses and caches the series and
     # the second reuses the same bits; a file that fails raises the same
@@ -402,6 +413,29 @@ def test_format_timestamps_matches_scalar(hours):
     # every year is zero-padded, the years before 1000 too
     assert format_timestamps(hours) == [_stamp(h) for h in hours]
     assert [format_timestamp(h) for h in hours] == [_stamp(h) for h in hours]
+
+
+@given(st.lists(st.floats()).map(lambda xs: np.array(xs, dtype=np.float64)),
+       st.data())
+def test_format_floats_is_repr(values, data):
+    # NaN, the infinities, signed zeros and subnormals, and a strided view
+    view = values[data.draw(st.slices(len(values)))]
+    for array in (values, view):
+        assert format_floats(array) == list(map(repr, array.tolist()))
+
+
+@pytest.mark.parametrize("edge", [1e-4, 1e15, 1e16, 5e-324,
+                                  np.finfo(np.float64).max])
+def test_format_floats_near_notation_edges(edge):
+    # repr and orjson write fixed notation for 1e-4 <= |x| < 1e16 only
+    near = [edge]
+    for toward in (-math.inf, math.inf):
+        x = edge
+        for _ in range(300):
+            x = math.nextafter(x, toward)
+            near.append(x)
+    values = np.array(near + [-x for x in near])
+    assert format_floats(values) == list(map(repr, values.tolist()))
 
 
 def test_load_names_bad_line(tmp_path):
@@ -519,17 +553,20 @@ def test_workload_interpolation_stays_integral(tmp_path):
 
 def test_write_read_round_trip_bit_exact(tmp_path):
     # a series that runs from year 999 into 1000 reloads too: write_series
-    # zero-pads every year
+    # zero-pads every year. Past 8760 rows it writes a year at a time
     rng = np.random.default_rng(3)
-    for start in ("2024-06-01T00:00:00Z", "0999-12-31T00:00:00Z"):
-        hours = np.arange(parse_timestamp(start), parse_timestamp(start) + 200)
-        values = rng.uniform(-50, 300, 200)
-        ts = TimeSeries(hours, values, SeriesKind.PRICE)
-        path = tmp_path / "round.csv"
-        write_series(ts, path)
-        back = load_series(path, SeriesKind.PRICE)
-        assert np.array_equal(back.hours, ts.hours)
-        assert np.array_equal(back.values, ts.values)  # bit-exact
+    for start, n in (("2024-06-01T00:00:00Z", 2 * 8760 + 5),
+                     ("0999-12-31T00:00:00Z", 200)):
+        hours = np.arange(parse_timestamp(start), parse_timestamp(start) + n)
+        for ts in (TimeSeries(hours, rng.uniform(-50, 300, n), SeriesKind.PRICE),
+                   synth_workload(4, n, 5000, 0.4, start=start)):
+            path = tmp_path / "round.csv"
+            write_series(ts, path)
+            text = path.read_text()
+            assert text.count("\n") == n + 1
+            back = load_series(path, ts.kind)
+            assert np.array_equal(back.hours, ts.hours)
+            assert np.array_equal(back.values, ts.values)  # bit-exact
 
 
 def _window(start, end):
