@@ -286,11 +286,16 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
 
     # each controller's trace of the day, read and checked before any write
     first, last = cfg.require_windows("simulate")[0]
-    day = args.day or ingest.format_timestamp(cfg.planning_day)[:10]
-    try:
-        day_h0 = ingest.parse_timestamp(f"{day}T00:00:00Z")
-    except ingest.IngestError:
-        raise PipelineError(f"--day {day!r} is not a YYYY-MM-DD date") from None
+    if args.day is None:
+        day_h0 = cfg.planning_day
+        day = ingest.format_timestamp(day_h0)[:10]
+    else:
+        day = args.day
+        try:
+            day_h0 = ingest.parse_timestamp(f"{day}T00:00:00Z")
+        except ingest.IngestError:
+            raise PipelineError(f"--day {day!r} is not a YYYY-MM-DD "
+                                "date") from None
     offset = day_h0 - first
     if not first <= day_h0 <= last - 23:
         raise PipelineError(
@@ -298,6 +303,8 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
             + "..".join(ingest.format_timestamps([first, last]))
             + ": all 24 of its hours must be")
     window_day = ingest.format_timestamp(first)[:10]
+    columns = [sim.Trajectory.COLUMNS.index(key)
+               for key in ("timestamp", "theta", "action", "price")]
     rows_out = []
     for name in sorted(cfg.raw["controllers"]):
         path = os.path.join(out, f"trajectory_{name}_{window_day}.csv")
@@ -308,9 +315,11 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
             header = next(fh, "").rstrip("\r\n").split(",")
             lines = list(islice(fh, offset, offset + 24))
         rows = [line.rstrip("\r\n").split(",") for line in lines]
-        columns = [header.index(key)
-                   for key in ("timestamp", "theta", "action", "price")]
-        if not rows or rows[0][columns[0]] != ingest.format_timestamp(day_h0):
+        if header != list(sim.Trajectory.COLUMNS):
+            raise PipelineError(f"{path} does not have the trajectory "
+                                f"columns {','.join(sim.Trajectory.COLUMNS)}; "
+                                "re-run simulate")
+        if not rows or rows[0][0] != ingest.format_timestamp(day_h0):
             raise PipelineError(f"{path} does not start day {day} at hour "
                                 f"{offset} of its window; re-run simulate")
         # every row write_csv writes ends with a newline: a file cut inside
@@ -318,6 +327,11 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
         if len(lines) < 24 or not lines[-1].endswith("\n"):
             raise PipelineError(f"{path} ends inside day {day}; re-run "
                                 "simulate")
+        for lineno, row in enumerate(rows, start=offset + 2):
+            if len(row) != len(header):
+                raise PipelineError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, "
+                    f"got {len(row)}; re-run simulate")
         rows_out += [(name, *(row[k] for k in columns)) for row in rows]
 
     # rearranged quantile surfaces over the first training window, up to

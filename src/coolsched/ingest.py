@@ -13,23 +13,21 @@ every such hour round-trips; `format_floats` writes each float as its
 repr, the shortest text that round-trips. A value is anything `float`
 accepts that is finite, and for a workload also a non-negative integer.
 
-`load_series` parses a file in one bulk pass over its bytes. It finds the
-separators with NumPy, decodes canonical stamps (`_stamp_hours`) and
-converts the values in one pass. When every value byte is one of
-`0-9 . e E + -`, as in every file `write_series` writes, that pass is one
-`orjson.loads` of the values joined as a JSON array, which reads each
-number as `float` does, bit for bit, once the integer `-0` gets its sign
-back. Any other file, and one with a value JSON refuses though `float`
-reads it (`1.`, `.5`, `+1`, `01`, `1e400`), takes one `float` pass over
-the values instead. Rows that pass cannot vouch for go through the
-per-row checker `_check_row`, in line order, which raises the error
-naming the line: the header, blank lines, lenient or bad stamps, records
-with other than 2 fields, and values that are not a number, not finite
-or not a valid workload. A UTF-8 byte-order mark at the start of the file
-is dropped. A file that is not ASCII, contains a quote or a carriage
-return, or has a line longer than `csv.field_size_limit()` takes all its
-rows from `csv.reader` through the same checker; text that is not UTF-8
-and a field over that limit fail there, naming the line too.
+`load_series` reads a file whole, by one of two paths. A file in the form
+`write_series` writes takes one bulk pass over its bytes (`_bulk_rows`):
+ASCII with no quote or carriage return, each line the header, empty, or a
+canonical stamp, a comma and a value of JSON number bytes. NumPy finds the
+lines, `_stamp_hours` decodes the stamps, and one `orjson.loads` of the
+values joined as a JSON array reads each number as `float` does, bit for
+bit, once the integer `-0` gets its sign back. Any other file, and one
+with a stamp or value that pass cannot vouch for, is read whole by
+`csv.reader` (`_reader_rows`), whose rows are checked in line order: the
+first bad one raises the error naming its line, as does text that is not
+UTF-8 or a field over `csv.field_size_limit()`. The bulk pass reads this
+one form because `write_series` writes every archive of the benchmark's
+workloads; another form, such as lenient stamps or CRLF line ends, gets a
+fast path only once a workload shows its gain. A UTF-8 byte-order mark at
+the start of the file is dropped.
 
 Given a `cache_dir`, `load_series` keeps each kind's parsed series there as
 one flat file, `<kind>_series.bin` (`price_series.bin`,
@@ -67,10 +65,6 @@ _CANONICAL_RE = re.compile(
 _ROWS_PER_WRITE = 8760  # a year of hours, formatted by `write_series` at once
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _CACHE_MAGIC = b"coolsched-series-v1"
-# the bytes of the values that `_bulk_rows` reads as JSON numbers, and the
-# "\n" that ends each
-_NUMBER_BYTES = np.zeros(256, dtype=bool)
-_NUMBER_BYTES[np.frombuffer(b"0123456789.eE+-\n", dtype=np.uint8)] = True
 
 
 class IngestError(ValueError):
@@ -227,119 +221,74 @@ def _fill_gaps(hours, values, kind, max_gap=MAX_GAP_HOURS):
     return out_h, out_v
 
 
-def _check_row(path, lineno, row, kind):
-    """Check one CSV record, split into fields, as line `lineno` of `path`.
-
-    Returns None for the header or a blank line and (hour, value) for a
-    data row. Raises IngestError naming the line of a bad record.
-    """
-    if lineno == 1 and row and row[0].strip().lower() == "timestamp":
-        return None  # header
-    if not row or (len(row) == 1 and not row[0].strip()):
-        return None
-    if len(row) != 2:
-        raise IngestError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-    try:
-        hour = parse_timestamp(row[0].strip())
-    except IngestError as exc:
-        raise IngestError(f"{path}: line {lineno}: {exc}") from None
-    try:
-        value = float(row[1])
-    except ValueError:
-        raise IngestError(
-            f"{path}: line {lineno}: value {row[1]!r} is not a number"
-        ) from None
-    if not math.isfinite(value):
-        raise IngestError(f"{path}: line {lineno}: non-finite value {row[1]!r}")
-    if kind is SeriesKind.WORKLOAD and (value < 0 or value != round(value)):
-        raise IngestError(
-            f"{path}: line {lineno}: workload must be a non-negative integer"
-        )
-    return hour, value
+def _is_header(first_field):
+    """Whether line 1, whose first field is `first_field`, is the header."""
+    return first_field.strip().lower() == "timestamp"
 
 
-def _bulk_rows(path, data, kind):
-    """Data rows of a file's bytes as (hours, values, line numbers) arrays.
+def _bulk_rows(data, kind):
+    """Data rows of a file's bytes as (hours, values, line numbers) arrays,
+    or None unless the file is in the form `write_series` writes.
 
-    Returns None when the file needs `csv.reader` to split it: when it is
-    not ASCII, quotes a field, ends a line with a carriage return, or has a
-    line longer than the reader's field size limit.
+    That form is ASCII text with no quote and no carriage return, whose
+    every line, none longer than the reader's field size limit, is the
+    header on line 1, empty, or a canonical stamp of an existing hour, a
+    comma and a value of JSON number bytes only; orjson must read every
+    value, each finite, and for a workload a non-negative integer.
     """
     if not data.isascii() or b'"' in data or b"\r" in data:
         return None
+    if data and not data.endswith(b"\n"):
+        data += b"\n"  # the last line has no "\n"
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
-    if data and not data.endswith(b"\n"):
-        ends = np.append(ends, len(data))
-    starts = np.concatenate(([0], ends + 1))[:len(ends)]
+    starts = np.concatenate(([0], ends[:-1] + 1))
     lengths = ends - starts
-    if len(ends) and lengths.max() > csv.field_size_limit():
+    if not len(ends) or lengths.max() > csv.field_size_limit():
         return None
-    n_commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends),
-                       prepend=0)
-    # candidates: `<20-byte stamp>,<value>` with no other comma
+    is_row = lengths > 0
+    if is_row[0] and _is_header(data[:ends[0]].decode("ascii").split(",")[0]):
+        is_row[0] = False
+    rows = np.flatnonzero(is_row)
     width = len(_CANONICAL)
-    is_cand = (n_commas == 1) & (lengths > width)
-    is_cand[is_cand] = buf[starts[is_cand] + width] == ord(",")
-    cand = np.flatnonzero(is_cand)
-    cand_starts = starts[cand]
-    cand_hours, ok = _stamp_hours(buf, cand_starts)
-    # the candidate values, each ended by "\n": drop every other line and
-    # the stamps. Each buffer is freed once used, which keeps the peak
-    # memory low
-    keep = np.ones(len(buf), dtype=bool)
-    for i in np.flatnonzero(~is_cand).tolist():
-        keep[starts[i]:ends[i] + 1] = False
-    for k in range(width + 1):
-        keep[cand_starts + k] = False
-    value_bytes = buf[keep]
-    del keep
+    row_starts = starts[rows]
+    if ((lengths[rows] <= width + 1).any()
+            or (buf[row_starts + width] != ord(",")).any()):
+        return None
+    hours, ok = _stamp_hours(buf, row_starts)
+    if not ok.all():
+        return None
+    # the values, each with its "\n": the bytes past each row's comma up to
+    # and including its line end, which alternate with runs of other bytes.
+    # Each buffer is freed once used, which keeps the peak memory low
+    runs = np.diff(np.stack([row_starts + width + 1, ends[rows] + 1], axis=1)
+                   .ravel(), prepend=0, append=len(buf))
+    value_bytes = buf[np.repeat(np.resize([False, True], len(runs)), runs)]
+    del runs
     text = value_bytes.tobytes()
-    if len(cand) and ends[cand[-1]] == len(buf):
-        text += b"\n"  # the last line has no "\n"
-    cand_values = None
-    if _NUMBER_BYTES[value_bytes].all():
-        import orjson  # here, so that importing the CLI does not load it
-
-        try:
-            parsed = orjson.loads(b"[%s]" % text[:-1].replace(b"\n", b","))
-        except orjson.JSONDecodeError:  # such as 1. or 01, which float reads
-            parsed = None
-        # an empty value as the only one makes an empty array
-        if parsed is not None and len(parsed) == len(cand):
-            cand_values = np.array(parsed, dtype=np.float64)
-            # JSON reads the integer -0 as 0, and float as -0.0
-            negative = buf[cand_starts + width + 1] == ord("-")
-            cand_values[negative & (cand_values == 0)] = -0.0
     del value_bytes
-    if cand_values is None:
-        try:
-            cand_values = np.fromiter(
-                map(float, text.decode("ascii").split("\n")[:-1]),
-                dtype=np.float64, count=len(cand))
-        except ValueError:  # a value is no number: the checker names its line
-            cand_values = np.full(len(cand), np.nan)
-    del text
-    ok &= np.isfinite(cand_values)
-    if kind is SeriesKind.WORKLOAD:
-        ok &= (cand_values >= 0) & (cand_values == np.round(cand_values))
-    hours = np.empty(len(ends), dtype=np.int64)
-    values = np.empty(len(ends), dtype=np.float64)
-    is_row = np.zeros(len(ends), dtype=bool)
-    hours[cand], values[cand], is_row[cand] = cand_hours, cand_values, ok
-    for i in np.flatnonzero(~is_row).tolist():
-        line = data[starts[i]:ends[i]].decode("ascii")
-        checked = _check_row(path, i + 1, line.split(",") if line else [], kind)
-        if checked is not None:
-            hours[i], values[i] = checked
-            is_row[i] = True
-    return hours[is_row], values[is_row], np.flatnonzero(is_row) + 1
+    if text.translate(None, b"0123456789.eE+-\n"):
+        return None  # a value byte that is no JSON number character
+    import orjson  # here, so that importing the CLI does not load it
+
+    try:  # each value is one number: it holds no comma
+        values = np.array(orjson.loads(b"[%s]" % text[:-1].replace(b"\n", b",")),
+                          dtype=np.float64)
+    except orjson.JSONDecodeError:  # such as 1. or 01, which float reads
+        return None
+    # JSON reads the integer -0 as 0, and float as -0.0
+    values[(buf[row_starts + width + 1] == ord("-")) & (values == 0)] = -0.0
+    if not np.isfinite(values).all() or (kind is SeriesKind.WORKLOAD and not (
+            (values >= 0) & (values == np.round(values))).all()):
+        return None
+    return hours, values, rows + 1
 
 
 def _reader_rows(path, data, kind):
     """Data rows of a file's bytes as split by `csv.reader`, checked one at
-    a time. Raises IngestError naming the line of text that is not UTF-8
-    or that the reader refuses, such as a field over its size limit."""
+    a time. Raises IngestError naming the line of a bad record, of text that
+    is not UTF-8, or that the reader refuses, such as a field over its size
+    limit. The header and blank lines are skipped."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -350,11 +299,30 @@ def _reader_rows(path, data, kind):
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         for lineno, row in enumerate(reader, start=1):
-            checked = _check_row(path, lineno, row, kind)
-            if checked is not None:
-                hours.append(checked[0])
-                values.append(checked[1])
-                lines.append(lineno)
+            if lineno == 1 and row and _is_header(row[0]):
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            line = f"{path}: line {lineno}"
+            if len(row) != 2:
+                raise IngestError(f"{line}: expected 2 fields, got {len(row)}")
+            try:
+                hour = parse_timestamp(row[0].strip())
+            except IngestError as exc:
+                raise IngestError(f"{line}: {exc}") from None
+            try:
+                value = float(row[1])
+            except ValueError:
+                raise IngestError(
+                    f"{line}: value {row[1]!r} is not a number") from None
+            if not math.isfinite(value):
+                raise IngestError(f"{line}: non-finite value {row[1]!r}")
+            if kind is SeriesKind.WORKLOAD and (value < 0 or value != round(value)):
+                raise IngestError(f"{line}: workload must be a non-negative "
+                                  "integer")
+            hours.append(hour)
+            values.append(value)
+            lines.append(lineno)
     except csv.Error as exc:
         raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
     return (np.array(hours, dtype=np.int64), np.array(values, dtype=np.float64),
@@ -427,7 +395,7 @@ def load_series(path, kind: SeriesKind, cache_dir=None) -> TimeSeries:
 def _parse_rows(path, data, kind):
     """Hours and values of the file `path`, whose bytes are `data`, after
     sort, de-duplication and gap fill."""
-    rows = _bulk_rows(path, data, kind)
+    rows = _bulk_rows(data, kind)
     if rows is None:
         rows = _reader_rows(path, data, kind)
     hours, values, lines = rows
@@ -451,8 +419,8 @@ def _parse_rows(path, data, kind):
 def write_series(series: TimeSeries, path) -> None:
     """Write a series to CSV so that load_series reproduces it bit-exactly:
     a workload's values as integers, any other's as `format_floats` text,
-    which the bulk parse reads in its orjson pass. The rows go out a year
-    of hours at a time, so the text held in memory does not grow with the
+    every line in the form the bulk pass reads. The rows go out a year of
+    hours at a time, so the text held in memory does not grow with the
     series."""
     with atomic_writer(path) as fh:
         fh.write("timestamp,value\n")

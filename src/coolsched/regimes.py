@@ -77,6 +77,11 @@ class TransitionModel:
                              f"got {self.grouping!r}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        known = set(_BUCKET_KEYS[self.grouping])
+        foreign = [key for key in self.matrices if key not in known]
+        if foreign:
+            raise ValueError(f"bucket {foreign[0]}: not a {self.grouping} "
+                             "bucket")
         keys = list(self.matrices)
         mats = [np.asarray(self.matrices[key]) for key in keys]
         for key, mat in zip(keys, mats):

@@ -16,7 +16,7 @@ from coolsched import artifacts
 from coolsched.ingest import format_timestamp
 from coolsched.mdp import Policy, StateSpace
 from coolsched.qfr import FourierDesign, RegimeModel
-from coolsched.regimes import GROUPINGS, TransitionModel
+from coolsched.regimes import _BUCKET_KEYS, GROUPINGS, TransitionModel
 
 
 class _FailingColumn(list):
@@ -255,13 +255,14 @@ def _regime_models(draw):
 @st.composite
 def _transition_models(draw):
     m = draw(st.integers(1, 3))
-    keys = draw(st.lists(st.text(max_size=6), unique=True, max_size=4))
+    grouping = draw(st.sampled_from(GROUPINGS))
+    keys = draw(st.lists(st.sampled_from(_BUCKET_KEYS[grouping]), unique=True,
+                         max_size=4))
     matrices = {}
     for key in keys:
         raw = draw(arrays(float, (m, m), elements=st.floats(1e-3, 1.0)))
         matrices[key] = raw / raw.sum(axis=1, keepdims=True)
-    return TransitionModel(m, draw(st.floats(0.0, 10.0)),
-                           draw(st.sampled_from(GROUPINGS)), matrices)
+    return TransitionModel(m, draw(st.floats(0.0, 10.0)), grouping, matrices)
 
 
 @st.composite

@@ -945,15 +945,26 @@ def test_export_plot_data_checks_the_day(pipeline, tmp_path, capsys):
     assert not any(figure.exists() for figure in figures)
 
 
-@pytest.mark.parametrize("cut", [
-    lambda day: day[:10],                        # ten whole rows of the day
-    lambda day: day[:10] + [day[10][:25]],       # and part of the eleventh
-    lambda day: day[:23] + [day[23][:-1]],       # the last row's "\n" lost
-], ids=["rows", "mid-row", "last-newline"])
+@pytest.mark.parametrize("cut, error", [
+    # the file's lines 26..49 hold the exported day
+    (lambda lines: lines[:35],                   # ten whole rows of the day
+     "{path} ends inside day 2024-07-16"),
+    (lambda lines: lines[:35] + [lines[35][:25]],  # and part of the eleventh
+     "{path} ends inside day 2024-07-16"),
+    (lambda lines: lines[:48] + [lines[48][:-1]],  # the last row's "\n" lost
+     "{path} ends inside day 2024-07-16"),
+    (lambda lines: [lines[0].replace(b",price,", b",tariff,")] + lines[1:49],
+     "{path} does not have the trajectory columns " + ",".join(
+         sim.Trajectory.COLUMNS)),
+    (lambda lines: lines[:30] + [b",".join(lines[30].split(b",")[:2]) + b"\n"]
+     + lines[31:49],
+     "{path}: line 31: expected 10 fields, got 2"),
+], ids=["rows", "mid-row", "last-newline", "header", "short-row"])
 def test_export_plot_data_refuses_a_cut_trajectory(pipeline, tmp_path, capsys,
-                                                   cut):
-    # a trajectory that ends inside the exported day names its file instead
-    # of writing a fig3 with fewer than 24 rows for that controller
+                                                   cut, error):
+    # a trajectory that ends inside the exported day, or whose header or a
+    # row of that day is not what simulate writes, names its file instead
+    # of writing a fig3 from it
     root, _, _ = pipeline
     shutil.copytree(root, tmp_path, dirs_exist_ok=True)
     config = str(tmp_path / "config.yaml")
@@ -962,10 +973,10 @@ def test_export_plot_data_refuses_a_cut_trajectory(pipeline, tmp_path, capsys,
     path = tmp_path / "out" / "trajectory_greedy_2024-07-15.csv"
     lines = path.read_bytes().splitlines(keepends=True)
     assert lines[25].startswith(b"2024-07-16T00:00:00Z,")  # the planning day
-    path.write_bytes(b"".join(lines[:25] + cut(lines[25:49])))
+    path.write_bytes(b"".join(cut(lines)))
     assert cli.main(["export-plot-data", "--config", config]) == 2
     assert capsys.readouterr().err == (
-        f"error: {path} ends inside day 2024-07-16; re-run simulate\n")
+        f"error: {error.format(path=path)}; re-run simulate\n")
     assert not fig3.exists()
 
 
@@ -1349,6 +1360,8 @@ def _set(*keys_and_value):
      _set("matrices", "00", [[None, None], [0.5, 0.5]])),
     ("plan", "transition_model.json",
      _set("matrices", "00", [[float("nan"), 1.0], [0.5, 0.5]])),
+    ("plan", "transition_model.json",
+     _set("matrices", "99-bogus", [[0.5, 0.5], [0.5, 0.5]])),
     ("simulate", "policy.json", _set("space", "m", "4")),
     ("simulate", "policy.json", _set("space", "theta_step", None)),
     ("simulate", "policy.json", _set("space", "a_max", 4.0)),
@@ -1366,7 +1379,7 @@ def _set(*keys_and_value):
         "regime-design", "period-float",
         "chain-m", "chain-buckets", "chain-alpha", "chain-bool-alpha",
         "chain-bool-matrix", "chain-text-matrix", "chain-null-matrix",
-        "chain-nan-matrix",
+        "chain-nan-matrix", "chain-foreign-bucket",
         "policy-m", "policy-theta-step", "policy-float-a-max",
         "policy-text-objective", "policy-null-start", "policy-text-start",
         "policy-float-start", "policy-bool-start", "policy-n",

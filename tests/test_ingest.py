@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coolsched.ingest import (MAX_GAP_HOURS, AlignedDataset, CoverageError,
-                              IngestError, SeriesKind, TimeSeries, _fill_gaps,
-                              align, cache_file, format_floats,
+                              IngestError, SeriesKind, TimeSeries, _bulk_rows,
+                              _fill_gaps, align, cache_file, format_floats,
                               format_timestamp, format_timestamps, load_series,
                               parse_timestamp, synth_prices,
                               synth_temperature, synth_workload, write_series)
@@ -314,7 +314,7 @@ def csv_path(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.randoms(use_true_random=True).map(_csv_text),
+@given(st.randoms(use_true_random=False).map(_csv_text),
        st.sampled_from(list(SeriesKind)))
 @example("timestamp,value\n", SeriesKind.PRICE)
 @example("", SeriesKind.PRICE)
@@ -324,6 +324,13 @@ def csv_path(tmp_path_factory):
 @example("\ufefftimestamp,value\r\n2024-01-01T00:00:00Z,1\r\n", SeriesKind.PRICE)
 @example("\ufeff2024-01-01T00:00:00Z,1\r\r\n", SeriesKind.PRICE)
 @example("2024-01-01T00:00:00Z,1" + "0" * 140_000, SeriesKind.PRICE)
+# a value JSON reads, in a field over csv.reader's size limit
+@example("2024-01-01T00:00:00Z,0." + "0" * 140_000 + "1", SeriesKind.PRICE)
+# a header line that csv.reader splits at its carriage return, whose quote
+# opens a field that runs to the end of the file, or that is not ASCII
+@example("timestamp,x\r2024-01-01T00:00:00Z,1\n", SeriesKind.PRICE)
+@example('timestamp,"x\n2024-01-01T00:00:00Z,1\n', SeriesKind.PRICE)
+@example("timestamp,valeur €\n2024-01-01T00:00:00Z,1\n", SeriesKind.PRICE)
 # JSON numbers only, the last line without its "\n"
 @example("2024-01-01T01:00:00Z,-0\n2024-01-01T00:00:00Z,1E5\n"
          "2024-01-01T02:00:00Z,18446744073709551615", SeriesKind.WORKLOAD)
@@ -341,6 +348,67 @@ def test_load_matches_row_loop(csv_path, text, kind):
     assert cache.exists() == isinstance(fresh, tuple)
     reused = fresh if isinstance(fresh, str) else fresh[:2] + (True,)
     assert _load_outcome(load_series, csv_path, kind, csv_path.parent) == reused
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    """(series, bytes) of what `write_series` writes for a price, a
+    temperature and a workload series over more than one 8,760-row write,
+    and of the price archive without its final newline."""
+    root = tmp_path_factory.mktemp("archives")
+    start, n = "2024-06-01T00:00:00Z", 8760 + 48
+    written = []
+    for series in (synth_prices(1, n, start=start),
+                   synth_temperature(2, n, start=start),
+                   synth_workload(3, n, 5000, 0.4, start=start)):
+        path = root / f"{series.kind.value}.csv"
+        write_series(series, path)
+        written.append((series, path.read_bytes()))
+    price, data = written[0]
+    return written + [(price, data[:-1])]
+
+
+_ARCHIVE_IDS = ["price", "temperature", "workload", "no-final-newline"]
+
+# one edit of line 8766, 2025-06-01T05:00:00Z, that `csv.reader` reads
+# alike but that no `write_series` archive holds
+_NON_CANONICAL = {
+    "lenient-stamp": lambda line: re.sub(rb"^(\d{4})-0(\d)-0(\d)T0(\d)",
+                                         rb"\1-\2-\3T\4", line),
+    "spaced-value": lambda line: line.replace(b",", b", "),
+    "plus-sign": lambda line: line.replace(b",", b",+"),
+    "whitespace-line": lambda line: line + b"\n \t",
+    "crlf": lambda line: line + b"\r",
+}
+
+
+@pytest.mark.parametrize("which", range(4), ids=_ARCHIVE_IDS)
+def test_bulk_pass_reads_write_series_archives(archives, which):
+    # every row of an archive `write_series` writes takes the bulk pass:
+    # the benchmark's archives never fall back to the slower csv.reader
+    series, data = archives[which]
+    rows = _bulk_rows(data, series.kind)
+    assert isinstance(rows, tuple)
+    hours, values, lines = rows
+    assert np.array_equal(hours, series.hours)
+    assert values.tobytes() == series.values.tobytes()
+    assert lines.tolist() == list(range(2, len(series) + 2))
+
+
+@pytest.mark.parametrize("edit", sorted(_NON_CANONICAL))
+@pytest.mark.parametrize("which", range(4), ids=_ARCHIVE_IDS)
+def test_one_non_canonical_line_sends_the_file_to_the_reader(
+        archives, csv_path, which, edit):
+    series, data = archives[which]
+    lines = data.split(b"\n")
+    assert lines[8766].startswith(b"2025-06-01T05:00:00Z,")
+    lines[8766] = _NON_CANONICAL[edit](lines[8766])
+    data = b"\n".join(lines)
+    assert _bulk_rows(data, series.kind) is None
+    csv_path.write_bytes(data)
+    loaded = _load_outcome(load_series, csv_path, series.kind)
+    assert isinstance(loaded, tuple)
+    assert loaded == _load_outcome(_load_series_loop, csv_path, series.kind)
 
 
 def _stamp_outcomes(load, path, texts):

@@ -413,3 +413,14 @@ def test_transition_model_validates_matrices():
     bad = np.array([[0.5, 0.4], [0.2, 0.8]])  # first row sums to 0.9
     with pytest.raises(ValueError, match="stochastic"):
         TransitionModel(m=2, alpha=0.0, grouping="pooled", matrices={"all": bad})
+
+
+@pytest.mark.parametrize("grouping, key", [
+    ("single", "99-bogus"), ("single", "07-m06"), ("month", "07"),
+    ("season", "07-m06"), ("pooled", "00"), ("month", "24-m01")])
+def test_transition_model_refuses_foreign_buckets(grouping, key):
+    # a bucket its grouping lacks would be loaded and never looked up
+    matrices = {hour_bucket(0, grouping): np.eye(2), key: np.eye(2)}
+    with pytest.raises(ValueError, match=f"^bucket {key}: not a {grouping} "
+                       "bucket$"):
+        TransitionModel(m=2, alpha=0.5, grouping=grouping, matrices=matrices)
