@@ -183,7 +183,7 @@ def cmd_estimate_chain(cfg: RunConfig, args) -> int:
     price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
     hours, values = _train_samples(windows, price)
     labels = qfr.classify_series(model, hours, values)
-    chain = regimes.estimate(zip(hours, labels), m=model.m,
+    chain = regimes.estimate(np.column_stack((hours, labels)), m=model.m,
                              alpha=cfg.raw["chain"]["alpha"],
                              grouping=cfg.raw["chain"]["grouping"])
     artifacts.write_model(os.path.join(out, TRANSITION_MODEL_FILE), chain)

@@ -17,17 +17,18 @@ accepts that is finite, and for a workload also a non-negative integer.
 `write_series` writes takes one bulk pass over its bytes (`_bulk_rows`):
 ASCII with no quote or carriage return, each line the header, empty, or a
 canonical stamp, a comma and a value of JSON number bytes. NumPy finds the
-lines, `_stamp_hours` decodes the stamps, and one `orjson.loads` of the
-values joined as a JSON array reads each number as `float` does, bit for
-bit, once the integer `-0` gets its sign back. Any other file, and one
-with a stamp or value that pass cannot vouch for, is read whole by
-`csv.reader` (`_reader_rows`), whose rows are checked in line order: the
-first bad one raises the error naming its line, as does text that is not
-UTF-8 or a field over `csv.field_size_limit()`. The bulk pass reads this
-one form because `write_series` writes every archive of the benchmark's
-workloads; another form, such as lenient stamps or CRLF line ends, gets a
-fast path only once a workload shows its gain. A UTF-8 byte-order mark at
-the start of the file is dropped.
+lines, `_stamp_hours` decodes the stamps, one run-length mask, built in a
+constant number of NumPy calls, picks out the value bytes, and one
+`orjson.loads` of the values joined as a JSON array reads each number as
+`float` does, bit for bit, once the integer `-0` gets its sign back. Any
+other file, and one with a stamp or value that pass cannot vouch for, is
+read whole by `csv.reader` (`_reader_rows`), whose rows are checked in line
+order: the first bad one raises the error naming its line, as does text
+that is not UTF-8 or a field over `csv.field_size_limit()`. The bulk pass
+reads this one form because `write_series` writes every archive of the
+benchmark's workloads; another form, such as lenient stamps or CRLF line
+ends, gets a fast path only once a workload shows its gain. A UTF-8
+byte-order mark at the start of the file is dropped.
 
 Given a `cache_dir`, `load_series` keeps each kind's parsed series there as
 one flat file, `<kind>_series.bin` (`price_series.bin`,
@@ -129,8 +130,7 @@ def _stamp_hours(buf, starts):
 def format_timestamps(hours) -> list:
     """The canonical stamp of each hour since epoch, every year zero-padded."""
     hours = np.asarray(hours, dtype=np.int64).astype("datetime64[h]")
-    return [text + "Z" for text in
-            np.datetime_as_string(hours, unit="s").tolist()]
+    return np.datetime_as_string(hours, unit="s", timezone="UTC").tolist()
 
 
 def format_timestamp(hour: int) -> str:
@@ -234,7 +234,9 @@ def _bulk_rows(data, kind):
     every line, none longer than the reader's field size limit, is the
     header on line 1, empty, or a canonical stamp of an existing hour, a
     comma and a value of JSON number bytes only; orjson must read every
-    value, each finite, and for a workload a non-negative integer.
+    value, each finite, and for a workload a non-negative integer. One
+    run-length mask, built in a constant number of NumPy calls whatever
+    the row count, picks out the value bytes for that one orjson read.
     """
     if not data.isascii() or b'"' in data or b"\r" in data:
         return None
@@ -259,12 +261,15 @@ def _bulk_rows(data, kind):
     if not ok.all():
         return None
     # the values, each with its "\n": the bytes past each row's comma up to
-    # and including its line end, which alternate with runs of other bytes.
-    # Each buffer is freed once used, which keeps the peak memory low
+    # and including its line end, which alternate with runs of other bytes,
+    # so every odd run is kept. Each buffer is freed once used, which keeps
+    # the peak memory low
     runs = np.diff(np.stack([row_starts + width + 1, ends[rows] + 1], axis=1)
                    .ravel(), prepend=0, append=len(buf))
-    value_bytes = buf[np.repeat(np.resize([False, True], len(runs)), runs)]
-    del runs
+    keep = np.zeros(len(runs), dtype=bool)
+    keep[1::2] = True
+    value_bytes = buf[np.repeat(keep, runs)]
+    del runs, keep
     text = value_bytes.tobytes()
     del value_bytes
     if text.translate(None, b"0123456789.eE+-\n"):

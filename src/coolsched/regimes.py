@@ -8,7 +8,6 @@ contribute no transitions.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -105,9 +104,10 @@ class TransitionModel:
         self.matrices.update(zip(keys, mats))
 
 
-def estimate(classified, m: int, alpha: float,
+def estimate(observations, m: int, alpha: float,
              grouping: str = "month") -> TransitionModel:
-    """MLE of bucketed transition matrices from (hour, regime) observations.
+    """MLE of bucketed transition matrices from (hour, regime) observations,
+    an (n, 2) integer array of one row per observation.
 
     Entry (p, p') of a bucket's matrix is
     (count(p -> p') + alpha) / (sum_q count(p -> q) + M * alpha);
@@ -118,8 +118,11 @@ def estimate(classified, m: int, alpha: float,
         raise EstimationError("m must be >= 1")
     if alpha < 0:
         raise EstimationError("alpha must be >= 0")
-    pairs = np.fromiter(chain.from_iterable(classified), dtype=np.int64)
-    hours, labels = pairs[0::2], pairs[1::2]
+    observations = np.asarray(observations, dtype=np.int64)
+    if observations.size and observations.shape[1:] != (2,):
+        raise EstimationError("observations must be (hour, regime) rows, got "
+                              f"shape {observations.shape}")
+    hours, labels = observations.reshape(-1, 2).T
     if len(labels) < 2:
         raise EstimationError("need at least two classified observations")
     step = np.diff(hours)

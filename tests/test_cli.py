@@ -430,6 +430,61 @@ def test_simulate_outputs(pipeline):
         assert len(rows) == 96  # four days
 
 
+def _trajectory_rows(out, name):
+    path = os.path.join(out, f"trajectory_{name}_2024-07-15.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("j", [-2, -1, 1, 2])
+def test_pipeline_is_exactly_price_scale_equivariant(pipeline, tmp_path, j):
+    # quantile regression is scale equivariant, and every cost the planner
+    # and the rollout add up is linear in the prices and the two lambda
+    # penalties, so scaling those by c = 2**j scales each fitted curve and
+    # cost by exactly c and moves no argmin. The fixture's lowest price is
+    # 6.02, so every scaled price stays above 1, clear of classify's
+    # TIE_TOL * max(1, |b|) floor
+    root, out, _ = pipeline
+    c = 2.0 ** j
+    price = ingest.load_series(os.path.join(root, "price.csv"),
+                               ingest.SeriesKind.PRICE)
+    assert price.values.min() * c > 1
+    ingest.write_series(ingest.TimeSeries(price.hours, price.values * c,
+                                          price.kind),
+                        str(tmp_path / "price.csv"))
+    shutil.copy(os.path.join(root, "temperature.csv"), tmp_path)
+    cost = CostSpec()
+    config = ph.write_config(str(tmp_path), ph.base_config(
+        str(tmp_path), cost={"lambda_under_per_degc": cost.lambda_under * c,
+                             "lambda_over_per_degc": cost.lambda_over * c}))
+    for command in ("fit-qfr", "estimate-chain", "plan", "simulate"):
+        assert cli.main([command, "--config", config]) == 0
+    scaled = str(tmp_path / "out")
+
+    def both(name):
+        return (_read_model(os.path.join(out, name)),
+                _read_model(os.path.join(scaled, name)))
+
+    model, model_c = both("regime_model.json")
+    assert np.array_equal(model_c.coefficients, c * model.coefficients)
+    chain, chain_c = both("transition_model.json")
+    assert list(chain_c.matrices) == list(chain.matrices)
+    for key, matrix in chain.matrices.items():
+        assert np.array_equal(chain_c.matrices[key], matrix)
+    policy, policy_c = both("policy.json")
+    assert np.array_equal(policy_c.actions, policy.actions)
+    assert policy_c.objective == c * policy.objective
+    for name in ("greedy", "fixed-rule", "qfr-mdp"):
+        rows = _trajectory_rows(out, name)
+        rows_c = _trajectory_rows(scaled, name)
+        assert len(rows_c) == len(rows) == 96
+        for row, row_c in zip(rows, rows_c):
+            for column in ("price", "energy_cost"):
+                assert float(row_c[column]) == c * float(row[column])
+            for column in ("timestamp", "action", "regime", "theta"):
+                assert row_c[column] == row[column]
+
+
 def test_simulate_states_each_window_once(pipeline, tmp_path, monkeypatch):
     # three controllers on two windows: each window's regime labels, step
     # table and timestamp text are built once, whatever the controller count

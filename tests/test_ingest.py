@@ -477,6 +477,7 @@ def test_parse_timestamp_forms_match_strptime(forms, bad):
 @given(st.lists(st.integers(_FIRST_HOUR, _LAST_HOUR), max_size=8))
 @example([_FIRST_HOUR, parse_timestamp("0999-12-31T23:00:00Z"),
           parse_timestamp("1000-01-01T00:00:00Z"), -1, 0, _LAST_HOUR])
+@example([])
 def test_format_timestamps_matches_scalar(hours):
     # every year is zero-padded, the years before 1000 too
     assert format_timestamps(hours) == [_stamp(h) for h in hours]

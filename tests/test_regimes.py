@@ -113,7 +113,7 @@ def _outcome(fit, hours, labels, m, alpha, grouping):
     """The EstimationError text, or the bucket keys in order and each
     matrix's bytes."""
     try:
-        model = fit(zip(hours, labels), m, alpha, grouping)
+        model = fit(np.column_stack((hours, labels)), m, alpha, grouping)
     except EstimationError as exc:
         return str(exc)
     return [(key, mat.tobytes()) for key, mat in model.matrices.items()]
@@ -166,7 +166,8 @@ def stationary_by_power_iteration(matrix, iters=10_000):
 def test_alternating_sequence_mle():
     hours = np.arange(100)
     regimes = 1 + hours % 2
-    model = estimate(zip(hours, regimes), m=2, alpha=0.0, grouping="pooled")
+    model = estimate(np.column_stack((hours, regimes)), m=2, alpha=0.0,
+                     grouping="pooled")
     mat = model.matrices["all"]
     assert mat[0, 1] == 1.0 and mat[1, 0] == 1.0
     assert mat[0, 0] == 0.0 and mat[1, 1] == 0.0
@@ -200,6 +201,34 @@ def test_estimate_rejects_out_of_range_regime():
         estimate([(0, 1), (1, 5)], m=2, alpha=0.5, grouping="pooled")
 
 
+@pytest.mark.parametrize("shape", [(6,), (3, 3), (3, 1), (2, 3, 2), ()],
+                         ids=["flat", "three-columns", "one-column",
+                              "three-d", "scalar"])
+def test_estimate_rejects_observations_that_are_not_pairs(shape):
+    observations = np.ones(shape, dtype=np.int64)
+    with pytest.raises(EstimationError, match="rows"):
+        estimate(observations, m=2, alpha=0.5, grouping="pooled")
+
+
+@pytest.mark.parametrize("observations", [[], np.empty((0, 2))],
+                         ids=["empty-list", "empty-array"])
+def test_estimate_needs_two_observations(observations):
+    with pytest.raises(EstimationError, match="at least two"):
+        estimate(observations, m=2, alpha=0.5, grouping="pooled")
+
+
+def test_estimate_reads_a_list_of_rows_as_the_array():
+    # bench/layertrace.py hands a traced run's observations over as a list
+    # of the array's rows
+    rng = np.random.default_rng(5)
+    observations = np.column_stack((np.arange(300), rng.integers(1, 4, 300)))
+    expected = estimate(observations, 3, 0.5, "single").matrices
+    for rows in (list(observations), observations.tolist()):
+        got = estimate(rows, 3, 0.5, "single").matrices
+        assert list(got) == list(expected)
+        assert all(np.array_equal(got[key], expected[key]) for key in got)
+
+
 def test_gap_breaks_transition_counting():
     # two segments; the 1 -> 2 jump across the gap must not be counted
     pairs = [(0, 1), (1, 1), (10, 2), (11, 2)]
@@ -214,7 +243,8 @@ def test_rows_stochastic_within_tolerance():
     rng = np.random.default_rng(0)
     hours = np.arange(5000)
     regimes = rng.integers(1, 5, 5000)
-    model = estimate(zip(hours, regimes), m=4, alpha=0.5, grouping="single")
+    model = estimate(np.column_stack((hours, regimes)), m=4, alpha=0.5,
+                     grouping="single")
     for mat in model.matrices.values():
         assert np.all(mat >= 0)
         assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-9
@@ -224,8 +254,8 @@ def test_estimate_recovers_known_chain():
     truth = pooled_model(KNOWN_4)
     path = sample_path(truth, start_regime=1, start_hour=0,
                        n_hours=100_001, seed=42)
-    fitted = estimate(zip(np.arange(100_001), path), m=4, alpha=0.0,
-                      grouping="pooled")
+    fitted = estimate(np.column_stack((np.arange(100_001), path)), m=4,
+                      alpha=0.0, grouping="pooled")
     err = np.max(np.abs(fitted.matrices["all"] - KNOWN_4))
     assert err <= 0.02
 
@@ -236,8 +266,8 @@ def test_estimator_consistency_improves_with_samples():
                        n_hours=100_001, seed=7)
     errors = []
     for n in (1000, 10_000, 100_000):
-        fitted = estimate(zip(np.arange(n + 1), path[:n + 1]), m=4, alpha=0.0,
-                          grouping="pooled")
+        fitted = estimate(np.column_stack((np.arange(n + 1), path[:n + 1])),
+                          m=4, alpha=0.0, grouping="pooled")
         errors.append(np.max(np.abs(fitted.matrices["all"] - KNOWN_4)))
     assert errors[0] >= errors[1] >= errors[2]
 
@@ -246,7 +276,8 @@ def test_alpha_limit_is_uniform():
     rng = np.random.default_rng(1)
     hours = np.arange(2000)
     regimes = rng.integers(1, 5, 2000)
-    model = estimate(zip(hours, regimes), m=4, alpha=1e12, grouping="pooled")
+    model = estimate(np.column_stack((hours, regimes)), m=4, alpha=1e12,
+                     grouping="pooled")
     assert np.allclose(model.matrices["all"], 0.25, atol=1e-6)
 
 
@@ -265,7 +296,8 @@ def test_matrix_at_same_bucket_24h_apart():
     start = parse_timestamp("2024-06-01T00:00:00Z")
     hours = np.arange(start, start + 24 * 20)
     regimes = rng.integers(1, 3, len(hours))
-    model = estimate(zip(hours, regimes), m=2, alpha=0.5, grouping="month")
+    model = estimate(np.column_stack((hours, regimes)), m=2, alpha=0.5,
+                     grouping="month")
     a = matrix_at(model, parse_timestamp("2024-06-05T13:00:00Z"))
     b = matrix_at(model, parse_timestamp("2024-06-06T13:00:00Z"))
     assert np.array_equal(a, b)
@@ -276,7 +308,8 @@ def test_matrix_at_month_boundary_uses_own_group():
     start = parse_timestamp("2024-06-01T00:00:00Z")
     hours = np.arange(start, start + 24 * 61)  # June + July
     regimes = rng.integers(1, 3, len(hours))
-    model = estimate(zip(hours, regimes), m=2, alpha=0.5, grouping="month")
+    model = estimate(np.column_stack((hours, regimes)), m=2, alpha=0.5,
+                     grouping="month")
     boundary_hour = parse_timestamp("2024-06-30T23:00:00Z")
     june = model.matrices["23-m06"]
     july = model.matrices["23-m07"]
@@ -302,8 +335,9 @@ def test_matrices_at_matches_matrix_at(grouping, start, n, seed):
     rng = np.random.default_rng(seed)
     hours = start + np.union1d([0, 1], np.flatnonzero(
         rng.random(2000) < rng.random()))
-    model = estimate(zip(hours, rng.integers(1, 4, len(hours))), m=3,
-                     alpha=0.5, grouping=grouping)
+    labels = rng.integers(1, 4, len(hours))
+    model = estimate(np.column_stack((hours, labels)), m=3, alpha=0.5,
+                     grouping=grouping)
     cycle = start + rng.integers(0, 2000) + np.arange(n)
     try:
         expected = np.stack([matrix_at(model, int(h)) for h in cycle])
@@ -398,8 +432,9 @@ def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     start = parse_timestamp("2024-06-01T00:00:00Z")
     hours = np.arange(start, start + 24 * 30)
-    model = estimate(zip(hours, rng.integers(1, 4, len(hours))), m=3,
-                     alpha=0.5, grouping="season")
+    labels = rng.integers(1, 4, len(hours))
+    model = estimate(np.column_stack((hours, labels)), m=3, alpha=0.5,
+                     grouping="season")
     artifacts.write_model(tmp_path / "transition_model.json", model)
     back = artifacts.read_model(tmp_path / "transition_model.json",
                                 TransitionModel)
