@@ -5,18 +5,19 @@ daily and yearly periods. Each level is the bounded dual LP of the pinball
 loss, which one Frisch-Newton interior point solves in up to two passes
 (see `_fit_levels`): on the 32 observations per feature nearest a
 smoothed-loss curve, then on all of them for the levels the first pass
-leaves uncertified; HiGHS's dual simplex solves what is left. A level's
-exact vertex is rebuilt from its sorted basis and kept when a certificate,
-checked against every observation, shows it is the unique optimum, so
-neither the iterates' rounding nor the rows a solve used reach an output
-bit unless they change the basis. An M-regime model holds the curves at
-levels i/2M, i < 2M, in one matrix: at even i the boundaries j/M of M price
-bands per hour, at odd i each band's representative. A realized price's
-band is its regime, and a price within TIE_TOL (relative) of a boundary is
-on it.
+leaves uncertified; HiGHS's dual simplex solves what is left. One SVD of
+the design gives both passes their orthonormal basis and the smoothing its
+least-squares start. A level's exact vertex is rebuilt from its sorted
+basis and kept when a certificate, checked against every observation,
+shows it is the unique optimum, so neither the start, the iterates'
+rounding nor the rows a solve used reach an output bit unless they change
+the basis. An M-regime model holds the curves at levels i/2M, i < 2M, in
+one matrix: at even i the boundaries j/M of M price bands per hour, at odd
+i each band's representative. A realized price's band is its regime, and a
+price within TIE_TOL (relative) of a boundary is on it.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -39,6 +40,9 @@ class FourierDesign:
     period_seasonal: int = 8760
 
     def __post_init__(self):
+        # ints, never bools: design_matrix indexes its phase tables with them
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in astuple(self)):
+            raise ValueError("harmonic counts and periods must be integers")
         if self.daily_harmonics < 0 or self.seasonal_harmonics < 0:
             raise ValueError("harmonic counts must be >= 0")
         if self.period_daily <= 0 or self.period_seasonal <= 0:
@@ -50,15 +54,24 @@ class FourierDesign:
 
 
 def design_matrix(hours, design: FourierDesign) -> np.ndarray:
-    """Feature rows for integer hour indices; exactly periodic via modulus."""
+    """Feature rows for integer hour indices; exactly periodic via modulus.
+
+    When the rows outnumber a period's phases, each harmonic is evaluated
+    once per phase, 0 .. period - 1, and gathered by hour % period: the
+    sine and cosine see the same arguments as on the rows, so the matrix
+    has the same bits."""
     hours = np.atleast_1d(np.asarray(hours, dtype=np.int64))
     cols = [np.ones(len(hours))]
     for period, harmonics in ((design.period_daily, design.daily_harmonics),
                               (design.period_seasonal, design.seasonal_harmonics)):
-        phase = (hours % period) / period
+        at = hours % period
+        if len(hours) > period:
+            phase = np.arange(period) / period
+        else:
+            phase, at = at / period, slice(None)
         for k in range(1, harmonics + 1):
-            cols.append(np.sin(2 * np.pi * k * phase))
-            cols.append(np.cos(2 * np.pi * k * phase))
+            cols.append(np.sin(2 * np.pi * k * phase)[at])
+            cols.append(np.cos(2 * np.pi * k * phase)[at])
     return np.column_stack(cols)
 
 
@@ -268,8 +281,20 @@ def _frisch_newton(X, y, taus, beta):
 
 
 def _basis_rows(X, order):
-    """The first k rows in `order` that are linearly independent, or None."""
+    """The first k rows in `order` that are linearly independent, or None,
+    as a new array.
+
+    The first k rows are taken from one QR factorization of their block
+    when each one's part outside the span of those before it, |R[j, j]|,
+    passes the Gram-Schmidt loop's own test; the loop, over all of
+    `order`, runs only when one does not."""
     k = X.shape[1]
+    first = np.array(order[:k])
+    if len(first) == k:
+        block = X[first]
+        diag = np.abs(np.diagonal(np.linalg.qr(block.T, mode="r")))
+        if np.all(diag > _RANK_TOL * np.linalg.norm(block, axis=1)):
+            return first
     basis, picked = np.empty((k, k)), []
     for i in order:
         # Gram-Schmidt against the rows picked so far, done twice so that
@@ -324,7 +349,7 @@ def _vertex(X, y, b, curve):
             return None
         above = y > fitted
         above[basis] = False
-        d_h = np.linalg.solve(X[basis].T, b - X[above].sum(axis=0))
+        d_h = np.linalg.solve(X[basis].T, b - above @ X)
     except np.linalg.LinAlgError:
         return None
     return vertex if np.all((d_h > _CERT_TOL) & (d_h < 1.0 - _CERT_TOL)) else None
@@ -382,19 +407,20 @@ def _dual_simplex(X, y, tau):
     return beta
 
 
-def _smoothed(X, y, taus, stop):
+def _smoothed(X, y, taus, stop, fit):
     """Coefficients near each level's optimum, from Newton steps on the
     check loss smoothed to a quadratic on residuals |r| < g: there the
     derivative is r / (2 g) + tau - 1/2 (a finite smoothing in the manner
     of Chen 2007, "A finite smoothing algorithm for quantile regression").
 
-    The start is the least-squares fit shifted by each level's quantile of
-    its residuals, and g starts at the 0.3-quantile of |residual|. Each
-    step solves the smoothed Newton system, whose Hessian sums
-    x_i x_i' / (2 g) over the rows in the zone only, takes a step length
-    that lowers the smoothed loss (`_step_length`), and halves g. A level
-    stops once at most `stop` rows lie in its zone, or when g is 0 (data
-    that a curve fits exactly).
+    The start is the caller's least-squares fit `fit` shifted by each
+    level's quantile of its residuals, and g starts at the 0.3-quantile of
+    |residual|. Each step solves the smoothed Newton system, whose Hessian
+    sums x_i x_i' / (2 g) over the rows in the zone only: one gather xz of
+    those rows per level, and xz'xz, a symmetric product, into one
+    (T, k, k) buffer. It takes a step length that lowers the smoothed loss
+    (`_step_length`), and halves g. A level stops once at most `stop` rows
+    lie in its zone, or when g is 0 (data that a curve fits exactly).
 
     The steps' (T, n) arrays are written in place into two blocks, seven
     float and three bool arrays allocated once per call, whose first rows
@@ -403,9 +429,8 @@ def _smoothed(X, y, taus, stop):
     buffers move no bit.
     """
     taus = np.asarray(taus, dtype=float)
-    beta = np.linalg.lstsq(X, y, rcond=None)[0]
-    r = y - X @ beta
-    beta = np.repeat(beta[None, :], len(taus), axis=0)
+    r = y - X @ fit
+    beta = np.repeat(fit[None, :], len(taus), axis=0)
     beta[:, 0] += np.quantile(r, taus)
     # residuals, the step's operands a and b, its change to the residuals,
     # and three for `_step_length`
@@ -417,6 +442,7 @@ def _smoothed(X, y, taus, stop):
     # each level's zone, and two for `_step_length`
     flags = np.empty((3,) + r.shape, dtype=bool)
     zone = flags[0]
+    hess = np.empty((len(taus), X.shape[1], X.shape[1]))
     live = np.arange(len(taus))
     # r / g can overflow to inf for a tiny g, which the clip takes to the
     # end of the derivative it belongs to
@@ -440,9 +466,11 @@ def _smoothed(X, y, taus, stop):
             slope *= 0.5
             slope += skew
             grad = slope @ X
-            hess = np.stack([X[z].T @ X[z] for z in zone[front]])
+            for level, z in enumerate(zone[front]):
+                xz = X[z]
+                np.matmul(xz.T, xz, out=hess[level])
             try:
-                delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+                delta = np.linalg.solve(hess[front], grad[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 break
             delta *= 2.0 * gamma[:, None]
@@ -575,15 +603,17 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
     First the band holds 32k rows (`band_rows`), then, for the levels it
     leaves uncertified, all n, where the globs are empty; a fit of at most
     32k rows takes the second pass only. Both run on the design's
-    orthonormal basis (`_orthonormal`): over a short span the yearly
-    harmonics are near-collinear with the intercept, and on X the iterate
-    can then miss the vertex. The certificate reads all n observations
-    either way, so a vertex it accepts is the unique optimum of the whole
-    LP, rebuilt bit for bit from the same sorted basis whichever pass found
-    it. A level with a rank-deficient design, a tie on its curve, no
-    certificate on all rows or a gap still open at the iteration cap goes
-    to HiGHS's dual simplex. Either way the curve passes through k
-    observations up to round-off (see `classify`).
+    orthonormal basis U from its one SVD (`_orthonormal`): over a short
+    span the yearly harmonics are near-collinear with the intercept, and
+    on X the iterate can then miss the vertex. The same factors, X W = U,
+    give the smoothing its least-squares start W U'y. The certificate
+    reads all n observations either way, so a vertex it accepts is the
+    unique optimum of the whole LP, rebuilt bit for bit from the same
+    sorted basis whichever pass or start found it. A level with a
+    rank-deficient design, a tie on its curve, no certificate on all rows
+    or a gap still open at the iteration cap goes to HiGHS's dual simplex.
+    Either way the curve passes through k observations up to round-off
+    (see `classify`).
     """
     hours = np.asarray(hours, dtype=np.int64)
     y = np.asarray(prices, dtype=float)
@@ -603,10 +633,12 @@ def _fit_levels(hours, prices, taus, design: FourierDesign) -> list:
     x_sum = X.sum(axis=0)
     taus = np.asarray(taus, dtype=float)
     vertices, rows = [None] * len(taus), [None] * len(taus)
-    U, _ = _orthonormal(X)
+    U, W = _orthonormal(X)
     pending = list(range(len(taus))) if U.shape[1] == k else []
-    # the interior point's coefficients are on U: beta_u = U'X beta
-    beta = _smoothed(X, y, taus, _STOP_ROWS * k) @ (X.T @ U) if pending else None
+    # the smoothing starts from the least-squares fit W U'y, and the
+    # interior point's coefficients are on U: beta_u = U'X beta
+    beta = (_smoothed(X, y, taus, _STOP_ROWS * k, W @ (U.T @ y)) @ (X.T @ U)
+            if pending else None)
     for used in sorted({band_rows(n, k), n}):
         if not pending:
             break

@@ -273,11 +273,67 @@ def test_basis_pick_skips_repeated_rows():
     assert qfr._basis_rows(X[:5], range(5)) is None
 
 
+def _basis_rows_loop(X, order):
+    """`qfr._basis_rows` as the Gram-Schmidt loop alone, its reference."""
+    k = X.shape[1]
+    basis, picked = np.empty((k, k)), []
+    for i in order:
+        row, span = X[i], basis[:len(picked)]
+        v = row - span.T @ (span @ row)
+        v -= span.T @ (span @ v)
+        norm = np.linalg.norm(v)
+        if norm > qfr._RANK_TOL * np.linalg.norm(row):
+            basis[len(picked)] = v / norm
+            picked.append(i)
+            if len(picked) == k:
+                return np.array(picked)
+    return None
+
+
+@st.composite
+def basis_candidates(draw):
+    """A design over drawn hours, some 8760 apart (one design row), plus
+    rows that combine two others, and an order of all its rows that may
+    put a repeated or combined row among the first k."""
+    design = FourierDesign(draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+    k = design.n_features
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hours = gen.integers(-20_000, 20_000, draw(st.integers(1, 4 * k)))
+    repeats = hours[gen.integers(0, len(hours), draw(st.integers(0, k)))]
+    X = design_matrix(np.concatenate([hours, repeats + 8760]), design)
+    pairs = gen.integers(0, len(X), (draw(st.integers(0, k)), 2))
+    weights = gen.uniform(-2.0, 2.0, (len(pairs), 2))
+    X = np.concatenate([X, np.einsum("pj,pjk->pk", weights, X[pairs])])
+    order = gen.permutation(len(X))
+    dependent = np.arange(len(hours), len(X))
+    if len(dependent) and draw(st.booleans()):
+        # a repeated or combined row at a drawn place among the first k
+        at = draw(st.integers(0, min(k, len(order)) - 1))
+        row = np.flatnonzero(order == gen.choice(dependent))[0]
+        order[[at, row]] = order[[row, at]]
+    return X, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(basis_candidates())
+def test_one_qr_basis_matches_the_loop(candidates):
+    X, order = candidates
+    picked = qfr._basis_rows(X, order)
+    reference = _basis_rows_loop(X, order)
+    if reference is None:
+        assert picked is None
+    else:
+        assert picked.tolist() == reference.tolist()
+        # `_vertex` sorts the pick in place, which must leave `order` alone
+        assert not np.shares_memory(picked, order)
+
+
 def _all_rows_problem(X, prices, taus):
     """The stacked all-rows problem of `_fit_levels` on X's orthonormal
     basis U, and its start; a solution's curve is U @ coef."""
-    U, _ = qfr._orthonormal(X)
-    start = qfr._smoothed(X, prices, taus, qfr._STOP_ROWS * X.shape[1]) @ (X.T @ U)
+    U, W = qfr._orthonormal(X)
+    start = qfr._smoothed(X, prices, taus, qfr._STOP_ROWS * X.shape[1],
+                          W @ (U.T @ prices)) @ (X.T @ U)
     return U, (*qfr._near_curve(U, prices, start, len(prices)), taus, start)
 
 
@@ -378,6 +434,47 @@ def test_near_curve_fit_matches_all_rows_fit(series):
         _same_fits(near, qfr._fit_levels(hours, prices, taus, design))
 
 
+def _heavy_tailed(seed, n, design):
+    """A daily sinusoid with N(0, 1) noise plus Pareto(1.5) x 50 spikes on
+    10% of the hours."""
+    gen = np.random.default_rng(seed)
+    hours = np.arange(n)
+    prices = 40 + 10 * np.sin(2 * np.pi * hours / 24) + gen.standard_normal(n)
+    spikes = gen.random(n) < 0.1
+    prices[spikes] += 50 * gen.pareto(1.5, spikes.sum())
+    return hours, prices, design
+
+
+@st.composite
+def heavy_tailed_series(draw):
+    design = draw(st.sampled_from([FourierDesign(), FourierDesign(1, 1)]))
+    n = draw(st.integers(16 * design.n_features, 4000))
+    return _heavy_tailed(draw(st.integers(0, 2**32 - 1)), n, design)
+
+
+def _fits_from_moved_start(series):
+    """`_fit_levels` on the series from its own start, and from that start
+    scaled by 1 + 1e-6."""
+    hours, prices, design = series
+    taus = levels(4)
+    fits = qfr._fit_levels(hours, prices, taus, design)
+    smoothed = qfr._smoothed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qfr, "_smoothed",
+                      lambda *args: smoothed(*args) * (1.0 + 1e-6))
+        return fits, qfr._fit_levels(hours, prices, taus, design)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(synth_series(), heavy_tailed_series()))
+def test_certified_fit_does_not_depend_on_its_start(series):
+    # a certified level is the vertex rebuilt from its sorted basis, so a
+    # moved start leaves its bits alone
+    for a, b in zip(*_fits_from_moved_start(series)):
+        if a.solver == b.solver == "interior-point":
+            assert a.coefficients.tobytes() == b.coefficients.tobytes()
+
+
 def _one_summer():
     """One summer of the synthetic spot prices at the paper's design
     (k = 11): the 2,208 rows of a window-plan training set."""
@@ -386,6 +483,17 @@ def _one_summer():
     first = parse_timestamp("2022-06-01T00:00:00Z") - start
     keep = slice(first, first + 2208)
     return series.hours[keep], series.values[keep], FourierDesign()
+
+
+@pytest.mark.parametrize("series", [_one_summer(),
+                                    _heavy_tailed(1, 3000, FourierDesign())],
+                         ids=["one-summer", "heavy-tailed"])
+def test_moved_start_certifies_the_same_levels(series):
+    # the heavy-tailed series leaves tau = 0.875 to HiGHS from either start
+    fits, moved = _fits_from_moved_start(series)
+    assert [fit.rows for fit in fits] == [fit.rows for fit in moved]
+    assert "interior-point" in [fit.solver for fit in fits]
+    _same_fits(fits, moved)
 
 
 def test_one_summer_certifies_on_the_first_band():
@@ -407,14 +515,13 @@ def test_one_summer_certifies_on_the_first_band():
     _same_fits(near, every)
 
 
-def _smoothed_reference(X, y, taus, stop, step_length):
+def _smoothed_reference(X, y, taus, stop, fit, step_length):
     """The smoothing with a fresh array for every (T, n) operation, the
-    reference for `qfr._smoothed`; each step length comes from
-    `step_length(a, b, skew)`."""
+    reference for `qfr._smoothed` from the least-squares fit `fit`; each
+    step length comes from `step_length(a, b, skew)`."""
     taus = np.asarray(taus, dtype=float)
-    beta = np.linalg.lstsq(X, y, rcond=None)[0]
-    r = y - X @ beta
-    beta = np.repeat(beta[None, :], len(taus), axis=0)
+    r = y - X @ fit
+    beta = np.repeat(fit[None, :], len(taus), axis=0)
     beta[:, 0] += np.quantile(r, taus)
     r = y - beta @ X.T
     gamma = np.quantile(np.abs(r), qfr._SMOOTH_START, axis=1)
@@ -427,7 +534,7 @@ def _smoothed_reference(X, y, taus, stop, step_length):
             a = r[live] / gamma[live, None]
             skew = taus[live, None] - 0.5
             grad = (0.5 * np.clip(a, -1.0, 1.0) + skew) @ X
-            hess = np.stack([X[z].T @ X[z] for z in zone[live]])
+            hess = np.stack([xz.T @ xz for xz in (X[z] for z in zone[live])])
             try:
                 delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
@@ -497,8 +604,10 @@ def test_buffered_smoothing_matches_reference(series):
         steps.append(buffered.tobytes() == reference.tobytes())
         return reference
 
-    reference = _smoothed_reference(X, prices, taus, stop, both)
-    buffered = qfr._smoothed(X, prices, taus, stop)
+    U, W = qfr._orthonormal(X)
+    fit = W @ (U.T @ prices)
+    reference = _smoothed_reference(X, prices, taus, stop, fit, both)
+    buffered = qfr._smoothed(X, prices, taus, stop, fit)
     assert steps and all(steps)
     assert buffered.tobytes() == reference.tobytes()
 
@@ -666,6 +775,43 @@ def test_design_exactly_periodic():
     hours = np.array([0, 1, 12345])
     assert np.array_equal(design_matrix(hours, d), design_matrix(hours + 17520, d))
     assert np.array_equal(design_matrix(hours, d), design_matrix(hours + 8760, d))
+
+
+def _design_per_row(hours, design):
+    """`design_matrix` evaluating every harmonic on every row, its reference."""
+    hours = np.atleast_1d(np.asarray(hours, dtype=np.int64))
+    cols = [np.ones(len(hours))]
+    for period, harmonics in ((design.period_daily, design.daily_harmonics),
+                              (design.period_seasonal, design.seasonal_harmonics)):
+        phase = (hours % period) / period
+        for k in range(1, harmonics + 1):
+            cols.append(np.sin(2 * np.pi * k * phase))
+            cols.append(np.cos(2 * np.pi * k * phase))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("design", [FourierDesign(), FourierDesign(0, 2),
+                                    FourierDesign(3, 0), FourierDesign(0, 0)],
+                         ids=["3+2", "0+2", "3+0", "0+0"])
+@pytest.mark.parametrize("rows", [23, 24, 25, 8759, 8760, 8761])
+def test_tabulated_design_has_the_per_row_bits(design, rows):
+    # around each period the table takes over from the per-row form;
+    # unsorted and repeated hours, from before 1970 (negative) onward
+    gen = np.random.default_rng(rows)
+    hours = gen.integers(-500_000, 500_000, rows)
+    hours[rows // 2:] = hours[:rows - rows // 2]
+    gen.shuffle(hours)
+    X = design_matrix(hours, design)
+    assert X.flags.c_contiguous
+    assert X.tobytes() == _design_per_row(hours, design).tobytes()
+
+
+@pytest.mark.parametrize("field", ["daily_harmonics", "seasonal_harmonics",
+                                   "period_daily", "period_seasonal"])
+@pytest.mark.parametrize("value", [24.5, 2.0, True, np.int64(3)])
+def test_design_refuses_counts_that_are_not_ints(field, value):
+    with pytest.raises(ValueError, match="integers"):
+        FourierDesign(**{field: value})
 
 
 def test_fit_constant_data():
