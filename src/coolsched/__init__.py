@@ -27,15 +27,15 @@ from .mdp import (CostSpec, MdpProblem, OccupancyMeasure, Policy, StateSpace,
                   extract_policy, solve)
 from .qfr import FourierDesign, RegimeModel, classify, fit_regimes
 from .regimes import TransitionModel, estimate
-from .sim import CostReport, SimSpecs, Trajectory, compare, rollout, summarize
+from .sim import CostReport, Trajectory, compare, rollout, summarize
 from .thermal import (ChillerSpec, FacilitySpec, HeatLoadSpec, StepTable,
                       step_table)
 
 __all__ = [
     "AlignedDataset", "ChillerSpec", "CostReport", "CostSpec", "FacilitySpec",
     "FourierDesign", "HeatLoadSpec", "MdpProblem", "OccupancyMeasure",
-    "Policy", "RegimeModel", "SeriesKind", "SimSpecs", "StateSpace",
-    "StepTable", "TimeSeries", "Trajectory", "TransitionModel", "align",
-    "classify", "compare", "estimate", "extract_policy", "fit_regimes",
-    "load_series", "rollout", "solve", "step_table", "summarize",
+    "Policy", "RegimeModel", "SeriesKind", "StateSpace", "StepTable",
+    "TimeSeries", "Trajectory", "TransitionModel", "align", "classify",
+    "compare", "estimate", "extract_policy", "fit_regimes", "load_series",
+    "rollout", "solve", "step_table", "summarize",
 ]

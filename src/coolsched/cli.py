@@ -17,9 +17,10 @@ workload archives, parsed once per out dir and cached there
 <n> h, sha256 <first 12 hex digits>, parsed|reused`), or, without a
 workload archive, one synthetic load over the simulate windows and an
 explicit planning day. So the planner and the rollout see one load per
-hour. simulate states each simulate window once (sim.Window) and rolls
-every controller out on it, writing `trajectory_<controller>_<first
-day>.csv`.
+hour, and `_plant` builds its thermal.step_table for both. simulate states
+each simulate window once (sim.Window) and rolls every controller out on
+it, writing `trajectory_<controller>_<first day>.csv` (sim.trajectory_path),
+whose day export-plot-data reads back with sim.read_day.
 """
 
 import argparse
@@ -29,7 +30,6 @@ import sys
 from collections import Counter
 from dataclasses import asdict, replace
 from functools import cache
-from itertools import islice
 
 import numpy as np
 
@@ -100,11 +100,16 @@ def _check_regime_count(cfg: RunConfig, regime_model) -> None:
             f"{cfg.space.m}; refit or change qfr.regimes")
 
 
+def _plant(cfg: RunConfig, temperature, workload):
+    """The configured plant's thermal.step_table of hourly outdoor
+    temperatures and core counts: the planner's and each simulate window's."""
+    return step_table(cfg.facility, cfg.chiller, cfg.heat, temperature,
+                      workload)
+
+
 def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
     """Planning problem over the configured cycle (one day or a window),
-    with the archives cached in the out dir `out`. Its plant is the
-    thermal.step_table that sim.Window.of builds the same way from a window.
-    """
+    with the archives cached in the out dir `out`."""
     _check_regime_count(cfg, regime_model)
     if transition_model.m != regime_model.m:
         raise PipelineError("transition model and regime model disagree on M")
@@ -117,8 +122,7 @@ def _assemble_problem(cfg: RunConfig, out, regime_model, transition_model):
         _load_input(cfg, out, ingest.SeriesKind.TEMPERATURE), window)
     work = ingest.slice_series(_load_workload(cfg, out), window)
     hours = temp.hours
-    plant = step_table(cfg.facility, cfg.chiller, cfg.heat, temp.values,
-                       work.values)
+    plant = _plant(cfg, temp.values, work.values)
     prices = qfr.price_table(regime_model, hours)
     trans = regimes.matrices_at(transition_model, hours)
     return mdp.MdpProblem(space=cfg.space, cost=cfg.planning_cost, plant=plant,
@@ -230,21 +234,18 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         model = _load_regime_model(out, args.regime_model)
         _check_regime_count(cfg, model)
     built = _build_controllers(cfg, out, args)
-    specs = sim.SimSpecs(facility=cfg.facility, chiller=cfg.chiller,
-                         heat=cfg.heat, cost=cfg.cost,
-                         regime_model=model, space=cfg.space)
 
     price = _load_input(cfg, out, ingest.SeriesKind.PRICE)
     temperature = _load_input(cfg, out, ingest.SeriesKind.TEMPERATURE)
     workload = _load_workload(cfg, out)
     reports = []
     for span in windows:
-        window = sim.Window.of(
-            ingest.align(price, temperature, workload, span), specs)
-        day = ingest.format_timestamp(window.hours[0])[:10]
+        dataset = ingest.align(price, temperature, workload, span)
+        window = sim.Window.of(dataset, _plant(
+            cfg, dataset.temperature, dataset.workload), model)
         for name, controller in sorted(built.items()):
-            trajectory = sim.rollout(controller, window, specs)
-            trajectory.to_csv(os.path.join(out, f"trajectory_{name}_{day}.csv"))
+            trajectory = sim.rollout(controller, window, cfg.cost, cfg.space)
+            trajectory.to_csv(sim.trajectory_path(out, name, window.hours[0]))
             report = sim.summarize(trajectory)
             reports.append(report)
             print(f"{report.window} {name}: ${report.total_energy_cost:,.2f} "
@@ -296,43 +297,19 @@ def cmd_export_plot_data(cfg: RunConfig, args) -> int:
         except ingest.IngestError:
             raise PipelineError(f"--day {day!r} is not a YYYY-MM-DD "
                                 "date") from None
-    offset = day_h0 - first
     if not first <= day_h0 <= last - 23:
         raise PipelineError(
             f"day {day} not inside the first simulate window "
             + "..".join(ingest.format_timestamps([first, last]))
             + ": all 24 of its hours must be")
-    window_day = ingest.format_timestamp(first)[:10]
-    columns = [sim.Trajectory.COLUMNS.index(key)
-               for key in ("timestamp", "theta", "action", "price")]
     rows_out = []
     for name in sorted(cfg.raw["controllers"]):
-        path = os.path.join(out, f"trajectory_{name}_{window_day}.csv")
+        path = sim.trajectory_path(out, name, first)
         if not os.path.exists(path):
             raise PipelineError(f"missing {path}; run simulate first")
-        # write_csv quotes no field, so a row splits on its commas
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(fh, "").rstrip("\r\n").split(",")
-            lines = list(islice(fh, offset, offset + 24))
-        rows = [line.rstrip("\r\n").split(",") for line in lines]
-        if header != list(sim.Trajectory.COLUMNS):
-            raise PipelineError(f"{path} does not have the trajectory "
-                                f"columns {','.join(sim.Trajectory.COLUMNS)}; "
-                                "re-run simulate")
-        if not rows or rows[0][0] != ingest.format_timestamp(day_h0):
-            raise PipelineError(f"{path} does not start day {day} at hour "
-                                f"{offset} of its window; re-run simulate")
-        # every row write_csv writes ends with a newline: a file cut inside
-        # the day has fewer rows, or a last row without one
-        if len(lines) < 24 or not lines[-1].endswith("\n"):
-            raise PipelineError(f"{path} ends inside day {day}; re-run "
-                                "simulate")
-        for lineno, row in enumerate(rows, start=offset + 2):
-            if len(row) != len(header):
-                raise PipelineError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}; re-run simulate")
-        rows_out += [(name, *(row[k] for k in columns)) for row in rows]
+        rows_out += [(name, row["timestamp"], row["theta"], row["action"],
+                      row["price"])
+                     for row in sim.read_day(path, first, day_h0, day)]
 
     # rearranged quantile surfaces over the first training window, up to
     # one period of the design, after which every row repeats an earlier one

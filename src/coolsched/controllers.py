@@ -3,7 +3,7 @@
 A rollout calls start(window) once per simulated window, with the window's
 hours, realized prices, regime labels and step table (sim.Window): the
 equilibrium temperature of every (hour, chiller count) and the one-step
-decay factor. sim.Window.of labels the prices and builds the table once per
+decay factor. sim.Window.of labels the prices and takes the table once per
 window, so qfr-mdp reads the window's labels and classifies nothing. Then
 the rollout calls action(t, theta) for each hour t of the window, which
 returns a chiller count for indoor temperature theta. start tables

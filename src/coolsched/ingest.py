@@ -519,42 +519,38 @@ def synth_workload(seed: int, n_hours: int, base_cores: int, amplitude: float,
     return TimeSeries(hours, cores, SeriesKind.WORKLOAD)
 
 
-def synth_temperature(seed: int, n_hours: int, start="1970-01-01T00:00:00Z",
-                      mean: float = 26.0, daily_amp: float = 5.0,
-                      noise: float = 0.8) -> TimeSeries:
-    """Synthetic summer outdoor temperature, diurnal peak at 15:00."""
+def synth_temperature(seed: int, n_hours: int,
+                      start="1970-01-01T00:00:00Z") -> TimeSeries:
+    """Synthetic summer outdoor temperature, 26 + 5*cos(2*pi*(hod-15)/24)
+    degC (diurnal peak at 15:00) plus N(0, 0.8^2) noise."""
     start_hour = parse_timestamp(start) if isinstance(start, str) else int(start)
     hours = np.arange(start_hour, start_hour + n_hours, dtype=np.int64)
     hod = hours % 24
-    base = mean + daily_amp * np.cos(2 * np.pi * (hod - 15) / 24)
+    base = 26.0 + 5.0 * np.cos(2 * np.pi * (hod - 15) / 24)
     gen = np.random.Generator(np.random.PCG64(seed))
-    values = base + noise * gen.standard_normal(n_hours) if noise > 0 else base
+    values = base + 0.8 * gen.standard_normal(n_hours)
     return TimeSeries(hours, values, SeriesKind.TEMPERATURE)
 
 
-def synth_prices(seed: int, n_hours: int, start="1970-01-01T00:00:00Z",
-                 night: float = 25.0, day: float = 45.0, peak: float = 110.0,
-                 evening: float = 50.0, ar_rho: float = 0.8,
-                 ar_sigma: float = 0.25, spike_prob: float = 0.12,
-                 spike_scale: float = 3.0) -> TimeSeries:
-    """Synthetic spot prices: daily shape with an expensive 16-19 h window.
-
-    A persistent AR(1) log-noise multiplies the shape, and evening peak hours
-    occasionally spike, giving heavy upper quantiles worth planning around.
-    """
+def synth_prices(seed: int, n_hours: int,
+                 start="1970-01-01T00:00:00Z") -> TimeSeries:
+    """Synthetic spot prices: 25 $/MWh before 06:00, 45 to 16:00, 110 to
+    19:00 and 50 after, times a persistent AR(1) log-noise z[i] = 0.8 z[i-1]
+    + N(0, 0.25^2). Each 16-19 h hour spikes by a further U(1.5, 3) factor
+    with probability 0.12, giving heavy upper quantiles worth planning for."""
     start_hour = parse_timestamp(start) if isinstance(start, str) else int(start)
     hours = np.arange(start_hour, start_hour + n_hours, dtype=np.int64)
     hod = hours % 24
-    shape = np.where(hod < 6, night,
-                     np.where(hod < 16, day,
-                              np.where(hod < 19, peak, evening)))
+    shape = np.where(hod < 6, 25.0,
+                     np.where(hod < 16, 45.0,
+                              np.where(hod < 19, 110.0, 50.0)))
     gen = np.random.Generator(np.random.PCG64(seed))
     z = np.empty(n_hours)
-    z[0] = gen.standard_normal() * ar_sigma
-    eps = gen.standard_normal(n_hours) * ar_sigma
+    z[0] = gen.standard_normal() * 0.25
+    eps = gen.standard_normal(n_hours) * 0.25
     for i in range(1, n_hours):
-        z[i] = ar_rho * z[i - 1] + eps[i]
+        z[i] = 0.8 * z[i - 1] + eps[i]
     values = shape * np.exp(z)
-    spikes = (hod >= 16) & (hod < 19) & (gen.random(n_hours) < spike_prob)
-    values = np.where(spikes, values * gen.uniform(1.5, spike_scale, n_hours), values)
+    spikes = (hod >= 16) & (hod < 19) & (gen.random(n_hours) < 0.12)
+    values = np.where(spikes, values * gen.uniform(1.5, 3.0, n_hours), values)
     return TimeSeries(hours, values, SeriesKind.PRICE)

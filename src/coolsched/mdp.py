@@ -212,28 +212,17 @@ def build_lp(problem: MdpProblem) -> LpDescription:
     n = problem.n
     L, m, A = problem.space.n_theta, problem.space.m, problem.space.n_actions
     nvar = n * L * m * A
-    costs, succ_idx = problem.costs, problem.successors
-
     flat = np.arange(nvar, dtype=np.int64)
-    a_idx = flat % A
-    rest = flat // A
-    p_idx = rest % m
-    rest = rest // m
-    i_idx = rest % L
-    t_idx = rest // L
-
-    norm_rows = t_idx
-    inflow_rows = n + (t_idx * L + i_idx) * m + p_idx
-    t_next = (t_idx + 1) % n
-    j_next = succ_idx[t_idx, i_idx, a_idx]
-
-    rows = [norm_rows, inflow_rows]
-    cols = [flat, flat]
-    vals = [np.ones(nvar), np.ones(nvar)]
-    for p_to in range(m):
-        rows.append(n + (t_next * L + j_next) * m + p_to)
-        cols.append(flat)
-        vals.append(-problem.trans[t_idx, p_idx, p_to])
+    # x[t, i, p, a] flows into slot t+1's bin (successors[t, i, a], q), its
+    # row read through propagate's scatter index, with weight trans[t, p, q]
+    outflow = (n + L * m * np.roll(np.arange(n), -1)[:, None, None, None]
+               + problem.bins.reshape(n, A, L, m).transpose(0, 2, 1, 3))
+    shape = (n, L, m, A, m)
+    rows = [flat // (L * m * A), n + flat // A,
+            np.broadcast_to(outflow[:, :, None], shape).ravel()]
+    cols = [flat, flat, np.repeat(flat, m)]
+    vals = [np.ones(nvar), np.ones(nvar),
+            -np.broadcast_to(problem.trans[:, None, :, None, :], shape).ravel()]
 
     a_eq = sp.coo_matrix(
         (np.concatenate(vals),
@@ -243,7 +232,7 @@ def build_lp(problem: MdpProblem) -> LpDescription:
     a_eq.sum_duplicates()
     b_eq = np.zeros(n + n * L * m)
     b_eq[:n] = 1.0
-    return LpDescription(c=costs.ravel() / n, a_eq=a_eq, b_eq=b_eq,
+    return LpDescription(c=problem.costs.ravel() / n, a_eq=a_eq, b_eq=b_eq,
                          dims=(n, L, m, A))
 
 

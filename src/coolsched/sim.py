@@ -7,21 +7,24 @@ and tracking degree-hour violations of the safety band.
 A simulated window is stated once, as a `Window`, whatever the number of
 controllers rolled out on it: `Window.of` takes its hours and realized
 prices, labels them with the regime model in one `classify_series` call,
-and builds the plant's thermal.step_table from its traces, as the planner
-does for its cycle. `rollout` hands the window to the controller's
-start(window), and then asks action(t, theta) once per hour t. The same
-step table drives the controllers' searches, the rollout's own thermal
-steps and its energy, so each hour is one action, one table read and one
-relaxation step. Controllers are deterministic, so a rollout depends on its
-inputs alone.
+and keeps the plant's thermal.step_table of its hours, which the caller
+builds as it builds the planner's. `rollout` hands the window to the
+controller's start(window), and then asks action(t, theta) once per hour
+t. The same step table drives the controllers' searches, the rollout's own
+thermal steps and its energy, so each hour is one action, one table read
+and one relaxation step. Controllers are deterministic, so a rollout
+depends on its inputs alone.
 
 A `Trajectory` refers to its window for the hours, prices and regime
 labels, and `Trajectory.to_csv` takes their text from the window, which
-formats it once for all its trajectories.
+formats it once for all its trajectories. The trajectory file's name is
+`trajectory_path`'s, and `read_day` reads one day of it back.
 """
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -30,22 +33,10 @@ from .ingest import (AlignedDataset, format_floats, format_timestamp,
                      format_timestamps)
 from .mdp import CostSpec, StateSpace, quantize
 from .qfr import RegimeModel, classify_series
-from .thermal import ChillerSpec, FacilitySpec, HeatLoadSpec, step_table
+from .thermal import StepTable
 # Not called here: the rollout steps through the equilibrium table. The name
 # stays because bench/layertrace.py counts thermal steps as sim.step_temperature.
 from .thermal import step_temperature  # noqa: F401
-
-
-@dataclass
-class SimSpecs:
-    """Physical and accounting parameters shared by all controllers."""
-
-    facility: FacilitySpec
-    chiller: ChillerSpec
-    heat: HeatLoadSpec
-    cost: CostSpec
-    space: StateSpace                 # labels rows with grid bins
-    regime_model: RegimeModel = None  # optional, labels rows with regimes
 
 
 def _ints(values) -> list:
@@ -71,16 +62,18 @@ class Window:
     kwh: np.ndarray     # (n, a_max + 1) energy of each chiller count
 
     @classmethod
-    def of(cls, dataset: AlignedDataset, specs: SimSpecs) -> "Window":
-        """The window of `dataset` under `specs`. Raises ValueError on
-        negative workload cores."""
-        if specs.regime_model is not None:
-            regime = classify_series(specs.regime_model, dataset.hours,
-                                     dataset.price)
+    def of(cls, dataset: AlignedDataset, plant: StepTable,
+           model: RegimeModel = None) -> "Window":
+        """The window of `dataset` on `plant`, the step table of its hours,
+        with its prices labelled by `model` if given. Raises ValueError
+        unless the table has one row per hour of the dataset."""
+        if len(plant.equilibria) != dataset.n:
+            raise ValueError(f"step table of {len(plant.equilibria)} hours "
+                             f"for a window of {dataset.n}")
+        if model is not None:
+            regime = classify_series(model, dataset.hours, dataset.price)
         else:
             regime = np.zeros(dataset.n, dtype=np.int64)
-        plant = step_table(specs.facility, specs.chiller, specs.heat,
-                           dataset.temperature, dataset.workload)
         return cls(hours=dataset.hours.copy(), price=dataset.price.copy(),
                    regime=regime, equilibria=plant.equilibria.tolist(),
                    decay=plant.decay, kwh=plant.kwh)
@@ -146,19 +139,56 @@ class Trajectory:
             format_floats(self.violation_over)])
 
 
-def rollout(controller, window: Window, specs: SimSpecs,
+def trajectory_path(out, controller: str, first_hour) -> str:
+    """trajectory_<controller>_<first day>.csv in `out`, the file of
+    `controller`'s trajectory on the window from `first_hour`."""
+    day = format_timestamp(first_hour)[:10]
+    return os.path.join(out, f"trajectory_{controller}_{day}.csv")
+
+
+def read_day(path, first_hour: int, day_start: int, day: str) -> list:
+    """The 24 rows, as dicts by column, that Trajectory.to_csv wrote to
+    `path` for day `day` from hour `day_start` of the window from
+    `first_hour`. Raises ValueError naming `path` on another header, a day
+    not at its offset, a file cut inside the day and a row of other length."""
+    offset = day_start - first_hour
+    # write_csv quotes no field, so a row splits on its commas
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(fh, "").rstrip("\r\n").split(",")
+        lines = list(islice(fh, offset, offset + 24))
+    rows = [line.rstrip("\r\n").split(",") for line in lines]
+    columns = Trajectory.COLUMNS
+    if header != list(columns):
+        raise ValueError(f"{path} does not have the trajectory columns "
+                         f"{','.join(columns)}; re-run simulate")
+    if not rows or rows[0][0] != format_timestamp(day_start):
+        raise ValueError(f"{path} does not start day {day} at hour {offset} "
+                         "of its window; re-run simulate")
+    # every row write_csv writes ends with a newline: a file cut inside the
+    # day has fewer rows, or a last row without one
+    if len(lines) < 24 or not lines[-1].endswith("\n"):
+        raise ValueError(f"{path} ends inside day {day}; re-run simulate")
+    for lineno, row in enumerate(rows, start=offset + 2):
+        if len(row) != len(columns):
+            raise ValueError(f"{path}: line {lineno}: expected {len(columns)} "
+                             f"fields, got {len(row)}; re-run simulate")
+    return [dict(zip(columns, row)) for row in rows]
+
+
+def rollout(controller, window: Window, cost: CostSpec, space: StateSpace,
             initial_theta: float = None) -> Trajectory:
-    """Simulate `controller` over `window`, one decision per hour.
+    """Simulate `controller` over `window`, one decision per hour, against
+    the safety band of `cost`, labelling each hour with its bin of `space`.
 
     Temperature evolves continuously; quantization happens only inside
     policy lookups and the theta_index label. Raises ValueError on
-    an action outside 0..a_max.
+    an action outside 0..a_max of the window's step table.
     """
     n = len(window.hours)
     if initial_theta is None:
-        initial_theta = 0.5 * (specs.cost.t_min + specs.cost.t_max)
+        initial_theta = 0.5 * (cost.t_min + cost.t_max)
 
-    a_max = specs.chiller.a_max
+    a_max = window.kwh.shape[1] - 1
     decay = window.decay
     controller.start(window)
     act = controller.action
@@ -183,12 +213,12 @@ def rollout(controller, window: Window, specs: SimSpecs,
         controller=getattr(controller, "name", type(controller).__name__),
         window=window,
         theta=theta[:-1],
-        theta_index=quantize(theta[:-1], specs.space),
+        theta_index=quantize(theta[:-1], space),
         action=action,
         energy_kwh=energy,
         energy_cost=energy * window.price / 1000.0,
-        violation_under=np.maximum(0.0, specs.cost.t_min - after),
-        violation_over=np.maximum(0.0, after - specs.cost.t_max),
+        violation_under=np.maximum(0.0, cost.t_min - after),
+        violation_over=np.maximum(0.0, after - cost.t_max),
     )
 
 

@@ -1,10 +1,13 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from coolsched.ingest import align, synth_prices, synth_temperature, synth_workload
 from coolsched.mdp import CostSpec, StateSpace
-from coolsched.sim import SimSpecs
-from coolsched.thermal import ChillerSpec, FacilitySpec, HeatLoadSpec
+from coolsched.qfr import RegimeModel
+from coolsched.sim import Window
+from coolsched.thermal import ChillerSpec, FacilitySpec, HeatLoadSpec, step_table
 
 # Thermally heavy facility (thick slab + equipment mass): with a 1.5 MW load
 # the idle drift is about 1 degC/h, slow enough that pre-cooling can bank
@@ -27,10 +30,31 @@ def unit_room(gamma_env, c_heat):
                         gamma_env=gamma_env)
 
 
+@dataclass(frozen=True)
+class Specs:
+    """The plant, safety band and grid that the scalar references step and
+    price each hour on, and the regime model that labels the hours."""
+
+    facility: FacilitySpec
+    chiller: ChillerSpec
+    heat: HeatLoadSpec
+    cost: CostSpec
+    space: StateSpace
+    regime_model: RegimeModel = None
+
+
+def window_of(dataset, specs) -> Window:
+    """The sim.Window of `dataset` on the plant of `specs`, whose step table
+    is built from the dataset's traces as simulate builds it."""
+    plant = step_table(specs.facility, specs.chiller, specs.heat,
+                       dataset.temperature, dataset.workload)
+    return Window.of(dataset, plant, specs.regime_model)
+
+
 @pytest.fixture(scope="session")
 def sim_specs():
-    return SimSpecs(facility=FACILITY, chiller=CHILLER, heat=HEAT, cost=COST,
-                    space=SPACE)
+    return Specs(facility=FACILITY, chiller=CHILLER, heat=HEAT, cost=COST,
+                 space=SPACE)
 
 
 def summer_dataset(seed=0, year=2024, days=92):

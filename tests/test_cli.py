@@ -343,9 +343,8 @@ def test_planner_and_rollout_share_the_plant(pipeline, tmp_path):
         dataset = ingest.align(price, temperature,
                                cli._load_workload(cfg, str(tmp_path)),
                                cfg.simulate_windows[0])
-        simulated = sim.Window.of(dataset, sim.SimSpecs(
-            facility=cfg.facility, chiller=cfg.chiller, heat=cfg.heat,
-            cost=cfg.cost, space=cfg.space))
+        simulated = sim.Window.of(dataset, cli._plant(
+            cfg, dataset.temperature, dataset.workload))
         assert plant.equilibria.shape == (rows.stop - rows.start,
                                           cfg.chiller.a_max + 1)
         assert plant.equilibria.tolist() == simulated.equilibria[rows]
@@ -495,11 +494,12 @@ def test_simulate_states_each_window_once(pipeline, tmp_path, monkeypatch):
                      ["2024-07-19T00:00:00Z", "2024-07-19T23:00:00Z"]]}),
         name="config_two_windows.yaml")
     calls = Counter()
-    for name in ("classify_series", "step_table", "format_timestamps"):
-        def counted(*args, _name=name, _original=getattr(sim, name)):
+    for module, name in ((sim, "classify_series"), (cli, "step_table"),
+                         (sim, "format_timestamps")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(sim, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert cli.main(["simulate", "--config", config, "--out", str(tmp_path),
                      "--policy", os.path.join(out, "policy.json"),
                      "--regime-model",
@@ -529,11 +529,11 @@ def test_simulate_windows_slice_one_synthetic_load(pipeline, tmp_path,
     loads = []
 
     def recorded(facility, chiller, heat, temperature, workload,
-                 _original=sim.step_table):
+                 _original=cli.step_table):
         loads.append(workload)
         return _original(facility, chiller, heat, temperature, workload)
 
-    monkeypatch.setattr(sim, "step_table", recorded)
+    monkeypatch.setattr(cli, "step_table", recorded)
     assert cli.main(["simulate", "--config", config, "--out",
                      str(tmp_path)]) == 0
     assert [len(load) for load in loads] == [96, 24]

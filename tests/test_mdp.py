@@ -647,6 +647,20 @@ def test_cycle_check_matches_slot_by_slot(prob, seed):
                 case.x[t], prob.bins[t], prob.trans[t]))
 
 
+@pytest.mark.parametrize("make", [_desk_problem, _multichain_problem,
+                                  _paper_sized_problem])
+def test_lp_flow_rows_are_propagate(make):
+    # slot t's flow-balance rows take its own mass and give back the mass
+    # that propagate carries in from slot t-1, wrap included; on the n = 1
+    # cycle a variable's own-state and inflow entries add
+    prob = make()
+    lp = build_lp(prob)
+    x = np.random.default_rng(0).random(lp.dims)
+    flow = (lp.a_eq[prob.n:] @ x.ravel()).reshape(x.shape[:3])
+    inflow = np.roll(mdp.propagate(x, prob.bins, prob.trans), 1, axis=0)
+    assert np.abs(flow - (x.sum(axis=3) - inflow)).max() <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(problems(), seeds)
 def test_period_map_matches_kernel_product(prob, seed):

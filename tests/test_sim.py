@@ -14,12 +14,12 @@ from coolsched.ingest import AlignedDataset, format_timestamp, parse_timestamp
 from coolsched.mdp import Policy, StateSpace, quantize
 from coolsched.qfr import (TIE_TOL, FourierDesign, RegimeModel, classify,
                            classify_series)
-from coolsched.sim import (CostReport, SimSpecs, Trajectory, Window, compare,
+from coolsched.sim import (CostReport, Trajectory, Window, compare, read_day,
                            rollout, summarize)
 from coolsched.thermal import (ChillerSpec, HeatLoadSpec, capacitance,
-                               heat_load, step_temperature)
+                               heat_load, step_table, step_temperature)
 
-from conftest import COST, FACILITY, summer_dataset
+from conftest import COST, FACILITY, Specs, summer_dataset, window_of
 from references import cooling_energy, fixed_rule_action, greedy_action
 
 
@@ -215,17 +215,18 @@ def _flat_case(price=40.0, theta0=24.0, t_out=28.0, cores=50_000.0,
                     start=JULY_2024 + 2))
 def test_rollout_matches_reference(tmp_path_factory, case):
     dataset, model, policy, theta0, facility = case
-    specs = SimSpecs(facility=facility, chiller=ChillerSpec(),
-                     heat=HeatLoadSpec(), cost=COST, regime_model=model,
-                     space=policy.space)
+    specs = Specs(facility=facility, chiller=ChillerSpec(),
+                  heat=HeatLoadSpec(), cost=COST, regime_model=model,
+                  space=policy.space)
     labels = classify_series(model, dataset.hours, dataset.price)
     for t in range(dataset.n):
         assert classify(model, int(dataset.hours[t]),
                         float(dataset.price[t])) == labels[t]
     tmp = tmp_path_factory.mktemp("traj")
-    window = Window.of(dataset, specs)   # one window for all three rollouts
+    window = window_of(dataset, specs)   # one window for all three rollouts
     for controller in _controllers(specs, policy):
-        got = rollout(controller, window, specs, initial_theta=theta0)
+        got = rollout(controller, window, specs.cost, specs.space,
+                      initial_theta=theta0)
         assert got.window is window
         want = _rollout_reference(controller, dataset, specs, theta0)
         _assert_same_bits(got, want)
@@ -247,17 +248,33 @@ def test_reference_examples_hit_their_edge_cases():
 
 
 def test_rollout_rejects_action_outside_range(sim_specs):
-    window = Window.of(flat_dataset(), sim_specs)
+    window = window_of(flat_dataset(), sim_specs)
     for bad in (-1, sim_specs.chiller.a_max + 1):
         with pytest.raises(ValueError, match=r"0\.\.4"):
-            rollout(ConstantController(bad), window, sim_specs)
+            rollout(ConstantController(bad), window, sim_specs.cost,
+                    sim_specs.space)
 
 
 def test_rollout_rejects_negative_cores(sim_specs):
     ds = flat_dataset(cores=100)
     ds.workload[30] = -1.0
     with pytest.raises(ValueError, match="cores"):
-        Window.of(ds, sim_specs)
+        window_of(ds, sim_specs)
+
+
+def test_window_refuses_a_step_table_of_other_hours(sim_specs):
+    ds = flat_dataset()
+    plant = step_table(sim_specs.facility, sim_specs.chiller, sim_specs.heat,
+                       ds.temperature[:-1], ds.workload[:-1])
+    with pytest.raises(ValueError, match="step table of 47 hours for a "
+                                         "window of 48"):
+        Window.of(ds, plant)
+
+
+def _rollout(controller, dataset, specs, initial_theta=None):
+    """rollout on the window of `dataset` under `specs`."""
+    return rollout(controller, window_of(dataset, specs), specs.cost,
+                   specs.space, initial_theta)
 
 
 def flat_dataset(n=48, price=40.0, t_out=25.0, cores=0):
@@ -270,12 +287,11 @@ def flat_dataset(n=48, price=40.0, t_out=25.0, cores=0):
 
 def test_rollout_equilibrium_stays_constant(sim_specs):
     # no heat, no cooling, start at outdoor temperature: nothing moves
-    specs = SimSpecs(facility=sim_specs.facility, chiller=sim_specs.chiller,
-                     heat=HeatLoadSpec(q_base=0.0, phi=0.0), cost=COST,
-                     space=sim_specs.space)
+    specs = Specs(facility=sim_specs.facility, chiller=sim_specs.chiller,
+                  heat=HeatLoadSpec(q_base=0.0, phi=0.0), cost=COST,
+                  space=sim_specs.space)
     ds = flat_dataset(t_out=25.0)
-    traj = rollout(ConstantController(0), Window.of(ds, specs), specs,
-                   initial_theta=25.0)
+    traj = _rollout(ConstantController(0), ds, specs, initial_theta=25.0)
     assert np.allclose(traj.theta, 25.0, atol=1e-12)
     assert np.all(traj.action == 0)
 
@@ -283,8 +299,7 @@ def test_rollout_equilibrium_stays_constant(sim_specs):
 def test_rollout_theta_follows_thermal_equation(sim_specs):
     ds = summer_dataset(seed=3, days=4)
     greedy = GreedyController(sim_specs.cost)
-    traj = rollout(greedy, Window.of(ds, sim_specs), sim_specs,
-                   initial_theta=23.0)
+    traj = _rollout(greedy, ds, sim_specs, initial_theta=23.0)
     theta = 23.0
     for t in range(len(traj)):
         assert traj.theta[t] == theta  # recorded state is exact
@@ -298,8 +313,8 @@ def test_rollout_theta_follows_thermal_equation(sim_specs):
 def test_rollout_deterministic(sim_specs):
     ds = summer_dataset(seed=4, days=3)
     greedy = GreedyController(sim_specs.cost)
-    t1, t2 = (rollout(greedy, Window.of(ds, sim_specs), sim_specs,
-                      initial_theta=22.5) for _ in range(2))
+    t1, t2 = (_rollout(greedy, ds, sim_specs, initial_theta=22.5)
+              for _ in range(2))
     for field in ("theta", "action", "energy_kwh", "energy_cost"):
         assert np.array_equal(getattr(t1, field), getattr(t2, field))
 
@@ -307,7 +322,7 @@ def test_rollout_deterministic(sim_specs):
 def test_rollout_accounting_identity(sim_specs):
     ds = summer_dataset(seed=5, days=10)
     greedy = GreedyController(sim_specs.cost)
-    traj = rollout(greedy, Window.of(ds, sim_specs), sim_specs)
+    traj = _rollout(greedy, ds, sim_specs)
     report = summarize(traj)
     direct = float(np.sum(traj.energy_kwh * traj.price / 1000.0))
     assert report.total_energy_cost == pytest.approx(direct, rel=1e-9)
@@ -316,8 +331,7 @@ def test_rollout_accounting_identity(sim_specs):
 def test_greedy_holds_temperature_under_cap(sim_specs):
     ds = summer_dataset(seed=6, days=14)
     greedy = GreedyController(sim_specs.cost)
-    traj = rollout(greedy, Window.of(ds, sim_specs), sim_specs,
-                   initial_theta=22.5)
+    traj = _rollout(greedy, ds, sim_specs, initial_theta=22.5)
     assert np.max(traj.theta) <= sim_specs.cost.t_max + 1e-9
     assert np.sum(traj.violation_over) == 0.0
 
@@ -325,8 +339,7 @@ def test_greedy_holds_temperature_under_cap(sim_specs):
 def test_fixed_rule_peak_abstinence(sim_specs):
     ds = summer_dataset(seed=7, days=14)
     fixed = FixedRuleController(sim_specs.cost)
-    traj = rollout(fixed, Window.of(ds, sim_specs), sim_specs,
-                   initial_theta=22.5)
+    traj = _rollout(fixed, ds, sim_specs, initial_theta=22.5)
     hod = traj.hours % 24
     assert np.all(traj.action[(hod >= 16) & (hod < 19)] == 0)
 
@@ -363,7 +376,7 @@ def test_summarize_hand_built_rows():
 
 def test_summarize_zero_actions_zero_cost(sim_specs):
     ds = flat_dataset()
-    traj = rollout(ConstantController(0), Window.of(ds, sim_specs), sim_specs)
+    traj = _rollout(ConstantController(0), ds, sim_specs)
     report = summarize(traj)
     assert report.total_energy_kwh == 0.0
     assert report.total_energy_cost == 0.0
@@ -431,7 +444,7 @@ def test_compare_emits_row_per_window():
 def test_trajectory_csv_round_trip(tmp_path, sim_specs):
     ds = summer_dataset(seed=8, days=2)
     greedy = GreedyController(sim_specs.cost)
-    traj = rollout(greedy, Window.of(ds, sim_specs), sim_specs)
+    traj = _rollout(greedy, ds, sim_specs)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     with open(path, newline="") as fh:
@@ -441,3 +454,42 @@ def test_trajectory_csv_round_trip(tmp_path, sim_specs):
     got_cost = np.array([float(r["energy_cost"]) for r in rows])
     assert np.array_equal(got_theta, traj.theta)      # repr round-trips
     assert np.array_equal(got_cost, traj.energy_cost)
+
+
+def _three_days_written(tmp_path, specs):
+    """The path of a greedy trajectory of three days and its first hour."""
+    ds = summer_dataset(seed=8, days=3)
+    path = tmp_path / "traj.csv"
+    _rollout(GreedyController(specs.cost), ds, specs).to_csv(path)
+    return path, int(ds.hours[0])
+
+
+def test_read_day_gives_the_rows_to_csv_wrote(tmp_path, sim_specs):
+    path, first = _three_days_written(tmp_path, sim_specs)
+    with open(path, newline="") as fh:
+        written = list(csv.DictReader(fh))
+    for offset in (0, 24, 48):   # the first, middle and last day
+        assert read_day(path, first, first + offset,
+                        "d") == written[offset:offset + 24]
+
+
+@pytest.mark.parametrize("cut, error", [
+    (lambda lines: [lines[0].replace(b",price,", b",tariff,")] + lines[1:],
+     "{path} does not have the trajectory columns "
+     + ",".join(Trajectory.COLUMNS)),
+    # the file's lines 26..49 hold the middle day
+    (lambda lines: lines[:1] + lines[2:],
+     "{path} does not start day d at hour 24 of its window"),
+    (lambda lines: lines[:40], "{path} ends inside day d"),
+    (lambda lines: lines[:48] + [lines[48][:-1]], "{path} ends inside day d"),
+    (lambda lines: lines[:30] + [b",".join(lines[30].split(b",")[:2]) + b"\n"]
+     + lines[31:], "{path}: line 31: expected 10 fields, got 2"),
+], ids=["header", "offset", "rows", "last-newline", "short-row"])
+def test_read_day_names_the_path_of_a_bad_file(tmp_path, sim_specs, cut,
+                                               error):
+    path, first = _three_days_written(tmp_path, sim_specs)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(cut(lines)))
+    with pytest.raises(ValueError) as info:
+        read_day(path, first, first + 24, "d")
+    assert str(info.value) == error.format(path=path) + "; re-run simulate"
